@@ -16,7 +16,7 @@ import numpy as np
 
 from .costate import group_coefficients
 from .errors import ContractError
-from .graph import SpectralDecomposition
+from .graph import SpectralDecomposition, projected_group_count
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,45 @@ class SwitchBoundReport:
 
 def bound_general(sd: SpectralDecomposition, b: np.ndarray, proj_tol: float | None = None) -> int:
     """Spectral-support switch bound: max(0, G - 1) over groups where b projects above tolerance."""
-    bv = np.asarray(b, dtype=np.float64)
-    if proj_tol is None:
-        proj_tol = 1e-10 * max(1.0, float(np.linalg.norm(bv)))
-    proj = sd.vectors.T @ bv
-    count = sum(
-        1 for grp in sd.groups if float(np.linalg.norm(proj[list(grp)])) > proj_tol
-    )
-    return max(0, count - 1)
+    return max(0, projected_group_count(sd, b, proj_tol) - 1)
 
 
-def _sign_variations(values: np.ndarray, tol: float) -> int:
-    """Strict sign alternations, skipping entries within tolerance of zero."""
-    signs = [1 if v > tol else -1 for v in values if abs(v) > tol]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+# Entries of one block of partial sums minus levels in _sign_variations;
+# bounds its memory whatever the group count.
+_VARIATION_BLOCK = 1 << 16
+
+
+def _sign_variations(partial: np.ndarray, levels: np.ndarray, tol: float) -> np.ndarray:
+    """Strict sign alternations of partial - s for each level s.
+
+    Entries within tol of zero are skipped. Each entry is compared with the
+    last entry before it that is not skipped; that entry's sign is carried
+    forward by a running maximum over the indices of the entries that count.
+    """
+    idx = np.arange(partial.size)
+    rows = max(1, _VARIATION_BLOCK // partial.size)
+    out = []
+    for start in range(0, levels.size, rows):
+        diff = partial[None, :] - levels[start : start + rows, None]
+        counted = np.abs(diff) > tol
+        last = np.maximum.accumulate(np.where(counted, idx, -1), axis=1)
+        carried = np.take_along_axis(diff > tol, np.maximum(last, 0), axis=1)
+        changes = (carried[:, 1:] != carried[:, :-1]) & (last[:, :-1] >= 0)
+        out.append(np.count_nonzero(changes, axis=1))
+    return np.concatenate(out)
+
+
+def _max_sign_variations(partial: np.ndarray, tol: float) -> int:
+    """Largest sign-variation count of partial - s over all levels s >= 0.
+
+    Tests s = 0, the nonnegative midpoints between consecutive distinct
+    values of ``partial``, and one point beyond the largest, all at once.
+    """
+    vals = np.unique(partial)
+    mids = 0.5 * (vals[:-1] + vals[1:])
+    beyond = vals[-1:] + max(1.0, abs(float(vals[-1])))
+    levels = np.concatenate(([0.0], mids[mids >= 0.0], beyond[beyond >= 0.0]))
+    return int(np.max(_sign_variations(partial, levels, tol)))
 
 
 def bound_linear(sd: SpectralDecomposition, p: np.ndarray, b: np.ndarray, shift) -> int:
@@ -73,20 +98,12 @@ def bound_linear(sd: SpectralDecomposition, p: np.ndarray, b: np.ndarray, shift)
     if isinstance(shift, str):
         if shift != "sup":
             raise ContractError(f"shift must be a nonnegative level or 'sup', got {shift!r}")
-        vals = np.unique(partial)
-        candidates = [0.0]
-        candidates.extend(
-            0.5 * (lo + hi) for lo, hi in zip(vals[:-1], vals[1:]) if 0.5 * (lo + hi) >= 0.0
-        )
-        beyond = float(vals[-1]) + max(1.0, abs(float(vals[-1])))
-        if beyond >= 0.0:
-            candidates.append(beyond)
-        return max(_sign_variations(partial - s, stol) for s in candidates)
+        return _max_sign_variations(partial, stol)
 
     s = float(shift)
     if s < 0.0:
         raise ContractError(f"threshold shift must be nonnegative, got {s}")
-    return _sign_variations(partial - s, stol)
+    return int(_sign_variations(partial, np.array([s]), stol)[0])
 
 
 def _eval_exp_poly(rates: np.ndarray, coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:

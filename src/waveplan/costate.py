@@ -94,8 +94,7 @@ def group_coefficients(
         sd.vectors.T @ np.asarray(b, dtype=np.float64)
     )
     rates = np.array(sd.group_rates, dtype=np.float64)
-    coeffs = np.array([float(np.sum(proj[list(grp)])) for grp in sd.groups])
-    return rates, coeffs
+    return rates, np.add.reduceat(proj, sd.group_starts)
 
 
 def channel_profile(

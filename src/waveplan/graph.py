@@ -127,6 +127,31 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
         object.__setattr__(self, "vectors", _as_readonly(self.vectors))
 
+    @property
+    def group_starts(self) -> np.ndarray:
+        """First eigenvalue index of each group.
+
+        Groups are contiguous index runs because the eigenvalues are sorted.
+        """
+        return np.array([grp[0] for grp in self.groups], dtype=np.intp)
+
+
+def projected_group_count(
+    sd: SpectralDecomposition, x: np.ndarray, tol: float | None = None
+) -> int:
+    """Number of eigenvalue groups onto which x has a projection of norm above tol.
+
+    The default tolerance is 1e-10 * max(1, |x|). For a symmetric Laplacian
+    this count is also the Kalman rank of (L, x): the Krylov space of x is
+    spanned by its projections onto the distinct eigenspaces.
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    if tol is None:
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(xv)))
+    proj = sd.vectors.T @ xv
+    norms = np.sqrt(np.add.reduceat(proj * proj, sd.group_starts))
+    return int(np.count_nonzero(norms > tol))
+
 
 def _fix_signs(q: np.ndarray) -> np.ndarray:
     """Make the first nonzero component of each column positive."""

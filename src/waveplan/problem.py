@@ -8,12 +8,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (
-    Laplacian,
     SpectralDecomposition,
     WeightedGraph,
-    build_laplacian,
     graph_from_dict,
     graph_to_dict,
+    projected_group_count,
 )
 
 
@@ -217,39 +216,21 @@ class ConditionReport:
         return all(c.theorem_applicable for c in self.channels)
 
 
-def controllability_rank(lap: Laplacian, b: np.ndarray) -> int:
-    """Numerical rank of [L b | L^2 b | ... | L^n b] via singular values.
-
-    The relative threshold is 1e-9 times the largest singular value; exact
-    rank is ill-posed in floating point. Note that every column is
-    orthogonal to the all-ones vector, so the rank never reaches n; the
-    controllability flag is a diagnostic, not a gate.
-    """
-    cols = []
-    w = np.asarray(b, dtype=np.float64)
-    for _ in range(lap.n):
-        w = lap.matrix @ w
-        cols.append(w)
-    k = np.column_stack(cols)
-    sigma = np.linalg.svd(k, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > 1e-9 * sigma[0]))
-
-
 def check_conditions(p: CampaignProblem, sd: SpectralDecomposition) -> ConditionReport:
     """Evaluate, per channel, whether the bang-bang structure theorem certifies it.
 
     Strictly concave (power) costs need nonzero total reach; linear costs
-    need the controllability diagnostic. When a flag is false the solver
-    still runs but tags its output as not structure-certified.
+    need (L, b) controllable. For symmetric L the Kalman rank of (L, b) is
+    the number of eigenvalue groups b projects onto, so (L, b) is
+    controllable when every eigenvalue is simple and b projects onto every
+    eigenvector. When a flag is false the solver still runs but tags its
+    output as not structure-certified.
     """
-    lap = build_laplacian(p.graph)
     out = []
     for k, ch in enumerate(p.channels, start=1):
         reach = float(np.sum(ch.b))
         reach_nonzero = abs(reach) > 1e-12 * max(1.0, float(np.sum(np.abs(ch.b))))
-        rank = controllability_rank(lap, ch.b)
+        rank = projected_group_count(sd, ch.b)
         controllable = rank == p.n
         applicable = reach_nonzero if ch.cost.kind == "power" else controllable
         out.append(

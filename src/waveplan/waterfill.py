@@ -1,10 +1,17 @@
-"""Exact linear-objective allocation by bisection on the water level beta.
+"""Exact linear-objective allocation by a bracketed search on the water level beta.
 
 A channel runs flat out wherever its cost-normalized signal g_i(t) =
 h_i(t) * u_max_i / c_i(u_max_i) sits above the water level, and is off
-elsewhere. Total spend is monotone nonincreasing in the level, so the level
-that meets the budget is found by bisection; a slack budget short-circuits
-to level zero by complementary slackness.
+elsewhere. Total spend is monotone nonincreasing in the level. A slack
+budget short-circuits to level zero by complementary slackness. Otherwise
+one weighted sort of the gridded signals brackets the level that meets the
+budget, exact spends confirm the bracket, and safeguarded Newton steps on
+the spend, falling back to bisection, find the level.
+
+One engine serves every level probe, ``on_set`` and ``spend_for_beta``:
+the G x m matrix of cost-normalized group coefficients, one modal block
+exp((t - T) * rate) evaluated per solve on a shared grid, and vectorized
+safeguarded Newton refinement of all crossings of all channels together.
 """
 
 from __future__ import annotations
@@ -14,14 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import bound_general, bound_linear
-from .costate import ChannelProfile, TerminalCostate, channel_profile, eval_h
+from .costate import ChannelProfile, TerminalCostate, channel_profile
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
 from .graph import build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Channel, check_conditions, require_valid
 
 BISECTION_MAX_ITERS = 200
+CROSSING_MAX_ITERS = 100
 SPEND_REL_TOL = 1e-9
+# Entries of one row block of the modal grid; bounds the grid's working memory.
+_GRID_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,8 @@ class WaterfillSolution:
     binding: bool
     objective_gain: float
     certificate: tuple[ChannelCertificate, ...]
+    # (level, exact spend) of every level probed, in order: level 0 first,
+    # the returned level last.
     bisection_trace: tuple[tuple[float, float], ...] = field(default=())
 
     @property
@@ -99,39 +111,221 @@ def threshold_profile(profile: ChannelProfile, ch: Channel) -> ChannelProfile:
     )
 
 
-def _refine_crossing(g: ChannelProfile, beta: float, lo: float, hi: float, tol: float) -> float:
-    above_lo = eval_h(g, lo) > beta
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if (eval_h(g, mid) > beta) == above_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _sample_signals(
+    rates: np.ndarray, coeffs: np.ndarray, T: float, resolution: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform grid on [0, T] and every channel's signal on it, shape (m, resolution).
+
+    The modal block exp((t - T) * rate) is taken in row blocks of fixed size
+    as exp((t - t_e) * rate) * exp((t_e - T) * rate), with t_e the last time
+    of the block. The first factor is the same for every block and is
+    computed once; the second folds into the coefficients. So each block
+    costs G exponentials and one matrix product, memory stays O(block * G),
+    and both factors are at most 1, so nothing overflows.
+    """
+    ts = np.linspace(0.0, T, resolution)
+    dt = T / max(1, resolution - 1)
+    rows = max(1, min(resolution, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
+    offsets = np.exp(np.multiply.outer(np.arange(1 - rows, 1) * dt, rates)).T
+    out = np.empty((coeffs.shape[1], resolution))
+    for stop in range(resolution, 0, -rows):
+        start = max(0, stop - rows)
+        anchored = coeffs * np.exp((ts[stop - 1] - T) * rates)[:, None]
+        out[:, start:stop] = anchored.T @ offsets[:, rows - (stop - start) :]
+    return ts, out
 
 
-def _intervals_from_samples(
-    g: ChannelProfile, beta: float, ts: np.ndarray, values: np.ndarray, T: float
-) -> tuple[tuple[float, float], ...]:
-    above = values > beta
-    if not np.any(above):
-        return ()
-    tol = 1e-12 * T
-    boundaries = np.flatnonzero(above[:-1] != above[1:])
-    intervals: list[tuple[float, float]] = []
-    start = 0.0 if above[0] else None
-    for k in boundaries:
-        c = _refine_crossing(g, beta, float(ts[k]), float(ts[k + 1]), tol)
-        if above[k]:
-            intervals.append((start, c))
-            start = None
+class _SignalGrid:
+    """The cost-normalized signals g_k of several channels, sampled once on a shared grid.
+
+    ``rates`` is the union of the channels' group rates and ``coeffs`` the
+    G x m matrix of their coefficients, 0 where a channel dropped a mode.
+    The samples supply signs and brackets only: ``on_sets`` takes each
+    crossing's grid cell and the signs at the cell ends from them, then
+    refines the crossing on the closed form. ``hints`` caps the crossings a
+    channel can have (None for no cap); a scan that finds more is repeated on
+    a grid four times finer, at most twice, to rule out grid chatter.
+    """
+
+    def __init__(
+        self,
+        gs: list[ChannelProfile],
+        T: float,
+        resolution: int,
+        hints: list[int | None] | None = None,
+    ) -> None:
+        self.T = float(T)
+        self.resolution = resolution
+        self.hints = hints if hints is not None else [None] * len(gs)
+        self.rates = np.unique(np.concatenate([np.asarray(g.rates, dtype=np.float64) for g in gs]))
+        self.coeffs = np.zeros((self.rates.size, len(gs)))
+        for k, g in enumerate(gs):
+            self.coeffs[np.searchsorted(self.rates, g.rates), k] = g.coeffs
+        self.dcoeffs = self.coeffs * self.rates[:, None]  # coefficients of g'
+        self.times, self.values = _sample_signals(self.rates, self.coeffs, self.T, resolution)
+
+    def _scan(self, k: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid times, channel k's samples and their signs against beta.
+
+        The grid is escalated while the crossings exceed the channel's hint.
+        """
+        ts, vals = self.times, self.values[k]
+        hint, resolution = self.hints[k], self.resolution
+        above = vals > beta
+        for _ in range(2):
+            if hint is None or np.count_nonzero(above[:-1] != above[1:]) <= hint:
+                break
+            resolution *= 4
+            ts, vals = _sample_signals(self.rates, self.coeffs[:, k : k + 1], self.T, resolution)
+            vals = vals[0]
+            above = vals > beta
+        return ts, vals, above
+
+    def on_sets(self, beta: float) -> tuple[list[tuple[tuple[float, float], ...]], np.ndarray]:
+        """Every channel's region {t : g_k(t) > beta}, and the sum of 1/|g_k'| over its crossings.
+
+        Points with g_k(t) = beta are assigned off (the boundary set has
+        measure zero under the no-singular-arc conditions, and a
+        deterministic tie-break keeps outputs reproducible).
+        """
+        scans, cells = [], []
+        for k in range(self.coeffs.shape[1]):
+            ts, vals, above = self._scan(k, beta)
+            idx = np.flatnonzero(above[:-1] != above[1:])
+            scans.append((bool(above[0]), above[idx].tolist()))
+            cells.append((ts[idx], ts[idx + 1], vals[idx], vals[idx + 1], np.full(idx.size, k)))
+        lo, hi, vlo, vhi, chan = (np.concatenate(col) for col in zip(*cells))
+        crossings, slopes = self._refine(lo, hi, vlo, vhi, chan, beta)
+        with np.errstate(divide="ignore"):
+            inverse = np.bincount(chan, 1.0 / np.abs(slopes), minlength=len(scans))
+        sets, pos = [], 0
+        for on_at_start, falling in scans:
+            intervals: list[tuple[float, float]] = []
+            start = 0.0 if on_at_start else None
+            for c, fall in zip(crossings[pos : pos + len(falling)].tolist(), falling):
+                if fall:
+                    intervals.append((start, c))
+                    start = None
+                else:
+                    start = c
+            if start is not None:
+                intervals.append((start, self.T))
+            pos += len(falling)
+            sets.append(tuple(iv for iv in intervals if iv[1] > iv[0]))
+        return sets, inverse
+
+    def _refine(self, lo, hi, vlo, vhi, chan, beta) -> tuple[np.ndarray, np.ndarray]:
+        """Crossings g_chan = beta inside the cells [lo, hi], all refined together, with g' there.
+
+        Safeguarded Newton on the closed form g' = sum_g d_g rate_g
+        exp(rate_g (t - T)), started from the secant through the grid values.
+        A step that leaves the cell's bracket, or that did not halve
+        |g - beta|, is replaced by bisection. The sign at the lower end comes
+        from the grid. Each crossing stops once its step or its bracket is
+        within 1e-12 * T.
+        """
+        tol = 1e-12 * self.T
+        above_lo = vlo > beta
+        t = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
+        slopes = np.zeros_like(t)
+        last = np.full_like(t, np.inf)
+        active = np.arange(t.size)
+        for _ in range(CROSSING_MAX_ITERS):
+            if active.size == 0:
+                break
+            ta = t[active]
+            e = np.exp(np.multiply.outer(ta - self.T, self.rates))
+            f = np.einsum("cg,gc->c", e, self.coeffs[:, chan[active]]) - beta
+            fp = np.einsum("cg,gc->c", e, self.dcoeffs[:, chan[active]])
+            slopes[active] = fp
+            keep_lo = (f > 0.0) == above_lo[active]
+            a = np.where(keep_lo, ta, lo[active])
+            b = np.where(keep_lo, hi[active], ta)
+            lo[active], hi[active] = a, b
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = ta - f / fp
+            newton = (a < step) & (step < b) & (np.abs(f) <= 0.5 * last[active])
+            nxt = np.where(newton, step, 0.5 * (a + b))
+            done = (np.abs(nxt - ta) <= tol) | (b - a <= tol)
+            last[active] = np.abs(f)
+            t[active] = nxt
+            active = active[~done]
+        return t, slopes
+
+    def level_bracket(self, costs: np.ndarray, r: float) -> tuple[float, float]:
+        """Two levels on either side of where the sampled spend crosses r.
+
+        Each sample of channel k stands for c_k * dt of spend, so one sort
+        of all samples gives the sampled spend at every level. Its error is
+        about c_k * dt per crossing of channel k, so the levels sit that far
+        (plus two samples per channel) to either side of r. The bracket is a
+        guess: exact spends confirm it.
+        """
+        dt = self.T / max(1, self.resolution - 1)
+        vals = self.values.ravel()
+        order = np.argsort(vals)[::-1]
+        sampled = np.cumsum(np.repeat(costs * dt, self.resolution)[order])
+        last = vals.size - 1
+        level = vals[order[min(int(np.searchsorted(sampled, r)), last)]]
+        above = self.values > level
+        crossings = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
+        slack = dt * float(costs @ (crossings + 2))
+        i_lo = min(int(np.searchsorted(sampled, r + slack)) + 1, last)
+        i_hi = min(int(np.searchsorted(sampled, r - slack)), last)
+        return float(vals[order[i_lo]]), float(vals[order[i_hi]])
+
+
+def _find_level(grid: _SignalGrid, spend_at, costs: np.ndarray, r: float):
+    """The level whose exact spend meets a binding budget r, with its on-sets and spend.
+
+    The search keeps a bracket lo < beta* < hi with spend(lo) > r >
+    spend(hi), starting from [0, max sample]. It first probes the two
+    levels of the grid's bracket, then takes Newton steps from the probe
+    closest to r, with dS/dbeta = -sum_k c_k sum_crossings 1/|g_k'|. A step
+    that leaves the bracket, or follows a probe that did not halve
+    |spend - r|, becomes a bisection step. ``spend_at(beta)`` returns the
+    on-sets, the exact spend and |dS/dbeta| there.
+    """
+    lo = 0.0
+    hi = float(np.max(grid.values))
+    hi += 1e-9 * max(1.0, abs(hi))
+    if hi <= 0.0:
+        raise NumericalError("all comparison signals are nonpositive yet spend exceeds budget")
+    tol = SPEND_REL_TOL * r
+    probes = list(grid.level_bracket(costs, r))
+    best = None  # (|spend - r|, beta, spend, |dS/dbeta|) of the probe closest to r
+    stalled = False
+    spend = float("nan")
+    for _ in range(BISECTION_MAX_ITERS):
+        probing = bool(probes)
+        if probing:
+            beta = probes.pop()
+            if not lo < beta < hi:
+                continue
         else:
-            start = c
-    if start is not None:
-        intervals.append((start, T))
-    return tuple(iv for iv in intervals if iv[1] > iv[0])
+            beta = 0.5 * (lo + hi)
+            if best is not None and not stalled and best[3] > 0.0:
+                step = best[1] + (best[2] - r) / best[3]
+                if lo < step < hi:
+                    beta = step
+            if not lo < beta < hi:
+                break
+        sets, spend, rate = spend_at(beta)
+        gap = abs(spend - r)
+        if gap <= tol:
+            return beta, sets, spend
+        if spend > r:
+            lo = beta
+        else:
+            hi = beta
+        stalled = not probing and best is not None and gap > 0.5 * best[0]
+        if best is None or gap < best[0]:
+            best = (gap, beta, spend, rate)
+    raise NumericalError(
+        "water-level bisection did not converge: bracket "
+        f"[{lo:.17g}, {hi:.17g}], spend at last iterate {spend:.17g}, budget {r:.17g}; "
+        "the spend curve may jump here (flat comparison signal at the level)"
+    )
 
 
 def on_set(
@@ -139,32 +333,23 @@ def on_set(
     beta: float,
     T: float,
     resolution: int = 4096,
-    times: np.ndarray | None = None,
-    values: np.ndarray | None = None,
     max_crossings: int | None = None,
 ) -> tuple[tuple[float, float], ...]:
     """The region {t in [0, T] : g(t) > beta} as disjoint sorted intervals.
 
-    Grid scan followed by bisection refinement of each crossing to 1e-12 * T.
-    Points with g(t) = beta are assigned off (the boundary set has measure
-    zero under the no-singular-arc conditions, and a deterministic tie-break
-    keeps outputs reproducible). When ``max_crossings`` is given and the scan
-    finds more boundaries than that, the resolution escalates fourfold, at
-    most twice, to rule out grid chatter.
+    Grid scan followed by Newton refinement of each crossing to 1e-12 * T.
+    Points with g(t) = beta are assigned off. When ``max_crossings`` is
+    given and the scan finds more boundaries than that, the resolution
+    escalates fourfold, at most twice, to rule out grid chatter.
     """
     if beta < 0.0:
         raise ContractError(f"water level must be nonnegative, got {beta}")
-    if times is None or values is None:
-        times = np.linspace(0.0, T, resolution)
-        values = eval_h(g, times)
-    for _ in range(2):
-        crossings = int(np.sum((values > beta)[:-1] != (values > beta)[1:]))
-        if max_crossings is None or crossings <= max_crossings:
-            break
-        resolution *= 4
-        times = np.linspace(0.0, T, resolution)
-        values = eval_h(g, times)
-    return _intervals_from_samples(g, beta, times, values, T)
+    sets, _ = _SignalGrid([g], T, resolution, hints=[max_crossings]).on_sets(beta)
+    return sets[0]
+
+
+def _spend(costs, sets) -> float:
+    return float(sum(c * sum(hi - lo for lo, hi in s) for c, s in zip(costs, sets)))
 
 
 def spend_for_beta(
@@ -176,12 +361,9 @@ def spend_for_beta(
     """Total budget burned at water level beta: sum of c_i(u_max_i) times on-time."""
     if resolution is None:
         resolution = max(4096, 64 * problem.n)
-    total = 0.0
-    for profile, ch in zip(profiles, problem.channels):
-        g = threshold_profile(profile, ch)
-        sets = on_set(g, beta, problem.T, resolution=resolution)
-        total += ch.max_cost_rate * sum(hi - lo for lo, hi in sets)
-    return float(total)
+    gs = [threshold_profile(profile, ch) for profile, ch in zip(profiles, problem.channels)]
+    sets, _ = _SignalGrid(gs, problem.T, resolution).on_sets(beta)
+    return _spend([ch.max_cost_rate for ch in problem.channels], sets)
 
 
 def solve_with_costate(
@@ -204,56 +386,26 @@ def solve_with_costate(
         channel_profile(sd, lamT, ch.b, T, channel=k + 1)
         for k, ch in enumerate(problem.channels)
     ]
-    gs = [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)]
-    resolution = resolution or max(4096, 64 * problem.n)
-    ts = np.linspace(0.0, T, resolution)
-    gvals = [eval_h(g, ts) for g in gs]
-    hints = [bound_general(sd, ch.b) + 1 for ch in problem.channels]
-    cost_rates = [ch.max_cost_rate for ch in problem.channels]
-
-    def sets_at(beta: float) -> list[tuple[tuple[float, float], ...]]:
-        return [
-            on_set(g, beta, T, resolution=resolution, times=ts, values=v, max_crossings=h)
-            for g, v, h in zip(gs, gvals, hints)
-        ]
-
-    def spend_of(sets) -> float:
-        return float(
-            sum(cr * sum(hi - lo for lo, hi in s) for cr, s in zip(cost_rates, sets))
-        )
-
+    supports = [bound_general(sd, ch.b) for ch in problem.channels]
+    grid = _SignalGrid(
+        [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)],
+        T,
+        resolution or max(4096, 64 * problem.n),
+        hints=[bg + 1 for bg in supports],
+    )
+    costs = np.array([ch.max_cost_rate for ch in problem.channels])
     trace: list[tuple[float, float]] = []
-    sets0 = sets_at(0.0)
-    spend0 = spend_of(sets0)
-    trace.append((0.0, spend0))
 
-    if spend0 <= r:
-        beta_star, sets, spend = 0.0, sets0, spend0
-    else:
-        beta_hi = max(float(np.max(v)) for v in gvals)
-        beta_hi += 1e-9 * max(1.0, abs(beta_hi))
-        if beta_hi <= 0.0:
-            raise NumericalError("all comparison signals are nonpositive yet spend exceeds budget")
-        lo, hi = 0.0, beta_hi
-        beta_star = None
-        for _ in range(BISECTION_MAX_ITERS):
-            mid = 0.5 * (lo + hi)
-            sets = sets_at(mid)
-            spend = spend_of(sets)
-            trace.append((mid, spend))
-            if abs(spend - r) <= SPEND_REL_TOL * r:
-                beta_star = mid
-                break
-            if spend > r:
-                lo = mid
-            else:
-                hi = mid
-        if beta_star is None:
-            raise NumericalError(
-                "water-level bisection did not converge: bracket "
-                f"[{lo:.17g}, {hi:.17g}], spend at last iterate {spend:.17g}, budget {r:.17g}; "
-                "the spend curve may jump here (flat comparison signal at the level)"
-            )
+    def spend_at(beta: float):
+        sets, inverse_slopes = grid.on_sets(beta)
+        spend = _spend(costs, sets)
+        trace.append((beta, spend))
+        return sets, spend, float(costs @ inverse_slopes)
+
+    sets, spend, _ = spend_at(0.0)
+    beta_star = 0.0
+    if spend > r:
+        beta_star, sets, spend = _find_level(grid, spend_at, costs, r)
 
     schedule = BangBangSchedule(
         channels=tuple(
@@ -267,9 +419,9 @@ def solve_with_costate(
     ones_proj = sd.vectors[:, 0]
     switch_counts = schedule.switch_counts(T)
     for k, ch in enumerate(problem.channels):
-        shift = beta_star * cost_rates[k] / ch.u_max
+        shift = beta_star * ch.max_cost_rate / ch.u_max
         realized = switch_counts[k]
-        bg = bound_general(sd, ch.b)
+        bg = supports[k]
         bl = bound_linear(sd, lam, ch.b, shift)
         blsup = bound_linear(sd, lam, ch.b, "sup")
         certificate.append(
@@ -287,9 +439,15 @@ def solve_with_costate(
         # spectral-support bound additionally needs the constant mode present
         # (a channel with zero total reach plus a positive level gains one
         # extra admissible crossing).
-        assert realized <= bl, f"channel {k + 1}: {realized} switches exceed variation bound {bl}"
+        if realized > bl:
+            raise NumericalError(
+                f"channel {k + 1}: {realized} switches exceed variation bound {bl}"
+            )
         if abs(float(ones_proj @ ch.b)) > 1e-10 * max(1.0, float(np.linalg.norm(ch.b))):
-            assert realized <= bg, f"channel {k + 1}: {realized} switches exceed support bound {bg}"
+            if realized > bg:
+                raise NumericalError(
+                    f"channel {k + 1}: {realized} switches exceed support bound {bg}"
+                )
 
     return WaterfillSolution(
         beta_star=float(beta_star),

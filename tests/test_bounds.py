@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import K2, random_connected_graph
-from waveplan.bounds import bound_general, bound_linear, count_exp_poly_zeros
+from waveplan.bounds import (
+    _max_sign_variations,
+    _sign_variations,
+    bound_general,
+    bound_linear,
+    count_exp_poly_zeros,
+)
+from waveplan.costate import group_coefficients
 from waveplan.errors import ContractError
 from waveplan.graph import build_laplacian, spectral_decompose
 
@@ -66,6 +73,70 @@ class TestBoundLinear:
     def test_rejects_unknown_mode(self, k2_sd):
         with pytest.raises(ContractError):
             bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), "max")
+
+
+def _reference_variations(values, tol):
+    signs = [1 if v > tol else -1 for v in values if abs(v) > tol]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_sup(partial, tol):
+    """The candidate-by-candidate loop the vectorized sup bound replaced."""
+    vals = np.unique(partial)
+    candidates = [0.0]
+    candidates.extend(
+        0.5 * (lo + hi) for lo, hi in zip(vals[:-1], vals[1:]) if 0.5 * (lo + hi) >= 0.0
+    )
+    beyond = float(vals[-1]) + max(1.0, abs(float(vals[-1])))
+    if beyond >= 0.0:
+        candidates.append(beyond)
+    return max(_reference_variations(partial - s, tol) for s in candidates)
+
+
+def _partial_sums(sd, p, b):
+    _, coeffs = group_coefficients(sd, p, b)
+    ctol = 1e-12 * max(1.0, np.linalg.norm(p) * np.linalg.norm(b))
+    coeffs = np.where(np.abs(coeffs) <= ctol, 0.0, coeffs)
+    return np.cumsum(coeffs), 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
+
+
+class TestSupMatchesReferenceLoop:
+    def test_random_graphs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
+            p = rng.uniform(0, 1, n)
+            b = rng.uniform(-1, 1, n) * (rng.random(n) < 0.5)
+            if not np.any(b):
+                b[0] = 1.0
+            partial, stol = _partial_sums(sd, p, b)
+            assert bound_linear(sd, p, b, "sup") == _reference_sup(partial, stol)
+            for s in (0.0, float(rng.uniform(0, 1)), abs(float(partial[-1]))):
+                assert bound_linear(sd, p, b, s) == _reference_variations(partial - s, stol)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            [0.3, 0.3, 0.3, -0.2, -0.2, 0.3],  # ties between partial sums
+            [0.0, 1e-13, -1e-13, 0.5, 2e-13, 0.5],  # partial sums within tolerance of zero
+            [0.2, 0.2 + 1e-13, 0.2 - 1e-13, -0.1, 0.2],  # distinct sums closer than the tolerance
+            [-0.4, -0.1, -0.3, -0.2],  # every midpoint negative
+            [0.0],
+            [1.0, -1.0, 1.0, -1.0, 1.0],
+        ],
+    )
+    def test_crafted_sequences(self, partial):
+        partial = np.array(partial)
+        assert _max_sign_variations(partial, 1e-12) == _reference_sup(partial, 1e-12)
+        levels = np.unique(np.concatenate(([0.0], np.abs(partial), np.abs(partial) + 1e-13)))
+        expected = [_reference_variations(partial - s, 1e-12) for s in levels]
+        assert _sign_variations(partial, levels, 1e-12).tolist() == expected
+
+    def test_many_groups_cross_block_boundaries(self):
+        rng = np.random.default_rng(3)
+        partial = np.round(np.cumsum(rng.normal(size=700)), 1)  # long, with many ties
+        assert _max_sign_variations(partial, 1e-12) == _reference_sup(partial, 1e-12)
 
 
 class TestCountExpPolyZeros:

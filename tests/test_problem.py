@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import K2, k2_problem
-from waveplan.graph import build_laplacian, spectral_decompose
+from helpers import K2, P3, k2_problem
+from waveplan.bundles import seven_agent_problem
+from waveplan.graph import WeightedGraph, build_laplacian, spectral_decompose
 from waveplan.problem import (
     CampaignProblem,
     Channel,
@@ -96,17 +97,57 @@ class TestCostModel:
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
 
+def _ranks(graph, gains):
+    sd = spectral_decompose(build_laplacian(graph))
+    p = CampaignProblem(
+        graph=graph,
+        channels=tuple(_channel(b) for b in gains),
+        objective=Objective(kind="linear", p=np.ones(graph.n)),
+        T=1.0,
+        r=0.5,
+        x0=np.zeros(graph.n),
+    )
+    return [(c.controllability_rank, c.controllable) for c in check_conditions(p, sd).channels]
+
+
 class TestCheckConditions:
-    def test_k2_single_agent_channel_not_controllable(self):
-        # [L b | L^2 b] = [(1,-1) | (2,-2)] has rank 1, so the linear-cost
-        # branch stays uncertified; the solver still runs on such channels.
+    def test_k2_single_agent_channel_controllable(self):
+        # [b | L b] = [(1, 0) | (1, -1)] has rank 2, so the linear-cost
+        # branch is certified.
         p = k2_problem()
         sd = spectral_decompose(build_laplacian(K2))
-        report = check_conditions(p, sd)
-        cond = report.channels[0]
-        assert cond.controllability_rank == 1
-        assert not cond.controllable
-        assert not cond.theorem_applicable
+        cond = check_conditions(p, sd).channels[0]
+        assert cond.controllability_rank == 2
+        assert cond.controllable
+        assert cond.theorem_applicable
+
+    def test_k2_uniform_gain_reaches_only_the_mean(self):
+        # b = (1, 1) is an eigenvector: L b = 0, rank 1.
+        assert _ranks(K2, [[1.0, 1.0]]) == [(1, False)]
+
+    def test_path_end_and_middle(self):
+        # P3 has simple eigenvalues 0, 1, 3 with eigenvectors (1, 1, 1),
+        # (1, 0, -1), (1, -2, 1). An end agent projects onto all three; the
+        # middle agent misses (1, 0, -1).
+        assert _ranks(P3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) == [(3, True), (2, False)]
+
+    def test_star_never_controllable(self):
+        # The star on 4 nodes has eigenvalues 0, 1 (twice) and 4, so the rank
+        # is at most 3. A leaf reaches all three eigenspaces; the hub misses
+        # the leaf-difference eigenspace of 1: L e1 = (3, -1, -1, -1) and
+        # L^2 e1 = 4 L e1.
+        star = WeightedGraph(n=4, edges=((1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)))
+        leaf, hub = [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]
+        assert _ranks(star, [leaf, hub]) == [(3, False), (2, False)]
+
+    def test_seven_agent_channels(self):
+        # All seven eigenvalues are simple. The reach channel is orthogonal
+        # to the eigenvector of eigenvalue 2; the targeted channel reaches all
+        # seven.
+        p = seven_agent_problem()
+        report = check_conditions(p, spectral_decompose(build_laplacian(p.graph)))
+        assert [c.controllability_rank for c in report.channels] == [6, 7]
+        assert [c.controllable for c in report.channels] == [False, True]
 
     def test_k2_power_cost_with_reach(self):
         p = CampaignProblem(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import K2, k2_problem, random_linear_problem
+from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
+from waveplan import waterfill
 from waveplan.costate import TerminalCostate, channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, spectral_decompose
@@ -232,3 +233,65 @@ class TestOnSetEscalation:
         assert len(plain) == len(escalated) == 1
         assert escalated[0][0] == plain[0][0]
         assert escalated[0][1] == pytest.approx(plain[0][1], abs=1e-11)
+
+
+class TestCertificateChecks:
+    def test_switches_above_variation_bound_raise(self, monkeypatch):
+        # The K2 schedule switches once; a bound of 0 must be reported, not
+        # passed over.
+        monkeypatch.setattr(waterfill, "bound_linear", lambda *args: 0)
+        with pytest.raises(NumericalError, match="variation bound"):
+            solve(k2_problem())
+
+
+def _random_problem(rng, n, m):
+    channels = []
+    for _ in range(m):
+        b = np.zeros(n)
+        support = rng.choice(n, size=max(1, n // 2), replace=False)
+        b[support] = rng.uniform(-1.0, 1.0, size=support.size)
+        cost = CostModel("linear", float(rng.uniform(0.5, 2.0)))
+        channels.append(Channel(b=b, cost=cost, u_max=float(rng.uniform(0.5, 2.0))))
+    T = float(rng.uniform(0.5, 3.0))
+    saturation = sum(ch.max_cost_rate for ch in channels) * T
+    return CampaignProblem(
+        graph=random_connected_graph(rng, n),
+        channels=tuple(channels),
+        objective=Objective(kind="linear", p=rng.uniform(0.0, 1.0, n)),
+        T=T,
+        r=float(rng.uniform(0.1, 1.2)) * saturation,
+        x0=np.zeros(n),
+    )
+
+
+class TestEngineAgainstScalarSignals:
+    def test_random_problems(self):
+        # Every schedule is checked point by point against the scalar eval_h
+        # of its own closed-form signal.
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            prob = _random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4)))
+            T, r = prob.T, prob.r
+            sol = solve(prob)
+            beta = sol.beta_star
+            sd = spectral_decompose(build_laplacian(prob.graph))
+            lamT = TerminalCostate(lam=prob.objective.p)
+            for ch, cs in zip(prob.channels, sol.schedule.channels):
+                g = threshold_profile(channel_profile(sd, lamT, ch.b, T), ch)
+                scale = float(np.max(np.abs(eval_h(g, np.linspace(0.0, T, 2049)))))
+                edges = [t for iv in cs.intervals for t in iv]
+                for t in edges:
+                    if 0.0 < t < T:
+                        assert abs(eval_h(g, t) - beta) <= 1e-9 * scale
+                for lo, hi in cs.intervals:
+                    assert eval_h(g, 0.5 * (lo + hi)) > beta
+                gaps = zip([0.0] + edges[1::2], edges[::2] + [T])
+                for lo, hi in gaps:
+                    if hi > lo:
+                        assert eval_h(g, 0.5 * (lo + hi)) <= beta
+            pairs = zip(prob.channels, sol.schedule.channels)
+            spend = sum(ch.max_cost_rate * cs.on_time for ch, cs in pairs)
+            if sol.binding:
+                assert abs(spend - r) <= 1e-9 * r
+            else:
+                assert beta == 0.0 and spend <= r
