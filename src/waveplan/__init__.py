@@ -22,7 +22,7 @@ from .costate import (
     integrate_h,
     terminal_costate,
 )
-from .dynamics import Trajectory, closed_form_gain, objective_value, simulate
+from .dynamics import Trajectory, closed_form_gain, objective_value, simulate, terminal_state
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import (
     Laplacian,

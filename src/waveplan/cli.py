@@ -285,9 +285,7 @@ def _cmd_sigmoid(args) -> int:
     problem = _load_problem(args.problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = solve_sigmoid(
-        problem, epsilon=args.epsilon, max_iters=args.max_iters, steps=args.steps
-    )
+    result = solve_sigmoid(problem, epsilon=args.epsilon, max_iters=args.max_iters)
     _write_json(out / "schedule.json", schedule_to_dict(result.solution.schedule, problem.T))
     _write_json(
         out / "iterations.json",
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--max-iters", type=int, default=10)
-    sp.add_argument("--steps", type=int, default=4096)
     sp.set_defaults(func=_cmd_sigmoid)
 
     return parser

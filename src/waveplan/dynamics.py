@@ -1,4 +1,11 @@
-"""Forward opinion dynamics, objective evaluation, and the closed-form control gain."""
+"""Forward opinion dynamics: exact terminal states, RK4 simulation, objectives and the control gain.
+
+``terminal_state`` gives the exact x(T) under a bang-bang schedule in the
+Laplacian's modes; the sigmoid loop scores its iterates with it.
+``simulate`` is the reference RK4 integrator that samples the whole path.
+It runs on the same batched one-step kernel that the enumeration oracle
+uses to score many candidate schedules at once.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ import numpy as np
 
 from .costate import ChannelProfile, _stable_sigmoid, integrate_h
 from .errors import ContractError
-from .graph import build_laplacian
+from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Objective
 
 
@@ -31,46 +38,39 @@ class Trajectory:
         return self.states[-1]
 
 
-def _grid_with_events(T: float, steps: int, events: np.ndarray) -> np.ndarray:
-    base = np.linspace(0.0, T, steps + 1)
-    events = events[(events > 0.0) & (events < T)]
-    return np.unique(np.concatenate([base, events]))
-
-
-def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajectory:
-    """Integrate dx/dt = -L x + B u + e under a bang-bang schedule.
-
-    Classical 4th-order one-step method on a grid refined so that every
-    schedule switch time and drift breakpoint is a node: the control and
-    drift are constant inside each piece, so no discontinuity is straddled
-    and the integrator keeps its order. The spend accumulator is exact
-    interval arithmetic, not quadrature.
-    """
-    if steps < 64:
-        raise ContractError(f"need at least 64 steps, got {steps}")
+def _check_schedule(problem: CampaignProblem, schedule) -> None:
     if len(schedule.channels) != problem.m:
         raise ContractError(
             f"schedule has {len(schedule.channels)} channels, problem has {problem.m}"
         )
-    T = problem.T
-    lap = build_laplacian(problem.graph)
-    a_mat = -lap.matrix
-    b_mat = np.column_stack([ch.b for ch in problem.channels])
-
-    events = [problem.drift.breakpoints]
     for cs in schedule.channels:
         for lo, hi in cs.intervals:
-            if not (0.0 <= lo <= hi <= T):
-                raise ContractError(f"schedule interval ({lo}, {hi}) outside [0, {T}]")
-            events.append(np.array([lo, hi]))
-    ts = _grid_with_events(T, steps, np.concatenate(events))
+            if not (0.0 <= lo <= hi <= problem.T):
+                raise ContractError(f"schedule interval ({lo}, {hi}) outside [0, {problem.T}]")
 
+
+def _grid(problem: CampaignProblem, schedule, steps: int) -> np.ndarray:
+    """``steps`` uniform steps refined so that every switch time and drift breakpoint is a node.
+
+    The control and drift are then constant inside each piece, so the
+    integrator never straddles a discontinuity.
+    """
+    if steps < 64:
+        raise ContractError(f"need at least 64 steps, got {steps}")
+    _check_schedule(problem, schedule)
+    T = problem.T
+    events = [problem.drift.breakpoints]
+    events += [np.array(iv, dtype=np.float64) for cs in schedule.channels for iv in cs.intervals]
+    events = np.concatenate(events)
+    events = events[(events > 0.0) & (events < T)]
+    return np.unique(np.concatenate([np.linspace(0.0, T, steps + 1), events]))
+
+
+def _forcing(problem: CampaignProblem, schedule, ts: np.ndarray):
+    """Per-piece forcing B u + e [P, n] and cost rate [P] on a grid from ``_grid``."""
     mids = 0.5 * (ts[:-1] + ts[1:])
-    n_pieces = mids.size
-
-    # Piecewise-constant control levels and cost rates per integration piece.
-    u = np.zeros((n_pieces, problem.m))
-    cost_rate = np.zeros(n_pieces)
+    u = np.zeros((mids.size, problem.m))
+    cost_rate = np.zeros(mids.size)
     for k, (cs, ch) in enumerate(zip(schedule.channels, problem.channels)):
         if not cs.intervals:
             continue
@@ -82,25 +82,107 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
         u[on, k] = cs.u_max
         cost_rate[on] += ch.cost(cs.u_max)
 
-    drift_vals = np.stack([problem.drift.at(t) for t in mids])
-    forcing = u @ b_mat.T + drift_vals
+    b_mat = np.column_stack([ch.b for ch in problem.channels])
+    return u @ b_mat.T + problem.drift.at(mids), cost_rate
 
-    states = np.empty((ts.size, problem.n))
-    spend = np.empty(ts.size)
-    states[0] = problem.x0
-    spend[0] = 0.0
-    x = np.array(problem.x0, dtype=np.float64)
-    for k in range(n_pieces):
-        h = ts[k + 1] - ts[k]
-        c = forcing[k]
-        k1 = a_mat @ x + c
-        k2 = a_mat @ (x + 0.5 * h * k1) + c
-        k3 = a_mat @ (x + 0.5 * h * k2) + c
-        k4 = a_mat @ (x + h * k3) + c
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = x
-        spend[k + 1] = spend[k] + cost_rate[k] * h
+
+def _rk4(a_mat: np.ndarray, h: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    """Classical 4th-order one-step method for K systems dx/dt = A x + c, stepped together.
+
+    ``x0`` is [K, n]; ``h`` is [P, K] and ``forcing`` [P, K, n], so piece p
+    of system k has length h[p, k] and constant input forcing[p, k]. A zero
+    step leaves a state unchanged, which pads systems with shorter grids.
+    Returns the states after every piece, [P + 1, K, n].
+    """
+    a_t = np.ascontiguousarray(a_mat.T)
+    states = np.empty((h.shape[0] + 1,) + x0.shape)
+    states[0] = x0
+    x = np.array(x0, dtype=np.float64)
+    for p in range(h.shape[0]):
+        hp = h[p][:, None]
+        c = forcing[p]
+        k1 = x @ a_t + c
+        k2 = (x + 0.5 * hp * k1) @ a_t + c
+        k3 = (x + 0.5 * hp * k2) @ a_t + c
+        k4 = (x + hp * k3) @ a_t + c
+        x = x + (hp / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[p + 1] = x
+    return states
+
+
+def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajectory:
+    """Integrate dx/dt = -L x + B u + e under a bang-bang schedule.
+
+    Classical 4th-order one-step method on a grid refined so that every
+    schedule switch time and drift breakpoint is a node: the control and
+    drift are constant inside each piece, so no discontinuity is straddled
+    and the integrator keeps its order. The spend accumulator is exact
+    interval arithmetic, not quadrature. This is the reference integrator
+    that ``terminal_state`` is checked against.
+    """
+    ts = _grid(problem, schedule, steps)
+    forcing, cost_rate = _forcing(problem, schedule, ts)
+    a_mat = -build_laplacian(problem.graph).matrix
+    h = np.diff(ts)
+    states = _rk4(a_mat, h[:, None], problem.x0[None, :], forcing[:, None, :])[:, 0, :]
+    spend = np.concatenate([[0.0], np.cumsum(cost_rate * h)])
     return Trajectory(times=ts, states=states, spend_accum=spend)
+
+
+def _modal_pulses(rates: np.ndarray, T: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Modal weights of unit pulses on [lo_j, hi_j]: e^{-rate (T - hi)} * phi(rate, hi - lo).
+
+    phi(rate, tau) = -expm1(-rate tau) / rate is the integral of
+    e^{-rate s} over [0, tau], equal to tau on the zero mode. Both factors
+    lie in [0, 1] and [0, tau] for nonnegative rates, so nothing overflows.
+    Returns [J, n].
+    """
+    tau = (hi - lo)[:, None]
+    zero = rates == 0.0
+    safe = np.where(zero, 1.0, rates)
+    phi = np.where(zero, tau, -np.expm1(-safe * tau) / safe)
+    return np.exp(-rates * (T - hi)[:, None]) * phi
+
+
+def terminal_state(
+    problem: CampaignProblem, schedule, sd: SpectralDecomposition | None = None
+) -> np.ndarray:
+    """Exact x(T) of dx/dt = -L x + B u + e under a bang-bang schedule.
+
+    The dynamics are linear with piecewise-constant inputs, so in the
+    eigenbasis L = V diag(rate) V^T every mode integrates in closed form:
+
+        V^T x(T) = e^{-rate T} V^T x0
+                   + sum over on-intervals [lo, hi] of channel i of
+                     u_i e^{-rate (T - hi)} phi(rate, hi - lo) V^T b_i
+                   + the same kind of term for each drift piece clipped to [0, T],
+
+    with phi(rate, tau) = -expm1(-rate tau) / rate (tau on the zero mode,
+    whose rate is pinned to exactly 0). Intervals of one channel are taken
+    as disjoint, as in ``closed_form_gain``. Pass ``sd`` to reuse a
+    decomposition of the problem's Laplacian across calls.
+    """
+    _check_schedule(problem, schedule)
+    if sd is None:
+        sd = spectral_decompose(build_laplacian(problem.graph))
+    T = problem.T
+    rates = np.where(np.abs(sd.eigenvalues) <= sd.zero_tol, 0.0, sd.eigenvalues)
+    vecs = sd.vectors
+
+    modal = np.exp(-rates * T) * (problem.x0 @ vecs)
+    for cs, ch in zip(schedule.channels, problem.channels):
+        if cs.intervals:
+            ivs = np.array(cs.intervals, dtype=np.float64)
+            pulses = _modal_pulses(rates, T, ivs[:, 0], ivs[:, 1])
+            modal += cs.u_max * pulses.sum(axis=0) * (ch.b @ vecs)
+
+    # values[k] holds on [breakpoints[k], breakpoints[k + 1]); the first piece
+    # also covers any time before the first breakpoint, the last any time after.
+    drift = problem.drift
+    edges = np.clip(np.concatenate([[0.0], drift.breakpoints[1:], [T]]), 0.0, T)
+    pulses = _modal_pulses(rates, T, edges[:-1], edges[1:])
+    modal += np.sum(pulses * (drift.values @ vecs), axis=0)
+    return vecs @ modal
 
 
 def objective_value(obj: Objective, xT: np.ndarray) -> float:

@@ -155,13 +155,10 @@ def projected_group_count(
 
 def _fix_signs(q: np.ndarray) -> np.ndarray:
     """Make the first nonzero component of each column positive."""
-    out = q.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, k] = -col
-    return out
+    absq = np.abs(q)
+    first = np.argmax(absq > 1e-12 * np.max(absq, axis=0), axis=0)
+    flip = q[first, np.arange(q.shape[1])] < 0.0
+    return np.where(flip, -q, q)
 
 
 def spectral_decompose(lap: Laplacian) -> SpectralDecomposition:
@@ -182,20 +179,13 @@ def spectral_decompose(lap: Laplacian) -> SpectralDecomposition:
     if lap.n >= 2 and float(evals[1]) <= zero_tol:
         raise NumericalError("graph numerically disconnected: second eigenvalue within zero tolerance")
 
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for k in range(1, lap.n):
-        if float(evals[k] - evals[k - 1]) <= group_tol:
-            current.append(k)
-        else:
-            groups.append(tuple(current))
-            current = [k]
-    groups.append(tuple(current))
-
-    rates = []
-    for grp in groups:
-        r = float(np.mean(evals[list(grp)]))
-        rates.append(0.0 if abs(r) <= zero_tol else r)
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(evals) > group_tol) + 1])
+    ends = np.append(starts[1:], lap.n)
+    # reduceat adds a segment's tail onto its first entry; a 0.0 inserted at
+    # the head of each group makes every sum the pairwise one np.mean takes.
+    padded = np.insert(evals, starts, 0.0)
+    rates = np.add.reduceat(padded, starts + np.arange(starts.size)) / (ends - starts)
+    rates[np.abs(rates) <= zero_tol] = 0.0
 
     return SpectralDecomposition(
         n=lap.n,
@@ -203,8 +193,8 @@ def spectral_decompose(lap: Laplacian) -> SpectralDecomposition:
         vectors=q,
         zero_tol=zero_tol,
         group_tol=group_tol,
-        groups=tuple(groups),
-        group_rates=tuple(rates),
+        groups=tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist())),
+        group_rates=tuple(rates.tolist()),
     )
 
 

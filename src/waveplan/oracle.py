@@ -1,27 +1,33 @@
 """Brute-force schedule enumeration on desk-size instances.
 
 This is the ground truth the solver is checked against: every subset of
-uniform grid cells per channel (up to a switch cap), crossed over channels,
-scored exactly. With interior levels enabled it also serves as the
-falsification harness for the bang-bang claim, testing non-extreme constant
-control levels against the best extreme candidate.
+uniform grid cells per channel (up to a switch cap), crossed over channels.
+Linear objectives are scored exactly by per-cell integrals of h; sigmoid
+objectives by 256-step RK4 runs, many candidates per batch on the kernel
+behind ``dynamics.simulate``. With interior levels enabled it also serves
+as the falsification harness for the bang-bang claim, testing non-extreme
+constant control levels against the best extreme candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .bounds import bound_general
 from .costate import TerminalCostate, channel_profile, eval_h, integrate_h
-from .dynamics import objective_value, simulate
+from .dynamics import _forcing, _grid, _rk4, objective_value
 from .errors import ContractError, ValidationError
 from .graph import build_laplacian, spectral_decompose
 from .problem import CampaignProblem
 from .waterfill import BangBangSchedule, ChannelSchedule
 
 MAX_CANDIDATES = 2_000_000
+# RK4 steps per sigmoid candidate; the reported value is reproduced by
+# simulate(problem, schedule, steps=SIGMOID_STEPS).
+SIGMOID_STEPS = 256
 _BLOCK_ROWS = 256
 
 
@@ -93,7 +99,8 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     """Exhaustively score every candidate schedule and return the argmax.
 
     Linear objectives are scored by the exact closed-form gain (per-cell
-    integrals of h); the sigmoid objective falls back to simulation. Budget-
+    integrals of h); the sigmoid objective is scored by batched RK4
+    simulation at ``SIGMOID_STEPS``. Budget-
     infeasible candidates are discarded. Ties break lexicographically on the
     joint cell-indicator encoding (extreme level before interior levels), so
     concurrent and sequential runs agree exactly.
@@ -239,27 +246,57 @@ def _schedule_from_indices(problem, masks, per_channel, edges, idx) -> BangBangS
     return BangBangSchedule(channels=tuple(channels))
 
 
+def _score_sigmoid(problem: CampaignProblem, schedules: list[BangBangSchedule]) -> np.ndarray:
+    """Sigmoid objective of each schedule after a ``SIGMOID_STEPS`` RK4 run.
+
+    Blocks of ``_BLOCK_ROWS`` schedules are stepped together by the kernel
+    behind ``simulate``, each on its own refined grid; grids shorter than
+    the block's longest are padded with zero steps, which change nothing.
+    """
+    a_mat = -build_laplacian(problem.graph).matrix
+    values = np.empty(len(schedules))
+    for lo in range(0, len(schedules), _BLOCK_ROWS):
+        block = schedules[lo : lo + _BLOCK_ROWS]
+        grids = [_grid(problem, schedule, SIGMOID_STEPS) for schedule in block]
+        pieces = max(ts.size for ts in grids) - 1
+        h = np.zeros((pieces, len(block)))
+        forcing = np.zeros((pieces, len(block), problem.n))
+        for k, (schedule, ts) in enumerate(zip(block, grids)):
+            h[: ts.size - 1, k] = np.diff(ts)
+            forcing[: ts.size - 1, k] = _forcing(problem, schedule, ts)[0]
+        x0 = np.tile(problem.x0, (len(block), 1))
+        x_T = _rk4(a_mat, h, x0, forcing)[-1]
+        values[lo : lo + len(block)] = [objective_value(problem.objective, x) for x in x_T]
+    return values
+
+
 def _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget) -> OracleResult:
-    """Simulation-scored enumeration; kept loop-based since sigmoid runs stay small."""
+    """Simulation-scored enumeration: every feasible candidate gets a 256-step RK4 run.
+
+    The candidates are integrated in batches; the selection below walks
+    them in ``product`` order, so the first of equal values wins as in the
+    linear branch.
+    """
     m = problem.m
     sizes = [pc[0].size for pc in per_channel]
+    candidate_count = int(np.prod(sizes))
+    feasible = [
+        idx
+        for idx in product(*(range(s) for s in sizes))
+        if sum(per_channel[k][1][idx[k]] for k in range(m)) <= budget
+    ]
+    if not feasible:
+        raise ValidationError("no feasible candidate; even the all-off schedule failed the budget")
+    values = _score_sigmoid(
+        problem,
+        [_schedule_from_indices(problem, masks, per_channel, edges, idx) for idx in feasible],
+    )
+
     best_val = -np.inf
     best_idx = None
     best_extreme = -np.inf
     best_interior = -np.inf if spec.include_interior_levels else None
-    feasible = 0
-    candidate_count = int(np.prod(sizes))
-
-    from itertools import product
-
-    for idx in product(*(range(s) for s in sizes)):
-        cost = sum(per_channel[k][1][idx[k]] for k in range(m))
-        if cost > budget:
-            continue
-        feasible += 1
-        schedule = _schedule_from_indices(problem, masks, per_channel, edges, idx)
-        traj = simulate(problem, schedule, steps=256)
-        val = objective_value(problem.objective, traj.terminal_state)
+    for idx, val in zip(feasible, values.tolist()):
         interior = any(per_channel[k][2][idx[k]] for k in range(m))
         if val > best_val:
             best_val, best_idx = val, idx
@@ -268,15 +305,13 @@ def _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget) -> Orac
                 best_interior = max(best_interior, val)
         else:
             best_extreme = max(best_extreme, val)
-    if best_idx is None:
-        raise ValidationError("no feasible candidate; even the all-off schedule failed the budget")
     schedule = _schedule_from_indices(problem, masks, per_channel, edges, best_idx)
     spend = float(sum(per_channel[k][1][best_idx[k]] for k in range(m)))
     return OracleResult(
         value=best_val,
         schedule=schedule,
         spend=spend,
-        feasible_count=feasible,
+        feasible_count=len(feasible),
         candidate_count=candidate_count,
         best_extreme_value=best_extreme,
         best_interior_value=best_interior,

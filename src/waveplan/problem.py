@@ -83,9 +83,10 @@ class Drift:
     def zero(n: int) -> "Drift":
         return Drift(breakpoints=np.array([0.0]), values=np.zeros((1, n)))
 
-    def at(self, t: float) -> np.ndarray:
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return self.values[max(k, 0)]
+    def at(self, t) -> np.ndarray:
+        """Drift value at time t, or one row per time when t is an array."""
+        k = np.searchsorted(self.breakpoints, t, side="right") - 1
+        return self.values[np.maximum(k, 0)]
 
     @property
     def is_zero(self) -> bool:

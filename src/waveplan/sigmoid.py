@@ -1,10 +1,12 @@
 """Approximate allocation for the separable sigmoid objective via late deciders.
 
 The sigmoid costate concentrates on agents whose terminal opinion lands near
-their threshold. The loop alternates: simulate the candidate schedule,
-reclassify the late deciders, rebuild the surrogate costate (alpha_j * p_j / 2
-on the set, zero off it), and re-run the water-filling engine. The true
-sigmoid objective arbitrates, so the approximation is never adopted blind.
+their threshold. The loop alternates: take the candidate schedule's exact
+terminal state (``dynamics.terminal_state``, from one spectral decomposition
+shared by every iterate), reclassify the late deciders, rebuild the surrogate
+costate (alpha_j * p_j / 2 on the set, zero off it), and re-run the
+water-filling engine. The true sigmoid objective arbitrates, so the
+approximation is never adopted blind.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, objective_value, simulate
+from .dynamics import objective_value, terminal_state
 from .errors import ContractError
+from .graph import build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Objective, require_valid
 from .waterfill import WaterfillSolution, solve_with_costate
 
@@ -58,13 +61,13 @@ class SigmoidSolution:
     no_late_deciders: bool
 
 
-def late_deciders(traj: Trajectory, obj: Objective, epsilon: float) -> LateDeciderSet:
-    """Classify by the strict inequality |x_j(T) - theta_j| < epsilon."""
+def late_deciders(x_T: np.ndarray, obj: Objective, epsilon: float) -> LateDeciderSet:
+    """Classify the terminal state x_T by the strict inequality |x_j(T) - theta_j| < epsilon."""
     if obj.kind != "sigmoid":
         raise ContractError("late deciders are defined for the sigmoid objective")
     if not (epsilon > 0.0):
         raise ContractError(f"epsilon must be positive, got {epsilon}")
-    gap = np.abs(traj.terminal_state - obj.theta)
+    gap = np.abs(np.asarray(x_T, dtype=np.float64) - obj.theta)
     members = tuple(int(j + 1) for j in np.flatnonzero(gap < epsilon))
     return LateDeciderSet(epsilon=float(epsilon), members=members)
 
@@ -85,7 +88,6 @@ def solve_sigmoid(
     problem: CampaignProblem,
     epsilon: float | None = None,
     max_iters: int = 10,
-    steps: int = 4096,
     resolution: int | None = None,
 ) -> SigmoidSolution:
     """Iterate the late-decider surrogate to consistency and keep the best iterate.
@@ -95,9 +97,9 @@ def solve_sigmoid(
     current late-decider set (alpha_j p_j / 2, the factor-2 gap to the slope
     is deliberate). The loop stops when a late-decider set repeats or
     max_iters is reached, and the returned iterate is the one with the best
-    true sigmoid objective. An empty late-decider set ends the loop with the
-    ``no_late_deciders`` flag raised, since the surrogate is uninformative
-    there.
+    true sigmoid objective at the iterate's exact terminal state. An empty
+    late-decider set ends the loop with the ``no_late_deciders`` flag
+    raised, since the surrogate is uninformative there.
     """
     if problem.objective.kind != "sigmoid":
         raise ContractError("solve_sigmoid requires the sigmoid objective")
@@ -109,11 +111,13 @@ def solve_sigmoid(
     if not (eps > 0.0):
         raise ContractError(f"epsilon must be positive, got {eps}")
 
+    sd = spectral_decompose(build_laplacian(problem.graph))
+
     def evaluate(lam: np.ndarray, index: int):
         sol = solve_with_costate(problem, lam, resolution=resolution)
-        traj = simulate(problem, sol.schedule, steps=steps)
-        value = objective_value(obj, traj.terminal_state)
-        members = late_deciders(traj, obj, eps).members
+        x_T = terminal_state(problem, sol.schedule, sd)
+        value = objective_value(obj, x_T)
+        members = late_deciders(x_T, obj, eps).members
         record = IterationRecord(
             index=index,
             members=members,

@@ -198,5 +198,6 @@ def test_criterion_10_sigmoid_loop_sanity():
         lam = surrogate_costate(prob.objective, chosen.members).lam_bar
         sol = solve_with_costate(prob, lam)
         traj = simulate(prob, sol.schedule, steps=4096)
-        extra = late_deciders(traj, prob.objective, default_epsilon(prob.objective)).members
+        eps = default_epsilon(prob.objective)
+        extra = late_deciders(traj.terminal_state, prob.objective, eps).members
         assert extra == chosen.members

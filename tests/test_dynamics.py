@@ -3,7 +3,7 @@ import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan.costate import TerminalCostate, channel_profile
-from waveplan.dynamics import closed_form_gain, objective_value, simulate
+from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
 from waveplan.graph import build_laplacian, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
@@ -199,3 +199,153 @@ class TestScheduleRobustness:
         b = simulate(prob, rev, steps=128)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.spend_accum, b.spend_accum)
+
+
+def _reference_simulate(problem, schedule, steps):
+    """Per-midpoint Drift.at and per-step matvec RK4, as simulate was first written."""
+    T = problem.T
+    a_mat = -build_laplacian(problem.graph).matrix
+    b_mat = np.column_stack([ch.b for ch in problem.channels])
+    events = [problem.drift.breakpoints]
+    for cs in schedule.channels:
+        for lo, hi in cs.intervals:
+            events.append(np.array([lo, hi]))
+    events = np.concatenate(events)
+    events = events[(events > 0.0) & (events < T)]
+    ts = np.unique(np.concatenate([np.linspace(0.0, T, steps + 1), events]))
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    u = np.zeros((mids.size, problem.m))
+    cost_rate = np.zeros(mids.size)
+    for k, (cs, ch) in enumerate(zip(schedule.channels, problem.channels)):
+        for lo, hi in cs.intervals:
+            on = (mids >= lo) & (mids < hi)
+            u[on, k] = cs.u_max
+            cost_rate[on] += ch.cost(cs.u_max)
+    drift_vals = np.stack([problem.drift.at(float(t)) for t in mids])
+    forcing = u @ b_mat.T + drift_vals
+    states = [np.array(problem.x0, dtype=np.float64)]
+    spend = [0.0]
+    x = states[0]
+    for k in range(mids.size):
+        h = ts[k + 1] - ts[k]
+        c = forcing[k]
+        k1 = a_mat @ x + c
+        k2 = a_mat @ (x + 0.5 * h * k1) + c
+        k3 = a_mat @ (x + 0.5 * h * k2) + c
+        k4 = a_mat @ (x + h * k3) + c
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+        spend.append(spend[-1] + cost_rate[k] * h)
+    return ts, np.array(states), np.array(spend), drift_vals
+
+
+def _random_schedule(rng, problem):
+    """0-3 disjoint on-intervals per channel, some pinned to 0 or T."""
+    T = problem.T
+    channels = []
+    for ch in problem.channels:
+        k = int(rng.integers(0, 4))
+        pts = np.sort(rng.uniform(0.0, T, 2 * k))
+        if k and rng.random() < 0.5:
+            pts[0] = 0.0
+        if k and rng.random() < 0.5:
+            pts[-1] = T
+        ivs = tuple((float(pts[2 * j]), float(pts[2 * j + 1])) for j in range(k))
+        channels.append(ChannelSchedule(u_max=ch.u_max, intervals=ivs))
+    return BangBangSchedule(channels=tuple(channels))
+
+
+def _random_dynamic_problem(rng, n):
+    """Random graph, 1-3 linear or power channels, x0 != 0, drift with breakpoints inside and beyond T."""
+    g = random_connected_graph(rng, n)
+    T = float(rng.uniform(0.5, 3.0))
+    channels = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = "linear" if rng.random() < 0.5 else "power"
+        a = 1.0 if kind == "linear" else float(rng.uniform(0.3, 0.9))
+        cost = CostModel(kind, float(rng.uniform(0.5, 2.0)), a)
+        channels.append(Channel(b=rng.uniform(-1.0, 1.0, n), cost=cost, u_max=float(rng.uniform(0.5, 2.0))))
+    inner = np.sort(rng.uniform(0.0, T, int(rng.integers(0, 3))))
+    beyond = T * rng.uniform(1.0, 2.0, int(rng.integers(0, 2)))
+    breakpoints = np.concatenate([[0.0], inner, beyond])
+    drift = Drift(breakpoints=breakpoints, values=rng.normal(0.0, 0.5, (breakpoints.size, n)))
+    return CampaignProblem(
+        graph=g,
+        channels=tuple(channels),
+        objective=Objective(kind="linear", p=rng.uniform(0.0, 1.0, n)),
+        T=T,
+        r=1.0,
+        x0=rng.normal(0.0, 1.0, n),
+        drift=drift,
+    )
+
+
+class TestTerminalState:
+    def test_matches_fine_rk4(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(16):
+            n = int(rng.integers(2, 41))
+            prob = _random_dynamic_problem(rng, n)
+            schedule = _empty_schedule(prob) if trial % 5 == 0 else _random_schedule(rng, prob)
+            exact = terminal_state(prob, schedule)
+            ref = simulate(prob, schedule, steps=8192).terminal_state
+            assert np.max(np.abs(exact - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    def test_k2_hand_derived(self):
+        # On K2 the mean obeys dm/dt = (u b_1 + e_1 + e_2) / 2 and the
+        # difference d = x_1 - x_2 obeys dd/dt = -2 d + u b_1 + e_1 - e_2.
+        a, c, e1, e2, T, lo, hi = 0.7, -0.2, 0.3, -0.1, 1.5, 0.25, 1.0
+        prob = CampaignProblem(
+            graph=K2,
+            channels=k2_problem().channels,
+            objective=Objective(kind="linear", p=np.array([0.0, 1.0])),
+            T=T,
+            r=1.0,
+            x0=np.array([a, c]),
+            drift=Drift(breakpoints=np.array([0.0]), values=np.array([[e1, e2]])),
+        )
+        schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=((lo, hi),)),))
+        m = (a + c) / 2 + (hi - lo) / 2 + (e1 + e2) * T / 2
+        d = (
+            (a - c) * np.exp(-2 * T)
+            + np.exp(-2 * (T - hi)) * (1 - np.exp(-2 * (hi - lo))) / 2
+            + (e1 - e2) * (1 - np.exp(-2 * T)) / 2
+        )
+        expected = np.array([m + d / 2, m - d / 2])
+        assert np.max(np.abs(terminal_state(prob, schedule) - expected)) <= 1e-14
+
+    def test_shared_decomposition_and_validation(self):
+        rng = np.random.default_rng(8)
+        prob = _random_dynamic_problem(rng, 6)
+        schedule = _random_schedule(rng, prob)
+        sd = spectral_decompose(build_laplacian(prob.graph))
+        assert np.array_equal(terminal_state(prob, schedule, sd), terminal_state(prob, schedule))
+        bad = BangBangSchedule(
+            channels=tuple(ChannelSchedule(u_max=1.0, intervals=((0.0, 2 * prob.T),)) for _ in prob.channels)
+        )
+        with pytest.raises(ContractError, match="outside"):
+            terminal_state(prob, bad)
+        with pytest.raises(ContractError, match="channels"):
+            terminal_state(prob, BangBangSchedule(channels=()))
+
+
+class TestVectorisedDrift:
+    def test_drift_rows_match_scalar_lookup(self):
+        drift = Drift(breakpoints=np.array([0.0, 0.3, 0.7]), values=np.arange(9.0).reshape(3, 3))
+        ts = np.array([-0.1, 0.0, 0.2, 0.3, 0.5, 0.7, 0.9, 5.0])
+        assert np.array_equal(drift.at(ts), np.stack([drift.at(float(t)) for t in ts]))
+
+    def test_simulate_matches_per_midpoint_path(self):
+        rng = np.random.default_rng(77)
+        for _ in range(6):
+            prob = _random_dynamic_problem(rng, int(rng.integers(2, 12)))
+            # Breakpoints off the uniform nodes: they fall between grid nodes.
+            schedule = _random_schedule(rng, prob)
+            traj = simulate(prob, schedule, steps=200)
+            ts, states, spend, drift_vals = _reference_simulate(prob, schedule, 200)
+            mids = 0.5 * (ts[:-1] + ts[1:])
+            assert np.array_equal(prob.drift.at(mids), drift_vals)
+            assert np.array_equal(traj.times, ts)
+            assert np.array_equal(traj.spend_accum, spend)
+            scale = max(1.0, np.max(np.abs(states)))
+            assert np.max(np.abs(traj.states - states)) <= 1e-13 * scale

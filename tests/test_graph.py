@@ -121,6 +121,80 @@ class TestSpectralDecompose:
             spectral_decompose(near_zero)
 
 
+def _reference_signs(q):
+    """The per-column sign loop that _fix_signs vectorises."""
+    out = q.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+        if nz.size and col[nz[0]] < 0.0:
+            out[:, k] = -col
+    return out
+
+
+def _reference_groups(evals, group_tol, zero_tol):
+    """The grouping loop and per-group np.mean that spectral_decompose vectorises."""
+    groups = []
+    current = [0]
+    for k in range(1, evals.size):
+        if float(evals[k] - evals[k - 1]) <= group_tol:
+            current.append(k)
+        else:
+            groups.append(tuple(current))
+            current = [k]
+    groups.append(tuple(current))
+    rates = []
+    for grp in groups:
+        r = float(np.mean(evals[list(grp)]))
+        rates.append(0.0 if abs(r) <= zero_tol else r)
+    return tuple(groups), tuple(rates)
+
+
+def _complete(n):
+    return WeightedGraph(n=n, edges=tuple((i, j, 1.0) for i in range(1, n) for j in range(i + 1, n + 1)))
+
+
+def _star(n):
+    return WeightedGraph(n=n, edges=tuple((1, j, 1.0) for j in range(2, n + 1)))
+
+
+def _cycle(n):
+    return WeightedGraph(n=n, edges=tuple((i, i + 1, 1.0) for i in range(1, n)) + ((1, n, 1.0),))
+
+
+def _path(n):
+    return WeightedGraph(n=n, edges=tuple((i, i + 1, 1.0) for i in range(1, n)))
+
+
+class TestDecompositionMatchesReferenceLoops:
+    GRAPHS = (
+        [_complete(n) for n in (2, 5, 9, 10, 30)]
+        + [_star(n) for n in (3, 9, 10, 25)]
+        + [_cycle(n) for n in (3, 8, 41)]
+        + [_path(n) for n in (2, 7, 60)]
+        + [random_geometric_graph(n, 0.35, seed)[0] for n, seed in ((20, 1), (60, 2), (150, 3))]
+    )
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+    def test_groups_signs_and_rates(self, g):
+        lap = build_laplacian(g)
+        sd = spectral_decompose(lap)
+        evals, q = np.linalg.eigh(lap.matrix)
+        assert np.array_equal(sd.vectors, _reference_signs(q))
+        groups, rates = _reference_groups(evals, sd.group_tol, sd.zero_tol)
+        assert sd.groups == groups
+        assert sd.group_rates[0] == 0.0 == rates[0]
+        for grp, new, old in zip(groups, sd.group_rates, rates):
+            if len(grp) <= 8:
+                assert new == old
+            else:
+                assert abs(new - old) <= 2 * np.spacing(abs(old))
+
+    def test_large_groups_are_exercised(self):
+        sizes = {len(grp) for g in self.GRAPHS for grp in spectral_decompose(build_laplacian(g)).groups}
+        assert max(sizes) > 8 and 8 in sizes
+
+
 class TestRandomGeometricGraph:
     def test_k2_when_radius_exceeds_diameter(self):
         g, seed = random_geometric_graph(2, 2.0, seed=123)

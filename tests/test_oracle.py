@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import K2, aligned_oracle_problem as _aligned_problem, k2_problem
+from itertools import product
+
+from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, k2_problem
+from waveplan import oracle
+from waveplan.bundles import seven_agent_sigmoid_problem
+from waveplan.dynamics import objective_value, simulate
 from waveplan.errors import ContractError, ValidationError
 from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
-from waveplan.problem import CampaignProblem, Channel, CostModel, Objective
+from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
 from waveplan.waterfill import solve
 
 
@@ -108,3 +113,114 @@ class TestSpecValidation:
         spec = EnumerationSpec(switch_grid=4, include_interior_levels=True, interior_levels=(1.5,))
         with pytest.raises(ContractError, match="interior levels"):
             enumerate_best(k2_problem(), spec)
+
+
+def _loop_enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget):
+    """One 256-step simulate per feasible candidate, in product order: the unbatched reference."""
+    m = problem.m
+    sizes = [pc[0].size for pc in per_channel]
+    best_val, best_idx, best_extreme = -np.inf, None, -np.inf
+    best_interior = -np.inf if spec.include_interior_levels else None
+    feasible = 0
+    for idx in product(*(range(s) for s in sizes)):
+        if sum(per_channel[k][1][idx[k]] for k in range(m)) > budget:
+            continue
+        feasible += 1
+        schedule = oracle._schedule_from_indices(problem, masks, per_channel, edges, idx)
+        val = objective_value(problem.objective, simulate(problem, schedule, steps=256).terminal_state)
+        if val > best_val:
+            best_val, best_idx = val, idx
+        if any(per_channel[k][2][idx[k]] for k in range(m)):
+            if spec.include_interior_levels:
+                best_interior = max(best_interior, val)
+        else:
+            best_extreme = max(best_extreme, val)
+    return oracle.OracleResult(
+        value=best_val,
+        schedule=oracle._schedule_from_indices(problem, masks, per_channel, edges, best_idx),
+        spend=float(sum(per_channel[k][1][best_idx[k]] for k in range(m))),
+        feasible_count=feasible,
+        candidate_count=int(np.prod(sizes)),
+        best_extreme_value=best_extreme,
+        best_interior_value=best_interior,
+    )
+
+
+def _sigmoid_problem(rng, graph, m, theta_shift=0.0, twin=False, dynamic=False):
+    """Sigmoid desk instance; ``twin`` gives every channel the first one's b and cost."""
+    n = graph.n
+    channels = [Channel(b=rng.uniform(0.0, 1.0, n), cost=CostModel("linear", 1.0), u_max=1.0)]
+    for _ in range(1, m):
+        # Twin channels make swapped candidates tie exactly.
+        b = channels[0].b if twin else rng.uniform(0.0, 1.0, n)
+        cost = channels[0].cost if twin else CostModel("power", 1.0, 0.6)
+        channels.append(Channel(b=b, cost=cost, u_max=1.0))
+    drift = None
+    if dynamic:
+        drift = Drift(breakpoints=np.array([0.0, 0.37, 0.81]), values=rng.normal(0.0, 0.3, (3, n)))
+    return CampaignProblem(
+        graph=graph,
+        channels=tuple(channels),
+        objective=Objective(
+            kind="sigmoid",
+            p=rng.uniform(0.2, 1.0, n),
+            alpha=rng.uniform(1.0, 4.0, n),
+            theta=rng.normal(0.0, 0.2, n) + theta_shift,
+        ),
+        T=1.0,
+        r=0.25 if twin else 0.5 * m,
+        x0=rng.normal(0.0, 0.3, n) if dynamic else np.zeros(n),
+        drift=drift,
+    )
+
+
+class TestBatchedSigmoidScoring:
+    CASES = [
+        ("m1", lambda rng: _sigmoid_problem(rng, P3, 1), EnumerationSpec(switch_grid=8, max_switches_per_channel=3)),
+        ("m2", lambda rng: _sigmoid_problem(rng, P3, 2), EnumerationSpec(switch_grid=5, max_switches_per_channel=2)),
+        (
+            "interior",
+            lambda rng: _sigmoid_problem(rng, K2, 2),
+            EnumerationSpec(
+                switch_grid=3,
+                max_switches_per_channel=1,
+                include_interior_levels=True,
+                interior_levels=(0.5,),
+            ),
+        ),
+        ("twin_ties", lambda rng: _sigmoid_problem(rng, P3, 2, twin=True), EnumerationSpec(switch_grid=4)),
+        ("saturated_ties", lambda rng: _sigmoid_problem(rng, P3, 1, theta_shift=-1e3), EnumerationSpec(switch_grid=6)),
+        ("x0_drift", lambda rng: _sigmoid_problem(rng, P3, 2, dynamic=True), EnumerationSpec(switch_grid=5, max_switches_per_channel=2)),
+        ("bundle", lambda rng: seven_agent_sigmoid_problem(), EnumerationSpec(switch_grid=6, max_switches_per_channel=1)),
+    ]
+
+    @pytest.mark.parametrize("name,make,spec", CASES, ids=[c[0] for c in CASES])
+    def test_matches_per_candidate_loop(self, name, make, spec, monkeypatch):
+        prob = make(np.random.default_rng(11))
+        batched = enumerate_best(prob, spec)
+        monkeypatch.setattr(oracle, "_enumerate_sigmoid", _loop_enumerate_sigmoid)
+        looped = enumerate_best(prob, spec)
+        assert batched.schedule == looped.schedule
+        assert batched.feasible_count == looped.feasible_count
+        assert batched.candidate_count == looped.candidate_count
+        assert batched.spend == looped.spend
+        for field in ("value", "best_extreme_value", "best_interior_value"):
+            a, b = getattr(batched, field), getattr(looped, field)
+            if b is None:
+                assert a is None
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_twin_tie_breaks_to_first_in_product_order(self):
+        # The budget buys one cell on one twin: (off, X) precedes (X, off).
+        prob = _sigmoid_problem(np.random.default_rng(11), P3, 2, twin=True)
+        res = enumerate_best(prob, EnumerationSpec(switch_grid=4))
+        assert res.schedule.channels[0].intervals == ()
+        assert len(res.schedule.channels[1].intervals) == 1
+
+    def test_ties_break_to_first_candidate(self):
+        prob = _sigmoid_problem(np.random.default_rng(3), P3, 1, theta_shift=-1e3)
+        res = enumerate_best(prob, EnumerationSpec(switch_grid=6))
+        # Every candidate saturates to sum(p); the all-off mask comes first.
+        assert res.value == float(np.sum(prob.objective.p))
+        assert res.schedule.channels[0].intervals == ()

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import K2, k2_problem
 from waveplan.bundles import seven_agent_sigmoid_problem
-from waveplan.dynamics import simulate
+from waveplan.dynamics import objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
 from waveplan.problem import CampaignProblem, Channel, CostModel, Objective
 from waveplan.sigmoid import (
@@ -40,30 +40,30 @@ class TestLateDeciders:
     def test_all_at_threshold(self):
         prob = _sigmoid_k2([0.0, 0.0])
         traj = _empty_traj(prob)
-        assert late_deciders(traj, prob.objective, 0.1).members == (1, 2)
+        assert late_deciders(traj.terminal_state, prob.objective, 0.1).members == (1, 2)
 
     def test_all_far_from_threshold(self):
         prob = _sigmoid_k2([5.0, -5.0])
         traj = _empty_traj(prob)
-        assert late_deciders(traj, prob.objective, 0.1).members == ()
+        assert late_deciders(traj.terminal_state, prob.objective, 0.1).members == ()
 
     def test_strict_inequality(self):
         prob = _sigmoid_k2([0.5, 0.0])
         traj = _empty_traj(prob)  # terminal state is (0, 0)
-        assert late_deciders(traj, prob.objective, 0.5).members == (2,)
+        assert late_deciders(traj.terminal_state, prob.objective, 0.5).members == (2,)
 
     def test_requires_sigmoid(self):
         prob = k2_problem()
         traj = _empty_traj(prob)
         with pytest.raises(ContractError):
-            late_deciders(traj, prob.objective, 0.1)
+            late_deciders(traj.terminal_state, prob.objective, 0.1)
 
     def test_golden_membership_seven_agent(self):
         prob = seven_agent_sigmoid_problem()
         sol = solve_with_costate(prob, prob.objective.alpha * prob.objective.p / 4.0)
         traj = simulate(prob, sol.schedule, steps=4096)
         eps = default_epsilon(prob.objective)
-        assert late_deciders(traj, prob.objective, eps).members == (3,)
+        assert late_deciders(traj.terminal_state, prob.objective, eps).members == (3,)
 
 
 class TestSurrogate:
@@ -114,6 +114,14 @@ class TestSolveSigmoid:
         assert not res.no_late_deciders
         assert res.iterations[res.chosen_iteration].members == (3,)
         assert res.objective >= res.iterations[0].objective
+
+    def test_objective_is_exact_and_matches_rk4(self):
+        prob = seven_agent_sigmoid_problem()
+        res = solve_sigmoid(prob)
+        schedule = res.solution.schedule
+        assert res.objective == objective_value(prob.objective, terminal_state(prob, schedule))
+        rk4 = objective_value(prob.objective, simulate(prob, schedule, steps=4096).terminal_state)
+        assert abs(res.objective - rk4) <= 1e-13 * abs(rk4)
 
     def test_deterministic(self):
         prob = seven_agent_sigmoid_problem()
