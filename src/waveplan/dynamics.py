@@ -3,8 +3,8 @@
 ``terminal_state`` gives the exact x(T) under a bang-bang schedule in the
 Laplacian's modes; the sigmoid loop scores its iterates with it.
 ``simulate`` is the reference RK4 integrator that samples the whole path.
-It runs on the same batched one-step kernel that the enumeration oracle
-uses to score many candidate schedules at once.
+It runs on the same batched one-step kernel from which the enumeration
+oracle builds the RK4 transfer maps that score its sigmoid candidates.
 """
 
 from __future__ import annotations
@@ -108,6 +108,25 @@ def _rk4(a_mat: np.ndarray, h: np.ndarray, x0: np.ndarray, forcing: np.ndarray) 
         x = x + (hp / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[p + 1] = x
     return states
+
+
+def _rk4_step_maps(a_mat: np.ndarray, h: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """One RK4 step of each length h[p] as an affine map of the state and of J input weights.
+
+    ``inputs`` is [P, J, n]: step p is forced by c = sum_j w_j inputs[p, j].
+    A step is linear in the state and the forcing, x -> R(hA) x + h S(hA) c,
+    so pushing the identity (no forcing) and every input (from zero) through
+    ``_rk4`` gives the stacked block [phi; resp], [P, n + J, n], with x_end =
+    x @ phi[p] + w @ resp[p] in the kernel's row convention, up to rounding.
+    """
+    steps, count, n = inputs.shape
+    rows = n + count
+    x0 = np.zeros((steps, rows, n))
+    x0[:, :n] = np.eye(n)
+    forcing = np.zeros((1, steps, rows, n))
+    forcing[0, :, n:] = inputs
+    end = _rk4(a_mat, np.repeat(h, rows)[None, :], x0.reshape(-1, n), forcing.reshape(1, -1, n))
+    return end[-1].reshape(steps, rows, n)
 
 
 def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajectory:

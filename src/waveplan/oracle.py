@@ -2,33 +2,40 @@
 
 This is the ground truth the solver is checked against: every subset of
 uniform grid cells per channel (up to a switch cap), crossed over channels.
-Linear objectives are scored exactly by per-cell integrals of h; sigmoid
-objectives by 256-step RK4 runs, many candidates per batch on the kernel
-behind ``dynamics.simulate``. With interior levels enabled it also serves
-as the falsification harness for the bang-bang claim, testing non-extreme
-constant control levels against the best extreme candidate.
+Linear objectives are scored exactly by per-cell integrals of h. Sigmoid
+objectives are scored by the value a 256-step RK4 run of ``simulate`` would
+give, without stepping candidate by candidate: one RK4 step of the linear
+dynamics under a constant input is an exact affine map, so the steps that
+all candidates share are composed once into maps of the state and of each
+cell's control, and every candidate applies a few of them, chosen by its
+cell masks. With interior levels enabled it also serves as the
+falsification harness for the bang-bang claim, testing non-extreme constant
+control levels against the best extreme candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import bound_general
-from .costate import TerminalCostate, channel_profile, eval_h, integrate_h
-from .dynamics import _forcing, _grid, _rk4, objective_value
+from .costate import TerminalCostate, _stable_sigmoid, channel_profile, eval_h, integrate_h
+from .dynamics import _rk4_step_maps
 from .errors import ContractError, ValidationError
 from .graph import build_laplacian, spectral_decompose
 from .problem import CampaignProblem
 from .waterfill import BangBangSchedule, ChannelSchedule
 
 MAX_CANDIDATES = 2_000_000
-# RK4 steps per sigmoid candidate; the reported value is reproduced by
-# simulate(problem, schedule, steps=SIGMOID_STEPS).
+# RK4 steps per sigmoid candidate. The reported value is that of
+# simulate(problem, schedule, steps=SIGMOID_STEPS), up to rounding: the
+# candidates compose that run's step maps instead of stepping it.
 SIGMOID_STEPS = 256
 _BLOCK_ROWS = 256
+# Sigmoid candidates scored together; bounds the scoring's working arrays.
+_SCORE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,15 @@ class EnumerationSpec:
     max_switches_per_channel: int | None = None
     include_interior_levels: bool = False
     interior_levels: tuple[float, ...] = (0.75, 0.5, 0.25)
+
+
+class _ChannelCandidates(NamedTuple):
+    """One channel's candidates, mask-major with the extreme level first."""
+
+    levels: np.ndarray  # fraction of u_max while on
+    costs: np.ndarray  # spend over the horizon
+    interior: np.ndarray  # on somewhere at an interior level
+    mask_of: np.ndarray  # row in the channel's mask table
 
 
 @dataclass(frozen=True)
@@ -99,8 +115,8 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     """Exhaustively score every candidate schedule and return the argmax.
 
     Linear objectives are scored by the exact closed-form gain (per-cell
-    integrals of h); the sigmoid objective is scored by batched RK4
-    simulation at ``SIGMOID_STEPS``. Budget-
+    integrals of h); the sigmoid objective by its value after a
+    ``SIGMOID_STEPS`` RK4 run, from composed RK4 transfer maps. Budget-
     infeasible candidates are discarded. Ties break lexicographically on the
     joint cell-indicator encoding (extreme level before interior levels), so
     concurrent and sequential runs agree exactly.
@@ -119,26 +135,23 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     T = problem.T
     edges = np.linspace(0.0, T, g + 1)
     delta = T / g
-    sd = spectral_decompose(build_laplacian(problem.graph))
     linear = problem.objective.kind == "linear"
-    lamT = TerminalCostate(lam=problem.objective.p)
+    # Only the linear cell gains and the default switch caps need the spectrum.
+    sd = None
+    if linear or spec.max_switches_per_channel is None:
+        sd = spectral_decompose(build_laplacian(problem.graph))
 
-    levels = (1.0,) + (tuple(spec.interior_levels) if spec.include_interior_levels else ())
+    levels = np.array((1.0,) + (tuple(spec.interior_levels) if spec.include_interior_levels else ()))
     masks = []
-    cell_gain = []
     for ch in problem.channels:
         cap = spec.max_switches_per_channel
         if cap is None:
             cap = bound_general(sd, ch.b)
         masks.append(_masks_in_lex_order(g, cap))
-        profile = channel_profile(sd, lamT, ch.b, T)
-        cell_gain.append(
-            np.array([ch.u_max * integrate_h(profile, edges[c], edges[c + 1]) for c in range(g)])
-        )
 
     candidate_count = 1
     for mk in masks:
-        candidate_count *= mk.shape[0] * len(levels)
+        candidate_count *= mk.shape[0] * levels.size
     if candidate_count > MAX_CANDIDATES:
         raise ValidationError(
             f"{candidate_count} candidates exceed the enumeration guard of {MAX_CANDIDATES}; "
@@ -148,28 +161,31 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     # Per-channel flattened candidates: mask-major, extreme level first.
     per_channel = []
     for k, ch in enumerate(problem.channels):
-        mk = masks[k]
-        vals, costs, interior = [], [], []
-        on_counts = mk.sum(axis=1)
-        for lvl in levels:
-            vals.append(lvl * (mk @ cell_gain[k]))
-            costs.append(ch.cost(lvl * ch.u_max) * delta * on_counts)
-            # An interior level only matters when the channel is on somewhere.
-            interior.append((on_counts > 0) & (lvl < 1.0))
-        order = np.argsort(
-            np.tile(np.arange(mk.shape[0]), len(levels)), kind="stable"
+        rows = masks[k].shape[0]
+        on_counts = np.repeat(masks[k].sum(axis=1), levels.size)
+        rates = np.array([ch.cost(lvl * ch.u_max) for lvl in levels])
+        per_channel.append(
+            _ChannelCandidates(
+                levels=np.tile(levels, rows),
+                costs=np.tile(rates * delta, rows) * on_counts,
+                # An interior level only matters when the channel is on somewhere.
+                interior=(on_counts > 0) & np.tile(levels < 1.0, rows),
+                mask_of=np.repeat(np.arange(rows), levels.size),
+            )
         )
-        vals = np.concatenate(vals)[order]
-        costs = np.concatenate(costs)[order]
-        interior = np.concatenate(interior)[order]
-        lvl_of = np.concatenate([np.full(mk.shape[0], lvl) for lvl in levels])[order]
-        mask_of = np.tile(np.arange(mk.shape[0]), len(levels))[order]
-        per_channel.append((vals, costs, interior, lvl_of, mask_of))
 
     budget = problem.r + 1e-9 * max(1.0, problem.r)
 
     if not linear:
         return _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget)
+
+    lamT = TerminalCostate(lam=problem.objective.p)
+    gains = []
+    for k, ch in enumerate(problem.channels):
+        profile = channel_profile(sd, lamT, ch.b, T)
+        cell_gain = np.array([ch.u_max * integrate_h(profile, edges[c], edges[c + 1]) for c in range(g)])
+        pc = per_channel[k]
+        gains.append((masks[k] @ cell_gain)[pc.mask_of] * pc.levels)
 
     best_val = -np.inf
     best_idx: tuple[int, ...] | None = None
@@ -178,7 +194,7 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     feasible = 0
 
     if m == 1:
-        vals, costs, interior, _, _ = per_channel[0]
+        vals, costs, interior = gains[0], per_channel[0].costs, per_channel[0].interior
         ok = costs <= budget
         feasible = int(np.sum(ok))
         if feasible:
@@ -191,8 +207,8 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
                 itr = np.where(ok & interior, vals, -np.inf)
                 best_interior = float(np.max(itr))
     else:
-        v1, c1, i1, _, _ = per_channel[0]
-        v2, c2, i2, _, _ = per_channel[1]
+        v1, c1, i1 = gains[0], per_channel[0].costs, per_channel[0].interior
+        v2, c2, i2 = gains[1], per_channel[1].costs, per_channel[1].interior
         for lo in range(0, v1.size, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, v1.size)
             total = v1[lo:hi, None] + v2[None, :]
@@ -219,7 +235,7 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
 
     schedule = _schedule_from_indices(problem, masks, per_channel, edges, best_idx)
     spend = float(
-        sum(per_channel[k][1][best_idx[k]] for k in range(m))
+        sum(per_channel[k].costs[best_idx[k]] for k in range(m))
     )
     return OracleResult(
         value=best_val,
@@ -235,84 +251,155 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
 def _schedule_from_indices(problem, masks, per_channel, edges, idx) -> BangBangSchedule:
     channels = []
     for k, ch in enumerate(problem.channels):
-        _, _, _, lvl_of, mask_of = per_channel[k]
-        bits = masks[k][int(mask_of[idx[k]])]
+        pc = per_channel[k]
+        bits = masks[k][int(pc.mask_of[idx[k]])]
         channels.append(
             ChannelSchedule(
-                u_max=float(lvl_of[idx[k]]) * ch.u_max,
+                u_max=float(pc.levels[idx[k]]) * ch.u_max,
                 intervals=_mask_to_intervals(bits, edges),
             )
         )
     return BangBangSchedule(channels=tuple(channels))
 
 
-def _score_sigmoid(problem: CampaignProblem, schedules: list[BangBangSchedule]) -> np.ndarray:
-    """Sigmoid objective of each schedule after a ``SIGMOID_STEPS`` RK4 run.
+def _segment_maps(problem: CampaignProblem, edges: np.ndarray):
+    """Composed RK4 maps of the segments that the sigmoid candidates step through.
 
-    Blocks of ``_BLOCK_ROWS`` schedules are stepped together by the kernel
-    behind ``simulate``, each on its own refined grid; grids shorter than
-    the block's longest are padded with zero steps, which change nothing.
+    A candidate's ``simulate`` grid is the fixed nodes (``SIGMOID_STEPS``
+    uniform steps and the drift breakpoints in (0, T)) plus the inner cell
+    edges where one of its channels switches. An inner edge e that is not a
+    fixed node is optional: a candidate steps either [a, e] and [e, b],
+    between e's fixed neighbours a and b, or the one piece [a, b]. Cells
+    span at least 16 uniform steps, so optional edges never share a
+    neighbour, and every other piece is stepped alike by all candidates.
+
+    Segments are runs of pieces inside one cell: the fixed pieces cut at
+    every inner edge and around every [a, b], then [a, e] and [e, b] for
+    each optional edge j as segments ``count + j`` and ``count + q + j``.
+    Each segment's map x -> x @ phi + sum_k u_k w_k + d, with u_k channel
+    k's control in the segment's cell, is composed pairwise from RK4 step
+    maps. Returns the stacked maps [phi; w_1..w_m; d] per segment, each
+    segment's cell, the number ``count`` of fixed segments, the optional
+    edges (indices into ``edges[1:-1]``) and the segment of each one's [a, b].
     """
-    a_mat = -build_laplacian(problem.graph).matrix
-    values = np.empty(len(schedules))
-    for lo in range(0, len(schedules), _BLOCK_ROWS):
-        block = schedules[lo : lo + _BLOCK_ROWS]
-        grids = [_grid(problem, schedule, SIGMOID_STEPS) for schedule in block]
-        pieces = max(ts.size for ts in grids) - 1
-        h = np.zeros((pieces, len(block)))
-        forcing = np.zeros((pieces, len(block), problem.n))
-        for k, (schedule, ts) in enumerate(zip(block, grids)):
-            h[: ts.size - 1, k] = np.diff(ts)
-            forcing[: ts.size - 1, k] = _forcing(problem, schedule, ts)[0]
-        x0 = np.tile(problem.x0, (len(block), 1))
-        x_T = _rk4(a_mat, h, x0, forcing)[-1]
-        values[lo : lo + len(block)] = [objective_value(problem.objective, x) for x in x_T]
+    T, g, n, m = problem.T, edges.size - 1, problem.n, problem.m
+    bps = problem.drift.breakpoints
+    fixed = np.unique(
+        np.concatenate([np.linspace(0.0, T, SIGMOID_STEPS + 1), bps[(bps > 0.0) & (bps < T)]])
+    )
+    inner = edges[1:-1]
+    optional = np.flatnonzero(~np.isin(inner, fixed))
+    q = optional.size
+    merged = np.searchsorted(fixed, inner[optional]) - 1  # fixed piece [a, b] of each edge
+    starts = np.isin(fixed[:-1], inner)
+    starts[0] = True
+    starts[merged] = True
+    starts[merged + 1] = True
+    fixed_segment = np.cumsum(starts) - 1
+    count = int(fixed_segment[-1]) + 1
+    first = np.flatnonzero(starts)
+
+    lo = np.concatenate([fixed[:-1], fixed[merged], inner[optional]])
+    hi = np.concatenate([fixed[1:], inner[optional], fixed[merged + 1]])
+    segment = np.concatenate([fixed_segment, count + np.arange(2 * q)])
+    position = np.concatenate([np.arange(fixed.size - 1) - first[fixed_segment], np.zeros(2 * q, int)])
+    mids = 0.5 * (lo + hi)
+    cells = np.empty(count + 2 * q, dtype=int)
+    cells[segment] = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, g - 1)
+
+    # One step map per distinct (length, drift value), with the channels' b and the drift as inputs.
+    lengths, length_of = np.unique(hi - lo, return_inverse=True)
+    pieces = problem.drift.values.shape[0]
+    keys, step_of = np.unique(length_of * pieces + problem.drift.piece(mids), return_inverse=True)
+    inputs = np.empty((keys.size, m + 1, n))
+    inputs[:, :m] = np.array([ch.b for ch in problem.channels])
+    inputs[:, m] = problem.drift.values[keys % pieces]
+    steps = _rk4_step_maps(-build_laplacian(problem.graph).matrix, lengths[keys // pieces], inputs)
+
+    # Compose each segment's steps pairwise, padded with identity maps.
+    identity = np.zeros((n + m + 1, n))
+    identity[:n] = np.eye(n)
+    maps = np.tile(identity, (count + 2 * q, int(np.max(position)) + 1, 1, 1))
+    maps[segment, position] = steps[step_of]
+    while maps.shape[1] > 1:
+        if maps.shape[1] % 2:
+            maps = np.concatenate([maps, np.tile(identity, (maps.shape[0], 1, 1, 1))], axis=1)
+        head, tail = maps[:, 0::2], maps[:, 1::2]
+        maps = head @ tail[:, :, :n]
+        maps[:, :, n:] += tail[:, :, n:]
+    return maps[:, 0], cells, count, optional, fixed_segment[merged]
+
+
+def _score_sigmoid(problem, edges, masks, per_channel, feasible) -> np.ndarray:
+    """Sigmoid objective of each feasible candidate after its ``SIGMOID_STEPS`` RK4 run.
+
+    ``feasible`` holds one index array per channel. A candidate's terminal
+    state is its stepped RK4 state up to rounding: it walks the segment
+    maps of ``_segment_maps`` in time order and, at each optional edge,
+    takes [a, e] then [e, b] where one of its channels switches and [a, b]
+    where none does. Candidates are scored in blocks of ``_SCORE_ROWS``.
+    """
+    n, m = problem.n, problem.m
+    maps, cells, count, optional, merged = _segment_maps(problem, edges)
+    optional_at = {int(s): j for j, s in enumerate(merged)}
+    switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
+    scale = [pc.levels * ch.u_max for pc, ch in zip(per_channel, problem.channels)]
+    obj = problem.objective
+    values = np.empty(feasible[0].size)
+    for lo in range(0, values.size, _SCORE_ROWS):
+        rows = [f[lo : lo + _SCORE_ROWS] for f in feasible]
+        mask_rows = [pc.mask_of[r] for pc, r in zip(per_channel, rows)]
+        u = [mk[i] * sc[r][:, None] for mk, i, sc, r in zip(masks, mask_rows, scale, rows)]
+        split = np.logical_or.reduce([sw[i][:, optional] for sw, i in zip(switches, mask_rows)])
+
+        def advance(x, s):
+            out = x @ maps[s, :n]
+            for k in range(m):
+                out = out + u[k][:, cells[s], None] * maps[s, n + k]
+            return out + maps[s, n + m]
+
+        x = problem.x0
+        for s in range(count):
+            j = optional_at.get(s)
+            if j is None:
+                x = advance(x, s)
+            else:
+                both = advance(advance(x, count + j), count + optional.size + j)
+                x = np.where(split[:, j, None], both, advance(x, s))
+        values[lo : lo + rows[0].size] = np.sum(
+            obj.p * _stable_sigmoid(obj.alpha * (x - obj.theta)), axis=1
+        )
     return values
 
 
 def _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget) -> OracleResult:
-    """Simulation-scored enumeration: every feasible candidate gets a 256-step RK4 run.
+    """Map-scored enumeration: every feasible candidate's value after a 256-step RK4 run.
 
-    The candidates are integrated in batches; the selection below walks
-    them in ``product`` order, so the first of equal values wins as in the
+    Spends broadcast over channels in the order of additions of a running
+    sum; ``np.nonzero`` lists the feasible candidates in row-major order,
+    which is ``product`` order, so the first of equal values wins as in the
     linear branch.
     """
     m = problem.m
-    sizes = [pc[0].size for pc in per_channel]
-    candidate_count = int(np.prod(sizes))
-    feasible = [
-        idx
-        for idx in product(*(range(s) for s in sizes))
-        if sum(per_channel[k][1][idx[k]] for k in range(m)) <= budget
-    ]
-    if not feasible:
+    candidate_count = int(np.prod([pc.costs.size for pc in per_channel]))
+    spends = sum(np.ix_(*(pc.costs for pc in per_channel)))
+    feasible = np.nonzero(spends <= budget)
+    if feasible[0].size == 0:
         raise ValidationError("no feasible candidate; even the all-off schedule failed the budget")
-    values = _score_sigmoid(
-        problem,
-        [_schedule_from_indices(problem, masks, per_channel, edges, idx) for idx in feasible],
-    )
+    values = _score_sigmoid(problem, edges, masks, per_channel, feasible)
+    interior = np.logical_or.reduce([pc.interior[f] for pc, f in zip(per_channel, feasible)])
 
-    best_val = -np.inf
-    best_idx = None
-    best_extreme = -np.inf
-    best_interior = -np.inf if spec.include_interior_levels else None
-    for idx, val in zip(feasible, values.tolist()):
-        interior = any(per_channel[k][2][idx[k]] for k in range(m))
-        if val > best_val:
-            best_val, best_idx = val, idx
-        if interior:
-            if spec.include_interior_levels:
-                best_interior = max(best_interior, val)
-        else:
-            best_extreme = max(best_extreme, val)
-    schedule = _schedule_from_indices(problem, masks, per_channel, edges, best_idx)
-    spend = float(sum(per_channel[k][1][best_idx[k]] for k in range(m)))
+    best = int(np.argmax(values))
+    best_idx = tuple(int(f[best]) for f in feasible)
+    best_interior = None
+    if spec.include_interior_levels:
+        best_interior = float(np.max(values[interior], initial=-np.inf))
     return OracleResult(
-        value=best_val,
-        schedule=schedule,
-        spend=spend,
-        feasible_count=len(feasible),
+        value=float(values[best]),
+        schedule=_schedule_from_indices(problem, masks, per_channel, edges, best_idx),
+        spend=float(sum(per_channel[k].costs[best_idx[k]] for k in range(m))),
+        feasible_count=int(feasible[0].size),
         candidate_count=candidate_count,
-        best_extreme_value=best_extreme,
+        best_extreme_value=float(np.max(values[~interior], initial=-np.inf)),
         best_interior_value=best_interior,
     )

@@ -83,10 +83,13 @@ class Drift:
     def zero(n: int) -> "Drift":
         return Drift(breakpoints=np.array([0.0]), values=np.zeros((1, n)))
 
+    def piece(self, t):
+        """Index of the value that holds at time t (elementwise for an array of times)."""
+        return np.maximum(np.searchsorted(self.breakpoints, t, side="right") - 1, 0)
+
     def at(self, t) -> np.ndarray:
         """Drift value at time t, or one row per time when t is an array."""
-        k = np.searchsorted(self.breakpoints, t, side="right") - 1
-        return self.values[np.maximum(k, 0)]
+        return self.values[self.piece(t)]
 
     @property
     def is_zero(self) -> bool:

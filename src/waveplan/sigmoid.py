@@ -114,7 +114,7 @@ def solve_sigmoid(
     sd = spectral_decompose(build_laplacian(problem.graph))
 
     def evaluate(lam: np.ndarray, index: int):
-        sol = solve_with_costate(problem, lam, resolution=resolution)
+        sol = solve_with_costate(problem, lam, resolution=resolution, sd=sd)
         x_T = terminal_state(problem, sol.schedule, sd)
         value = objective_value(obj, x_T)
         members = late_deciders(x_T, obj, eps).members

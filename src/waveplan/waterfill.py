@@ -24,11 +24,13 @@ from .bounds import bound_general, bound_linear
 from .costate import ChannelProfile, TerminalCostate, channel_profile
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
-from .graph import build_laplacian, spectral_decompose
+from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Channel, check_conditions, require_valid
 
 BISECTION_MAX_ITERS = 200
 CROSSING_MAX_ITERS = 100
+# A crossing is a root once |g - beta| is this many ulp of its terms' magnitude.
+_ROOT_ULPS = 4
 SPEND_REL_TOL = 1e-9
 # Entries of one row block of the modal grid; bounds the grid's working memory.
 _GRID_BLOCK_ENTRIES = 1 << 16
@@ -222,9 +224,13 @@ class _SignalGrid:
         A step that leaves the cell's bracket, or that did not halve
         |g - beta|, is replaced by bisection. The sign at the lower end comes
         from the grid. Each crossing stops once its step or its bracket is
-        within 1e-12 * T.
+        within 1e-12 * T, or once |g - beta| is within a few ulp of the sum of
+        the magnitudes it is made of, sum_g |d_g exp(rate_g (t - T))| + |beta|:
+        such a t is a root to rounding, and stepping on would only bisect away
+        from it.
         """
         tol = 1e-12 * self.T
+        ulps = _ROOT_ULPS * np.finfo(np.float64).eps
         above_lo = vlo > beta
         t = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
         slopes = np.zeros_like(t)
@@ -235,8 +241,10 @@ class _SignalGrid:
                 break
             ta = t[active]
             e = np.exp(np.multiply.outer(ta - self.T, self.rates))
-            f = np.einsum("cg,gc->c", e, self.coeffs[:, chan[active]]) - beta
+            coeffs = self.coeffs[:, chan[active]]
+            f = np.einsum("cg,gc->c", e, coeffs) - beta
             fp = np.einsum("cg,gc->c", e, self.dcoeffs[:, chan[active]])
+            root = np.abs(f) <= ulps * (np.einsum("cg,gc->c", e, np.abs(coeffs)) + abs(beta))
             slopes[active] = fp
             keep_lo = (f > 0.0) == above_lo[active]
             a = np.where(keep_lo, ta, lo[active])
@@ -245,8 +253,8 @@ class _SignalGrid:
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = ta - f / fp
             newton = (a < step) & (step < b) & (np.abs(f) <= 0.5 * last[active])
-            nxt = np.where(newton, step, 0.5 * (a + b))
-            done = (np.abs(nxt - ta) <= tol) | (b - a <= tol)
+            nxt = np.where(root, ta, np.where(newton, step, 0.5 * (a + b)))
+            done = root | (np.abs(nxt - ta) <= tol) | (b - a <= tol)
             last[active] = np.abs(f)
             t[active] = nxt
             active = active[~done]
@@ -367,20 +375,26 @@ def spend_for_beta(
 
 
 def solve_with_costate(
-    problem: CampaignProblem, lam: np.ndarray, resolution: int | None = None
+    problem: CampaignProblem,
+    lam: np.ndarray,
+    resolution: int | None = None,
+    sd: SpectralDecomposition | None = None,
 ) -> WaterfillSolution:
     """Water-filling against an explicit terminal costate vector.
 
     This is the shared engine: the linear objective passes lam = p, the
     sigmoid loop passes its surrogate costates. Nothing here reads x0 or the
     drift, which is what makes linear-objective schedules invariant to both.
+    Pass ``sd`` to reuse a decomposition of the problem's Laplacian across
+    calls.
     """
     require_valid(problem)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (problem.n,):
         raise ContractError(f"costate has shape {lam.shape}, expected ({problem.n},)")
     T, r = problem.T, problem.r
-    sd = spectral_decompose(build_laplacian(problem.graph))
+    if sd is None:
+        sd = spectral_decompose(build_laplacian(problem.graph))
     lamT = TerminalCostate(lam=lam)
     profiles = [
         channel_profile(sd, lamT, ch.b, T, channel=k + 1)

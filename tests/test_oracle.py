@@ -224,3 +224,136 @@ class TestBatchedSigmoidScoring:
         # Every candidate saturates to sum(p); the all-off mask comes first.
         assert res.value == float(np.sum(prob.objective.p))
         assert res.schedule.channels[0].intervals == ()
+
+
+def _map_problem(rng, m, T=1.0, x0=False, breakpoints=None, n=3):
+    """Sigmoid instance on P3 (K2 for n = 2) with optional start state and drift breakpoints."""
+    graph = K2 if n == 2 else P3
+    channels = [
+        Channel(b=rng.uniform(0.0, 1.0, n), cost=CostModel("power", 1.0, 0.6), u_max=float(rng.uniform(0.5, 2.0)))
+        for _ in range(m)
+    ]
+    drift = None
+    if breakpoints is not None:
+        bps = np.concatenate([[0.0], breakpoints])
+        drift = Drift(breakpoints=bps, values=rng.normal(0.0, 0.3, (bps.size, n)))
+    return CampaignProblem(
+        graph=graph,
+        channels=tuple(channels),
+        objective=Objective(
+            kind="sigmoid",
+            p=rng.uniform(0.2, 1.0, n),
+            alpha=rng.uniform(1.0, 4.0, n),
+            theta=rng.normal(0.0, 0.2, n),
+        ),
+        T=T,
+        r=0.4 * m * T,
+        x0=rng.normal(0.0, 0.3, n) if x0 else np.zeros(n),
+        drift=drift,
+    )
+
+
+def _scored_candidates(prob, spec, monkeypatch):
+    """The oracle's result, every feasible candidate's schedule and its map-scored value."""
+    calls = []
+    score = oracle._score_sigmoid
+
+    def spy(problem, edges, masks, per_channel, feasible):
+        values = score(problem, edges, masks, per_channel, feasible)
+        calls.append((edges, masks, per_channel, feasible, values))
+        return values
+
+    monkeypatch.setattr(oracle, "_score_sigmoid", spy)
+    result = enumerate_best(prob, spec)
+    ((edges, masks, per_channel, feasible, values),) = calls
+    schedules = [oracle._schedule_from_indices(prob, masks, per_channel, edges, idx) for idx in zip(*feasible)]
+    return result, schedules, values
+
+
+def _stepped(prob, schedule):
+    return objective_value(prob.objective, simulate(prob, schedule, steps=oracle.SIGMOID_STEPS).terminal_state)
+
+
+def _optional_edges(prob, g):
+    return oracle._segment_maps(prob, np.linspace(0.0, prob.T, g + 1))[3]
+
+
+class TestTransferMapScoring:
+    # (name, problem, spec, indices into the inner edges that must be optional)
+    CASES = [
+        ("m1", lambda rng: _map_problem(rng, 1), EnumerationSpec(switch_grid=5, max_switches_per_channel=3), [0, 1, 2, 3]),
+        ("m2", lambda rng: _map_problem(rng, 2), EnumerationSpec(switch_grid=5, max_switches_per_channel=1), [0, 1, 2, 3]),
+        (
+            "interior",
+            lambda rng: _map_problem(rng, 2, n=2),
+            EnumerationSpec(
+                switch_grid=3, max_switches_per_channel=1, include_interior_levels=True, interior_levels=(0.5,)
+            ),
+            [0, 1],
+        ),
+        ("x0_T", lambda rng: _map_problem(rng, 2, T=1.7, x0=True), EnumerationSpec(switch_grid=5, max_switches_per_channel=1), [0, 1, 2, 3]),
+        # T / 2 is a uniform node, so edge 2 is fixed.
+        ("g6", lambda rng: _map_problem(rng, 1), EnumerationSpec(switch_grid=6, max_switches_per_channel=2), [0, 1, 3, 4]),
+        # Every edge is a uniform node: nothing is optional.
+        ("g8", lambda rng: _map_problem(rng, 1, x0=True), EnumerationSpec(switch_grid=8, max_switches_per_channel=2), []),
+        # A drift breakpoint on edge 1 makes it fixed.
+        (
+            "drift_on_edge",
+            lambda rng: _map_problem(rng, 1, breakpoints=[np.linspace(0.0, 1.0, 6)[2]]),
+            EnumerationSpec(switch_grid=5, max_switches_per_channel=2),
+            [0, 2, 3],
+        ),
+        # Breakpoints between edge 0 (0.2) and its uniform neighbour below
+        # (51/256), and between edge 2 (0.6) and its neighbour above (154/256).
+        (
+            "drift_in_base_piece",
+            lambda rng: _map_problem(rng, 1, x0=True, breakpoints=[0.1995, 0.601]),
+            EnumerationSpec(switch_grid=5, max_switches_per_channel=2),
+            [0, 1, 2, 3],
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,make,spec,optional", CASES, ids=[c[0] for c in CASES])
+    def test_every_candidate_matches_stepped_rk4(self, name, make, spec, optional, monkeypatch):
+        prob = make(np.random.default_rng(23))
+        assert _optional_edges(prob, spec.switch_grid).tolist() == optional
+        result, schedules, values = _scored_candidates(prob, spec, monkeypatch)
+        assert result.feasible_count == len(schedules) > 1
+        for schedule, value in zip(schedules, values):
+            stepped = _stepped(prob, schedule)
+            assert abs(value - stepped) <= 1e-13 * abs(stepped)
+        best = int(np.argmax(values))
+        assert result.value == values[best] and result.schedule == schedules[best]
+
+    def test_bundle_grid8_interior_levels(self):
+        prob = seven_agent_sigmoid_problem()
+        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True)
+        res = enumerate_best(prob, spec)
+        assert (res.feasible_count, res.candidate_count) == (49158, 53824)
+        assert res.schedule.channels[0].u_max == 1.0
+        assert res.schedule.channels[0].intervals == ((0.0, 8.75),)
+        assert res.schedule.channels[1].u_max == 0.75
+        assert res.schedule.channels[1].intervals == ((7.5, 10.0),)
+        assert res.spend == 10.625
+        assert abs(res.value - _stepped(prob, res.schedule)) <= 1e-13 * res.value
+        assert res.best_interior_value == res.value > res.best_extreme_value
+
+    def test_sampled_grid8_candidates_match_stepped_rk4(self, monkeypatch):
+        prob = seven_agent_sigmoid_problem()
+        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True)
+        _, schedules, values = _scored_candidates(prob, spec, monkeypatch)
+        for i in range(0, len(schedules), 997):
+            stepped = _stepped(prob, schedules[i])
+            assert abs(values[i] - stepped) <= 1e-13 * abs(stepped)
+
+
+class TestSpectralWork:
+    def test_capped_sigmoid_oracle_needs_no_decomposition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decomposed")
+
+        monkeypatch.setattr(oracle, "spectral_decompose", refuse)
+        prob = _map_problem(np.random.default_rng(5), 1)
+        enumerate_best(prob, EnumerationSpec(switch_grid=4, max_switches_per_channel=1))
+        with pytest.raises(AssertionError, match="decomposed"):
+            enumerate_best(prob, EnumerationSpec(switch_grid=4))

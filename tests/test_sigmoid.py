@@ -123,6 +123,21 @@ class TestSolveSigmoid:
         rk4 = objective_value(prob.objective, simulate(prob, schedule, steps=4096).terminal_state)
         assert abs(res.objective - rk4) <= 1e-13 * abs(rk4)
 
+    def test_one_decomposition_shared_by_every_iterate(self, monkeypatch):
+        from waveplan import graph, sigmoid, waterfill
+
+        calls = []
+
+        def counting(lap):
+            calls.append(lap)
+            return graph.spectral_decompose(lap)
+
+        monkeypatch.setattr(sigmoid, "spectral_decompose", counting)
+        monkeypatch.setattr(waterfill, "spectral_decompose", counting)
+        prob = _sigmoid_k2([0.3, 0.3])
+        res = solve_sigmoid(prob, max_iters=3)
+        assert len(res.iterations) > 1 and len(calls) == 1
+
     def test_deterministic(self):
         prob = seven_agent_sigmoid_problem()
         r1 = solve_sigmoid(prob)

@@ -295,3 +295,79 @@ class TestEngineAgainstScalarSignals:
                 assert abs(spend - r) <= 1e-9 * r
             else:
                 assert beta == 0.0 and spend <= r
+
+
+def _bisecting_refine(self, lo, hi, vlo, vhi, chan, beta):
+    """Crossing refinement without the exact-root stop: the reference for the stop."""
+    tol = 1e-12 * self.T
+    above_lo = vlo > beta
+    t = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
+    slopes = np.zeros_like(t)
+    last = np.full_like(t, np.inf)
+    active = np.arange(t.size)
+    for _ in range(waterfill.CROSSING_MAX_ITERS):
+        if active.size == 0:
+            break
+        ta = t[active]
+        e = np.exp(np.multiply.outer(ta - self.T, self.rates))
+        f = np.einsum("cg,gc->c", e, self.coeffs[:, chan[active]]) - beta
+        fp = np.einsum("cg,gc->c", e, self.dcoeffs[:, chan[active]])
+        slopes[active] = fp
+        keep_lo = (f > 0.0) == above_lo[active]
+        a = np.where(keep_lo, ta, lo[active])
+        b = np.where(keep_lo, hi[active], ta)
+        lo[active], hi[active] = a, b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ta - f / fp
+        newton = (a < step) & (step < b) & (np.abs(f) <= 0.5 * last[active])
+        nxt = np.where(newton, step, 0.5 * (a + b))
+        done = (np.abs(nxt - ta) <= tol) | (b - a <= tol)
+        last[active] = np.abs(f)
+        t[active] = nxt
+        active = active[~done]
+    return t, slopes
+
+
+class TestExactRootCrossing:
+    def test_secant_start_on_a_root_stops_in_one_pass(self, monkeypatch):
+        # g(t) = 1 - 0.5 exp(t - T) falls through beta = g(0.375), and the
+        # secant through (0.25, beta + 1) and (0.5, beta - 1) starts on 0.375.
+        from waveplan.costate import ChannelProfile
+
+        profile = ChannelProfile(horizon=1.0, rates=(0.0, 1.0), coeffs=(1.0, -0.5))
+        grid = waterfill._SignalGrid([profile], 1.0, 64)
+        e = np.exp(np.multiply.outer(np.array([0.375]) - grid.T, grid.rates))
+        beta = float(np.einsum("cg,gc->c", e, grid.coeffs[:, [0]])[0])
+        slope = float(np.einsum("cg,gc->c", e, grid.dcoeffs[:, [0]])[0])
+
+        def cell():  # fresh arrays: the refinement narrows the brackets in place
+            return np.array([0.25]), np.array([0.5]), np.array([beta + 1.0]), np.array([beta - 1.0])
+
+        chan = np.array([0])
+        assert grid._refine(*cell(), chan, beta)[0][0] == 0.375
+        monkeypatch.setattr(waterfill, "CROSSING_MAX_ITERS", 1)
+        t, slopes = grid._refine(*cell(), chan, beta)
+        assert t[0] == 0.375 and slopes[0] == slope
+        # Without the stop the first pass rejects the Newton step and bisects away.
+        assert _bisecting_refine(grid, *cell(), chan, beta)[0][0] == 0.3125
+
+    def test_crossings_match_the_bisecting_reference(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            prob = _random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4)))
+            with monkeypatch.context() as patch:
+                patch.setattr(waterfill._SignalGrid, "_refine", _bisecting_refine)
+                reference = solve(prob)
+            sol = solve(prob)
+            for cs, ref in zip(sol.schedule.channels, reference.schedule.channels):
+                assert len(cs.intervals) == len(ref.intervals)
+                ends, ref_ends = np.ravel(cs.intervals), np.ravel(ref.intervals)
+                assert np.all(np.abs(ends - ref_ends) <= 1e-12 * prob.T)
+
+
+class TestSharedDecomposition:
+    def test_passed_decomposition_gives_the_same_solution(self):
+        prob = random_linear_problem(np.random.default_rng(8), 12)
+        sd = spectral_decompose(build_laplacian(prob.graph))
+        lam = prob.objective.p
+        assert waterfill.solve_with_costate(prob, lam, sd=sd) == waterfill.solve_with_costate(prob, lam)
