@@ -135,16 +135,21 @@ def eval_h(profile: ChannelProfile, t):
     return float(out[0]) if scalar else out
 
 
-def integrate_h(profile: ChannelProfile, a: float, b: float) -> float:
-    """Exact integral of h over [a, b]; the zero-rate mode contributes d_0 * (b - a)."""
-    total = 0.0
+def integrate_h(profile: ChannelProfile, a, b):
+    """Exact integral of h over [a, b]; the zero-rate mode contributes d_0 * (b - a).
+
+    Accepts scalars or arrays of endpoints. An array call adds the modes in
+    the scalar call's order, so each entry equals that call bit for bit.
+    """
+    shape = np.broadcast(a, b).shape
+    total = np.zeros(shape) if shape else 0.0
     T = profile.horizon
     for rate, d in zip(profile.rates, profile.coeffs):
         if rate == 0.0:
             total += d * (b - a)
         else:
             total += (d / rate) * (np.exp(rate * (b - T)) - np.exp(rate * (a - T)))
-    return float(total)
+    return total if shape else float(total)
 
 
 def adjoint_check(lap: Laplacian, lamT: TerminalCostate, grid: np.ndarray) -> np.ndarray:

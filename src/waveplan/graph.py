@@ -89,15 +89,16 @@ def build_laplacian(g: WeightedGraph) -> Laplacian:
     """Assemble the weighted Laplacian of a validated graph.
 
     Off-diagonals of non-adjacent pairs are exactly zero and every row sums
-    to zero up to rounding in the diagonal accumulation.
+    to zero up to rounding in the diagonal accumulation. Each diagonal entry
+    adds its node's incident weights in edge order.
     """
-    m = np.zeros((g.n, g.n), dtype=np.float64)
-    for i, j, w in g.edges:
-        a, b = i - 1, j - 1
-        m[a, b] = -w
-        m[b, a] = -w
-        m[a, a] += w
-        m[b, b] += w
+    edges = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
+    ends = edges[:, :2].astype(np.intp).ravel() - 1  # interleaved 0-based (i, j) pairs
+    w = edges[:, 2]
+    m = np.diag(np.bincount(ends, weights=np.repeat(w, 2), minlength=g.n))
+    a, b = ends[0::2], ends[1::2]
+    m[a, b] = -w
+    m[b, a] = -w
     return Laplacian(n=g.n, matrix=m)
 
 

@@ -2,7 +2,11 @@
 
 This is the ground truth the solver is checked against: every subset of
 uniform grid cells per channel (up to a switch cap), crossed over channels.
-Linear objectives are scored exactly by per-cell integrals of h. Sigmoid
+Linear objectives are scored exactly by per-cell integrals of h. Their gain
+is additive over channels, and a candidate's spend depends only on its cost
+class (level and number of on-cells), so channel pairs are scored by class
+pair from each class's best gain, never candidate pair by candidate pair;
+m = 1 is paired with a zero-cost dummy. Sigmoid
 objectives are scored by the value a 256-step RK4 run of ``simulate`` would
 give, without stepping candidate by candidate: one RK4 step of the linear
 dynamics under a constant input is an exact affine map, so the steps that
@@ -33,7 +37,6 @@ MAX_CANDIDATES = 2_000_000
 # simulate(problem, schedule, steps=SIGMOID_STEPS), up to rounding: the
 # candidates compose that run's step maps instead of stepping it.
 SIGMOID_STEPS = 256
-_BLOCK_ROWS = 256
 # Sigmoid candidates scored together; bounds the scoring's working arrays.
 _SCORE_ROWS = 4096
 
@@ -60,6 +63,7 @@ class _ChannelCandidates(NamedTuple):
     costs: np.ndarray  # spend over the horizon
     interior: np.ndarray  # on somewhere at an interior level
     mask_of: np.ndarray  # row in the channel's mask table
+    classes: np.ndarray  # cost class, on-cell count x level count + level index
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,10 @@ def _masks_in_lex_order(g: int, cap: int) -> np.ndarray:
     Rows are ordered lexicographically on the cell-indicator tuple, which is
     what the deterministic tie-break keys on.
     """
-    m = np.arange(2**g, dtype=np.uint32)
-    bits = ((m[:, None] >> np.arange(g - 1, -1, -1)[None, :]) & 1).astype(np.float64)
-    switches = np.sum(bits[:, 1:] != bits[:, :-1], axis=1)
-    return bits[switches <= cap]
+    # Cells run down the rows here, so the switch count sums whole rows.
+    bits = (np.arange(2**g) >> np.arange(g - 1, -1, -1)[:, None]) & 1
+    switches = np.sum(bits[1:] != bits[:-1], axis=0)
+    return bits[:, switches <= cap].T.astype(np.float64, order="C")
 
 
 def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -120,6 +124,15 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     infeasible candidates are discarded. Ties break lexicographically on the
     joint cell-indicator encoding (extreme level before interior levels), so
     concurrent and sequential runs agree exactly.
+
+    Linear candidates are combined by cost class (level, on-cell count):
+    every candidate of a class has the same spend and interior flag, so the
+    best pair, the feasible count and the extreme and interior bests come
+    from the best gain and the size of each class. Rounded addition is
+    monotone, so the best class-pair sum is the best candidate-pair sum, and
+    ``_best_pair`` recovers the first maximising candidate pair in product
+    order, including a row whose gain is below its class's best but whose
+    rounded sum still reaches the best value.
     """
     n, m = problem.n, problem.m
     if n > 8 or m > 2:
@@ -162,7 +175,8 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     per_channel = []
     for k, ch in enumerate(problem.channels):
         rows = masks[k].shape[0]
-        on_counts = np.repeat(masks[k].sum(axis=1), levels.size)
+        on_cells = masks[k].sum(axis=1)
+        on_counts = np.repeat(on_cells, levels.size)
         rates = np.array([ch.cost(lvl * ch.u_max) for lvl in levels])
         per_channel.append(
             _ChannelCandidates(
@@ -171,6 +185,7 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
                 # An interior level only matters when the channel is on somewhere.
                 interior=(on_counts > 0) & np.tile(levels < 1.0, rows),
                 mask_of=np.repeat(np.arange(rows), levels.size),
+                classes=(on_cells.astype(np.intp)[:, None] * levels.size + np.arange(levels.size)).ravel(),
             )
         )
 
@@ -180,58 +195,20 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
         return _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget)
 
     lamT = TerminalCostate(lam=problem.objective.p)
-    gains = []
+    scored = []
     for k, ch in enumerate(problem.channels):
         profile = channel_profile(sd, lamT, ch.b, T)
-        cell_gain = np.array([ch.u_max * integrate_h(profile, edges[c], edges[c + 1]) for c in range(g)])
+        cell_gain = ch.u_max * integrate_h(profile, edges[:-1], edges[1:])
         pc = per_channel[k]
-        gains.append((masks[k] @ cell_gain)[pc.mask_of] * pc.levels)
-
-    best_val = -np.inf
-    best_idx: tuple[int, ...] | None = None
-    best_extreme = -np.inf
-    best_interior = -np.inf if spec.include_interior_levels else None
-    feasible = 0
-
+        scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
     if m == 1:
-        vals, costs, interior = gains[0], per_channel[0].costs, per_channel[0].interior
-        ok = costs <= budget
-        feasible = int(np.sum(ok))
-        if feasible:
-            masked = np.where(ok, vals, -np.inf)
-            best_idx = (int(np.argmax(masked)),)
-            best_val = float(masked[best_idx[0]])
-            ext = np.where(ok & ~interior, vals, -np.inf)
-            best_extreme = float(np.max(ext))
-            if spec.include_interior_levels:
-                itr = np.where(ok & interior, vals, -np.inf)
-                best_interior = float(np.max(itr))
-    else:
-        v1, c1, i1 = gains[0], per_channel[0].costs, per_channel[0].interior
-        v2, c2, i2 = gains[1], per_channel[1].costs, per_channel[1].interior
-        for lo in range(0, v1.size, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, v1.size)
-            total = v1[lo:hi, None] + v2[None, :]
-            ok = c1[lo:hi, None] + c2[None, :] <= budget
-            feasible += int(np.sum(ok))
-            total = np.where(ok, total, -np.inf)
-            flat = int(np.argmax(total))
-            val = float(total.reshape(-1)[flat])
-            if val > best_val:
-                best_val = val
-                best_idx = (lo + flat // v2.size, flat % v2.size)
-            pure = ok & ~i1[lo:hi, None] & ~i2[None, :]
-            if np.any(pure):
-                best_extreme = max(best_extreme, float(np.max(np.where(pure, total, -np.inf))))
-            if spec.include_interior_levels:
-                mixed = ok & (i1[lo:hi, None] | i2[None, :])
-                if np.any(mixed):
-                    best_interior = max(
-                        best_interior, float(np.max(np.where(mixed, total, -np.inf)))
-                    )
+        # -0.0 is the exact additive identity, so the pair sums are channel 1's own values and costs.
+        scored.append((np.array([-0.0]), np.zeros(1, dtype=np.intp), np.array([-0.0]), np.zeros(1, dtype=bool)))
 
-    if best_idx is None:
+    best_idx, best_val, feasible, best_extreme, best_interior = _best_pair(scored, budget)
+    if feasible == 0:
         raise ValidationError("no feasible candidate; even the all-off schedule failed the budget")
+    best_idx = best_idx[:m]
 
     schedule = _schedule_from_indices(problem, masks, per_channel, edges, best_idx)
     spend = float(
@@ -244,7 +221,54 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
         feasible_count=feasible,
         candidate_count=candidate_count,
         best_extreme_value=best_extreme,
-        best_interior_value=best_interior,
+        best_interior_value=best_interior if spec.include_interior_levels else None,
+    )
+
+
+def _best_pair(channels, budget):
+    """The best budget-feasible pair of two channels' candidates, found by cost class.
+
+    ``channels`` holds two (gains, classes, costs, interior) tuples of
+    per-candidate arrays; candidates of one class share their cost and
+    interior flag. Pairs are scored over class pairs: fl(v1 + v2) is monotone
+    in each argument, so the best sum over the candidates of classes a and b
+    is fl(M1[a] + M2[b]) with M the best gain per class. The first maximiser
+    in product order is then the first row i with fl(v1[i] + F2[a]) equal to
+    the best value, F2[a] being the best feasible partner class maximum of
+    i's class a, and in that row the first feasible j with fl(v1[i] + v2[j])
+    equal to it; rows below their class maximum that round up to the best
+    value are found this way too.
+
+    Returns the pair (i, j), the best value, the number of feasible pairs and
+    the best values over pairs with no interior class and with at least one
+    (-inf when there are none).
+    """
+    tables = []
+    for gains, classes, costs, interior in channels:
+        size = np.bincount(classes)
+        best = np.full(size.size, -np.inf)
+        np.maximum.at(best, classes, gains)
+        cost = np.zeros(size.size)
+        cost[classes] = costs
+        inner = np.zeros(size.size, dtype=bool)
+        inner[classes] = interior
+        tables.append((size, best, cost, inner))
+    (size1, best1, cost1, inner1), (size2, best2, cost2, inner2) = tables
+    # A class with no candidates has size 0 and best -inf, so it neither counts nor wins.
+    ok = cost1[:, None] + cost2 <= budget
+    totals = np.where(ok, best1[:, None] + best2, -np.inf)
+    mixed = inner1[:, None] | inner2
+    value = float(totals.max())
+    partner = np.where(ok, best2, -np.inf).max(axis=1)
+    (v1, k1, _, _), (v2, k2, _, _) = channels
+    i = int(np.argmax(v1 + partner[k1] == value))
+    j = int(np.argmax((v1[i] + v2 == value) & ok[k1[i]][k2]))
+    return (
+        (i, j),
+        value,
+        int(size1 @ ok @ size2),
+        float(np.where(mixed, -np.inf, totals).max()),
+        float(np.where(mixed, totals, -np.inf).max()),
     )
 
 

@@ -110,6 +110,12 @@ class TestOtherCommands:
         payload = json.loads(_read(out / "oracle.json"))
         assert payload["waterfill_gain"] >= payload["oracle_value"] - payload["grid_slack"]
 
+    def test_oracle_idempotent(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["oracle", str(SEVEN), "--out", str(out), "--grid", "10"]) == 0
+        assert _read(out1 / "oracle.json") == _read(out2 / "oracle.json")
+
     def test_sweep(self, tmp_path):
         out = tmp_path / "run"
         assert main(["sweep", "--n", "10,15", "--instances", "3", "--seed", "1", "--out", str(out)]) == 0

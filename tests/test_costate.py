@@ -160,6 +160,20 @@ class TestIntegrateH:
         trapz = np.trapezoid(eval_h(prof, ts), ts)
         assert integrate_h(prof, 0.2, 0.9) == pytest.approx(trapz, abs=1e-9)
 
+    def test_cell_array_equals_scalar_loop(self):
+        # The oracle's cell gains: one array call against one scalar call per cell.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
+            lam = TerminalCostate(lam=rng.uniform(0.05, 1.0, n))
+            T = float(rng.choice([0.3, 1.0, 2.9, 10.0]))
+            prof = channel_profile(sd, lam, rng.uniform(-1.0, 1.0, n), horizon=T)
+            for g in range(2, 17):
+                edges = np.linspace(0.0, T, g + 1)
+                loop = np.array([integrate_h(prof, edges[c], edges[c + 1]) for c in range(g)])
+                assert np.array_equal(integrate_h(prof, edges[:-1], edges[1:]), loop)
+
 
 class TestAdjointCheck:
     def test_k2_matrix_exponential_by_hand(self):
@@ -200,3 +214,4 @@ class TestEmptyProfile:
         assert eval_h(prof, 0.5) == 0.0
         assert np.array_equal(eval_h(prof, np.linspace(0, 1, 5)), np.zeros(5))
         assert integrate_h(prof, 0.0, 1.0) == 0.0
+        assert np.array_equal(integrate_h(prof, np.zeros(3), np.ones(3)), np.zeros(3))

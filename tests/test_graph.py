@@ -166,6 +166,37 @@ def _path(n):
     return WeightedGraph(n=n, edges=tuple((i, i + 1, 1.0) for i in range(1, n)))
 
 
+def _reference_laplacian(g):
+    """The per-edge loop that build_laplacian vectorises."""
+    m = np.zeros((g.n, g.n))
+    for i, j, w in g.edges:
+        a, b = i - 1, j - 1
+        m[a, b] = -w
+        m[b, a] = -w
+        m[a, a] += w
+        m[b, b] += w
+    return m
+
+
+def _reweighted(g, seed):
+    """``g`` with weights drawn from [0.1, 3], so each diagonal sum depends on its order of additions."""
+    w = np.random.default_rng(seed).uniform(0.1, 3.0, len(g.edges))
+    return WeightedGraph(n=g.n, edges=tuple((i, j, float(x)) for (i, j, _), x in zip(g.edges, w)))
+
+
+class TestLaplacianMatchesReferenceLoop:
+    GRAPHS = (
+        [K2, _path(9), _star(12), WeightedGraph(n=1, edges=())]
+        + [_reweighted(_star(30), 1), _reweighted(_path(25), 2)]
+        + [random_geometric_graph(n, 0.3, seed)[0] for n, seed in ((7, 1), (40, 2), (120, 3))]
+        + [_reweighted(random_geometric_graph(n, 0.25, seed)[0], seed) for n, seed in ((9, 4), (60, 5), (200, 6), (400, 7))]
+    )
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+    def test_bit_identical(self, g):
+        assert np.array_equal(build_laplacian(g).matrix, _reference_laplacian(g))
+
+
 class TestDecompositionMatchesReferenceLoops:
     GRAPHS = (
         [_complete(n) for n in (2, 5, 9, 10, 30)]

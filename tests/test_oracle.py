@@ -1,9 +1,10 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
-from itertools import product
-
-from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, k2_problem
+from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, k2_problem, random_connected_graph
 from waveplan import oracle
 from waveplan.bundles import seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate
@@ -41,6 +42,23 @@ class TestGuards:
         )
         with pytest.raises(ValidationError, match="smaller switch_grid"):
             enumerate_best(prob, spec)
+
+
+def _reference_masks(g, cap):
+    """Reference mask table, built with one cell per column and switches summed along each row."""
+    m = np.arange(2**g, dtype=np.uint32)
+    bits = ((m[:, None] >> np.arange(g - 1, -1, -1)[None, :]) & 1).astype(np.float64)
+    switches = np.sum(bits[:, 1:] != bits[:, :-1], axis=1)
+    return bits[switches <= cap]
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_matches_reference(self, g):
+        for cap in range(g + 1):
+            masks = oracle._masks_in_lex_order(g, cap)
+            assert masks.flags.c_contiguous and masks.dtype == np.float64
+            assert np.array_equal(masks, _reference_masks(g, cap))
 
 
 class TestEnumerateBest:
@@ -357,3 +375,141 @@ class TestSpectralWork:
         enumerate_best(prob, EnumerationSpec(switch_grid=4, max_switches_per_channel=1))
         with pytest.raises(AssertionError, match="decomposed"):
             enumerate_best(prob, EnumerationSpec(switch_grid=4))
+
+
+def _reference_combine(channels, budget):
+    """The combine before cost classes, kept as the reference for ``oracle._best_pair``.
+
+    ``channels`` holds the real channels' (gains, classes, costs, interior)
+    only: m = 1 takes the argmax over the feasible candidates, m = 2 scans
+    every candidate pair in blocks of 256 rows.
+    """
+    best_val, best_idx, best_extreme, best_interior, feasible = -np.inf, None, -np.inf, -np.inf, 0
+    if len(channels) == 1:
+        (vals, _, costs, interior), = channels
+        ok = costs <= budget
+        feasible = int(np.sum(ok))
+        if feasible:
+            masked = np.where(ok, vals, -np.inf)
+            best_idx = (int(np.argmax(masked)),)
+            best_val = float(masked[best_idx[0]])
+            best_extreme = float(np.max(np.where(ok & ~interior, vals, -np.inf)))
+            best_interior = float(np.max(np.where(ok & interior, vals, -np.inf)))
+        return best_idx, best_val, feasible, best_extreme, best_interior
+    (v1, _, c1, i1), (v2, _, c2, i2) = channels
+    for lo in range(0, v1.size, 256):
+        hi = min(lo + 256, v1.size)
+        total = v1[lo:hi, None] + v2[None, :]
+        ok = c1[lo:hi, None] + c2[None, :] <= budget
+        feasible += int(np.sum(ok))
+        total = np.where(ok, total, -np.inf)
+        flat = int(np.argmax(total))
+        val = float(total.reshape(-1)[flat])
+        if val > best_val:
+            best_val = val
+            best_idx = (lo + flat // v2.size, flat % v2.size)
+        pure = ok & ~i1[lo:hi, None] & ~i2[None, :]
+        if np.any(pure):
+            best_extreme = max(best_extreme, float(np.max(np.where(pure, total, -np.inf))))
+        mixed = ok & (i1[lo:hi, None] | i2[None, :])
+        if np.any(mixed):
+            best_interior = max(best_interior, float(np.max(np.where(mixed, total, -np.inf))))
+    return best_idx, best_val, feasible, best_extreme, best_interior
+
+
+def _desk_problem(rng, n, m, power, binding, twin=False):
+    """Desk instance as the benchmark builds it; binding budgets are below saturation, slack ones above."""
+    channels = []
+    for _ in range(m):
+        b = rng.uniform(0.0, 1.0, n) if binding else rng.uniform(-1.0, 1.0, n)
+        a = float(rng.uniform(0.3, 0.9)) if power else 1.0
+        cost = CostModel("power" if power else "linear", float(rng.uniform(0.5, 2.0)), a)
+        channels.append(Channel(b=b, cost=cost, u_max=float(rng.uniform(0.5, 2.0))))
+    if twin:
+        channels[1:] = channels[:1] * (m - 1)
+    saturation = sum(ch.max_cost_rate for ch in channels)
+    return CampaignProblem(
+        graph=random_connected_graph(rng, n),
+        channels=tuple(channels),
+        objective=Objective(kind="linear", p=rng.uniform(0.05, 1.0, n)),
+        T=1.0,
+        r=float(rng.uniform(0.2, 0.8)) * saturation if binding else 1.25 * saturation,
+        x0=np.zeros(n),
+    )
+
+
+def _class_pair_budget(prob, g):
+    """A budget equal to the spend of one channel fully on plus one cell of the last at its cost rate."""
+    delta = prob.T / g
+    costs = [ch.cost(ch.u_max) * delta for ch in prob.channels]
+    return costs[0] * g + costs[-1] if prob.m == 2 else costs[0] * (g // 2)
+
+
+class TestCostClassCombine:
+    SPECS = [
+        EnumerationSpec(switch_grid=10),
+        EnumerationSpec(switch_grid=6, include_interior_levels=True),
+        EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True),
+        EnumerationSpec(switch_grid=9, max_switches_per_channel=1),
+        EnumerationSpec(switch_grid=7, max_switches_per_channel=0, include_interior_levels=True),
+    ]
+    # (n, m, power, binding) over the desk ladder's design.
+    DESK = [(2 + i % 7, 1 + i % 2, (i // 2) % 2 == 1, (i // 4) % 2 == 0) for i in range(16)]
+
+    @staticmethod
+    def _assert_matches_reference(prob, spec, monkeypatch):
+        result = enumerate_best(prob, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_best_pair", lambda channels, budget: _reference_combine(channels[: prob.m], budget))
+            reference = enumerate_best(prob, spec)
+        for field in oracle.OracleResult.__dataclass_fields__:
+            assert getattr(result, field) == getattr(reference, field), field
+        return result
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"g{s.switch_grid}c{s.max_switches_per_channel}i{int(s.include_interior_levels)}")
+    def test_desk_problems_match_pair_loop(self, spec, monkeypatch):
+        rng = np.random.default_rng(29)
+        for n, m, power, binding in self.DESK:
+            self._assert_matches_reference(_desk_problem(rng, n, m, power, binding), spec, monkeypatch)
+
+    @pytest.mark.parametrize("spec", SPECS[1:3], ids=["g6i1", "g8c2i1"])
+    def test_twin_channels_break_ties_as_the_pair_loop(self, spec, monkeypatch):
+        rng = np.random.default_rng(31)
+        for binding in (True, False):
+            prob = _desk_problem(rng, 4, 2, False, binding, twin=True)
+            res = self._assert_matches_reference(prob, spec, monkeypatch)
+            assert res.value == enumerate_best(replace(prob, channels=prob.channels[::-1]), spec).value
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_budget(self, m, monkeypatch):
+        prob = replace(_desk_problem(np.random.default_rng(37), 5, m, True, True), r=0.0)
+        res = self._assert_matches_reference(prob, self.SPECS[1], monkeypatch)
+        assert res.spend == 0.0 and all(ch.intervals == () for ch in res.schedule.channels)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_budget_equal_to_a_class_pair_cost(self, m, monkeypatch):
+        prob = _desk_problem(np.random.default_rng(41), 6, m, False, True)
+        prob = replace(prob, r=_class_pair_budget(prob, 8))
+        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=3, include_interior_levels=True)
+        res = self._assert_matches_reference(prob, spec, monkeypatch)
+        assert res.spend <= prob.r + 1e-9 * max(1.0, prob.r)
+
+    def test_near_tie_rounds_up_to_the_best_value(self):
+        # Row 0 is below its class maximum, yet 1.0 + 1e-17 rounds to 1.0 = 1.0 + 0.0,
+        # so row 0 holds a maximiser and comes first in product order.
+        row = (np.array([0.0, 1e-17]), np.array([0, 0]), np.zeros(2), np.zeros(2, dtype=bool))
+        col = (np.array([1.0]), np.array([0]), np.zeros(1), np.zeros(1, dtype=bool))
+        assert oracle._best_pair([row, col], 0.0)[:2] == ((0, 0), 1.0)
+        assert oracle._best_pair([col, row], 0.0)[:2] == ((0, 0), 1.0)
+        assert _reference_combine([row, col], 0.0)[:2] == ((0, 0), 1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_synthetic_ties_match_pair_loop(self, seed):
+        # Few distinct gains and tiny offsets make exact and rounding ties common.
+        rng = np.random.default_rng(seed)
+        channels = []
+        for size in (int(rng.integers(1, 40)), int(rng.integers(1, 40))):
+            classes = rng.integers(0, 6, size)
+            gains = rng.choice([0.0, 0.5, 1.0, 3.0], size) + rng.choice([0.0, 1e-17, 2e-16], size)
+            channels.append((gains, classes, classes * 0.25, classes % 3 == 2))
+        assert oracle._best_pair(channels, 1.0) == _reference_combine(channels, 1.0)
