@@ -109,7 +109,7 @@ def _cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sol = solve(problem, resolution=args.resolution)
+    sol = solve(problem)
     _write_json(out / "schedule.json", schedule_to_dict(sol.schedule, problem.T))
     _write_json(out / "summary.json", _summary_dict(problem, sol))
     if args.emit_plot_data:
@@ -170,7 +170,7 @@ def _cmd_bounds(args) -> int:
     sd = spectral_decompose(build_laplacian(problem.graph))
     beta_star = None
     if problem.objective.kind == "linear":
-        beta_star = solve(problem, resolution=args.resolution).beta_star
+        beta_star = solve(problem).beta_star
     report = switch_bound_report(sd, problem.channels, problem.objective.p, beta_star=beta_star)
     _write_json(
         out / "bounds.json",
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="water-filling solve of a linear-objective problem")
     sp.add_argument("problem")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--resolution", type=int, default=None)
     sp.add_argument("--emit-plot-data", action="store_true")
     sp.add_argument("--plot-points", type=int, default=1024)
     sp.set_defaults(func=_cmd_solve)
@@ -336,13 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="switch-count bound report per channel")
     sp.add_argument("problem")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--resolution", type=int, default=None)
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("oracle", help="brute-force enumeration versus the solver")
     sp.add_argument("problem")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--grid", type=int, default=12)
+    sp.add_argument("--grid", type=int, default=10)
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("--interior", action="store_true")
     sp.set_defaults(func=_cmd_oracle)

@@ -76,7 +76,6 @@ class ChannelProfile:
     rates: tuple[float, ...]
     coeffs: tuple[float, ...]
     dropped: int = 0
-    channel: int = 0
 
     def __call__(self, t):
         return eval_h(self, t)
@@ -102,7 +101,6 @@ def channel_profile(
     lamT: TerminalCostate,
     b: np.ndarray,
     horizon: float,
-    channel: int = 0,
 ) -> ChannelProfile:
     """Build the closed-form h profile for one channel from the spectral data."""
     rates, coeffs = group_coefficients(sd, lamT.lam, b)
@@ -115,7 +113,6 @@ def channel_profile(
         rates=tuple(float(r) for r in rates[keep]),
         coeffs=tuple(float(c) for c in coeffs[keep]),
         dropped=int(np.sum(~keep)),
-        channel=channel,
     )
 
 

@@ -39,6 +39,8 @@ MAX_CANDIDATES = 2_000_000
 SIGMOID_STEPS = 256
 # Sigmoid candidates scored together; bounds the scoring's working arrays.
 _SCORE_ROWS = 4096
+# Uniform samples of [0, T] over which grid_slack takes max |h_i(t)|.
+SLACK_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,11 @@ def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float
     return tuple(intervals)
 
 
-def grid_slack(problem: CampaignProblem, switch_grid: int, sample_points: int = 1024) -> float:
+def grid_slack(problem: CampaignProblem, switch_grid: int) -> float:
     """Discretization slack bound: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid)."""
     sd = spectral_decompose(build_laplacian(problem.graph))
     lam = problem.objective.p
-    ts = np.linspace(0.0, problem.T, sample_points)
+    ts = np.linspace(0.0, problem.T, SLACK_SAMPLES)
     worst = 0.0
     for ch in problem.channels:
         profile = channel_profile(sd, TerminalCostate(lam=lam), ch.b, problem.T)

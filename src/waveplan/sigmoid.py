@@ -6,7 +6,8 @@ terminal state (``dynamics.terminal_state``, from one spectral decomposition
 shared by every iterate), reclassify the late deciders, rebuild the surrogate
 costate (alpha_j * p_j / 2 on the set, zero off it), and re-run the
 water-filling engine. The true sigmoid objective arbitrates, so the
-approximation is never adopted blind.
+approximation is never adopted blind. Only the iterate that is returned
+gets a certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .dynamics import objective_value, terminal_state
 from .errors import ContractError
 from .graph import build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Objective, require_valid
-from .waterfill import WaterfillSolution, solve_with_costate
+from .waterfill import WaterfillSolution, _certified, _schedule
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ def solve_sigmoid(
     problem: CampaignProblem,
     epsilon: float | None = None,
     max_iters: int = 10,
-    resolution: int | None = None,
 ) -> SigmoidSolution:
     """Iterate the late-decider surrogate to consistency and keep the best iterate.
 
@@ -100,6 +100,10 @@ def solve_sigmoid(
     true sigmoid objective at the iterate's exact terminal state. An empty
     late-decider set ends the loop with the ``no_late_deciders`` flag
     raised, since the surrogate is uninformative there.
+
+    Every iterate gets a schedule, but only the returned one gets the
+    certificate of ``solve_with_costate`` (gain, conditions and switch
+    bounds), so only its certificate can raise NumericalError.
     """
     if problem.objective.kind != "sigmoid":
         raise ContractError("solve_sigmoid requires the sigmoid objective")
@@ -114,25 +118,26 @@ def solve_sigmoid(
     sd = spectral_decompose(build_laplacian(problem.graph))
 
     def evaluate(lam: np.ndarray, index: int):
-        sol = solve_with_costate(problem, lam, resolution=resolution, sd=sd)
-        x_T = terminal_state(problem, sol.schedule, sd)
+        draft = _schedule(problem, lam, sd)
+        _, beta_star, schedule, spend, _ = draft
+        x_T = terminal_state(problem, schedule, sd)
         value = objective_value(obj, x_T)
         members = late_deciders(x_T, obj, eps).members
         record = IterationRecord(
             index=index,
             members=members,
-            beta_star=sol.beta_star,
-            spend=sol.spend,
+            beta_star=float(beta_star),
+            spend=float(spend),
             objective=value,
         )
-        return sol, record
+        return (lam, draft), record
 
-    solutions = []
+    drafts = []  # (costate, schedule half) of every iterate
     records: list[IterationRecord] = []
     seen: list[tuple[int, ...]] = []
 
-    sol, rec = evaluate(obj.alpha * obj.p / 4.0, 0)
-    solutions.append(sol)
+    draft, rec = evaluate(obj.alpha * obj.p / 4.0, 0)
+    drafts.append(draft)
     records.append(rec)
     seen.append(rec.members)
 
@@ -142,8 +147,8 @@ def solve_sigmoid(
         if no_late:
             break
         lam_bar = surrogate_costate(obj, records[-1].members).lam_bar
-        sol, rec = evaluate(lam_bar, k)
-        solutions.append(sol)
+        draft, rec = evaluate(lam_bar, k)
+        drafts.append(draft)
         records.append(rec)
         if len(rec.members) == 0:
             no_late = True
@@ -154,8 +159,9 @@ def solve_sigmoid(
         seen.append(rec.members)
 
     best = max(range(len(records)), key=lambda i: (records[i].objective, -i))
+    lam, draft = drafts[best]
     return SigmoidSolution(
-        solution=solutions[best],
+        solution=_certified(problem, lam, sd, *draft),
         objective=records[best].objective,
         chosen_iteration=best,
         iterations=tuple(records),

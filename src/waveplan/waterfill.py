@@ -12,6 +12,14 @@ One engine serves every level probe, ``on_set`` and ``spend_for_beta``:
 the G x m matrix of cost-normalized group coefficients, one modal block
 exp((t - T) * rate) evaluated per solve on a shared grid, and vectorized
 safeguarded Newton refinement of all crossings of all channels together.
+A sign change between two samples is always a true crossing, so a scan can
+exceed the certificate's switch bounds only through rounding, which a finer
+grid does not remove: the grid has one fixed size (``_grid_points``), is
+compared with each level once and is never refined.
+
+``solve_with_costate`` builds the schedule (``_schedule``) and then its
+certificate (``_certified``); the sigmoid loop runs the first half on every
+iterate and the second once, on the iterate it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_general, bound_linear
+from .bounds import switch_bound_report
 from .costate import ChannelProfile, TerminalCostate, channel_profile
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
@@ -109,14 +117,18 @@ def threshold_profile(profile: ChannelProfile, ch: Channel) -> ChannelProfile:
         rates=profile.rates,
         coeffs=tuple(kappa * c for c in profile.coeffs),
         dropped=profile.dropped,
-        channel=profile.channel,
     )
 
 
+def _grid_points(n: int) -> int:
+    """Samples per signal for a problem on n agents: 4096, or 64 per agent above 64 agents."""
+    return max(4096, 64 * n)
+
+
 def _sample_signals(
-    rates: np.ndarray, coeffs: np.ndarray, T: float, resolution: int
+    rates: np.ndarray, coeffs: np.ndarray, T: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A uniform grid on [0, T] and every channel's signal on it, shape (m, resolution).
+    """A uniform grid on [0, T] and every channel's signal on it, shape (m, points).
 
     The modal block exp((t - T) * rate) is taken in row blocks of fixed size
     as exp((t - t_e) * rate) * exp((t_e - T) * rate), with t_e the last time
@@ -125,12 +137,12 @@ def _sample_signals(
     costs G exponentials and one matrix product, memory stays O(block * G),
     and both factors are at most 1, so nothing overflows.
     """
-    ts = np.linspace(0.0, T, resolution)
-    dt = T / max(1, resolution - 1)
-    rows = max(1, min(resolution, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
+    ts = np.linspace(0.0, T, points)
+    dt = T / max(1, points - 1)
+    rows = max(1, min(points, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
     offsets = np.exp(np.multiply.outer(np.arange(1 - rows, 1) * dt, rates)).T
-    out = np.empty((coeffs.shape[1], resolution))
-    for stop in range(resolution, 0, -rows):
+    out = np.empty((coeffs.shape[1], points))
+    for stop in range(points, 0, -rows):
         start = max(0, stop - rows)
         anchored = coeffs * np.exp((ts[stop - 1] - T) * rates)[:, None]
         out[:, start:stop] = anchored.T @ offsets[:, rows - (stop - start) :]
@@ -142,46 +154,19 @@ class _SignalGrid:
 
     ``rates`` is the union of the channels' group rates and ``coeffs`` the
     G x m matrix of their coefficients, 0 where a channel dropped a mode.
-    The samples supply signs and brackets only: ``on_sets`` takes each
-    crossing's grid cell and the signs at the cell ends from them, then
-    refines the crossing on the closed form. ``hints`` caps the crossings a
-    channel can have (None for no cap); a scan that finds more is repeated on
-    a grid four times finer, at most twice, to rule out grid chatter.
+    The samples supply signs and brackets only: ``on_sets`` compares them
+    with the level, takes each crossing's grid cell and the signs at the
+    cell ends, then refines the crossing on the closed form.
     """
 
-    def __init__(
-        self,
-        gs: list[ChannelProfile],
-        T: float,
-        resolution: int,
-        hints: list[int | None] | None = None,
-    ) -> None:
+    def __init__(self, gs: list[ChannelProfile], T: float, points: int) -> None:
         self.T = float(T)
-        self.resolution = resolution
-        self.hints = hints if hints is not None else [None] * len(gs)
         self.rates = np.unique(np.concatenate([np.asarray(g.rates, dtype=np.float64) for g in gs]))
         self.coeffs = np.zeros((self.rates.size, len(gs)))
         for k, g in enumerate(gs):
             self.coeffs[np.searchsorted(self.rates, g.rates), k] = g.coeffs
         self.dcoeffs = self.coeffs * self.rates[:, None]  # coefficients of g'
-        self.times, self.values = _sample_signals(self.rates, self.coeffs, self.T, resolution)
-
-    def _scan(self, k: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid times, channel k's samples and their signs against beta.
-
-        The grid is escalated while the crossings exceed the channel's hint.
-        """
-        ts, vals = self.times, self.values[k]
-        hint, resolution = self.hints[k], self.resolution
-        above = vals > beta
-        for _ in range(2):
-            if hint is None or np.count_nonzero(above[:-1] != above[1:]) <= hint:
-                break
-            resolution *= 4
-            ts, vals = _sample_signals(self.rates, self.coeffs[:, k : k + 1], self.T, resolution)
-            vals = vals[0]
-            above = vals > beta
-        return ts, vals, above
+        self.times, self.values = _sample_signals(self.rates, self.coeffs, self.T, points)
 
     def on_sets(self, beta: float) -> tuple[list[tuple[tuple[float, float], ...]], np.ndarray]:
         """Every channel's region {t : g_k(t) > beta}, and the sum of 1/|g_k'| over its crossings.
@@ -190,9 +175,10 @@ class _SignalGrid:
         measure zero under the no-singular-arc conditions, and a
         deterministic tie-break keeps outputs reproducible).
         """
+        ts = self.times
         scans, cells = [], []
-        for k in range(self.coeffs.shape[1]):
-            ts, vals, above = self._scan(k, beta)
+        for k, above in enumerate(self.values > beta):
+            vals = self.values[k]
             idx = np.flatnonzero(above[:-1] != above[1:])
             scans.append((bool(above[0]), above[idx].tolist()))
             cells.append((ts[idx], ts[idx + 1], vals[idx], vals[idx + 1], np.full(idx.size, k)))
@@ -269,10 +255,11 @@ class _SignalGrid:
         (plus two samples per channel) to either side of r. The bracket is a
         guess: exact spends confirm it.
         """
-        dt = self.T / max(1, self.resolution - 1)
+        points = self.times.size
+        dt = self.T / max(1, points - 1)
         vals = self.values.ravel()
         order = np.argsort(vals)[::-1]
-        sampled = np.cumsum(np.repeat(costs * dt, self.resolution)[order])
+        sampled = np.cumsum(np.repeat(costs * dt, points)[order])
         last = vals.size - 1
         level = vals[order[min(int(np.searchsorted(sampled, r)), last)]]
         above = self.values > level
@@ -336,23 +323,15 @@ def _find_level(grid: _SignalGrid, spend_at, costs: np.ndarray, r: float):
     )
 
 
-def on_set(
-    g: ChannelProfile,
-    beta: float,
-    T: float,
-    resolution: int = 4096,
-    max_crossings: int | None = None,
-) -> tuple[tuple[float, float], ...]:
+def on_set(g: ChannelProfile, beta: float, T: float) -> tuple[tuple[float, float], ...]:
     """The region {t in [0, T] : g(t) > beta} as disjoint sorted intervals.
 
-    Grid scan followed by Newton refinement of each crossing to 1e-12 * T.
-    Points with g(t) = beta are assigned off. When ``max_crossings`` is
-    given and the scan finds more boundaries than that, the resolution
-    escalates fourfold, at most twice, to rule out grid chatter.
+    One scan of 4096 samples against beta, followed by Newton refinement of
+    each crossing to 1e-12 * T. Points with g(t) = beta are assigned off.
     """
     if beta < 0.0:
         raise ContractError(f"water level must be nonnegative, got {beta}")
-    sets, _ = _SignalGrid([g], T, resolution, hints=[max_crossings]).on_sets(beta)
+    sets, _ = _SignalGrid([g], T, _grid_points(0)).on_sets(beta)
     return sets[0]
 
 
@@ -360,52 +339,26 @@ def _spend(costs, sets) -> float:
     return float(sum(c * sum(hi - lo for lo, hi in s) for c, s in zip(costs, sets)))
 
 
-def spend_for_beta(
-    problem: CampaignProblem,
-    profiles: list[ChannelProfile],
-    beta: float,
-    resolution: int | None = None,
-) -> float:
+def spend_for_beta(problem: CampaignProblem, profiles: list[ChannelProfile], beta: float) -> float:
     """Total budget burned at water level beta: sum of c_i(u_max_i) times on-time."""
-    if resolution is None:
-        resolution = max(4096, 64 * problem.n)
     gs = [threshold_profile(profile, ch) for profile, ch in zip(profiles, problem.channels)]
-    sets, _ = _SignalGrid(gs, problem.T, resolution).on_sets(beta)
+    sets, _ = _SignalGrid(gs, problem.T, _grid_points(problem.n)).on_sets(beta)
     return _spend([ch.max_cost_rate for ch in problem.channels], sets)
 
 
-def solve_with_costate(
-    problem: CampaignProblem,
-    lam: np.ndarray,
-    resolution: int | None = None,
-    sd: SpectralDecomposition | None = None,
-) -> WaterfillSolution:
-    """Water-filling against an explicit terminal costate vector.
+def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecomposition):
+    """The schedule half of ``solve_with_costate``, before any certificate.
 
-    This is the shared engine: the linear objective passes lam = p, the
-    sigmoid loop passes its surrogate costates. Nothing here reads x0 or the
-    drift, which is what makes linear-objective schedules invariant to both.
-    Pass ``sd`` to reuse a decomposition of the problem's Laplacian across
-    calls.
+    Returns the channel profiles, the water level, the schedule, its spend
+    and the (level, spend) trace of every level probed.
     """
-    require_valid(problem)
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (problem.n,):
-        raise ContractError(f"costate has shape {lam.shape}, expected ({problem.n},)")
     T, r = problem.T, problem.r
-    if sd is None:
-        sd = spectral_decompose(build_laplacian(problem.graph))
     lamT = TerminalCostate(lam=lam)
-    profiles = [
-        channel_profile(sd, lamT, ch.b, T, channel=k + 1)
-        for k, ch in enumerate(problem.channels)
-    ]
-    supports = [bound_general(sd, ch.b) for ch in problem.channels]
+    profiles = [channel_profile(sd, lamT, ch.b, T) for ch in problem.channels]
     grid = _SignalGrid(
         [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)],
         T,
-        resolution or max(4096, 64 * problem.n),
-        hints=[bg + 1 for bg in supports],
+        _grid_points(problem.n),
     )
     costs = np.array([ch.max_cost_rate for ch in problem.channels])
     trace: list[tuple[float, float]] = []
@@ -427,25 +380,31 @@ def solve_with_costate(
             for ch, s in zip(problem.channels, sets)
         )
     )
+    return profiles, beta_star, schedule, spend, tuple(trace)
+
+
+def _certified(problem, lam, sd, profiles, beta_star, schedule, spend, trace) -> WaterfillSolution:
+    """The certificate half of ``solve_with_costate``: gain, conditions and switch bounds.
+
+    Raises NumericalError when a channel switches more often than a bound
+    that applies to it allows.
+    """
     gain = closed_form_gain(profiles, schedule)
     conditions = check_conditions(problem, sd)
-    certificate = []
+    report = switch_bound_report(sd, problem.channels, lam, beta_star)
     ones_proj = sd.vectors[:, 0]
-    switch_counts = schedule.switch_counts(T)
-    for k, ch in enumerate(problem.channels):
-        shift = beta_star * ch.max_cost_rate / ch.u_max
-        realized = switch_counts[k]
-        bg = supports[k]
-        bl = bound_linear(sd, lam, ch.b, shift)
-        blsup = bound_linear(sd, lam, ch.b, "sup")
+    certificate = []
+    rows = zip(problem.channels, report.channels, schedule.switch_counts(problem.T))
+    for k, (ch, row, realized) in enumerate(rows):
+        bg, bl = row.general, row.linear_at_threshold
         certificate.append(
             ChannelCertificate(
                 channel=k + 1,
                 realized_switches=realized,
                 bound_general=bg,
                 bound_linear_shifted=bl,
-                bound_linear_sup=blsup,
-                threshold_shift=shift,
+                bound_linear_sup=row.linear_sup,
+                threshold_shift=row.threshold_shift,
                 theorem_applicable=conditions.channels[k].theorem_applicable,
             )
         )
@@ -470,11 +429,33 @@ def solve_with_costate(
         binding=beta_star > 0.0,
         objective_gain=float(gain),
         certificate=tuple(certificate),
-        bisection_trace=tuple(trace),
+        bisection_trace=trace,
     )
 
 
-def solve(problem: CampaignProblem, resolution: int | None = None) -> WaterfillSolution:
+def solve_with_costate(
+    problem: CampaignProblem,
+    lam: np.ndarray,
+    sd: SpectralDecomposition | None = None,
+) -> WaterfillSolution:
+    """Water-filling against an explicit terminal costate vector, with its certificate.
+
+    This is the shared engine: the linear objective passes lam = p, the
+    sigmoid loop passes its surrogate costates. Nothing here reads x0 or the
+    drift, which is what makes linear-objective schedules invariant to both.
+    Pass ``sd`` to reuse a decomposition of the problem's Laplacian across
+    calls.
+    """
+    require_valid(problem)
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != (problem.n,):
+        raise ContractError(f"costate has shape {lam.shape}, expected ({problem.n},)")
+    if sd is None:
+        sd = spectral_decompose(build_laplacian(problem.graph))
+    return _certified(problem, lam, sd, *_schedule(problem, lam, sd))
+
+
+def solve(problem: CampaignProblem) -> WaterfillSolution:
     """Exact optimal schedule for the separable linear objective.
 
     Raises ContractError for other objective kinds; the sigmoid surrogate
@@ -485,4 +466,4 @@ def solve(problem: CampaignProblem, resolution: int | None = None) -> WaterfillS
             "water-filling solve requires the linear objective; use solve_sigmoid "
             "for the sigmoid kind"
         )
-    return solve_with_costate(problem, problem.objective.p, resolution=resolution)
+    return solve_with_costate(problem, problem.objective.p)

@@ -110,6 +110,12 @@ class TestOtherCommands:
         payload = json.loads(_read(out / "oracle.json"))
         assert payload["waterfill_gain"] >= payload["oracle_value"] - payload["grid_slack"]
 
+    def test_oracle_default_grid_runs_on_the_bundle(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["oracle", str(SEVEN), "--out", str(out)]) == 0
+        payload = json.loads(_read(out / "oracle.json"))
+        assert payload["waterfill_gain"] >= payload["oracle_value"] - payload["grid_slack"]
+
     def test_oracle_idempotent(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

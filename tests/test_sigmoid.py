@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from helpers import K2, k2_problem
 from waveplan.bundles import seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
+from waveplan.graph import build_laplacian, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Objective
 from waveplan.sigmoid import (
     default_epsilon,
@@ -137,6 +140,48 @@ class TestSolveSigmoid:
         prob = _sigmoid_k2([0.3, 0.3])
         res = solve_sigmoid(prob, max_iters=3)
         assert len(res.iterations) > 1 and len(calls) == 1
+
+    def test_only_the_returned_iterate_is_certified(self, monkeypatch):
+        from waveplan import bounds, waterfill
+
+        calls = {"bound_linear": 0, "check_conditions": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "bound_linear", counting("bound_linear", bounds.bound_linear))
+        monkeypatch.setattr(
+            waterfill, "check_conditions", counting("check_conditions", waterfill.check_conditions)
+        )
+        prob = seven_agent_sigmoid_problem()
+        res = solve_sigmoid(prob)
+        assert len(res.iterations) > 1
+        assert calls == {"bound_linear": 2 * prob.m, "check_conditions": 1}
+
+    @pytest.mark.parametrize("variant", ["bundle", "lower_thresholds"])
+    def test_solution_is_the_chosen_iterate_solved_directly(self, variant):
+        prob = seven_agent_sigmoid_problem()
+        if variant == "lower_thresholds":
+            # Here the loop returns iterate 1, the first late-decider surrogate.
+            theta = np.array([8.8, 8.6, 3.0, 1.8, 8.3, 8.9, 8.6])
+            obj = dataclasses.replace(prob.objective, theta=theta)
+            prob = dataclasses.replace(prob, objective=obj, r=5.6)
+        res = solve_sigmoid(prob)
+        assert res.chosen_iteration == (0 if variant == "bundle" else 1)
+        obj = prob.objective
+        k = res.chosen_iteration
+        if k == 0:
+            lam = obj.alpha * obj.p / 4.0
+        else:
+            lam = surrogate_costate(obj, res.iterations[k - 1].members).lam_bar
+        sd = spectral_decompose(build_laplacian(prob.graph))
+        direct = solve_with_costate(prob, lam, sd=sd)
+        for f in dataclasses.fields(direct):
+            assert getattr(res.solution, f.name) == getattr(direct, f.name), f.name
 
     def test_deterministic(self):
         prob = seven_agent_sigmoid_problem()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan import waterfill
+from waveplan import bounds, waterfill
 from waveplan.costate import TerminalCostate, channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, spectral_decompose
@@ -104,7 +104,7 @@ class TestSpendForBeta:
                 for ch in prob.channels
             ]
             betas = np.sort(rng.uniform(0.0, 1.0, 5))
-            spends = [spend_for_beta(prob, profiles, float(b), resolution=1024) for b in betas]
+            spends = [spend_for_beta(prob, profiles, float(b)) for b in betas]
             for lo, hi in zip(spends, spends[1:]):
                 assert lo >= hi - 1e-12
 
@@ -222,26 +222,27 @@ class TestSolve:
         assert sol.bisection_trace[-1][0] == sol.beta_star
 
 
-class TestOnSetEscalation:
-    def test_escalation_keeps_result_stable(self):
-        # A hint of zero forces both resolution escalations; the refined
-        # interval must match the unescalated scan.
-        prof = _k2_h_profile()
-        beta = eval_h(prof, 0.5)
-        plain = on_set(prof, beta, T=1.0)
-        escalated = on_set(prof, beta, T=1.0, max_crossings=0)
-        assert len(plain) == len(escalated) == 1
-        assert escalated[0][0] == plain[0][0]
-        assert escalated[0][1] == pytest.approx(plain[0][1], abs=1e-11)
-
-
 class TestCertificateChecks:
     def test_switches_above_variation_bound_raise(self, monkeypatch):
         # The K2 schedule switches once; a bound of 0 must be reported, not
         # passed over.
-        monkeypatch.setattr(waterfill, "bound_linear", lambda *args: 0)
+        monkeypatch.setattr(bounds, "bound_linear", lambda *args: 0)
         with pytest.raises(NumericalError, match="variation bound"):
             solve(k2_problem())
+
+    def test_bounds_are_the_switch_bound_report(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            prob = random_linear_problem(rng, int(rng.integers(2, 13)))
+            sol = solve(prob)
+            sd = spectral_decompose(build_laplacian(prob.graph))
+            report = bounds.switch_bound_report(sd, prob.channels, prob.objective.p, sol.beta_star)
+            for cert, row in zip(sol.certificate, report.channels, strict=True):
+                assert cert.channel == row.channel
+                assert cert.bound_general == row.general
+                assert cert.bound_linear_shifted == row.linear_at_threshold
+                assert cert.bound_linear_sup == row.linear_sup
+                assert cert.threshold_shift == row.threshold_shift
 
 
 def _random_problem(rng, n, m):
