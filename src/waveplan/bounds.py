@@ -4,8 +4,9 @@ Two bounds per channel: the spectral-support bound (one less than the number
 of eigenvalue groups the channel projects onto) and the sign-variation bound
 on threshold-shifted partial coefficient sums. The shift matters: the
 comparison signal crosses beta * v_i, not zero, so the constant term of the
-exponential polynomial carries the threshold. Both the at-threshold and the
-sup-over-thresholds variants are exposed.
+exponential polynomial carries the threshold. The at-threshold and the
+sup-over-thresholds variants read one partial-sum sequence, so one pass
+returns both.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class SwitchBoundReport:
     channels: tuple[ChannelSwitchBounds, ...]
 
 
-def bound_general(sd: SpectralDecomposition, b: np.ndarray, proj_tol: float | None = None) -> int:
+def bound_general(sd: SpectralDecomposition, b: np.ndarray) -> int:
     """Spectral-support switch bound: max(0, G - 1) over groups where b projects above tolerance."""
-    return max(0, projected_group_count(sd, b, proj_tol) - 1)
+    return max(0, projected_group_count(sd, b) - 1)
 
 
 # Entries of one block of partial sums minus levels in _sign_variations;
@@ -63,47 +64,43 @@ def _sign_variations(partial: np.ndarray, levels: np.ndarray, tol: float) -> np.
     return np.concatenate(out)
 
 
-def _max_sign_variations(partial: np.ndarray, tol: float) -> int:
-    """Largest sign-variation count of partial - s over all levels s >= 0.
+def _variation_bounds(partial: np.ndarray, shift: float, tol: float) -> tuple[int, int]:
+    """Sign variations of partial - shift, and their maximum over all levels s >= 0.
 
-    Tests s = 0, the nonnegative midpoints between consecutive distinct
-    values of ``partial``, and one point beyond the largest, all at once.
+    The count is piecewise constant in s with breakpoints at the values of
+    ``partial``, so the maximum tests s = 0, the nonnegative midpoints
+    between consecutive distinct values, and one point beyond the largest;
+    ``shift`` is counted in the same pass but is not one of those levels.
     """
     vals = np.unique(partial)
     mids = 0.5 * (vals[:-1] + vals[1:])
     beyond = vals[-1:] + max(1.0, abs(float(vals[-1])))
-    levels = np.concatenate(([0.0], mids[mids >= 0.0], beyond[beyond >= 0.0]))
-    return int(np.max(_sign_variations(partial, levels, tol)))
+    levels = np.concatenate(([shift, 0.0], mids[mids >= 0.0], beyond[beyond >= 0.0]))
+    counts = _sign_variations(partial, levels, tol)
+    return int(counts[0]), int(np.max(counts[1:]))
 
 
-def bound_linear(sd: SpectralDecomposition, p: np.ndarray, b: np.ndarray, shift) -> int:
-    """Sign-variation switch bound for the linear objective with costate p.
+def bound_linear(
+    sd: SpectralDecomposition, p: np.ndarray, b: np.ndarray, shift: float
+) -> tuple[int, int]:
+    """Sign-variation switch bounds ``(at_shift, sup)`` for the linear objective with costate p.
 
     The sequence is the running sum of the group coefficients ordered by
-    increasing rate, with the threshold ``shift`` subtracted (it enters the
-    constant term, hence every partial sum). ``shift`` is a level s >= 0, or
-    the string "sup" to maximize over all levels: the variation count is
-    piecewise constant in s with breakpoints at the partial-sum values, so
-    it suffices to test s = 0, the midpoints between consecutive distinct
-    partial sums, and one point beyond the largest.
+    increasing rate, with a threshold level subtracted (it enters the
+    constant term, hence every partial sum). One pass returns both bounds:
+    the variation count at the level ``shift >= 0``, and its maximum over
+    all levels.
     """
+    s = float(shift)
+    if s < 0.0:
+        raise ContractError(f"threshold shift must be nonnegative, got {s}")
     _, coeffs = group_coefficients(sd, np.asarray(p, dtype=np.float64), np.asarray(b, dtype=np.float64))
     ctol = 1e-12 * max(
         1.0, float(np.linalg.norm(p)) * float(np.linalg.norm(b))
     )
     coeffs = np.where(np.abs(coeffs) <= ctol, 0.0, coeffs)
-    partial = np.cumsum(coeffs)
     stol = 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
-
-    if isinstance(shift, str):
-        if shift != "sup":
-            raise ContractError(f"shift must be a nonnegative level or 'sup', got {shift!r}")
-        return _max_sign_variations(partial, stol)
-
-    s = float(shift)
-    if s < 0.0:
-        raise ContractError(f"threshold shift must be nonnegative, got {s}")
-    return int(_sign_variations(partial, np.array([s]), stol)[0])
+    return _variation_bounds(np.cumsum(coeffs), s, stol)
 
 
 def _eval_exp_poly(rates: np.ndarray, coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -193,20 +190,20 @@ def switch_bound_report(
     p: np.ndarray,
     beta_star: float | None = None,
 ) -> SwitchBoundReport:
-    """Assemble both bounds per channel; threshold-shift bounds need beta_star."""
+    """Assemble both bounds per channel, one ``bound_linear`` pass each.
+
+    The at-threshold bound and its shift need beta_star; without it they are None.
+    """
     rows = []
     for k, ch in enumerate(channels, start=1):
-        shift = None
-        at_threshold = None
-        if beta_star is not None:
-            shift = beta_star * ch.max_cost_rate / ch.u_max
-            at_threshold = bound_linear(sd, p, ch.b, shift)
+        shift = None if beta_star is None else beta_star * ch.max_cost_rate / ch.u_max
+        at_threshold, sup = bound_linear(sd, p, ch.b, 0.0 if shift is None else shift)
         rows.append(
             ChannelSwitchBounds(
                 channel=k,
                 general=bound_general(sd, ch.b),
-                linear_at_threshold=at_threshold,
-                linear_sup=bound_linear(sd, p, ch.b, "sup"),
+                linear_at_threshold=None if shift is None else at_threshold,
+                linear_sup=sup,
                 threshold_shift=shift,
             )
         )

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .graph import build_laplacian, spectral_decompose
 from .oracle import EnumerationSpec, enumerate_best, grid_slack
 from .problem import CampaignProblem, problem_from_dict, validate_problem
 from .sigmoid import solve_sigmoid
-from .sweep import run_sweep
+from .sweep import SweepAggregate, SweepRow, run_sweep
 from .waterfill import BangBangSchedule, ChannelSchedule, WaterfillSolution, solve, threshold_profile
 
 
@@ -41,6 +42,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+
+
+def _write_records(path: Path, cls, records) -> None:
+    """One CSV column per dataclass field, in field order."""
+    _write_csv(path, [f.name for f in fields(cls)], (astuple(rec) for rec in records))
 
 
 def _load_problem(path: str) -> CampaignProblem:
@@ -90,22 +96,13 @@ def _summary_dict(problem: CampaignProblem, sol: WaterfillSolution) -> dict:
         "binding": sol.binding,
         "objective_gain": sol.objective_gain,
         "structure_certified": sol.structure_certified,
-        "certificate": [
-            {
-                "channel": c.channel,
-                "realized_switches": c.realized_switches,
-                "bound_general": c.bound_general,
-                "bound_linear_shifted": c.bound_linear_shifted,
-                "bound_linear_sup": c.bound_linear_sup,
-                "threshold_shift": c.threshold_shift,
-                "theorem_applicable": c.theorem_applicable,
-            }
-            for c in sol.certificate
-        ],
+        "certificate": [asdict(c) for c in sol.certificate],
     }
 
 
 def _cmd_solve(args) -> int:
+    if args.plot_points < 2:
+        raise ValidationError(f"--plot-points must be at least 2, got {args.plot_points}")
     problem = _load_problem(args.problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,26 +164,26 @@ def _cmd_bounds(args) -> int:
     problem = _load_problem(args.problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sd = spectral_decompose(build_laplacian(problem.graph))
-    beta_star = None
     if problem.objective.kind == "linear":
-        beta_star = solve(problem).beta_star
-    report = switch_bound_report(sd, problem.channels, problem.objective.p, beta_star=beta_star)
+        # The solve's certificate holds the whole report at the water level.
+        sol = solve(problem)
+        beta_star = sol.beta_star
+        rows = [
+            (c.channel, c.bound_general, c.bound_linear_shifted, c.bound_linear_sup, c.threshold_shift)
+            for c in sol.certificate
+        ]
+    else:
+        beta_star = None
+        sd = spectral_decompose(build_laplacian(problem.graph))
+        report = switch_bound_report(sd, problem.channels, problem.objective.p)
+        rows = [
+            (c.channel, c.general, c.linear_at_threshold, c.linear_sup, c.threshold_shift)
+            for c in report.channels
+        ]
+    keys = ("channel", "bound_general", "bound_linear_at_threshold", "bound_linear_sup", "threshold_shift")
     _write_json(
         out / "bounds.json",
-        {
-            "beta_star": beta_star,
-            "channels": [
-                {
-                    "channel": c.channel,
-                    "bound_general": c.general,
-                    "bound_linear_at_threshold": c.linear_at_threshold,
-                    "bound_linear_sup": c.linear_sup,
-                    "threshold_shift": c.threshold_shift,
-                }
-                for c in report.channels
-            ],
-        },
+        {"beta_star": beta_star, "channels": [dict(zip(keys, row)) for row in rows]},
     )
     print(f"wrote bounds for {problem.m} channels")
     return 0
@@ -227,56 +224,30 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
+    sep = ":" if ":" in text else ","
+    try:
+        parts = [int(v) for v in text.split(sep)]
+    except ValueError:
+        raise ValidationError(f"sizes must be integers, got {text!r}") from None
+    if sep == ":":
         if len(parts) != 3:
             raise ValidationError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = parts
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",")]
+        if step == 0:
+            raise ValidationError(f"range step must be nonzero, got {text!r}")
+        parts = list(range(start, stop + 1, step))
+        if not parts:
+            raise ValidationError(f"range {text!r} is empty")
+    return parts
 
 
 def _cmd_sweep(args) -> int:
+    ns = _parse_range(args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ns = _parse_range(args.n)
     rows, aggregates = run_sweep(ns, args.instances, args.seed, radius=args.radius)
-    _write_csv(
-        out / "sweep_instances.csv",
-        ["n", "instance", "seed", "bound_general", "bound_linear_zero", "bound_linear_sup", "eigenvalue_gap"],
-        (
-            [r.n, r.instance, r.seed, r.bound_general, r.bound_linear_zero, r.bound_linear_sup, r.eigenvalue_gap]
-            for r in rows
-        ),
-    )
-    _write_csv(
-        out / "sweep_aggregate.csv",
-        [
-            "n",
-            "instances",
-            "mean_bound_general",
-            "std_bound_general",
-            "mean_bound_linear_zero",
-            "std_bound_linear_zero",
-            "mean_bound_linear_sup",
-            "std_bound_linear_sup",
-            "mean_eigenvalue_gap",
-        ],
-        (
-            [
-                a.n,
-                a.instances,
-                a.mean_bound_general,
-                a.std_bound_general,
-                a.mean_bound_linear_zero,
-                a.std_bound_linear_zero,
-                a.mean_bound_linear_sup,
-                a.std_bound_linear_sup,
-                a.mean_eigenvalue_gap,
-            ]
-            for a in aggregates
-        ),
-    )
+    _write_records(out / "sweep_instances.csv", SweepRow, rows)
+    _write_records(out / "sweep_aggregate.csv", SweepAggregate, aggregates)
     print(f"swept n={ns} with {args.instances} instances each")
     return 0
 

@@ -137,18 +137,15 @@ class SpectralDecomposition:
         return np.array([grp[0] for grp in self.groups], dtype=np.intp)
 
 
-def projected_group_count(
-    sd: SpectralDecomposition, x: np.ndarray, tol: float | None = None
-) -> int:
-    """Number of eigenvalue groups onto which x has a projection of norm above tol.
+def projected_group_count(sd: SpectralDecomposition, x: np.ndarray) -> int:
+    """Number of eigenvalue groups onto which x has a projection of norm above tolerance.
 
-    The default tolerance is 1e-10 * max(1, |x|). For a symmetric Laplacian
-    this count is also the Kalman rank of (L, x): the Krylov space of x is
+    The tolerance is 1e-10 * max(1, |x|). For a symmetric Laplacian this
+    count is also the Kalman rank of (L, x): the Krylov space of x is
     spanned by its projections onto the distinct eigenspaces.
     """
     xv = np.asarray(x, dtype=np.float64)
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.linalg.norm(xv)))
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(xv)))
     proj = sd.vectors.T @ xv
     norms = np.sqrt(np.add.reduceat(proj * proj, sd.group_starts))
     return int(np.count_nonzero(norms > tol))
@@ -212,17 +209,15 @@ def random_geometric_graph(
     """
     if n < 2:
         raise ValidationError(f"need at least 2 nodes, got {n}")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValidationError(f"radius must be finite and positive, got {radius}")
     for attempt in range(max_retries + 1):
         s = seed + attempt
         rng = np.random.default_rng(s)
         pts = rng.random((n, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        pairs = [
-            (i + 1, j + 1)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if d2[i, j] <= radius * radius
-        ]
+        rows, cols = np.nonzero(np.triu(d2 <= radius * radius, 1))  # row-major i < j
+        pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
         if len(_connected_component(n, pairs)) == n:
             edges = tuple((i, j, 1.0) for i, j in pairs)
             return WeightedGraph(n=n, edges=edges), s

@@ -215,10 +215,6 @@ class ChannelConditions:
 class ConditionReport:
     channels: tuple[ChannelConditions, ...]
 
-    @property
-    def all_applicable(self) -> bool:
-        return all(c.theorem_applicable for c in self.channels)
-
 
 def check_conditions(p: CampaignProblem, sd: SpectralDecomposition) -> ConditionReport:
     """Evaluate, per channel, whether the bang-bang structure theorem certifies it.

@@ -32,18 +32,6 @@ class LateDeciderSet:
 
 
 @dataclass(frozen=True)
-class SurrogateCostate:
-    """Costate supported on the late-decider set: alpha_j p_j / 2 there, 0 elsewhere."""
-
-    lam_bar: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.lam_bar, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "lam_bar", arr)
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     index: int
     members: tuple[int, ...]
@@ -73,11 +61,12 @@ def late_deciders(x_T: np.ndarray, obj: Objective, epsilon: float) -> LateDecide
     return LateDeciderSet(epsilon=float(epsilon), members=members)
 
 
-def surrogate_costate(obj: Objective, members: tuple[int, ...]) -> SurrogateCostate:
+def surrogate_costate(obj: Objective, members: tuple[int, ...]) -> np.ndarray:
+    """Costate supported on the late-decider set: alpha_j p_j / 2 there, 0 elsewhere."""
     lam = np.zeros_like(obj.p)
     idx = [j - 1 for j in members]
     lam[idx] = obj.alpha[idx] * obj.p[idx] / 2.0
-    return SurrogateCostate(lam_bar=lam)
+    return lam
 
 
 def default_epsilon(obj: Objective) -> float:
@@ -146,8 +135,7 @@ def solve_sigmoid(
     for k in range(1, max_iters + 1):
         if no_late:
             break
-        lam_bar = surrogate_costate(obj, records[-1].members).lam_bar
-        draft, rec = evaluate(lam_bar, k)
+        draft, rec = evaluate(surrogate_costate(obj, records[-1].members), k)
         drafts.append(draft)
         records.append(rec)
         if len(rec.members) == 0:

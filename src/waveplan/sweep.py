@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_general, bound_linear
+from .errors import ValidationError
 from .graph import build_laplacian, random_geometric_graph, spectral_decompose
 
 
@@ -57,15 +58,15 @@ def sweep_instance(n: int, instance: int, base_seed: int, radius: float | None =
     p = rng.random(n)
     b = np.zeros(n)
     b[0] = 1.0
-    xi = sd.eigenvalues
+    zero, sup = bound_linear(sd, p, b, 0.0)
     return SweepRow(
         n=n,
         instance=instance,
         seed=used_seed,
         bound_general=bound_general(sd, b),
-        bound_linear_zero=bound_linear(sd, p, b, 0.0),
-        bound_linear_sup=bound_linear(sd, p, b, "sup"),
-        eigenvalue_gap=float(xi[1]),
+        bound_linear_zero=zero,
+        bound_linear_sup=sup,
+        eigenvalue_gap=float(sd.eigenvalues[1]),
     )
 
 
@@ -73,6 +74,8 @@ def run_sweep(
     ns: list[int], instances: int, base_seed: int, radius: float | None = None
 ) -> tuple[list[SweepRow], list[SweepAggregate]]:
     """All rows plus per-n aggregates. Instances are independent, so order never matters."""
+    if instances < 1:
+        raise ValidationError(f"need at least 1 instance per size, got {instances}")
     rows = [
         sweep_instance(n, i, base_seed, radius=radius) for n in ns for i in range(instances)
     ]

@@ -195,7 +195,7 @@ def test_criterion_10_sigmoid_loop_sanity():
         assert res.objective >= res.iterations[0].objective
         chosen = res.iterations[res.chosen_iteration]
         assert chosen.members != ()
-        lam = surrogate_costate(prob.objective, chosen.members).lam_bar
+        lam = surrogate_costate(prob.objective, chosen.members)
         sol = solve_with_costate(prob, lam)
         traj = simulate(prob, sol.schedule, steps=4096)
         eps = default_epsilon(prob.objective)

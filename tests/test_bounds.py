@@ -3,8 +3,8 @@ import pytest
 
 from helpers import K2, random_connected_graph
 from waveplan.bounds import (
-    _max_sign_variations,
     _sign_variations,
+    _variation_bounds,
     bound_general,
     bound_linear,
     count_exp_poly_zeros,
@@ -40,19 +40,21 @@ class TestBoundGeneral:
 class TestBoundLinear:
     def test_k2_shifted_worked_example(self, k2_sd):
         # Coefficients (1/2, -1/2); partial sums minus 0.316 are (+0.184, -0.316).
+        # Any level strictly between 0 and 1/2 gives the same single variation.
         p = np.array([0.0, 1.0])
         b = np.array([1.0, 0.0])
-        assert bound_linear(k2_sd, p, b, 0.316) == 1
+        assert bound_linear(k2_sd, p, b, 0.316) == (1, 1)
 
     def test_k2_unshifted_is_zero(self, k2_sd):
-        # Partial sums (1/2, 0): the trailing zero is skipped, no variation.
-        assert bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.0) == 0
+        # Partial sums (1/2, 0): the trailing zero is skipped, no variation at
+        # level 0; the sup is reached at the midpoint 1/4.
+        assert bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.0) == (0, 1)
 
     def test_uniform_p_gives_zero(self):
         rng = np.random.default_rng(4)
         g = random_connected_graph(rng, 7)
         sd = spectral_decompose(build_laplacian(g))
-        assert bound_linear(sd, np.ones(7), rng.uniform(-1, 1, 7), 0.0) == 0
+        assert bound_linear(sd, np.ones(7), rng.uniform(-1, 1, 7), 0.0)[0] == 0
 
     def test_sup_dominates_specific_shifts(self):
         rng = np.random.default_rng(8)
@@ -61,18 +63,16 @@ class TestBoundLinear:
             sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
             p = rng.uniform(0, 1, n)
             b = rng.uniform(-1, 1, n)
-            sup = bound_linear(sd, p, b, "sup")
+            _, sup = bound_linear(sd, p, b, 0.0)
             for s in rng.uniform(0, 2, 8):
-                assert bound_linear(sd, p, b, float(s)) <= sup
+                at, sup_again = bound_linear(sd, p, b, float(s))
+                assert at <= sup
+                assert sup_again == sup  # the sup does not depend on the shift
             assert sup <= n - 1
 
     def test_rejects_negative_shift(self, k2_sd):
         with pytest.raises(ContractError):
             bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), -0.1)
-
-    def test_rejects_unknown_mode(self, k2_sd):
-        with pytest.raises(ContractError):
-            bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), "max")
 
 
 def _reference_variations(values, tol):
@@ -111,9 +111,9 @@ class TestSupMatchesReferenceLoop:
             if not np.any(b):
                 b[0] = 1.0
             partial, stol = _partial_sums(sd, p, b)
-            assert bound_linear(sd, p, b, "sup") == _reference_sup(partial, stol)
+            sup = _reference_sup(partial, stol)
             for s in (0.0, float(rng.uniform(0, 1)), abs(float(partial[-1]))):
-                assert bound_linear(sd, p, b, s) == _reference_variations(partial - s, stol)
+                assert bound_linear(sd, p, b, s) == (_reference_variations(partial - s, stol), sup)
 
     @pytest.mark.parametrize(
         "partial",
@@ -128,15 +128,19 @@ class TestSupMatchesReferenceLoop:
     )
     def test_crafted_sequences(self, partial):
         partial = np.array(partial)
-        assert _max_sign_variations(partial, 1e-12) == _reference_sup(partial, 1e-12)
+        sup = _reference_sup(partial, 1e-12)
         levels = np.unique(np.concatenate(([0.0], np.abs(partial), np.abs(partial) + 1e-13)))
         expected = [_reference_variations(partial - s, 1e-12) for s in levels]
         assert _sign_variations(partial, levels, 1e-12).tolist() == expected
+        for s, at in zip(levels, expected):
+            assert _variation_bounds(partial, s, 1e-12) == (at, sup)
 
     def test_many_groups_cross_block_boundaries(self):
         rng = np.random.default_rng(3)
         partial = np.round(np.cumsum(rng.normal(size=700)), 1)  # long, with many ties
-        assert _max_sign_variations(partial, 1e-12) == _reference_sup(partial, 1e-12)
+        at, sup = _variation_bounds(partial, 2.5, 1e-12)
+        assert at == _reference_variations(partial - 2.5, 1e-12)
+        assert sup == _reference_sup(partial, 1e-12)
 
 
 class TestCountExpPolyZeros:

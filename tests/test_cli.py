@@ -144,7 +144,71 @@ class TestOtherCommands:
         assert payload["iterations"][0]["late_deciders"] == [3]
 
 
+class TestBoundsCommandWork:
+    """``waveplan bounds`` decomposes once and runs one bound pass per channel."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from waveplan import bounds, cli, graph, waterfill
+
+        calls = {"spectral_decompose": 0, "bound_linear": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        decompose = counting("spectral_decompose", graph.spectral_decompose)
+        for module in (cli, graph, waterfill):
+            monkeypatch.setattr(module, "spectral_decompose", decompose)
+        monkeypatch.setattr(bounds, "bound_linear", counting("bound_linear", bounds.bound_linear))
+        return calls
+
+    def test_linear_problem_reuses_the_solve_certificate(self, tmp_path, monkeypatch):
+        calls = self._count(monkeypatch)
+        assert main(["bounds", str(SEVEN), "--out", str(tmp_path)]) == 0
+        assert calls == {"spectral_decompose": 1, "bound_linear": 2}
+        payload = json.loads(_read(tmp_path / "bounds.json"))
+        summary_dir = tmp_path / "solve"
+        assert main(["solve", str(SEVEN), "--out", str(summary_dir)]) == 0
+        summary = json.loads(_read(summary_dir / "summary.json"))
+        assert payload["beta_star"] == summary["beta_star"]
+        for row, cert in zip(payload["channels"], summary["certificate"], strict=True):
+            assert row["bound_linear_at_threshold"] == cert["bound_linear_shifted"]
+            assert row["bound_linear_sup"] == cert["bound_linear_sup"]
+            assert row["threshold_shift"] == cert["threshold_shift"]
+
+    def test_sigmoid_problem_has_no_level(self, tmp_path, monkeypatch):
+        calls = self._count(monkeypatch)
+        assert main(["bounds", str(SEVEN_SIGMOID), "--out", str(tmp_path)]) == 0
+        assert calls == {"spectral_decompose": 1, "bound_linear": 2}
+        payload = json.loads(_read(tmp_path / "bounds.json"))
+        assert payload["beta_star"] is None
+        for row in payload["channels"]:
+            assert row["bound_linear_at_threshold"] is None
+            assert row["threshold_shift"] is None
+            assert row["bound_linear_sup"] >= 0
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "20:60:0"],
+            ["sweep", "--n", "abc"],
+            ["sweep", "--n", "60:20:20"],
+            ["sweep", "--n", "20", "--instances", "0"],
+            ["sweep", "--n", "20", "--radius", "-1"],
+            ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "-1"],
+        ],
+        ids=["zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "plot-points"],
+    )
+    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

@@ -251,6 +251,25 @@ class TestRandomGeometricGraph:
         with pytest.raises(ValidationError):
             random_geometric_graph(1, 0.5, seed=1)
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_radius_not_finite_and_positive(self, radius):
+        with pytest.raises(ValidationError, match="radius"):
+            random_geometric_graph(10, radius, seed=1)
+
+    @pytest.mark.parametrize("n, radius", [(2, 2.0), (20, 0.4), (60, 0.25), (150, 0.2)])
+    def test_edges_match_pair_loop(self, n, radius):
+        # The pair comprehension the vectorised edge selection replaced.
+        g, seed = random_geometric_graph(n, radius, seed=11)
+        pts = np.random.default_rng(seed).random((n, 2))
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        expected = tuple(
+            (i + 1, j + 1, 1.0)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if d2[i, j] <= radius * radius
+        )
+        assert g.edges == expected
+
 
 class TestGraphJson:
     def test_round_trip(self):

@@ -77,7 +77,7 @@ class TestSurrogate:
             alpha=np.array([1.0, 2.0, 3.0]),
             theta=np.zeros(3),
         )
-        lam = surrogate_costate(obj, (2,)).lam_bar
+        lam = surrogate_costate(obj, (2,))
         assert lam[0] == 0.0 and lam[2] == 0.0
         assert lam[1] == pytest.approx(2.0 * 0.4 / 2.0)
 
@@ -160,7 +160,7 @@ class TestSolveSigmoid:
         prob = seven_agent_sigmoid_problem()
         res = solve_sigmoid(prob)
         assert len(res.iterations) > 1
-        assert calls == {"bound_linear": 2 * prob.m, "check_conditions": 1}
+        assert calls == {"bound_linear": prob.m, "check_conditions": 1}
 
     @pytest.mark.parametrize("variant", ["bundle", "lower_thresholds"])
     def test_solution_is_the_chosen_iterate_solved_directly(self, variant):
@@ -177,7 +177,7 @@ class TestSolveSigmoid:
         if k == 0:
             lam = obj.alpha * obj.p / 4.0
         else:
-            lam = surrogate_costate(obj, res.iterations[k - 1].members).lam_bar
+            lam = surrogate_costate(obj, res.iterations[k - 1].members)
         sd = spectral_decompose(build_laplacian(prob.graph))
         direct = solve_with_costate(prob, lam, sd=sd)
         for f in dataclasses.fields(direct):

@@ -1,0 +1,25 @@
+import pytest
+
+from waveplan import sweep
+from waveplan.errors import ValidationError
+from waveplan.sweep import run_sweep, sweep_instance
+
+
+def test_one_bound_linear_pass_per_instance(monkeypatch):
+    calls = []
+    original = sweep.bound_linear
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sweep, "bound_linear", counting)
+    row = sweep_instance(30, 2, 1)
+    assert len(calls) == 1
+    assert calls[0][3] == 0.0
+    assert (row.bound_linear_zero, row.bound_linear_sup) == original(*calls[0])
+
+
+def test_rejects_no_instances():
+    with pytest.raises(ValidationError, match="instance"):
+        run_sweep([20], 0, 1)

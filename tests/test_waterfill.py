@@ -3,6 +3,7 @@ import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan import bounds, waterfill
+from waveplan.bundles import seven_agent_problem
 from waveplan.costate import TerminalCostate, channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, spectral_decompose
@@ -226,9 +227,22 @@ class TestCertificateChecks:
     def test_switches_above_variation_bound_raise(self, monkeypatch):
         # The K2 schedule switches once; a bound of 0 must be reported, not
         # passed over.
-        monkeypatch.setattr(bounds, "bound_linear", lambda *args: 0)
+        monkeypatch.setattr(bounds, "bound_linear", lambda *args: (0, 0))
         with pytest.raises(NumericalError, match="variation bound"):
             solve(k2_problem())
+
+    def test_one_bound_linear_call_per_channel(self, monkeypatch):
+        calls = []
+        original = bounds.bound_linear
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, "bound_linear", counting)
+        prob = seven_agent_problem()
+        solve(prob)
+        assert len(calls) == prob.m
 
     def test_bounds_are_the_switch_bound_report(self):
         rng = np.random.default_rng(31)
