@@ -6,7 +6,9 @@ on threshold-shifted partial coefficient sums. The shift matters: the
 comparison signal crosses beta * v_i, not zero, so the constant term of the
 exponential polynomial carries the threshold. The at-threshold and the
 sup-over-thresholds variants read one partial-sum sequence, so one pass
-returns both.
+returns both. That pass sorts the sequence's adjacent pairs once and counts
+every candidate level against them by binary search; only levels within
+tolerance of a partial sum are recounted entry by entry.
 """
 
 from __future__ import annotations
@@ -71,12 +73,27 @@ def _variation_bounds(partial: np.ndarray, shift: float, tol: float) -> tuple[in
     ``partial``, so the maximum tests s = 0, the nonnegative midpoints
     between consecutive distinct values, and one point beyond the largest;
     ``shift`` is counted in the same pass but is not one of those levels.
+
+    A level with no partial sum within ``tol`` skips no entry, so its count
+    is the number of adjacent pairs that straddle it: pair minima below it
+    less pair maxima at or below it, read from the two arrays sorted once.
+    Whether a partial sum lies within ``tol`` is decided by the nearest
+    distinct value on each side, since rounded differences are monotone;
+    those levels are recounted exactly by ``_sign_variations``.
     """
     vals = np.unique(partial)
     mids = 0.5 * (vals[:-1] + vals[1:])
     beyond = vals[-1:] + max(1.0, abs(float(vals[-1])))
     levels = np.concatenate(([shift, 0.0], mids[mids >= 0.0], beyond[beyond >= 0.0]))
-    counts = _sign_variations(partial, levels, tol)
+    lo = np.sort(np.minimum(partial[:-1], partial[1:]))
+    hi = np.sort(np.maximum(partial[:-1], partial[1:]))
+    counts = np.searchsorted(lo, levels, "left") - np.searchsorted(hi, levels, "right")
+    k = np.searchsorted(vals, levels)
+    below = vals[np.maximum(k - 1, 0)]
+    above = vals[np.minimum(k, vals.size - 1)]
+    near = (np.abs(below - levels) <= tol) | (np.abs(above - levels) <= tol)
+    if np.any(near):
+        counts[near] = _sign_variations(partial, levels[near], tol)
     return int(counts[0]), int(np.max(counts[1:]))
 
 

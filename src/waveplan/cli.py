@@ -235,7 +235,7 @@ def _parse_range(text: str) -> list[int]:
         start, stop, step = parts
         if step == 0:
             raise ValidationError(f"range step must be nonzero, got {text!r}")
-        parts = list(range(start, stop + 1, step))
+        parts = list(range(start, stop + (1 if step > 0 else -1), step))  # stop inclusive
         if not parts:
             raise ValidationError(f"range {text!r} is empty")
     return parts
@@ -248,7 +248,7 @@ def _cmd_sweep(args) -> int:
     rows, aggregates = run_sweep(ns, args.instances, args.seed, radius=args.radius)
     _write_records(out / "sweep_instances.csv", SweepRow, rows)
     _write_records(out / "sweep_aggregate.csv", SweepAggregate, aggregates)
-    print(f"swept n={ns} with {args.instances} instances each")
+    print(f"swept n={[a.n for a in aggregates]} with {args.instances} instances each")
     return 0
 
 

@@ -6,6 +6,7 @@ format; matrices and eigenvector arrays are 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,20 +20,77 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _connected_component(n: int, pairs: list[tuple[int, int]]) -> set[int]:
-    """Return the set of 1-based nodes reachable from node 1."""
-    adj: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for i, j in pairs:
+class _Disconnected(ValidationError):
+    """Raised for a graph with a node that node 1 cannot reach."""
+
+
+def _edge_columns(edges) -> np.ndarray:
+    """The (i, j, weight) columns of numeric edge triples as a (3, E) float array."""
+    try:
+        arr = np.asarray(edges)
+        if arr.dtype.kind not in "biufO":
+            raise ValueError(f"entries of dtype {arr.dtype} are not numbers")
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError(f"got an array of shape {arr.shape}")
+        return np.array(arr.T, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"edges must be (i, j, weight) triples of numbers: {exc}") from exc
+
+
+def _validated_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-based end indices i and j, and the weights, of valid edges, checked in one pass.
+
+    The first bad edge in input order is reported, by the first check it
+    fails in this order: integer indices, self-loop, range, duplicate of an
+    earlier edge, positive finite weight. Indices are checked as floats, so
+    none is cast to an integer before it is known to be one in range.
+    """
+    i, j, w = _edge_columns(edges)
+    # NaN and infinite indices fail these comparisons too.
+    ok = (np.floor(i) == i) & (np.floor(j) == j) & (1.0 <= i) & (i < j) & (j <= n)
+    a = np.where(ok, i, 0.0).astype(np.intp)
+    b = np.where(ok, j, 0.0).astype(np.intp)
+    good = ok & (w > 0.0) & (w < np.inf)
+    key = a * (n + 1) + b  # distinct for distinct in-range pairs, 0 for every other edge
+    dup = np.zeros(i.size, dtype=bool)
+    if not (key[1:] > key[:-1]).all():  # increasing keys, as in sorted input, cannot repeat
+        order = np.argsort(key, kind="stable")
+        dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+        good &= ~dup
+    if not good.all():
+        k = int(np.argmin(good))
+        ik, jk, wk = float(i[k]), float(j[k]), float(w[k])
+        if not (math.isfinite(ik) and math.isfinite(jk) and ik.is_integer() and jk.is_integer()):
+            raise ValidationError(f"edge ({ik:g}, {jk:g}) must have finite integer node indices")
+        ik, jk = int(ik), int(jk)
+        if ik == jk:
+            raise ValidationError(f"self-loop on node {ik} is forbidden")
+        if not (1 <= ik < jk <= n):
+            raise ValidationError(f"edge ({ik}, {jk}) must satisfy 1 <= i < j <= n={n}")
+        if dup[k]:
+            raise ValidationError(f"duplicate edge ({ik}, {jk})")
+        raise ValidationError(f"edge ({ik}, {jk}) has nonpositive weight {wk}")
+    return a, b, w
+
+
+def _connected_component(n: int, ends: np.ndarray) -> list[bool]:
+    """Which nodes node 1 reaches, 0-based, over interleaved 0-based (i, j) edge ends."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    flat = ends.tolist()
+    for i, j in zip(flat[0::2], flat[1::2]):
         adj[i].append(j)
         adj[j].append(i)
-    seen = {1}
-    stack = [1]
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
     while stack:
         v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
     return seen
 
 
@@ -40,38 +98,36 @@ def _connected_component(n: int, pairs: list[tuple[int, int]]) -> set[int]:
 class WeightedGraph:
     """Undirected connected graph with strictly positive trust weights.
 
-    Edges are (i, j, weight) triples with 1 <= i < j <= n; each unordered
-    pair appears at most once and weight symmetry is implicit.
+    Edges are (i, j, weight) triples with 1 <= i < j <= n, given as any
+    sequence of triples or an (E, 3) array; each unordered pair appears at
+    most once and weight symmetry is implicit. ``edges`` is kept as a tuple
+    of (int, int, float) triples, which equality and JSON read. The
+    validated ends, as interleaved 0-based (i, j) pairs, and the weights are
+    also kept as read-only arrays, which ``build_laplacian`` reads.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"agent count must be a positive integer, got {self.n!r}")
-        canon = []
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
-            if i == j:
-                raise ValidationError(f"self-loop on node {i} is forbidden")
-            if not (1 <= i < j <= self.n):
-                raise ValidationError(f"edge ({i}, {j}) must satisfy 1 <= i < j <= n={self.n}")
-            if (i, j) in seen:
-                raise ValidationError(f"duplicate edge ({i}, {j})")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ValidationError(f"edge ({i}, {j}) has nonpositive weight {w}")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(canon))
+        i, j, w = _validated_edges(self.n, self.edges)
+        ends = np.array((i, j)).T.ravel() - 1
         if self.n > 1:
-            comp = _connected_component(self.n, [(i, j) for i, j, _ in canon])
-            if len(comp) != self.n:
-                raise ValidationError(
-                    f"graph is disconnected: nodes {sorted(comp)} are separated "
-                    f"from {sorted(set(range(1, self.n + 1)) - comp)}"
+            reached = _connected_component(self.n, ends)
+            if not all(reached):
+                raise _Disconnected(
+                    f"graph is disconnected: nodes {[v + 1 for v in range(self.n) if reached[v]]} "
+                    f"are separated from {[v + 1 for v in range(self.n) if not reached[v]]}"
                 )
+        ends.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist(), w.tolist())))
 
 
 @dataclass(frozen=True)
@@ -92,9 +148,7 @@ def build_laplacian(g: WeightedGraph) -> Laplacian:
     to zero up to rounding in the diagonal accumulation. Each diagonal entry
     adds its node's incident weights in edge order.
     """
-    edges = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
-    ends = edges[:, :2].astype(np.intp).ravel() - 1  # interleaved 0-based (i, j) pairs
-    w = edges[:, 2]
+    ends, w = g._ends, g._weights
     m = np.diag(np.bincount(ends, weights=np.repeat(w, 2), minlength=g.n))
     a, b = ends[0::2], ends[1::2]
     m[a, b] = -w
@@ -217,10 +271,10 @@ def random_geometric_graph(
         pts = rng.random((n, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         rows, cols = np.nonzero(np.triu(d2 <= radius * radius, 1))  # row-major i < j
-        pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
-        if len(_connected_component(n, pairs)) == n:
-            edges = tuple((i, j, 1.0) for i, j in pairs)
-            return WeightedGraph(n=n, edges=edges), s
+        try:
+            return WeightedGraph(n=n, edges=np.column_stack((rows + 1, cols + 1, np.ones(rows.size)))), s
+        except _Disconnected:
+            continue
     raise ValidationError(
         f"no connected geometric graph in {max_retries + 1} attempts "
         f"(n={n}, radius={radius}); try a larger radius"

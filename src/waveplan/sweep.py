@@ -73,9 +73,13 @@ def sweep_instance(n: int, instance: int, base_seed: int, radius: float | None =
 def run_sweep(
     ns: list[int], instances: int, base_seed: int, radius: float | None = None
 ) -> tuple[list[SweepRow], list[SweepAggregate]]:
-    """All rows plus per-n aggregates. Instances are independent, so order never matters."""
+    """All rows plus per-n aggregates. Instances are independent, so order never matters.
+
+    A size listed more than once is swept once, at its first place in ``ns``.
+    """
     if instances < 1:
         raise ValidationError(f"need at least 1 instance per size, got {instances}")
+    ns = list(dict.fromkeys(ns))
     rows = [
         sweep_instance(n, i, base_seed, radius=radius) for n in ns for i in range(instances)
     ]

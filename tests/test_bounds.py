@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import K2, random_connected_graph
 from waveplan.bounds import (
@@ -80,8 +82,8 @@ def _reference_variations(values, tol):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _reference_sup(partial, tol):
-    """The candidate-by-candidate loop the vectorized sup bound replaced."""
+def _candidate_levels(partial):
+    """Level 0, the nonnegative midpoints between distinct partial sums, and one level beyond them."""
     vals = np.unique(partial)
     candidates = [0.0]
     candidates.extend(
@@ -90,7 +92,12 @@ def _reference_sup(partial, tol):
     beyond = float(vals[-1]) + max(1.0, abs(float(vals[-1])))
     if beyond >= 0.0:
         candidates.append(beyond)
-    return max(_reference_variations(partial - s, tol) for s in candidates)
+    return candidates
+
+
+def _reference_sup(partial, tol):
+    """The candidate-by-candidate loop the vectorized sup bound replaced."""
+    return max(_reference_variations(partial - s, tol) for s in _candidate_levels(partial))
 
 
 def _partial_sums(sd, p, b):
@@ -141,6 +148,46 @@ class TestSupMatchesReferenceLoop:
         at, sup = _variation_bounds(partial, 2.5, 1e-12)
         assert at == _reference_variations(partial - 2.5, 1e-12)
         assert sup == _reference_sup(partial, 1e-12)
+
+
+def _per_level_bounds(partial, shift, tol):
+    """Both bounds with every level counted on its own by _sign_variations."""
+    count = lambda s: int(_sign_variations(partial, np.array([s]), tol)[0])
+    return count(shift), max(count(s) for s in _candidate_levels(partial))
+
+
+@st.composite
+def _variation_case(draw):
+    tol = draw(st.sampled_from([1e-12, 1e-3, 0.05]))
+    step = st.one_of(
+        st.sampled_from([0.0, tol, -tol, 2.0 * tol, -0.5 * tol]),  # coefficients at and near the tolerance
+        st.integers(-20, 20).map(lambda k: k / 10.0),  # repeated partial sums
+        st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+    )
+    partial = np.cumsum(draw(st.lists(step, min_size=1, max_size=30)))
+    if draw(st.booleans()):
+        partial = -np.abs(partial) - draw(st.sampled_from([0.0, tol, 0.1]))  # all negative (or zero)
+    anchor = abs(float(partial[draw(st.integers(0, partial.size - 1))]))
+    shift = draw(
+        st.one_of(
+            st.sampled_from([0.0, anchor, anchor + tol, anchor + 0.5 * tol, max(0.0, anchor - tol)]),
+            st.floats(0.0, 3.0, allow_subnormal=False),
+        )
+    )
+    return partial, shift, tol
+
+
+class TestVariationBoundsMatchPerLevelCount:
+    @settings(max_examples=400, deadline=None)
+    @given(_variation_case())
+    def test_sorted_counts_equal_per_level_recount(self, case):
+        partial, shift, tol = case
+        assert _variation_bounds(partial, shift, tol) == _per_level_bounds(partial, shift, tol)
+
+    def test_single_group(self):
+        for partial in ([0.0], [0.7], [-0.7]):
+            for shift in (0.0, 0.7, 2.0):
+                assert _variation_bounds(np.array(partial), shift, 1e-12) == (0, 0)
 
 
 class TestCountExpPolyZeros:

@@ -130,6 +130,13 @@ class TestOtherCommands:
         agg = _read(out / "sweep_aggregate.csv").splitlines()
         assert len(agg) == 1 + 2
 
+    def test_sweep_descending_range_includes_stop(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sweep", "--n", "30:10:-10", "--instances", "1", "--seed", "1", "--out", str(out)]) == 0
+        assert "swept n=[30, 20, 10]" in capsys.readouterr().out
+        agg = _read(out / "sweep_aggregate.csv").splitlines()
+        assert [line.split(",")[0] for line in agg[1:]] == ["30", "20", "10"]
+
     def test_sweep_idempotent(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,70 @@ class TestWeightedGraph:
             WeightedGraph(n=4, edges=((1, 2, 1.0), (3, 4, 1.0)))
         assert "[1, 2]" in str(err.value)
         assert "[3, 4]" in str(err.value)
+
+    def test_rejects_nan_index(self):
+        with pytest.raises(ValidationError, match="finite integer"):
+            WeightedGraph(n=3, edges=((1, 2, 1.0), (float("nan"), 3, 1.0)))
+
+    @pytest.mark.parametrize("edge, shown", [((1.5, 2, 1.0), "(1.5, 2)"), ((1, 2.5, 1.0), "(1, 2.5)")])
+    def test_rejects_fractional_index(self, edge, shown):
+        with pytest.raises(ValidationError, match=re.escape(f"edge {shown} must have finite integer")):
+            WeightedGraph(n=3, edges=((1, 3, 1.0), edge))
+
+    def test_rejects_non_numeric_weight(self):
+        with pytest.raises(ValidationError, match="triples of numbers"):
+            WeightedGraph(n=2, edges=((1, 2, "x"),))
+
+    def test_rejects_edges_that_are_not_triples(self):
+        with pytest.raises(ValidationError, match="triples"):
+            WeightedGraph(n=2, edges=((1, 2),))
+
+    @pytest.mark.parametrize("seed, n", [(1, 2), (2, 7), (3, 15), (4, 40)])
+    def test_array_input_equals_tuple_input(self, seed, n):
+        g = random_connected_graph(np.random.default_rng(seed), n)
+        arr = np.array(g.edges)
+        from_array = WeightedGraph(n=n, edges=arr)
+        assert from_array == g
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in from_array.edges)
+        assert np.array_equal(build_laplacian(from_array).matrix, build_laplacian(g).matrix)
+        int_ends = WeightedGraph(n=n, edges=np.column_stack((arr[:, :2].astype(int), arr[:, 2])))
+        assert int_ends == g
+
+    def test_first_bad_edge_reported_as_by_edge_loop(self):
+        rng = np.random.default_rng(12)
+        weights = [1.0, 0.5, 0.0, -1.0, float("inf"), float("nan")]
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            edges = []
+            for _ in range(int(rng.integers(1, 8))):
+                if n >= 2 and rng.random() < 0.6:
+                    i, j = sorted(rng.choice(np.arange(1, n + 1), 2, replace=False).tolist())
+                else:
+                    i, j = rng.integers(0, n + 2, size=2).tolist()
+                edges.append((i, j, weights[int(rng.choice(6, p=[0.5, 0.2, 0.1, 0.1, 0.05, 0.05]))]))
+            expected = _reference_first_error(n, edges)
+            if expected is None:
+                continue
+            with pytest.raises(ValidationError) as err:
+                WeightedGraph(n=n, edges=tuple(edges))
+            assert str(err.value) == expected
+
+
+def _reference_first_error(n, edges):
+    """The per-edge validation loop that WeightedGraph vectorises: the message it raises, or None."""
+    seen = set()
+    for e in edges:
+        i, j, w = int(e[0]), int(e[1]), float(e[2])
+        if i == j:
+            return f"self-loop on node {i} is forbidden"
+        if not (1 <= i < j <= n):
+            return f"edge ({i}, {j}) must satisfy 1 <= i < j <= n={n}"
+        if (i, j) in seen:
+            return f"duplicate edge ({i}, {j})"
+        if not (w > 0.0) or not np.isfinite(w):
+            return f"edge ({i}, {j}) has nonpositive weight {w}"
+        seen.add((i, j))
+    return None
 
 
 class TestBuildLaplacian:
@@ -190,6 +256,7 @@ class TestLaplacianMatchesReferenceLoop:
         + [_reweighted(_star(30), 1), _reweighted(_path(25), 2)]
         + [random_geometric_graph(n, 0.3, seed)[0] for n, seed in ((7, 1), (40, 2), (120, 3))]
         + [_reweighted(random_geometric_graph(n, 0.25, seed)[0], seed) for n, seed in ((9, 4), (60, 5), (200, 6), (400, 7))]
+        + [random_connected_graph(np.random.default_rng(seed), n) for n, seed in ((3, 8), (17, 9), (80, 10))]
     )
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
@@ -246,6 +313,24 @@ class TestRandomGeometricGraph:
     def test_retry_cap_suggests_larger_radius(self):
         with pytest.raises(ValidationError, match="larger radius"):
             random_geometric_graph(40, 0.01, seed=1, max_retries=3)
+
+    def test_one_connectivity_check_per_draw(self, monkeypatch):
+        from waveplan import graph
+
+        calls = []
+
+        def counting(n, ends):
+            calls.append(n)
+            return original(n, ends)
+
+        original = graph._connected_component
+        monkeypatch.setattr(graph, "_connected_component", counting)
+        g, used = random_geometric_graph(30, 0.25, seed=1)
+        assert used == 5  # four disconnected draws, then the accepted one
+        assert len(calls) == 5
+        calls.clear()
+        random_geometric_graph(30, 0.35, seed=5)
+        assert len(calls) == 1
 
     def test_needs_two_nodes(self):
         with pytest.raises(ValidationError):

@@ -23,3 +23,10 @@ def test_one_bound_linear_pass_per_instance(monkeypatch):
 def test_rejects_no_instances():
     with pytest.raises(ValidationError, match="instance"):
         run_sweep([20], 0, 1)
+
+
+def test_repeated_sizes_are_swept_once():
+    rows, aggregates = run_sweep([12, 10, 12], 2, 1)
+    assert [(r.n, r.instance) for r in rows] == [(12, 0), (12, 1), (10, 0), (10, 1)]
+    assert [(a.n, a.instances) for a in aggregates] == [(12, 2), (10, 2)]
+    assert (rows, aggregates) == run_sweep([12, 10], 2, 1)
