@@ -15,7 +15,6 @@ from .bounds import (
 from .bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from .costate import (
     ChannelProfile,
-    TerminalCostate,
     adjoint_check,
     channel_profile,
     eval_h,
@@ -25,7 +24,6 @@ from .costate import (
 from .dynamics import Trajectory, closed_form_gain, objective_value, simulate, terminal_state
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import (
-    Laplacian,
     SpectralDecomposition,
     WeightedGraph,
     build_laplacian,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import switch_bound_report
-from .costate import TerminalCostate, channel_profile, eval_h
+from .costate import channel_profile, eval_h
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import build_laplacian, spectral_decompose
@@ -111,9 +111,8 @@ def _cmd_solve(args) -> int:
     _write_json(out / "summary.json", _summary_dict(problem, sol))
     if args.emit_plot_data:
         sd = spectral_decompose(build_laplacian(problem.graph))
-        lamT = TerminalCostate(lam=problem.objective.p)
         ts = np.linspace(0.0, problem.T, args.plot_points)
-        hs = [channel_profile(sd, lamT, ch.b, problem.T) for ch in problem.channels]
+        hs = [channel_profile(sd, problem.objective.p, ch.b, problem.T) for ch in problem.channels]
         gs = [threshold_profile(h, ch) for h, ch in zip(hs, problem.channels)]
         hcols = [eval_h(h, ts) for h in hs]
         _write_csv(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .graph import Laplacian, SpectralDecomposition
+from .graph import SpectralDecomposition, _as_readonly
 from .problem import Objective
 
 
@@ -30,20 +30,8 @@ def _stable_sigmoid(w: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TerminalCostate:
-    """Adjoint state at the horizon, lam(T) = dJ/dx evaluated at x(T)."""
-
-    lam: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.lam, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "lam", arr)
-
-
-def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> TerminalCostate:
-    """Gradient of the objective at the terminal state.
+def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> np.ndarray:
+    """The adjoint state at the horizon, lam(T) = dJ/dx at x(T), as a read-only array.
 
     Linear objectives give lam(T) = p exactly and need no state. Sigmoid
     objectives give lam_i = p_i * alpha_i * z / (1 + z)^2 with
@@ -51,13 +39,14 @@ def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> TerminalCo
     product form so saturated agents underflow cleanly to zero.
     """
     if obj.kind == "linear":
-        return TerminalCostate(lam=obj.p)
+        return obj.p
     if obj.kind == "sigmoid":
         if xT is None:
             raise ContractError("sigmoid terminal costate requires the terminal state xT")
         w = obj.alpha * (np.asarray(xT, dtype=np.float64) - obj.theta)
         lam = obj.p * obj.alpha * _stable_sigmoid(w) * _stable_sigmoid(-w)
-        return TerminalCostate(lam=lam)
+        lam.setflags(write=False)
+        return lam
     raise ContractError(f"unknown objective kind {obj.kind!r}")
 
 
@@ -67,15 +56,20 @@ class ChannelProfile:
 
     ``rates`` are strictly increasing eigenvalue-group rates (the zero group,
     when present, comes first with rate exactly 0.0); ``coeffs`` are the
-    matching eigenspace coefficients. ``dropped`` counts spectrally silent
-    groups removed below the coefficient tolerance. Calling the profile
-    evaluates h(t); t may be a scalar or an array.
+    matching eigenspace coefficients. Both are kept as read-only float
+    arrays. ``dropped`` counts spectrally silent groups removed below the
+    coefficient tolerance. Calling the profile evaluates h(t); t may be a
+    scalar or an array.
     """
 
     horizon: float
-    rates: tuple[float, ...]
-    coeffs: tuple[float, ...]
+    rates: np.ndarray
+    coeffs: np.ndarray
     dropped: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rates", _as_readonly(self.rates))
+        object.__setattr__(self, "coeffs", _as_readonly(self.coeffs))
 
     def __call__(self, t):
         return eval_h(self, t)
@@ -89,29 +83,26 @@ def group_coefficients(
     Summing <Q_j, lam><Q_j, b> over each distinct-eigenvalue group makes the
     result invariant to the eigensolver's basis choice inside an eigenspace.
     """
-    proj = (sd.vectors.T @ np.asarray(lam, dtype=np.float64)) * (
-        sd.vectors.T @ np.asarray(b, dtype=np.float64)
-    )
-    rates = np.array(sd.group_rates, dtype=np.float64)
-    return rates, np.add.reduceat(proj, sd.group_starts)
+    proj = (sd.vectors.T @ lam) * (sd.vectors.T @ b)
+    return sd.group_rates, np.add.reduceat(proj, sd.group_starts)
 
 
 def channel_profile(
     sd: SpectralDecomposition,
-    lamT: TerminalCostate,
+    lam: np.ndarray,
     b: np.ndarray,
     horizon: float,
 ) -> ChannelProfile:
-    """Build the closed-form h profile for one channel from the spectral data."""
-    rates, coeffs = group_coefficients(sd, lamT.lam, b)
+    """Build the closed-form h profile for one channel from the spectral data and lam(T)."""
+    rates, coeffs = group_coefficients(sd, lam, b)
     coeff_tol = 1e-10 * max(
-        1.0, float(np.linalg.norm(lamT.lam)) * float(np.linalg.norm(b))
+        1.0, float(np.linalg.norm(lam)) * float(np.linalg.norm(b))
     )
     keep = np.abs(coeffs) > coeff_tol
     return ChannelProfile(
         horizon=float(horizon),
-        rates=tuple(float(r) for r in rates[keep]),
-        coeffs=tuple(float(c) for c in coeffs[keep]),
+        rates=rates[keep],
+        coeffs=coeffs[keep],
         dropped=int(np.sum(~keep)),
     )
 
@@ -121,14 +112,11 @@ def eval_h(profile: ChannelProfile, t):
     ts = np.asarray(t, dtype=np.float64)
     scalar = ts.ndim == 0
     ts1 = np.atleast_1d(ts)
-    if not profile.coeffs:
-        out = np.zeros(ts1.shape)
-    else:
-        rates = np.array(profile.rates)
-        coeffs = np.array(profile.coeffs)
-        # Per-row pairwise summation is shape-independent, so scalar and
-        # array calls agree bit for bit (BLAS matmul kernels do not).
-        out = np.sum(np.exp(np.multiply.outer(ts1 - profile.horizon, rates)) * coeffs, axis=-1)
+    # Per-row pairwise summation is shape-independent, so scalar and array
+    # calls agree bit for bit (BLAS matmul kernels do not). With no modes
+    # every row sums to 0.0.
+    modes = np.exp(np.multiply.outer(ts1 - profile.horizon, profile.rates))
+    out = np.sum(modes * profile.coeffs, axis=-1)
     return float(out[0]) if scalar else out
 
 
@@ -141,7 +129,9 @@ def integrate_h(profile: ChannelProfile, a, b):
     shape = np.broadcast(a, b).shape
     total = np.zeros(shape) if shape else 0.0
     T = profile.horizon
-    for rate, d in zip(profile.rates, profile.coeffs):
+    # The loop reads the modes as Python floats, whose arithmetic is cheaper
+    # than numpy scalars' for the scalar calls of closed_form_gain.
+    for rate, d in zip(profile.rates.tolist(), profile.coeffs.tolist()):
         if rate == 0.0:
             total += d * (b - a)
         else:
@@ -149,7 +139,7 @@ def integrate_h(profile: ChannelProfile, a, b):
     return total if shape else float(total)
 
 
-def adjoint_check(lap: Laplacian, lamT: TerminalCostate, grid: np.ndarray) -> np.ndarray:
+def adjoint_check(lap: np.ndarray, lam: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Backward adjoint integration, intended solely as an oracle for eval_h.
 
     Integrates d(lam)/dt = L lam backward from lam(grid[-1]) = lam(T) with
@@ -157,17 +147,15 @@ def adjoint_check(lap: Laplacian, lamT: TerminalCostate, grid: np.ndarray) -> np
     Returns the trajectory row-aligned with ``grid`` (ascending times).
     """
     ts = np.asarray(grid, dtype=np.float64)
-    n = lap.n
-    traj = np.empty((ts.size, n))
-    traj[-1] = lamT.lam
-    mat = lap.matrix
-    x = np.array(lamT.lam, dtype=np.float64)
+    traj = np.empty((ts.size, lap.shape[0]))
+    traj[-1] = lam
+    x = np.asarray(lam, dtype=np.float64)
     for k in range(ts.size - 1, 0, -1):
         h = ts[k - 1] - ts[k]
-        k1 = mat @ x
-        k2 = mat @ (x + 0.5 * h * k1)
-        k3 = mat @ (x + 0.5 * h * k2)
-        k4 = mat @ (x + h * k3)
+        k1 = lap @ x
+        k2 = lap @ (x + 0.5 * h * k1)
+        k3 = lap @ (x + 0.5 * h * k2)
+        k4 = lap @ (x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         traj[k - 1] = x
     return traj

@@ -15,7 +15,7 @@ import numpy as np
 
 from .costate import ChannelProfile, _stable_sigmoid, integrate_h
 from .errors import ContractError
-from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
+from .graph import SpectralDecomposition, _as_readonly, build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Objective
 
 
@@ -29,9 +29,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("times", "states", "spend_accum"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
     @property
     def terminal_state(self) -> np.ndarray:
@@ -141,7 +139,7 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
     """
     ts = _grid(problem, schedule, steps)
     forcing, cost_rate = _forcing(problem, schedule, ts)
-    a_mat = -build_laplacian(problem.graph).matrix
+    a_mat = -build_laplacian(problem.graph)
     h = np.diff(ts)
     states = _rk4(a_mat, h[:, None], problem.x0[None, :], forcing[:, None, :])[:, 0, :]
     spend = np.concatenate([[0.0], np.cumsum(cost_rate * h)])

@@ -14,7 +14,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
+def _as_readonly(arr) -> np.ndarray:
+    """A read-only float64 copy of arr, as the frozen value types keep their arrays."""
     out = np.array(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
@@ -112,8 +113,13 @@ class WeightedGraph:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"agent count must be a positive integer, got {self.n!r}")
+        if int(self.n) * (int(self.n) + 2) > np.iinfo(np.intp).max:
+            # Edge validation keys each pair (i, j) as i * (n + 1) + j in intp.
+            raise ValidationError(
+                f"agent count {self.n} is too large: pair keys up to n * (n + 2) overflow intp"
+            )
         i, j, w = _validated_edges(self.n, self.edges)
         ends = np.array((i, j)).T.ravel() - 1
         if self.n > 1:
@@ -130,20 +136,10 @@ class WeightedGraph:
         object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist(), w.tolist())))
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Dense symmetric weighted Laplacian: l_ii = sum of incident weights, l_ij = -a_ij."""
+def build_laplacian(g: WeightedGraph) -> np.ndarray:
+    """The dense symmetric weighted Laplacian of a validated graph, as a read-only n x n array.
 
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
-
-
-def build_laplacian(g: WeightedGraph) -> Laplacian:
-    """Assemble the weighted Laplacian of a validated graph.
-
+    l_ii is the sum of node i's incident weights and l_ij = -a_ij.
     Off-diagonals of non-adjacent pairs are exactly zero and every row sums
     to zero up to rounding in the diagonal accumulation. Each diagonal entry
     adds its node's incident weights in edge order.
@@ -153,42 +149,31 @@ def build_laplacian(g: WeightedGraph) -> Laplacian:
     a, b = ends[0::2], ends[1::2]
     m[a, b] = -w
     m[b, a] = -w
-    return Laplacian(n=g.n, matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of a Laplacian with distinct-eigenvalue grouping.
+    """Eigenpairs of a Laplacian with distinct-eigenvalue grouping, all read-only arrays.
 
     ``eigenvalues`` are ascending; ``vectors`` holds orthonormal eigenvector
     columns with the first nonzero component of each made positive so
-    outputs are reproducible. ``groups`` partitions eigenvalue indices into
-    clusters closer than ``group_tol``; ``group_rates`` gives one
-    representative rate per cluster, with the connected-graph zero cluster
-    pinned to exactly 0.0. Downstream consumers work with groups and
-    eigenspace projections, never individual eigenvectors, because those are
-    non-unique under multiplicity.
+    outputs are reproducible. Eigenvalues closer than ``group_tol`` form a
+    group; groups are contiguous index runs because the eigenvalues are
+    sorted, so ``group_starts`` (the first index of each run) partitions the
+    indices. ``group_rates`` gives one representative rate per group, with
+    the connected-graph zero group pinned to exactly 0.0. Downstream
+    consumers work with groups and eigenspace projections, never individual
+    eigenvectors, because those are non-unique under multiplicity.
     """
 
-    n: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
     zero_tol: float
     group_tol: float
-    groups: tuple[tuple[int, ...], ...] = field(default=())
-    group_rates: tuple[float, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
-        object.__setattr__(self, "vectors", _as_readonly(self.vectors))
-
-    @property
-    def group_starts(self) -> np.ndarray:
-        """First eigenvalue index of each group.
-
-        Groups are contiguous index runs because the eigenvalues are sorted.
-        """
-        return np.array([grp[0] for grp in self.groups], dtype=np.intp)
+    group_starts: np.ndarray
+    group_rates: np.ndarray
 
 
 def projected_group_count(sd: SpectralDecomposition, x: np.ndarray) -> int:
@@ -213,13 +198,13 @@ def _fix_signs(q: np.ndarray) -> np.ndarray:
     return np.where(flip, -q, q)
 
 
-def spectral_decompose(lap: Laplacian) -> SpectralDecomposition:
-    """Symmetric eigendecomposition with scale-relative tolerances.
+def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
+    """Symmetric eigendecomposition of a Laplacian matrix with scale-relative tolerances.
 
     Raises NumericalError when the second eigenvalue falls below the zero
     tolerance, which marks the graph as numerically disconnected.
     """
-    evals, q = np.linalg.eigh(lap.matrix)
+    evals, q = np.linalg.eigh(lap)
     q = _fix_signs(q)
     scale = max(1.0, float(evals[-1]))
     zero_tol = 1e-9 * scale
@@ -228,25 +213,26 @@ def spectral_decompose(lap: Laplacian) -> SpectralDecomposition:
         raise NumericalError(
             f"smallest eigenvalue {evals[0]:.3e} exceeds the zero tolerance {zero_tol:.3e}"
         )
-    if lap.n >= 2 and float(evals[1]) <= zero_tol:
+    if evals.size >= 2 and float(evals[1]) <= zero_tol:
         raise NumericalError("graph numerically disconnected: second eigenvalue within zero tolerance")
 
     starts = np.concatenate([[0], np.flatnonzero(np.diff(evals) > group_tol) + 1])
-    ends = np.append(starts[1:], lap.n)
+    ends = np.append(starts[1:], evals.size)
     # reduceat adds a segment's tail onto its first entry; a 0.0 inserted at
     # the head of each group makes every sum the pairwise one np.mean takes.
     padded = np.insert(evals, starts, 0.0)
     rates = np.add.reduceat(padded, starts + np.arange(starts.size)) / (ends - starts)
     rates[np.abs(rates) <= zero_tol] = 0.0
 
+    for arr in (evals, q, starts, rates):
+        arr.setflags(write=False)
     return SpectralDecomposition(
-        n=lap.n,
         eigenvalues=evals,
         vectors=q,
         zero_tol=zero_tol,
         group_tol=group_tol,
-        groups=tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist())),
-        group_rates=tuple(rates.tolist()),
+        group_starts=starts,
+        group_rates=rates,
     )
 
 
@@ -269,7 +255,9 @@ def random_geometric_graph(
         s = seed + attempt
         rng = np.random.default_rng(s)
         pts = rng.random((n, 2))
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        dx = pts[:, 0, None] - pts[:, 0]
+        dy = pts[:, 1, None] - pts[:, 1]
+        d2 = dx * dx + dy * dy
         rows, cols = np.nonzero(np.triu(d2 <= radius * radius, 1))  # row-major i < j
         try:
             return WeightedGraph(n=n, edges=np.column_stack((rows + 1, cols + 1, np.ones(rows.size)))), s
@@ -287,9 +275,9 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> WeightedGraph:
+    """The graph of a JSON graph object; ``WeightedGraph`` validates n and the edges as given."""
     try:
-        n = int(d["n"])
-        edges = tuple((int(i), int(j), float(w)) for i, j, w in d["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed graph object: {exc}") from exc
+        n, edges = d["n"], d["edges"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed graph object: missing or bad field {exc}") from exc
     return WeightedGraph(n=n, edges=edges)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import bound_general
-from .costate import TerminalCostate, _stable_sigmoid, channel_profile, eval_h, integrate_h
+from .costate import _stable_sigmoid, channel_profile, eval_h, integrate_h
 from .dynamics import _rk4_step_maps
 from .errors import ContractError, ValidationError
 from .graph import build_laplacian, spectral_decompose
@@ -112,7 +112,7 @@ def grid_slack(problem: CampaignProblem, switch_grid: int) -> float:
     ts = np.linspace(0.0, problem.T, SLACK_SAMPLES)
     worst = 0.0
     for ch in problem.channels:
-        profile = channel_profile(sd, TerminalCostate(lam=lam), ch.b, problem.T)
+        profile = channel_profile(sd, lam, ch.b, problem.T)
         worst = max(worst, ch.u_max * float(np.max(np.abs(eval_h(profile, ts)))))
     return worst * problem.T / switch_grid
 
@@ -196,10 +196,9 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     if not linear:
         return _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget)
 
-    lamT = TerminalCostate(lam=problem.objective.p)
     scored = []
     for k, ch in enumerate(problem.channels):
-        profile = channel_profile(sd, lamT, ch.b, T)
+        profile = channel_profile(sd, problem.objective.p, ch.b, T)
         cell_gain = ch.u_max * integrate_h(profile, edges[:-1], edges[1:])
         pc = per_channel[k]
         scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
@@ -340,7 +339,7 @@ def _segment_maps(problem: CampaignProblem, edges: np.ndarray):
     inputs = np.empty((keys.size, m + 1, n))
     inputs[:, :m] = np.array([ch.b for ch in problem.channels])
     inputs[:, m] = problem.drift.values[keys % pieces]
-    steps = _rk4_step_maps(-build_laplacian(problem.graph).matrix, lengths[keys // pieces], inputs)
+    steps = _rk4_step_maps(-build_laplacian(problem.graph), lengths[keys // pieces], inputs)
 
     # Compose each segment's steps pairwise, padded with identity maps.
     identity = np.zeros((n + m + 1, n))

@@ -10,16 +10,11 @@ from .errors import ValidationError
 from .graph import (
     SpectralDecomposition,
     WeightedGraph,
+    _as_readonly,
     graph_from_dict,
     graph_to_dict,
     projected_group_count,
 )
-
-
-def _as_readonly(arr, dtype=np.float64) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -123,6 +118,10 @@ class CampaignProblem:
         return len(self.channels)
 
 
+def _finite(x) -> bool:
+    return bool(np.all(np.isfinite(x)))
+
+
 def validate_problem(p: CampaignProblem) -> list[str]:
     """Collect every violated invariant as a human-readable finding.
 
@@ -136,17 +135,23 @@ def validate_problem(p: CampaignProblem) -> list[str]:
     for k, ch in enumerate(p.channels, start=1):
         if ch.b.shape != (n,):
             findings.append(f"channel {k}: gain vector has shape {ch.b.shape}, expected ({n},)")
+        elif not _finite(ch.b):
+            findings.append(f"channel {k}: gain vector has non-finite entries")
         elif not np.any(ch.b):
             findings.append(f"channel {k} has empty reach")
         if not (ch.u_max > 0.0 and np.isfinite(ch.u_max)):
             findings.append(f"channel {k}: u_max must be finite and positive, got {ch.u_max}")
         if ch.cost.kind not in ("linear", "power"):
             findings.append(f"channel {k}: unknown cost kind {ch.cost.kind!r}")
-        if not (ch.cost.v > 0.0):
+        if not _finite(ch.cost.v):
+            findings.append(f"channel {k}: cost rate v must be finite, got {ch.cost.v}")
+        elif not (ch.cost.v > 0.0):
             findings.append(f"channel {k}: cost rate v must be positive, got {ch.cost.v}")
-        if ch.cost.kind == "linear" and ch.cost.a != 1.0:
+        if not _finite(ch.cost.a):
+            findings.append(f"channel {k}: cost exponent a must be finite, got {ch.cost.a}")
+        elif ch.cost.kind == "linear" and ch.cost.a != 1.0:
             findings.append(f"channel {k}: linear cost requires a = 1, got {ch.cost.a}")
-        if ch.cost.kind == "power" and not (0.0 < ch.cost.a <= 1.0):
+        elif ch.cost.kind == "power" and not (0.0 < ch.cost.a <= 1.0):
             findings.append(f"channel {k}: power cost exponent must lie in (0, 1], got {ch.cost.a}")
 
     obj = p.objective
@@ -154,6 +159,8 @@ def validate_problem(p: CampaignProblem) -> list[str]:
         findings.append(f"unknown objective kind {obj.kind!r}")
     if obj.p.shape != (n,):
         findings.append(f"objective weights have shape {obj.p.shape}, expected ({n},)")
+    elif not _finite(obj.p):
+        findings.append("objective weights have non-finite entries")
     else:
         if np.any(obj.p < 0.0):
             findings.append("objective weights must be nonnegative")
@@ -165,21 +172,33 @@ def validate_problem(p: CampaignProblem) -> list[str]:
         else:
             if obj.alpha.shape != (n,) or obj.theta.shape != (n,):
                 findings.append("sigmoid alpha/theta must match the agent count")
+            elif not (_finite(obj.alpha) and _finite(obj.theta)):
+                findings.append("sigmoid alpha/theta have non-finite entries")
             elif np.any(obj.alpha <= 0.0):
                 findings.append("sigmoid sharpness alpha must be positive")
 
-    if not (p.T > 0.0):
+    if not _finite(p.T):
+        findings.append(f"horizon T must be finite, got {p.T}")
+    elif not (p.T > 0.0):
         findings.append(f"horizon T must be positive, got {p.T}")
-    if not (p.r > 0.0):
+    if not _finite(p.r):
+        findings.append(f"budget must be finite, got {p.r}")
+    elif not (p.r > 0.0):
         findings.append("budget must be positive")
     if p.x0.shape != (n,):
         findings.append(f"initial state has shape {p.x0.shape}, expected ({n},)")
+    elif not _finite(p.x0):
+        findings.append("initial state has non-finite entries")
 
     d = p.drift
     if d.values.shape[0] != d.breakpoints.shape[0]:
         findings.append("drift needs one value row per breakpoint")
     elif d.values.shape[1] != n:
         findings.append(f"drift values have width {d.values.shape[1]}, expected {n}")
+    elif not _finite(d.values):
+        findings.append("drift values have non-finite entries")
+    if not _finite(d.breakpoints):
+        findings.append("drift breakpoints have non-finite entries")
     if d.breakpoints.size:
         if d.breakpoints[0] != 0.0:
             findings.append("drift breakpoints must start at 0")
@@ -312,5 +331,5 @@ def problem_from_dict(d: dict) -> CampaignProblem:
             x0=np.array(d["x0"], dtype=np.float64),
             drift=drift,
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed problem object: missing or bad field {exc}") from exc

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import switch_bound_report
-from .costate import ChannelProfile, TerminalCostate, channel_profile
+from .costate import ChannelProfile, channel_profile
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
 from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
@@ -115,7 +115,7 @@ def threshold_profile(profile: ChannelProfile, ch: Channel) -> ChannelProfile:
     return ChannelProfile(
         horizon=profile.horizon,
         rates=profile.rates,
-        coeffs=tuple(kappa * c for c in profile.coeffs),
+        coeffs=kappa * profile.coeffs,
         dropped=profile.dropped,
     )
 
@@ -161,7 +161,7 @@ class _SignalGrid:
 
     def __init__(self, gs: list[ChannelProfile], T: float, points: int) -> None:
         self.T = float(T)
-        self.rates = np.unique(np.concatenate([np.asarray(g.rates, dtype=np.float64) for g in gs]))
+        self.rates = np.unique(np.concatenate([g.rates for g in gs]))
         self.coeffs = np.zeros((self.rates.size, len(gs)))
         for k, g in enumerate(gs):
             self.coeffs[np.searchsorted(self.rates, g.rates), k] = g.coeffs
@@ -353,8 +353,7 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     and the (level, spend) trace of every level probed.
     """
     T, r = problem.T, problem.r
-    lamT = TerminalCostate(lam=lam)
-    profiles = [channel_profile(sd, lamT, ch.b, T) for ch in problem.channels]
+    profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
     grid = _SignalGrid(
         [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)],
         T,

@@ -13,7 +13,7 @@ import pytest
 from helpers import aligned_oracle_problem, k2_problem, random_linear_problem
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.bounds import count_exp_poly_zeros
-from waveplan.costate import TerminalCostate, adjoint_check, channel_profile, eval_h
+from waveplan.costate import adjoint_check, channel_profile, eval_h
 from waveplan.dynamics import simulate
 from waveplan.graph import build_laplacian, random_geometric_graph, spectral_decompose
 from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
@@ -107,9 +107,8 @@ def test_criterion_6_seven_agent_waterline():
         assert sol.spend == pytest.approx(11.0, abs=1e-5)
 
         sd = spectral_decompose(build_laplacian(prob.graph))
-        lamT = TerminalCostate(lam=prob.objective.p)
         g1, g2 = (
-            threshold_profile(channel_profile(sd, lamT, ch.b, prob.T), ch)
+            threshold_profile(channel_profile(sd, prob.objective.p, ch.b, prob.T), ch)
             for ch in prob.channels
         )
         ts = np.linspace(0.0, prob.T, 4096)
@@ -138,7 +137,7 @@ def test_criterion_7_costate_cross_check():
             )
             lap = build_laplacian(graph)
             sd = spectral_decompose(lap)
-            lam = TerminalCostate(lam=rng.uniform(0.0, 1.0, n))
+            lam = rng.uniform(0.0, 1.0, n)
             b = rng.uniform(-1.0, 1.0, n)
             grid = np.linspace(0.0, 1.0, 4097)
             traj = adjoint_check(lap, lam, grid)

@@ -199,6 +199,27 @@ class TestBoundsCommandWork:
             assert row["bound_linear_sup"] >= 0
 
 
+class _Edited:
+    """The bundled seven-agent problem with the field at ``path`` set to ``value``.
+
+    ``write`` saves it as JSON and returns the file's path; an infinite
+    value is written as 1e400, which JSON parsers read as inf.
+    """
+
+    def __init__(self, value, *path):
+        self.value, self.path = value, path
+
+    def write(self, tmp_path: Path) -> str:
+        payload = json.loads(_read(SEVEN))
+        target = payload
+        for key in self.path[:-1]:
+            target = target[key]
+        target[self.path[-1]] = self.value
+        out = tmp_path / "edited.json"
+        out.write_text(json.dumps(payload).replace("Infinity", "1e400"))
+        return str(out)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -209,10 +230,23 @@ class TestExitCodes:
             ["sweep", "--n", "20", "--instances", "0"],
             ["sweep", "--n", "20", "--radius", "-1"],
             ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "-1"],
+            ["solve", _Edited("abc", "T")],
+            ["solve", _Edited("x", "channels", 0, "u_max")],
+            ["solve", _Edited("a", "channels", 0, "b", 2)],
+            ["solve", _Edited(float("inf"), "T")],
+            ["solve", _Edited(float("inf"), "channels", 0, "cost", "v")],
+            ["solve", _Edited([1.5, 2, 1.0], "graph", "edges", 0)],
+            ["solve", _Edited(7.9, "graph", "n")],
+            ["solve", _Edited(2**63, "graph", "n")],
         ],
-        ids=["zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "plot-points"],
+        ids=[
+            "zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "plot-points",
+            "T-not-a-number", "u_max-not-a-number", "b-entry-not-a-number", "T-1e400", "v-1e400",
+            "fractional-edge-index", "fractional-n", "n-2**63",
+        ],
     )
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+        argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 

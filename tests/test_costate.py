@@ -3,7 +3,7 @@ import pytest
 
 from helpers import K2, random_connected_graph
 from waveplan.costate import (
-    TerminalCostate,
+    ChannelProfile,
     adjoint_check,
     channel_profile,
     eval_h,
@@ -21,7 +21,7 @@ class TestTerminalCostate:
     def test_linear_is_p_exactly(self):
         obj = Objective(kind="linear", p=SEVEN_P)
         lam = terminal_costate(obj)
-        assert np.array_equal(lam.lam, SEVEN_P)
+        assert np.array_equal(lam, SEVEN_P)
 
     def test_sigmoid_at_threshold(self):
         # z = 1 at the threshold, so lam = p * alpha / 4.
@@ -32,7 +32,7 @@ class TestTerminalCostate:
             theta=np.array([1.0, -1.0]),
         )
         lam = terminal_costate(obj, xT=obj.theta)
-        assert np.allclose(lam.lam, obj.p * obj.alpha / 4.0, atol=1e-15)
+        assert np.allclose(lam, obj.p * obj.alpha / 4.0, atol=1e-15)
 
     def test_sigmoid_saturation(self):
         obj = Objective(
@@ -42,7 +42,16 @@ class TestTerminalCostate:
             theta=np.array([0.0]),
         )
         lam = terminal_costate(obj, xT=np.array([50.0 / 2.0]))
-        assert lam.lam[0] < 1e-20
+        assert lam[0] < 1e-20
+
+    def test_returns_read_only_arrays(self):
+        linear = Objective(kind="linear", p=SEVEN_P)
+        sigmoid = Objective(
+            kind="sigmoid", p=np.array([0.2, 0.8]), alpha=np.array([2.0, 4.0]), theta=np.array([1.0, -1.0])
+        )
+        for lam in (terminal_costate(linear), terminal_costate(sigmoid, xT=np.zeros(2))):
+            assert type(lam) is np.ndarray and lam.dtype == np.float64
+            assert not lam.flags.writeable
 
     def test_sigmoid_requires_xT(self):
         obj = Objective(
@@ -55,9 +64,9 @@ class TestTerminalCostate:
 class TestChannelProfile:
     def test_k2_worked_coefficients(self):
         sd = spectral_decompose(build_laplacian(K2))
-        lam = TerminalCostate(lam=np.array([0.0, 1.0]))
+        lam = np.array([0.0, 1.0])
         prof = channel_profile(sd, lam, np.array([1.0, 0.0]), horizon=1.0)
-        assert prof.rates == (0.0, 2.0)
+        assert prof.rates.tolist() == [0.0, 2.0]
         assert prof.coeffs[0] == pytest.approx(0.5, abs=1e-14)
         assert prof.coeffs[1] == pytest.approx(-0.5, abs=1e-14)
 
@@ -65,18 +74,26 @@ class TestChannelProfile:
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 6)
         sd = spectral_decompose(build_laplacian(g))
-        lam = TerminalCostate(lam=np.full(6, 0.7))
+        lam = np.full(6, 0.7)
         b = rng.uniform(-1, 1, 6)
         prof = channel_profile(sd, lam, b, horizon=1.0)
-        assert prof.rates == (0.0,)
-        assert prof.dropped == len(sd.groups) - 1
+        assert prof.rates.tolist() == [0.0]
+        assert prof.dropped == sd.group_starts.size - 1
         assert prof.coeffs[0] == pytest.approx(0.7 * np.sum(b), abs=1e-12)
 
     def test_orthogonal_gain_drops_group(self):
         sd = spectral_decompose(build_laplacian(K2))
-        lam = TerminalCostate(lam=np.array([0.3, 0.9]))
+        lam = np.array([0.3, 0.9])
         prof = channel_profile(sd, lam, np.array([1.0, 1.0]), horizon=1.0)
-        assert prof.rates == (0.0,)
+        assert prof.rates.tolist() == [0.0]
+
+    def test_rates_and_coeffs_are_read_only_arrays(self):
+        sd = spectral_decompose(build_laplacian(K2))
+        prof = channel_profile(sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), horizon=1.0)
+        from_tuples = ChannelProfile(horizon=1.0, rates=(0.0, 2.0), coeffs=(0.5, -0.5))
+        for arr in (prof.rates, prof.coeffs, from_tuples.rates, from_tuples.coeffs):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert not arr.flags.writeable
 
     def test_constant_coefficient_matches_reach_product(self):
         rng = np.random.default_rng(11)
@@ -84,7 +101,7 @@ class TestChannelProfile:
         sd = spectral_decompose(build_laplacian(g))
         lam_vec = rng.uniform(0, 1, 8)
         b = rng.uniform(-1, 1, 8)
-        prof = channel_profile(sd, TerminalCostate(lam=lam_vec), b, horizon=1.0)
+        prof = channel_profile(sd, lam_vec, b, horizon=1.0)
         expected = np.sum(lam_vec) * np.sum(b) / 8.0
         assert prof.rates[0] == 0.0
         assert prof.coeffs[0] == pytest.approx(expected, abs=1e-10)
@@ -93,7 +110,7 @@ class TestChannelProfile:
 class TestEvalH:
     def _k2_profile(self, T=1.0):
         sd = spectral_decompose(build_laplacian(K2))
-        lam = TerminalCostate(lam=np.array([0.0, 1.0]))
+        lam = np.array([0.0, 1.0])
         return channel_profile(sd, lam, np.array([1.0, 0.0]), horizon=T)
 
     def test_terminal_anchor(self):
@@ -104,7 +121,7 @@ class TestEvalH:
         sd = spectral_decompose(build_laplacian(g))
         lam_vec = rng.uniform(0, 1, 7)
         b = rng.uniform(-1, 1, 7)
-        prof2 = channel_profile(sd, TerminalCostate(lam=lam_vec), b, horizon=2.0)
+        prof2 = channel_profile(sd, lam_vec, b, horizon=2.0)
         assert eval_h(prof2, 2.0) == pytest.approx(float(lam_vec @ b), abs=1e-12)
 
     def test_k2_at_zero(self):
@@ -129,7 +146,7 @@ class TestEvalH:
         g = random_connected_graph(rng, 6)
         sd = spectral_decompose(build_laplacian(g))
         prof = channel_profile(
-            sd, TerminalCostate(lam=np.full(6, 0.25)), rng.uniform(-1, 1, 6), horizon=1.0
+            sd, np.full(6, 0.25), rng.uniform(-1, 1, 6), horizon=1.0
         )
         ts = np.linspace(0, 1.0, 64)
         vals = eval_h(prof, ts)
@@ -143,7 +160,7 @@ class TestEvalH:
             sd = spectral_decompose(build_laplacian(g))
             lam_vec = rng.uniform(0, 1, n)
             b = rng.uniform(0, 1, n)
-            prof = channel_profile(sd, TerminalCostate(lam=lam_vec), b, horizon=1.0)
+            prof = channel_profile(sd, lam_vec, b, horizon=1.0)
             vals = eval_h(prof, np.linspace(0, 1, 128))
             assert np.min(vals) >= -1e-10
 
@@ -154,7 +171,7 @@ class TestIntegrateH:
         g = random_connected_graph(rng, 5)
         sd = spectral_decompose(build_laplacian(g))
         prof = channel_profile(
-            sd, TerminalCostate(lam=rng.uniform(0, 1, 5)), rng.uniform(-1, 1, 5), horizon=1.0
+            sd, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5), horizon=1.0
         )
         ts = np.linspace(0.2, 0.9, 20001)
         vals = eval_h(prof, ts)
@@ -167,7 +184,7 @@ class TestIntegrateH:
         for _ in range(40):
             n = int(rng.integers(2, 9))
             sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
-            lam = TerminalCostate(lam=rng.uniform(0.05, 1.0, n))
+            lam = rng.uniform(0.05, 1.0, n)
             T = float(rng.choice([0.3, 1.0, 2.9, 10.0]))
             prof = channel_profile(sd, lam, rng.uniform(-1.0, 1.0, n), horizon=T)
             for g in range(2, 17):
@@ -180,16 +197,15 @@ class TestAdjointCheck:
     def test_k2_matrix_exponential_by_hand(self):
         # exp(-L s) on K2 averages the two components with weight (1 -/+ e^{-2s})/2.
         lap = build_laplacian(K2)
-        lamT = TerminalCostate(lam=np.array([1.0, 0.0]))
         grid = np.linspace(0.0, 1.0, 513)
-        traj = adjoint_check(lap, lamT, grid)
+        traj = adjoint_check(lap, np.array([1.0, 0.0]), grid)
         s = 1.0 - grid
         expected = np.stack([(1 + np.exp(-2 * s)) / 2, (1 - np.exp(-2 * s)) / 2], axis=1)
         assert np.max(np.abs(traj - expected)) <= 1e-10
 
     def test_uniform_costate_constant(self):
         lap = build_laplacian(K2)
-        traj = adjoint_check(lap, TerminalCostate(lam=np.array([0.4, 0.4])), np.linspace(0, 1, 65))
+        traj = adjoint_check(lap, np.array([0.4, 0.4]), np.linspace(0, 1, 65))
         assert np.max(np.abs(traj - 0.4)) <= 1e-13
 
     def test_agrees_with_spectral_h(self):
@@ -202,15 +218,13 @@ class TestAdjointCheck:
             lam_vec = rng.uniform(0, 1, n)
             b = rng.uniform(-1, 1, n)
             grid = np.linspace(0.0, 1.0, 1025)
-            traj = adjoint_check(lap, TerminalCostate(lam=lam_vec), grid)
-            prof = channel_profile(sd, TerminalCostate(lam=lam_vec), b, horizon=1.0)
+            traj = adjoint_check(lap, lam_vec, grid)
+            prof = channel_profile(sd, lam_vec, b, horizon=1.0)
             assert np.max(np.abs(traj @ b - eval_h(prof, grid))) <= 1e-8
 
 
 class TestEmptyProfile:
     def test_eval_and_integrate_are_zero(self):
-        from waveplan.costate import ChannelProfile
-
         prof = ChannelProfile(horizon=1.0, rates=(), coeffs=())
         assert eval_h(prof, 0.5) == 0.0
         assert np.array_equal(eval_h(prof, np.linspace(0, 1, 5)), np.zeros(5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan.costate import TerminalCostate, channel_profile
+from waveplan.costate import channel_profile
 from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
 from waveplan.graph import build_laplacian, spectral_decompose
@@ -145,7 +145,7 @@ class TestClosedFormGain:
     def _k2_profile(self):
         sd = spectral_decompose(build_laplacian(K2))
         return channel_profile(
-            sd, TerminalCostate(lam=np.array([0.0, 1.0])), np.array([1.0, 0.0]), horizon=1.0
+            sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), horizon=1.0
         )
 
     def test_empty_schedule_zero(self):
@@ -157,7 +157,7 @@ class TestClosedFormGain:
         g = random_connected_graph(rng, 5)
         sd = spectral_decompose(build_laplacian(g))
         b = rng.uniform(-1, 1, 5)
-        prof = channel_profile(sd, TerminalCostate(lam=np.full(5, 0.3)), b, horizon=2.0)
+        prof = channel_profile(sd, np.full(5, 0.3), b, horizon=2.0)
         schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.5, intervals=((0.0, 2.0),)),))
         expected = 1.5 * prof.coeffs[0] * 2.0
         assert closed_form_gain([prof], schedule) == pytest.approx(expected, abs=1e-12)
@@ -176,7 +176,7 @@ class TestClosedFormGain:
             sol = solve(prob)
             sd = spectral_decompose(build_laplacian(prob.graph))
             profiles = [
-                channel_profile(sd, TerminalCostate(lam=prob.objective.p), ch.b, prob.T)
+                channel_profile(sd, prob.objective.p, ch.b, prob.T)
                 for ch in prob.channels
             ]
             gain = closed_form_gain(profiles, sol.schedule)
@@ -204,7 +204,7 @@ class TestScheduleRobustness:
 def _reference_simulate(problem, schedule, steps):
     """Per-midpoint Drift.at and per-step matvec RK4, as simulate was first written."""
     T = problem.T
-    a_mat = -build_laplacian(problem.graph).matrix
+    a_mat = -build_laplacian(problem.graph)
     b_mat = np.column_stack([ch.b for ch in problem.channels])
     events = [problem.drift.breakpoints]
     for cs in schedule.channels:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import K2, P3, random_connected_graph
 from waveplan.errors import NumericalError, ValidationError
 from waveplan.graph import (
-    Laplacian,
     WeightedGraph,
     build_laplacian,
     graph_from_dict,
@@ -62,6 +61,17 @@ class TestWeightedGraph:
         with pytest.raises(ValidationError, match="triples"):
             WeightedGraph(n=2, edges=((1, 2),))
 
+    @pytest.mark.parametrize("n", [7.9, 7.0, "7", True, 0])
+    def test_rejects_agent_count_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValidationError, match="positive integer"):
+            WeightedGraph(n=n, edges=())
+
+    # 3037000499 is the least n with n * (n + 2) above the int64 maximum.
+    @pytest.mark.parametrize("n", [2**63, 3037000499, np.int64(3037000499)])
+    def test_rejects_agent_count_whose_pair_keys_overflow(self, n):
+        with pytest.raises(ValidationError, match="too large"):
+            WeightedGraph(n=n, edges=((1, 2, 1.0),))
+
     @pytest.mark.parametrize("seed, n", [(1, 2), (2, 7), (3, 15), (4, 40)])
     def test_array_input_equals_tuple_input(self, seed, n):
         g = random_connected_graph(np.random.default_rng(seed), n)
@@ -69,7 +79,7 @@ class TestWeightedGraph:
         from_array = WeightedGraph(n=n, edges=arr)
         assert from_array == g
         assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in from_array.edges)
-        assert np.array_equal(build_laplacian(from_array).matrix, build_laplacian(g).matrix)
+        assert np.array_equal(build_laplacian(from_array), build_laplacian(g))
         int_ends = WeightedGraph(n=n, edges=np.column_stack((arr[:, :2].astype(int), arr[:, 2])))
         assert int_ends == g
 
@@ -113,31 +123,31 @@ def _reference_first_error(n, edges):
 class TestBuildLaplacian:
     def test_k2(self):
         lap = build_laplacian(K2)
-        assert lap.matrix.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+        assert lap.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
     def test_triangle(self):
         tri = WeightedGraph(n=3, edges=((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
         lap = build_laplacian(tri)
         expected = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
-        assert lap.matrix.tolist() == expected
+        assert lap.tolist() == expected
 
     def test_path(self):
         lap = build_laplacian(P3)
         expected = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
-        assert lap.matrix.tolist() == expected
+        assert lap.tolist() == expected
 
     def test_nonadjacent_offdiagonals_exactly_zero(self):
         lap = build_laplacian(P3)
-        assert lap.matrix[0, 2] == 0.0
-        assert lap.matrix[2, 0] == 0.0
+        assert lap[0, 2] == 0.0
+        assert lap[2, 0] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
     def test_row_sums_and_symmetry(self, n, seed):
         g = random_connected_graph(np.random.default_rng(seed), n)
         lap = build_laplacian(g)
-        assert np.max(np.abs(lap.matrix.sum(axis=1))) <= 1e-12
-        assert np.array_equal(lap.matrix, lap.matrix.T)
+        assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
+        assert np.array_equal(lap, lap.T)
 
 
 class TestSpectralDecompose:
@@ -165,7 +175,7 @@ class TestSpectralDecompose:
         q = sd.vectors
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
         recon = q @ np.diag(sd.eigenvalues) @ q.T
-        assert np.max(np.abs(recon - lap.matrix)) <= 1e-9 * np.max(np.abs(lap.matrix))
+        assert np.max(np.abs(recon - lap)) <= 1e-9 * np.max(np.abs(lap))
         assert np.all(np.diff(sd.eigenvalues) >= -1e-12)
         assert np.all(sd.eigenvalues >= -1e-10)
         assert np.allclose(sd.vectors[:, 0], np.full(n, 1.0 / np.sqrt(n)), atol=1e-10)
@@ -176,13 +186,14 @@ class TestSpectralDecompose:
     def test_groups_cover_all_indices(self):
         tri = WeightedGraph(n=3, edges=((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
         sd = spectral_decompose(build_laplacian(tri))
-        # Triangle spectrum {0, 3, 3}: the repeated eigenvalue forms one group.
-        assert sd.groups == ((0,), (1, 2))
+        # Triangle spectrum {0, 3, 3}: the repeated eigenvalue forms one
+        # group, the index run that starts at 1 and ends at n = 3.
+        assert sd.group_starts.tolist() == [0, 1]
         assert sd.group_rates[0] == 0.0
         assert sd.group_rates[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_numerically_disconnected(self):
-        near_zero = Laplacian(n=2, matrix=np.array([[1e-15, -1e-15], [-1e-15, 1e-15]]))
+        near_zero = np.array([[1e-15, -1e-15], [-1e-15, 1e-15]])
         with pytest.raises(NumericalError, match="disconnected"):
             spectral_decompose(near_zero)
 
@@ -261,7 +272,7 @@ class TestLaplacianMatchesReferenceLoop:
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
     def test_bit_identical(self, g):
-        assert np.array_equal(build_laplacian(g).matrix, _reference_laplacian(g))
+        assert np.array_equal(build_laplacian(g), _reference_laplacian(g))
 
 
 class TestDecompositionMatchesReferenceLoops:
@@ -277,10 +288,14 @@ class TestDecompositionMatchesReferenceLoops:
     def test_groups_signs_and_rates(self, g):
         lap = build_laplacian(g)
         sd = spectral_decompose(lap)
-        evals, q = np.linalg.eigh(lap.matrix)
+        evals, q = np.linalg.eigh(lap)
         assert np.array_equal(sd.vectors, _reference_signs(q))
         groups, rates = _reference_groups(evals, sd.group_tol, sd.zero_tol)
-        assert sd.groups == groups
+        # Groups are contiguous index runs: the starts and the eigenvalue
+        # count give every group back.
+        ends = sd.group_starts[1:].tolist() + [g.n]
+        assert tuple(tuple(range(a, b)) for a, b in zip(sd.group_starts.tolist(), ends)) == groups
+        assert sd.group_rates.shape == (len(groups),)
         assert sd.group_rates[0] == 0.0 == rates[0]
         for grp, new, old in zip(groups, sd.group_rates, rates):
             if len(grp) <= 8:
@@ -289,7 +304,11 @@ class TestDecompositionMatchesReferenceLoops:
                 assert abs(new - old) <= 2 * np.spacing(abs(old))
 
     def test_large_groups_are_exercised(self):
-        sizes = {len(grp) for g in self.GRAPHS for grp in spectral_decompose(build_laplacian(g)).groups}
+        sizes = {
+            size
+            for g in self.GRAPHS
+            for size in np.diff(spectral_decompose(build_laplacian(g)).group_starts, append=g.n).tolist()
+        }
         assert max(sizes) > 8 and 8 in sizes
 
 
@@ -341,7 +360,7 @@ class TestRandomGeometricGraph:
         with pytest.raises(ValidationError, match="radius"):
             random_geometric_graph(10, radius, seed=1)
 
-    @pytest.mark.parametrize("n, radius", [(2, 2.0), (20, 0.4), (60, 0.25), (150, 0.2)])
+    @pytest.mark.parametrize("n, radius", [(2, 2.0), (20, 0.4), (60, 0.25), (150, 0.2), (300, 0.12)])
     def test_edges_match_pair_loop(self, n, radius):
         # The pair comprehension the vectorised edge selection replaced.
         g, seed = random_geometric_graph(n, radius, seed=11)
@@ -364,3 +383,31 @@ class TestGraphJson:
     def test_malformed(self):
         with pytest.raises(ValidationError, match="malformed graph"):
             graph_from_dict({"edges": []})
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"n": 3, "edges": [[1.5, 2, 1.0], [2, 3, 1.0]]}, "finite integer"),
+            ({"n": 3, "edges": [[1, 2, "1.0"], [2, 3, 1.0]]}, "numbers"),
+            ({"n": 7.9, "edges": [[1, 2, 1.0]]}, "positive integer"),
+            ({"n": 2**63, "edges": [[1, 2, 1.0]]}, "too large"),
+        ],
+        ids=["fractional-index", "string-weight", "fractional-n", "huge-n"],
+    )
+    def test_entries_reach_validation_unconverted(self, payload, match):
+        # Nothing is truncated or parsed before WeightedGraph checks it.
+        with pytest.raises(ValidationError, match=match):
+            graph_from_dict(payload)
+
+
+class TestReadOnlyArrays:
+    def test_laplacian_and_decomposition(self):
+        lap = build_laplacian(P3)
+        sd = spectral_decompose(lap)
+        assert type(lap) is np.ndarray
+        assert sd.group_starts.dtype == np.intp
+        assert sd.group_rates.dtype == np.float64
+        for arr in (lap, sd.eigenvalues, sd.vectors, sd.group_starts, sd.group_rates):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0

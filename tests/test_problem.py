@@ -79,6 +79,69 @@ class TestValidateProblem:
         assert any("strictly increasing" in f for f in validate_problem(p))
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+def _sigmoid(**arrays):
+    fields = dict(p=np.array([0.5, 0.5]), alpha=np.array([2.0, 2.0]), theta=np.array([0.1, 0.2]))
+    return Objective(kind="sigmoid", **{**fields, **arrays})
+
+
+def _power(b=(1.0, 0.0), v=1.0, a=0.5):
+    return _channel(list(b), kind="power", v=v, a=a)
+
+
+def _sigmoid_k2(**changes):
+    """A clean sigmoid instance on K2 with a two-piece drift, with ``changes`` applied."""
+    fields = dict(
+        graph=K2,
+        channels=(_power(),),
+        objective=_sigmoid(),
+        T=1.0,
+        r=0.5,
+        x0=np.zeros(2),
+        drift=Drift(breakpoints=np.array([0.0, 0.5]), values=np.zeros((2, 2))),
+    )
+    return CampaignProblem(**{**fields, **changes})
+
+
+class TestNonFiniteFindings:
+    def test_base_is_clean(self):
+        assert validate_problem(_sigmoid_k2()) == []
+
+    @pytest.mark.parametrize(
+        "changes, finding",
+        [
+            (dict(T=_INF), "horizon T must be finite, got inf"),
+            (dict(T=_NAN), "horizon T must be finite, got nan"),
+            (dict(r=_INF), "budget must be finite, got inf"),
+            (dict(channels=(_power(v=_INF),)), "cost rate v must be finite, got inf"),
+            (dict(channels=(_power(a=_NAN),)), "cost exponent a must be finite, got nan"),
+            (dict(channels=(_power(b=(1.0, _INF)),)), "gain vector has non-finite entries"),
+            (dict(objective=_sigmoid(p=np.array([_INF, 0.5]))), "objective weights have non-finite entries"),
+            (dict(objective=_sigmoid(p=np.array([_NAN, 0.5]))), "objective weights have non-finite entries"),
+            (dict(objective=_sigmoid(alpha=np.array([2.0, _NAN]))), "alpha/theta have non-finite entries"),
+            (dict(objective=_sigmoid(theta=np.array([_INF, 0.2]))), "alpha/theta have non-finite entries"),
+            (dict(x0=np.array([0.0, _NAN])), "initial state has non-finite entries"),
+            (
+                dict(drift=Drift(breakpoints=np.array([0.0, 0.5]), values=np.array([[0.0, _INF], [0.0, 0.0]]))),
+                "drift values have non-finite entries",
+            ),
+            (
+                dict(drift=Drift(breakpoints=np.array([0.0, _INF]), values=np.zeros((2, 2)))),
+                "drift breakpoints have non-finite entries",
+            ),
+        ],
+        ids=[
+            "T-inf", "T-nan", "r-inf", "v-inf", "a-nan", "b-inf", "p-inf", "p-nan",
+            "alpha-nan", "theta-inf", "x0-nan", "drift-values-inf", "drift-breakpoints-inf",
+        ],
+    )
+    def test_non_finite_value_is_a_finding(self, changes, finding):
+        findings = validate_problem(_sigmoid_k2(**changes))
+        assert any(finding in f for f in findings), findings
+
+
 class TestCostModel:
     def test_zero_cost_at_zero(self):
         for cost in (CostModel("linear", 2.0), CostModel("power", 3.0, 0.5)):
@@ -236,6 +299,16 @@ class TestProblemJson:
     def test_malformed_raises(self):
         with pytest.raises(ValidationError, match="malformed problem"):
             problem_from_dict({"graph": {"n": 2, "edges": [[1, 2, 1.0]]}})
+
+    @pytest.mark.parametrize("path, value", [(("T",), "abc"), (("channels", 0, "u_max"), "x"), (("channels", 0, "b", 1), "a")])
+    def test_unparsable_number_raises_validation_error(self, path, value):
+        d = problem_to_dict(k2_problem())
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValidationError, match="malformed problem"):
+            problem_from_dict(d)
 
 
 class TestDrift:

@@ -4,7 +4,7 @@ import pytest
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan import bounds, waterfill
 from waveplan.bundles import seven_agent_problem
-from waveplan.costate import TerminalCostate, channel_profile, eval_h
+from waveplan.costate import channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
@@ -16,7 +16,7 @@ BETA_STAR_K2 = 0.5 - 0.5 * np.exp(-1.0)
 def _k2_h_profile(T=1.0):
     sd = spectral_decompose(build_laplacian(K2))
     return channel_profile(
-        sd, TerminalCostate(lam=np.array([0.0, 1.0])), np.array([1.0, 0.0]), horizon=T
+        sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), horizon=T
     )
 
 
@@ -87,7 +87,7 @@ class TestSpendForBeta:
             x0=np.zeros(2),
         )
         sd = spectral_decompose(build_laplacian(K2))
-        prof = channel_profile(sd, TerminalCostate(lam=prob.objective.p), np.array([1.0, 1.0]), 1.0)
+        prof = channel_profile(sd, prob.objective.p, np.array([1.0, 1.0]), 1.0)
         assert spend_for_beta(prob, [prof], 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_k2_worked_level(self):
@@ -101,7 +101,7 @@ class TestSpendForBeta:
             prob = random_linear_problem(rng, int(rng.integers(2, 7)))
             sd = spectral_decompose(build_laplacian(prob.graph))
             profiles = [
-                channel_profile(sd, TerminalCostate(lam=prob.objective.p), ch.b, prob.T)
+                channel_profile(sd, prob.objective.p, ch.b, prob.T)
                 for ch in prob.channels
             ]
             betas = np.sort(rng.uniform(0.0, 1.0, 5))
@@ -290,9 +290,8 @@ class TestEngineAgainstScalarSignals:
             sol = solve(prob)
             beta = sol.beta_star
             sd = spectral_decompose(build_laplacian(prob.graph))
-            lamT = TerminalCostate(lam=prob.objective.p)
             for ch, cs in zip(prob.channels, sol.schedule.channels):
-                g = threshold_profile(channel_profile(sd, lamT, ch.b, T), ch)
+                g = threshold_profile(channel_profile(sd, prob.objective.p, ch.b, T), ch)
                 scale = float(np.max(np.abs(eval_h(g, np.linspace(0.0, T, 2049)))))
                 edges = [t for iv in cs.intervals for t in iv]
                 for t in edges:
