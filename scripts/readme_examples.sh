@@ -1,22 +1,30 @@
 #!/bin/sh
 # Run every command of the README's CLI section on the bundled problems,
-# writing each command's artifacts under the directory given as $1.
+# twice, each time into a fresh temporary directory, and compare the two
+# directories with `diff -r`.
 #
-#     sh scripts/readme_examples.sh OUT_DIR
+#     sh scripts/readme_examples.sh
 #
 # Run it from the repository root with waveplan importable (installed, or
-# PYTHONPATH=src). The oracle runs at its default grid and the sweep is kept
-# small; the bound report of the sigmoid problem, which has no water level,
-# is added. Any nonzero exit stops the script with that status. Running it
-# twice and comparing the two directories with `diff -r` checks that reruns
-# are byte-identical.
+# PYTHONPATH=src) by `python`. The oracle runs at its default grid and the
+# sweep is kept small; the bound report of the sigmoid problem, which has no
+# water level, is added. Any nonzero exit of a command, and any difference
+# between the two runs, stops the script with a nonzero status. The
+# temporary directories are removed on exit.
 set -e
-out=${1:?usage: readme_examples.sh OUT_DIR}
-waveplan() { "${PYTHON:-python}" -m waveplan.cli "$@"; }
-waveplan solve problems/seven_agents.json --out "$out/seven" --emit-plot-data
-waveplan simulate problems/seven_agents.json --schedule "$out/seven/schedule.json" --out "$out/sim"
-waveplan bounds problems/seven_agents.json --out "$out/bounds"
-waveplan bounds problems/seven_agents_sigmoid.json --out "$out/bounds_sigmoid"
-waveplan oracle problems/seven_agents.json --out "$out/oracle"
-waveplan sweep --n 20:60:20 --instances 5 --seed 1 --out "$out/sweep"
-waveplan sigmoid problems/seven_agents_sigmoid.json --out "$out/sigmoid"
+first=$(mktemp -d)
+second=$(mktemp -d)
+trap 'rm -rf "$first" "$second"' EXIT
+waveplan() { python -m waveplan.cli "$@"; }
+run_examples() {
+    waveplan solve problems/seven_agents.json --out "$1/seven" --emit-plot-data
+    waveplan simulate problems/seven_agents.json --schedule "$1/seven/schedule.json" --out "$1/sim"
+    waveplan bounds problems/seven_agents.json --out "$1/bounds"
+    waveplan bounds problems/seven_agents_sigmoid.json --out "$1/bounds_sigmoid"
+    waveplan oracle problems/seven_agents.json --out "$1/oracle"
+    waveplan sweep --n 20:60:20 --instances 5 --seed 1 --out "$1/sweep"
+    waveplan sigmoid problems/seven_agents_sigmoid.json --out "$1/sigmoid"
+}
+run_examples "$first"
+run_examples "$second"
+diff -r "$first" "$second"

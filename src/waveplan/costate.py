@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .graph import SpectralDecomposition, _as_readonly
+from .graph import SpectralDecomposition
 from .problem import Objective
 
 
@@ -50,16 +50,17 @@ def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> np.ndarray
     raise ContractError(f"unknown objective kind {obj.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelProfile:
     """Mode expansion of one channel's cost-effectiveness signal over [0, horizon].
 
     ``rates`` are strictly increasing eigenvalue-group rates (the zero group,
     when present, comes first with rate exactly 0.0); ``coeffs`` are the
-    matching eigenspace coefficients. Both are kept as read-only float
-    arrays. ``dropped`` counts spectrally silent groups removed below the
+    matching eigenspace coefficients. Both are kept as read-only float64
+    arrays: a float64 array passed in is kept, not copied, and flagged
+    read-only. ``dropped`` counts spectrally silent groups removed below the
     coefficient tolerance. Calling the profile evaluates h(t); t may be a
-    scalar or an array.
+    scalar or an array. Profiles compare and hash by identity.
     """
 
     horizon: float
@@ -68,8 +69,10 @@ class ChannelProfile:
     dropped: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", _as_readonly(self.rates))
-        object.__setattr__(self, "coeffs", _as_readonly(self.coeffs))
+        for name in ("rates", "coeffs"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __call__(self, t):
         return eval_h(self, t)

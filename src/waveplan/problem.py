@@ -331,5 +331,8 @@ def problem_from_dict(d: dict) -> CampaignProblem:
             x0=np.array(d["x0"], dtype=np.float64),
             drift=drift,
         )
+    except ValidationError:
+        # A ValueError subclass: the graph's own messages pass through as raised.
+        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed problem object: missing or bad field {exc}") from exc

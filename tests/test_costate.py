@@ -94,6 +94,15 @@ class TestChannelProfile:
         for arr in (prof.rates, prof.coeffs, from_tuples.rates, from_tuples.coeffs):
             assert type(arr) is np.ndarray and arr.dtype == np.float64
             assert not arr.flags.writeable
+        # A read-only float64 array is kept as it is, not copied again.
+        again = ChannelProfile(horizon=1.0, rates=prof.rates, coeffs=prof.coeffs)
+        assert again.rates is prof.rates and again.coeffs is prof.coeffs
+
+    def test_profiles_compare_and_hash_by_identity(self):
+        prof = ChannelProfile(horizon=1.0, rates=(0.0, 2.0), coeffs=(0.5, -0.5))
+        twin = ChannelProfile(horizon=1.0, rates=(0.0, 2.0), coeffs=(0.5, -0.5))
+        assert prof == prof and prof != twin
+        assert len({prof, twin}) == 2
 
     def test_constant_coefficient_matches_reach_product(self):
         rng = np.random.default_rng(11)

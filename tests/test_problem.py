@@ -310,6 +310,20 @@ class TestProblemJson:
         with pytest.raises(ValidationError, match="malformed problem"):
             problem_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"n": 3, "edges": [[1, 2, 1.0]]}, "^graph is disconnected"),
+            ({"n": 2, "edges": [[1, 2, 1.0], [1, 2, 2.0]]}, r"^duplicate edge \(1, 2\)$"),
+            ({"n": 2}, "^malformed graph object"),
+        ],
+    )
+    def test_graph_errors_pass_through_unwrapped(self, graph, message):
+        d = problem_to_dict(k2_problem())
+        d["graph"] = graph
+        with pytest.raises(ValidationError, match=message):
+            problem_from_dict(d)
+
 
 class TestDrift:
     def test_piecewise_lookup(self):
