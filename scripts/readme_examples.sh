@@ -8,14 +8,15 @@
 # Run it from the repository root with waveplan importable (installed, or
 # PYTHONPATH=src) by `python`. The oracle runs at its default grid and the
 # sweep is kept small; the bound report of the sigmoid problem, which has no
-# water level, is added. Any nonzero exit of a command, and any difference
-# between the two runs, stops the script with a nonzero status. The
-# temporary directories are removed on exit.
+# water level, is added. Any nonzero exit of a command, any RuntimeWarning
+# (raised as an error, as the test suite does), and any difference between
+# the two runs stops the script with a nonzero status. The temporary
+# directories are removed on exit.
 set -e
 first=$(mktemp -d)
 second=$(mktemp -d)
 trap 'rm -rf "$first" "$second"' EXIT
-waveplan() { python -m waveplan.cli "$@"; }
+waveplan() { python -W error::RuntimeWarning -m waveplan.cli "$@"; }
 run_examples() {
     waveplan solve problems/seven_agents.json --out "$1/seven" --emit-plot-data
     waveplan simulate problems/seven_agents.json --schedule "$1/seven/schedule.json" --out "$1/sim"

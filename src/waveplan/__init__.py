@@ -5,13 +5,7 @@ objectives, certifies switch-count bounds, and cross-checks everything
 against simulation and brute-force enumeration oracles.
 """
 
-from .bounds import (
-    SwitchBoundReport,
-    bound_general,
-    bound_linear,
-    count_exp_poly_zeros,
-    switch_bound_report,
-)
+from .bounds import bound_general, bound_linear, count_exp_poly_zeros
 from .bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from .costate import (
     ChannelProfile,
@@ -34,7 +28,6 @@ from .oracle import EnumerationSpec, OracleResult, enumerate_best, grid_slack
 from .problem import (
     CampaignProblem,
     Channel,
-    ConditionReport,
     CostModel,
     Drift,
     Objective,

@@ -13,32 +13,16 @@ tolerance of a partial sum are recounted entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .costate import group_coefficients
 from .errors import ContractError
-from .graph import SpectralDecomposition, projected_group_count
-
-
-@dataclass(frozen=True)
-class ChannelSwitchBounds:
-    channel: int
-    general: int
-    linear_at_threshold: int | None
-    linear_sup: int
-    threshold_shift: float | None
-
-
-@dataclass(frozen=True)
-class SwitchBoundReport:
-    channels: tuple[ChannelSwitchBounds, ...]
+from .graph import SpectralDecomposition, projected_groups
 
 
 def bound_general(sd: SpectralDecomposition, b: np.ndarray) -> int:
-    """Spectral-support switch bound: max(0, G - 1) over groups where b projects above tolerance."""
-    return max(0, projected_group_count(sd, b) - 1)
+    """Spectral-support switch bound: max(0, G - 1) over the G groups that b projects onto."""
+    return max(0, int(np.count_nonzero(projected_groups(sd, b))) - 1)
 
 
 # Entries of one block of partial sums minus levels in _sign_variations;
@@ -104,18 +88,16 @@ def bound_linear(
 
     The sequence is the running sum of the group coefficients ordered by
     increasing rate, with a threshold level subtracted (it enters the
-    constant term, hence every partial sum). One pass returns both bounds:
+    constant term, hence every partial sum). The coefficients are those of
+    ``group_coefficients``, so the bounds count exactly the modes the
+    channel's profile keeps. One pass returns both bounds:
     the variation count at the level ``shift >= 0``, and its maximum over
     all levels.
     """
     s = float(shift)
     if s < 0.0:
         raise ContractError(f"threshold shift must be nonnegative, got {s}")
-    _, coeffs = group_coefficients(sd, np.asarray(p, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    ctol = 1e-12 * max(
-        1.0, float(np.linalg.norm(p)) * float(np.linalg.norm(b))
-    )
-    coeffs = np.where(np.abs(coeffs) <= ctol, 0.0, coeffs)
+    coeffs = group_coefficients(sd, np.asarray(p, dtype=np.float64), np.asarray(b, dtype=np.float64))
     stol = 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
     return _variation_bounds(np.cumsum(coeffs), s, stol)
 
@@ -200,28 +182,3 @@ def count_exp_poly_zeros(
                     count += 2
     return count
 
-
-def switch_bound_report(
-    sd: SpectralDecomposition,
-    channels,
-    p: np.ndarray,
-    beta_star: float | None = None,
-) -> SwitchBoundReport:
-    """Assemble both bounds per channel, one ``bound_linear`` pass each.
-
-    The at-threshold bound and its shift need beta_star; without it they are None.
-    """
-    rows = []
-    for k, ch in enumerate(channels, start=1):
-        shift = None if beta_star is None else beta_star * ch.max_cost_rate / ch.u_max
-        at_threshold, sup = bound_linear(sd, p, ch.b, 0.0 if shift is None else shift)
-        rows.append(
-            ChannelSwitchBounds(
-                channel=k,
-                general=bound_general(sd, ch.b),
-                linear_at_threshold=None if shift is None else at_threshold,
-                linear_sup=sup,
-                threshold_shift=shift,
-            )
-        )
-    return SwitchBoundReport(channels=tuple(rows))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import switch_bound_report
+from .bounds import bound_general, bound_linear
 from .costate import channel_profile, eval_h
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError
@@ -172,12 +172,13 @@ def _cmd_bounds(args) -> int:
             for c in sol.certificate
         ]
     else:
+        # No water level: no at-threshold bound, and the sup needs no shift.
         beta_star = None
         sd = spectral_decompose(build_laplacian(problem.graph))
-        report = switch_bound_report(sd, problem.channels, problem.objective.p)
+        p = problem.objective.p
         rows = [
-            (c.channel, c.general, c.linear_at_threshold, c.linear_sup, c.threshold_shift)
-            for c in report.channels
+            (k, bound_general(sd, ch.b), None, bound_linear(sd, p, ch.b, 0.0)[1], None)
+            for k, ch in enumerate(problem.channels, start=1)
         ]
     keys = ("channel", "bound_general", "bound_linear_at_threshold", "bound_linear_sup", "threshold_shift")
     _write_json(

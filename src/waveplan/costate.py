@@ -78,16 +78,19 @@ class ChannelProfile:
         return eval_h(self, t)
 
 
-def group_coefficients(
-    sd: SpectralDecomposition, lam: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group coefficients <P_g lam, b>, returned with the group rates.
+def group_coefficients(sd: SpectralDecomposition, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-group coefficients <P_g lam, b>, one per entry of ``sd.group_rates``.
 
     Summing <Q_j, lam><Q_j, b> over each distinct-eigenvalue group makes the
     result invariant to the eigensolver's basis choice inside an eigenspace.
+    Every coefficient within 1e-10 * max(1, |lam| |b|) of zero is set to 0.0:
+    that mode is absent from the channel's signal, for its profile and its
+    switch bounds alike.
     """
-    proj = (sd.vectors.T @ lam) * (sd.vectors.T @ b)
-    return sd.group_rates, np.add.reduceat(proj, sd.group_starts)
+    coeffs = np.add.reduceat((sd.vectors.T @ lam) * (sd.vectors.T @ b), sd.group_starts)
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(lam)) * float(np.linalg.norm(b)))
+    coeffs[np.abs(coeffs) <= tol] = 0.0
+    return coeffs
 
 
 def channel_profile(
@@ -97,14 +100,11 @@ def channel_profile(
     horizon: float,
 ) -> ChannelProfile:
     """Build the closed-form h profile for one channel from the spectral data and lam(T)."""
-    rates, coeffs = group_coefficients(sd, lam, b)
-    coeff_tol = 1e-10 * max(
-        1.0, float(np.linalg.norm(lam)) * float(np.linalg.norm(b))
-    )
-    keep = np.abs(coeffs) > coeff_tol
+    coeffs = group_coefficients(sd, lam, b)
+    keep = coeffs != 0.0
     return ChannelProfile(
         horizon=float(horizon),
-        rates=rates[keep],
+        rates=sd.group_rates[keep],
         coeffs=coeffs[keep],
         dropped=int(np.sum(~keep)),
     )
@@ -126,20 +126,19 @@ def eval_h(profile: ChannelProfile, t):
 def integrate_h(profile: ChannelProfile, a, b):
     """Exact integral of h over [a, b]; the zero-rate mode contributes d_0 * (b - a).
 
-    Accepts scalars or arrays of endpoints. An array call adds the modes in
-    the scalar call's order, so each entry equals that call bit for bit.
+    Accepts scalars or arrays of endpoints. The modes' terms form one array
+    and are added left to right from 0.0, so each entry of an array call
+    equals the scalar call bit for bit.
     """
-    shape = np.broadcast(a, b).shape
-    total = np.zeros(shape) if shape else 0.0
-    T = profile.horizon
-    # The loop reads the modes as Python floats, whose arithmetic is cheaper
-    # than numpy scalars' for the scalar calls of closed_form_gain.
-    for rate, d in zip(profile.rates.tolist(), profile.coeffs.tolist()):
-        if rate == 0.0:
-            total += d * (b - a)
-        else:
-            total += (d / rate) * (np.exp(rate * (b - T)) - np.exp(rate * (a - T)))
-    return total if shape else float(total)
+    rates, coeffs, T = profile.rates, profile.coeffs, profile.horizon
+    lo = np.asarray(a, dtype=np.float64)[..., None]
+    hi = np.asarray(b, dtype=np.float64)[..., None]
+    flat = rates == 0.0
+    decay = np.exp(rates * (hi - T)) - np.exp(rates * (lo - T))
+    terms = np.where(flat, coeffs * (hi - lo), coeffs / np.where(flat, 1.0, rates) * decay)
+    terms = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), terms), axis=-1)
+    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    return total if total.ndim else float(total)
 
 
 def adjoint_check(lap: np.ndarray, lam: np.ndarray, grid: np.ndarray) -> np.ndarray:

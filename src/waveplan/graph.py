@@ -176,18 +176,19 @@ class SpectralDecomposition:
     group_rates: np.ndarray
 
 
-def projected_group_count(sd: SpectralDecomposition, x: np.ndarray) -> int:
-    """Number of eigenvalue groups onto which x has a projection of norm above tolerance.
+def projected_groups(sd: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalue groups onto which x has a projection of norm above tolerance.
 
-    The tolerance is 1e-10 * max(1, |x|). For a symmetric Laplacian this
-    count is also the Kalman rank of (L, x): the Krylov space of x is
-    spanned by its projections onto the distinct eigenspaces.
+    The tolerance is 1e-10 * max(1, |x|). The first group is the constant
+    mode of the connected graph, so the first entry says whether x has
+    nonzero total reach. For a symmetric Laplacian the mask's count is the
+    Kalman rank of (L, x): the Krylov space of x is spanned by its
+    projections onto the distinct eigenspaces.
     """
     xv = np.asarray(x, dtype=np.float64)
     tol = 1e-10 * max(1.0, float(np.linalg.norm(xv)))
     proj = sd.vectors.T @ xv
-    norms = np.sqrt(np.add.reduceat(proj * proj, sd.group_starts))
-    return int(np.count_nonzero(norms > tol))
+    return np.sqrt(np.add.reduceat(proj * proj, sd.group_starts)) > tol
 
 
 def _fix_signs(q: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from .graph import (
     _as_readonly,
     graph_from_dict,
     graph_to_dict,
-    projected_group_count,
+    projected_groups,
 )
 
 
@@ -230,39 +230,37 @@ class ChannelConditions:
     theorem_applicable: bool
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    channels: tuple[ChannelConditions, ...]
-
-
-def check_conditions(p: CampaignProblem, sd: SpectralDecomposition) -> ConditionReport:
+def check_conditions(
+    p: CampaignProblem, sd: SpectralDecomposition
+) -> tuple[ChannelConditions, ...]:
     """Evaluate, per channel, whether the bang-bang structure theorem certifies it.
 
     Strictly concave (power) costs need nonzero total reach; linear costs
-    need (L, b) controllable. For symmetric L the Kalman rank of (L, b) is
-    the number of eigenvalue groups b projects onto, so (L, b) is
-    controllable when every eigenvalue is simple and b projects onto every
-    eigenvector. When a flag is false the solver still runs but tags its
-    output as not structure-certified.
+    need (L, b) controllable. Both are read from the groups b projects onto
+    (``projected_groups``): the reach is nonzero when b projects onto the
+    constant mode, and for symmetric L the Kalman rank of (L, b) is the
+    number of groups, so (L, b) is controllable when every eigenvalue is
+    simple and b projects onto every eigenvector. When a flag is false the
+    solver still runs but tags its output as not structure-certified.
     """
     out = []
     for k, ch in enumerate(p.channels, start=1):
-        reach = float(np.sum(ch.b))
-        reach_nonzero = abs(reach) > 1e-12 * max(1.0, float(np.sum(np.abs(ch.b))))
-        rank = projected_group_count(sd, ch.b)
+        groups = projected_groups(sd, ch.b)
+        reach_nonzero = bool(groups[0])
+        rank = int(np.count_nonzero(groups))
         controllable = rank == p.n
         applicable = reach_nonzero if ch.cost.kind == "power" else controllable
         out.append(
             ChannelConditions(
                 channel=k,
-                total_reach=reach,
+                total_reach=float(np.sum(ch.b)),
                 reach_nonzero=reach_nonzero,
                 controllability_rank=rank,
                 controllable=controllable,
                 theorem_applicable=applicable,
             )
         )
-    return ConditionReport(channels=tuple(out))
+    return tuple(out)
 
 
 # --- JSON problem format -----------------------------------------------------
@@ -294,7 +292,20 @@ def problem_to_dict(p: CampaignProblem) -> dict:
     }
 
 
+def _reject_booleans(value, field: str) -> None:
+    """Raise for a JSON boolean anywhere in value: no field of the problem format is one."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"malformed problem object: field {field} is a boolean, not a number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _reject_booleans(item, f"{field}[{i}]")
+
+
 def problem_from_dict(d: dict) -> CampaignProblem:
+    _reject_booleans(d, "")
     try:
         graph = graph_from_dict(d["graph"])
         channels = tuple(

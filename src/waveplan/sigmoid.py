@@ -124,18 +124,10 @@ def solve_sigmoid(
     drafts = []  # (costate, schedule half) of every iterate
     records: list[IterationRecord] = []
     seen: list[tuple[int, ...]] = []
-
-    draft, rec = evaluate(obj.alpha * obj.p / 4.0, 0)
-    drafts.append(draft)
-    records.append(rec)
-    seen.append(rec.members)
-
-    converged = False
-    no_late = len(rec.members) == 0
-    for k in range(1, max_iters + 1):
-        if no_late:
-            break
-        draft, rec = evaluate(surrogate_costate(obj, records[-1].members), k)
+    converged = no_late = False
+    lam = obj.alpha * obj.p / 4.0
+    for k in range(max_iters + 1):
+        draft, rec = evaluate(lam, k)
         drafts.append(draft)
         records.append(rec)
         if len(rec.members) == 0:
@@ -145,6 +137,7 @@ def solve_sigmoid(
             converged = True
             break
         seen.append(rec.members)
+        lam = surrogate_costate(obj, rec.members)
 
     best = max(range(len(records)), key=lambda i: (records[i].objective, -i))
     lam, draft = drafts[best]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import switch_bound_report
+from . import bounds
 from .costate import ChannelProfile, channel_profile
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
@@ -282,10 +282,9 @@ def _find_level(grid: _SignalGrid, spend_at, costs: np.ndarray, r: float):
     on-sets, the exact spend and |dS/dbeta| there.
     """
     lo = 0.0
+    # spend(0) > r > 0 only if some sample lies above level 0, so hi > 0.
     hi = float(np.max(grid.values))
     hi += 1e-9 * max(1.0, abs(hi))
-    if hi <= 0.0:
-        raise NumericalError("all comparison signals are nonpositive yet spend exceeds budget")
     tol = SPEND_REL_TOL * r
     probes = list(grid.level_bracket(costs, r))
     best = None  # (|spend - r|, beta, spend, |dS/dbeta|) of the probe closest to r
@@ -385,41 +384,42 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
 def _certified(problem, lam, sd, profiles, beta_star, schedule, spend, trace) -> WaterfillSolution:
     """The certificate half of ``solve_with_costate``: gain, conditions and switch bounds.
 
+    One pass per channel over its conditions row and realized switches: the
+    support bound is the conditions' rank less one, and one ``bound_linear``
+    call at the channel's threshold shift gives both variation bounds.
     Raises NumericalError when a channel switches more often than a bound
     that applies to it allows.
     """
     gain = closed_form_gain(profiles, schedule)
-    conditions = check_conditions(problem, sd)
-    report = switch_bound_report(sd, problem.channels, lam, beta_star)
-    ones_proj = sd.vectors[:, 0]
     certificate = []
-    rows = zip(problem.channels, report.channels, schedule.switch_counts(problem.T))
-    for k, (ch, row, realized) in enumerate(rows):
-        bg, bl = row.general, row.linear_at_threshold
+    rows = zip(problem.channels, check_conditions(problem, sd), schedule.switch_counts(problem.T))
+    for ch, cond, realized in rows:
+        shift = beta_star * ch.max_cost_rate / ch.u_max
+        shifted, sup = bounds.bound_linear(sd, lam, ch.b, shift)
+        general = max(0, cond.controllability_rank - 1)
         certificate.append(
             ChannelCertificate(
-                channel=k + 1,
+                channel=cond.channel,
                 realized_switches=realized,
-                bound_general=bg,
-                bound_linear_shifted=bl,
-                bound_linear_sup=row.linear_sup,
-                threshold_shift=row.threshold_shift,
-                theorem_applicable=conditions.channels[k].theorem_applicable,
+                bound_general=general,
+                bound_linear_shifted=shifted,
+                bound_linear_sup=sup,
+                threshold_shift=shift,
+                theorem_applicable=cond.theorem_applicable,
             )
         )
         # The shift-aware sign-variation bound holds unconditionally; the
         # spectral-support bound additionally needs the constant mode present
         # (a channel with zero total reach plus a positive level gains one
         # extra admissible crossing).
-        if realized > bl:
+        if realized > shifted:
             raise NumericalError(
-                f"channel {k + 1}: {realized} switches exceed variation bound {bl}"
+                f"channel {cond.channel}: {realized} switches exceed variation bound {shifted}"
             )
-        if abs(float(ones_proj @ ch.b)) > 1e-10 * max(1.0, float(np.linalg.norm(ch.b))):
-            if realized > bg:
-                raise NumericalError(
-                    f"channel {k + 1}: {realized} switches exceed support bound {bg}"
-                )
+        if cond.reach_nonzero and realized > general:
+            raise NumericalError(
+                f"channel {cond.channel}: {realized} switches exceed support bound {general}"
+            )
 
     return WaterfillSolution(
         beta_star=float(beta_star),

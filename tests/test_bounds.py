@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import K2, random_connected_graph
+from helpers import K2, P3, random_connected_graph
 from waveplan.bounds import (
     _sign_variations,
     _variation_bounds,
@@ -11,7 +11,7 @@ from waveplan.bounds import (
     bound_linear,
     count_exp_poly_zeros,
 )
-from waveplan.costate import group_coefficients
+from waveplan.costate import channel_profile, group_coefficients
 from waveplan.errors import ContractError
 from waveplan.graph import build_laplacian, spectral_decompose
 
@@ -72,6 +72,25 @@ class TestBoundLinear:
                 assert sup_again == sup  # the sup does not depend on the shift
             assert sup <= n - 1
 
+    def test_counts_only_the_profile_modes(self):
+        # On P3 (rates 0, 1, 3), b has a rate-1 coefficient of 3e-11: above
+        # 1e-12 of scale, below 1e-10. The profile drops that mode, and so do
+        # the bounds; counting it would raise the sup from 1 to 2.
+        sd = spectral_decompose(build_laplacian(P3))
+        q = sd.vectors
+        p = np.array([1.0, 0.0, 0.0])
+        b = q[:, 0] + 3e-11 / q[0, 1] * q[:, 1] - 2.0 * q[:, 2]
+        scale = np.linalg.norm(p) * np.linalg.norm(b)
+        raw = np.add.reduceat((q.T @ p) * (q.T @ b), sd.group_starts)
+        assert 1e-12 * scale < abs(raw[1]) < 1e-10 * scale
+        prof = channel_profile(sd, p, b, horizon=1.0)
+        assert prof.dropped == 1
+        stol = 1e-12 * max(1.0, float(np.sum(np.abs(prof.coeffs))))
+        for s in (0.0, float(raw[0] + 0.5 * raw[1]), 0.1):
+            assert bound_linear(sd, p, b, s) == _variation_bounds(np.cumsum(prof.coeffs), s, stol)
+        assert bound_linear(sd, p, b, 0.0) == (1, 1)
+        assert _variation_bounds(np.cumsum(raw), 0.0, stol)[1] == 2
+
     def test_rejects_negative_shift(self, k2_sd):
         with pytest.raises(ContractError):
             bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), -0.1)
@@ -101,9 +120,7 @@ def _reference_sup(partial, tol):
 
 
 def _partial_sums(sd, p, b):
-    _, coeffs = group_coefficients(sd, p, b)
-    ctol = 1e-12 * max(1.0, np.linalg.norm(p) * np.linalg.norm(b))
-    coeffs = np.where(np.abs(coeffs) <= ctol, 0.0, coeffs)
+    coeffs = group_coefficients(sd, p, b)  # modes within 1e-10 of scale already 0.0
     return np.cumsum(coeffs), 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
 
 
@@ -229,18 +246,3 @@ class TestCountExpPolyZeros:
             assert zeros <= variation_bound
             assert zeros <= k - 1
 
-
-class TestSwitchBoundReport:
-    def test_report_with_and_without_level(self):
-        from waveplan.bounds import switch_bound_report
-        from waveplan.problem import Channel, CostModel
-
-        sd = spectral_decompose(build_laplacian(K2))
-        channels = (Channel(b=np.array([1.0, 0.0]), cost=CostModel("linear", 1.0), u_max=1.0),)
-        p = np.array([0.0, 1.0])
-        bare = switch_bound_report(sd, channels, p)
-        assert bare.channels[0].linear_at_threshold is None
-        assert bare.channels[0].general == 1
-        solved = switch_bound_report(sd, channels, p, beta_star=0.316)
-        assert solved.channels[0].threshold_shift == pytest.approx(0.316)
-        assert solved.channels[0].linear_at_threshold == 1

@@ -170,7 +170,9 @@ class TestBoundsCommandWork:
         decompose = counting("spectral_decompose", graph.spectral_decompose)
         for module in (cli, graph, waterfill):
             monkeypatch.setattr(module, "spectral_decompose", decompose)
-        monkeypatch.setattr(bounds, "bound_linear", counting("bound_linear", bounds.bound_linear))
+        linear = counting("bound_linear", bounds.bound_linear)
+        for module in (bounds, cli):
+            monkeypatch.setattr(module, "bound_linear", linear)
         return calls
 
     def test_linear_problem_reuses_the_solve_certificate(self, tmp_path, monkeypatch):
@@ -238,11 +240,18 @@ class TestExitCodes:
             ["solve", _Edited([1.5, 2, 1.0], "graph", "edges", 0)],
             ["solve", _Edited(7.9, "graph", "n")],
             ["solve", _Edited(2**63, "graph", "n")],
+            ["solve", _Edited(True, "T")],
+            ["solve", _Edited(True, "r")],
+            ["solve", _Edited(True, "channels", 0, "u_max")],
+            ["solve", _Edited(True, "channels", 0, "b", 2)],
+            ["solve", _Edited(False, "objective", "p", 0)],
+            ["solve", _Edited(True, "graph", "edges", 0, 0)],
         ],
         ids=[
             "zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "plot-points",
             "T-not-a-number", "u_max-not-a-number", "b-entry-not-a-number", "T-1e400", "v-1e400",
             "fractional-edge-index", "fractional-n", "n-2**63",
+            "T-true", "r-true", "u_max-true", "b-entry-true", "p-entry-false", "edge-index-true",
         ],
     )
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):

@@ -7,6 +7,7 @@ from waveplan.costate import (
     adjoint_check,
     channel_profile,
     eval_h,
+    group_coefficients,
     integrate_h,
     terminal_costate,
 )
@@ -86,6 +87,21 @@ class TestChannelProfile:
         lam = np.array([0.3, 0.9])
         prof = channel_profile(sd, lam, np.array([1.0, 1.0]), horizon=1.0)
         assert prof.rates.tolist() == [0.0]
+
+    def test_profile_keeps_the_nonzero_group_coefficients(self):
+        rng = np.random.default_rng(3)
+        sd = spectral_decompose(build_laplacian(random_connected_graph(rng, 6)))
+        for lam in (np.full(6, 0.7), rng.uniform(0, 1, 6)):
+            b = rng.uniform(-1, 1, 6)
+            coeffs = group_coefficients(sd, lam, b)
+            assert coeffs.shape == sd.group_rates.shape
+            tol = 1e-10 * max(1.0, np.linalg.norm(lam) * np.linalg.norm(b))
+            assert not np.any((0.0 < np.abs(coeffs)) & (np.abs(coeffs) <= tol))
+            prof = channel_profile(sd, lam, b, horizon=1.0)
+            keep = coeffs != 0.0
+            assert np.array_equal(prof.rates, sd.group_rates[keep])
+            assert np.array_equal(prof.coeffs, coeffs[keep])
+            assert prof.dropped == np.count_nonzero(~keep)
 
     def test_rates_and_coeffs_are_read_only_arrays(self):
         sd = spectral_decompose(build_laplacian(K2))
@@ -200,6 +216,20 @@ class TestIntegrateH:
                 edges = np.linspace(0.0, T, g + 1)
                 loop = np.array([integrate_h(prof, edges[c], edges[c + 1]) for c in range(g)])
                 assert np.array_equal(integrate_h(prof, edges[:-1], edges[1:]), loop)
+
+
+    def test_modes_added_left_to_right_from_zero(self):
+        rng = np.random.default_rng(9)
+        sd = spectral_decompose(build_laplacian(random_connected_graph(rng, 7)))
+        prof = channel_profile(sd, rng.uniform(0, 1, 7), rng.uniform(-1, 1, 7), horizon=2.0)
+        for a, b in rng.uniform(0.0, 2.0, (50, 2)):
+            total = 0.0
+            for rate, d in zip(prof.rates.tolist(), prof.coeffs.tolist()):
+                if rate == 0.0:
+                    total += d * (b - a)
+                else:
+                    total += (d / rate) * (np.exp(rate * (b - 2.0)) - np.exp(rate * (a - 2.0)))
+            assert integrate_h(prof, a, b) == total
 
 
 class TestAdjointCheck:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import K2, P3, k2_problem
 from waveplan.bundles import seven_agent_problem
-from waveplan.graph import WeightedGraph, build_laplacian, spectral_decompose
+from waveplan.graph import WeightedGraph, build_laplacian, projected_groups, spectral_decompose
 from waveplan.problem import (
     CampaignProblem,
     Channel,
@@ -170,7 +170,7 @@ def _ranks(graph, gains):
         r=0.5,
         x0=np.zeros(graph.n),
     )
-    return [(c.controllability_rank, c.controllable) for c in check_conditions(p, sd).channels]
+    return [(c.controllability_rank, c.controllable) for c in check_conditions(p, sd)]
 
 
 class TestCheckConditions:
@@ -179,7 +179,7 @@ class TestCheckConditions:
         # branch is certified.
         p = k2_problem()
         sd = spectral_decompose(build_laplacian(K2))
-        cond = check_conditions(p, sd).channels[0]
+        cond = check_conditions(p, sd)[0]
         assert cond.controllability_rank == 2
         assert cond.controllable
         assert cond.theorem_applicable
@@ -208,9 +208,9 @@ class TestCheckConditions:
         # to the eigenvector of eigenvalue 2; the targeted channel reaches all
         # seven.
         p = seven_agent_problem()
-        report = check_conditions(p, spectral_decompose(build_laplacian(p.graph)))
-        assert [c.controllability_rank for c in report.channels] == [6, 7]
-        assert [c.controllable for c in report.channels] == [False, True]
+        rows = check_conditions(p, spectral_decompose(build_laplacian(p.graph)))
+        assert [c.controllability_rank for c in rows] == [6, 7]
+        assert [c.controllable for c in rows] == [False, True]
 
     def test_k2_power_cost_with_reach(self):
         p = CampaignProblem(
@@ -221,7 +221,7 @@ class TestCheckConditions:
             r=0.5,
             x0=np.zeros(2),
         )
-        cond = check_conditions(p, spectral_decompose(build_laplacian(K2))).channels[0]
+        cond = check_conditions(p, spectral_decompose(build_laplacian(K2)))[0]
         assert cond.total_reach == pytest.approx(2.0)
         assert cond.reach_nonzero
         assert cond.theorem_applicable
@@ -235,10 +235,30 @@ class TestCheckConditions:
             r=0.5,
             x0=np.zeros(2),
         )
-        cond = check_conditions(p, spectral_decompose(build_laplacian(K2))).channels[0]
+        cond = check_conditions(p, spectral_decompose(build_laplacian(K2)))[0]
         assert cond.total_reach == pytest.approx(0.0)
         assert not cond.reach_nonzero
         assert not cond.theorem_applicable
+
+    @pytest.mark.parametrize("excess, reaches", [(1e-11, False), (1e-9, True)])
+    def test_reach_is_the_constant_mode_projection(self, excess, reaches):
+        # b = (1, -1 + excess) sums to excess. Both excesses clear the old
+        # rule |sum b| > 1e-12 * sum |b|; only the larger one projects onto
+        # the constant mode above 1e-10 * |b|, and that projection decides.
+        b = np.array([1.0, -1.0 + excess])
+        p = CampaignProblem(
+            graph=K2,
+            channels=(_channel(b, kind="power", a=0.5),),
+            objective=Objective(kind="linear", p=np.array([1.0, 0.0])),
+            T=1.0,
+            r=0.5,
+            x0=np.zeros(2),
+        )
+        sd = spectral_decompose(build_laplacian(K2))
+        cond = check_conditions(p, sd)[0]
+        assert cond.reach_nonzero == bool(projected_groups(sd, b)[0]) == reaches
+        assert cond.theorem_applicable == reaches
+        assert cond.total_reach == float(np.sum(b))
 
     def test_flags_deterministic(self):
         p = k2_problem()
@@ -308,6 +328,27 @@ class TestProblemJson:
             target = target[key]
         target[path[-1]] = value
         with pytest.raises(ValidationError, match="malformed problem"):
+            problem_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("T",), True, "T"),
+            (("r",), True, "r"),
+            (("channels", 0, "u_max"), True, r"channels\[0\]\.u_max"),
+            (("channels", 0, "b", 1), True, r"channels\[0\]\.b\[1\]"),
+            (("objective", "p", 0), False, r"objective\.p\[0\]"),
+            (("graph", "edges", 0, 0), True, r"graph\.edges\[0\]\[0\]"),
+        ],
+    )
+    def test_boolean_raises_naming_the_field(self, path, value, field):
+        # JSON true and false would otherwise load as the numbers 1.0 and 0.0.
+        d = problem_to_dict(k2_problem())
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValidationError, match=rf"^malformed problem object: field {field} is a boolean"):
             problem_from_dict(d)
 
     @pytest.mark.parametrize(

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan import bounds, waterfill
+from waveplan import bounds, graph, problem, waterfill
 from waveplan.bundles import seven_agent_problem
 from waveplan.costate import channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
-from waveplan.graph import build_laplacian, spectral_decompose
+from waveplan.graph import build_laplacian, projected_groups, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
 from waveplan.waterfill import on_set, solve, spend_for_beta, threshold_profile
 
@@ -244,19 +244,76 @@ class TestCertificateChecks:
         solve(prob)
         assert len(calls) == prob.m
 
-    def test_bounds_are_the_switch_bound_report(self):
+    def test_bounds_are_the_direct_bound_calls(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             prob = random_linear_problem(rng, int(rng.integers(2, 13)))
             sol = solve(prob)
             sd = spectral_decompose(build_laplacian(prob.graph))
-            report = bounds.switch_bound_report(sd, prob.channels, prob.objective.p, sol.beta_star)
-            for cert, row in zip(sol.certificate, report.channels, strict=True):
-                assert cert.channel == row.channel
-                assert cert.bound_general == row.general
-                assert cert.bound_linear_shifted == row.linear_at_threshold
-                assert cert.bound_linear_sup == row.linear_sup
-                assert cert.threshold_shift == row.threshold_shift
+            p = prob.objective.p
+            for k, (ch, cert) in enumerate(zip(prob.channels, sol.certificate, strict=True), start=1):
+                shift = sol.beta_star * ch.max_cost_rate / ch.u_max
+                assert cert.channel == k
+                assert cert.threshold_shift == shift
+                assert cert.bound_general == bounds.bound_general(sd, ch.b)
+                shifted, sup = bounds.bound_linear(sd, p, ch.b, shift)
+                assert (cert.bound_linear_shifted, cert.bound_linear_sup) == (shifted, sup)
+
+    def test_k2_certificate_at_the_water_level(self):
+        # Coefficients (1/2, -1/2): at the level 0.316 the partial sums less
+        # the shift are (+0.184, -0.316), one variation; b = (1, 0) reaches
+        # both groups.
+        (cert,) = solve(k2_problem()).certificate
+        assert cert.threshold_shift == pytest.approx(BETA_STAR_K2)
+        assert cert.realized_switches == 1
+        assert (cert.bound_general, cert.bound_linear_shifted, cert.bound_linear_sup) == (1, 1, 1)
+
+    @staticmethod
+    def _zero_reach_k2(excess):
+        """K2 with p = (1, 0) and b = (1, -1 + excess): h rises to 1 at T, so a binding level switches once."""
+        return CampaignProblem(
+            graph=K2,
+            channels=(Channel(b=np.array([1.0, -1.0 + excess]), cost=CostModel("linear", 1.0), u_max=1.0),),
+            objective=Objective(kind="linear", p=np.array([1.0, 0.0])),
+            T=1.0,
+            r=0.5,
+            x0=np.zeros(2),
+        )
+
+    def test_support_bound_skipped_without_the_constant_mode(self):
+        # Total reach 1e-11 clears the old rule |sum b| > 1e-12 * sum |b|, but
+        # b's constant-mode projection is below 1e-10 * |b|: b reaches one
+        # group, so the support bound 0 does not apply to its one switch.
+        prob = self._zero_reach_k2(1e-11)
+        sd = spectral_decompose(build_laplacian(K2))
+        assert not projected_groups(sd, prob.channels[0].b)[0]
+        (cert,) = solve(prob).certificate
+        assert (cert.realized_switches, cert.bound_general) == (1, 0)
+
+    def test_support_bound_raise_follows_the_reach_decision(self, monkeypatch):
+        # The same channel read as reaching the constant mode (and one other
+        # group) is held to its support bound 0.
+        monkeypatch.setattr(problem, "projected_groups", lambda sd, x: np.array([True, False]))
+        with pytest.raises(NumericalError, match="support bound 0"):
+            solve(self._zero_reach_k2(1e-11))
+
+    def test_certified_solve_decides_each_projection_once(self, monkeypatch):
+        calls = {"bound_general": 0, "projected_groups": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "bound_general", counting("bound_general", bounds.bound_general))
+        groups = counting("projected_groups", graph.projected_groups)
+        for module in (bounds, problem):
+            monkeypatch.setattr(module, "projected_groups", groups)
+        prob = seven_agent_problem()
+        solve(prob)
+        assert calls == {"bound_general": 0, "projected_groups": prob.m}
 
 
 def _random_problem(rng, n, m):
