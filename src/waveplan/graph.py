@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+# Most agents a graph may have: the dense n x n float64 Laplacian is then 2 GiB.
+MAX_AGENTS = 16384
+
 
 def _as_readonly(arr) -> np.ndarray:
     """A read-only float64 copy of arr, as the frozen value types keep their arrays."""
@@ -25,11 +28,28 @@ class _Disconnected(ValidationError):
     """Raised for a graph with a node that node 1 cannot reach."""
 
 
+def _reject_booleans(value, obj: str, field: str = "") -> None:
+    """Raise for a JSON boolean anywhere in value: no field of a problem or graph object is one."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"malformed {obj} object: field {field} is a boolean, not a number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, obj, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _reject_booleans(item, obj, f"{field}[{i}]")
+
+
 def _edge_columns(edges) -> np.ndarray:
-    """The (i, j, weight) columns of numeric edge triples as a (3, E) float array."""
+    """The (i, j, weight) columns of numeric edge triples as a (3, E) float array.
+
+    A boolean, as an entry of a sequence or as a boolean array, is not a
+    number here, although numpy would read it as 0 or 1.
+    """
+    _reject_booleans(edges, "graph", "edges")
     try:
         arr = np.asarray(edges)
-        if arr.dtype.kind not in "biufO":
+        if arr.dtype.kind not in "iufO":
             raise ValueError(f"entries of dtype {arr.dtype} are not numbers")
         if arr.shape == (0,):
             arr = arr.reshape(0, 3)
@@ -54,7 +74,8 @@ def _validated_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     a = np.where(ok, i, 0.0).astype(np.intp)
     b = np.where(ok, j, 0.0).astype(np.intp)
     good = ok & (w > 0.0) & (w < np.inf)
-    key = a * (n + 1) + b  # distinct for distinct in-range pairs, 0 for every other edge
+    # Distinct for distinct in-range pairs, 0 for every other edge; n <= MAX_AGENTS keeps it in intp.
+    key = a * (n + 1) + b
     dup = np.zeros(i.size, dtype=bool)
     if not (key[1:] > key[:-1]).all():  # increasing keys, as in sorted input, cannot repeat
         order = np.argsort(key, kind="stable")
@@ -104,7 +125,10 @@ class WeightedGraph:
     most once and weight symmetry is implicit. ``edges`` is kept as a tuple
     of (int, int, float) triples, which equality and JSON read. The
     validated ends, as interleaved 0-based (i, j) pairs, and the weights are
-    also kept as read-only arrays, which ``build_laplacian`` reads.
+    also kept as read-only arrays, which ``build_laplacian`` reads. The
+    agent count n is at most ``MAX_AGENTS`` = 16384, where the dense n x n
+    float64 Laplacian takes 2 GiB; a larger n is rejected before anything
+    n-sized is allocated.
     """
 
     n: int
@@ -115,10 +139,10 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"agent count must be a positive integer, got {self.n!r}")
-        if int(self.n) * (int(self.n) + 2) > np.iinfo(np.intp).max:
-            # Edge validation keys each pair (i, j) as i * (n + 1) + j in intp.
+        if self.n > MAX_AGENTS:
             raise ValidationError(
-                f"agent count {self.n} is too large: pair keys up to n * (n + 2) overflow intp"
+                f"agent count {self.n} is too large: at most {MAX_AGENTS} agents, "
+                "whose dense float64 Laplacian takes 2 GiB"
             )
         i, j, w = _validated_edges(self.n, self.edges)
         ends = np.array((i, j)).T.ravel() - 1
@@ -191,12 +215,12 @@ def projected_groups(sd: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduceat(proj * proj, sd.group_starts)) > tol
 
 
-def _fix_signs(q: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of each column positive."""
+def _fix_signs(q: np.ndarray) -> None:
+    """Make the first nonzero component of each column positive, negating columns in place."""
     absq = np.abs(q)
     first = np.argmax(absq > 1e-12 * np.max(absq, axis=0), axis=0)
     flip = q[first, np.arange(q.shape[1])] < 0.0
-    return np.where(flip, -q, q)
+    q *= np.where(flip, -1.0, 1.0)
 
 
 def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
@@ -206,7 +230,7 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     tolerance, which marks the graph as numerically disconnected.
     """
     evals, q = np.linalg.eigh(lap)
-    q = _fix_signs(q)
+    _fix_signs(q)
     scale = max(1.0, float(evals[-1]))
     zero_tol = 1e-9 * scale
     group_tol = 1e-8 * scale

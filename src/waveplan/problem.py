@@ -11,6 +11,7 @@ from .graph import (
     SpectralDecomposition,
     WeightedGraph,
     _as_readonly,
+    _reject_booleans,
     graph_from_dict,
     graph_to_dict,
     projected_groups,
@@ -292,20 +293,8 @@ def problem_to_dict(p: CampaignProblem) -> dict:
     }
 
 
-def _reject_booleans(value, field: str) -> None:
-    """Raise for a JSON boolean anywhere in value: no field of the problem format is one."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValidationError(f"malformed problem object: field {field} is a boolean, not a number")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_booleans(item, f"{field}.{key}" if field else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _reject_booleans(item, f"{field}[{i}]")
-
-
 def problem_from_dict(d: dict) -> CampaignProblem:
-    _reject_booleans(d, "")
+    _reject_booleans(d, "problem")
     try:
         graph = graph_from_dict(d["graph"])
         channels = tuple(

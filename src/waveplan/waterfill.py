@@ -4,9 +4,16 @@ A channel runs flat out wherever its cost-normalized signal g_i(t) =
 h_i(t) * u_max_i / c_i(u_max_i) sits above the water level, and is off
 elsewhere. Total spend is monotone nonincreasing in the level. A slack
 budget short-circuits to level zero by complementary slackness. Otherwise
-one weighted sort of the gridded signals brackets the level that meets the
-budget, exact spends confirm the bracket, and safeguarded Newton steps on
-the spend, falling back to bisection, find the level.
+one weighted sort of at most ``_BRACKET_SAMPLES`` evenly strided grid samples
+brackets the level that meets the budget, exact spends confirm the bracket,
+and safeguarded Newton steps on the spend, falling back to bisection, find
+the level.
+
+A channel whose coefficients, summed in ascending-rate order, have no
+positive partial sum P_j is never on and is left off the grid. By Abel
+summation g(t) = sum_j P_j (w_j - w_{j+1}) with w_j = exp(rate_j (t - T))
+nonincreasing in j on [0, T] and w_G = 0, so such a g is <= 0 <= beta at
+every time and every level: its on-set is empty and it adds no spend.
 
 One engine serves every level probe, ``on_set`` and ``spend_for_beta``:
 the G x m matrix of cost-normalized group coefficients, one modal block
@@ -42,6 +49,8 @@ _ROOT_ULPS = 4
 SPEND_REL_TOL = 1e-9
 # Entries of one row block of the modal grid; bounds the grid's working memory.
 _GRID_BLOCK_ENTRIES = 1 << 16
+# Most grid samples the level bracket sorts; larger grids are read at a stride.
+_BRACKET_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,7 @@ def _sample_signals(
     ts = np.linspace(0.0, T, points)
     dt = T / max(1, points - 1)
     rows = max(1, min(points, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
-    offsets = np.exp(np.multiply.outer(np.arange(1 - rows, 1) * dt, rates)).T
+    offsets = np.exp(np.multiply.outer(rates, np.arange(1 - rows, 1) * dt))
     out = np.empty((coeffs.shape[1], points))
     for stop in range(points, 0, -rows):
         start = max(0, stop - rows)
@@ -249,20 +258,23 @@ class _SignalGrid:
     def level_bracket(self, costs: np.ndarray, r: float) -> tuple[float, float]:
         """Two levels on either side of where the sampled spend crosses r.
 
-        Each sample of channel k stands for c_k * dt of spend, so one sort
-        of all samples gives the sampled spend at every level. Its error is
-        about c_k * dt per crossing of channel k, so the levels sit that far
-        (plus two samples per channel) to either side of r. The bracket is a
-        guess: exact spends confirm it.
+        The samples are every stride-th grid time, the stride being the least
+        that keeps at most ``_BRACKET_SAMPLES`` of them over all channels.
+        Each stands for c_k * dt of spend, dt the strided spacing, so one
+        sort of the samples gives the sampled spend at every level. Its error
+        is about c_k * dt per crossing of channel k, so the levels sit that
+        far (plus two samples per channel) to either side of r. The bracket
+        is a guess: exact spends confirm it.
         """
-        points = self.times.size
-        dt = self.T / max(1, points - 1)
-        vals = self.values.ravel()
+        stride = -(-self.values.size // _BRACKET_SAMPLES)
+        sample = self.values[:, ::stride]
+        dt = stride * self.T / max(1, self.times.size - 1)
+        vals = sample.ravel()
         order = np.argsort(vals)[::-1]
-        sampled = np.cumsum(np.repeat(costs * dt, points)[order])
+        sampled = np.cumsum(np.repeat(costs * dt, sample.shape[1])[order])
         last = vals.size - 1
         level = vals[order[min(int(np.searchsorted(sampled, r)), last)]]
-        above = self.values > level
+        above = sample > level
         crossings = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
         slack = dt * float(costs @ (crossings + 2))
         i_lo = min(int(np.searchsorted(sampled, r + slack)) + 1, last)
@@ -349,20 +361,21 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     """The schedule half of ``solve_with_costate``, before any certificate.
 
     Returns the channel profiles, the water level, the schedule, its spend
-    and the (level, spend) trace of every level probed.
+    and the (level, spend) trace of every level probed. Only the channels
+    with a positive partial coefficient sum are sampled; the others are
+    never on (see the module docstring). With none sampled the budget is
+    slack at level 0.
     """
     T, r = problem.T, problem.r
     profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
-    grid = _SignalGrid(
-        [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)],
-        T,
-        _grid_points(problem.n),
-    )
-    costs = np.array([ch.max_cost_rate for ch in problem.channels])
+    gs = [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)]
+    live = [k for k, g in enumerate(gs) if np.any(np.cumsum(g.coeffs) > 0.0)]
+    grid = _SignalGrid([gs[k] for k in live], T, _grid_points(problem.n)) if live else None
+    costs = np.array([problem.channels[k].max_cost_rate for k in live])
     trace: list[tuple[float, float]] = []
 
     def spend_at(beta: float):
-        sets, inverse_slopes = grid.on_sets(beta)
+        sets, inverse_slopes = grid.on_sets(beta) if grid is not None else ([], np.zeros(0))
         spend = _spend(costs, sets)
         trace.append((beta, spend))
         return sets, spend, float(costs @ inverse_slopes)
@@ -372,10 +385,11 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     if spend > r:
         beta_star, sets, spend = _find_level(grid, spend_at, costs, r)
 
+    on = dict(zip(live, sets))
     schedule = BangBangSchedule(
         channels=tuple(
-            ChannelSchedule(u_max=ch.u_max, intervals=s)
-            for ch, s in zip(problem.channels, sets)
+            ChannelSchedule(u_max=ch.u_max, intervals=on.get(k, ()))
+            for k, ch in enumerate(problem.channels)
         )
     )
     return profiles, beta_star, schedule, spend, tuple(trace)

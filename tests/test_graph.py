@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import K2, P3, random_connected_graph
 from waveplan.errors import NumericalError, ValidationError
 from waveplan.graph import (
+    MAX_AGENTS,
     WeightedGraph,
     build_laplacian,
     graph_from_dict,
@@ -71,6 +72,28 @@ class TestWeightedGraph:
     def test_rejects_agent_count_whose_pair_keys_overflow(self, n):
         with pytest.raises(ValidationError, match="too large"):
             WeightedGraph(n=n, edges=((1, 2, 1.0),))
+
+    def test_rejects_agent_count_above_the_limit(self):
+        # A connected path: accepted up to the limit, rejected one node past it.
+        n = MAX_AGENTS + 1
+        edges = np.column_stack((np.arange(1, n), np.arange(2, n + 1), np.ones(n - 1)))
+        with pytest.raises(ValidationError, match=f"at most {MAX_AGENTS} agents"):
+            WeightedGraph(n=n, edges=edges)
+        assert WeightedGraph(n=n - 1, edges=edges[:-1]).n == MAX_AGENTS
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((True, 2, 1.0),), r"field edges\[0\]\[0\] is a boolean"),
+            (((1, 2, True),), r"field edges\[0\]\[2\] is a boolean"),
+            ([np.array([1.0, 2.0, 1.0]), (1, np.bool_(True), 1.0)], r"field edges\[1\]\[1\] is a boolean"),
+            (np.array([[True, True, True]]), "triples of numbers"),
+        ],
+    )
+    def test_rejects_booleans(self, edges, message):
+        # numpy reads True as 1, so each of these would be the edge (1, 2, 1.0).
+        with pytest.raises(ValidationError, match=message):
+            WeightedGraph(n=2, edges=edges)
 
     @pytest.mark.parametrize("seed, n", [(1, 2), (2, 7), (3, 15), (4, 40)])
     def test_array_input_equals_tuple_input(self, seed, n):
@@ -383,6 +406,19 @@ class TestGraphJson:
     def test_malformed(self):
         with pytest.raises(ValidationError, match="malformed graph"):
             graph_from_dict({"edges": []})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 2, "edges": [[True, 2, 1.0]]}, r"^malformed graph object: field edges\[0\]\[0\] is a boolean"),
+            ({"n": 2, "edges": [[1, 2, True]]}, r"^malformed graph object: field edges\[0\]\[2\] is a boolean"),
+            ({"n": True, "edges": []}, "^agent count must be a positive integer, got True"),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, payload, message):
+        # JSON true would otherwise load as the number 1.
+        with pytest.raises(ValidationError, match=message):
+            graph_from_dict(payload)
 
     @pytest.mark.parametrize(
         "payload, match",

@@ -1,13 +1,19 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan import bounds, graph, problem, waterfill
 from waveplan.bundles import seven_agent_problem
 from waveplan.costate import channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
-from waveplan.graph import build_laplacian, projected_groups, spectral_decompose
+from waveplan.graph import build_laplacian, projected_groups, random_geometric_graph, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
+from waveplan.sweep import default_radius
 from waveplan.waterfill import on_set, solve, spend_for_beta, threshold_profile
 
 BETA_STAR_K2 = 0.5 - 0.5 * np.exp(-1.0)
@@ -442,3 +448,215 @@ class TestSharedDecomposition:
         sd = spectral_decompose(build_laplacian(prob.graph))
         lam = prob.objective.p
         assert waterfill.solve_with_costate(prob, lam, sd=sd) == waterfill.solve_with_costate(prob, lam)
+
+
+def _schedule_every_channel_on_the_grid(problem, lam, sd):
+    """``_schedule`` with every channel sampled, never-on ones included: the reference for the skip."""
+    T, r = problem.T, problem.r
+    profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
+    grid = waterfill._SignalGrid(
+        [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)],
+        T,
+        waterfill._grid_points(problem.n),
+    )
+    costs = np.array([ch.max_cost_rate for ch in problem.channels])
+    trace = []
+
+    def spend_at(beta):
+        sets, inverse_slopes = grid.on_sets(beta)
+        spend = waterfill._spend(costs, sets)
+        trace.append((beta, spend))
+        return sets, spend, float(costs @ inverse_slopes)
+
+    sets, spend, _ = spend_at(0.0)
+    beta_star = 0.0
+    if spend > r:
+        beta_star, sets, spend = waterfill._find_level(grid, spend_at, costs, r)
+    schedule = waterfill.BangBangSchedule(
+        channels=tuple(
+            waterfill.ChannelSchedule(u_max=ch.u_max, intervals=s) for ch, s in zip(problem.channels, sets)
+        )
+    )
+    return profiles, beta_star, schedule, spend, tuple(trace)
+
+
+def _assert_same_solution(sol, ref, prob):
+    """Equal certificates and interval counts; level within 1e-8, crossings within 1e-8 T, spends within tolerance."""
+    assert sol.binding == ref.binding
+    assert sol.beta_star == pytest.approx(ref.beta_star, rel=1e-8)
+    assert sol.spend == pytest.approx(ref.spend, rel=2 * waterfill.SPEND_REL_TOL)
+    for cs, rs in zip(sol.schedule.channels, ref.schedule.channels, strict=True):
+        assert len(cs.intervals) == len(rs.intervals)
+        assert np.all(np.abs(np.ravel(cs.intervals) - np.ravel(rs.intervals)) <= 1e-8 * prob.T)
+    for cert, rc in zip(sol.certificate, ref.certificate, strict=True):
+        assert cert.threshold_shift == pytest.approx(rc.threshold_shift, rel=1e-8)
+        assert cert == dataclasses.replace(rc, threshold_shift=cert.threshold_shift)
+
+
+def _k2_channels(*gains):
+    return tuple(Channel(b=np.array(b), cost=CostModel("linear", 1.0), u_max=1.0) for b in gains)
+
+
+class TestNeverOnChannels:
+    # On K2 with p = (0, 1), b = (1, 0) has coefficients (1/2, -1/2) over
+    # rates (0, 2): partial sums (1/2, 0), so it can be on. b = (-1, -1/2)
+    # has (-3/4, 1/4), partial sums (-3/4, -1/2): g <= -1/2 everywhere.
+    # b = (0, -1) has (-1/2, -1/2), partial sums (-1/2, -1).
+    LIVE, NEVER, NEVER_TOO = (1.0, 0.0), (-1.0, -0.5), (0.0, -1.0)
+
+    @staticmethod
+    def _problem(channels, r):
+        return CampaignProblem(
+            graph=K2,
+            channels=channels,
+            objective=Objective(kind="linear", p=np.array([0.0, 1.0])),
+            T=1.0,
+            r=r,
+            x0=np.zeros(2),
+        )
+
+    @staticmethod
+    def _grid_sizes(monkeypatch):
+        sizes = []
+
+        class Recording(waterfill._SignalGrid):
+            def __init__(self, gs, T, points):
+                sizes.append(len(gs))
+                super().__init__(gs, T, points)
+
+        monkeypatch.setattr(waterfill, "_SignalGrid", Recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "gains, r, sampled",
+        [
+            ((LIVE, NEVER), 5.0, [1]),  # slack: the live channel runs all of [0, 1)
+            ((NEVER, LIVE), 0.5, [1]),  # binding at the K2 worked level
+            ((NEVER, NEVER_TOO), 0.5, []),  # nothing can be on: slack at level 0
+        ],
+    )
+    def test_equals_the_every_channel_reference(self, monkeypatch, gains, r, sampled):
+        prob = self._problem(_k2_channels(*gains), r)
+        with monkeypatch.context() as patch:
+            patch.setattr(waterfill, "_schedule", _schedule_every_channel_on_the_grid)
+            reference = solve(prob)
+        sizes = self._grid_sizes(monkeypatch)
+        sol = solve(prob)
+        assert sizes == sampled
+        if r == 0.5 and sampled:
+            # Probes differ: the reference's bracket slack also counts the never-on channel.
+            _assert_same_solution(sol, reference, prob)
+        else:
+            assert sol == reference
+        never = [k for k, b in enumerate(gains) if b != self.LIVE]
+        for k in never:
+            assert sol.schedule.channels[k].intervals == ()
+            assert sol.certificate[k].realized_switches == 0
+        if not sampled:
+            assert (sol.beta_star, sol.spend, sol.bisection_trace) == (0.0, 0.0, ((0.0, 0.0),))
+        elif r == 0.5:
+            assert sol.binding and sol.beta_star == pytest.approx(BETA_STAR_K2, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 50.0, allow_subnormal=False), min_size=1, max_size=8, unique=True),
+        st.lists(st.floats(-5.0, 0.0, allow_subnormal=False), min_size=8, max_size=8),
+        st.floats(0.1, 5.0),
+    )
+    def test_no_positive_partial_sum_means_never_above_zero(self, rates, partials, T):
+        # Abel summation: g(t) = sum_j P_j (w_j - w_{j+1}) with w_j =
+        # exp(rate_j (t - T)) nonincreasing in j and w_G = 0, so P_j <= 0
+        # for every j gives g <= 0 on [0, T], up to the rounding of the sum:
+        # about one ulp of the terms' magnitude per term.
+        from waveplan.costate import ChannelProfile
+
+        rates = np.sort(rates)
+        coeffs = np.diff(np.concatenate(([0.0], partials[: rates.size])))
+        profile = ChannelProfile(horizon=T, rates=rates, coeffs=coeffs)
+        ts = np.linspace(0.0, T, 2001)
+        terms = np.abs(coeffs) * np.exp(np.multiply.outer(ts - T, rates))
+        rounding = rates.size * np.finfo(np.float64).eps * terms.sum(axis=1)
+        assert np.all(eval_h(profile, ts) <= rounding)
+
+
+def _full_sort_level_bracket(self, costs, r):
+    """The level bracket from one sort of every grid sample: the reference for the strided one."""
+    points = self.times.size
+    dt = self.T / max(1, points - 1)
+    vals = self.values.ravel()
+    order = np.argsort(vals)[::-1]
+    sampled = np.cumsum(np.repeat(costs * dt, points)[order])
+    last = vals.size - 1
+    level = vals[order[min(int(np.searchsorted(sampled, r)), last)]]
+    above = self.values > level
+    crossings = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
+    slack = dt * float(costs @ (crossings + 2))
+    i_lo = min(int(np.searchsorted(sampled, r + slack)) + 1, last)
+    i_hi = min(int(np.searchsorted(sampled, r - slack)), last)
+    return float(vals[order[i_lo]]), float(vals[order[i_hi]])
+
+
+class TestStridedLevelBracket:
+    def test_large_grids_match_the_full_sort(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        binding = 0
+        for _ in range(6):
+            prob = random_linear_problem(rng, int(rng.integers(130, 201)), geometric=True, budget_fraction=0.15)
+            assert prob.m * waterfill._grid_points(prob.n) > waterfill._BRACKET_SAMPLES
+            with monkeypatch.context() as patch:
+                patch.setattr(waterfill._SignalGrid, "level_bracket", _full_sort_level_bracket)
+                reference = solve(prob)
+            sol = solve(prob)
+            binding += sol.binding
+            _assert_same_solution(sol, reference, prob)
+        assert binding >= 3  # the bracket runs only for a binding budget
+
+    def test_small_grids_keep_every_sample(self, monkeypatch):
+        # m * points <= _BRACKET_SAMPLES: stride 1 is the full sort, bit for bit.
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            prob = random_linear_problem(rng, int(rng.integers(2, 9)), budget_fraction=0.4)
+            assert prob.m * waterfill._grid_points(prob.n) <= waterfill._BRACKET_SAMPLES
+            with monkeypatch.context() as patch:
+                patch.setattr(waterfill._SignalGrid, "level_bracket", _full_sort_level_bracket)
+                reference = solve(prob)
+            assert solve(prob) == reference
+
+
+class TestSolveMemory:
+    def test_peak_is_the_arrays_a_solve_holds(self):
+        # n = 200, m = 8: the signals are 8 x 12800 samples. While sampling,
+        # a solve holds the n x n eigenvectors, the signals and grid times,
+        # and one modal row block. The allowance on top, two bytes per
+        # sample, covers the sample masks and small temporaries: a quarter
+        # of one more m x points float array, such as a full sort of the
+        # samples.
+        rng = np.random.default_rng(3)
+        n, m = 200, 8
+        g, _ = random_geometric_graph(n, default_radius(n), 11)
+        channels = []
+        for _ in range(m):
+            b = np.zeros(n)
+            support = rng.choice(n, size=n // 3, replace=False)
+            b[support] = rng.uniform(-1.0, 1.0, support.size)
+            channels.append(Channel(b=b, cost=CostModel("linear", 1.0), u_max=1.0))
+        prob = CampaignProblem(
+            graph=g,
+            channels=tuple(channels),
+            objective=Objective(kind="linear", p=rng.uniform(0.0, 1.0, n)),
+            T=1.0,
+            r=0.3 * m,
+            x0=np.zeros(n),
+        )
+        points = waterfill._grid_points(n)
+        held = 8 * (n * n + (m + 1) * points + waterfill._GRID_BLOCK_ENTRIES)
+        bound = held + 2 * m * points
+        solve(prob)
+        tracemalloc.start()
+        try:
+            sol = solve(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.binding
+        assert peak < bound, (peak, bound)
