@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .costate import group_coefficients
+from .costate import ChannelProfile, group_coefficients
 from .errors import ContractError
 from .graph import SpectralDecomposition, projected_groups
 
@@ -81,6 +81,14 @@ def _variation_bounds(partial: np.ndarray, shift: float, tol: float) -> tuple[in
     return int(counts[0]), int(np.max(counts[1:]))
 
 
+def _linear_bounds(coeffs: np.ndarray, shift: float) -> tuple[int, int]:
+    s = float(shift)
+    if s < 0.0:
+        raise ContractError(f"threshold shift must be nonnegative, got {s}")
+    stol = 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
+    return _variation_bounds(np.cumsum(coeffs), s, stol)
+
+
 def bound_linear(
     sd: SpectralDecomposition, p: np.ndarray, b: np.ndarray, shift: float
 ) -> tuple[int, int]:
@@ -94,12 +102,23 @@ def bound_linear(
     the variation count at the level ``shift >= 0``, and its maximum over
     all levels.
     """
-    s = float(shift)
-    if s < 0.0:
-        raise ContractError(f"threshold shift must be nonnegative, got {s}")
     coeffs = group_coefficients(sd, np.asarray(p, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    stol = 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
-    return _variation_bounds(np.cumsum(coeffs), s, stol)
+    return _linear_bounds(coeffs, shift)
+
+
+def bound_linear_profile(profile: ChannelProfile, shift: float) -> tuple[int, int]:
+    """``bound_linear`` for the costate and channel a profile was built from, read off the profile.
+
+    The profile keeps the nonzero group coefficients in rate order. A
+    dropped mode after the first only repeats a partial sum, which changes
+    no count. A dropped constant mode is put back as a 0.0 in the rate-0
+    slot: that slot carries the shift, and without it the variation
+    between -shift and d_1 - shift would be lost.
+    """
+    coeffs = profile.coeffs
+    if not (coeffs.size and profile.rates[0] == 0.0):
+        coeffs = np.concatenate(([0.0], coeffs))
+    return _linear_bounds(coeffs, shift)
 
 
 def _eval_exp_poly(rates: np.ndarray, coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:

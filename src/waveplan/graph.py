@@ -17,6 +17,14 @@ from .errors import NumericalError, ValidationError
 MAX_AGENTS = 16384
 
 
+def _check_agent_count(n: int) -> None:
+    if n > MAX_AGENTS:
+        raise ValidationError(
+            f"agent count {n} is too large: at most {MAX_AGENTS} agents, "
+            "whose dense float64 Laplacian takes 2 GiB"
+        )
+
+
 def _as_readonly(arr) -> np.ndarray:
     """A read-only float64 copy of arr, as the frozen value types keep their arrays."""
     out = np.array(arr, dtype=np.float64)
@@ -139,11 +147,7 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"agent count must be a positive integer, got {self.n!r}")
-        if self.n > MAX_AGENTS:
-            raise ValidationError(
-                f"agent count {self.n} is too large: at most {MAX_AGENTS} agents, "
-                "whose dense float64 Laplacian takes 2 GiB"
-            )
+        _check_agent_count(self.n)
         i, j, w = _validated_edges(self.n, self.edges)
         ends = np.array((i, j)).T.ravel() - 1
         if self.n > 1:
@@ -270,12 +274,15 @@ def random_geometric_graph(
     within Euclidean distance ``radius``. Disconnected draws are resampled
     with the seed incremented, up to ``max_retries`` extra attempts.
 
-    Returns the graph together with the seed that produced it.
+    Returns the graph together with the seed that produced it. The agent
+    limit ``MAX_AGENTS`` is checked before the n points and their n x n
+    distances are formed.
     """
     if n < 2:
         raise ValidationError(f"need at least 2 nodes, got {n}")
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValidationError(f"radius must be finite and positive, got {radius}")
+    _check_agent_count(n)
     for attempt in range(max_retries + 1):
         s = seed + attempt
         rng = np.random.default_rng(s)

@@ -119,9 +119,9 @@ def solve_sigmoid(
             spend=float(spend),
             objective=value,
         )
-        return (lam, draft), record
+        return draft, record
 
-    drafts = []  # (costate, schedule half) of every iterate
+    drafts = []  # schedule half of every iterate
     records: list[IterationRecord] = []
     seen: list[tuple[int, ...]] = []
     converged = no_late = False
@@ -140,9 +140,8 @@ def solve_sigmoid(
         lam = surrogate_costate(obj, rec.members)
 
     best = max(range(len(records)), key=lambda i: (records[i].objective, -i))
-    lam, draft = drafts[best]
     return SigmoidSolution(
-        solution=_certified(problem, lam, sd, *draft),
+        solution=_certified(problem, sd, *drafts[best]),
         objective=records[best].objective,
         chosen_iteration=best,
         iterations=tuple(records),

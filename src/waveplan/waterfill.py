@@ -1,13 +1,13 @@
-"""Exact linear-objective allocation by a bracketed search on the water level beta.
+"""Exact linear-objective allocation by a safeguarded search on the water level beta.
 
 A channel runs flat out wherever its cost-normalized signal g_i(t) =
 h_i(t) * u_max_i / c_i(u_max_i) sits above the water level, and is off
 elsewhere. Total spend is monotone nonincreasing in the level. A slack
 budget short-circuits to level zero by complementary slackness. Otherwise
-one weighted sort of at most ``_BRACKET_SAMPLES`` evenly strided grid samples
-brackets the level that meets the budget, exact spends confirm the bracket,
-and safeguarded Newton steps on the spend, falling back to bisection, find
-the level.
+the search probes the level where the spend of at most ``_LEVEL_SAMPLES``
+evenly strided grid samples meets the budget, read from a cost-weighted
+histogram, and then takes safeguarded Newton steps on the exact spend,
+falling back to bisection, inside [0, max sample].
 
 A channel whose coefficients, summed in ascending-rate order, have no
 positive partial sum P_j is never on and is left off the grid. By Abel
@@ -17,12 +17,17 @@ every time and every level: its on-set is empty and it adds no spend.
 
 One engine serves every level probe, ``on_set`` and ``spend_for_beta``:
 the G x m matrix of cost-normalized group coefficients, one modal block
-exp((t - T) * rate) evaluated per solve on a shared grid, and vectorized
-safeguarded Newton refinement of all crossings of all channels together.
-A sign change between two samples is always a true crossing, so a scan can
-exceed the certificate's switch bounds only through rounding, which a finer
-grid does not remove: the grid has one fixed size (``_grid_points``), is
-compared with each level once and is never refined.
+exp((t - T) * rate) evaluated per solve on a shared grid, one scan of the
+grid per level for the crossing cells of all channels, and one evaluation
+of g, g' and a curvature bound at every crossing, which certifies most
+Newton steps from the cells' secants; the rest go to vectorized
+safeguarded Newton refinement. A probe returns the spend and its slope
+from the crossing times alone: the on-intervals are built once, at the
+returned level. A sign change between two samples is always a true
+crossing, so a scan can exceed the certificate's switch bounds only
+through rounding, which a finer grid does not remove: the grid has one
+fixed size (``_grid_points``), is compared with each level once and is
+never refined.
 
 ``solve_with_costate`` builds the schedule (``_schedule``) and then its
 certificate (``_certified``); the sigmoid loop runs the first half on every
@@ -49,8 +54,10 @@ _ROOT_ULPS = 4
 SPEND_REL_TOL = 1e-9
 # Entries of one row block of the modal grid; bounds the grid's working memory.
 _GRID_BLOCK_ENTRIES = 1 << 16
-# Most grid samples the level bracket sorts; larger grids are read at a stride.
-_BRACKET_SAMPLES = 8192
+# Most grid samples the sampled level reads; larger grids are read at a stride.
+_LEVEL_SAMPLES = 8192
+# Equal bins of the histogram that gives the sampled level.
+_LEVEL_BINS = 1024
 
 
 @dataclass(frozen=True)
@@ -163,9 +170,10 @@ class _SignalGrid:
 
     ``rates`` is the union of the channels' group rates and ``coeffs`` the
     G x m matrix of their coefficients, 0 where a channel dropped a mode.
-    The samples supply signs and brackets only: ``on_sets`` compares them
-    with the level, takes each crossing's grid cell and the signs at the
-    cell ends, then refines the crossing on the closed form.
+    The samples supply signs, brackets and a first guess of the level only:
+    ``probe`` compares them with the level, takes each crossing's grid cell
+    and the signs at the cell ends, then refines the crossing on the closed
+    form.
     """
 
     def __init__(self, gs: list[ChannelProfile], T: float, points: int) -> None:
@@ -175,41 +183,85 @@ class _SignalGrid:
         for k, g in enumerate(gs):
             self.coeffs[np.searchsorted(self.rates, g.rates), k] = g.coeffs
         self.dcoeffs = self.coeffs * self.rates[:, None]  # coefficients of g'
+        # Coefficients of g, g' and the curvature bound sum_g |d_g| rate_g^2
+        # exp(rate_g (t - T)) side by side, so one product evaluates all three.
+        self.terms = np.hstack((self.coeffs, self.dcoeffs, np.abs(self.dcoeffs) * self.rates[:, None]))
         self.times, self.values = _sample_signals(self.rates, self.coeffs, self.T, points)
 
-    def on_sets(self, beta: float) -> tuple[list[tuple[tuple[float, float], ...]], np.ndarray]:
-        """Every channel's region {t : g_k(t) > beta}, and the sum of 1/|g_k'| over its crossings.
+    def probe(self, beta: float, costs: np.ndarray):
+        """The spend at level beta, |dS/dbeta| there, and every channel's on-set {g_k > beta}.
+
+        One scan finds every switch of every channel: the flips of the sample
+        mask padded with off at both ends, in channel then time order, so
+        they alternate on, off within each channel. A pad flip is the time 0
+        or T, and every other flip is a crossing, refined by ``_crossings``.
+        The on-sets come back flat, as ``(chan, starts, ends)`` with interval
+        j of channel chan[j] being [starts[j], ends[j]], and the spend is
+        sum_j costs[chan[j]] (ends[j] - starts[j]). dS/dbeta is -sum over
+        crossings of costs_k / |g_k'|.
 
         Points with g_k(t) = beta are assigned off (the boundary set has
         measure zero under the no-singular-arc conditions, and a
         deterministic tie-break keeps outputs reproducible).
         """
-        ts = self.times
-        scans, cells = [], []
-        for k, above in enumerate(self.values > beta):
-            vals = self.values[k]
-            idx = np.flatnonzero(above[:-1] != above[1:])
-            scans.append((bool(above[0]), above[idx].tolist()))
-            cells.append((ts[idx], ts[idx + 1], vals[idx], vals[idx + 1], np.full(idx.size, k)))
-        lo, hi, vlo, vhi, chan = (np.concatenate(col) for col in zip(*cells))
-        crossings, slopes = self._refine(lo, hi, vlo, vhi, chan, beta)
+        above = self.values > beta
+        points = above.shape[1]
+        flips = np.empty((above.shape[0], points + 1), dtype=bool)
+        flips[:, 0], flips[:, -1] = above[:, 0], above[:, -1]
+        np.not_equal(above[:, 1:], above[:, :-1], out=flips[:, 1:-1])
+        chan, idx = np.divmod(np.flatnonzero(flips), points + 1)
+        times = np.where(idx == 0, 0.0, self.T)
+        inner = (idx > 0) & (idx < points)
+        times[inner], slopes = self._crossings(chan[inner], idx[inner] - 1, beta)
         with np.errstate(divide="ignore"):
-            inverse = np.bincount(chan, 1.0 / np.abs(slopes), minlength=len(scans))
-        sets, pos = [], 0
-        for on_at_start, falling in scans:
-            intervals: list[tuple[float, float]] = []
-            start = 0.0 if on_at_start else None
-            for c, fall in zip(crossings[pos : pos + len(falling)].tolist(), falling):
-                if fall:
-                    intervals.append((start, c))
-                    start = None
-                else:
-                    start = c
-            if start is not None:
-                intervals.append((start, self.T))
-            pos += len(falling)
-            sets.append(tuple(iv for iv in intervals if iv[1] > iv[0]))
-        return sets, inverse
+            rate = float(costs[chan[inner]] @ (1.0 / np.abs(slopes)))
+        chan, starts, ends = chan[::2], times[::2], times[1::2]
+        return float(costs[chan] @ (ends - starts)), rate, (chan, starts, ends)
+
+    def on_sets(self, events) -> list[tuple[tuple[float, float], ...]]:
+        """Every channel's on-set as sorted disjoint intervals, from ``probe``'s flat form."""
+        chan, starts, ends = events
+        bounds = np.searchsorted(chan, np.arange(self.coeffs.shape[1] + 1)).tolist()
+        pairs = list(zip(starts.tolist(), ends.tolist()))
+        return [tuple(iv for iv in pairs[a:b] if iv[1] > iv[0]) for a, b in zip(bounds, bounds[1:])]
+
+    def _crossings(self, chan, cell, beta) -> tuple[np.ndarray, np.ndarray]:
+        """Crossings g_chan = beta inside the grid cells ``cell``, with g' at the start of each.
+
+        Each starts from the secant t0 through the grid values and takes one
+        Newton step delta = -(g(t0) - beta) / g'(t0). On the cell, |g''| is
+        at most M = sum_g |d_g| rate_g^2 exp(rate_g (t_hi - T)), t_hi the
+        cell's upper end, since every rate is nonnegative. The step is
+        accepted without a second evaluation when 4 M |delta| <= |g'(t0)|,
+        eps = M delta^2 / |g'(t0)| <= 1e-12 * T and t1 = t0 + delta lies in
+        the cell at least eps from its ends. Then a root lies within eps of
+        t1: by Taylor |g(t1) - beta| <= M delta^2 / 2, and within 2 |delta|
+        of t0 |g' - g'(t0)| <= 2 M |delta| <= |g'(t0)| / 2, so g is monotone
+        there with |g'| >= |g'(t0)| / 2 and reaches beta within
+        (M delta^2 / 2) / (|g'(t0)| / 2) = eps of t1 (eps <= |delta| / 4).
+        So, up to the rounding of g, t1 is the cell's crossing to the
+        1e-12 * T that ``_refine`` works to. Every crossing that fails the
+        test goes on in ``_refine``, which is the only refinement loop.
+        """
+        ts, T = self.times, self.T
+        lo, hi = ts[cell], ts[cell + 1]
+        vlo, vhi = self.values[chan, cell], self.values[chan, cell + 1]
+        t0 = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
+        e = np.exp(np.multiply.outer(np.concatenate((t0, hi)) - T, self.rates))
+        m, rows = self.coeffs.shape[1], np.arange(t0.size)
+        at = e @ self.terms
+        g, slopes = at[rows, chan] - beta, at[rows, m + chan]
+        curvature = at[t0.size + rows, 2 * m + chan]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -g / slopes
+            eps = curvature * step * step / np.abs(slopes)
+            t = t0 + step
+            good = (4.0 * curvature * np.abs(step) <= np.abs(slopes)) & (eps <= 1e-12 * T)
+            good &= (lo + eps <= t) & (t <= hi - eps)
+        bad = np.flatnonzero(~good)
+        if bad.size:
+            t[bad], slopes[bad] = self._refine(lo[bad], hi[bad], vlo[bad], vhi[bad], chan[bad], beta)
+        return t, slopes
 
     def _refine(self, lo, hi, vlo, vhi, chan, beta) -> tuple[np.ndarray, np.ndarray]:
         """Crossings g_chan = beta inside the cells [lo, hi], all refined together, with g' there.
@@ -255,78 +307,77 @@ class _SignalGrid:
             active = active[~done]
         return t, slopes
 
-    def level_bracket(self, costs: np.ndarray, r: float) -> tuple[float, float]:
-        """Two levels on either side of where the sampled spend crosses r.
+    def sampled_level(self, costs: np.ndarray, r: float, top: float) -> float:
+        """The level in [0, top) where the spend of the strided samples crosses r; top > every sample, top > 0.
 
         The samples are every stride-th grid time, the stride being the least
-        that keeps at most ``_BRACKET_SAMPLES`` of them over all channels.
-        Each stands for c_k * dt of spend, dt the strided spacing, so one
-        sort of the samples gives the sampled spend at every level. Its error
-        is about c_k * dt per crossing of channel k, so the levels sit that
-        far (plus two samples per channel) to either side of r. The bracket
-        is a guess: exact spends confirm it.
+        that keeps at most ``_LEVEL_SAMPLES`` of them over all channels. Each
+        stands for c_k * dt of spend, dt the strided spacing. A histogram of
+        ``_LEVEL_BINS`` equal bins on [0, top) weighted by those spends gives
+        the sampled spend at every bin edge, hence the bin where it crosses r.
+        Only that bin's samples are sorted: the level is the one at which
+        their running spend, added to the spend above the bin, reaches r. It
+        is a first guess, which the search checks with an exact spend.
+        Returns 0.0 when even level 0 samples below r.
         """
-        stride = -(-self.values.size // _BRACKET_SAMPLES)
+        stride = -(-self.values.size // _LEVEL_SAMPLES)
         sample = self.values[:, ::stride]
         dt = stride * self.T / max(1, self.times.size - 1)
-        vals = sample.ravel()
+        # Bin b >= 1 holds [(b - 1) w, b w) with w = top / bins, and bin 0 every negative sample.
+        scaled = sample * (_LEVEL_BINS / top)
+        scaled += 1.0
+        bins = np.maximum(scaled, 0.0, out=scaled).astype(np.intp).ravel()
+        weights = np.repeat(costs * dt, sample.shape[1])
+        hist = np.bincount(bins, weights, minlength=_LEVEL_BINS + 1)
+        above = np.cumsum(hist[:0:-1])  # sampled spend at each bin's lower edge, top bin first
+        i = int(np.searchsorted(above, r))
+        if i == above.size:
+            return 0.0
+        inside = bins == _LEVEL_BINS - i
+        vals = sample.ravel()[inside]
         order = np.argsort(vals)[::-1]
-        sampled = np.cumsum(np.repeat(costs * dt, sample.shape[1])[order])
-        last = vals.size - 1
-        level = vals[order[min(int(np.searchsorted(sampled, r)), last)]]
-        above = sample > level
-        crossings = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
-        slack = dt * float(costs @ (crossings + 2))
-        i_lo = min(int(np.searchsorted(sampled, r + slack)) + 1, last)
-        i_hi = min(int(np.searchsorted(sampled, r - slack)), last)
-        return float(vals[order[i_lo]]), float(vals[order[i_hi]])
+        spent = (above[i - 1] if i else 0.0) + np.cumsum(weights[inside][order])
+        return float(vals[order[min(int(np.searchsorted(spent, r)), vals.size - 1)]])
 
 
-def _find_level(grid: _SignalGrid, spend_at, costs: np.ndarray, r: float):
-    """The level whose exact spend meets a binding budget r, with its on-sets and spend.
+def _find_level(grid: _SignalGrid, probe, costs: np.ndarray, r: float):
+    """The level whose exact spend meets a binding budget r, with its on-sets in flat form.
 
-    The search keeps a bracket lo < beta* < hi with spend(lo) > r >
-    spend(hi), starting from [0, max sample]. It first probes the two
-    levels of the grid's bracket, then takes Newton steps from the probe
-    closest to r, with dS/dbeta = -sum_k c_k sum_crossings 1/|g_k'|. A step
-    that leaves the bracket, or follows a probe that did not halve
-    |spend - r|, becomes a bisection step. ``spend_at(beta)`` returns the
-    on-sets, the exact spend and |dS/dbeta| there.
+    The search keeps a bracket lo < beta* < hi with spend(lo) > r >=
+    spend(hi), starting from [0, max sample]. It first probes the grid's
+    sampled level, then takes Newton steps from the probe closest to r, with
+    dS/dbeta = -sum_k c_k sum_crossings 1/|g_k'|. A step that leaves the
+    bracket, or follows a probe that did not halve |spend - r|, becomes a
+    bisection step. ``probe(beta)`` returns the exact spend, |dS/dbeta| and
+    the on-sets there.
     """
     lo = 0.0
     # spend(0) > r > 0 only if some sample lies above level 0, so hi > 0.
     hi = float(np.max(grid.values))
     hi += 1e-9 * max(1.0, abs(hi))
     tol = SPEND_REL_TOL * r
-    probes = list(grid.level_bracket(costs, r))
+    beta = grid.sampled_level(costs, r, hi)
     best = None  # (|spend - r|, beta, spend, |dS/dbeta|) of the probe closest to r
-    stalled = False
     spend = float("nan")
     for _ in range(BISECTION_MAX_ITERS):
-        probing = bool(probes)
-        if probing:
-            beta = probes.pop()
-            if not lo < beta < hi:
-                continue
-        else:
+        if not lo < beta < hi:
             beta = 0.5 * (lo + hi)
-            if best is not None and not stalled and best[3] > 0.0:
-                step = best[1] + (best[2] - r) / best[3]
-                if lo < step < hi:
-                    beta = step
             if not lo < beta < hi:
                 break
-        sets, spend, rate = spend_at(beta)
+        spend, rate, events = probe(beta)
         gap = abs(spend - r)
         if gap <= tol:
-            return beta, sets, spend
+            return beta, events
         if spend > r:
             lo = beta
         else:
             hi = beta
-        stalled = not probing and best is not None and gap > 0.5 * best[0]
+        stalled = best is not None and gap > 0.5 * best[0]
         if best is None or gap < best[0]:
             best = (gap, beta, spend, rate)
+        beta = 0.5 * (lo + hi)
+        if not stalled and best[3] > 0.0:
+            beta = best[1] + (best[2] - r) / best[3]
     raise NumericalError(
         "water-level bisection did not converge: bracket "
         f"[{lo:.17g}, {hi:.17g}], spend at last iterate {spend:.17g}, budget {r:.17g}; "
@@ -342,8 +393,8 @@ def on_set(g: ChannelProfile, beta: float, T: float) -> tuple[tuple[float, float
     """
     if beta < 0.0:
         raise ContractError(f"water level must be nonnegative, got {beta}")
-    sets, _ = _SignalGrid([g], T, _grid_points(0)).on_sets(beta)
-    return sets[0]
+    grid = _SignalGrid([g], T, _grid_points(0))
+    return grid.on_sets(grid.probe(beta, np.ones(1))[2])[0]
 
 
 def _spend(costs, sets) -> float:
@@ -353,8 +404,8 @@ def _spend(costs, sets) -> float:
 def spend_for_beta(problem: CampaignProblem, profiles: list[ChannelProfile], beta: float) -> float:
     """Total budget burned at water level beta: sum of c_i(u_max_i) times on-time."""
     gs = [threshold_profile(profile, ch) for profile, ch in zip(profiles, problem.channels)]
-    sets, _ = _SignalGrid(gs, problem.T, _grid_points(problem.n)).on_sets(beta)
-    return _spend([ch.max_cost_rate for ch in problem.channels], sets)
+    costs = np.array([ch.max_cost_rate for ch in problem.channels])
+    return _SignalGrid(gs, problem.T, _grid_points(problem.n)).probe(beta, costs)[0]
 
 
 def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecomposition):
@@ -364,26 +415,30 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     and the (level, spend) trace of every level probed. Only the channels
     with a positive partial coefficient sum are sampled; the others are
     never on (see the module docstring). With none sampled the budget is
-    slack at level 0.
+    slack at level 0. The on-sets are built once, at the returned level,
+    and the returned spend is summed from them.
     """
     T, r = problem.T, problem.r
     profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
     gs = [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)]
     live = [k for k, g in enumerate(gs) if np.any(np.cumsum(g.coeffs) > 0.0)]
-    grid = _SignalGrid([gs[k] for k in live], T, _grid_points(problem.n)) if live else None
     costs = np.array([problem.channels[k].max_cost_rate for k in live])
     trace: list[tuple[float, float]] = []
+    beta_star, sets = 0.0, []
+    if not live:
+        trace.append((0.0, 0.0))
+    else:
+        grid = _SignalGrid([gs[k] for k in live], T, _grid_points(problem.n))
 
-    def spend_at(beta: float):
-        sets, inverse_slopes = grid.on_sets(beta) if grid is not None else ([], np.zeros(0))
-        spend = _spend(costs, sets)
-        trace.append((beta, spend))
-        return sets, spend, float(costs @ inverse_slopes)
+        def probe(beta: float):
+            out = grid.probe(beta, costs)
+            trace.append((beta, out[0]))
+            return out
 
-    sets, spend, _ = spend_at(0.0)
-    beta_star = 0.0
-    if spend > r:
-        beta_star, sets, spend = _find_level(grid, spend_at, costs, r)
+        spend, _, events = probe(0.0)
+        if spend > r:
+            beta_star, events = _find_level(grid, probe, costs, r)
+        sets = grid.on_sets(events)
 
     on = dict(zip(live, sets))
     schedule = BangBangSchedule(
@@ -392,24 +447,26 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
             for k, ch in enumerate(problem.channels)
         )
     )
-    return profiles, beta_star, schedule, spend, tuple(trace)
+    return profiles, beta_star, schedule, _spend(costs, sets), tuple(trace)
 
 
-def _certified(problem, lam, sd, profiles, beta_star, schedule, spend, trace) -> WaterfillSolution:
+def _certified(problem, sd, profiles, beta_star, schedule, spend, trace) -> WaterfillSolution:
     """The certificate half of ``solve_with_costate``: gain, conditions and switch bounds.
 
     One pass per channel over its conditions row and realized switches: the
-    support bound is the conditions' rank less one, and one ``bound_linear``
-    call at the channel's threshold shift gives both variation bounds.
+    support bound is the conditions' rank less one, and the channel's profile
+    gives both variation bounds at its threshold shift
+    (``bound_linear_profile``), so no coefficient is computed twice.
     Raises NumericalError when a channel switches more often than a bound
     that applies to it allows.
     """
     gain = closed_form_gain(profiles, schedule)
     certificate = []
-    rows = zip(problem.channels, check_conditions(problem, sd), schedule.switch_counts(problem.T))
-    for ch, cond, realized in rows:
+    conditions = check_conditions(problem, sd)
+    switches = schedule.switch_counts(problem.T)
+    for ch, profile, cond, realized in zip(problem.channels, profiles, conditions, switches):
         shift = beta_star * ch.max_cost_rate / ch.u_max
-        shifted, sup = bounds.bound_linear(sd, lam, ch.b, shift)
+        shifted, sup = bounds.bound_linear_profile(profile, shift)
         general = max(0, cond.controllability_rank - 1)
         certificate.append(
             ChannelCertificate(
@@ -465,7 +522,7 @@ def solve_with_costate(
         raise ContractError(f"costate has shape {lam.shape}, expected ({problem.n},)")
     if sd is None:
         sd = spectral_decompose(build_laplacian(problem.graph))
-    return _certified(problem, lam, sd, *_schedule(problem, lam, sd))
+    return _certified(problem, sd, *_schedule(problem, lam, sd))
 
 
 def solve(problem: CampaignProblem) -> WaterfillSolution:

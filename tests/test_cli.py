@@ -158,7 +158,7 @@ class TestBoundsCommandWork:
     def _count(monkeypatch):
         from waveplan import bounds, cli, graph, waterfill
 
-        calls = {"spectral_decompose": 0, "bound_linear": 0}
+        calls = {"spectral_decompose": 0, "bound_linear": 0, "bound_linear_profile": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -173,12 +173,13 @@ class TestBoundsCommandWork:
         linear = counting("bound_linear", bounds.bound_linear)
         for module in (bounds, cli):
             monkeypatch.setattr(module, "bound_linear", linear)
+        monkeypatch.setattr(bounds, "bound_linear_profile", counting("bound_linear_profile", bounds.bound_linear_profile))
         return calls
 
     def test_linear_problem_reuses_the_solve_certificate(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 2}
+        assert calls == {"spectral_decompose": 1, "bound_linear": 0, "bound_linear_profile": 2}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         summary_dir = tmp_path / "solve"
         assert main(["solve", str(SEVEN), "--out", str(summary_dir)]) == 0
@@ -192,7 +193,7 @@ class TestBoundsCommandWork:
     def test_sigmoid_problem_has_no_level(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN_SIGMOID), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 2}
+        assert calls == {"spectral_decompose": 1, "bound_linear": 2, "bound_linear_profile": 0}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         assert payload["beta_star"] is None
         for row in payload["channels"]:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ class TestWeightedGraph:
         with pytest.raises(ValidationError, match=f"at most {MAX_AGENTS} agents"):
             WeightedGraph(n=n, edges=edges)
         assert WeightedGraph(n=n - 1, edges=edges[:-1]).n == MAX_AGENTS
+
+    def test_geometric_graph_checks_the_limit_before_placing_points(self):
+        # Past the limit the n points and n x n distances would be formed
+        # first: about 6.4 GB at n = 16385.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"at most {MAX_AGENTS} agents"):
+                random_geometric_graph(MAX_AGENTS + 1, 0.1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "edges, message",

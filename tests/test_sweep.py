@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from waveplan import sweep
 from waveplan.errors import ValidationError
+from waveplan.graph import MAX_AGENTS
 from waveplan.sweep import run_sweep, sweep_instance
 
 
@@ -30,3 +33,14 @@ def test_repeated_sizes_are_swept_once():
     assert [(r.n, r.instance) for r in rows] == [(12, 0), (12, 1), (10, 0), (10, 1)]
     assert [(a.n, a.instances) for a in aggregates] == [(12, 2), (10, 2)]
     assert (rows, aggregates) == run_sweep([12, 10], 2, 1)
+
+
+def test_rejects_too_many_agents_before_drawing_the_graph():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"at most {MAX_AGENTS} agents"):
+            sweep_instance(MAX_AGENTS + 1, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

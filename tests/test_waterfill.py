@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan import bounds, graph, problem, waterfill
-from waveplan.bundles import seven_agent_problem
+from waveplan import bounds, costate, graph, problem, sigmoid, waterfill
+from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.costate import channel_profile, eval_h
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, projected_groups, random_geometric_graph, spectral_decompose
@@ -233,29 +235,38 @@ class TestCertificateChecks:
     def test_switches_above_variation_bound_raise(self, monkeypatch):
         # The K2 schedule switches once; a bound of 0 must be reported, not
         # passed over.
-        monkeypatch.setattr(bounds, "bound_linear", lambda *args: (0, 0))
+        monkeypatch.setattr(bounds, "bound_linear_profile", lambda *args: (0, 0))
         with pytest.raises(NumericalError, match="variation bound"):
             solve(k2_problem())
 
-    def test_one_bound_linear_call_per_channel(self, monkeypatch):
+    def test_group_coefficients_run_once_per_channel(self, monkeypatch):
         calls = []
-        original = bounds.bound_linear
+        original = costate.group_coefficients
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(bounds, "bound_linear", counting)
+        for module in (costate, bounds):
+            monkeypatch.setattr(module, "group_coefficients", counting)
         prob = seven_agent_problem()
         solve(prob)
         assert len(calls) == prob.m
 
     def test_bounds_are_the_direct_bound_calls(self):
+        # The certificate reads the profile's modes; bound_linear recomputes
+        # every group coefficient. A zero-reach channel (sum b = 0) has no
+        # constant mode, whose slot still carries the shift.
         rng = np.random.default_rng(31)
-        for _ in range(20):
+        zero_reach = 0
+        for _ in range(200):
             prob = random_linear_problem(rng, int(rng.integers(2, 13)))
+            b = prob.channels[0].b - np.mean(prob.channels[0].b)
+            centered = dataclasses.replace(prob.channels[0], b=b)
+            prob = dataclasses.replace(prob, channels=prob.channels + (centered,), r=1.5 * prob.r)
             sol = solve(prob)
             sd = spectral_decompose(build_laplacian(prob.graph))
+            zero_reach += not projected_groups(sd, b)[0]
             p = prob.objective.p
             for k, (ch, cert) in enumerate(zip(prob.channels, sol.certificate, strict=True), start=1):
                 shift = sol.beta_star * ch.max_cost_rate / ch.u_max
@@ -264,6 +275,7 @@ class TestCertificateChecks:
                 assert cert.bound_general == bounds.bound_general(sd, ch.b)
                 shifted, sup = bounds.bound_linear(sd, p, ch.b, shift)
                 assert (cert.bound_linear_shifted, cert.bound_linear_sup) == (shifted, sup)
+        assert zero_reach == 200
 
     def test_k2_certificate_at_the_water_level(self):
         # Coefficients (1/2, -1/2): at the level 0.316 the partial sums less
@@ -374,9 +386,9 @@ class TestEngineAgainstScalarSignals:
                 assert beta == 0.0 and spend <= r
 
 
-def _bisecting_refine(self, lo, hi, vlo, vhi, chan, beta):
-    """Crossing refinement without the exact-root stop: the reference for the stop."""
-    tol = 1e-12 * self.T
+def _bisecting_refine(self, lo, hi, vlo, vhi, chan, beta, rel_tol=1e-12):
+    """Crossing refinement without the exact-root stop, to rel_tol * T: the reference for the stop."""
+    tol = rel_tol * self.T
     above_lo = vlo > beta
     t = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
     slopes = np.zeros_like(t)
@@ -428,18 +440,179 @@ class TestExactRootCrossing:
         # Without the stop the first pass rejects the Newton step and bisects away.
         assert _bisecting_refine(grid, *cell(), chan, beta)[0][0] == 0.3125
 
-    def test_crossings_match_the_bisecting_reference(self, monkeypatch):
+    def test_crossings_match_the_bisecting_reference(self):
         rng = np.random.default_rng(2024)
         for _ in range(30):
             prob = _random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4)))
-            with monkeypatch.context() as patch:
-                patch.setattr(waterfill._SignalGrid, "_refine", _bisecting_refine)
-                reference = solve(prob)
             sol = solve(prob)
-            for cs, ref in zip(sol.schedule.channels, reference.schedule.channels):
-                assert len(cs.intervals) == len(ref.intervals)
-                ends, ref_ends = np.ravel(cs.intervals), np.ravel(ref.intervals)
-                assert np.all(np.abs(ends - ref_ends) <= 1e-12 * prob.T)
+            grid, live, _ = _live_grid(prob)
+            if not live:
+                continue
+            reference = _reference_crossings(grid, sol.beta_star)
+            for k, ref in zip(live, reference):
+                ends = [t for iv in sol.schedule.channels[k].intervals for t in iv if 0.0 < t < prob.T]
+                assert len(ends) == len(ref)
+                assert np.all(np.abs(np.array(ends) - ref) <= 1e-12 * prob.T)
+
+    def test_accepted_newton_steps_bracket_a_root(self, monkeypatch):
+        # A step the curvature test accepts lies within 1e-12 T of a root:
+        # g - beta changes sign (or vanishes) across that distance. The
+        # refinement is replaced by NaN, so only accepted steps are checked.
+        monkeypatch.setattr(
+            waterfill._SignalGrid, "_refine", lambda self, lo, *args: (np.full(lo.size, np.nan),) * 2
+        )
+        rng = np.random.default_rng(7)
+        accepted = 0
+        for _ in range(30):
+            prob = _random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4)))
+            grid, live, _ = _live_grid(prob)
+            if not live:
+                continue
+            for beta in (0.0, float(np.median(grid.values)), float(np.percentile(grid.values, 90))):
+                above = grid.values > beta
+                chan, cell = np.nonzero(above[:, 1:] != above[:, :-1])
+                t, _ = grid._crossings(chan, cell, beta)
+                ok = ~np.isnan(t)
+                chan, cell, t = chan[ok], cell[ok], t[ok]
+                assert np.all((grid.times[cell] <= t) & (t <= grid.times[cell + 1]))
+                tol = 1e-12 * prob.T
+                left = _signal(grid, chan, t - tol) - beta
+                right = _signal(grid, chan, t + tol) - beta
+                assert np.all(left * right <= 0.0)
+                accepted += t.size
+        assert accepted > 0
+
+
+def _signal(grid, chan, t):
+    return np.einsum("cg,gc->c", np.exp(np.multiply.outer(t - grid.T, grid.rates)), grid.coeffs[:, chan])
+
+
+def _live_grid(prob):
+    """The grid ``_schedule`` samples: the live channels' signals, with their indices and costs.
+
+    The grid is None when no channel is live.
+    """
+    sd = spectral_decompose(build_laplacian(prob.graph))
+    gs = [threshold_profile(channel_profile(sd, prob.objective.p, ch.b, prob.T), ch) for ch in prob.channels]
+    live = [k for k, g in enumerate(gs) if np.any(np.cumsum(g.coeffs) > 0.0)]
+    grid = waterfill._SignalGrid([gs[k] for k in live], prob.T, waterfill._grid_points(prob.n)) if live else None
+    return grid, live, np.array([prob.channels[k].max_cost_rate for k in live])
+
+
+def _reference_crossings(grid, beta):
+    """Each channel's crossings at beta from the scan and the bisecting refinement of every cell.
+
+    The refinement runs to 1e-15 T, so the reference's own error is well
+    below the 1e-12 T that the solver's crossings are held to.
+    """
+    out = []
+    for k, vals in enumerate(grid.values):
+        above = vals > beta
+        cell = np.flatnonzero(above[1:] != above[:-1])
+        lo, hi = grid.times[cell], grid.times[cell + 1]
+        t, _ = _bisecting_refine(grid, lo, hi, vals[cell], vals[cell + 1], np.full(cell.size, k), beta, 1e-15)
+        out.append(t)
+    return out
+
+
+@st.composite
+def whole_problems(draw):
+    """Linear-objective problems: n 2-40, m 1-8, T 0.05-20, binding and slack budgets, linear and power costs."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    T = draw(st.floats(0.05, 20.0))
+    budget = draw(st.floats(0.05, 1.5))  # of the saturation spend; above 1 the budget is slack
+    power = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = []
+    for _ in range(m):
+        b = np.zeros(n)
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        b[support] = rng.uniform(-1.0, 1.0, support.size)
+        a = float(rng.uniform(0.3, 1.0)) if power else 1.0
+        cost = CostModel("power" if power else "linear", float(rng.uniform(0.5, 2.0)), a)
+        channels.append(Channel(b=b, cost=cost, u_max=float(rng.uniform(0.5, 2.0))))
+    saturation = sum(ch.max_cost_rate for ch in channels) * T
+    return CampaignProblem(
+        graph=random_connected_graph(rng, n),
+        channels=tuple(channels),
+        objective=Objective(kind="linear", p=rng.uniform(0.0, 1.0, n)),
+        T=T,
+        r=budget * saturation,
+        x0=np.zeros(n),
+    )
+
+
+def _root_spread(grid, k, t, beta):
+    """How far apart two roots of g_k = beta at t can lie when each is a root to rounding.
+
+    Where |g - beta| is within the root stop's few ulp of the magnitudes g
+    is made of, t is a root to rounding; so two such roots can differ by
+    twice that rounding over |g'|. It is far below 1e-12 T unless g is
+    nearly flat at the level.
+    """
+    e = np.exp(np.multiply.outer(t - grid.T, grid.rates))
+    magnitude = e @ np.abs(grid.coeffs[:, k]) + abs(beta)
+    rounding = waterfill._ROOT_ULPS * np.finfo(np.float64).eps * magnitude
+    with np.errstate(divide="ignore"):
+        return 2.0 * rounding / np.abs(e @ grid.dcoeffs[:, k])
+
+
+def _interior_crossings(grid, beta, events):
+    """Each channel's crossing times from a probe's flat on-sets, without the ends 0 and T."""
+    chan, starts, ends = events
+    out = []
+    for k, vals in enumerate(grid.values):
+        times = np.column_stack((starts[chan == k], ends[chan == k])).ravel()
+        out.append(times[int(vals[0] > beta) : times.size - int(vals[-1] > beta)])
+    return out
+
+
+class TestProbe:
+    @settings(max_examples=40, deadline=None)
+    @given(whole_problems())
+    def test_spend_crossings_and_budget(self, prob):
+        probes = []
+        original = waterfill._SignalGrid.probe
+
+        def recording(grid, beta, costs):
+            out = original(grid, beta, costs)
+            probes.append((grid, beta, costs, out))
+            return out
+
+        with mock.patch.object(waterfill._SignalGrid, "probe", recording):
+            try:
+                sol = solve(prob)
+            except NumericalError as err:
+                # The long-horizon failure: no float level meets r, so the
+                # bracket shrank to adjacent floats.
+                lo, hi = map(float, re.search(r"bracket \[(\S+), (\S+)\]", str(err)).groups())
+                assert hi <= np.nextafter(lo, np.inf)
+                sol = None
+        for grid, beta, costs, (spend, _, events) in probes:
+            assert spend == pytest.approx(waterfill._spend(costs, grid.on_sets(events)), rel=1e-12, abs=0.0)
+            reference = _reference_crossings(grid, beta)
+            crossings = _interior_crossings(grid, beta, events)
+            for k, (times, ref) in enumerate(zip(crossings, reference, strict=True)):
+                assert times.size == ref.size
+                assert np.all(np.abs(times - ref) <= 1e-12 * prob.T + _root_spread(grid, k, ref, beta))
+        if sol is not None and sol.binding:
+            assert abs(sol.spend - prob.r) <= waterfill.SPEND_REL_TOL * prob.r
+        elif sol is not None:
+            assert sol.beta_star == 0.0 and sol.spend <= prob.r
+
+    def test_bundle_solves_take_at_most_four_probes(self, monkeypatch):
+        traces = []
+
+        def recording(*args):
+            draft = waterfill._schedule(*args)
+            traces.append(draft[4])
+            return draft
+
+        assert len(solve(seven_agent_problem()).bisection_trace) <= 4
+        monkeypatch.setattr(sigmoid, "_schedule", recording)
+        sigmoid.solve_sigmoid(seven_agent_sigmoid_problem())
+        assert len(traces) == 2
+        assert all(len(trace) <= 4 and trace[-1][0] > 0.0 for trace in traces)
 
 
 class TestSharedDecomposition:
@@ -462,22 +635,22 @@ def _schedule_every_channel_on_the_grid(problem, lam, sd):
     costs = np.array([ch.max_cost_rate for ch in problem.channels])
     trace = []
 
-    def spend_at(beta):
-        sets, inverse_slopes = grid.on_sets(beta)
-        spend = waterfill._spend(costs, sets)
-        trace.append((beta, spend))
-        return sets, spend, float(costs @ inverse_slopes)
+    def probe(beta):
+        out = grid.probe(beta, costs)
+        trace.append((beta, out[0]))
+        return out
 
-    sets, spend, _ = spend_at(0.0)
+    spend, _, events = probe(0.0)
     beta_star = 0.0
     if spend > r:
-        beta_star, sets, spend = waterfill._find_level(grid, spend_at, costs, r)
+        beta_star, events = waterfill._find_level(grid, probe, costs, r)
+    sets = grid.on_sets(events)
     schedule = waterfill.BangBangSchedule(
         channels=tuple(
             waterfill.ChannelSchedule(u_max=ch.u_max, intervals=s) for ch, s in zip(problem.channels, sets)
         )
     )
-    return profiles, beta_star, schedule, spend, tuple(trace)
+    return profiles, beta_star, schedule, waterfill._spend(costs, sets), tuple(trace)
 
 
 def _assert_same_solution(sol, ref, prob):
@@ -543,11 +716,10 @@ class TestNeverOnChannels:
         sizes = self._grid_sizes(monkeypatch)
         sol = solve(prob)
         assert sizes == sampled
-        if r == 0.5 and sampled:
-            # Probes differ: the reference's bracket slack also counts the never-on channel.
-            _assert_same_solution(sol, reference, prob)
-        else:
-            assert sol == reference
+        # A never-on channel's samples are <= 0, so they leave the sampled
+        # level alone, and its empty on-set leaves every probe's spend and
+        # slope alone: the probes and the solution are the reference's.
+        assert sol == reference
         never = [k for k, b in enumerate(gains) if b != self.LIVE]
         for k in never:
             assert sol.schedule.channels[k].intervals == ()
@@ -579,48 +751,82 @@ class TestNeverOnChannels:
         assert np.all(eval_h(profile, ts) <= rounding)
 
 
-def _full_sort_level_bracket(self, costs, r):
-    """The level bracket from one sort of every grid sample: the reference for the strided one."""
-    points = self.times.size
-    dt = self.T / max(1, points - 1)
-    vals = self.values.ravel()
+def _full_sort_sampled_level(self, costs, r, top):
+    """The sampled level from one sort of every grid sample: the reference for the strided histogram."""
+    return min(_full_sort_levels(self, costs, r))
+
+
+def _full_sort_levels(grid, costs, r):
+    """The full sort's sampled level (0.0 if not positive), with the samples a tie makes equally right.
+
+    The level is the sample at which the running spend, summed from the top,
+    first reaches r. Where a running spend lies within 1e-12 r of r, the
+    samples on both sides of it are equally the level: rounding decides
+    which one a different order of summation reaches. Returns the set of
+    levels that are right, one level unless r ties a running spend.
+    """
+    points = grid.times.size
+    dt = grid.T / max(1, points - 1)
+    vals = grid.values.ravel()
     order = np.argsort(vals)[::-1]
     sampled = np.cumsum(np.repeat(costs * dt, points)[order])
-    last = vals.size - 1
-    level = vals[order[min(int(np.searchsorted(sampled, r)), last)]]
-    above = self.values > level
-    crossings = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
-    slack = dt * float(costs @ (crossings + 2))
-    i_lo = min(int(np.searchsorted(sampled, r + slack)) + 1, last)
-    i_hi = min(int(np.searchsorted(sampled, r - slack)), last)
-    return float(vals[order[i_lo]]), float(vals[order[i_hi]])
+    if sampled[-1] < r:
+        return {0.0}
+    k = int(np.searchsorted(sampled, r))
+    near = [i for i in (k - 1, k) if i >= 0 and abs(sampled[i] - r) <= 1e-12 * r]
+    picks = {k} | {j for i in near for j in (i, i + 1) if j < vals.size}
+    return {max(0.0, float(vals[order[j]])) for j in picks}
 
 
-class TestStridedLevelBracket:
+class TestStridedSampledLevel:
     def test_large_grids_match_the_full_sort(self, monkeypatch):
         rng = np.random.default_rng(77)
         binding = 0
         for _ in range(6):
             prob = random_linear_problem(rng, int(rng.integers(130, 201)), geometric=True, budget_fraction=0.15)
-            assert prob.m * waterfill._grid_points(prob.n) > waterfill._BRACKET_SAMPLES
+            assert prob.m * waterfill._grid_points(prob.n) > waterfill._LEVEL_SAMPLES
             with monkeypatch.context() as patch:
-                patch.setattr(waterfill._SignalGrid, "level_bracket", _full_sort_level_bracket)
+                patch.setattr(waterfill._SignalGrid, "sampled_level", _full_sort_sampled_level)
                 reference = solve(prob)
             sol = solve(prob)
             binding += sol.binding
             _assert_same_solution(sol, reference, prob)
-        assert binding >= 3  # the bracket runs only for a binding budget
+        assert binding >= 3  # the sampled level is read only for a binding budget
 
     def test_small_grids_keep_every_sample(self, monkeypatch):
-        # m * points <= _BRACKET_SAMPLES: stride 1 is the full sort, bit for bit.
+        # m * points <= _LEVEL_SAMPLES: stride 1 reads every sample, and the
+        # histogram's bins are monotone in the value, so sorting one bin
+        # finds the full sort's level and the solves are equal, bit for bit.
+        # budget_fraction 0.4 makes r a whole number of samples' spend, so r
+        # may tie a running spend; then the level is one of the two samples
+        # beside the tie, and the solves agree to tolerance.
         rng = np.random.default_rng(5)
         for _ in range(10):
             prob = random_linear_problem(rng, int(rng.integers(2, 9)), budget_fraction=0.4)
-            assert prob.m * waterfill._grid_points(prob.n) <= waterfill._BRACKET_SAMPLES
+            assert prob.m * waterfill._grid_points(prob.n) <= waterfill._LEVEL_SAMPLES
             with monkeypatch.context() as patch:
-                patch.setattr(waterfill._SignalGrid, "level_bracket", _full_sort_level_bracket)
+                patch.setattr(waterfill._SignalGrid, "sampled_level", _full_sort_sampled_level)
                 reference = solve(prob)
-            assert solve(prob) == reference
+            sol = solve(prob)
+            grid, live, costs = _live_grid(prob)
+            levels = _full_sort_levels(grid, costs, prob.r) if live else {0.0}
+            if len(levels) == 1:
+                assert sol == reference
+            else:
+                top = float(np.max(grid.values))
+                assert grid.sampled_level(costs, prob.r, top + 1e-9 * max(1.0, abs(top))) in levels
+                _assert_same_solution(sol, reference, prob)
+
+    def test_level_is_the_full_sort_level(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            prob = random_linear_problem(rng, int(rng.integers(2, 9)), budget_fraction=float(rng.uniform(0.05, 1.2)))
+            grid, live, costs = _live_grid(prob)
+            top = float(np.max(grid.values)) if live else 0.0
+            if top <= 0.0:  # the search reads the sampled level only when a sample is above 0
+                continue
+            top += 1e-9 * max(1.0, abs(top))
+            assert grid.sampled_level(costs, prob.r, top) in _full_sort_levels(grid, costs, prob.r)
 
 
 class TestSolveMemory:
