@@ -1,0 +1,150 @@
+"""Python-level calls and cProfile time per op kind and per waveplan function.
+
+    python3 scripts/call_counts.py --workload desk --seed 1 --rounds 1
+
+Run from the repository root. The ops are the benchmark's own
+(``perfbench/workloads.py``, imported, not changed). One untraced round
+runs first, so caches fill and lazy set-up finishes; then each op of
+``--rounds`` rounds runs under cProfile. Two tables are printed:
+
+- per op kind: ops run, calls per op (every Python and builtin call that
+  cProfile records) and cProfile time per op;
+- per waveplan function, most inclusive calls first: calls of the function
+  per op of its kind, calls made inside it and by it per call (its own
+  call included), and its cProfile self and cumulative time per call.
+
+Inclusive calls come from a second, untimed pass under ``sys.setprofile``
+that charges each call event to every waveplan function on the stack.
+cProfile adds a fixed cost to every call, so its times overweight Python
+overhead against work done inside numpy; compare them between commits on
+one machine only, and take speed from the benchmark.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Pin BLAS as the benchmark does, before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import cProfile  # noqa: E402
+import pstats  # noqa: E402
+import sys  # noqa: E402
+from collections import Counter  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = str(ROOT / "src" / "waveplan")
+
+
+def _import_workloads():
+    """The benchmark's workload module, with waveplan imported from this checkout."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    return workloads
+
+
+def _in_package(filename: str) -> bool:
+    return filename.startswith(PACKAGE)
+
+
+def _inclusive_calls(ops) -> tuple[Counter, dict]:
+    """Call events inside each waveplan function, its own call included.
+
+    Counts are keyed (op kind, function key), a function's key being the
+    (file, first line, name) triple that pstats uses. Also returns each
+    key's display name, module.qualified_name:line.
+    """
+    counts: Counter = Counter()
+    names: dict = {}
+    stack: list = []
+    kind = ""
+
+    def hook(frame, event, arg):
+        if event == "call" or event == "c_call":
+            if event == "call":
+                code = frame.f_code
+                key = None
+                if _in_package(code.co_filename):
+                    key = (code.co_filename, code.co_firstlineno, code.co_name)
+                    if key not in names:
+                        qualname = getattr(code, "co_qualname", code.co_name)
+                        names[key] = f"{Path(code.co_filename).stem}.{qualname}:{code.co_firstlineno}"
+                stack.append(key)
+            # A recursive function is charged once per event.
+            for key in set(filter(None, stack)):
+                counts[kind, key] += 1
+        elif event == "return" and stack:
+            stack.pop()
+
+    for op in ops:
+        kind = op.kind
+        stack.clear()
+        sys.setprofile(hook)
+        try:
+            op.run()
+        finally:
+            sys.setprofile(None)
+    return counts, names
+
+
+def main(argv=None) -> None:
+    workloads = _import_workloads()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", default="desk", choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+
+    ops = workloads.WORKLOADS[args.workload](args.seed)
+    for op in ops:
+        op.run()
+
+    per_kind = {}  # kind -> [ops, calls, seconds]
+    stats: dict[str, pstats.Stats] = {}
+    for _ in range(args.rounds):
+        for op in ops:
+            prof = cProfile.Profile()
+            prof.enable()
+            op.run()
+            prof.disable()
+            st = pstats.Stats(prof)
+            row = per_kind.setdefault(op.kind, [0, 0, 0.0])
+            row[0] += 1
+            row[1] += st.total_calls
+            row[2] += st.total_tt
+            if op.kind in stats:
+                stats[op.kind].add(st)
+            else:
+                stats[op.kind] = st
+    inclusive, names = _inclusive_calls([op for _ in range(args.rounds) for op in ops])
+
+    print(f"# {args.workload} seed {args.seed}, {args.rounds} round(s) of {len(ops)} ops")
+    print()
+    print("| op kind | ops | calls/op | cProfile ms/op |")
+    print("|---------|----:|---------:|---------------:|")
+    for kind, (n, calls, seconds) in per_kind.items():
+        print(f"| {kind} | {n} | {calls / n:.1f} | {1e3 * seconds / n:.3f} |")
+    print()
+    print("| op kind | function | calls/op | incl. calls/call | self µs/call | cum µs/call |")
+    print("|---------|----------|---------:|-----------------:|-------------:|------------:|")
+    for kind, st in stats.items():
+        rows = []
+        for key, (_, calls, self_s, cum_s, _) in st.stats.items():
+            if _in_package(key[0]):
+                rows.append((inclusive[kind, key], names.get(key, key[2]), calls, self_s, cum_s))
+        n = per_kind[kind][0]
+        for incl, fn, calls, self_s, cum_s in sorted(rows, key=lambda r: (-r[0], r[1])):
+            print(
+                f"| {kind} | {fn} | {calls / n:.2f} | {incl / calls:.1f} | "
+                f"{1e6 * self_s / calls:.1f} | {1e6 * cum_s / calls:.1f} |"
+            )
+
+
+if __name__ == "__main__":
+    main()

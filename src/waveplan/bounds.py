@@ -65,28 +65,36 @@ def _variation_bounds(partial: np.ndarray, shift: float, tol: float) -> tuple[in
     distinct value on each side, since rounded differences are monotone;
     those levels are recounted exactly by ``_sign_variations``.
     """
-    vals = np.unique(partial)
+    vals = partial.copy()
+    vals.sort()
+    distinct = np.empty(vals.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=distinct[1:])
+    vals = vals[distinct]
     mids = 0.5 * (vals[:-1] + vals[1:])
-    beyond = vals[-1:] + max(1.0, abs(float(vals[-1])))
-    levels = np.concatenate(([shift, 0.0], mids[mids >= 0.0], beyond[beyond >= 0.0]))
-    lo = np.sort(np.minimum(partial[:-1], partial[1:]))
-    hi = np.sort(np.maximum(partial[:-1], partial[1:]))
-    counts = np.searchsorted(lo, levels, "left") - np.searchsorted(hi, levels, "right")
-    k = np.searchsorted(vals, levels)
+    top = float(vals[-1])
+    beyond = top + max(1.0, abs(top))
+    levels = np.concatenate(([shift, 0.0], mids[mids >= 0.0], [beyond] if beyond >= 0.0 else []))
+    lo = np.minimum(partial[:-1], partial[1:])
+    lo.sort()
+    hi = np.maximum(partial[:-1], partial[1:])
+    hi.sort()
+    counts = lo.searchsorted(levels, "left") - hi.searchsorted(levels, "right")
+    k = vals.searchsorted(levels)
     below = vals[np.maximum(k - 1, 0)]
     above = vals[np.minimum(k, vals.size - 1)]
     near = (np.abs(below - levels) <= tol) | (np.abs(above - levels) <= tol)
-    if np.any(near):
+    if near.any():
         counts[near] = _sign_variations(partial, levels[near], tol)
-    return int(counts[0]), int(np.max(counts[1:]))
+    return int(counts[0]), int(counts[1:].max())
 
 
 def _linear_bounds(coeffs: np.ndarray, shift: float) -> tuple[int, int]:
     s = float(shift)
     if s < 0.0:
         raise ContractError(f"threshold shift must be nonnegative, got {s}")
-    stol = 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
-    return _variation_bounds(np.cumsum(coeffs), s, stol)
+    stol = 1e-12 * max(1.0, float(np.abs(coeffs).sum()))
+    return _variation_bounds(coeffs.cumsum(), s, stol)
 
 
 def bound_linear(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .graph import SpectralDecomposition
+from .graph import SpectralDecomposition, _norm
 from .problem import Objective
 
 
@@ -88,7 +88,7 @@ def group_coefficients(sd: SpectralDecomposition, lam: np.ndarray, b: np.ndarray
     switch bounds alike.
     """
     coeffs = np.add.reduceat((sd.vectors.T @ lam) * (sd.vectors.T @ b), sd.group_starts)
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(lam)) * float(np.linalg.norm(b)))
+    tol = 1e-10 * max(1.0, _norm(lam) * _norm(b))
     coeffs[np.abs(coeffs) <= tol] = 0.0
     return coeffs
 
@@ -102,11 +102,12 @@ def channel_profile(
     """Build the closed-form h profile for one channel from the spectral data and lam(T)."""
     coeffs = group_coefficients(sd, lam, b)
     keep = coeffs != 0.0
+    kept = coeffs[keep]
     return ChannelProfile(
         horizon=float(horizon),
         rates=sd.group_rates[keep],
-        coeffs=coeffs[keep],
-        dropped=int(np.sum(~keep)),
+        coeffs=kept,
+        dropped=coeffs.size - kept.size,
     )
 
 

@@ -216,12 +216,17 @@ def closed_form_gain(profiles: list[ChannelProfile], schedule) -> float:
     """Exact control contribution to the linear objective, independent of x0 and drift.
 
     Each unit of effort on channel i at time t is worth h_i(t), so the gain
-    is u_max_i times the integral of h_i over the on-intervals.
+    is u_max_i times the integral of h_i over the on-intervals. Each
+    channel's integrals come from one ``integrate_h`` call, whose entries
+    equal its scalar calls bit for bit, and the terms are added one by one
+    in channel then interval order.
     """
     if len(profiles) != len(schedule.channels):
         raise ContractError("one profile per schedule channel is required")
     total = 0.0
     for profile, cs in zip(profiles, schedule.channels):
-        for lo, hi in cs.intervals:
-            total += cs.u_max * integrate_h(profile, lo, hi)
+        if cs.intervals:
+            lo, hi = zip(*cs.intervals)
+            for value in integrate_h(profile, lo, hi).tolist():
+                total += cs.u_max * value
     return float(total)

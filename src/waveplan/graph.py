@@ -204,6 +204,12 @@ class SpectralDecomposition:
     group_rates: np.ndarray
 
 
+def _norm(x) -> float:
+    """Euclidean norm of a vector, sqrt(x . x) as np.linalg.norm takes it, without its wrapper's calls."""
+    x = np.asarray(x, dtype=np.float64)
+    return math.sqrt(x.dot(x))
+
+
 def projected_groups(sd: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalue groups onto which x has a projection of norm above tolerance.
 
@@ -214,7 +220,7 @@ def projected_groups(sd: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
     projections onto the distinct eigenspaces.
     """
     xv = np.asarray(x, dtype=np.float64)
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(xv)))
+    tol = 1e-10 * max(1.0, _norm(xv))
     proj = sd.vectors.T @ xv
     return np.sqrt(np.add.reduceat(proj * proj, sd.group_starts)) > tol
 
@@ -222,7 +228,7 @@ def projected_groups(sd: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
 def _fix_signs(q: np.ndarray) -> None:
     """Make the first nonzero component of each column positive, negating columns in place."""
     absq = np.abs(q)
-    first = np.argmax(absq > 1e-12 * np.max(absq, axis=0), axis=0)
+    first = (absq > 1e-12 * absq.max(axis=0)).argmax(axis=0)
     flip = q[first, np.arange(q.shape[1])] < 0.0
     q *= np.where(flip, -1.0, 1.0)
 
@@ -245,12 +251,17 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     if evals.size >= 2 and float(evals[1]) <= zero_tol:
         raise NumericalError("graph numerically disconnected: second eigenvalue within zero tolerance")
 
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(evals) > group_tol) + 1])
-    ends = np.append(starts[1:], evals.size)
-    # reduceat adds a segment's tail onto its first entry; a 0.0 inserted at
-    # the head of each group makes every sum the pairwise one np.mean takes.
-    padded = np.insert(evals, starts, 0.0)
-    rates = np.add.reduceat(padded, starts + np.arange(starts.size)) / (ends - starts)
+    first = np.empty(evals.size, dtype=bool)  # whether each eigenvalue starts a group
+    first[0] = True
+    np.greater(evals[1:] - evals[:-1], group_tol, out=first[1:])
+    starts = first.nonzero()[0]
+    # A singleton group's rate is its eigenvalue; a group of repeated
+    # eigenvalues takes their mean.
+    rates = evals[starts]
+    if starts.size < evals.size:
+        bounds = starts.tolist() + [evals.size]
+        for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+            rates[g] = evals[bounds[g] : bounds[g + 1]].mean()
     rates[np.abs(rates) <= zero_tol] = 0.0
 
     for arr in (evals, q, starts, rates):

@@ -2,6 +2,9 @@
 
 This is the ground truth the solver is checked against: every subset of
 uniform grid cells per channel (up to a switch cap), crossed over channels.
+For one switch grid, cap and level set, a channel's candidates differ
+between problems only in their costs, so the rest of the candidate table is
+built once and kept, read-only, in a bounded cache (``_candidate_table``).
 Linear objectives are scored exactly by per-cell integrals of h. Their gain
 is additive over channels, and a candidate's spend depends only on its cost
 class (level and number of on-cells), so channel pairs are scored by class
@@ -19,6 +22,9 @@ control levels against the best extreme candidate.
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,6 +97,67 @@ def _masks_in_lex_order(g: int, cap: int) -> np.ndarray:
     return bits[:, switches <= cap].T.astype(np.float64, order="C")
 
 
+def _mask_count(g: int, cap: int) -> int:
+    """Rows of ``_masks_in_lex_order(g, cap)``: 2 C(g - 1, s) patterns have exactly s boundaries."""
+    return 2 * sum(math.comb(g - 1, s) for s in range(g) if s <= cap)
+
+
+class _CandidateTable(NamedTuple):
+    """A channel's candidates for one (switch_grid, cap, levels), all but their costs; read-only."""
+
+    masks: np.ndarray  # cell patterns, from _masks_in_lex_order
+    on_cells: np.ndarray  # on-cell count of each pattern
+    levels: np.ndarray  # fraction of u_max while on, per candidate
+    interior: np.ndarray  # on somewhere at an interior level
+    mask_of: np.ndarray  # row in masks
+    classes: np.ndarray  # on-cell count x level count + level index
+
+
+# Candidate tables kept for reuse, keyed (switch_grid, cap, levels). Once
+# they hold more than this many bytes, the least recently used are dropped;
+# a table larger than this is built for its call and not kept.
+_TABLE_CACHE_BYTES = 32 << 20
+_tables: OrderedDict = OrderedDict()
+_tables_lock = threading.Lock()
+
+
+def _candidate_table(g: int, cap: int, levels: tuple[float, ...]) -> _CandidateTable:
+    """The candidate table for g cells, at most cap switches and these levels, built once and cached.
+
+    Candidates run mask-major with the levels in the given order, the
+    extreme level 1.0 first.
+    """
+    key = (g, cap, levels)
+    with _tables_lock:
+        table = _tables.get(key)
+        if table is not None:
+            _tables.move_to_end(key)
+            return table
+    masks = _masks_in_lex_order(g, cap)
+    rows, count = masks.shape[0], len(levels)
+    level = np.array(levels)
+    on_cells = masks.sum(axis=1)
+    table = _CandidateTable(
+        masks=masks,
+        on_cells=on_cells,
+        levels=np.tile(level, rows),
+        # An interior level only matters when the channel is on somewhere.
+        interior=(np.repeat(on_cells, count) > 0) & np.tile(level < 1.0, rows),
+        mask_of=np.repeat(np.arange(rows), count),
+        classes=(on_cells.astype(np.intp)[:, None] * count + np.arange(count)).ravel(),
+    )
+    for arr in table:
+        arr.setflags(write=False)
+    size = sum(arr.nbytes for arr in table)
+    if size <= _TABLE_CACHE_BYTES:
+        with _tables_lock:
+            _tables[key] = table
+            held = sum(arr.nbytes for t in _tables.values() for arr in t)
+            while held > _TABLE_CACHE_BYTES:
+                held -= sum(arr.nbytes for arr in _tables.popitem(last=False)[1])
+    return table
+
+
 def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float, float], ...]:
     intervals = []
     start = None
@@ -156,38 +223,33 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     if linear or spec.max_switches_per_channel is None:
         sd = spectral_decompose(build_laplacian(problem.graph))
 
-    levels = np.array((1.0,) + (tuple(spec.interior_levels) if spec.include_interior_levels else ()))
-    masks = []
-    for ch in problem.channels:
-        cap = spec.max_switches_per_channel
-        if cap is None:
-            cap = bound_general(sd, ch.b)
-        masks.append(_masks_in_lex_order(g, cap))
-
+    levels = (1.0,) + (tuple(map(float, spec.interior_levels)) if spec.include_interior_levels else ())
+    caps = [
+        bound_general(sd, ch.b) if spec.max_switches_per_channel is None else spec.max_switches_per_channel
+        for ch in problem.channels
+    ]
     candidate_count = 1
-    for mk in masks:
-        candidate_count *= mk.shape[0] * levels.size
+    for cap in caps:
+        candidate_count *= _mask_count(g, cap) * len(levels)
     if candidate_count > MAX_CANDIDATES:
         raise ValidationError(
             f"{candidate_count} candidates exceed the enumeration guard of {MAX_CANDIDATES}; "
             f"use a smaller switch_grid than {g} or a tighter switch cap"
         )
 
-    # Per-channel flattened candidates: mask-major, extreme level first.
+    # Per-channel flattened candidates: the cached skeleton and this channel's costs.
+    tables = [_candidate_table(g, cap, levels) for cap in caps]
+    masks = [t.masks for t in tables]
     per_channel = []
-    for k, ch in enumerate(problem.channels):
-        rows = masks[k].shape[0]
-        on_cells = masks[k].sum(axis=1)
-        on_counts = np.repeat(on_cells, levels.size)
+    for t, ch in zip(tables, problem.channels):
         rates = np.array([ch.cost(lvl * ch.u_max) for lvl in levels])
         per_channel.append(
             _ChannelCandidates(
-                levels=np.tile(levels, rows),
-                costs=np.tile(rates * delta, rows) * on_counts,
-                # An interior level only matters when the channel is on somewhere.
-                interior=(on_counts > 0) & np.tile(levels < 1.0, rows),
-                mask_of=np.repeat(np.arange(rows), levels.size),
-                classes=(on_cells.astype(np.intp)[:, None] * levels.size + np.arange(levels.size)).ravel(),
+                levels=t.levels,
+                costs=np.multiply.outer(t.on_cells, rates * delta).ravel(),
+                interior=t.interior,
+                mask_of=t.mask_of,
+                classes=t.classes,
             )
         )
 

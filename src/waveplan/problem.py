@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,14 +121,32 @@ class CampaignProblem:
         return len(self.channels)
 
 
-def _finite(x) -> bool:
-    return bool(np.all(np.isfinite(x)))
+def _real(x) -> float | None:
+    """x as a float if it is a real number (a bool is not), else None.
+
+    An int too large for a float counts as +-inf: it is not finite.
+    """
+    if type(x) is float:
+        return x
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _finite(a: np.ndarray) -> bool:
+    return bool(np.isfinite(a).all())
 
 
 def validate_problem(p: CampaignProblem) -> list[str]:
     """Collect every violated invariant as a human-readable finding.
 
-    Returns an empty list iff the problem is well-formed; never raises.
+    Returns an empty list iff the problem is well-formed; never raises. A
+    scalar field (T, r, u_max, cost v and a) that is not a real number, such
+    as None, a string or a bool, is a finding; an int too large for a float
+    counts as infinite.
     """
     findings: list[str] = []
     n = p.n
@@ -138,21 +158,31 @@ def validate_problem(p: CampaignProblem) -> list[str]:
             findings.append(f"channel {k}: gain vector has shape {ch.b.shape}, expected ({n},)")
         elif not _finite(ch.b):
             findings.append(f"channel {k}: gain vector has non-finite entries")
-        elif not np.any(ch.b):
+        elif not ch.b.any():
             findings.append(f"channel {k} has empty reach")
-        if not (ch.u_max > 0.0 and np.isfinite(ch.u_max)):
+        u_max = _real(ch.u_max)
+        if u_max is None:
+            findings.append(f"channel {k}: u_max must be a real number, got {ch.u_max!r}")
+        elif not (0.0 < u_max < math.inf):
             findings.append(f"channel {k}: u_max must be finite and positive, got {ch.u_max}")
-        if ch.cost.kind not in ("linear", "power"):
-            findings.append(f"channel {k}: unknown cost kind {ch.cost.kind!r}")
-        if not _finite(ch.cost.v):
+        kind = ch.cost.kind
+        if kind not in ("linear", "power"):
+            findings.append(f"channel {k}: unknown cost kind {kind!r}")
+        v = _real(ch.cost.v)
+        if v is None:
+            findings.append(f"channel {k}: cost rate v must be a real number, got {ch.cost.v!r}")
+        elif not math.isfinite(v):
             findings.append(f"channel {k}: cost rate v must be finite, got {ch.cost.v}")
-        elif not (ch.cost.v > 0.0):
+        elif not (v > 0.0):
             findings.append(f"channel {k}: cost rate v must be positive, got {ch.cost.v}")
-        if not _finite(ch.cost.a):
+        a = _real(ch.cost.a)
+        if a is None:
+            findings.append(f"channel {k}: cost exponent a must be a real number, got {ch.cost.a!r}")
+        elif not math.isfinite(a):
             findings.append(f"channel {k}: cost exponent a must be finite, got {ch.cost.a}")
-        elif ch.cost.kind == "linear" and ch.cost.a != 1.0:
+        elif kind == "linear" and a != 1.0:
             findings.append(f"channel {k}: linear cost requires a = 1, got {ch.cost.a}")
-        elif ch.cost.kind == "power" and not (0.0 < ch.cost.a <= 1.0):
+        elif kind == "power" and not (0.0 < a <= 1.0):
             findings.append(f"channel {k}: power cost exponent must lie in (0, 1], got {ch.cost.a}")
 
     obj = p.objective
@@ -163,9 +193,9 @@ def validate_problem(p: CampaignProblem) -> list[str]:
     elif not _finite(obj.p):
         findings.append("objective weights have non-finite entries")
     else:
-        if np.any(obj.p < 0.0):
+        if (obj.p < 0.0).any():
             findings.append("objective weights must be nonnegative")
-        if not np.any(obj.p > 0.0):
+        if not (obj.p > 0.0).any():
             findings.append("objective needs at least one positive weight")
     if obj.kind == "sigmoid":
         if obj.alpha is None or obj.theta is None:
@@ -175,16 +205,22 @@ def validate_problem(p: CampaignProblem) -> list[str]:
                 findings.append("sigmoid alpha/theta must match the agent count")
             elif not (_finite(obj.alpha) and _finite(obj.theta)):
                 findings.append("sigmoid alpha/theta have non-finite entries")
-            elif np.any(obj.alpha <= 0.0):
+            elif (obj.alpha <= 0.0).any():
                 findings.append("sigmoid sharpness alpha must be positive")
 
-    if not _finite(p.T):
+    T = _real(p.T)
+    if T is None:
+        findings.append(f"horizon T must be a real number, got {p.T!r}")
+    elif not math.isfinite(T):
         findings.append(f"horizon T must be finite, got {p.T}")
-    elif not (p.T > 0.0):
+    elif not (T > 0.0):
         findings.append(f"horizon T must be positive, got {p.T}")
-    if not _finite(p.r):
+    r = _real(p.r)
+    if r is None:
+        findings.append(f"budget must be a real number, got {p.r!r}")
+    elif not math.isfinite(r):
         findings.append(f"budget must be finite, got {p.r}")
-    elif not (p.r > 0.0):
+    elif not (r > 0.0):
         findings.append("budget must be positive")
     if p.x0.shape != (n,):
         findings.append(f"initial state has shape {p.x0.shape}, expected ({n},)")
@@ -192,21 +228,25 @@ def validate_problem(p: CampaignProblem) -> list[str]:
         findings.append("initial state has non-finite entries")
 
     d = p.drift
-    if d.values.shape[0] != d.breakpoints.shape[0]:
+    bps = d.breakpoints
+    if d.values.shape[0] != bps.shape[0]:
         findings.append("drift needs one value row per breakpoint")
     elif d.values.shape[1] != n:
         findings.append(f"drift values have width {d.values.shape[1]}, expected {n}")
     elif not _finite(d.values):
         findings.append("drift values have non-finite entries")
-    if not _finite(d.breakpoints):
+    if not _finite(bps):
         findings.append("drift breakpoints have non-finite entries")
-    if d.breakpoints.size:
-        if d.breakpoints[0] != 0.0:
+    if bps.size:
+        if bps[0] != 0.0:
             findings.append("drift breakpoints must start at 0")
-        if np.any(np.diff(d.breakpoints) <= 0.0):
-            findings.append("drift breakpoints must be strictly increasing")
-        if p.T > 0.0 and np.any(d.breakpoints >= p.T) and d.breakpoints.size > 1:
-            findings.append("drift breakpoints must lie within [0, T)")
+        if bps.size > 1:
+            # inf - inf is nan, not <= 0: non-finite breakpoints have their own finding.
+            with np.errstate(invalid="ignore"):
+                if ((bps[1:] - bps[:-1]) <= 0.0).any():
+                    findings.append("drift breakpoints must be strictly increasing")
+            if T is not None and T > 0.0 and (bps >= T).any():
+                findings.append("drift breakpoints must lie within [0, T)")
     else:
         findings.append("drift needs at least one breakpoint at 0")
 
@@ -254,7 +294,7 @@ def check_conditions(
         out.append(
             ChannelConditions(
                 channel=k,
-                total_reach=float(np.sum(ch.b)),
+                total_reach=float(ch.b.sum()),
                 reach_nonzero=reach_nonzero,
                 controllability_rank=rank,
                 controllable=controllable,

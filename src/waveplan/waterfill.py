@@ -185,7 +185,8 @@ class _SignalGrid:
         self.dcoeffs = self.coeffs * self.rates[:, None]  # coefficients of g'
         # Coefficients of g, g' and the curvature bound sum_g |d_g| rate_g^2
         # exp(rate_g (t - T)) side by side, so one product evaluates all three.
-        self.terms = np.hstack((self.coeffs, self.dcoeffs, np.abs(self.dcoeffs) * self.rates[:, None]))
+        curvature = np.abs(self.dcoeffs) * self.rates[:, None]
+        self.terms = np.concatenate((self.coeffs, self.dcoeffs, curvature), axis=1)
         self.times, self.values = _sample_signals(self.rates, self.coeffs, self.T, points)
 
     def probe(self, beta: float, costs: np.ndarray):
@@ -247,7 +248,7 @@ class _SignalGrid:
         lo, hi = ts[cell], ts[cell + 1]
         vlo, vhi = self.values[chan, cell], self.values[chan, cell + 1]
         t0 = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
-        e = np.exp(np.multiply.outer(np.concatenate((t0, hi)) - T, self.rates))
+        e = self._modes(np.concatenate((t0, hi)))
         m, rows = self.coeffs.shape[1], np.arange(t0.size)
         at = e @ self.terms
         g, slopes = at[rows, chan] - beta, at[rows, m + chan]
@@ -260,38 +261,46 @@ class _SignalGrid:
             good &= (lo + eps <= t) & (t <= hi - eps)
         bad = np.flatnonzero(~good)
         if bad.size:
-            t[bad], slopes[bad] = self._refine(lo[bad], hi[bad], vlo[bad], vhi[bad], chan[bad], beta)
+            t[bad], slopes[bad] = self._refine(
+                lo[bad], hi[bad], vlo[bad] > beta, chan[bad], beta, t0[bad], e[bad]
+            )
         return t, slopes
 
-    def _refine(self, lo, hi, vlo, vhi, chan, beta) -> tuple[np.ndarray, np.ndarray]:
+    def _modes(self, t: np.ndarray) -> np.ndarray:
+        """exp(rate_g (t - T)) for each time in t (rows) and each group rate (columns)."""
+        return np.exp(np.multiply.outer(t - self.T, self.rates))
+
+    def _refine(self, lo, hi, above_lo, chan, beta, t, modes) -> tuple[np.ndarray, np.ndarray]:
         """Crossings g_chan = beta inside the cells [lo, hi], all refined together, with g' there.
 
         Safeguarded Newton on the closed form g' = sum_g d_g rate_g
-        exp(rate_g (t - T)), started from the secant through the grid values.
-        A step that leaves the cell's bracket, or that did not halve
-        |g - beta|, is replaced by bisection. The sign at the lower end comes
-        from the grid. Each crossing stops once its step or its bracket is
-        within 1e-12 * T, or once |g - beta| is within a few ulp of the sum of
-        the magnitudes it is made of, sum_g |d_g exp(rate_g (t - T))| + |beta|:
-        such a t is a root to rounding, and stepping on would only bisect away
-        from it.
+        exp(rate_g (t - T)), started from the secant points t through the
+        grid values, whose ``modes`` rows the caller has computed already;
+        ``above_lo`` is the sign of g - beta at each lower end, from the
+        grid. A step that leaves the cell's bracket, or that did not halve
+        |g - beta|, is replaced by bisection. Each crossing stops once its
+        step or its bracket is within 1e-12 * T, or once |g - beta| is within
+        a few ulp of the sum of the magnitudes it is made of, sum_g |d_g
+        exp(rate_g (t - T))| + |beta|: such a t is a root to rounding, and
+        stepping on would only bisect away from it.
         """
         tol = 1e-12 * self.T
         ulps = _ROOT_ULPS * np.finfo(np.float64).eps
-        above_lo = vlo > beta
-        t = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
         slopes = np.zeros_like(t)
         last = np.full_like(t, np.inf)
         active = np.arange(t.size)
+        e = modes
         for _ in range(CROSSING_MAX_ITERS):
             if active.size == 0:
                 break
             ta = t[active]
-            e = np.exp(np.multiply.outer(ta - self.T, self.rates))
+            if e is None:
+                e = self._modes(ta)
             coeffs = self.coeffs[:, chan[active]]
             f = np.einsum("cg,gc->c", e, coeffs) - beta
             fp = np.einsum("cg,gc->c", e, self.dcoeffs[:, chan[active]])
             root = np.abs(f) <= ulps * (np.einsum("cg,gc->c", e, np.abs(coeffs)) + abs(beta))
+            e = None
             slopes[active] = fp
             keep_lo = (f > 0.0) == above_lo[active]
             a = np.where(keep_lo, ta, lo[active])
@@ -421,7 +430,7 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     T, r = problem.T, problem.r
     profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
     gs = [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)]
-    live = [k for k, g in enumerate(gs) if np.any(np.cumsum(g.coeffs) > 0.0)]
+    live = [k for k, g in enumerate(gs) if (g.coeffs.cumsum() > 0.0).any()]
     costs = np.array([problem.channels[k].max_cost_rate for k in live])
     trace: list[tuple[float, float]] = []
     beta_star, sets = 0.0, []

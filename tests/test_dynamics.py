@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan.costate import channel_profile
+from waveplan.costate import channel_profile, integrate_h
 from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
 from waveplan.graph import build_laplacian, spectral_decompose
@@ -184,6 +184,30 @@ class TestClosedFormGain:
             without_u = simulate(prob, _empty_schedule(prob), steps=8192).terminal_state
             diff = float(prob.objective.p @ (with_u - without_u))
             assert diff == pytest.approx(gain, rel=1e-6, abs=1e-9)
+
+    def test_equals_the_loop_of_scalar_integrals(self):
+        # One integrate_h call per channel, the terms added in channel then interval order.
+        rng = np.random.default_rng(37)
+        intervals = 0
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            prob = random_linear_problem(rng, n)
+            sd = spectral_decompose(build_laplacian(prob.graph))
+            profiles = [channel_profile(sd, prob.objective.p, ch.b, prob.T) for ch in prob.channels]
+            cuts = np.sort(rng.uniform(0.0, prob.T, (prob.m, 6)), axis=1)
+            schedule = BangBangSchedule(
+                channels=tuple(
+                    ChannelSchedule(u_max=ch.u_max, intervals=tuple(zip(c[0::2].tolist(), c[1::2].tolist())))
+                    for ch, c in zip(prob.channels, cuts)
+                )
+            )
+            total = 0.0
+            for profile, cs in zip(profiles, schedule.channels):
+                for lo, hi in cs.intervals:
+                    total += cs.u_max * integrate_h(profile, lo, hi)
+                    intervals += 1
+            assert closed_form_gain(profiles, schedule) == total
+        assert intervals >= 36
 
 
 class TestScheduleRobustness:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, P3, random_connected_graph
+from waveplan.bundles import seven_agent_problem
 from waveplan.errors import NumericalError, ValidationError
 from waveplan.graph import (
     MAX_AGENTS,
@@ -17,6 +18,7 @@ from waveplan.graph import (
     random_geometric_graph,
     spectral_decompose,
 )
+from waveplan.sweep import default_radius
 
 
 class TestWeightedGraph:
@@ -346,6 +348,44 @@ class TestDecompositionMatchesReferenceLoops:
             for size in np.diff(spectral_decompose(build_laplacian(g)).group_starts, append=g.n).tolist()
         }
         assert max(sizes) > 8 and 8 in sizes
+
+
+def _padded_reduceat_groups(evals, group_tol, zero_tol):
+    """Group starts, and rates by np.add.reduceat with a 0.0 inserted at each group's head: the reference."""
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(evals) > group_tol) + 1])
+    ends = np.append(starts[1:], evals.size)
+    padded = np.insert(evals, starts, 0.0)
+    rates = np.add.reduceat(padded, starts + np.arange(starts.size)) / (ends - starts)
+    rates[np.abs(rates) <= zero_tol] = 0.0
+    return starts, rates
+
+
+def _singleton_geometric(n, seed):
+    g = random_geometric_graph(n, default_radius(n), seed)[0]
+    assert spectral_decompose(build_laplacian(g)).group_starts.size == n  # every group a singleton
+    return g
+
+
+class TestGroupRatesMatchPaddedReduceat:
+    GRAPHS = (
+        [_complete(n) for n in (3, 8, 9, 40, 100)]
+        + [_star(n) for n in (4, 10, 50)]
+        + [_cycle(n) for n in (4, 9, 64)]
+        + [_path(n) for n in (5, 33)]
+        + [seven_agent_problem().graph]
+        + [_singleton_geometric(n, seed) for n, seed in ((30, 2), (60, 3), (150, 3), (200, 3))]
+    )
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+    def test_bit_identical(self, g):
+        sd = spectral_decompose(build_laplacian(g))
+        starts, rates = _padded_reduceat_groups(sd.eigenvalues, sd.group_tol, sd.zero_tol)
+        assert np.array_equal(sd.group_starts, starts) and sd.group_starts.dtype == starts.dtype
+        assert sd.group_rates.tobytes() == rates.tobytes()
+
+    def test_repeated_eigenvalues_are_exercised(self):
+        sizes = [np.diff(spectral_decompose(build_laplacian(g)).group_starts, append=g.n).max() for g in self.GRAPHS]
+        assert max(sizes) == 99 and min(sizes) == 1
 
 
 class TestRandomGeometricGraph:

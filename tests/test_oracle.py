@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from dataclasses import replace
 from itertools import product
 
@@ -59,6 +60,102 @@ class TestMaskTable:
             masks = oracle._masks_in_lex_order(g, cap)
             assert masks.flags.c_contiguous and masks.dtype == np.float64
             assert np.array_equal(masks, _reference_masks(g, cap))
+
+
+def _fresh_table(g, cap, levels):
+    """A channel's candidate table built from the reference masks: what the cached tables must equal."""
+    masks = _reference_masks(g, cap)
+    level = np.array(levels)
+    rows = masks.shape[0]
+    on_cells = masks.sum(axis=1)
+    on_counts = np.repeat(on_cells, level.size)
+    return oracle._CandidateTable(
+        masks=masks,
+        on_cells=on_cells,
+        levels=np.tile(level, rows),
+        interior=(on_counts > 0) & np.tile(level < 1.0, rows),
+        mask_of=np.repeat(np.arange(rows), level.size),
+        classes=(on_cells.astype(np.intp)[:, None] * level.size + np.arange(level.size)).ravel(),
+    )
+
+
+def _table_bytes():
+    return sum(arr.nbytes for table in oracle._tables.values() for arr in table)
+
+
+LEVEL_SETTINGS = [(1.0,), (1.0,) + EnumerationSpec(switch_grid=2).interior_levels]
+
+
+class TestCandidateTables:
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_cached_tables_equal_a_fresh_build(self, g, monkeypatch):
+        monkeypatch.setattr(oracle, "_tables", OrderedDict())
+        for cap, levels in product(range(g), LEVEL_SETTINGS):
+            fresh = _fresh_table(g, cap, levels)
+            built = oracle._candidate_table(g, cap, levels)
+            cached = oracle._candidate_table(g, cap, levels)
+            assert cached is built
+            assert built.masks.shape[0] == oracle._mask_count(g, cap)
+            for name, want in zip(oracle._CandidateTable._fields, fresh):
+                got = getattr(cached, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_tables_are_read_only(self):
+        table = oracle._candidate_table(5, 2, LEVEL_SETTINGS[1])
+        for arr in table:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[-1]
+
+    def test_cache_stays_within_its_byte_bound(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_tables", OrderedDict())
+        monkeypatch.setattr(oracle, "_TABLE_CACHE_BYTES", 2_000_000)
+        for g in range(2, 13):
+            for cap in range(g):
+                oracle._candidate_table(g, cap, (1.0,))
+                assert _table_bytes() <= 2_000_000
+        assert len(oracle._tables) > 1
+        assert next(reversed(oracle._tables)) == (12, 11, (1.0,))  # the latest is kept
+        # A table larger than the bound is built for its call but not kept.
+        levels = (1.0,) + tuple(k / 25 for k in range(1, 25))
+        big = oracle._candidate_table(12, 11, levels)
+        assert sum(arr.nbytes for arr in big) > 2_000_000
+        assert (12, 11, levels) not in oracle._tables and _table_bytes() <= 2_000_000
+
+    @pytest.mark.parametrize(
+        "make, spec",
+        [
+            (lambda rng: _desk_problem(rng, 3, 1, False, True), EnumerationSpec(switch_grid=10)),
+            (
+                lambda rng: _desk_problem(rng, 6, 2, True, True),
+                EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True),
+            ),
+            (lambda rng: seven_agent_sigmoid_problem(), EnumerationSpec(switch_grid=6, max_switches_per_channel=1)),
+        ],
+        ids=["desk-m1", "desk-m2-interior", "sigmoid-bundle"],
+    )
+    def test_cold_and_warm_tables_give_identical_results(self, make, spec, monkeypatch):
+        prob = make(np.random.default_rng(43))
+        monkeypatch.setattr(oracle, "_tables", OrderedDict())
+        cold = enumerate_best(prob, spec)
+        assert oracle._tables
+        warm = enumerate_best(prob, spec)
+        for field in oracle.OracleResult.__dataclass_fields__:
+            assert getattr(cold, field) == getattr(warm, field), field
+
+    def test_costs_are_the_tiled_product(self, monkeypatch):
+        # Each candidate's spend is its level's cost rate x cell width x its on-cell count.
+        prob = _sigmoid_problem(np.random.default_rng(47), P3, 2)
+        spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, include_interior_levels=True)
+        calls = []
+        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[4][0].size))
+        enumerate_best(prob, spec)
+        ((_, _, masks, per_channel, _),) = calls
+        levels = np.array((1.0,) + spec.interior_levels)
+        delta = prob.T / spec.switch_grid
+        for mk, pc, ch in zip(masks, per_channel, prob.channels):
+            rates = np.array([ch.cost(lvl * ch.u_max) for lvl in levels])
+            want = np.tile(rates * delta, mk.shape[0]) * np.repeat(mk.sum(axis=1), levels.size)
+            assert np.array_equal(pc.costs, want)
 
 
 class TestEnumerateBest:

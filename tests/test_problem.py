@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from waveplan.problem import (
     validate_problem,
 )
 from waveplan.errors import ValidationError
+from waveplan.waterfill import solve
 
 
 def _channel(b, kind="linear", v=1.0, a=1.0, u_max=1.0):
@@ -87,8 +90,8 @@ def _sigmoid(**arrays):
     return Objective(kind="sigmoid", **{**fields, **arrays})
 
 
-def _power(b=(1.0, 0.0), v=1.0, a=0.5):
-    return _channel(list(b), kind="power", v=v, a=a)
+def _power(b=(1.0, 0.0), v=1.0, a=0.5, u_max=1.0):
+    return _channel(list(b), kind="power", v=v, a=a, u_max=u_max)
 
 
 def _sigmoid_k2(**changes):
@@ -140,6 +143,243 @@ class TestNonFiniteFindings:
     def test_non_finite_value_is_a_finding(self, changes, finding):
         findings = validate_problem(_sigmoid_k2(**changes))
         assert any(finding in f for f in findings), findings
+
+
+# Malformed problems, as changes to the clean sigmoid instance, with every
+# finding each gets, in order.
+MALFORMED = [
+    ("T-inf", dict(T=_INF), ["horizon T must be finite, got inf"]),
+    ("T-nan", dict(T=_NAN), ["horizon T must be finite, got nan"]),
+    ("T-zero", dict(T=0.0), ["horizon T must be positive, got 0.0"]),
+    ("T-negative", dict(T=-1.0), ["horizon T must be positive, got -1.0"]),
+    ("r-inf", dict(r=_INF), ["budget must be finite, got inf"]),
+    ("r-zero", dict(r=0.0), ["budget must be positive"]),
+    ("r-negative", dict(r=-2.0), ["budget must be positive"]),
+    ("no-channel", dict(channels=()), ["problem needs at least one channel"]),
+    (
+        "b-shape",
+        dict(channels=(_power(b=(1.0, 0.0, 0.0)),)),
+        ["channel 1: gain vector has shape (3,), expected (2,)"],
+    ),
+    ("b-inf", dict(channels=(_power(b=(1.0, _INF)),)), ["channel 1: gain vector has non-finite entries"]),
+    ("b-empty-reach", dict(channels=(_power(b=(0.0, 0.0)),)), ["channel 1 has empty reach"]),
+    (
+        "u_max-zero",
+        dict(channels=(_power(u_max=0.0),)),
+        ["channel 1: u_max must be finite and positive, got 0.0"],
+    ),
+    (
+        "u_max-inf",
+        dict(channels=(_power(u_max=_INF),)),
+        ["channel 1: u_max must be finite and positive, got inf"],
+    ),
+    (
+        "u_max-nan",
+        dict(channels=(_power(u_max=_NAN),)),
+        ["channel 1: u_max must be finite and positive, got nan"],
+    ),
+    (
+        "u_max-int",
+        dict(channels=(_power(u_max=-2),)),
+        ["channel 1: u_max must be finite and positive, got -2"],
+    ),
+    (
+        "cost-kind",
+        dict(channels=(_channel([1.0, 0.0], kind="cubic"),)),
+        ["channel 1: unknown cost kind 'cubic'"],
+    ),
+    ("v-inf", dict(channels=(_power(v=_INF),)), ["channel 1: cost rate v must be finite, got inf"]),
+    ("v-zero", dict(channels=(_power(v=0.0),)), ["channel 1: cost rate v must be positive, got 0.0"]),
+    ("v-int", dict(channels=(_power(v=-3),)), ["channel 1: cost rate v must be positive, got -3"]),
+    ("a-nan", dict(channels=(_power(a=_NAN),)), ["channel 1: cost exponent a must be finite, got nan"]),
+    (
+        "a-linear",
+        dict(channels=(_channel([1.0, 0.0], a=0.5),)),
+        ["channel 1: linear cost requires a = 1, got 0.5"],
+    ),
+    (
+        "a-power-high",
+        dict(channels=(_power(a=1.5),)),
+        ["channel 1: power cost exponent must lie in (0, 1], got 1.5"],
+    ),
+    (
+        "a-power-zero",
+        dict(channels=(_power(a=0),)),
+        ["channel 1: power cost exponent must lie in (0, 1], got 0"],
+    ),
+    (
+        "objective-kind",
+        dict(objective=Objective(kind="quadratic", p=np.array([0.5, 0.5]))),
+        ["unknown objective kind 'quadratic'"],
+    ),
+    (
+        "p-shape",
+        dict(objective=_sigmoid(p=np.array([0.5, 0.5, 0.5]))),
+        ["objective weights have shape (3,), expected (2,)"],
+    ),
+    (
+        "p-inf",
+        dict(objective=_sigmoid(p=np.array([_INF, 0.5]))),
+        ["objective weights have non-finite entries"],
+    ),
+    (
+        "p-nan",
+        dict(objective=_sigmoid(p=np.array([_NAN, 0.5]))),
+        ["objective weights have non-finite entries"],
+    ),
+    (
+        "p-negative",
+        dict(objective=_sigmoid(p=np.array([-0.5, 0.5]))),
+        ["objective weights must be nonnegative"],
+    ),
+    (
+        "p-zero",
+        dict(objective=_sigmoid(p=np.array([0.0, 0.0]))),
+        ["objective needs at least one positive weight"],
+    ),
+    (
+        "sigmoid-no-alpha",
+        dict(objective=Objective(kind="sigmoid", p=np.array([0.5, 0.5]))),
+        ["sigmoid objective requires alpha and theta vectors"],
+    ),
+    (
+        "alpha-shape",
+        dict(objective=_sigmoid(alpha=np.array([2.0]))),
+        ["sigmoid alpha/theta must match the agent count"],
+    ),
+    (
+        "alpha-nan",
+        dict(objective=_sigmoid(alpha=np.array([2.0, _NAN]))),
+        ["sigmoid alpha/theta have non-finite entries"],
+    ),
+    (
+        "theta-inf",
+        dict(objective=_sigmoid(theta=np.array([_INF, 0.2]))),
+        ["sigmoid alpha/theta have non-finite entries"],
+    ),
+    (
+        "alpha-zero",
+        dict(objective=_sigmoid(alpha=np.array([2.0, 0.0]))),
+        ["sigmoid sharpness alpha must be positive"],
+    ),
+    ("x0-shape", dict(x0=np.zeros(3)), ["initial state has shape (3,), expected (2,)"]),
+    ("x0-nan", dict(x0=np.array([0.0, _NAN])), ["initial state has non-finite entries"]),
+    (
+        "drift-rows",
+        dict(drift=Drift(breakpoints=np.array([0.0, 0.5]), values=np.zeros((3, 2)))),
+        ["drift needs one value row per breakpoint"],
+    ),
+    (
+        "drift-width",
+        dict(drift=Drift(breakpoints=np.array([0.0, 0.5]), values=np.zeros((2, 3)))),
+        ["drift values have width 3, expected 2"],
+    ),
+    (
+        "drift-values-inf",
+        dict(drift=Drift(breakpoints=np.array([0.0, 0.5]), values=np.array([[0.0, _INF], [0.0, 0.0]]))),
+        ["drift values have non-finite entries"],
+    ),
+    (
+        "drift-breakpoints-inf",
+        dict(drift=Drift(breakpoints=np.array([0.0, _INF]), values=np.zeros((2, 2)))),
+        ["drift breakpoints have non-finite entries", "drift breakpoints must lie within [0, T)"],
+    ),
+    (
+        "drift-breakpoints-inf-twice",
+        dict(drift=Drift(breakpoints=np.array([0.0, _INF, _INF]), values=np.zeros((3, 2)))),
+        ["drift breakpoints have non-finite entries", "drift breakpoints must lie within [0, T)"],
+    ),
+    (
+        "drift-breakpoints-nan",
+        dict(drift=Drift(breakpoints=np.array([0.0, _NAN]), values=np.zeros((2, 2)))),
+        ["drift breakpoints have non-finite entries"],
+    ),
+    (
+        "drift-start",
+        dict(drift=Drift(breakpoints=np.array([0.25, 0.5]), values=np.zeros((2, 2)))),
+        ["drift breakpoints must start at 0"],
+    ),
+    (
+        "drift-order",
+        dict(drift=Drift(breakpoints=np.array([0.0, 0.5, 0.5]), values=np.zeros((3, 2)))),
+        ["drift breakpoints must be strictly increasing"],
+    ),
+    (
+        "drift-past-T",
+        dict(drift=Drift(breakpoints=np.array([0.0, 1.5]), values=np.zeros((2, 2)))),
+        ["drift breakpoints must lie within [0, T)"],
+    ),
+    (
+        "drift-empty",
+        dict(drift=Drift(breakpoints=np.zeros(0), values=np.zeros((0, 2)))),
+        ["drift needs at least one breakpoint at 0"],
+    ),
+    (
+        "many",
+        dict(
+            channels=(_channel([0.0, 0.0], v=-1.0), _power(b=(1.0, _NAN), u_max=0.0, a=2.0)),
+            objective=Objective(kind="linear", p=np.array([0.0, 0.0])),
+            T=-1.0,
+            r=0.0,
+            x0=np.array([_INF, 0.0]),
+            drift=Drift(breakpoints=np.array([0.5, 0.25]), values=np.zeros((2, 2))),
+        ),
+        ["channel 1 has empty reach", "channel 1: cost rate v must be positive, got -1.0", "channel 2: gain vector has non-finite entries", "channel 2: u_max must be finite and positive, got 0.0", "channel 2: power cost exponent must lie in (0, 1], got 2.0", "objective needs at least one positive weight", "horizon T must be positive, got -1.0", "budget must be positive", "initial state has non-finite entries", "drift breakpoints must start at 0", "drift breakpoints must be strictly increasing"],
+    ),
+]
+
+
+class TestFindingsCorpus:
+    @pytest.mark.parametrize("changes, findings", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+    def test_every_finding_in_order(self, changes, findings):
+        assert validate_problem(_sigmoid_k2(**changes)) == findings
+
+
+_NOT_REAL = [None, "5", True, [1.0]]
+
+
+def _with_scalar(field, value):
+    """The clean linear K2 instance with one scalar field set to value."""
+    p = k2_problem()
+    if field in ("T", "r"):
+        return replace(p, **{field: value})
+    (ch,) = p.channels
+    if field == "u_max":
+        return replace(p, channels=(replace(ch, u_max=value),))
+    return replace(p, channels=(replace(ch, cost=replace(ch.cost, **{field: value})),))
+
+
+class TestScalarsThatAreNotRealNumbers:
+    NAMES = {"T": "horizon T", "r": "budget", "u_max": "u_max", "v": "cost rate v", "a": "cost exponent a"}
+
+    @pytest.mark.parametrize("field", list(NAMES))
+    @pytest.mark.parametrize("value", _NOT_REAL, ids=["None", "str", "bool", "list"])
+    def test_is_a_finding_and_solve_raises_validation_error(self, field, value):
+        prob = _with_scalar(field, value)
+        assert validate_problem(prob) == [
+            ("channel 1: " if field in ("u_max", "v", "a") else "")
+            + f"{self.NAMES[field]} must be a real number, got {value!r}"
+        ]
+        with pytest.raises(ValidationError, match="must be a real number"):
+            solve(prob)
+
+    @pytest.mark.parametrize("field", list(NAMES))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_too_large_for_a_float_is_not_finite(self, field, sign):
+        prob = _with_scalar(field, sign * 10**400)
+        (finding,) = validate_problem(prob)
+        if field == "u_max":
+            assert "u_max must be finite and positive" in finding
+        else:
+            assert f"{self.NAMES[field]} must be finite" in finding
+        with pytest.raises(ValidationError):
+            solve(prob)
+
+    @pytest.mark.parametrize("field", list(NAMES))
+    def test_numpy_and_python_numbers_are_real(self, field):
+        value = {"T": 1, "r": 2, "u_max": 1, "v": 1, "a": 1}[field]
+        for number in (value, float(value), np.int64(value), np.float64(value)):
+            assert validate_problem(_with_scalar(field, number)) == []
 
 
 class TestCostModel:

@@ -417,6 +417,12 @@ def _bisecting_refine(self, lo, hi, vlo, vhi, chan, beta, rel_tol=1e-12):
     return t, slopes
 
 
+def _refine_from_secant(grid, lo, hi, vlo, vhi, chan, beta):
+    """``_refine`` started as ``_crossings`` starts it: from the secant through the grid values."""
+    t0 = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
+    return grid._refine(lo, hi, vlo > beta, chan, beta, t0, grid._modes(t0))
+
+
 class TestExactRootCrossing:
     def test_secant_start_on_a_root_stops_in_one_pass(self, monkeypatch):
         # g(t) = 1 - 0.5 exp(t - T) falls through beta = g(0.375), and the
@@ -433,12 +439,51 @@ class TestExactRootCrossing:
             return np.array([0.25]), np.array([0.5]), np.array([beta + 1.0]), np.array([beta - 1.0])
 
         chan = np.array([0])
-        assert grid._refine(*cell(), chan, beta)[0][0] == 0.375
+        assert _refine_from_secant(grid, *cell(), chan, beta)[0][0] == 0.375
         monkeypatch.setattr(waterfill, "CROSSING_MAX_ITERS", 1)
-        t, slopes = grid._refine(*cell(), chan, beta)
+        t, slopes = _refine_from_secant(grid, *cell(), chan, beta)
         assert t[0] == 0.375 and slopes[0] == slope
         # Without the stop the first pass rejects the Newton step and bisects away.
         assert _bisecting_refine(grid, *cell(), chan, beta)[0][0] == 0.3125
+
+    def test_refinement_evaluates_no_point_twice(self, monkeypatch):
+        # g(t) = 1 - 0.5 exp(t - T) crosses beta = 0.7 at 1 + log(0.6). On a
+        # 16-point grid the secant start is too far off for the one-step test,
+        # so the crossing goes on to _refine, which starts from the modes that
+        # _crossings evaluated at the secant start.
+        from waveplan.costate import ChannelProfile
+
+        profile = ChannelProfile(horizon=1.0, rates=(0.0, 1.0), coeffs=(1.0, -0.5))
+        grid = waterfill._SignalGrid([profile], 1.0, 16)
+        beta = 0.7
+        above = grid.values[0] > beta
+        cell = np.flatnonzero(above[1:] != above[:-1])
+        chan = np.zeros(cell.size, dtype=int)
+        evaluated, starts = [], []
+        modes, refine = waterfill._SignalGrid._modes, waterfill._SignalGrid._refine
+
+        def counting_modes(self, t):
+            evaluated.extend(t.tolist())
+            return modes(self, t)
+
+        def spying_refine(self, *args):
+            starts.extend(args[5].tolist())  # the secant starts, before refinement moves them
+            return refine(self, *args)
+
+        monkeypatch.setattr(waterfill._SignalGrid, "_modes", counting_modes)
+        monkeypatch.setattr(waterfill._SignalGrid, "_refine", spying_refine)
+        t, _ = grid._crossings(chan, cell, beta)
+        assert cell.size == 1 and len(starts) == 1
+        assert abs(t[0] - (1.0 + np.log(0.6))) <= 1e-12
+        # _crossings evaluates the secant start and the cell's upper end; every
+        # later evaluation is a new Newton or bisection point.
+        assert evaluated[:2] == [starts[0], grid.times[cell[0] + 1]]
+        assert len(evaluated) > 2 and len(set(evaluated)) == len(evaluated)
+        # With one refinement pass, that pass evaluates nothing.
+        evaluated.clear()
+        monkeypatch.setattr(waterfill, "CROSSING_MAX_ITERS", 1)
+        grid._crossings(chan, cell, beta)
+        assert len(evaluated) == 2
 
     def test_crossings_match_the_bisecting_reference(self):
         rng = np.random.default_rng(2024)
