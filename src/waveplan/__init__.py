@@ -42,10 +42,8 @@ from .waterfill import (
     BangBangSchedule,
     ChannelSchedule,
     WaterfillSolution,
-    on_set,
     solve,
     solve_with_costate,
-    spend_for_beta,
     threshold_profile,
 )
 

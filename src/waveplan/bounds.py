@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .costate import ChannelProfile, group_coefficients
+from .costate import group_coefficients
 from .errors import ContractError
 from .graph import SpectralDecomposition, projected_groups
 
 
 def bound_general(sd: SpectralDecomposition, b: np.ndarray) -> int:
     """Spectral-support switch bound: max(0, G - 1) over the G groups that b projects onto."""
-    return max(0, int(np.count_nonzero(projected_groups(sd, b))) - 1)
+    return max(0, int(np.count_nonzero(projected_groups(sd, np.asarray(b)[None, :]))) - 1)
 
 
 # Entries of one block of partial sums minus levels in _sign_variations;
@@ -90,6 +90,7 @@ def _variation_bounds(partial: np.ndarray, shift: float, tol: float) -> tuple[in
 
 
 def _linear_bounds(coeffs: np.ndarray, shift: float) -> tuple[int, int]:
+    """``bound_linear`` from one row of ``group_coefficients``, zeros included, in rate order."""
     s = float(shift)
     if s < 0.0:
         raise ContractError(f"threshold shift must be nonnegative, got {s}")
@@ -110,23 +111,8 @@ def bound_linear(
     the variation count at the level ``shift >= 0``, and its maximum over
     all levels.
     """
-    coeffs = group_coefficients(sd, np.asarray(p, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    return _linear_bounds(coeffs, shift)
-
-
-def bound_linear_profile(profile: ChannelProfile, shift: float) -> tuple[int, int]:
-    """``bound_linear`` for the costate and channel a profile was built from, read off the profile.
-
-    The profile keeps the nonzero group coefficients in rate order. A
-    dropped mode after the first only repeats a partial sum, which changes
-    no count. A dropped constant mode is put back as a 0.0 in the rate-0
-    slot: that slot carries the shift, and without it the variation
-    between -shift and d_1 - shift would be lost.
-    """
-    coeffs = profile.coeffs
-    if not (coeffs.size and profile.rates[0] == 0.0):
-        coeffs = np.concatenate(([0.0], coeffs))
-    return _linear_bounds(coeffs, shift)
+    bs = np.asarray(b, dtype=np.float64)[None, :]
+    return _linear_bounds(group_coefficients(sd, np.asarray(p, dtype=np.float64), bs)[0], shift)
 
 
 def _eval_exp_poly(rates: np.ndarray, coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -20,7 +21,7 @@ from .bounds import bound_general, bound_linear
 from .costate import channel_profile, eval_h
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError
-from .graph import build_laplacian, spectral_decompose
+from .graph import _reject_booleans, build_laplacian, spectral_decompose
 from .oracle import EnumerationSpec, enumerate_best, grid_slack
 from .problem import CampaignProblem, problem_from_dict, validate_problem
 from .sigmoid import solve_sigmoid
@@ -75,6 +76,8 @@ def schedule_to_dict(schedule: BangBangSchedule, T: float) -> dict:
 
 
 def schedule_from_dict(d: dict) -> BangBangSchedule:
+    """A schedule from its JSON form; the interval bounds are checked against the problem when it runs."""
+    _reject_booleans(d, "schedule")
     try:
         channels = tuple(
             ChannelSchedule(
@@ -85,6 +88,9 @@ def schedule_from_dict(d: dict) -> BangBangSchedule:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed schedule object: {exc}") from exc
+    for k, cs in enumerate(channels, start=1):
+        if not (math.isfinite(cs.u_max) and cs.u_max >= 0.0):
+            raise ValidationError(f"schedule channel {k}: u_max must be finite and >= 0, got {cs.u_max}")
     return BangBangSchedule(channels=channels)
 
 

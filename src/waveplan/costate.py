@@ -78,19 +78,31 @@ class ChannelProfile:
         return eval_h(self, t)
 
 
-def group_coefficients(sd: SpectralDecomposition, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-group coefficients <P_g lam, b>, one per entry of ``sd.group_rates``.
+def group_coefficients(sd: SpectralDecomposition, lam: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Group coefficients <P_g lam, b_k>, one row per gain vector b_k (the rows of ``bs``).
 
-    Summing <Q_j, lam><Q_j, b> over each distinct-eigenvalue group makes the
-    result invariant to the eigensolver's basis choice inside an eigenspace.
-    Every coefficient within 1e-10 * max(1, |lam| |b|) of zero is set to 0.0:
-    that mode is absent from the channel's signal, for its profile and its
-    switch bounds alike.
+    Row k has one entry per entry of ``sd.group_rates``. Summing <Q_j, lam>
+    <Q_j, b_k> over each distinct-eigenvalue group makes the result
+    invariant to the eigensolver's basis choice inside an eigenspace; lam
+    and all rows are projected with one product each. Every coefficient of
+    row k within 1e-10 * max(1, |lam| |b_k|) of zero is set to 0.0: that
+    mode is absent from the channel's signal, for its profile and its switch
+    bounds alike.
     """
-    coeffs = np.add.reduceat((sd.vectors.T @ lam) * (sd.vectors.T @ b), sd.group_starts)
-    tol = 1e-10 * max(1.0, _norm(lam) * _norm(b))
-    coeffs[np.abs(coeffs) <= tol] = 0.0
+    coeffs = np.add.reduceat((bs @ sd.vectors) * (sd.vectors.T @ lam), sd.group_starts, axis=1)
+    scale = _norm(lam)
+    tol = np.array([1e-10 * max(1.0, scale * _norm(b)) for b in bs])
+    coeffs[np.abs(coeffs) <= tol[:, None]] = 0.0
     return coeffs
+
+
+def _row_profile(rates: np.ndarray, coeffs: np.ndarray, horizon: float) -> ChannelProfile:
+    """The profile of one row of ``group_coefficients``: its nonzero modes."""
+    keep = coeffs != 0.0
+    kept = coeffs[keep]
+    return ChannelProfile(
+        horizon=float(horizon), rates=rates[keep], coeffs=kept, dropped=coeffs.size - kept.size
+    )
 
 
 def channel_profile(
@@ -100,15 +112,7 @@ def channel_profile(
     horizon: float,
 ) -> ChannelProfile:
     """Build the closed-form h profile for one channel from the spectral data and lam(T)."""
-    coeffs = group_coefficients(sd, lam, b)
-    keep = coeffs != 0.0
-    kept = coeffs[keep]
-    return ChannelProfile(
-        horizon=float(horizon),
-        rates=sd.group_rates[keep],
-        coeffs=kept,
-        dropped=coeffs.size - kept.size,
-    )
+    return _row_profile(sd.group_rates, group_coefficients(sd, lam, np.asarray(b)[None, :])[0], horizon)
 
 
 def eval_h(profile: ChannelProfile, t):

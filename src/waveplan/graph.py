@@ -210,19 +210,19 @@ def _norm(x) -> float:
     return math.sqrt(x.dot(x))
 
 
-def projected_groups(sd: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalue groups onto which x has a projection of norm above tolerance.
+def projected_groups(sd: SpectralDecomposition, xs: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalue groups onto which each row x of ``xs`` has a projection of norm above tolerance.
 
-    The tolerance is 1e-10 * max(1, |x|). The first group is the constant
-    mode of the connected graph, so the first entry says whether x has
-    nonzero total reach. For a symmetric Laplacian the mask's count is the
-    Kalman rank of (L, x): the Krylov space of x is spanned by its
+    One row of the mask per row of ``xs``, all projected with one product;
+    row x's tolerance is 1e-10 * max(1, |x|). The first group is the
+    constant mode of the connected graph, so the first column says whether
+    x has nonzero total reach. For a symmetric Laplacian a row's count is
+    the Kalman rank of (L, x): the Krylov space of x is spanned by its
     projections onto the distinct eigenspaces.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    tol = 1e-10 * max(1.0, _norm(xv))
-    proj = sd.vectors.T @ xv
-    return np.sqrt(np.add.reduceat(proj * proj, sd.group_starts)) > tol
+    proj = xs @ sd.vectors
+    tol = np.array([1e-10 * max(1.0, _norm(x)) for x in xs])
+    return np.sqrt(np.add.reduceat(proj * proj, sd.group_starts, axis=1)) > tol[:, None]
 
 
 def _fix_signs(q: np.ndarray) -> None:

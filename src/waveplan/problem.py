@@ -278,15 +278,15 @@ def check_conditions(
 
     Strictly concave (power) costs need nonzero total reach; linear costs
     need (L, b) controllable. Both are read from the groups b projects onto
-    (``projected_groups``): the reach is nonzero when b projects onto the
-    constant mode, and for symmetric L the Kalman rank of (L, b) is the
-    number of groups, so (L, b) is controllable when every eigenvalue is
-    simple and b projects onto every eigenvector. When a flag is false the
+    (``projected_groups``, one call for all channels): the reach is nonzero
+    when b projects onto the constant mode, and for symmetric L the Kalman
+    rank of (L, b) is the number of groups, so (L, b) is controllable when
+    every eigenvalue is simple and b projects onto every eigenvector. When a flag is false the
     solver still runs but tags its output as not structure-certified.
     """
     out = []
-    for k, ch in enumerate(p.channels, start=1):
-        groups = projected_groups(sd, ch.b)
+    masks = projected_groups(sd, np.array([ch.b for ch in p.channels]))
+    for k, (ch, groups) in enumerate(zip(p.channels, masks), start=1):
         reach_nonzero = bool(groups[0])
         rank = int(np.count_nonzero(groups))
         controllable = rank == p.n

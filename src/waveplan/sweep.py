@@ -49,6 +49,8 @@ def default_radius(n: int) -> float:
 
 def sweep_instance(n: int, instance: int, base_seed: int, radius: float | None = None) -> SweepRow:
     """One (n, instance) cell: seeded graph, seeded random p, b = first basis vector."""
+    if n < 2:
+        raise ValidationError(f"need at least 2 nodes, got {n}")
     if radius is None:
         radius = default_radius(n)
     graph_seed = base_seed * 1_000_003 + n * 1_009 + instance

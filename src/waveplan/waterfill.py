@@ -15,13 +15,13 @@ summation g(t) = sum_j P_j (w_j - w_{j+1}) with w_j = exp(rate_j (t - T))
 nonincreasing in j on [0, T] and w_G = 0, so such a g is <= 0 <= beta at
 every time and every level: its on-set is empty and it adds no spend.
 
-One engine serves every level probe, ``on_set`` and ``spend_for_beta``:
-the G x m matrix of cost-normalized group coefficients, one modal block
-exp((t - T) * rate) evaluated per solve on a shared grid, one scan of the
-grid per level for the crossing cells of all channels, and one evaluation
-of g, g' and a curvature bound at every crossing, which certifies most
-Newton steps from the cells' secants; the rest go to vectorized
-safeguarded Newton refinement. A probe returns the spend and its slope
+One engine serves every level probe and the returned on-sets: the
+channels' group coefficients, one matrix per solve scaled to the signals,
+one modal block exp((t - T) * rate) evaluated per solve on a shared grid,
+one scan of the grid per level for the crossing cells of all channels, and
+one evaluation of g, g' and a curvature bound at every crossing, which
+certifies most Newton steps from the cells' secants; the rest go to
+vectorized safeguarded Newton refinement. A probe returns the spend and its slope
 from the crossing times alone: the on-intervals are built once, at the
 returned level. A sign change between two samples is always a true
 crossing, so a scan can exceed the certificate's switch bounds only
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .costate import ChannelProfile, channel_profile
+from .costate import ChannelProfile, _row_profile, group_coefficients
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
 from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
@@ -156,7 +156,8 @@ def _sample_signals(
     ts = np.linspace(0.0, T, points)
     dt = T / max(1, points - 1)
     rows = max(1, min(points, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
-    offsets = np.exp(np.multiply.outer(rates, np.arange(1 - rows, 1) * dt))
+    offsets = np.multiply.outer(rates, np.arange(1 - rows, 1) * dt)
+    np.exp(offsets, out=offsets)  # in place: one block-sized array per solve, not two
     out = np.empty((coeffs.shape[1], points))
     for stop in range(points, 0, -rows):
         start = max(0, stop - rows)
@@ -168,26 +169,24 @@ def _sample_signals(
 class _SignalGrid:
     """The cost-normalized signals g_k of several channels, sampled once on a shared grid.
 
-    ``rates`` is the union of the channels' group rates and ``coeffs`` the
-    G x m matrix of their coefficients, 0 where a channel dropped a mode.
-    The samples supply signs, brackets and a first guess of the level only:
-    ``probe`` compares them with the level, takes each crossing's grid cell
-    and the signs at the cell ends, then refines the crossing on the closed
-    form.
+    ``rates`` are increasing group rates and ``rows`` the m x G matrix of
+    the channels' coefficients on them, 0 where a channel lacks a mode,
+    kept as the G x m matrix ``coeffs``. The samples supply signs, brackets
+    and a first guess of the level only: ``probe`` compares them with the
+    level, takes each crossing's grid cell and the signs at the cell ends,
+    then refines the crossing on the closed form.
     """
 
-    def __init__(self, gs: list[ChannelProfile], T: float, points: int) -> None:
+    def __init__(self, rates: np.ndarray, rows: np.ndarray, T: float, points: int) -> None:
         self.T = float(T)
-        self.rates = np.unique(np.concatenate([g.rates for g in gs]))
-        self.coeffs = np.zeros((self.rates.size, len(gs)))
-        for k, g in enumerate(gs):
-            self.coeffs[np.searchsorted(self.rates, g.rates), k] = g.coeffs
-        self.dcoeffs = self.coeffs * self.rates[:, None]  # coefficients of g'
+        self.rates = rates
+        self.coeffs = np.ascontiguousarray(rows.T)
+        self.dcoeffs = self.coeffs * rates[:, None]  # coefficients of g'
         # Coefficients of g, g' and the curvature bound sum_g |d_g| rate_g^2
         # exp(rate_g (t - T)) side by side, so one product evaluates all three.
-        curvature = np.abs(self.dcoeffs) * self.rates[:, None]
+        curvature = np.abs(self.dcoeffs) * rates[:, None]
         self.terms = np.concatenate((self.coeffs, self.dcoeffs, curvature), axis=1)
-        self.times, self.values = _sample_signals(self.rates, self.coeffs, self.T, points)
+        self.times, self.values = _sample_signals(rates, self.coeffs, self.T, points)
 
     def probe(self, beta: float, costs: np.ndarray):
         """The spend at level beta, |dS/dbeta| there, and every channel's on-set {g_k > beta}.
@@ -394,50 +393,35 @@ def _find_level(grid: _SignalGrid, probe, costs: np.ndarray, r: float):
     )
 
 
-def on_set(g: ChannelProfile, beta: float, T: float) -> tuple[tuple[float, float], ...]:
-    """The region {t in [0, T] : g(t) > beta} as disjoint sorted intervals.
-
-    One scan of 4096 samples against beta, followed by Newton refinement of
-    each crossing to 1e-12 * T. Points with g(t) = beta are assigned off.
-    """
-    if beta < 0.0:
-        raise ContractError(f"water level must be nonnegative, got {beta}")
-    grid = _SignalGrid([g], T, _grid_points(0))
-    return grid.on_sets(grid.probe(beta, np.ones(1))[2])[0]
-
-
 def _spend(costs, sets) -> float:
     return float(sum(c * sum(hi - lo for lo, hi in s) for c, s in zip(costs, sets)))
-
-
-def spend_for_beta(problem: CampaignProblem, profiles: list[ChannelProfile], beta: float) -> float:
-    """Total budget burned at water level beta: sum of c_i(u_max_i) times on-time."""
-    gs = [threshold_profile(profile, ch) for profile, ch in zip(profiles, problem.channels)]
-    costs = np.array([ch.max_cost_rate for ch in problem.channels])
-    return _SignalGrid(gs, problem.T, _grid_points(problem.n)).probe(beta, costs)[0]
 
 
 def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecomposition):
     """The schedule half of ``solve_with_costate``, before any certificate.
 
-    Returns the channel profiles, the water level, the schedule, its spend
-    and the (level, spend) trace of every level probed. Only the channels
-    with a positive partial coefficient sum are sampled; the others are
-    never on (see the module docstring). With none sampled the budget is
-    slack at level 0. The on-sets are built once, at the returned level,
-    and the returned spend is summed from them.
+    Returns the m x G group coefficients of h (``group_coefficients``, one
+    row per channel), the water level, the schedule, its spend and the
+    (level, spend) trace of every level probed. The rows scaled to the
+    signals g_k are sampled only for the channels with a positive partial
+    coefficient sum, on the modes one of them has; the others are never on
+    (see the module docstring). With none sampled the budget is slack at
+    level 0. The on-sets are built once, at the returned level, and the
+    returned spend is summed from them.
     """
     T, r = problem.T, problem.r
-    profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
-    gs = [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)]
-    live = [k for k, g in enumerate(gs) if (g.coeffs.cumsum() > 0.0).any()]
-    costs = np.array([problem.channels[k].max_cost_rate for k in live])
+    chans = problem.channels
+    coeffs = group_coefficients(sd, lam, np.array([ch.b for ch in chans]))
+    signals = coeffs * np.array([ch.u_max / ch.max_cost_rate for ch in chans])[:, None]
+    live = np.flatnonzero((signals.cumsum(axis=1) > 0.0).any(axis=1))
+    costs = np.array([chans[k].max_cost_rate for k in live])
     trace: list[tuple[float, float]] = []
     beta_star, sets = 0.0, []
-    if not live:
+    if not live.size:
         trace.append((0.0, 0.0))
     else:
-        grid = _SignalGrid([gs[k] for k in live], T, _grid_points(problem.n))
+        modes = (coeffs[live] != 0.0).any(axis=0)
+        grid = _SignalGrid(sd.group_rates[modes], signals[live][:, modes], T, _grid_points(problem.n))
 
         def probe(beta: float):
             out = grid.probe(beta, costs)
@@ -449,33 +433,32 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
             beta_star, events = _find_level(grid, probe, costs, r)
         sets = grid.on_sets(events)
 
-    on = dict(zip(live, sets))
+    on = dict(zip(live.tolist(), sets))
     schedule = BangBangSchedule(
         channels=tuple(
-            ChannelSchedule(u_max=ch.u_max, intervals=on.get(k, ()))
-            for k, ch in enumerate(problem.channels)
+            ChannelSchedule(u_max=ch.u_max, intervals=on.get(k, ())) for k, ch in enumerate(chans)
         )
     )
-    return profiles, beta_star, schedule, _spend(costs, sets), tuple(trace)
+    return coeffs, beta_star, schedule, _spend(costs, sets), tuple(trace)
 
 
-def _certified(problem, sd, profiles, beta_star, schedule, spend, trace) -> WaterfillSolution:
+def _certified(problem, sd, coeffs, beta_star, schedule, spend, trace) -> WaterfillSolution:
     """The certificate half of ``solve_with_costate``: gain, conditions and switch bounds.
 
-    One pass per channel over its conditions row and realized switches: the
-    support bound is the conditions' rank less one, and the channel's profile
-    gives both variation bounds at its threshold shift
-    (``bound_linear_profile``), so no coefficient is computed twice.
-    Raises NumericalError when a channel switches more often than a bound
-    that applies to it allows.
+    One pass per channel over its row of group coefficients, its conditions
+    row and its realized switches: the support bound is the conditions' rank
+    less one, and the row gives both variation bounds at the channel's
+    threshold shift (``bounds._linear_bounds``), so no coefficient is
+    computed twice. Raises NumericalError when a channel switches more often
+    than a bound that applies to it allows.
     """
-    gain = closed_form_gain(profiles, schedule)
+    gain = closed_form_gain([_row_profile(sd.group_rates, row, problem.T) for row in coeffs], schedule)
     certificate = []
     conditions = check_conditions(problem, sd)
     switches = schedule.switch_counts(problem.T)
-    for ch, profile, cond, realized in zip(problem.channels, profiles, conditions, switches):
+    for ch, row, cond, realized in zip(problem.channels, coeffs, conditions, switches):
         shift = beta_star * ch.max_cost_rate / ch.u_max
-        shifted, sup = bounds.bound_linear_profile(profile, shift)
+        shifted, sup = bounds._linear_bounds(row, shift)
         general = max(0, cond.controllability_rank - 1)
         certificate.append(
             ChannelCertificate(

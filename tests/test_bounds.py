@@ -120,7 +120,7 @@ def _reference_sup(partial, tol):
 
 
 def _partial_sums(sd, p, b):
-    coeffs = group_coefficients(sd, p, b)  # modes within 1e-10 of scale already 0.0
+    coeffs = group_coefficients(sd, p, b[None, :])[0]  # modes within 1e-10 of scale already 0.0
     return np.cumsum(coeffs), 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
 
 

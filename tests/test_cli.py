@@ -6,6 +6,7 @@ import pytest
 
 from waveplan.bundles import write_bundled_problems
 from waveplan.cli import main, schedule_from_dict, schedule_to_dict
+from waveplan.errors import ValidationError
 from waveplan.waterfill import BangBangSchedule, ChannelSchedule
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,7 +159,7 @@ class TestBoundsCommandWork:
     def _count(monkeypatch):
         from waveplan import bounds, cli, graph, waterfill
 
-        calls = {"spectral_decompose": 0, "bound_linear": 0, "bound_linear_profile": 0}
+        calls = {"spectral_decompose": 0, "bound_linear": 0, "_linear_bounds": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -173,13 +174,13 @@ class TestBoundsCommandWork:
         linear = counting("bound_linear", bounds.bound_linear)
         for module in (bounds, cli):
             monkeypatch.setattr(module, "bound_linear", linear)
-        monkeypatch.setattr(bounds, "bound_linear_profile", counting("bound_linear_profile", bounds.bound_linear_profile))
+        monkeypatch.setattr(bounds, "_linear_bounds", counting("_linear_bounds", bounds._linear_bounds))
         return calls
 
     def test_linear_problem_reuses_the_solve_certificate(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 0, "bound_linear_profile": 2}
+        assert calls == {"spectral_decompose": 1, "bound_linear": 0, "_linear_bounds": 2}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         summary_dir = tmp_path / "solve"
         assert main(["solve", str(SEVEN), "--out", str(summary_dir)]) == 0
@@ -193,7 +194,7 @@ class TestBoundsCommandWork:
     def test_sigmoid_problem_has_no_level(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN_SIGMOID), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 2, "bound_linear_profile": 0}
+        assert calls == {"spectral_decompose": 1, "bound_linear": 2, "_linear_bounds": 2}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         assert payload["beta_star"] is None
         for row in payload["channels"]:
@@ -232,6 +233,7 @@ class TestExitCodes:
             ["sweep", "--n", "60:20:20"],
             ["sweep", "--n", "20", "--instances", "0"],
             ["sweep", "--n", "20", "--radius", "-1"],
+            ["sweep", "--n", "0", "--instances", "1"],
             ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "-1"],
             ["solve", _Edited("abc", "T")],
             ["solve", _Edited("x", "channels", 0, "u_max")],
@@ -249,7 +251,8 @@ class TestExitCodes:
             ["solve", _Edited(True, "graph", "edges", 0, 0)],
         ],
         ids=[
-            "zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "plot-points",
+            "zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "zero-nodes",
+            "plot-points",
             "T-not-a-number", "u_max-not-a-number", "b-entry-not-a-number", "T-1e400", "v-1e400",
             "fractional-edge-index", "fractional-n", "n-2**63",
             "T-true", "r-true", "u_max-true", "b-entry-true", "p-entry-false", "edge-index-true",
@@ -259,6 +262,39 @@ class TestExitCodes:
         argv = [a.write(tmp_path) if isinstance(a, _Edited) else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("channels", 0, "u_max"), float("nan")),
+            (("channels", 0, "u_max"), float("inf")),
+            (("channels", 0, "u_max"), -1.0),
+            (("channels", 0, "u_max"), True),
+            (("channels", 1, "on_intervals", 0, 1), True),
+        ],
+        ids=["u_max-nan", "u_max-1e400", "u_max-negative", "u_max-true", "interval-end-true"],
+    )
+    def test_bad_schedule_file_exits_2(self, path, value, tmp_path, capsys):
+        schedule = schedule_to_dict(
+            BangBangSchedule(
+                channels=(
+                    ChannelSchedule(u_max=1.0, intervals=((0.0, 1.0),)),
+                    ChannelSchedule(u_max=1.0, intervals=((0.5, 2.0),)),
+                )
+            ),
+            10.0,
+        )
+        target = schedule
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "schedule.json"
+        bad.write_text(json.dumps(schedule).replace("Infinity", "1e400"))
+        argv = ["simulate", str(SEVEN), "--schedule", str(bad), "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(ValidationError, match="schedule"):
+            schedule_from_dict(json.loads(bad.read_text()))
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

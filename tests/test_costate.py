@@ -93,7 +93,7 @@ class TestChannelProfile:
         sd = spectral_decompose(build_laplacian(random_connected_graph(rng, 6)))
         for lam in (np.full(6, 0.7), rng.uniform(0, 1, 6)):
             b = rng.uniform(-1, 1, 6)
-            coeffs = group_coefficients(sd, lam, b)
+            coeffs = group_coefficients(sd, lam, b[None, :])[0]
             assert coeffs.shape == sd.group_rates.shape
             tol = 1e-10 * max(1.0, np.linalg.norm(lam) * np.linalg.norm(b))
             assert not np.any((0.0 < np.abs(coeffs)) & (np.abs(coeffs) <= tol))

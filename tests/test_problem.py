@@ -496,7 +496,7 @@ class TestCheckConditions:
         )
         sd = spectral_decompose(build_laplacian(K2))
         cond = check_conditions(p, sd)[0]
-        assert cond.reach_nonzero == bool(projected_groups(sd, b)[0]) == reaches
+        assert cond.reach_nonzero == bool(projected_groups(sd, b[None, :])[0, 0]) == reaches
         assert cond.theorem_applicable == reaches
         assert cond.total_reach == float(np.sum(b))
 

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan import bounds, costate, graph, problem, sigmoid, waterfill
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
-from waveplan.costate import channel_profile, eval_h
+from waveplan.costate import channel_profile, eval_h, group_coefficients
+from waveplan.dynamics import terminal_state
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, projected_groups, random_geometric_graph, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
 from waveplan.sweep import default_radius
-from waveplan.waterfill import on_set, solve, spend_for_beta, threshold_profile
+from waveplan.waterfill import solve, threshold_profile
 
 BETA_STAR_K2 = 0.5 - 0.5 * np.exp(-1.0)
 
@@ -57,33 +58,40 @@ class TestThresholdProfile:
         assert eval_h(g, 1.0) == pytest.approx(float(p @ b) / 1.0, abs=1e-12)
 
 
+def _on_set(profile, beta):
+    """A profile's on-set {g > beta} from one probe of a grid that samples only it."""
+    grid = waterfill._SignalGrid(profile.rates, profile.coeffs[None, :], profile.horizon, waterfill._grid_points(2))
+    return grid.on_sets(grid.probe(beta, np.ones(1))[2])[0]
+
+
+def _spend_for_beta(prob, beta):
+    """Total spend at level beta >= 0: one probe of the grid ``_schedule`` samples (never-on channels spend 0)."""
+    grid, live, costs = _live_grid(prob)
+    return grid.probe(beta, costs)[0] if live else 0.0
+
+
 class TestOnSet:
     def test_constant_above(self):
-        assert on_set(_constant_profile(1.0), 0.5, T=1.0) == ((0.0, 1.0),)
+        assert _on_set(_constant_profile(1.0), 0.5) == ((0.0, 1.0),)
 
     def test_constant_below(self):
-        assert on_set(_constant_profile(1.0), 2.0, T=1.0) == ()
+        assert _on_set(_constant_profile(1.0), 2.0) == ()
 
     def test_k2_halfway_level(self):
         prof = _k2_h_profile()
         beta = eval_h(prof, 0.5)
-        (interval,) = on_set(prof, beta, T=1.0)
+        (interval,) = _on_set(prof, beta)
         assert interval[0] == 0.0
         assert interval[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_tie_break_excludes_boundary(self):
         # Constant signal exactly at the level: assigned off.
-        assert on_set(_constant_profile(0.5), 0.5, T=1.0) == ()
-
-    def test_rejects_negative_level(self):
-        with pytest.raises(ContractError):
-            on_set(_constant_profile(1.0), -0.1, T=1.0)
+        assert _on_set(_constant_profile(0.5), 0.5) == ()
 
 
 class TestSpendForBeta:
     def test_above_peak_spends_nothing(self):
-        prob = k2_problem()
-        assert spend_for_beta(prob, [_k2_h_profile()], 10.0) == 0.0
+        assert _spend_for_beta(k2_problem(), 10.0) == 0.0
 
     def test_zero_level_spends_saturation(self):
         prob = CampaignProblem(
@@ -94,26 +102,17 @@ class TestSpendForBeta:
             r=0.5,
             x0=np.zeros(2),
         )
-        sd = spectral_decompose(build_laplacian(K2))
-        prof = channel_profile(sd, prob.objective.p, np.array([1.0, 1.0]), 1.0)
-        assert spend_for_beta(prob, [prof], 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert _spend_for_beta(prob, 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_k2_worked_level(self):
-        prob = k2_problem()
-        prof = _k2_h_profile()
-        assert spend_for_beta(prob, [prof], BETA_STAR_K2) == pytest.approx(0.5, abs=1e-9)
+        assert _spend_for_beta(k2_problem(), BETA_STAR_K2) == pytest.approx(0.5, abs=1e-9)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             prob = random_linear_problem(rng, int(rng.integers(2, 7)))
-            sd = spectral_decompose(build_laplacian(prob.graph))
-            profiles = [
-                channel_profile(sd, prob.objective.p, ch.b, prob.T)
-                for ch in prob.channels
-            ]
             betas = np.sort(rng.uniform(0.0, 1.0, 5))
-            spends = [spend_for_beta(prob, profiles, float(b)) for b in betas]
+            spends = [_spend_for_beta(prob, float(b)) for b in betas]
             for lo, hi in zip(spends, spends[1:]):
                 assert lo >= hi - 1e-12
 
@@ -235,11 +234,11 @@ class TestCertificateChecks:
     def test_switches_above_variation_bound_raise(self, monkeypatch):
         # The K2 schedule switches once; a bound of 0 must be reported, not
         # passed over.
-        monkeypatch.setattr(bounds, "bound_linear_profile", lambda *args: (0, 0))
+        monkeypatch.setattr(bounds, "_linear_bounds", lambda *args: (0, 0))
         with pytest.raises(NumericalError, match="variation bound"):
             solve(k2_problem())
 
-    def test_group_coefficients_run_once_per_channel(self, monkeypatch):
+    def test_group_coefficients_run_once_per_solve(self, monkeypatch):
         calls = []
         original = costate.group_coefficients
 
@@ -247,16 +246,15 @@ class TestCertificateChecks:
             calls.append(args)
             return original(*args)
 
-        for module in (costate, bounds):
+        for module in (costate, bounds, waterfill):
             monkeypatch.setattr(module, "group_coefficients", counting)
-        prob = seven_agent_problem()
-        solve(prob)
-        assert len(calls) == prob.m
+        solve(seven_agent_problem())
+        assert len(calls) == 1
 
     def test_bounds_are_the_direct_bound_calls(self):
-        # The certificate reads the profile's modes; bound_linear recomputes
-        # every group coefficient. A zero-reach channel (sum b = 0) has no
-        # constant mode, whose slot still carries the shift.
+        # The certificate reads the solve's coefficient rows; bound_linear
+        # recomputes every group coefficient. A zero-reach channel (sum b =
+        # 0) has no constant mode, whose slot still carries the shift.
         rng = np.random.default_rng(31)
         zero_reach = 0
         for _ in range(200):
@@ -266,7 +264,7 @@ class TestCertificateChecks:
             prob = dataclasses.replace(prob, channels=prob.channels + (centered,), r=1.5 * prob.r)
             sol = solve(prob)
             sd = spectral_decompose(build_laplacian(prob.graph))
-            zero_reach += not projected_groups(sd, b)[0]
+            zero_reach += not projected_groups(sd, b[None, :])[0, 0]
             p = prob.objective.p
             for k, (ch, cert) in enumerate(zip(prob.channels, sol.certificate, strict=True), start=1):
                 shift = sol.beta_star * ch.max_cost_rate / ch.u_max
@@ -304,14 +302,14 @@ class TestCertificateChecks:
         # group, so the support bound 0 does not apply to its one switch.
         prob = self._zero_reach_k2(1e-11)
         sd = spectral_decompose(build_laplacian(K2))
-        assert not projected_groups(sd, prob.channels[0].b)[0]
+        assert not projected_groups(sd, prob.channels[0].b[None, :])[0, 0]
         (cert,) = solve(prob).certificate
         assert (cert.realized_switches, cert.bound_general) == (1, 0)
 
     def test_support_bound_raise_follows_the_reach_decision(self, monkeypatch):
         # The same channel read as reaching the constant mode (and one other
         # group) is held to its support bound 0.
-        monkeypatch.setattr(problem, "projected_groups", lambda sd, x: np.array([True, False]))
+        monkeypatch.setattr(problem, "projected_groups", lambda sd, xs: np.array([[True, False]]))
         with pytest.raises(NumericalError, match="support bound 0"):
             solve(self._zero_reach_k2(1e-11))
 
@@ -329,9 +327,8 @@ class TestCertificateChecks:
         groups = counting("projected_groups", graph.projected_groups)
         for module in (bounds, problem):
             monkeypatch.setattr(module, "projected_groups", groups)
-        prob = seven_agent_problem()
-        solve(prob)
-        assert calls == {"bound_general": 0, "projected_groups": prob.m}
+        solve(seven_agent_problem())
+        assert calls == {"bound_general": 0, "projected_groups": 1}
 
 
 def _random_problem(rng, n, m):
@@ -430,7 +427,7 @@ class TestExactRootCrossing:
         from waveplan.costate import ChannelProfile
 
         profile = ChannelProfile(horizon=1.0, rates=(0.0, 1.0), coeffs=(1.0, -0.5))
-        grid = waterfill._SignalGrid([profile], 1.0, 64)
+        grid = waterfill._SignalGrid(profile.rates, profile.coeffs[None, :], 1.0, 64)
         e = np.exp(np.multiply.outer(np.array([0.375]) - grid.T, grid.rates))
         beta = float(np.einsum("cg,gc->c", e, grid.coeffs[:, [0]])[0])
         slope = float(np.einsum("cg,gc->c", e, grid.dcoeffs[:, [0]])[0])
@@ -454,7 +451,7 @@ class TestExactRootCrossing:
         from waveplan.costate import ChannelProfile
 
         profile = ChannelProfile(horizon=1.0, rates=(0.0, 1.0), coeffs=(1.0, -0.5))
-        grid = waterfill._SignalGrid([profile], 1.0, 16)
+        grid = waterfill._SignalGrid(profile.rates, profile.coeffs[None, :], 1.0, 16)
         beta = 0.7
         above = grid.values[0] > beta
         cell = np.flatnonzero(above[1:] != above[:-1])
@@ -532,15 +529,24 @@ def _signal(grid, chan, t):
     return np.einsum("cg,gc->c", np.exp(np.multiply.outer(t - grid.T, grid.rates)), grid.coeffs[:, chan])
 
 
+def _signal_rows(prob, lam, sd):
+    """Every channel's group coefficients of h and of its signal g, as ``_schedule`` forms them."""
+    coeffs = group_coefficients(sd, lam, np.array([ch.b for ch in prob.channels]))
+    kappa = np.array([ch.u_max / ch.max_cost_rate for ch in prob.channels])
+    return coeffs, coeffs * kappa[:, None]
+
+
 def _live_grid(prob):
     """The grid ``_schedule`` samples: the live channels' signals, with their indices and costs.
 
     The grid is None when no channel is live.
     """
     sd = spectral_decompose(build_laplacian(prob.graph))
-    gs = [threshold_profile(channel_profile(sd, prob.objective.p, ch.b, prob.T), ch) for ch in prob.channels]
-    live = [k for k, g in enumerate(gs) if np.any(np.cumsum(g.coeffs) > 0.0)]
-    grid = waterfill._SignalGrid([gs[k] for k in live], prob.T, waterfill._grid_points(prob.n)) if live else None
+    coeffs, signals = _signal_rows(prob, prob.objective.p, sd)
+    live = [k for k, row in enumerate(signals) if np.any(np.cumsum(row) > 0.0)]
+    modes = np.any(coeffs[live] != 0.0, axis=0)
+    points = waterfill._grid_points(prob.n)
+    grid = waterfill._SignalGrid(sd.group_rates[modes], signals[live][:, modes], prob.T, points) if live else None
     return grid, live, np.array([prob.channels[k].max_cost_rate for k in live])
 
 
@@ -587,6 +593,51 @@ def whole_problems(draw):
     )
 
 
+@st.composite
+def problems_with_state_and_drift(draw):
+    """A ``whole_problems`` problem with a random x0 and a drift of 1-3 pieces on [0, T)."""
+    prob = draw(whole_problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = draw(st.integers(1, 3))
+    breakpoints = np.concatenate(([0.0], np.sort(rng.uniform(0.0, prob.T, pieces - 1))))
+    drift = Drift(breakpoints=breakpoints, values=rng.normal(0.0, 1.0, (pieces, prob.n)))
+    return dataclasses.replace(prob, x0=rng.normal(0.0, 1.0, prob.n), drift=drift)
+
+
+def _solve_or_bracket(prob):
+    """``solve(prob)``, or None where it raises the long-horizon failure.
+
+    In that failure no float level meets r, so the bracket shrank to
+    adjacent floats.
+    """
+    try:
+        return solve(prob)
+    except NumericalError as err:
+        lo, hi = map(float, re.search(r"bracket \[(\S+), (\S+)\]", str(err)).groups())
+        assert hi <= np.nextafter(lo, np.inf)
+        return None
+
+
+class TestEndToEndInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(problems_with_state_and_drift())
+    def test_gain_is_the_terminal_state_gain_and_x0_and_drift_change_nothing(self, prob):
+        sol = _solve_or_bracket(prob)
+        base = _solve_or_bracket(dataclasses.replace(prob, x0=np.zeros(prob.n), drift=Drift.zero(prob.n)))
+        assert (sol is None) == (base is None)
+        if sol is None:
+            return
+        assert (sol.schedule, sol.beta_star, sol.certificate) == (base.schedule, base.beta_star, base.certificate)
+        # The closed-form gain sums h over the on-intervals in the group
+        # coefficients; terminal_state integrates the eigenmodes of x.
+        sd = spectral_decompose(build_laplacian(prob.graph))
+        off = waterfill.BangBangSchedule(
+            channels=tuple(waterfill.ChannelSchedule(u_max=ch.u_max, intervals=()) for ch in prob.channels)
+        )
+        gain = float(prob.objective.p @ (terminal_state(prob, sol.schedule, sd) - terminal_state(prob, off, sd)))
+        assert sol.objective_gain == pytest.approx(gain, rel=1e-9, abs=0.0)
+
+
 def _root_spread(grid, k, t, beta):
     """How far apart two roots of g_k = beta at t can lie when each is a root to rounding.
 
@@ -625,14 +676,7 @@ class TestProbe:
             return out
 
         with mock.patch.object(waterfill._SignalGrid, "probe", recording):
-            try:
-                sol = solve(prob)
-            except NumericalError as err:
-                # The long-horizon failure: no float level meets r, so the
-                # bracket shrank to adjacent floats.
-                lo, hi = map(float, re.search(r"bracket \[(\S+), (\S+)\]", str(err)).groups())
-                assert hi <= np.nextafter(lo, np.inf)
-                sol = None
+            sol = _solve_or_bracket(prob)
         for grid, beta, costs, (spend, _, events) in probes:
             assert spend == pytest.approx(waterfill._spend(costs, grid.on_sets(events)), rel=1e-12, abs=0.0)
             reference = _reference_crossings(grid, beta)
@@ -671,12 +715,9 @@ class TestSharedDecomposition:
 def _schedule_every_channel_on_the_grid(problem, lam, sd):
     """``_schedule`` with every channel sampled, never-on ones included: the reference for the skip."""
     T, r = problem.T, problem.r
-    profiles = [channel_profile(sd, lam, ch.b, T) for ch in problem.channels]
-    grid = waterfill._SignalGrid(
-        [threshold_profile(pr, ch) for pr, ch in zip(profiles, problem.channels)],
-        T,
-        waterfill._grid_points(problem.n),
-    )
+    coeffs, signals = _signal_rows(problem, lam, sd)
+    modes = np.any(coeffs != 0.0, axis=0)
+    grid = waterfill._SignalGrid(sd.group_rates[modes], signals[:, modes], T, waterfill._grid_points(problem.n))
     costs = np.array([ch.max_cost_rate for ch in problem.channels])
     trace = []
 
@@ -695,7 +736,7 @@ def _schedule_every_channel_on_the_grid(problem, lam, sd):
             waterfill.ChannelSchedule(u_max=ch.u_max, intervals=s) for ch, s in zip(problem.channels, sets)
         )
     )
-    return profiles, beta_star, schedule, waterfill._spend(costs, sets), tuple(trace)
+    return coeffs, beta_star, schedule, waterfill._spend(costs, sets), tuple(trace)
 
 
 def _assert_same_solution(sol, ref, prob):
@@ -738,9 +779,9 @@ class TestNeverOnChannels:
         sizes = []
 
         class Recording(waterfill._SignalGrid):
-            def __init__(self, gs, T, points):
-                sizes.append(len(gs))
-                super().__init__(gs, T, points)
+            def __init__(self, rates, rows, T, points):
+                sizes.append(len(rows))
+                super().__init__(rates, rows, T, points)
 
         monkeypatch.setattr(waterfill, "_SignalGrid", Recording)
         return sizes
