@@ -2,9 +2,10 @@
 
 ``terminal_state`` gives the exact x(T) under a bang-bang schedule in the
 Laplacian's modes; the sigmoid loop scores its iterates with it.
-``simulate`` is the reference RK4 integrator that samples the whole path.
-It runs on the same batched one-step kernel from which the enumeration
-oracle builds the RK4 transfer maps that score its sigmoid candidates.
+``simulate`` is the reference RK4 integrator that samples the whole path;
+it steps the dense system, and nothing else in the package runs that
+kernel, so its runs check the enumeration oracle's modal RK4 scores
+independently.
 """
 
 from __future__ import annotations
@@ -85,19 +86,16 @@ def _forcing(problem: CampaignProblem, schedule, ts: np.ndarray):
 
 
 def _rk4(a_mat: np.ndarray, h: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """Classical 4th-order one-step method for K systems dx/dt = A x + c, stepped together.
+    """Classical 4th-order one-step method for dx/dt = A x + c.
 
-    ``x0`` is [K, n]; ``h`` is [P, K] and ``forcing`` [P, K, n], so piece p
-    of system k has length h[p, k] and constant input forcing[p, k]. A zero
-    step leaves a state unchanged, which pads systems with shorter grids.
-    Returns the states after every piece, [P + 1, K, n].
+    Piece p has length h[p] and constant input forcing[p], [P, n]. Returns
+    the states after every piece, [P + 1, n], with x0 first.
     """
     a_t = np.ascontiguousarray(a_mat.T)
-    states = np.empty((h.shape[0] + 1,) + x0.shape)
+    states = np.empty((h.size + 1, x0.size))
     states[0] = x0
     x = np.array(x0, dtype=np.float64)
-    for p in range(h.shape[0]):
-        hp = h[p][:, None]
+    for p, hp in enumerate(h.tolist()):
         c = forcing[p]
         k1 = x @ a_t + c
         k2 = (x + 0.5 * hp * k1) @ a_t + c
@@ -106,25 +104,6 @@ def _rk4(a_mat: np.ndarray, h: np.ndarray, x0: np.ndarray, forcing: np.ndarray) 
         x = x + (hp / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[p + 1] = x
     return states
-
-
-def _rk4_step_maps(a_mat: np.ndarray, h: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """One RK4 step of each length h[p] as an affine map of the state and of J input weights.
-
-    ``inputs`` is [P, J, n]: step p is forced by c = sum_j w_j inputs[p, j].
-    A step is linear in the state and the forcing, x -> R(hA) x + h S(hA) c,
-    so pushing the identity (no forcing) and every input (from zero) through
-    ``_rk4`` gives the stacked block [phi; resp], [P, n + J, n], with x_end =
-    x @ phi[p] + w @ resp[p] in the kernel's row convention, up to rounding.
-    """
-    steps, count, n = inputs.shape
-    rows = n + count
-    x0 = np.zeros((steps, rows, n))
-    x0[:, :n] = np.eye(n)
-    forcing = np.zeros((1, steps, rows, n))
-    forcing[0, :, n:] = inputs
-    end = _rk4(a_mat, np.repeat(h, rows)[None, :], x0.reshape(-1, n), forcing.reshape(1, -1, n))
-    return end[-1].reshape(steps, rows, n)
 
 
 def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajectory:
@@ -141,7 +120,7 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
     forcing, cost_rate = _forcing(problem, schedule, ts)
     a_mat = -build_laplacian(problem.graph)
     h = np.diff(ts)
-    states = _rk4(a_mat, h[:, None], problem.x0[None, :], forcing[:, None, :])[:, 0, :]
+    states = _rk4(a_mat, h, problem.x0, forcing)
     spend = np.concatenate([[0.0], np.cumsum(cost_rate * h)])
     return Trajectory(times=ts, states=states, spend_accum=spend)
 

@@ -11,13 +11,13 @@ class (level and number of on-cells), so channel pairs are scored by class
 pair from each class's best gain, never candidate pair by candidate pair;
 m = 1 is paired with a zero-cost dummy. Sigmoid
 objectives are scored by the value a 256-step RK4 run of ``simulate`` would
-give, without stepping candidate by candidate: one RK4 step of the linear
-dynamics under a constant input is an exact affine map, so the steps that
-all candidates share are composed once into maps of the state and of each
-cell's control, and every candidate applies a few of them, chosen by its
-cell masks. With interior levels enabled it also serves as the
-falsification harness for the bang-bang claim, testing non-extreme constant
-control levels against the best extreme candidate.
+give, without stepping candidate by candidate: in the Laplacian's
+eigenbasis one RK4 step under a constant input is a diagonal affine map, so
+the steps that all candidates share are composed once, mode by mode, and
+every candidate applies a few of them, chosen by its cell masks. With
+interior levels enabled it also serves as the falsification harness for
+the bang-bang claim, testing non-extreme constant control levels against
+the best extreme candidate.
 """
 
 from __future__ import annotations
@@ -30,18 +30,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import bound_general
-from .costate import _stable_sigmoid, channel_profile, eval_h, integrate_h
-from .dynamics import _rk4_step_maps
+from .costate import _row_profile, _stable_sigmoid, group_coefficients, integrate_h
 from .errors import ContractError, ValidationError
-from .graph import build_laplacian, spectral_decompose
-from .problem import CampaignProblem
+from .graph import SpectralDecomposition, build_laplacian, projected_groups, spectral_decompose
+from .problem import CampaignProblem, require_valid
 from .waterfill import BangBangSchedule, ChannelSchedule
 
 MAX_CANDIDATES = 2_000_000
 # RK4 steps per sigmoid candidate. The reported value is that of
 # simulate(problem, schedule, steps=SIGMOID_STEPS), up to rounding: the
-# candidates compose that run's step maps instead of stepping it.
+# candidates compose that run's steps in the eigenbasis instead of stepping it.
 SIGMOID_STEPS = 256
 # Sigmoid candidates scored together; bounds the scoring's working arrays.
 _SCORE_ROWS = 4096
@@ -172,16 +170,25 @@ def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float
     return tuple(intervals)
 
 
+def _check_switch_grid(g: int) -> None:
+    if not (2 <= g <= 16):
+        raise ContractError(f"switch_grid must lie in [2, 16], got {g}")
+
+
 def grid_slack(problem: CampaignProblem, switch_grid: int) -> float:
-    """Discretization slack bound: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid)."""
+    """Discretization slack bound: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
+
+    Every channel's h is sampled at ``SLACK_SAMPLES`` uniform times at once,
+    from its row of group coefficients.
+    """
+    require_valid(problem)
+    _check_switch_grid(switch_grid)
+    T = problem.T
     sd = spectral_decompose(build_laplacian(problem.graph))
-    lam = problem.objective.p
-    ts = np.linspace(0.0, problem.T, SLACK_SAMPLES)
-    worst = 0.0
-    for ch in problem.channels:
-        profile = channel_profile(sd, lam, ch.b, problem.T)
-        worst = max(worst, ch.u_max * float(np.max(np.abs(eval_h(profile, ts)))))
-    return worst * problem.T / switch_grid
+    coeffs = group_coefficients(sd, problem.objective.p, np.array([ch.b for ch in problem.channels]))
+    modes = np.exp(np.multiply.outer(np.linspace(0.0, T, SLACK_SAMPLES) - T, sd.group_rates))
+    u_max = np.array([ch.u_max for ch in problem.channels])
+    return float(np.max(u_max * np.max(np.abs(modes @ coeffs.T), axis=0))) * T / switch_grid
 
 
 def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleResult:
@@ -189,10 +196,11 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
 
     Linear objectives are scored by the exact closed-form gain (per-cell
     integrals of h); the sigmoid objective by its value after a
-    ``SIGMOID_STEPS`` RK4 run, from composed RK4 transfer maps. Budget-
+    ``SIGMOID_STEPS`` RK4 run, from RK4 maps composed mode by mode. Budget-
     infeasible candidates are discarded. Ties break lexicographically on the
     joint cell-indicator encoding (extreme level before interior levels), so
-    concurrent and sequential runs agree exactly.
+    concurrent and sequential runs agree exactly. An invalid problem raises
+    ValidationError.
 
     Linear candidates are combined by cost class (level, on-cell count):
     every candidate of a class has the same spend and interior flag, so the
@@ -203,12 +211,12 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     order, including a row whose gain is below its class's best but whose
     rounded sum still reaches the best value.
     """
+    require_valid(problem)
     n, m = problem.n, problem.m
     if n > 8 or m > 2:
         raise ContractError(f"enumeration is desk-scale only: n <= 8 and m <= 2, got n={n}, m={m}")
     g = spec.switch_grid
-    if not (2 <= g <= 16):
-        raise ContractError(f"switch_grid must lie in [2, 16], got {g}")
+    _check_switch_grid(g)
     if spec.max_switches_per_channel is not None and spec.max_switches_per_channel < 0:
         raise ContractError(f"switch cap must be nonnegative, got {spec.max_switches_per_channel}")
     if any(not (0.0 < lvl < 1.0) for lvl in spec.interior_levels):
@@ -217,17 +225,15 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     T = problem.T
     edges = np.linspace(0.0, T, g + 1)
     delta = T / g
-    linear = problem.objective.kind == "linear"
-    # Only the linear cell gains and the default switch caps need the spectrum.
-    sd = None
-    if linear or spec.max_switches_per_channel is None:
-        sd = spectral_decompose(build_laplacian(problem.graph))
+    sd = spectral_decompose(build_laplacian(problem.graph))
+    gains = np.array([ch.b for ch in problem.channels])
 
     levels = (1.0,) + (tuple(map(float, spec.interior_levels)) if spec.include_interior_levels else ())
-    caps = [
-        bound_general(sd, ch.b) if spec.max_switches_per_channel is None else spec.max_switches_per_channel
-        for ch in problem.channels
-    ]
+    if spec.max_switches_per_channel is None:
+        # The spectral-support bound: one less than the groups a channel projects onto.
+        caps = [max(0, int(k) - 1) for k in projected_groups(sd, gains).sum(axis=1)]
+    else:
+        caps = [spec.max_switches_per_channel] * m
     candidate_count = 1
     for cap in caps:
         candidate_count *= _mask_count(g, cap) * len(levels)
@@ -255,12 +261,13 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
 
     budget = problem.r + 1e-9 * max(1.0, problem.r)
 
-    if not linear:
-        return _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget)
+    if problem.objective.kind != "linear":
+        return _enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget)
 
+    coeffs = group_coefficients(sd, problem.objective.p, gains)
     scored = []
     for k, ch in enumerate(problem.channels):
-        profile = channel_profile(sd, problem.objective.p, ch.b, T)
+        profile = _row_profile(sd.group_rates, coeffs[k], T)
         cell_gain = ch.u_max * integrate_h(profile, edges[:-1], edges[1:])
         pc = per_channel[k]
         scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
@@ -269,8 +276,6 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
         scored.append((np.array([-0.0]), np.zeros(1, dtype=np.intp), np.array([-0.0]), np.zeros(1, dtype=bool)))
 
     best_idx, best_val, feasible, best_extreme, best_interior = _best_pair(scored, budget)
-    if feasible == 0:
-        raise ValidationError("no feasible candidate; even the all-off schedule failed the budget")
     best_idx = best_idx[:m]
 
     schedule = _schedule_from_indices(problem, masks, per_channel, edges, best_idx)
@@ -349,8 +354,8 @@ def _schedule_from_indices(problem, masks, per_channel, edges, idx) -> BangBangS
     return BangBangSchedule(channels=tuple(channels))
 
 
-def _segment_maps(problem: CampaignProblem, edges: np.ndarray):
-    """Composed RK4 maps of the segments that the sigmoid candidates step through.
+def _segment_maps(problem: CampaignProblem, sd: SpectralDecomposition, edges: np.ndarray):
+    """Modal RK4 maps of the segments that the sigmoid candidates step through.
 
     A candidate's ``simulate`` grid is the fixed nodes (``SIGMOID_STEPS``
     uniform steps and the drift breakpoints in (0, T)) plus the inner cell
@@ -363,13 +368,16 @@ def _segment_maps(problem: CampaignProblem, edges: np.ndarray):
     Segments are runs of pieces inside one cell: the fixed pieces cut at
     every inner edge and around every [a, b], then [a, e] and [e, b] for
     each optional edge j as segments ``count + j`` and ``count + q + j``.
-    Each segment's map x -> x @ phi + sum_k u_k w_k + d, with u_k channel
-    k's control in the segment's cell, is composed pairwise from RK4 step
-    maps. Returns the stacked maps [phi; w_1..w_m; d] per segment, each
-    segment's cell, the number ``count`` of fixed segments, the optional
-    edges (indices into ``edges[1:-1]``) and the segment of each one's [a, b].
+    With L = V diag(rate) V^T, an RK4 step of length h under a constant
+    input c maps mode j as y -> R(z) y + h S(z) (V^T c)_j, z = -h rate_j,
+    S(z) = 1 + z/2 + z^2/6 + z^3/24, R(z) = 1 + z S(z). So a segment's map
+    is y -> phi y + rho (V^T B u) + d, with u the controls in its cell, and
+    its three vectors compose elementwise. Returns [phi, rho, d] per
+    segment, each segment's cell, the number ``count`` of fixed segments,
+    the optional edges (indices into ``edges[1:-1]``) and the segment of
+    each one's [a, b].
     """
-    T, g, n, m = problem.T, edges.size - 1, problem.n, problem.m
+    T, g = problem.T, edges.size - 1
     bps = problem.drift.breakpoints
     fixed = np.unique(
         np.concatenate([np.linspace(0.0, T, SIGMOID_STEPS + 1), bps[(bps > 0.0) & (bps < T)]])
@@ -394,40 +402,41 @@ def _segment_maps(problem: CampaignProblem, edges: np.ndarray):
     cells = np.empty(count + 2 * q, dtype=int)
     cells[segment] = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, g - 1)
 
-    # One step map per distinct (length, drift value), with the channels' b and the drift as inputs.
-    lengths, length_of = np.unique(hi - lo, return_inverse=True)
-    pieces = problem.drift.values.shape[0]
-    keys, step_of = np.unique(length_of * pieces + problem.drift.piece(mids), return_inverse=True)
-    inputs = np.empty((keys.size, m + 1, n))
-    inputs[:, :m] = np.array([ch.b for ch in problem.channels])
-    inputs[:, m] = problem.drift.values[keys % pieces]
-    steps = _rk4_step_maps(-build_laplacian(problem.graph), lengths[keys // pieces], inputs)
+    # Every piece's step, mode by mode; the zero mode's rate is pinned to 0.0.
+    rates = np.where(np.abs(sd.eigenvalues) <= sd.zero_tol, 0.0, sd.eigenvalues)
+    h = (hi - lo)[:, None]
+    z = -h * rates
+    hs = h * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    drift = (problem.drift.values @ sd.vectors)[problem.drift.piece(mids)]
+    maps = np.stack([1.0 - rates * hs, hs, hs * drift])
 
-    # Compose each segment's steps pairwise, padded with identity maps.
-    identity = np.zeros((n + m + 1, n))
-    identity[:n] = np.eye(n)
-    maps = np.tile(identity, (count + 2 * q, int(np.max(position)) + 1, 1, 1))
-    maps[segment, position] = steps[step_of]
-    while maps.shape[1] > 1:
-        if maps.shape[1] % 2:
-            maps = np.concatenate([maps, np.tile(identity, (maps.shape[0], 1, 1, 1))], axis=1)
-        head, tail = maps[:, 0::2], maps[:, 1::2]
-        maps = head @ tail[:, :, :n]
-        maps[:, :, n:] += tail[:, :, n:]
-    return maps[:, 0], cells, count, optional, fixed_segment[merged]
+    # Compose each segment's steps by doubling: after the pass with shift s,
+    # a piece holds the map of up to 2s pieces of its segment ending with it.
+    shift = 1
+    while shift <= position.max():
+        later = maps[:, shift:]
+        composed = maps[:, :-shift] * later[0]
+        composed[1:] += later[1:]
+        maps[:, shift:] = np.where(position[shift:, None] >= shift, composed, later)
+        shift *= 2
+    last = np.flatnonzero(np.append(segment[1:] != segment[:-1], True))
+    return maps[:, last], cells, count, optional, fixed_segment[merged]
 
 
-def _score_sigmoid(problem, edges, masks, per_channel, feasible) -> np.ndarray:
+def _score_sigmoid(problem, sd, edges, masks, per_channel, feasible) -> np.ndarray:
     """Sigmoid objective of each feasible candidate after its ``SIGMOID_STEPS`` RK4 run.
 
     ``feasible`` holds one index array per channel. A candidate's terminal
-    state is its stepped RK4 state up to rounding: it walks the segment
-    maps of ``_segment_maps`` in time order and, at each optional edge,
-    takes [a, e] then [e, b] where one of its channels switches and [a, b]
-    where none does. Candidates are scored in blocks of ``_SCORE_ROWS``.
+    state is its stepped RK4 state up to rounding: from V^T x0 its modal
+    state walks the segment maps of ``_segment_maps`` in time order and, at
+    each optional edge, takes [a, e] then [e, b] where one of its channels
+    switches and [a, b] where none does. Controls are laid out cell-major,
+    so a segment reads one contiguous block. Candidates are scored in blocks
+    of ``_SCORE_ROWS``.
     """
-    n, m = problem.n, problem.m
-    maps, cells, count, optional, merged = _segment_maps(problem, edges)
+    (phi, rho, drift), cells, count, optional, merged = _segment_maps(problem, sd, edges)
+    responses = rho[:, None, :] * (np.array([ch.b for ch in problem.channels]) @ sd.vectors)
+    start = problem.x0 @ sd.vectors
     optional_at = {int(s): j for j, s in enumerate(merged)}
     switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
     scale = [pc.levels * ch.u_max for pc, ch in zip(per_channel, problem.channels)]
@@ -436,30 +445,28 @@ def _score_sigmoid(problem, edges, masks, per_channel, feasible) -> np.ndarray:
     for lo in range(0, values.size, _SCORE_ROWS):
         rows = [f[lo : lo + _SCORE_ROWS] for f in feasible]
         mask_rows = [pc.mask_of[r] for pc, r in zip(per_channel, rows)]
-        u = [mk[i] * sc[r][:, None] for mk, i, sc, r in zip(masks, mask_rows, scale, rows)]
+        u = np.stack([mk[i].T * sc[r] for mk, i, sc, r in zip(masks, mask_rows, scale, rows)], axis=1)
         split = np.logical_or.reduce([sw[i][:, optional] for sw, i in zip(switches, mask_rows)])
 
-        def advance(x, s):
-            out = x @ maps[s, :n]
-            for k in range(m):
-                out = out + u[k][:, cells[s], None] * maps[s, n + k]
-            return out + maps[s, n + m]
+        def advance(y, s):
+            return y * phi[s] + u[cells[s]].T @ responses[s] + drift[s]
 
-        x = problem.x0
+        y = start
         for s in range(count):
             j = optional_at.get(s)
             if j is None:
-                x = advance(x, s)
+                y = advance(y, s)
             else:
-                both = advance(advance(x, count + j), count + optional.size + j)
-                x = np.where(split[:, j, None], both, advance(x, s))
+                both = advance(advance(y, count + j), count + optional.size + j)
+                y = np.where(split[:, j, None], both, advance(y, s))
+        x = y @ sd.vectors.T
         values[lo : lo + rows[0].size] = np.sum(
             obj.p * _stable_sigmoid(obj.alpha * (x - obj.theta)), axis=1
         )
     return values
 
 
-def _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget) -> OracleResult:
+def _enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget) -> OracleResult:
     """Map-scored enumeration: every feasible candidate's value after a 256-step RK4 run.
 
     Spends broadcast over channels in the order of additions of a running
@@ -471,9 +478,7 @@ def _enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget) -> Orac
     candidate_count = int(np.prod([pc.costs.size for pc in per_channel]))
     spends = sum(np.ix_(*(pc.costs for pc in per_channel)))
     feasible = np.nonzero(spends <= budget)
-    if feasible[0].size == 0:
-        raise ValidationError("no feasible candidate; even the all-off schedule failed the budget")
-    values = _score_sigmoid(problem, edges, masks, per_channel, feasible)
+    values = _score_sigmoid(problem, sd, edges, masks, per_channel, feasible)
     interior = np.logical_or.reduce([pc.interior[f] for pc, f in zip(per_channel, feasible)])
 
     best = int(np.argmax(values))

@@ -1,3 +1,4 @@
+import sys
 from collections import OrderedDict
 from dataclasses import replace
 from itertools import product
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, k2_problem, random_connected_graph
-from waveplan import oracle
-from waveplan.bundles import seven_agent_sigmoid_problem
+from waveplan import bounds, costate, dynamics, graph, oracle
+from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate
 from waveplan.errors import ContractError, ValidationError
+from waveplan.graph import build_laplacian, spectral_decompose
 from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
 from waveplan.waterfill import solve
@@ -147,9 +149,9 @@ class TestCandidateTables:
         prob = _sigmoid_problem(np.random.default_rng(47), P3, 2)
         spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, include_interior_levels=True)
         calls = []
-        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[4][0].size))
+        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[5][0].size))
         enumerate_best(prob, spec)
-        ((_, _, masks, per_channel, _),) = calls
+        ((_, _, _, masks, per_channel, _),) = calls
         levels = np.array((1.0,) + spec.interior_levels)
         delta = prob.T / spec.switch_grid
         for mk, pc, ch in zip(masks, per_channel, prob.channels):
@@ -169,7 +171,8 @@ class TestEnumerateBest:
         assert abs(sol.objective_gain - res.value) <= 1e-3
 
     def test_zero_budget_all_off(self):
-        prob = k2_problem(r=0.0)
+        # A budget must be positive; this one buys no cell, as a zero budget would.
+        prob = k2_problem(r=1e-12)
         res = enumerate_best(prob, EnumerationSpec(switch_grid=8))
         assert res.value == 0.0
         assert res.schedule.channels[0].intervals == ()
@@ -230,7 +233,7 @@ class TestSpecValidation:
             enumerate_best(k2_problem(), spec)
 
 
-def _loop_enumerate_sigmoid(problem, spec, masks, per_channel, edges, budget):
+def _loop_enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget):
     """One 256-step simulate per feasible candidate, in product order: the unbatched reference."""
     m = problem.m
     sizes = [pc[0].size for pc in per_channel]
@@ -373,8 +376,8 @@ def _scored_candidates(prob, spec, monkeypatch):
     calls = []
     score = oracle._score_sigmoid
 
-    def spy(problem, edges, masks, per_channel, feasible):
-        values = score(problem, edges, masks, per_channel, feasible)
+    def spy(problem, sd, edges, masks, per_channel, feasible):
+        values = score(problem, sd, edges, masks, per_channel, feasible)
         calls.append((edges, masks, per_channel, feasible, values))
         return values
 
@@ -390,7 +393,8 @@ def _stepped(prob, schedule):
 
 
 def _optional_edges(prob, g):
-    return oracle._segment_maps(prob, np.linspace(0.0, prob.T, g + 1))[3]
+    sd = spectral_decompose(build_laplacian(prob.graph))
+    return oracle._segment_maps(prob, sd, np.linspace(0.0, prob.T, g + 1))[3]
 
 
 class TestTransferMapScoring:
@@ -462,16 +466,103 @@ class TestTransferMapScoring:
             assert abs(values[i] - stepped) <= 1e-13 * abs(stepped)
 
 
-class TestSpectralWork:
-    def test_capped_sigmoid_oracle_needs_no_decomposition(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("decomposed")
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Replace ``fn`` in every loaded waveplan module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "waveplan" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
 
-        monkeypatch.setattr(oracle, "spectral_decompose", refuse)
-        prob = _map_problem(np.random.default_rng(5), 1)
-        enumerate_best(prob, EnumerationSpec(switch_grid=4, max_switches_per_channel=1))
-        with pytest.raises(AssertionError, match="decomposed"):
-            enumerate_best(prob, EnumerationSpec(switch_grid=4))
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+class TestSpectralWork:
+    # (name, problem, spec, group_coefficients calls, projected_groups calls)
+    CASES = [
+        ("linear", lambda rng: _desk_problem(rng, 5, 2, False, True), EnumerationSpec(switch_grid=6), 1, 1),
+        (
+            "linear-capped",
+            lambda rng: _desk_problem(rng, 4, 1, True, True),
+            EnumerationSpec(switch_grid=6, max_switches_per_channel=2),
+            1,
+            0,
+        ),
+        ("sigmoid-capped", lambda rng: _map_problem(rng, 1), EnumerationSpec(switch_grid=4, max_switches_per_channel=1), 0, 0),
+        ("sigmoid-uncapped", lambda rng: _map_problem(rng, 2), EnumerationSpec(switch_grid=4), 0, 1),
+    ]
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Count decompositions and stacked projections; refuse every per-channel projection."""
+        calls = {}
+        for fn in (graph.spectral_decompose, costate.group_coefficients, graph.projected_groups):
+            calls[fn.__name__] = 0
+
+            def counting(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            _patch_everywhere(monkeypatch, fn, counting)
+        for fn in (costate.channel_profile, costate.eval_h, bounds.bound_general):
+            _patch_everywhere(monkeypatch, fn, _refuse)
+        return calls
+
+    @pytest.mark.parametrize("name,make,spec,coefficients,projections", CASES, ids=[c[0] for c in CASES])
+    def test_enumerate_best_decomposes_once(self, name, make, spec, coefficients, projections, monkeypatch):
+        prob = make(np.random.default_rng(5))
+        calls = self._count(monkeypatch)
+        enumerate_best(prob, spec)
+        assert calls == {"spectral_decompose": 1, "group_coefficients": coefficients, "projected_groups": projections}
+
+    def test_grid_slack_decomposes_once(self, monkeypatch):
+        prob = seven_agent_problem()
+        calls = self._count(monkeypatch)
+        grid_slack(prob, 10)
+        assert calls == {"spectral_decompose": 1, "group_coefficients": 1, "projected_groups": 0}
+
+    def test_sigmoid_oracle_never_steps_the_dynamics(self, monkeypatch):
+        prob = seven_agent_sigmoid_problem()
+        spec = EnumerationSpec(switch_grid=6, max_switches_per_channel=1)
+        want = enumerate_best(prob, spec)
+        for fn in (dynamics._rk4, dynamics.simulate):
+            _patch_everywhere(monkeypatch, fn, _refuse)
+        assert enumerate_best(prob, spec) == want
+
+
+class TestProblemValidation:
+    def _bundle_with(self, **changes):
+        prob = seven_agent_problem()
+        if "b" in changes:
+            b = prob.channels[1].b.copy()
+            b[3] = changes.pop("b")
+            changes["channels"] = (prob.channels[0], replace(prob.channels[1], b=b))
+        return replace(prob, **changes)
+
+    @pytest.mark.parametrize(
+        "changes, finding",
+        [
+            (dict(b=np.nan), "channel 2: gain vector has non-finite entries"),
+            (dict(T=np.nan), "horizon T must be finite"),
+            (dict(r=0.0), "budget must be positive"),
+        ],
+        ids=["nan-gain", "nan-horizon", "zero-budget"],
+    )
+    def test_enumerate_best_and_grid_slack_name_the_field(self, changes, finding):
+        prob = self._bundle_with(**changes)
+        with pytest.raises(ValidationError, match=finding):
+            enumerate_best(prob, EnumerationSpec(switch_grid=10))
+        with pytest.raises(ValidationError, match=finding):
+            grid_slack(prob, 10)
+
+    @pytest.mark.parametrize("grid", [0, -3, 1, 17])
+    def test_grid_slack_rejects_grid_outside_enumeration_range(self, grid):
+        with pytest.raises(ContractError, match="switch_grid must lie in \\[2, 16\\]"):
+            grid_slack(seven_agent_problem(), grid)
+
+    def test_grid_slack_accepts_the_range_ends(self):
+        prob = seven_agent_problem()
+        assert grid_slack(prob, 2) == 8 * grid_slack(prob, 16) > 0.0
 
 
 def _reference_combine(channels, budget):
@@ -579,7 +670,8 @@ class TestCostClassCombine:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_zero_budget(self, m, monkeypatch):
-        prob = replace(_desk_problem(np.random.default_rng(37), 5, m, True, True), r=0.0)
+        # A budget must be positive; this one buys no cell, as a zero budget would.
+        prob = replace(_desk_problem(np.random.default_rng(37), 5, m, True, True), r=1e-12)
         res = self._assert_matches_reference(prob, self.SPECS[1], monkeypatch)
         assert res.spend == 0.0 and all(ch.intervals == () for ch in res.schedule.channels)
 
