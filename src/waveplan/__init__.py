@@ -5,16 +5,9 @@ objectives, certifies switch-count bounds, and cross-checks everything
 against simulation and brute-force enumeration oracles.
 """
 
-from .bounds import bound_general, bound_linear, count_exp_poly_zeros
+from .bounds import bound_general, bound_linear
 from .bundles import seven_agent_problem, seven_agent_sigmoid_problem
-from .costate import (
-    ChannelProfile,
-    adjoint_check,
-    channel_profile,
-    eval_h,
-    integrate_h,
-    terminal_costate,
-)
+from .costate import integrate_h, terminal_costate
 from .dynamics import Trajectory, closed_form_gain, objective_value, simulate, terminal_state
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import (
@@ -44,7 +37,6 @@ from .waterfill import (
     WaterfillSolution,
     solve,
     solve_with_costate,
-    threshold_profile,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Switch-count upper bounds and the exponential-polynomial zero-counting oracle.
+"""Switch-count upper bounds for each channel's exponential-polynomial signal.
 
 Two bounds per channel: the spectral-support bound (one less than the number
 of eigenvalue groups the channel projects onto) and the sign-variation bound
@@ -8,7 +8,9 @@ exponential polynomial carries the threshold. The at-threshold and the
 sup-over-thresholds variants read one partial-sum sequence, so one pass
 returns both. That pass sorts the sequence's adjacent pairs once and counts
 every candidate level against them by binary search; only levels within
-tolerance of a partial sum are recounted entry by entry.
+tolerance of a partial sum are recounted entry by entry. The brute-force
+zero counter that these bounds are tested against is kept with the tests,
+apart from this machinery.
 """
 
 from __future__ import annotations
@@ -106,92 +108,10 @@ def bound_linear(
     The sequence is the running sum of the group coefficients ordered by
     increasing rate, with a threshold level subtracted (it enters the
     constant term, hence every partial sum). The coefficients are those of
-    ``group_coefficients``, so the bounds count exactly the modes the
-    channel's profile keeps. One pass returns both bounds:
+    ``group_coefficients``, so the bounds count exactly the modes that are
+    nonzero in the channel's row. One pass returns both bounds:
     the variation count at the level ``shift >= 0``, and its maximum over
     all levels.
     """
     bs = np.asarray(b, dtype=np.float64)[None, :]
     return _linear_bounds(group_coefficients(sd, np.asarray(p, dtype=np.float64), bs)[0], shift)
-
-
-def _eval_exp_poly(rates: np.ndarray, coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    return np.exp(np.multiply.outer(ts, rates)) @ coeffs
-
-
-def _bisect_root(f, lo: float, hi: float, flo: float, tol: float) -> float:
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def count_exp_poly_zeros(
-    rates, coeffs, window: tuple[float, float], resolution: int = 4096
-) -> int:
-    """Numerically count zeros of f(t) = sum_g d_g exp(rate_g t) on a window.
-
-    Sign changes on a uniform grid are refined by bisection to 1e-12 of the
-    window width. Tangential (even-order) zeros are hunted via sign changes
-    of f' and counted with multiplicity 2 when the extremum value sits at
-    zero within tolerance. This is the brute-force oracle that the
-    zero-counting lemmas are tested against, so it stays independent of the
-    sign-variation machinery above.
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if rates.shape != coeffs.shape or rates.ndim != 1:
-        raise ContractError("rates and coeffs must be 1-d arrays of equal length")
-    if not np.any(coeffs):
-        raise ContractError("all coefficients are zero; the zero count is undefined")
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
-        raise ContractError(f"window must be a finite increasing pair, got {window}")
-    if resolution < 2:
-        raise ContractError("resolution must be at least 2 points")
-
-    ts = np.linspace(t_lo, t_hi, resolution)
-    vals = _eval_exp_poly(rates, coeffs, ts)
-    ztol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    ttol = 1e-12 * max(1.0, t_hi - t_lo)
-
-    f = lambda t: float(_eval_exp_poly(rates, coeffs, np.array([t]))[0])
-
-    nz = np.flatnonzero(np.abs(vals) > ztol)
-    roots: list[float] = []
-    for a_idx, b_idx in zip(nz[:-1], nz[1:]):
-        if (vals[a_idx] > 0.0) != (vals[b_idx] > 0.0):
-            root = _bisect_root(f, ts[a_idx], ts[b_idx], vals[a_idx], ttol)
-            # Refinement also dedupes: chatter around one zero collapses here.
-            if not roots or root - roots[-1] > ttol:
-                roots.append(root)
-    count = len(roots)
-
-    # Tangential zeros: bracket extrema via f' and test the extremum value.
-    dcoeffs = coeffs * rates
-    if np.any(dcoeffs):
-        dvals = _eval_exp_poly(rates, dcoeffs, ts)
-        df = lambda t: float(_eval_exp_poly(rates, dcoeffs, np.array([t]))[0])
-        dnz = np.flatnonzero(np.abs(dvals) > 0.0)
-        for a_idx, b_idx in zip(dnz[:-1], dnz[1:]):
-            if (dvals[a_idx] > 0.0) != (dvals[b_idx] > 0.0):
-                t_star = _bisect_root(df, ts[a_idx], ts[b_idx], dvals[a_idx], ttol)
-                # Only an even-order zero if f does not change sign there.
-                fa, fb = f(ts[a_idx]), f(ts[b_idx])
-                if (
-                    abs(f(t_star)) <= ztol
-                    and abs(fa) > ztol
-                    and abs(fb) > ztol
-                    and (fa > 0.0) == (fb > 0.0)
-                ):
-                    count += 2
-    return count
-

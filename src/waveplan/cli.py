@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_general, bound_linear
-from .costate import channel_profile, eval_h
+from .costate import group_coefficients
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import _reject_booleans, build_laplacian, spectral_decompose
@@ -26,7 +26,14 @@ from .oracle import EnumerationSpec, enumerate_best, grid_slack
 from .problem import CampaignProblem, problem_from_dict, validate_problem
 from .sigmoid import solve_sigmoid
 from .sweep import SweepAggregate, SweepRow, run_sweep
-from .waterfill import BangBangSchedule, ChannelSchedule, WaterfillSolution, solve, threshold_profile
+from .waterfill import (
+    BangBangSchedule,
+    ChannelSchedule,
+    WaterfillSolution,
+    _require_linear,
+    solve,
+    solve_with_costate,
+)
 
 
 def _fmt(x: float) -> str:
@@ -112,24 +119,32 @@ def _cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sol = solve(problem)
+    _require_linear(problem)
+    # One decomposition serves the solve and the plot data.
+    sd = spectral_decompose(build_laplacian(problem.graph))
+    sol = solve_with_costate(problem, problem.objective.p, sd)
     _write_json(out / "schedule.json", schedule_to_dict(sol.schedule, problem.T))
     _write_json(out / "summary.json", _summary_dict(problem, sol))
     if args.emit_plot_data:
-        sd = spectral_decompose(build_laplacian(problem.graph))
         ts = np.linspace(0.0, problem.T, args.plot_points)
-        hs = [channel_profile(sd, problem.objective.p, ch.b, problem.T) for ch in problem.channels]
-        gs = [threshold_profile(h, ch) for h, ch in zip(hs, problem.channels)]
-        hcols = [eval_h(h, ts) for h in hs]
+        coeffs = group_coefficients(sd, problem.objective.p, np.array([ch.b for ch in problem.channels]))
+        hcols, gcols = [], []
+        for ch, row in zip(problem.channels, coeffs):
+            # h and g = kappa h, each time's terms summed pairwise over the row's
+            # nonzero modes only: the sum's bits depend on how many terms it has.
+            keep = row != 0.0
+            modes = np.exp(np.multiply.outer(ts - problem.T, sd.group_rates[keep]))
+            kappa = ch.u_max / ch.max_cost_rate
+            hcols.append(np.sum(modes * row[keep], axis=-1))
+            gcols.append(np.sum(modes * (kappa * row[keep]), axis=-1))
         _write_csv(
             out / "profiles.csv",
             ["t"] + [f"h_{k + 1}" for k in range(problem.m)],
             ([float(t)] + [float(c[i]) for c in hcols] for i, t in enumerate(ts)),
         )
-        cols = [eval_h(g, ts) for g in gs]
         header = ["t"] + [f"g_{k + 1}" for k in range(problem.m)] + ["beta"]
         rows = (
-            [float(t)] + [float(c[i]) for c in cols] + [sol.beta_star]
+            [float(t)] + [float(c[i]) for c in gcols] + [sol.beta_star]
             for i, t in enumerate(ts)
         )
         _write_csv(out / "waterline.csv", header, rows)

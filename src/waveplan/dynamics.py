@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costate import ChannelProfile, _stable_sigmoid, integrate_h
+from .costate import _stable_sigmoid, integrate_h
 from .errors import ContractError
 from .graph import SpectralDecomposition, _as_readonly, build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Objective
@@ -191,21 +191,25 @@ def objective_value(obj: Objective, xT: np.ndarray) -> float:
     raise ContractError(f"unknown objective kind {obj.kind!r}")
 
 
-def closed_form_gain(profiles: list[ChannelProfile], schedule) -> float:
+def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) -> float:
     """Exact control contribution to the linear objective, independent of x0 and drift.
 
-    Each unit of effort on channel i at time t is worth h_i(t), so the gain
-    is u_max_i times the integral of h_i over the on-intervals. Each
-    channel's integrals come from one ``integrate_h`` call, whose entries
-    equal its scalar calls bit for bit, and the terms are added one by one
-    in channel then interval order.
+    Each unit of effort on channel i at time t is worth h_i(t), the profile
+    whose group coefficients are row i of ``coeffs`` (one row per schedule
+    channel, one column per rate), so the gain is u_max_i times the integral
+    of h_i over the on-intervals. Each channel's integrals come from one
+    ``integrate_h`` call, whose entries equal its scalar calls bit for bit,
+    and the terms are added one by one in channel then interval order.
     """
-    if len(profiles) != len(schedule.channels):
-        raise ContractError("one profile per schedule channel is required")
+    if np.shape(coeffs) != (len(schedule.channels), np.size(rates)):
+        raise ContractError(
+            f"coefficients have shape {np.shape(coeffs)}, expected "
+            f"({len(schedule.channels)}, {np.size(rates)}): one row per schedule channel"
+        )
     total = 0.0
-    for profile, cs in zip(profiles, schedule.channels):
+    for row, cs in zip(coeffs, schedule.channels):
         if cs.intervals:
             lo, hi = zip(*cs.intervals)
-            for value in integrate_h(profile, lo, hi).tolist():
+            for value in integrate_h(rates, row, T, lo, hi).tolist():
                 total += cs.u_max * value
     return float(total)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costate import _row_profile, _stable_sigmoid, group_coefficients, integrate_h
+from .costate import _stable_sigmoid, group_coefficients, integrate_h
 from .errors import ContractError, ValidationError
 from .graph import SpectralDecomposition, build_laplacian, projected_groups, spectral_decompose
 from .problem import CampaignProblem, require_valid
@@ -267,8 +267,7 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     coeffs = group_coefficients(sd, problem.objective.p, gains)
     scored = []
     for k, ch in enumerate(problem.channels):
-        profile = _row_profile(sd.group_rates, coeffs[k], T)
-        cell_gain = ch.u_max * integrate_h(profile, edges[:-1], edges[1:])
+        cell_gain = ch.u_max * integrate_h(sd.group_rates, coeffs[k], T, edges[:-1], edges[1:])
         pc = per_channel[k]
         scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
     if m == 1:

@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .costate import ChannelProfile, _row_profile, group_coefficients
+from .costate import group_coefficients
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
 from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
-from .problem import CampaignProblem, Channel, check_conditions, require_valid
+from .problem import CampaignProblem, check_conditions, require_valid
 
 BISECTION_MAX_ITERS = 200
 CROSSING_MAX_ITERS = 100
@@ -119,21 +119,6 @@ class WaterfillSolution:
     @property
     def structure_certified(self) -> bool:
         return all(c.theorem_applicable for c in self.certificate)
-
-
-def threshold_profile(profile: ChannelProfile, ch: Channel) -> ChannelProfile:
-    """Scale h into the comparison signal g(t) = h(t) * u_max / c(u_max).
-
-    For linear cost this is h(t) / v. The result is a profile again, so it
-    evaluates like any other scalar function of t.
-    """
-    kappa = ch.u_max / ch.max_cost_rate
-    return ChannelProfile(
-        horizon=profile.horizon,
-        rates=profile.rates,
-        coeffs=kappa * profile.coeffs,
-        dropped=profile.dropped,
-    )
 
 
 def _grid_points(n: int) -> int:
@@ -452,7 +437,7 @@ def _certified(problem, sd, coeffs, beta_star, schedule, spend, trace) -> Waterf
     computed twice. Raises NumericalError when a channel switches more often
     than a bound that applies to it allows.
     """
-    gain = closed_form_gain([_row_profile(sd.group_rates, row, problem.T) for row in coeffs], schedule)
+    gain = closed_form_gain(sd.group_rates, coeffs, problem.T, schedule)
     certificate = []
     conditions = check_conditions(problem, sd)
     switches = schedule.switch_counts(problem.T)
@@ -517,15 +502,19 @@ def solve_with_costate(
     return _certified(problem, sd, *_schedule(problem, lam, sd))
 
 
+def _require_linear(problem: CampaignProblem) -> None:
+    if problem.objective.kind != "linear":
+        raise ContractError(
+            "water-filling solve requires the linear objective; use solve_sigmoid "
+            "for the sigmoid kind"
+        )
+
+
 def solve(problem: CampaignProblem) -> WaterfillSolution:
     """Exact optimal schedule for the separable linear objective.
 
     Raises ContractError for other objective kinds; the sigmoid surrogate
     loop lives in the sigmoid module.
     """
-    if problem.objective.kind != "linear":
-        raise ContractError(
-            "water-filling solve requires the linear objective; use solve_sigmoid "
-            "for the sigmoid kind"
-        )
+    _require_linear(problem)
     return solve_with_costate(problem, problem.objective.p)

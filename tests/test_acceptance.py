@@ -6,21 +6,22 @@ live); the runtime limits are asserted alongside the numerical checks.
 
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
 from helpers import aligned_oracle_problem, k2_problem, random_linear_problem
+from oracles import adjoint_check, count_exp_poly_zeros, h_at
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
-from waveplan.bounds import count_exp_poly_zeros
-from waveplan.costate import adjoint_check, channel_profile, eval_h
+from waveplan.costate import group_coefficients
 from waveplan.dynamics import simulate
 from waveplan.graph import build_laplacian, random_geometric_graph, spectral_decompose
 from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import CampaignProblem, Drift
 from waveplan.sigmoid import default_epsilon, late_deciders, solve_sigmoid, surrogate_costate
 from waveplan.sweep import default_radius, run_sweep
-from waveplan.waterfill import solve, solve_with_costate, threshold_profile
+from waveplan.waterfill import solve, solve_with_costate
 
 
 @contextmanager
@@ -107,12 +108,13 @@ def test_criterion_6_seven_agent_waterline():
         assert sol.spend == pytest.approx(11.0, abs=1e-5)
 
         sd = spectral_decompose(build_laplacian(prob.graph))
+        coeffs = group_coefficients(sd, prob.objective.p, np.array([ch.b for ch in prob.channels]))
         g1, g2 = (
-            threshold_profile(channel_profile(sd, prob.objective.p, ch.b, prob.T), ch)
-            for ch in prob.channels
+            partial(h_at, sd.group_rates, row * (ch.u_max / ch.max_cost_rate), prob.T)
+            for ch, row in zip(prob.channels, coeffs)
         )
         ts = np.linspace(0.0, prob.T, 4096)
-        diff = eval_h(g1, ts) - eval_h(g2, ts)
+        diff = g1(ts) - g2(ts)
 
         iv1 = sol.schedule.channels[0].intervals
         iv2 = sol.schedule.channels[1].intervals
@@ -121,10 +123,10 @@ def test_criterion_6_seven_agent_waterline():
         single_cross = crossings == 1 and diff[0] > 0 and diff[-1] < 0
         assert ordered or single_cross
 
-        ratio0 = eval_h(g1, 0.0) / eval_h(g2, 0.0)
+        ratio0 = g1(0.0) / g2(0.0)
         assert ratio0 == pytest.approx(2.0, rel=0.10)
-        assert eval_h(g1, prob.T) == pytest.approx(0.17, abs=1e-12)
-        assert eval_h(g2, prob.T) == pytest.approx(0.99, abs=1e-12)
+        assert g1(prob.T) == pytest.approx(0.17, abs=1e-12)
+        assert g2(prob.T) == pytest.approx(0.99, abs=1e-12)
 
 
 def test_criterion_7_costate_cross_check():
@@ -141,8 +143,8 @@ def test_criterion_7_costate_cross_check():
             b = rng.uniform(-1.0, 1.0, n)
             grid = np.linspace(0.0, 1.0, 4097)
             traj = adjoint_check(lap, lam, grid)
-            prof = channel_profile(sd, lam, b, horizon=1.0)
-            assert np.max(np.abs(traj @ b - eval_h(prof, grid))) <= 1e-8
+            row = group_coefficients(sd, lam, b[None, :])[0]
+            assert np.max(np.abs(traj @ b - h_at(sd.group_rates, row, 1.0, grid))) <= 1e-8
 
 
 def test_criterion_8_open_loop_invariance():

@@ -61,6 +61,30 @@ class TestSolveCommand:
         for name in ("summary.json", "schedule.json", "waterline.csv", "bisection.csv"):
             assert _read(out1 / name) == _read(out2 / name)
 
+    @pytest.mark.parametrize("flags", [[], ["--emit-plot-data"]], ids=["solve", "plot-data"])
+    def test_decomposes_once(self, flags, tmp_path, monkeypatch):
+        from waveplan import cli, graph, waterfill
+
+        calls = []
+        decompose = graph.spectral_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return decompose(*args, **kwargs)
+
+        for module in (cli, graph, waterfill):
+            monkeypatch.setattr(module, "spectral_decompose", counting)
+        assert main(["solve", str(SEVEN), "--out", str(tmp_path)] + flags) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--emit-plot-data"]], ids=["solve", "plot-data"])
+    def test_sigmoid_problem_exits_2(self, flags, tmp_path, capsys):
+        assert main(["solve", str(SEVEN_SIGMOID), "--out", str(tmp_path / "run")] + flags) == 2
+        assert capsys.readouterr().err == (
+            "error: water-filling solve requires the linear objective; use solve_sigmoid for the sigmoid kind\n"
+        )
+        assert not any((tmp_path / "run").iterdir())
+
 
 class TestSimulateCommand:
     def test_empty_schedule_conserves_mean(self, tmp_path):

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import K2, random_connected_graph
-from waveplan.costate import (
-    ChannelProfile,
-    adjoint_check,
-    channel_profile,
-    eval_h,
-    group_coefficients,
-    integrate_h,
-    terminal_costate,
-)
+from oracles import adjoint_check, h_at
+from waveplan.costate import group_coefficients, integrate_h, terminal_costate
 from waveplan.errors import ContractError
-from waveplan.graph import build_laplacian, spectral_decompose
+from waveplan.graph import WeightedGraph, build_laplacian, spectral_decompose
 from waveplan.problem import Objective
 
 SEVEN_P = np.array([0.03, 0.02, 0.10, 1.00, 0.06, 0.07, 0.01])
@@ -62,14 +55,19 @@ class TestTerminalCostate:
             terminal_costate(obj)
 
 
-class TestChannelProfile:
+def _row(sd, lam, b):
+    """One channel's profile: its row of group coefficients, zeros included."""
+    return group_coefficients(sd, np.asarray(lam, dtype=np.float64), np.asarray(b)[None, :])[0]
+
+
+class TestProfileRow:
     def test_k2_worked_coefficients(self):
         sd = spectral_decompose(build_laplacian(K2))
         lam = np.array([0.0, 1.0])
-        prof = channel_profile(sd, lam, np.array([1.0, 0.0]), horizon=1.0)
-        assert prof.rates.tolist() == [0.0, 2.0]
-        assert prof.coeffs[0] == pytest.approx(0.5, abs=1e-14)
-        assert prof.coeffs[1] == pytest.approx(-0.5, abs=1e-14)
+        row = _row(sd, lam, np.array([1.0, 0.0]))
+        assert sd.group_rates.tolist() == [0.0, 2.0]
+        assert row[0] == pytest.approx(0.5, abs=1e-14)
+        assert row[1] == pytest.approx(-0.5, abs=1e-14)
 
     def test_uniform_costate_keeps_only_constant_mode(self):
         rng = np.random.default_rng(3)
@@ -77,18 +75,18 @@ class TestChannelProfile:
         sd = spectral_decompose(build_laplacian(g))
         lam = np.full(6, 0.7)
         b = rng.uniform(-1, 1, 6)
-        prof = channel_profile(sd, lam, b, horizon=1.0)
-        assert prof.rates.tolist() == [0.0]
-        assert prof.dropped == sd.group_starts.size - 1
-        assert prof.coeffs[0] == pytest.approx(0.7 * np.sum(b), abs=1e-12)
+        row = _row(sd, lam, b)
+        assert sd.group_rates[row != 0.0].tolist() == [0.0]
+        assert np.count_nonzero(row == 0.0) == sd.group_starts.size - 1
+        assert row[0] == pytest.approx(0.7 * np.sum(b), abs=1e-12)
 
     def test_orthogonal_gain_drops_group(self):
         sd = spectral_decompose(build_laplacian(K2))
         lam = np.array([0.3, 0.9])
-        prof = channel_profile(sd, lam, np.array([1.0, 1.0]), horizon=1.0)
-        assert prof.rates.tolist() == [0.0]
+        row = _row(sd, lam, np.array([1.0, 1.0]))
+        assert sd.group_rates[row != 0.0].tolist() == [0.0]
 
-    def test_profile_keeps_the_nonzero_group_coefficients(self):
+    def test_coefficients_below_tolerance_are_zero(self):
         rng = np.random.default_rng(3)
         sd = spectral_decompose(build_laplacian(random_connected_graph(rng, 6)))
         for lam in (np.full(6, 0.7), rng.uniform(0, 1, 6)):
@@ -97,28 +95,6 @@ class TestChannelProfile:
             assert coeffs.shape == sd.group_rates.shape
             tol = 1e-10 * max(1.0, np.linalg.norm(lam) * np.linalg.norm(b))
             assert not np.any((0.0 < np.abs(coeffs)) & (np.abs(coeffs) <= tol))
-            prof = channel_profile(sd, lam, b, horizon=1.0)
-            keep = coeffs != 0.0
-            assert np.array_equal(prof.rates, sd.group_rates[keep])
-            assert np.array_equal(prof.coeffs, coeffs[keep])
-            assert prof.dropped == np.count_nonzero(~keep)
-
-    def test_rates_and_coeffs_are_read_only_arrays(self):
-        sd = spectral_decompose(build_laplacian(K2))
-        prof = channel_profile(sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), horizon=1.0)
-        from_tuples = ChannelProfile(horizon=1.0, rates=(0.0, 2.0), coeffs=(0.5, -0.5))
-        for arr in (prof.rates, prof.coeffs, from_tuples.rates, from_tuples.coeffs):
-            assert type(arr) is np.ndarray and arr.dtype == np.float64
-            assert not arr.flags.writeable
-        # A read-only float64 array is kept as it is, not copied again.
-        again = ChannelProfile(horizon=1.0, rates=prof.rates, coeffs=prof.coeffs)
-        assert again.rates is prof.rates and again.coeffs is prof.coeffs
-
-    def test_profiles_compare_and_hash_by_identity(self):
-        prof = ChannelProfile(horizon=1.0, rates=(0.0, 2.0), coeffs=(0.5, -0.5))
-        twin = ChannelProfile(horizon=1.0, rates=(0.0, 2.0), coeffs=(0.5, -0.5))
-        assert prof == prof and prof != twin
-        assert len({prof, twin}) == 2
 
     def test_constant_coefficient_matches_reach_product(self):
         rng = np.random.default_rng(11)
@@ -126,55 +102,51 @@ class TestChannelProfile:
         sd = spectral_decompose(build_laplacian(g))
         lam_vec = rng.uniform(0, 1, 8)
         b = rng.uniform(-1, 1, 8)
-        prof = channel_profile(sd, lam_vec, b, horizon=1.0)
+        row = _row(sd, lam_vec, b)
         expected = np.sum(lam_vec) * np.sum(b) / 8.0
-        assert prof.rates[0] == 0.0
-        assert prof.coeffs[0] == pytest.approx(expected, abs=1e-10)
+        assert sd.group_rates[0] == 0.0
+        assert row[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestEvalH:
-    def _k2_profile(self, T=1.0):
+    def _k2_h(self, T=1.0):
+        """h of the worked K2 channel as a function of t."""
         sd = spectral_decompose(build_laplacian(K2))
-        lam = np.array([0.0, 1.0])
-        return channel_profile(sd, lam, np.array([1.0, 0.0]), horizon=T)
+        row = _row(sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        return lambda t: h_at(sd.group_rates, row, T, t)
 
     def test_terminal_anchor(self):
-        prof = self._k2_profile()
-        assert eval_h(prof, 1.0) == pytest.approx(0.0, abs=1e-12)
+        h = self._k2_h()
+        assert h(1.0) == pytest.approx(0.0, abs=1e-12)
         rng = np.random.default_rng(0)
         g = random_connected_graph(rng, 7)
         sd = spectral_decompose(build_laplacian(g))
         lam_vec = rng.uniform(0, 1, 7)
         b = rng.uniform(-1, 1, 7)
-        prof2 = channel_profile(sd, lam_vec, b, horizon=2.0)
-        assert eval_h(prof2, 2.0) == pytest.approx(float(lam_vec @ b), abs=1e-12)
+        row = _row(sd, lam_vec, b)
+        assert h_at(sd.group_rates, row, 2.0, 2.0) == pytest.approx(float(lam_vec @ b), abs=1e-12)
 
     def test_k2_at_zero(self):
         # h(0) = 1/2 - (1/2) e^{-2}, evaluated by hand.
-        prof = self._k2_profile()
-        assert eval_h(prof, 0.0) == pytest.approx(0.43233235838169365, abs=1e-12)
+        assert self._k2_h()(0.0) == pytest.approx(0.43233235838169365, abs=1e-12)
 
     def test_early_limit_is_total_reach_term(self):
-        prof = self._k2_profile(T=40.0)
-        assert eval_h(prof, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert self._k2_h(T=40.0)(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
-        prof = self._k2_profile()
+        h = self._k2_h()
         ts = np.linspace(0, 1, 17)
-        vec = eval_h(prof, ts)
+        vec = h(ts)
         assert vec.shape == (17,)
         for i, t in enumerate(ts):
-            assert vec[i] == pytest.approx(eval_h(prof, float(t)), abs=0.0)
+            assert vec[i] == pytest.approx(h(float(t)), abs=0.0)
 
     def test_uniform_linear_weights_give_flat_h(self):
         rng = np.random.default_rng(5)
         g = random_connected_graph(rng, 6)
         sd = spectral_decompose(build_laplacian(g))
-        prof = channel_profile(
-            sd, np.full(6, 0.25), rng.uniform(-1, 1, 6), horizon=1.0
-        )
-        ts = np.linspace(0, 1.0, 64)
-        vals = eval_h(prof, ts)
+        row = _row(sd, np.full(6, 0.25), rng.uniform(-1, 1, 6))
+        vals = h_at(sd.group_rates, row, 1.0, np.linspace(0, 1.0, 64))
         assert np.max(np.abs(vals - vals[0])) <= 1e-12
 
     def test_positivity_propagation(self):
@@ -185,8 +157,8 @@ class TestEvalH:
             sd = spectral_decompose(build_laplacian(g))
             lam_vec = rng.uniform(0, 1, n)
             b = rng.uniform(0, 1, n)
-            prof = channel_profile(sd, lam_vec, b, horizon=1.0)
-            vals = eval_h(prof, np.linspace(0, 1, 128))
+            row = _row(sd, lam_vec, b)
+            vals = h_at(sd.group_rates, row, 1.0, np.linspace(0, 1, 128))
             assert np.min(vals) >= -1e-10
 
 
@@ -195,13 +167,11 @@ class TestIntegrateH:
         rng = np.random.default_rng(21)
         g = random_connected_graph(rng, 5)
         sd = spectral_decompose(build_laplacian(g))
-        prof = channel_profile(
-            sd, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5), horizon=1.0
-        )
+        row = _row(sd, rng.uniform(0, 1, 5), rng.uniform(-1, 1, 5))
         ts = np.linspace(0.2, 0.9, 20001)
-        vals = eval_h(prof, ts)
+        vals = h_at(sd.group_rates, row, 1.0, ts)
         trapz = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)))  # trapezoid rule
-        assert integrate_h(prof, 0.2, 0.9) == pytest.approx(trapz, abs=1e-9)
+        assert integrate_h(sd.group_rates, row, 1.0, 0.2, 0.9) == pytest.approx(trapz, abs=1e-9)
 
     def test_cell_array_equals_scalar_loop(self):
         # The oracle's cell gains: one array call against one scalar call per cell.
@@ -211,25 +181,52 @@ class TestIntegrateH:
             sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
             lam = rng.uniform(0.05, 1.0, n)
             T = float(rng.choice([0.3, 1.0, 2.9, 10.0]))
-            prof = channel_profile(sd, lam, rng.uniform(-1.0, 1.0, n), horizon=T)
+            rates, row = sd.group_rates, _row(sd, lam, rng.uniform(-1.0, 1.0, n))
             for g in range(2, 17):
                 edges = np.linspace(0.0, T, g + 1)
-                loop = np.array([integrate_h(prof, edges[c], edges[c + 1]) for c in range(g)])
-                assert np.array_equal(integrate_h(prof, edges[:-1], edges[1:]), loop)
-
+                loop = np.array([integrate_h(rates, row, T, edges[c], edges[c + 1]) for c in range(g)])
+                assert np.array_equal(integrate_h(rates, row, T, edges[:-1], edges[1:]), loop)
 
     def test_modes_added_left_to_right_from_zero(self):
         rng = np.random.default_rng(9)
         sd = spectral_decompose(build_laplacian(random_connected_graph(rng, 7)))
-        prof = channel_profile(sd, rng.uniform(0, 1, 7), rng.uniform(-1, 1, 7), horizon=2.0)
+        row = _row(sd, rng.uniform(0, 1, 7), rng.uniform(-1, 1, 7))
         for a, b in rng.uniform(0.0, 2.0, (50, 2)):
             total = 0.0
-            for rate, d in zip(prof.rates.tolist(), prof.coeffs.tolist()):
+            for rate, d in zip(sd.group_rates.tolist(), row.tolist()):
                 if rate == 0.0:
                     total += d * (b - a)
                 else:
                     total += (d / rate) * (np.exp(rate * (b - 2.0)) - np.exp(rate * (a - 2.0)))
-            assert integrate_h(prof, a, b) == total
+            assert integrate_h(sd.group_rates, row, 2.0, a, b) == total
+
+    def test_zero_entries_leave_the_bits_unchanged(self):
+        # On a path graph with palindromic weights, a palindromic gain vector
+        # is orthogonal to every antisymmetric mode, so about half of every
+        # row is zero. Integrating the whole row must give the bits of
+        # integrating its nonzero entries, for scalar and array endpoints.
+        rng = np.random.default_rng(17)
+        zeros = 0
+        for n in range(2, 24):
+            half_w = rng.uniform(0.5, 1.5, n // 2)
+            weights = np.concatenate((half_w, half_w[: (n - 1) // 2][::-1]))
+            graph = WeightedGraph(n=n, edges=tuple((i + 1, i + 2, float(w)) for i, w in enumerate(weights)))
+            sd = spectral_decompose(build_laplacian(graph))
+            for _ in range(4):
+                half = rng.uniform(-1.0, 1.0, (n + 1) // 2)
+                b = np.concatenate((half, half[: n // 2][::-1]))
+                row = _row(sd, rng.uniform(0.0, 1.0, n), b)
+                keep = row != 0.0
+                zeros += np.count_nonzero(~keep)
+                T = float(rng.choice([0.3, 1.0, 2.9, 10.0]))
+                ends = np.sort(rng.uniform(0.0, T, (2, 9)), axis=0)
+                full = integrate_h(sd.group_rates, row, T, ends[0], ends[1])
+                kept = integrate_h(sd.group_rates[keep], row[keep], T, ends[0], ends[1])
+                assert np.array_equal(full, kept)
+                for a, b in ends.T.tolist():
+                    scalar = integrate_h(sd.group_rates, row, T, a, b)
+                    assert np.array_equal(scalar, integrate_h(sd.group_rates[keep], row[keep], T, a, b))
+        assert zeros >= 200
 
 
 class TestAdjointCheck:
@@ -258,14 +255,14 @@ class TestAdjointCheck:
             b = rng.uniform(-1, 1, n)
             grid = np.linspace(0.0, 1.0, 1025)
             traj = adjoint_check(lap, lam_vec, grid)
-            prof = channel_profile(sd, lam_vec, b, horizon=1.0)
-            assert np.max(np.abs(traj @ b - eval_h(prof, grid))) <= 1e-8
+            row = _row(sd, lam_vec, b)
+            assert np.max(np.abs(traj @ b - h_at(sd.group_rates, row, 1.0, grid))) <= 1e-8
 
 
 class TestEmptyProfile:
     def test_eval_and_integrate_are_zero(self):
-        prof = ChannelProfile(horizon=1.0, rates=(), coeffs=())
-        assert eval_h(prof, 0.5) == 0.0
-        assert np.array_equal(eval_h(prof, np.linspace(0, 1, 5)), np.zeros(5))
-        assert integrate_h(prof, 0.0, 1.0) == 0.0
-        assert np.array_equal(integrate_h(prof, np.zeros(3), np.ones(3)), np.zeros(3))
+        rates, row = np.array([]), np.array([])
+        assert h_at(rates, row, 1.0, 0.5) == 0.0
+        assert np.array_equal(h_at(rates, row, 1.0, np.linspace(0, 1, 5)), np.zeros(5))
+        assert integrate_h(rates, row, 1.0, 0.0, 1.0) == 0.0
+        assert np.array_equal(integrate_h(rates, row, 1.0, np.zeros(3), np.ones(3)), np.zeros(3))

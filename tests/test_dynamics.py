@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan.costate import channel_profile, integrate_h
+from waveplan.costate import group_coefficients, integrate_h
 from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
 from waveplan.graph import build_laplacian, spectral_decompose
@@ -141,33 +141,43 @@ class TestObjectiveValue:
         assert objective_value(obj, np.full(7, 1e6)) == pytest.approx(1.29, abs=1e-12)
 
 
+def _rows(sd, lam, gains):
+    """The group-coefficient rows of the channels with the given gain vectors."""
+    return group_coefficients(sd, np.asarray(lam, dtype=np.float64), np.array([np.asarray(b) for b in gains]))
+
+
 class TestClosedFormGain:
-    def _k2_profile(self):
+    def _k2_rows(self):
         sd = spectral_decompose(build_laplacian(K2))
-        return channel_profile(
-            sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), horizon=1.0
-        )
+        return sd.group_rates, _rows(sd, [0.0, 1.0], [[1.0, 0.0]])
 
     def test_empty_schedule_zero(self):
         prob = k2_problem()
-        assert closed_form_gain([self._k2_profile()], _empty_schedule(prob)) == 0.0
+        assert closed_form_gain(*self._k2_rows(), 1.0, _empty_schedule(prob)) == 0.0
+
+    def test_rejects_a_row_count_other_than_the_channel_count(self):
+        rates, coeffs = self._k2_rows()
+        schedule = _empty_schedule(k2_problem())
+        for bad in (np.vstack([coeffs, coeffs]), coeffs[:, :1], coeffs[0]):
+            with pytest.raises(ContractError, match="one row per schedule channel"):
+                closed_form_gain(rates, bad, 1.0, schedule)
 
     def test_constant_h_rectangle(self):
         rng = np.random.default_rng(1)
         g = random_connected_graph(rng, 5)
         sd = spectral_decompose(build_laplacian(g))
         b = rng.uniform(-1, 1, 5)
-        prof = channel_profile(sd, np.full(5, 0.3), b, horizon=2.0)
+        coeffs = _rows(sd, np.full(5, 0.3), [b])
         schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.5, intervals=((0.0, 2.0),)),))
-        expected = 1.5 * prof.coeffs[0] * 2.0
-        assert closed_form_gain([prof], schedule) == pytest.approx(expected, abs=1e-12)
+        expected = 1.5 * coeffs[0, 0] * 2.0
+        assert closed_form_gain(sd.group_rates, coeffs, 2.0, schedule) == pytest.approx(expected, abs=1e-12)
 
     def test_k2_hand_integral(self):
         # Integral of 1/2 - (1/2) e^{2(t-1)} over [0, 1/2] equals
         # 1/4 - (e^{-1} - e^{-2}) / 4.
         schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=((0.0, 0.5),)),))
         expected = 0.25 - (np.exp(-1.0) - np.exp(-2.0)) / 4.0
-        assert closed_form_gain([self._k2_profile()], schedule) == pytest.approx(expected, abs=1e-14)
+        assert closed_form_gain(*self._k2_rows(), 1.0, schedule) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_simulation_differencing(self):
         rng = np.random.default_rng(31)
@@ -175,11 +185,8 @@ class TestClosedFormGain:
             prob = random_linear_problem(rng, int(rng.integers(2, 7)))
             sol = solve(prob)
             sd = spectral_decompose(build_laplacian(prob.graph))
-            profiles = [
-                channel_profile(sd, prob.objective.p, ch.b, prob.T)
-                for ch in prob.channels
-            ]
-            gain = closed_form_gain(profiles, sol.schedule)
+            coeffs = _rows(sd, prob.objective.p, [ch.b for ch in prob.channels])
+            gain = closed_form_gain(sd.group_rates, coeffs, prob.T, sol.schedule)
             with_u = simulate(prob, sol.schedule, steps=8192).terminal_state
             without_u = simulate(prob, _empty_schedule(prob), steps=8192).terminal_state
             diff = float(prob.objective.p @ (with_u - without_u))
@@ -193,7 +200,7 @@ class TestClosedFormGain:
             n = int(rng.integers(2, 9))
             prob = random_linear_problem(rng, n)
             sd = spectral_decompose(build_laplacian(prob.graph))
-            profiles = [channel_profile(sd, prob.objective.p, ch.b, prob.T) for ch in prob.channels]
+            coeffs = _rows(sd, prob.objective.p, [ch.b for ch in prob.channels])
             cuts = np.sort(rng.uniform(0.0, prob.T, (prob.m, 6)), axis=1)
             schedule = BangBangSchedule(
                 channels=tuple(
@@ -202,11 +209,11 @@ class TestClosedFormGain:
                 )
             )
             total = 0.0
-            for profile, cs in zip(profiles, schedule.channels):
+            for row, cs in zip(coeffs, schedule.channels):
                 for lo, hi in cs.intervals:
-                    total += cs.u_max * integrate_h(profile, lo, hi)
+                    total += cs.u_max * integrate_h(sd.group_rates, row, prob.T, lo, hi)
                     intervals += 1
-            assert closed_form_gain(profiles, schedule) == total
+            assert closed_form_gain(sd.group_rates, coeffs, prob.T, schedule) == total
         assert intervals >= 36
 
 

@@ -504,8 +504,7 @@ class TestSpectralWork:
                 return _fn(*args, **kwargs)
 
             _patch_everywhere(monkeypatch, fn, counting)
-        for fn in (costate.channel_profile, costate.eval_h, bounds.bound_general):
-            _patch_everywhere(monkeypatch, fn, _refuse)
+        _patch_everywhere(monkeypatch, bounds.bound_general, _refuse)
         return calls
 
     @pytest.mark.parametrize("name,make,spec,coefficients,projections", CASES, ids=[c[0] for c in CASES])

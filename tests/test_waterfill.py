@@ -9,58 +9,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
+from oracles import h_at
 from waveplan import bounds, costate, graph, problem, sigmoid, waterfill
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
-from waveplan.costate import channel_profile, eval_h, group_coefficients
+from waveplan.costate import group_coefficients
 from waveplan.dynamics import terminal_state
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, projected_groups, random_geometric_graph, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
 from waveplan.sweep import default_radius
-from waveplan.waterfill import solve, threshold_profile
+from waveplan.waterfill import solve
 
 BETA_STAR_K2 = 0.5 - 0.5 * np.exp(-1.0)
 
 
-def _k2_h_profile(T=1.0):
+def _k2_h(T=1.0):
+    """The worked K2 channel's profile as (rates, row of group coefficients, horizon)."""
     sd = spectral_decompose(build_laplacian(K2))
-    return channel_profile(
-        sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), horizon=T
-    )
+    row = group_coefficients(sd, np.array([0.0, 1.0]), np.array([[1.0, 0.0]]))[0]
+    return sd.group_rates, row, T
 
 
-def _constant_profile(value, T=1.0):
-    from waveplan.costate import ChannelProfile
-
-    return ChannelProfile(horizon=T, rates=(0.0,), coeffs=(value,))
+def _constant(value, T=1.0):
+    return np.array([0.0]), np.array([value]), T
 
 
-class TestThresholdProfile:
+def _g_row(row, ch):
+    """A channel's signal g = h u_max / c(u_max) from its row of h, as ``_schedule`` scales it."""
+    return row * (ch.u_max / ch.max_cost_rate)
+
+
+class TestSignalScaling:
     def test_linear_cost_divides_by_v(self):
         ch = Channel(b=np.array([1.0, 0.0]), cost=CostModel("linear", 2.0), u_max=1.0)
-        g = threshold_profile(_constant_profile(1.0), ch)
-        assert eval_h(g, 0.3) == pytest.approx(0.5, abs=1e-15)
+        rates, row, T = _constant(1.0)
+        assert h_at(rates, _g_row(row, ch), T, 0.3) == pytest.approx(0.5, abs=1e-15)
 
     def test_power_cost_scaling(self):
         ch = Channel(b=np.array([1.0, 0.0]), cost=CostModel("power", 1.0, 0.5), u_max=4.0)
-        prof = _k2_h_profile()
-        g = threshold_profile(prof, ch)
+        rates, row, T = _k2_h()
         # c(u_max) = 2, so g = (4/2) h = 2 h.
         ts = np.linspace(0, 1, 9)
-        assert np.allclose(eval_h(g, ts), 2.0 * eval_h(prof, ts), atol=1e-15)
+        assert np.allclose(h_at(rates, _g_row(row, ch), T, ts), 2.0 * h_at(rates, row, T, ts), atol=1e-15)
 
     def test_late_limit_is_targeting_over_cost(self):
-        prof = _k2_h_profile()
+        rates, row, T = _k2_h()
         ch = Channel(b=np.array([1.0, 0.0]), cost=CostModel("linear", 1.0), u_max=1.0)
-        g = threshold_profile(prof, ch)
         p = np.array([0.0, 1.0])
         b = np.array([1.0, 0.0])
-        assert eval_h(g, 1.0) == pytest.approx(float(p @ b) / 1.0, abs=1e-12)
+        assert h_at(rates, _g_row(row, ch), T, 1.0) == pytest.approx(float(p @ b) / 1.0, abs=1e-12)
 
 
-def _on_set(profile, beta):
-    """A profile's on-set {g > beta} from one probe of a grid that samples only it."""
-    grid = waterfill._SignalGrid(profile.rates, profile.coeffs[None, :], profile.horizon, waterfill._grid_points(2))
+def _on_set(rates, coeffs, T, beta):
+    """The on-set {g > beta} of one signal from one probe of a grid that samples only it."""
+    grid = waterfill._SignalGrid(rates, coeffs[None, :], T, waterfill._grid_points(2))
     return grid.on_sets(grid.probe(beta, np.ones(1))[2])[0]
 
 
@@ -72,21 +74,21 @@ def _spend_for_beta(prob, beta):
 
 class TestOnSet:
     def test_constant_above(self):
-        assert _on_set(_constant_profile(1.0), 0.5) == ((0.0, 1.0),)
+        assert _on_set(*_constant(1.0), 0.5) == ((0.0, 1.0),)
 
     def test_constant_below(self):
-        assert _on_set(_constant_profile(1.0), 2.0) == ()
+        assert _on_set(*_constant(1.0), 2.0) == ()
 
     def test_k2_halfway_level(self):
-        prof = _k2_h_profile()
-        beta = eval_h(prof, 0.5)
-        (interval,) = _on_set(prof, beta)
+        prof = _k2_h()
+        beta = h_at(*prof, 0.5)
+        (interval,) = _on_set(*prof, beta)
         assert interval[0] == 0.0
         assert interval[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_tie_break_excludes_boundary(self):
         # Constant signal exactly at the level: assigned off.
-        assert _on_set(_constant_profile(0.5), 0.5) == ()
+        assert _on_set(*_constant(0.5), 0.5) == ()
 
 
 class TestSpendForBeta:
@@ -353,7 +355,7 @@ def _random_problem(rng, n, m):
 
 class TestEngineAgainstScalarSignals:
     def test_random_problems(self):
-        # Every schedule is checked point by point against the scalar eval_h
+        # Every schedule is checked point by point against the scalar value
         # of its own closed-form signal.
         rng = np.random.default_rng(2024)
         for _ in range(30):
@@ -362,19 +364,20 @@ class TestEngineAgainstScalarSignals:
             sol = solve(prob)
             beta = sol.beta_star
             sd = spectral_decompose(build_laplacian(prob.graph))
-            for ch, cs in zip(prob.channels, sol.schedule.channels):
-                g = threshold_profile(channel_profile(sd, prob.objective.p, ch.b, T), ch)
-                scale = float(np.max(np.abs(eval_h(g, np.linspace(0.0, T, 2049)))))
+            _, signals = _signal_rows(prob, prob.objective.p, sd)
+            for row, cs in zip(signals, sol.schedule.channels):
+                g = lambda t: h_at(sd.group_rates, row, T, t)
+                scale = float(np.max(np.abs(g(np.linspace(0.0, T, 2049)))))
                 edges = [t for iv in cs.intervals for t in iv]
                 for t in edges:
                     if 0.0 < t < T:
-                        assert abs(eval_h(g, t) - beta) <= 1e-9 * scale
+                        assert abs(g(t) - beta) <= 1e-9 * scale
                 for lo, hi in cs.intervals:
-                    assert eval_h(g, 0.5 * (lo + hi)) > beta
+                    assert g(0.5 * (lo + hi)) > beta
                 gaps = zip([0.0] + edges[1::2], edges[::2] + [T])
                 for lo, hi in gaps:
                     if hi > lo:
-                        assert eval_h(g, 0.5 * (lo + hi)) <= beta
+                        assert g(0.5 * (lo + hi)) <= beta
             pairs = zip(prob.channels, sol.schedule.channels)
             spend = sum(ch.max_cost_rate * cs.on_time for ch, cs in pairs)
             if sol.binding:
@@ -424,10 +427,7 @@ class TestExactRootCrossing:
     def test_secant_start_on_a_root_stops_in_one_pass(self, monkeypatch):
         # g(t) = 1 - 0.5 exp(t - T) falls through beta = g(0.375), and the
         # secant through (0.25, beta + 1) and (0.5, beta - 1) starts on 0.375.
-        from waveplan.costate import ChannelProfile
-
-        profile = ChannelProfile(horizon=1.0, rates=(0.0, 1.0), coeffs=(1.0, -0.5))
-        grid = waterfill._SignalGrid(profile.rates, profile.coeffs[None, :], 1.0, 64)
+        grid = waterfill._SignalGrid(np.array([0.0, 1.0]), np.array([[1.0, -0.5]]), 1.0, 64)
         e = np.exp(np.multiply.outer(np.array([0.375]) - grid.T, grid.rates))
         beta = float(np.einsum("cg,gc->c", e, grid.coeffs[:, [0]])[0])
         slope = float(np.einsum("cg,gc->c", e, grid.dcoeffs[:, [0]])[0])
@@ -448,10 +448,7 @@ class TestExactRootCrossing:
         # 16-point grid the secant start is too far off for the one-step test,
         # so the crossing goes on to _refine, which starts from the modes that
         # _crossings evaluated at the secant start.
-        from waveplan.costate import ChannelProfile
-
-        profile = ChannelProfile(horizon=1.0, rates=(0.0, 1.0), coeffs=(1.0, -0.5))
-        grid = waterfill._SignalGrid(profile.rates, profile.coeffs[None, :], 1.0, 16)
+        grid = waterfill._SignalGrid(np.array([0.0, 1.0]), np.array([[1.0, -0.5]]), 1.0, 16)
         beta = 0.7
         above = grid.values[0] > beta
         cell = np.flatnonzero(above[1:] != above[:-1])
@@ -826,15 +823,12 @@ class TestNeverOnChannels:
         # exp(rate_j (t - T)) nonincreasing in j and w_G = 0, so P_j <= 0
         # for every j gives g <= 0 on [0, T], up to the rounding of the sum:
         # about one ulp of the terms' magnitude per term.
-        from waveplan.costate import ChannelProfile
-
         rates = np.sort(rates)
         coeffs = np.diff(np.concatenate(([0.0], partials[: rates.size])))
-        profile = ChannelProfile(horizon=T, rates=rates, coeffs=coeffs)
         ts = np.linspace(0.0, T, 2001)
         terms = np.abs(coeffs) * np.exp(np.multiply.outer(ts - T, rates))
         rounding = rates.size * np.finfo(np.float64).eps * terms.sum(axis=1)
-        assert np.all(eval_h(profile, ts) <= rounding)
+        assert np.all(h_at(rates, coeffs, T, ts) <= rounding)
 
 
 def _full_sort_sampled_level(self, costs, r, top):
