@@ -5,14 +5,17 @@
 #
 #     sh scripts/readme_examples.sh
 #
-# Run it from the repository root with waveplan importable (installed, or
-# PYTHONPATH=src) by `python`. The oracle runs at its default grid and the
-# sweep is kept small; the bound report of the sigmoid problem, which has no
-# water level, is added. Any nonzero exit of a command, any RuntimeWarning
+# Run it from the repository root: it puts the checkout's src/ first on
+# PYTHONPATH itself, so the commands run this checkout's waveplan, installed
+# or not. The oracle runs at its default grid and the sweep is kept small;
+# the bound report of the sigmoid problem, which has no water level, is
+# added. Any nonzero exit of a command, any RuntimeWarning
 # (raised as an error, as the test suite does), and any difference between
 # the two runs stops the script with a nonzero status. The temporary
 # directories are removed on exit.
 set -e
+PYTHONPATH="$(pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
 first=$(mktemp -d)
 second=$(mktemp -d)
 trap 'rm -rf "$first" "$second"' EXIT

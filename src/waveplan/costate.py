@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .graph import SpectralDecomposition, _norm
+from .graph import Projection, SpectralDecomposition, _norm, project
 from .problem import Objective
 
 
@@ -51,17 +51,24 @@ def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> np.ndarray
 def group_coefficients(sd: SpectralDecomposition, lam: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Group coefficients <P_g lam, b_k>, one row per gain vector b_k (the rows of ``bs``).
 
+    The ``projected_coefficients`` of the projection of ``bs``.
+    """
+    return projected_coefficients(sd, lam, project(sd, bs))
+
+
+def projected_coefficients(sd: SpectralDecomposition, lam: np.ndarray, gains: Projection) -> np.ndarray:
+    """Group coefficients <P_g lam, b_k> from the gain vectors' ``project``ion, one row per b_k.
+
     Row k has one entry per entry of ``sd.group_rates``. Summing <Q_j, lam>
     <Q_j, b_k> over each distinct-eigenvalue group makes the result
     invariant to the eigensolver's basis choice inside an eigenspace; lam
-    and all rows are projected with one product each. Every coefficient of
-    row k within 1e-10 * max(1, |lam| |b_k|) of zero is set to 0.0: that
-    mode is absent from the channel's signal, for its profile and its switch
-    bounds alike.
+    is projected with one product. Every coefficient of row k within 1e-10
+    * max(1, |lam| |b_k|) of zero is set to 0.0: that mode is absent from
+    the channel's signal, for its profile and its switch bounds alike.
     """
-    coeffs = np.add.reduceat((bs @ sd.vectors) * (sd.vectors.T @ lam), sd.group_starts, axis=1)
+    coeffs = np.add.reduceat(gains.coords * (sd.vectors.T @ lam), sd.group_starts, axis=1)
     scale = _norm(lam)
-    tol = np.array([1e-10 * max(1.0, scale * _norm(b)) for b in bs])
+    tol = np.array([1e-10 * max(1.0, scale * norm) for norm in gains.norms])
     coeffs[np.abs(coeffs) <= tol[:, None]] = 0.0
     return coeffs
 

@@ -7,7 +7,9 @@ format; matrices and eigenvector arrays are 0-based.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,14 +187,16 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenpairs of a Laplacian with distinct-eigenvalue grouping, all read-only arrays.
 
-    ``eigenvalues`` are ascending; ``vectors`` holds orthonormal eigenvector
-    columns with the first nonzero component of each made positive so
-    outputs are reproducible. Eigenvalues closer than ``group_tol`` form a
-    group; groups are contiguous index runs because the eigenvalues are
-    sorted, so ``group_starts`` (the first index of each run) partitions the
-    indices. ``group_rates`` gives one representative rate per group, with
-    the connected-graph zero group pinned to exactly 0.0. Downstream
-    consumers work with groups and eigenspace projections, never individual
+    ``eigenvalues`` are ascending; ``vectors`` holds the eigensolver's
+    orthonormal eigenvector columns as returned, with no sign convention.
+    Every consumer multiplies a column by its own projection onto that
+    column, so negating any column leaves every output bit-identical.
+    Eigenvalues closer than ``group_tol`` form a group; groups are
+    contiguous index runs because the eigenvalues are sorted, so
+    ``group_starts`` (the first index of each run) partitions the indices.
+    ``group_rates`` gives one representative rate per group, with the
+    connected-graph zero group pinned to exactly 0.0. Downstream consumers
+    work with groups and eigenspace projections, never individual
     eigenvectors, because those are non-unique under multiplicity.
     """
 
@@ -210,27 +214,40 @@ def _norm(x) -> float:
     return math.sqrt(x.dot(x))
 
 
-def projected_groups(sd: SpectralDecomposition, xs: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalue groups onto which each row x of ``xs`` has a projection of norm above tolerance.
+class Projection(NamedTuple):
+    """Rows x_k in the eigenbasis of a decomposition: ``coords[k]`` is x_k @ V, ``norms[k]`` is |x_k|."""
 
-    One row of the mask per row of ``xs``, all projected with one product;
-    row x's tolerance is 1e-10 * max(1, |x|). The first group is the
+    coords: np.ndarray
+    norms: list[float]
+
+
+def project(sd: SpectralDecomposition, xs) -> Projection:
+    """Every row of ``xs`` projected onto the eigenvectors, with one product, and its norm.
+
+    A solve projects its channel gains once and reads the result for both
+    its group coefficients and its support masks.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    return Projection(xs @ sd.vectors, [_norm(x) for x in xs])
+
+
+def group_support(sd: SpectralDecomposition, proj: Projection) -> np.ndarray:
+    """Mask of the eigenvalue groups onto which each projected row has a projection of norm above tolerance.
+
+    Row x's tolerance is 1e-10 * max(1, |x|). The first group is the
     constant mode of the connected graph, so the first column says whether
     x has nonzero total reach. For a symmetric Laplacian a row's count is
     the Kalman rank of (L, x): the Krylov space of x is spanned by its
     projections onto the distinct eigenspaces.
     """
-    proj = xs @ sd.vectors
-    tol = np.array([1e-10 * max(1.0, _norm(x)) for x in xs])
-    return np.sqrt(np.add.reduceat(proj * proj, sd.group_starts, axis=1)) > tol[:, None]
+    c = proj.coords
+    tol = np.array([1e-10 * max(1.0, norm) for norm in proj.norms])
+    return np.sqrt(np.add.reduceat(c * c, sd.group_starts, axis=1)) > tol[:, None]
 
 
-def _fix_signs(q: np.ndarray) -> None:
-    """Make the first nonzero component of each column positive, negating columns in place."""
-    absq = np.abs(q)
-    first = (absq > 1e-12 * absq.max(axis=0)).argmax(axis=0)
-    flip = q[first, np.arange(q.shape[1])] < 0.0
-    q *= np.where(flip, -1.0, 1.0)
+def projected_groups(sd: SpectralDecomposition, xs: np.ndarray) -> np.ndarray:
+    """``group_support`` of the rows of ``xs``, one row of the mask per row."""
+    return group_support(sd, project(sd, xs))
 
 
 def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
@@ -240,7 +257,6 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     tolerance, which marks the graph as numerically disconnected.
     """
     evals, q = np.linalg.eigh(lap)
-    _fix_signs(q)
     scale = max(1.0, float(evals[-1]))
     zero_tol = 1e-9 * scale
     group_tol = 1e-8 * scale
@@ -276,6 +292,31 @@ def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     )
 
 
+def _geometric_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ends i < j of every pair of points within ``radius``, in row-major order.
+
+    A pair is an edge when dx * dx + dy * dy <= radius * radius. That sum
+    is at least dx * dx, so an edge's points lie within about radius of
+    each other in x. Candidate pairs are taken from a window on the
+    x-sorted points, padded for rounding, and each is then tested exactly:
+    the work and memory follow the candidates, not the n^2 pairs.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ends = np.searchsorted(xs, xs + (radius + 1e-9 * radius + 1e-15), side="right")
+    counts = ends - np.arange(1, x.size + 1)  # candidates after each sorted point
+    first = np.repeat(np.arange(x.size), counts)
+    # The k-th candidate of sorted point a is sorted point a + 1 + k.
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    a, b = order[first], order[second]
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    near = dx * dx + dy * dy <= radius * radius
+    a, b = a[near], b[near]
+    key = np.sort(np.minimum(a, b) * x.size + np.maximum(a, b))
+    return np.divmod(key, x.size)
+
+
 def random_geometric_graph(
     n: int, radius: float, seed: int, max_retries: int = 64
 ) -> tuple[WeightedGraph, int]:
@@ -285,23 +326,30 @@ def random_geometric_graph(
     within Euclidean distance ``radius``. Disconnected draws are resampled
     with the seed incremented, up to ``max_retries`` extra attempts.
 
-    Returns the graph together with the seed that produced it. The agent
-    limit ``MAX_AGENTS`` is checked before the n points and their n x n
-    distances are formed.
+    Returns the graph together with the seed that produced it. n and seed
+    must be integers and radius a finite positive real number; a boolean is
+    none of these. The agent limit ``MAX_AGENTS`` is checked before the n
+    points are placed, and no n x n array is formed: the pairs are found
+    from a window on the x-sorted points (``_geometric_edges``).
     """
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"agent count must be an integer, got {n!r}")
     if n < 2:
         raise ValidationError(f"need at least 2 nodes, got {n}")
-    if not (np.isfinite(radius) and radius > 0.0):
+    if isinstance(radius, (bool, np.bool_)) or not isinstance(radius, numbers.Real):
+        raise ValidationError(f"radius must be a real number, got {radius!r}")
+    try:
+        r = float(radius)
+    except OverflowError:  # an int too large for a float is not finite
+        r = math.inf
+    if not (math.isfinite(r) and r > 0.0):
         raise ValidationError(f"radius must be finite and positive, got {radius}")
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_agent_count(n)
     for attempt in range(max_retries + 1):
-        s = seed + attempt
-        rng = np.random.default_rng(s)
-        pts = rng.random((n, 2))
-        dx = pts[:, 0, None] - pts[:, 0]
-        dy = pts[:, 1, None] - pts[:, 1]
-        d2 = dx * dx + dy * dy
-        rows, cols = np.nonzero(np.triu(d2 <= radius * radius, 1))  # row-major i < j
+        s = int(seed) + attempt  # a Python int: a numpy seed near its type's limit would wrap
+        rows, cols = _geometric_edges(np.random.default_rng(s).random((n, 2)), r)
         try:
             return WeightedGraph(n=n, edges=np.column_stack((rows + 1, cols + 1, np.ones(rows.size)))), s
         except _Disconnected:

@@ -30,11 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costate import _stable_sigmoid, group_coefficients, integrate_h
+from .costate import _stable_sigmoid, group_coefficients, integrate_h, projected_coefficients
 from .errors import ContractError, ValidationError
-from .graph import SpectralDecomposition, build_laplacian, projected_groups, spectral_decompose
+from .graph import SpectralDecomposition, build_laplacian, group_support, spectral_decompose
 from .problem import CampaignProblem, require_valid
-from .waterfill import BangBangSchedule, ChannelSchedule
+from .waterfill import BangBangSchedule, ChannelSchedule, _gains
 
 MAX_CANDIDATES = 2_000_000
 # RK4 steps per sigmoid candidate. The reported value is that of
@@ -226,12 +226,13 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     edges = np.linspace(0.0, T, g + 1)
     delta = T / g
     sd = spectral_decompose(build_laplacian(problem.graph))
-    gains = np.array([ch.b for ch in problem.channels])
+    # One projection of the gains serves the caps, the linear scores and the sigmoid maps.
+    gains = _gains(problem, sd)
 
     levels = (1.0,) + (tuple(map(float, spec.interior_levels)) if spec.include_interior_levels else ())
     if spec.max_switches_per_channel is None:
         # The spectral-support bound: one less than the groups a channel projects onto.
-        caps = [max(0, int(k) - 1) for k in projected_groups(sd, gains).sum(axis=1)]
+        caps = [max(0, int(k) - 1) for k in group_support(sd, gains).sum(axis=1)]
     else:
         caps = [spec.max_switches_per_channel] * m
     candidate_count = 1
@@ -262,9 +263,9 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     budget = problem.r + 1e-9 * max(1.0, problem.r)
 
     if problem.objective.kind != "linear":
-        return _enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget)
+        return _enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges, budget)
 
-    coeffs = group_coefficients(sd, problem.objective.p, gains)
+    coeffs = projected_coefficients(sd, problem.objective.p, gains)
     scored = []
     for k, ch in enumerate(problem.channels):
         cell_gain = ch.u_max * integrate_h(sd.group_rates, coeffs[k], T, edges[:-1], edges[1:])
@@ -422,10 +423,11 @@ def _segment_maps(problem: CampaignProblem, sd: SpectralDecomposition, edges: np
     return maps[:, last], cells, count, optional, fixed_segment[merged]
 
 
-def _score_sigmoid(problem, sd, edges, masks, per_channel, feasible) -> np.ndarray:
+def _score_sigmoid(problem, sd, gains, edges, masks, per_channel, feasible) -> np.ndarray:
     """Sigmoid objective of each feasible candidate after its ``SIGMOID_STEPS`` RK4 run.
 
-    ``feasible`` holds one index array per channel. A candidate's terminal
+    ``gains`` is the channel gains' projection onto ``sd`` and ``feasible``
+    holds one index array per channel. A candidate's terminal
     state is its stepped RK4 state up to rounding: from V^T x0 its modal
     state walks the segment maps of ``_segment_maps`` in time order and, at
     each optional edge, takes [a, e] then [e, b] where one of its channels
@@ -434,7 +436,7 @@ def _score_sigmoid(problem, sd, edges, masks, per_channel, feasible) -> np.ndarr
     of ``_SCORE_ROWS``.
     """
     (phi, rho, drift), cells, count, optional, merged = _segment_maps(problem, sd, edges)
-    responses = rho[:, None, :] * (np.array([ch.b for ch in problem.channels]) @ sd.vectors)
+    responses = rho[:, None, :] * gains.coords
     start = problem.x0 @ sd.vectors
     optional_at = {int(s): j for j, s in enumerate(merged)}
     switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
@@ -465,7 +467,7 @@ def _score_sigmoid(problem, sd, edges, masks, per_channel, feasible) -> np.ndarr
     return values
 
 
-def _enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget) -> OracleResult:
+def _enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges, budget) -> OracleResult:
     """Map-scored enumeration: every feasible candidate's value after a 256-step RK4 run.
 
     Spends broadcast over channels in the order of additions of a running
@@ -477,7 +479,7 @@ def _enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget) -> 
     candidate_count = int(np.prod([pc.costs.size for pc in per_channel]))
     spends = sum(np.ix_(*(pc.costs for pc in per_channel)))
     feasible = np.nonzero(spends <= budget)
-    values = _score_sigmoid(problem, sd, edges, masks, per_channel, feasible)
+    values = _score_sigmoid(problem, sd, gains, edges, masks, per_channel, feasible)
     interior = np.logical_or.reduce([pc.interior[f] for pc, f in zip(per_channel, feasible)])
 
     best = int(np.argmax(values))

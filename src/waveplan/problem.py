@@ -10,13 +10,15 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (
+    Projection,
     SpectralDecomposition,
     WeightedGraph,
     _as_readonly,
     _reject_booleans,
     graph_from_dict,
     graph_to_dict,
-    projected_groups,
+    group_support,
+    project,
 )
 
 
@@ -150,15 +152,21 @@ def validate_problem(p: CampaignProblem) -> list[str]:
     """
     findings: list[str] = []
     n = p.n
+    obj, d = p.objective, p.drift
+    # One finiteness pass over every array field; each field is checked on
+    # its own only when that pass finds a non-finite entry somewhere.
+    arrays = [ch.b for ch in p.channels] + [obj.p, p.x0, d.values, d.breakpoints]
+    arrays += [a for a in (obj.alpha, obj.theta) if a is not None]
+    all_finite = _finite(np.concatenate(arrays, axis=None))
 
     if p.m < 1:
         findings.append("problem needs at least one channel")
     for k, ch in enumerate(p.channels, start=1):
         if ch.b.shape != (n,):
             findings.append(f"channel {k}: gain vector has shape {ch.b.shape}, expected ({n},)")
-        elif not _finite(ch.b):
+        elif not (all_finite or _finite(ch.b)):
             findings.append(f"channel {k}: gain vector has non-finite entries")
-        elif not ch.b.any():
+        elif not np.count_nonzero(ch.b):
             findings.append(f"channel {k} has empty reach")
         u_max = _real(ch.u_max)
         if u_max is None:
@@ -185,17 +193,16 @@ def validate_problem(p: CampaignProblem) -> list[str]:
         elif kind == "power" and not (0.0 < a <= 1.0):
             findings.append(f"channel {k}: power cost exponent must lie in (0, 1], got {ch.cost.a}")
 
-    obj = p.objective
     if obj.kind not in ("linear", "sigmoid"):
         findings.append(f"unknown objective kind {obj.kind!r}")
     if obj.p.shape != (n,):
         findings.append(f"objective weights have shape {obj.p.shape}, expected ({n},)")
-    elif not _finite(obj.p):
+    elif not (all_finite or _finite(obj.p)):
         findings.append("objective weights have non-finite entries")
     else:
-        if (obj.p < 0.0).any():
+        if np.count_nonzero(obj.p < 0.0):
             findings.append("objective weights must be nonnegative")
-        if not (obj.p > 0.0).any():
+        if not np.count_nonzero(obj.p > 0.0):
             findings.append("objective needs at least one positive weight")
     if obj.kind == "sigmoid":
         if obj.alpha is None or obj.theta is None:
@@ -203,7 +210,7 @@ def validate_problem(p: CampaignProblem) -> list[str]:
         else:
             if obj.alpha.shape != (n,) or obj.theta.shape != (n,):
                 findings.append("sigmoid alpha/theta must match the agent count")
-            elif not (_finite(obj.alpha) and _finite(obj.theta)):
+            elif not (all_finite or (_finite(obj.alpha) and _finite(obj.theta))):
                 findings.append("sigmoid alpha/theta have non-finite entries")
             elif (obj.alpha <= 0.0).any():
                 findings.append("sigmoid sharpness alpha must be positive")
@@ -224,18 +231,17 @@ def validate_problem(p: CampaignProblem) -> list[str]:
         findings.append("budget must be positive")
     if p.x0.shape != (n,):
         findings.append(f"initial state has shape {p.x0.shape}, expected ({n},)")
-    elif not _finite(p.x0):
+    elif not (all_finite or _finite(p.x0)):
         findings.append("initial state has non-finite entries")
 
-    d = p.drift
     bps = d.breakpoints
     if d.values.shape[0] != bps.shape[0]:
         findings.append("drift needs one value row per breakpoint")
     elif d.values.shape[1] != n:
         findings.append(f"drift values have width {d.values.shape[1]}, expected {n}")
-    elif not _finite(d.values):
+    elif not (all_finite or _finite(d.values)):
         findings.append("drift values have non-finite entries")
-    if not _finite(bps):
+    if not (all_finite or _finite(bps)):
         findings.append("drift breakpoints have non-finite entries")
     if bps.size:
         if bps[0] != 0.0:
@@ -272,20 +278,23 @@ class ChannelConditions:
 
 
 def check_conditions(
-    p: CampaignProblem, sd: SpectralDecomposition
+    p: CampaignProblem, sd: SpectralDecomposition, gains: Projection | None = None
 ) -> tuple[ChannelConditions, ...]:
     """Evaluate, per channel, whether the bang-bang structure theorem certifies it.
 
     Strictly concave (power) costs need nonzero total reach; linear costs
     need (L, b) controllable. Both are read from the groups b projects onto
-    (``projected_groups``, one call for all channels): the reach is nonzero
+    (``group_support``, one call for all channels): the reach is nonzero
     when b projects onto the constant mode, and for symmetric L the Kalman
     rank of (L, b) is the number of groups, so (L, b) is controllable when
     every eigenvalue is simple and b projects onto every eigenvector. When a flag is false the
-    solver still runs but tags its output as not structure-certified.
+    solver still runs but tags its output as not structure-certified. Pass
+    ``gains``, the channel gains' ``project``ion onto ``sd``, to reuse it.
     """
+    if gains is None:
+        gains = project(sd, [ch.b for ch in p.channels])
     out = []
-    masks = projected_groups(sd, np.array([ch.b for ch in p.channels]))
+    masks = group_support(sd, gains)
     for k, (ch, groups) in enumerate(zip(p.channels, masks), start=1):
         reach_nonzero = bool(groups[0])
         rank = int(np.count_nonzero(groups))

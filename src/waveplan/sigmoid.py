@@ -20,7 +20,7 @@ from .dynamics import objective_value, terminal_state
 from .errors import ContractError
 from .graph import build_laplacian, spectral_decompose
 from .problem import CampaignProblem, Objective, require_valid
-from .waterfill import WaterfillSolution, _certified, _schedule
+from .waterfill import WaterfillSolution, _certified, _gains, _schedule
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,10 @@ def solve_sigmoid(
         raise ContractError(f"epsilon must be positive, got {eps}")
 
     sd = spectral_decompose(build_laplacian(problem.graph))
+    gains = _gains(problem, sd)  # one projection of the gains for every iterate
 
     def evaluate(lam: np.ndarray, index: int):
-        draft = _schedule(problem, lam, sd)
+        draft = _schedule(problem, lam, sd, gains)
         _, beta_star, schedule, spend, _ = draft
         x_T = terminal_state(problem, schedule, sd)
         value = objective_value(obj, x_T)
@@ -141,7 +142,7 @@ def solve_sigmoid(
 
     best = max(range(len(records)), key=lambda i: (records[i].objective, -i))
     return SigmoidSolution(
-        solution=_certified(problem, sd, *drafts[best]),
+        solution=_certified(problem, sd, gains, *drafts[best]),
         objective=records[best].objective,
         chosen_iteration=best,
         iterations=tuple(records),

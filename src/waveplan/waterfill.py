@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .costate import group_coefficients
+from .costate import projected_coefficients
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
-from .graph import SpectralDecomposition, build_laplacian, spectral_decompose
+from .graph import Projection, SpectralDecomposition, build_laplacian, project, spectral_decompose
 from .problem import CampaignProblem, check_conditions, require_valid
 
 BISECTION_MAX_ITERS = 200
@@ -129,25 +129,27 @@ def _grid_points(n: int) -> int:
 def _sample_signals(
     rates: np.ndarray, coeffs: np.ndarray, T: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A uniform grid on [0, T] and every channel's signal on it, shape (m, points).
+    """A uniform grid on [0, T] and every channel's signal on it, each row padded with -inf at both ends.
 
-    The modal block exp((t - T) * rate) is taken in row blocks of fixed size
-    as exp((t - t_e) * rate) * exp((t_e - T) * rate), with t_e the last time
-    of the block. The first factor is the same for every block and is
-    computed once; the second folds into the coefficients. So each block
-    costs G exponentials and one matrix product, memory stays O(block * G),
-    and both factors are at most 1, so nothing overflows.
+    The result has shape (m, points + 2); columns 1 to points hold the
+    samples. The modal block exp((t - T) * rate) is taken in row blocks of
+    fixed size as exp((t - t_e) * rate) * exp((t_e - T) * rate), with t_e
+    the last time of the block. The first factor is the same for every
+    block and is computed once; the second folds into the coefficients. So
+    each block costs G exponentials and one matrix product, memory stays
+    O(block * G), and both factors are at most 1, so nothing overflows.
     """
     ts = np.linspace(0.0, T, points)
     dt = T / max(1, points - 1)
     rows = max(1, min(points, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
     offsets = np.multiply.outer(rates, np.arange(1 - rows, 1) * dt)
     np.exp(offsets, out=offsets)  # in place: one block-sized array per solve, not two
-    out = np.empty((coeffs.shape[1], points))
+    out = np.empty((coeffs.shape[1], points + 2))
+    out[:, 0] = out[:, -1] = -np.inf
     for stop in range(points, 0, -rows):
         start = max(0, stop - rows)
         anchored = coeffs * np.exp((ts[stop - 1] - T) * rates)[:, None]
-        out[:, start:stop] = anchored.T @ offsets[:, rows - (stop - start) :]
+        out[:, start + 1 : stop + 1] = anchored.T @ offsets[:, rows - (stop - start) :]
     return ts, out
 
 
@@ -159,7 +161,8 @@ class _SignalGrid:
     kept as the G x m matrix ``coeffs``. The samples supply signs, brackets
     and a first guess of the level only: ``probe`` compares them with the
     level, takes each crossing's grid cell and the signs at the cell ends,
-    then refines the crossing on the closed form.
+    then refines the crossing on the closed form. ``values`` (m x points)
+    is a view of the samples inside the padded rows that ``probe`` scans.
     """
 
     def __init__(self, rates: np.ndarray, rows: np.ndarray, T: float, points: int) -> None:
@@ -171,47 +174,56 @@ class _SignalGrid:
         # exp(rate_g (t - T)) side by side, so one product evaluates all three.
         curvature = np.abs(self.dcoeffs) * rates[:, None]
         self.terms = np.concatenate((self.coeffs, self.dcoeffs, curvature), axis=1)
-        self.times, self.values = _sample_signals(rates, self.coeffs, self.T, points)
+        self.times, padded = _sample_signals(rates, self.coeffs, self.T, points)
+        self.values = padded[:, 1:-1]
+        self._padded = padded.ravel()
+        # Per padded column c, for the flip between columns c and c + 1: its
+        # time if it is a pad flip (0 for c = 0, T for c = points), and
+        # whether it is a crossing, inside sample cell c - 1.
+        self._flip_times = np.concatenate(([0.0], self.times))
+        self._inner = np.ones(points + 1, dtype=bool)
+        self._inner[0] = self._inner[-1] = False
 
     def probe(self, beta: float, costs: np.ndarray):
         """The spend at level beta, |dS/dbeta| there, and every channel's on-set {g_k > beta}.
 
-        One scan finds every switch of every channel: the flips of the sample
-        mask padded with off at both ends, in channel then time order, so
-        they alternate on, off within each channel. A pad flip is the time 0
-        or T, and every other flip is a crossing, refined by ``_crossings``.
-        The on-sets come back flat, as ``(chan, starts, ends)`` with interval
-        j of channel chan[j] being [starts[j], ends[j]], and the spend is
-        sum_j costs[chan[j]] (ends[j] - starts[j]). dS/dbeta is -sum over
-        crossings of costs_k / |g_k'|.
+        One scan of the padded rows, compared with the level as one flat
+        array, finds every switch of every channel: its flips, in channel
+        then time order, so they alternate on, off within each channel. The
+        -inf pads are off at every level, so no flip spans two rows. A flip
+        next to a pad is the time 0 or T, and every other flip is a
+        crossing, refined by ``_crossings``. The on-sets come back flat, as
+        ``(chan, starts, ends)`` with interval j of channel chan[j] being
+        [starts[j], ends[j]], and the spend is sum_j costs[chan[j]]
+        (ends[j] - starts[j]). dS/dbeta is -sum over crossings of costs_k /
+        |g_k'|.
 
         Points with g_k(t) = beta are assigned off (the boundary set has
         measure zero under the no-singular-arc conditions, and a
         deterministic tie-break keeps outputs reproducible).
         """
-        above = self.values > beta
-        points = above.shape[1]
-        flips = np.empty((above.shape[0], points + 1), dtype=bool)
-        flips[:, 0], flips[:, -1] = above[:, 0], above[:, -1]
-        np.not_equal(above[:, 1:], above[:, :-1], out=flips[:, 1:-1])
-        chan, idx = np.divmod(np.flatnonzero(flips), points + 1)
-        times = np.where(idx == 0, 0.0, self.T)
-        inner = (idx > 0) & (idx < points)
-        times[inner], slopes = self._crossings(chan[inner], idx[inner] - 1, beta)
-        with np.errstate(divide="ignore"):
-            rate = float(costs[chan[inner]] @ (1.0 / np.abs(slopes)))
+        above = self._padded > beta
+        # Flip c of a row lies between its padded columns c and c + 1.
+        chan, col = np.divmod((above[1:] != above[:-1]).nonzero()[0], self.values.shape[1] + 2)
+        times = self._flip_times[col]
+        inner = self._inner[col]
+        rate = 0.0
+        if inner.any():
+            cross = chan[inner]
+            times[inner], inverse_slopes = self._crossings(cross, col[inner] - 1, beta)
+            rate = float(costs[cross] @ inverse_slopes)
         chan, starts, ends = chan[::2], times[::2], times[1::2]
         return float(costs[chan] @ (ends - starts)), rate, (chan, starts, ends)
 
     def on_sets(self, events) -> list[tuple[tuple[float, float], ...]]:
         """Every channel's on-set as sorted disjoint intervals, from ``probe``'s flat form."""
         chan, starts, ends = events
-        bounds = np.searchsorted(chan, np.arange(self.coeffs.shape[1] + 1)).tolist()
+        bounds = chan.searchsorted(np.arange(self.coeffs.shape[1] + 1)).tolist()
         pairs = list(zip(starts.tolist(), ends.tolist()))
         return [tuple(iv for iv in pairs[a:b] if iv[1] > iv[0]) for a, b in zip(bounds, bounds[1:])]
 
     def _crossings(self, chan, cell, beta) -> tuple[np.ndarray, np.ndarray]:
-        """Crossings g_chan = beta inside the grid cells ``cell``, with g' at the start of each.
+        """Crossings g_chan = beta inside the grid cells ``cell``, with 1 / |g'| at each.
 
         Each starts from the secant t0 through the grid values and takes one
         Newton step delta = -(g(t0) - beta) / g'(t0). On the cell, |g''| is
@@ -226,29 +238,36 @@ class _SignalGrid:
         (M delta^2 / 2) / (|g'(t0)| / 2) = eps of t1 (eps <= |delta| / 4).
         So, up to the rounding of g, t1 is the cell's crossing to the
         1e-12 * T that ``_refine`` works to. Every crossing that fails the
-        test goes on in ``_refine``, which is the only refinement loop.
+        test goes on in ``_refine``, which is the only refinement loop; g'
+        is then read where the refinement stopped.
         """
         ts, T = self.times, self.T
-        lo, hi = ts[cell], ts[cell + 1]
-        vlo, vhi = self.values[chan, cell], self.values[chan, cell + 1]
+        upper = cell + 1
+        lo, hi = ts[cell], ts[upper]
+        vlo, vhi = self.values[chan, cell], self.values[chan, upper]
         t0 = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
         e = self._modes(np.concatenate((t0, hi)))
-        m, rows = self.coeffs.shape[1], np.arange(t0.size)
-        at = e @ self.terms
-        g, slopes = at[rows, chan] - beta, at[rows, m + chan]
-        curvature = at[t0.size + rows, 2 * m + chan]
+        n, m = t0.size, self.coeffs.shape[1]
+        # One product: rows at t0 then at hi, columns g, g' and the
+        # curvature bound of each channel; each crossing keeps its channel's.
+        at = (e @ self.terms).reshape(2, n, 3, m)[:, np.arange(n), :, chan]
+        value, slopes, curvature = at[:, 0, 0], at[:, 0, 1], at[:, 1, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = -g / slopes
-            eps = curvature * step * step / np.abs(slopes)
+            step = (beta - value) / slopes
+            size = np.abs(slopes)
+            eps = curvature * step * step / size
             t = t0 + step
-            good = (4.0 * curvature * np.abs(step) <= np.abs(slopes)) & (eps <= 1e-12 * T)
-            good &= (lo + eps <= t) & (t <= hi - eps)
-        bad = np.flatnonzero(~good)
-        if bad.size:
-            t[bad], slopes[bad] = self._refine(
-                lo[bad], hi[bad], vlo[bad] > beta, chan[bad], beta, t0[bad], e[bad]
-            )
-        return t, slopes
+            good = 4.0 * curvature * np.abs(step) <= size
+            good &= eps <= 1e-12 * T
+            good &= lo + eps <= t
+            good &= t <= hi - eps
+            if not good.all():
+                bad = np.flatnonzero(~good)
+                t[bad], slopes[bad] = self._refine(
+                    lo[bad], hi[bad], vlo[bad] > beta, chan[bad], beta, t0[bad], e[bad]
+                )
+                size = np.abs(slopes)
+            return t, 1.0 / size
 
     def _modes(self, t: np.ndarray) -> np.ndarray:
         """exp(rate_g (t - T)) for each time in t (rows) and each group rate (columns)."""
@@ -320,17 +339,17 @@ class _SignalGrid:
         scaled = sample * (_LEVEL_BINS / top)
         scaled += 1.0
         bins = np.maximum(scaled, 0.0, out=scaled).astype(np.intp).ravel()
-        weights = np.repeat(costs * dt, sample.shape[1])
+        weights = (costs * dt).repeat(sample.shape[1])
         hist = np.bincount(bins, weights, minlength=_LEVEL_BINS + 1)
-        above = np.cumsum(hist[:0:-1])  # sampled spend at each bin's lower edge, top bin first
-        i = int(np.searchsorted(above, r))
+        above = hist[:0:-1].cumsum()  # sampled spend at each bin's lower edge, top bin first
+        i = int(above.searchsorted(r))
         if i == above.size:
             return 0.0
         inside = bins == _LEVEL_BINS - i
-        vals = sample.ravel()[inside]
-        order = np.argsort(vals)[::-1]
-        spent = (above[i - 1] if i else 0.0) + np.cumsum(weights[inside][order])
-        return float(vals[order[min(int(np.searchsorted(spent, r)), vals.size - 1)]])
+        vals = sample[inside.reshape(sample.shape)]  # row-major, as the flat bins run
+        order = vals.argsort()[::-1]
+        spent = (above[i - 1] if i else 0.0) + weights[inside][order].cumsum()
+        return float(vals[order[min(int(spent.searchsorted(r)), vals.size - 1)]])
 
 
 def _find_level(grid: _SignalGrid, probe, costs: np.ndarray, r: float):
@@ -346,7 +365,7 @@ def _find_level(grid: _SignalGrid, probe, costs: np.ndarray, r: float):
     """
     lo = 0.0
     # spend(0) > r > 0 only if some sample lies above level 0, so hi > 0.
-    hi = float(np.max(grid.values))
+    hi = float(grid.values.max())
     hi += 1e-9 * max(1.0, abs(hi))
     tol = SPEND_REL_TOL * r
     beta = grid.sampled_level(costs, r, hi)
@@ -382,11 +401,17 @@ def _spend(costs, sets) -> float:
     return float(sum(c * sum(hi - lo for lo, hi in s) for c, s in zip(costs, sets)))
 
 
-def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecomposition):
+def _gains(problem: CampaignProblem, sd: SpectralDecomposition) -> Projection:
+    """The channel gains b_k projected onto the eigenvectors once, for every stage of a solve to read."""
+    return project(sd, [ch.b for ch in problem.channels])
+
+
+def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecomposition, gains: Projection):
     """The schedule half of ``solve_with_costate``, before any certificate.
 
-    Returns the m x G group coefficients of h (``group_coefficients``, one
-    row per channel), the water level, the schedule, its spend and the
+    ``gains`` is ``_gains(problem, sd)``. Returns the m x G group
+    coefficients of h (``projected_coefficients``, one row per channel),
+    the water level, the schedule, its spend and the
     (level, spend) trace of every level probed. The rows scaled to the
     signals g_k are sampled only for the channels with a positive partial
     coefficient sum, on the modes one of them has; the others are never on
@@ -396,9 +421,9 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     """
     T, r = problem.T, problem.r
     chans = problem.channels
-    coeffs = group_coefficients(sd, lam, np.array([ch.b for ch in chans]))
+    coeffs = projected_coefficients(sd, lam, gains)
     signals = coeffs * np.array([ch.u_max / ch.max_cost_rate for ch in chans])[:, None]
-    live = np.flatnonzero((signals.cumsum(axis=1) > 0.0).any(axis=1))
+    live = (signals.cumsum(axis=1) > 0.0).any(axis=1).nonzero()[0]
     costs = np.array([chans[k].max_cost_rate for k in live])
     trace: list[tuple[float, float]] = []
     beta_star, sets = 0.0, []
@@ -427,11 +452,12 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     return coeffs, beta_star, schedule, _spend(costs, sets), tuple(trace)
 
 
-def _certified(problem, sd, coeffs, beta_star, schedule, spend, trace) -> WaterfillSolution:
+def _certified(problem, sd, gains, coeffs, beta_star, schedule, spend, trace) -> WaterfillSolution:
     """The certificate half of ``solve_with_costate``: gain, conditions and switch bounds.
 
-    One pass per channel over its row of group coefficients, its conditions
-    row and its realized switches: the support bound is the conditions' rank
+    The conditions read the support masks from ``gains``, the projection
+    that the schedule half read too. One pass per channel over its row of
+    group coefficients, its conditions row and its realized switches: the support bound is the conditions' rank
     less one, and the row gives both variation bounds at the channel's
     threshold shift (``bounds._linear_bounds``), so no coefficient is
     computed twice. Raises NumericalError when a channel switches more often
@@ -439,7 +465,7 @@ def _certified(problem, sd, coeffs, beta_star, schedule, spend, trace) -> Waterf
     """
     gain = closed_form_gain(sd.group_rates, coeffs, problem.T, schedule)
     certificate = []
-    conditions = check_conditions(problem, sd)
+    conditions = check_conditions(problem, sd, gains)
     switches = schedule.switch_counts(problem.T)
     for ch, row, cond, realized in zip(problem.channels, coeffs, conditions, switches):
         shift = beta_star * ch.max_cost_rate / ch.u_max
@@ -499,7 +525,8 @@ def solve_with_costate(
         raise ContractError(f"costate has shape {lam.shape}, expected ({problem.n},)")
     if sd is None:
         sd = spectral_decompose(build_laplacian(problem.graph))
-    return _certified(problem, sd, *_schedule(problem, lam, sd))
+    gains = _gains(problem, sd)
+    return _certified(problem, sd, gains, *_schedule(problem, lam, sd, gains))
 
 
 def _require_linear(problem: CampaignProblem) -> None:

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite: nothing in the package calls them.
 
 ``h_at`` evaluates a profile row point by point, ``adjoint_check`` integrates
-the adjoint flow that the profile expansion solves in closed form, and
-``count_exp_poly_zeros`` counts the zeros that the switch bounds cap. Each
-stays apart from the code it checks.
+the adjoint flow that the profile expansion solves in closed form,
+``count_exp_poly_zeros`` counts the zeros that the switch bounds cap, and
+``dense_geometric_edges`` tests every pair of points that a geometric graph
+could join. Each stays apart from the code it checks.
 """
 
 from __future__ import annotations
@@ -126,3 +127,16 @@ def count_exp_poly_zeros(
                 ):
                     count += 2
     return count
+
+
+def dense_geometric_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ends (i, j), i < j in row-major order, of every pair within ``radius``, from n x n arrays.
+
+    The distance test is dx * dx + dy * dy <= radius * radius on the full
+    matrices of coordinate differences, as geometric graphs were first
+    built.
+    """
+    dx = pts[:, 0, None] - pts[:, 0]
+    dy = pts[:, 1, None] - pts[:, 1]
+    d2 = dx * dx + dy * dy
+    return np.nonzero(np.triu(d2 <= radius * radius, 1))

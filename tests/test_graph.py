@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, P3, random_connected_graph
+from oracles import dense_geometric_edges
+from waveplan import graph, oracle
 from waveplan.bundles import seven_agent_problem
+from waveplan.costate import group_coefficients
+from waveplan.dynamics import terminal_state
 from waveplan.errors import NumericalError, ValidationError
 from waveplan.graph import (
     MAX_AGENTS,
@@ -15,10 +21,13 @@ from waveplan.graph import (
     build_laplacian,
     graph_from_dict,
     graph_to_dict,
+    projected_groups,
     random_geometric_graph,
     spectral_decompose,
 )
-from waveplan.sweep import default_radius
+from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, check_conditions
+from waveplan.sweep import default_radius, sweep_instance
+from waveplan.waterfill import BangBangSchedule, ChannelSchedule
 
 
 class TestWeightedGraph:
@@ -85,8 +94,8 @@ class TestWeightedGraph:
         assert WeightedGraph(n=n - 1, edges=edges[:-1]).n == MAX_AGENTS
 
     def test_geometric_graph_checks_the_limit_before_placing_points(self):
-        # Past the limit the n points and n x n distances would be formed
-        # first: about 6.4 GB at n = 16385.
+        # Past the limit the n points and their candidate pairs would be
+        # formed first.
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=f"at most {MAX_AGENTS} agents"):
@@ -193,10 +202,8 @@ class TestSpectralDecompose:
         sd = spectral_decompose(build_laplacian(K2))
         assert np.allclose(sd.eigenvalues, [0.0, 2.0], atol=1e-12)
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(sd.vectors[:, 0], [s, s], atol=1e-12)
-        assert np.allclose(np.abs(sd.vectors[:, 1]), [s, s], atol=1e-12)
-        # Sign convention: first nonzero component positive.
-        assert sd.vectors[0, 1] > 0.0
+        assert np.allclose(np.abs(sd.vectors), s, atol=1e-12)
+        assert sd.vectors[0, 1] * sd.vectors[1, 1] < 0.0  # the difference mode, whatever its sign
 
     def test_path_eigenvalues(self):
         # Characteristic polynomial of the path Laplacian factors as
@@ -216,7 +223,7 @@ class TestSpectralDecompose:
         assert np.max(np.abs(recon - lap)) <= 1e-9 * np.max(np.abs(lap))
         assert np.all(np.diff(sd.eigenvalues) >= -1e-12)
         assert np.all(sd.eigenvalues >= -1e-10)
-        assert np.allclose(sd.vectors[:, 0], np.full(n, 1.0 / np.sqrt(n)), atol=1e-10)
+        assert np.allclose(np.abs(sd.vectors[:, 0]), 1.0 / np.sqrt(n), atol=1e-10)
         ones = np.ones(n)
         for j in range(1, n):
             assert abs(q[:, j] @ ones) <= 1e-10 * np.sqrt(n)
@@ -236,15 +243,89 @@ class TestSpectralDecompose:
             spectral_decompose(near_zero)
 
 
-def _reference_signs(q):
-    """The per-column sign loop that _fix_signs vectorises."""
-    out = q.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, k] = -col
-    return out
+def _family_graph(kind: str, n: int, rng: np.random.Generator) -> WeightedGraph:
+    """Complete graphs, stars and cycles have repeated eigenvalues; the random graphs mostly do not."""
+    if kind == "complete":
+        return _complete(n)
+    if kind == "star":
+        return _star(n)
+    if kind == "cycle" and n >= 3:
+        return _cycle(n)
+    return random_connected_graph(rng, n)
+
+
+def _sigmoid_desk_problem(g: WeightedGraph, m: int, rng: np.random.Generator) -> CampaignProblem:
+    """A sigmoid problem with mixed-sign gains, a nonzero start and a two-piece drift."""
+    n = g.n
+    channels = tuple(
+        Channel(b=rng.uniform(-1.0, 1.0, n), cost=CostModel("power", 1.0, 0.7), u_max=1.0) for _ in range(m)
+    )
+    objective = Objective(
+        kind="sigmoid", p=rng.uniform(0.2, 1.0, n), alpha=rng.uniform(1.0, 4.0, n), theta=rng.normal(0.0, 0.2, n)
+    )
+    drift = Drift(breakpoints=np.array([0.0, 0.4]), values=rng.normal(0.0, 0.3, (2, n)))
+    return CampaignProblem(
+        graph=g, channels=channels, objective=objective, T=1.0, r=0.5 * m, x0=rng.normal(0.0, 0.3, n), drift=drift
+    )
+
+
+def _negated(sd, flip):
+    """``sd`` with the eigenvector columns where ``flip`` is true negated."""
+    vectors = sd.vectors * np.where(flip, -1.0, 1.0)
+    vectors.setflags(write=False)
+    return dataclasses.replace(sd, vectors=vectors)
+
+
+def _sigmoid_scores(prob, sd, spec):
+    """The sigmoid oracle's result and every feasible candidate's score, run on the decomposition ``sd``."""
+    scores = []
+    score = oracle._score_sigmoid
+
+    def recording(*args):
+        values = score(*args)
+        scores.append(values)
+        return values
+
+    with mock.patch.object(oracle, "spectral_decompose", lambda lap: sd), mock.patch.object(
+        oracle, "_score_sigmoid", recording
+    ):
+        result = oracle.enumerate_best(prob, spec)
+    (values,) = scores
+    return result, values.tobytes()
+
+
+class TestSignInvariance:
+    """No output depends on the signs of the eigenvector columns, which the eigensolver picks freely."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["complete", "star", "cycle", "random"]),
+        st.integers(2, 8),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_negating_eigenvector_columns_changes_no_bit(self, kind, n, m, seed):
+        rng = np.random.default_rng(seed)
+        prob = _sigmoid_desk_problem(_family_graph(kind, n, rng), m, rng)
+        sd = spectral_decompose(build_laplacian(prob.graph))
+        flipped = _negated(sd, rng.random(n) < 0.5)
+        bs = np.array([ch.b for ch in prob.channels])
+        lam = rng.uniform(0.0, 1.0, n)
+        assert group_coefficients(sd, lam, bs).tobytes() == group_coefficients(flipped, lam, bs).tobytes()
+        assert np.array_equal(projected_groups(sd, bs), projected_groups(flipped, bs))
+        assert check_conditions(prob, sd) == check_conditions(prob, flipped)
+        schedule = BangBangSchedule(
+            channels=tuple(
+                ChannelSchedule(u_max=1.0, intervals=((0.1 * (k + 1), 0.5), (0.7, 1.0))) for k in range(m)
+            )
+        )
+        assert terminal_state(prob, schedule, sd).tobytes() == terminal_state(prob, schedule, flipped).tobytes()
+        spec = oracle.EnumerationSpec(switch_grid=4, max_switches_per_channel=1)
+        assert _sigmoid_scores(prob, sd, spec) == _sigmoid_scores(prob, flipped, spec)
+
+    def test_repeated_eigenvalues_are_exercised(self):
+        sd = spectral_decompose(build_laplacian(_complete(6)))
+        assert sd.group_starts.tolist() == [0, 1]
 
 
 def _reference_groups(evals, group_tol, zero_tol):
@@ -327,7 +408,7 @@ class TestDecompositionMatchesReferenceLoops:
         lap = build_laplacian(g)
         sd = spectral_decompose(lap)
         evals, q = np.linalg.eigh(lap)
-        assert np.array_equal(sd.vectors, _reference_signs(q))
+        assert np.array_equal(sd.vectors, q)  # the eigensolver's columns and signs, unchanged
         groups, rates = _reference_groups(evals, sd.group_tol, sd.zero_tol)
         # Groups are contiguous index runs: the starts and the eigenvalue
         # count give every group back.
@@ -449,6 +530,75 @@ class TestRandomGeometricGraph:
             if d2[i, j] <= radius * radius
         )
         assert g.edges == expected
+
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 100, 200])
+    def test_window_search_matches_the_dense_reference(self, n):
+        radii = [1e-300, 1e-3, 0.05, default_radius(n), 0.3, 1.0, 1.5, 3.0]
+        for seed in range(12):
+            pts = np.random.default_rng(seed).random((n, 2))
+            for radius in radii:
+                got = graph._geometric_edges(pts, radius)
+                want = dense_geometric_edges(pts, radius)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (seed, radius)
+
+    def test_window_search_on_ties_and_exact_distances(self):
+        # Lattice points: equal x coordinates, and pairs at exactly the radius.
+        for seed in range(40):
+            pts = np.random.default_rng(seed).integers(0, 8, (30, 2)) / 8.0
+            for radius in (0.125, 0.25, np.sqrt(2.0) * 0.125, 0.3):
+                got = graph._geometric_edges(pts, radius)
+                want = dense_geometric_edges(pts, radius)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (seed, radius)
+
+    @pytest.mark.parametrize("n, radius, seed", [(30, 0.25, 1), (60, 0.18, 3), (12, 0.3, 9), (200, 0.12, 4)])
+    def test_retried_draws_match_the_dense_reference(self, n, radius, seed):
+        used = None
+        for s in range(seed, seed + 65):
+            rows, cols = dense_geometric_edges(np.random.default_rng(s).random((n, 2)), radius)
+            try:
+                want = WeightedGraph(n=n, edges=np.column_stack((rows + 1, cols + 1, np.ones(rows.size))))
+            except ValidationError:
+                continue
+            used = s
+            break
+        g, s = random_geometric_graph(n, radius, seed)
+        assert (g, s) == (want, used)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, True, 1), "radius must be a real number, got True"),
+            ((10, np.bool_(True), 1), "radius must be a real number"),
+            ((10, "0.5", 1), "radius must be a real number, got '0.5'"),
+            ((10, None, 1), "radius must be a real number, got None"),
+            ((10, 10**400, 1), "radius must be finite and positive"),
+            ((10.0, 0.5, 1), "agent count must be an integer, got 10.0"),
+            ((True, 0.5, 1), "agent count must be an integer, got True"),
+            (("10", 0.5, 1), "agent count must be an integer"),
+            ((10, 0.5, 1.5), "seed must be a nonnegative integer, got 1.5"),
+            ((10, 0.5, True), "seed must be a nonnegative integer, got True"),
+            ((10, 0.5, -1), "seed must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_rejects_inputs_of_the_wrong_kind(self, args, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            random_geometric_graph(*args)
+
+    def test_integer_inputs_of_numpy_type_are_accepted(self):
+        g, s = random_geometric_graph(np.int64(30), 0.35, np.uint32(5))
+        assert (g, s) == random_geometric_graph(30, 0.35, 5)
+        assert random_geometric_graph(2, 2, 1)[0].edges == ((1, 2, 1.0),)
+
+    def test_retries_from_a_seed_at_its_type_limit_do_not_wrap(self):
+        # seed + 1 in int64 would wrap to a negative seed, which numpy rejects.
+        with pytest.raises(ValidationError, match="no connected geometric graph in 3 attempts"):
+            random_geometric_graph(30, 0.01, np.int64(2**63 - 1), max_retries=2)
+
+    @pytest.mark.parametrize("radius", [True, "0.5"])
+    def test_sweep_radius_of_the_wrong_kind_is_a_validation_error(self, radius):
+        with pytest.raises(ValidationError, match="radius must be a real number"):
+            sweep_instance(20, 0, 1, radius=radius)
 
 
 class TestGraphJson:

@@ -149,9 +149,9 @@ class TestCandidateTables:
         prob = _sigmoid_problem(np.random.default_rng(47), P3, 2)
         spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, include_interior_levels=True)
         calls = []
-        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[5][0].size))
+        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[6][0].size))
         enumerate_best(prob, spec)
-        ((_, _, _, masks, per_channel, _),) = calls
+        ((_, _, _, _, masks, per_channel, _),) = calls
         levels = np.array((1.0,) + spec.interior_levels)
         delta = prob.T / spec.switch_grid
         for mk, pc, ch in zip(masks, per_channel, prob.channels):
@@ -233,7 +233,7 @@ class TestSpecValidation:
             enumerate_best(k2_problem(), spec)
 
 
-def _loop_enumerate_sigmoid(problem, sd, spec, masks, per_channel, edges, budget):
+def _loop_enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges, budget):
     """One 256-step simulate per feasible candidate, in product order: the unbatched reference."""
     m = problem.m
     sizes = [pc[0].size for pc in per_channel]
@@ -376,8 +376,8 @@ def _scored_candidates(prob, spec, monkeypatch):
     calls = []
     score = oracle._score_sigmoid
 
-    def spy(problem, sd, edges, masks, per_channel, feasible):
-        values = score(problem, sd, edges, masks, per_channel, feasible)
+    def spy(problem, sd, gains, edges, masks, per_channel, feasible):
+        values = score(problem, sd, gains, edges, masks, per_channel, feasible)
         calls.append((edges, masks, per_channel, feasible, values))
         return values
 
@@ -478,7 +478,7 @@ def _refuse(*args, **kwargs):
 
 
 class TestSpectralWork:
-    # (name, problem, spec, group_coefficients calls, projected_groups calls)
+    # (name, problem, spec, projected_coefficients calls, group_support calls)
     CASES = [
         ("linear", lambda rng: _desk_problem(rng, 5, 2, False, True), EnumerationSpec(switch_grid=6), 1, 1),
         (
@@ -494,9 +494,9 @@ class TestSpectralWork:
 
     @staticmethod
     def _count(monkeypatch):
-        """Count decompositions and stacked projections; refuse every per-channel projection."""
+        """Count decompositions, projections and their readers; refuse every per-channel projection."""
         calls = {}
-        for fn in (graph.spectral_decompose, costate.group_coefficients, graph.projected_groups):
+        for fn in (graph.spectral_decompose, graph.project, costate.projected_coefficients, graph.group_support):
             calls[fn.__name__] = 0
 
             def counting(*args, _fn=fn, **kwargs):
@@ -512,13 +512,18 @@ class TestSpectralWork:
         prob = make(np.random.default_rng(5))
         calls = self._count(monkeypatch)
         enumerate_best(prob, spec)
-        assert calls == {"spectral_decompose": 1, "group_coefficients": coefficients, "projected_groups": projections}
+        assert calls == {
+            "spectral_decompose": 1,
+            "project": 1,
+            "projected_coefficients": coefficients,
+            "group_support": projections,
+        }
 
     def test_grid_slack_decomposes_once(self, monkeypatch):
         prob = seven_agent_problem()
         calls = self._count(monkeypatch)
         grid_slack(prob, 10)
-        assert calls == {"spectral_decompose": 1, "group_coefficients": 1, "projected_groups": 0}
+        assert calls == {"spectral_decompose": 1, "project": 1, "projected_coefficients": 1, "group_support": 0}
 
     def test_sigmoid_oracle_never_steps_the_dynamics(self, monkeypatch):
         prob = seven_agent_sigmoid_problem()

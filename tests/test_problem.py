@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, P3, k2_problem
+from waveplan import problem as problem_module
 from waveplan.bundles import seven_agent_problem
 from waveplan.graph import WeightedGraph, build_laplacian, projected_groups, spectral_decompose
 from waveplan.problem import (
@@ -143,6 +144,23 @@ class TestNonFiniteFindings:
     def test_non_finite_value_is_a_finding(self, changes, finding):
         findings = validate_problem(_sigmoid_k2(**changes))
         assert any(finding in f for f in findings), findings
+
+    def test_finite_arrays_take_one_pass(self, monkeypatch):
+        calls = []
+        original = problem_module._finite
+
+        def counting(a):
+            calls.append(a.size)
+            return original(a)
+
+        monkeypatch.setattr(problem_module, "_finite", counting)
+        assert validate_problem(_sigmoid_k2()) == []
+        # Every array field at once: b, p, x0, the drift values and breakpoints, alpha and theta.
+        assert calls == [2 + 2 + 2 + 4 + 2 + 2 + 2]
+        calls.clear()
+        findings = validate_problem(_sigmoid_k2(x0=np.array([0.0, _NAN])))
+        assert findings == ["initial state has non-finite entries"]
+        assert len(calls) > 1  # only a failed pass breaks the check down per field
 
 
 # Malformed problems, as changes to the clean sigmoid instance, with every

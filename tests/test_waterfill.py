@@ -242,14 +242,14 @@ class TestCertificateChecks:
 
     def test_group_coefficients_run_once_per_solve(self, monkeypatch):
         calls = []
-        original = costate.group_coefficients
+        original = costate.projected_coefficients
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        for module in (costate, bounds, waterfill):
-            monkeypatch.setattr(module, "group_coefficients", counting)
+        for module in (costate, waterfill):
+            monkeypatch.setattr(module, "projected_coefficients", counting)
         solve(seven_agent_problem())
         assert len(calls) == 1
 
@@ -311,12 +311,12 @@ class TestCertificateChecks:
     def test_support_bound_raise_follows_the_reach_decision(self, monkeypatch):
         # The same channel read as reaching the constant mode (and one other
         # group) is held to its support bound 0.
-        monkeypatch.setattr(problem, "projected_groups", lambda sd, xs: np.array([[True, False]]))
+        monkeypatch.setattr(problem, "group_support", lambda sd, proj: np.array([[True, False]]))
         with pytest.raises(NumericalError, match="support bound 0"):
             solve(self._zero_reach_k2(1e-11))
 
     def test_certified_solve_decides_each_projection_once(self, monkeypatch):
-        calls = {"bound_general": 0, "projected_groups": 0}
+        calls = {"bound_general": 0, "project": 0, "group_support": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -326,11 +326,14 @@ class TestCertificateChecks:
             return wrapper
 
         monkeypatch.setattr(bounds, "bound_general", counting("bound_general", bounds.bound_general))
-        groups = counting("projected_groups", graph.projected_groups)
-        for module in (bounds, problem):
-            monkeypatch.setattr(module, "projected_groups", groups)
+        for name in ("project", "group_support"):
+            wrapped = counting(name, getattr(graph, name))
+            for module in (graph, costate, bounds, problem, waterfill):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
         solve(seven_agent_problem())
-        assert calls == {"bound_general": 0, "projected_groups": 1}
+        # One projection of the gains serves the coefficients and the support masks.
+        assert calls == {"bound_general": 0, "project": 1, "group_support": 1}
 
 
 def _random_problem(rng, n, m):
@@ -565,8 +568,13 @@ def _reference_crossings(grid, beta):
 
 @st.composite
 def whole_problems(draw):
-    """Linear-objective problems: n 2-40, m 1-8, T 0.05-20, binding and slack budgets, linear and power costs."""
-    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    """Linear-objective problems: m 1-8, T 0.05-20, binding and slack budgets, linear and power costs.
+
+    Most have n 2-40 on a random connected graph; about one in six has n
+    2-400 on a geometric graph at the sweep radius.
+    """
+    geometric = draw(st.sampled_from((False,) * 5 + (True,)))
+    n, m = draw(st.integers(2, 400 if geometric else 40)), draw(st.integers(1, 8))
     T = draw(st.floats(0.05, 20.0))
     budget = draw(st.floats(0.05, 1.5))  # of the saturation spend; above 1 the budget is slack
     power = draw(st.booleans())
@@ -580,8 +588,12 @@ def whole_problems(draw):
         cost = CostModel("power" if power else "linear", float(rng.uniform(0.5, 2.0)), a)
         channels.append(Channel(b=b, cost=cost, u_max=float(rng.uniform(0.5, 2.0))))
     saturation = sum(ch.max_cost_rate for ch in channels) * T
+    if geometric:
+        g = random_geometric_graph(n, default_radius(n), int(rng.integers(0, 2**31)))[0]
+    else:
+        g = random_connected_graph(rng, n)
     return CampaignProblem(
-        graph=random_connected_graph(rng, n),
+        graph=g,
         channels=tuple(channels),
         objective=Objective(kind="linear", p=rng.uniform(0.0, 1.0, n)),
         T=T,
@@ -709,7 +721,7 @@ class TestSharedDecomposition:
         assert waterfill.solve_with_costate(prob, lam, sd=sd) == waterfill.solve_with_costate(prob, lam)
 
 
-def _schedule_every_channel_on_the_grid(problem, lam, sd):
+def _schedule_every_channel_on_the_grid(problem, lam, sd, gains):
     """``_schedule`` with every channel sampled, never-on ones included: the reference for the skip."""
     T, r = problem.T, problem.r
     coeffs, signals = _signal_rows(problem, lam, sd)
@@ -946,3 +958,4 @@ class TestSolveMemory:
             tracemalloc.stop()
         assert sol.binding
         assert peak < bound, (peak, bound)
+
