@@ -24,7 +24,9 @@ from .problem import (
     CostModel,
     Drift,
     Objective,
+    Prepared,
     check_conditions,
+    prepare,
     problem_from_dict,
     problem_to_dict,
     validate_problem,

@@ -19,12 +19,17 @@ import numpy as np
 
 from .costate import group_coefficients
 from .errors import ContractError
-from .graph import SpectralDecomposition, projected_groups
+from .graph import SpectralDecomposition, group_support, project
+
+
+def support_bound(groups) -> int:
+    """Spectral-support switch bound, max(0, groups - 1), of a channel projecting onto ``groups`` eigenvalue groups."""
+    return max(0, int(groups) - 1)
 
 
 def bound_general(sd: SpectralDecomposition, b: np.ndarray) -> int:
-    """Spectral-support switch bound: max(0, G - 1) over the G groups that b projects onto."""
-    return max(0, int(np.count_nonzero(projected_groups(sd, np.asarray(b)[None, :]))) - 1)
+    """``support_bound`` over the groups that b projects onto."""
+    return support_bound(np.count_nonzero(group_support(sd, project(sd, np.asarray(b)[None, :]))))
 
 
 # Entries of one block of partial sums minus levels in _sign_variations;

@@ -17,23 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_general, bound_linear
-from .costate import group_coefficients
+from . import bounds
+from .costate import projected_coefficients
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError
-from .graph import _reject_booleans, build_laplacian, spectral_decompose
+from .graph import _reject_booleans
 from .oracle import EnumerationSpec, enumerate_best, grid_slack
-from .problem import CampaignProblem, problem_from_dict, validate_problem
+from .problem import CampaignProblem, check_conditions, prepare, problem_from_dict, require_valid
 from .sigmoid import solve_sigmoid
 from .sweep import SweepAggregate, SweepRow, run_sweep
-from .waterfill import (
-    BangBangSchedule,
-    ChannelSchedule,
-    WaterfillSolution,
-    _require_linear,
-    solve,
-    solve_with_costate,
-)
+from .waterfill import BangBangSchedule, ChannelSchedule, WaterfillSolution, solve
 
 
 def _fmt(x: float) -> str:
@@ -58,6 +51,7 @@ def _write_records(path: Path, cls, records) -> None:
 
 
 def _load_problem(path: str) -> CampaignProblem:
+    """The problem in a JSON file, not yet validated: ``prepare`` validates it."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -65,11 +59,7 @@ def _load_problem(path: str) -> CampaignProblem:
         raise ValidationError(f"problem file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    problem = problem_from_dict(payload)
-    findings = validate_problem(problem)
-    if findings:
-        raise ValidationError("problem failed validation: " + "; ".join(findings))
-    return problem
+    return problem_from_dict(payload)
 
 
 def schedule_to_dict(schedule: BangBangSchedule, T: float) -> dict:
@@ -116,18 +106,16 @@ def _summary_dict(problem: CampaignProblem, sol: WaterfillSolution) -> dict:
 def _cmd_solve(args) -> int:
     if args.plot_points < 2:
         raise ValidationError(f"--plot-points must be at least 2, got {args.plot_points}")
-    problem = _load_problem(args.problem)
+    prep = prepare(_load_problem(args.problem))
+    problem, sd = prep.problem, prep.sd
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _require_linear(problem)
-    # One decomposition serves the solve and the plot data.
-    sd = spectral_decompose(build_laplacian(problem.graph))
-    sol = solve_with_costate(problem, problem.objective.p, sd)
+    sol = solve(prep)
     _write_json(out / "schedule.json", schedule_to_dict(sol.schedule, problem.T))
     _write_json(out / "summary.json", _summary_dict(problem, sol))
     if args.emit_plot_data:
         ts = np.linspace(0.0, problem.T, args.plot_points)
-        coeffs = group_coefficients(sd, problem.objective.p, np.array([ch.b for ch in problem.channels]))
+        coeffs = projected_coefficients(sd, problem.objective.p, prep.gains)
         hcols, gcols = [], []
         for ch, row in zip(problem.channels, coeffs):
             # h and g = kappa h, each time's terms summed pairwise over the row's
@@ -158,7 +146,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Simulation steps the dense system: it needs no decomposition.
     problem = _load_problem(args.problem)
+    require_valid(problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.schedule:
@@ -181,12 +171,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    problem = _load_problem(args.problem)
+    prep = prepare(_load_problem(args.problem))
+    problem = prep.problem
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if problem.objective.kind == "linear":
         # The solve's certificate holds the whole report at the water level.
-        sol = solve(problem)
+        sol = solve(prep)
         beta_star = sol.beta_star
         rows = [
             (c.channel, c.bound_general, c.bound_linear_shifted, c.bound_linear_sup, c.threshold_shift)
@@ -194,13 +185,13 @@ def _cmd_bounds(args) -> int:
         ]
     else:
         # No water level: no at-threshold bound, and the sup needs no shift.
+        # Both bounds are read as the certificate reads them.
         beta_star = None
-        sd = spectral_decompose(build_laplacian(problem.graph))
-        p = problem.objective.p
-        rows = [
-            (k, bound_general(sd, ch.b), None, bound_linear(sd, p, ch.b, 0.0)[1], None)
-            for k, ch in enumerate(problem.channels, start=1)
-        ]
+        coeffs = projected_coefficients(prep.sd, problem.objective.p, prep.gains)
+        rows = []
+        for cond, row in zip(check_conditions(prep), coeffs):
+            sup = bounds._linear_bounds(row, 0.0)[1]
+            rows.append((cond.channel, bounds.support_bound(cond.controllability_rank), None, sup, None))
     keys = ("channel", "bound_general", "bound_linear_at_threshold", "bound_linear_sup", "threshold_shift")
     _write_json(
         out / "bounds.json",
@@ -211,7 +202,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = _load_problem(args.problem)
+    prep = prepare(_load_problem(args.problem))
+    problem = prep.problem
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = EnumerationSpec(
@@ -219,7 +211,7 @@ def _cmd_oracle(args) -> int:
         max_switches_per_channel=args.cap,
         include_interior_levels=args.interior,
     )
-    result = enumerate_best(problem, spec)
+    result = enumerate_best(prep, spec)
     payload = {
         "oracle_value": result.value,
         "oracle_spend": result.spend,
@@ -230,8 +222,8 @@ def _cmd_oracle(args) -> int:
         "oracle_schedule": schedule_to_dict(result.schedule, problem.T),
     }
     if problem.objective.kind == "linear":
-        sol = solve(problem)
-        slack = grid_slack(problem, args.grid)
+        sol = solve(prep)
+        slack = grid_slack(prep, args.grid)
         payload.update(
             {
                 "waterfill_gain": sol.objective_gain,
@@ -274,10 +266,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sigmoid(args) -> int:
-    problem = _load_problem(args.problem)
+    prep = prepare(_load_problem(args.problem))
+    problem = prep.problem
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = solve_sigmoid(problem, epsilon=args.epsilon, max_iters=args.max_iters)
+    result = solve_sigmoid(prep, epsilon=args.epsilon, max_iters=args.max_iters)
     _write_json(out / "schedule.json", schedule_to_dict(result.solution.schedule, problem.T))
     _write_json(
         out / "iterations.json",

@@ -16,8 +16,8 @@ import numpy as np
 
 from .costate import _stable_sigmoid, integrate_h
 from .errors import ContractError
-from .graph import SpectralDecomposition, _as_readonly, build_laplacian, spectral_decompose
-from .problem import CampaignProblem, Objective
+from .graph import _as_readonly, build_laplacian
+from .problem import CampaignProblem, Objective, Prepared, prepare
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,7 @@ def _modal_pulses(rates: np.ndarray, T: float, lo: np.ndarray, hi: np.ndarray) -
     return np.exp(-rates * (T - hi)[:, None]) * phi
 
 
-def terminal_state(
-    problem: CampaignProblem, schedule, sd: SpectralDecomposition | None = None
-) -> np.ndarray:
+def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
     """Exact x(T) of dx/dt = -L x + B u + e under a bang-bang schedule.
 
     The dynamics are linear with piecewise-constant inputs, so in the
@@ -151,19 +149,18 @@ def terminal_state(
         V^T x(T) = e^{-rate T} V^T x0
                    + sum over on-intervals [lo, hi] of channel i of
                      u_i e^{-rate (T - hi)} phi(rate, hi - lo) V^T b_i
-                   + the same kind of term for each drift piece clipped to [0, T],
+                   + the same kind of term for each drift piece,
 
     with phi(rate, tau) = -expm1(-rate tau) / rate (tau on the zero mode,
-    whose rate is pinned to exactly 0). Intervals of one channel are taken
-    as disjoint, as in ``closed_form_gain``. Pass ``sd`` to reuse a
-    decomposition of the problem's Laplacian across calls.
+    whose rate is pinned to exactly 0: ``mode_rates``). Intervals of one
+    channel are taken as disjoint, as in ``closed_form_gain``.
     """
+    prep = prepare(problem)
+    problem = prep.problem
     _check_schedule(problem, schedule)
-    if sd is None:
-        sd = spectral_decompose(build_laplacian(problem.graph))
     T = problem.T
-    rates = np.where(np.abs(sd.eigenvalues) <= sd.zero_tol, 0.0, sd.eigenvalues)
-    vecs = sd.vectors
+    rates = prep.sd.mode_rates
+    vecs = prep.sd.vectors
 
     modal = np.exp(-rates * T) * (problem.x0 @ vecs)
     for cs, ch in zip(schedule.channels, problem.channels):
@@ -172,10 +169,9 @@ def terminal_state(
             pulses = _modal_pulses(rates, T, ivs[:, 0], ivs[:, 1])
             modal += cs.u_max * pulses.sum(axis=0) * (ch.b @ vecs)
 
-    # values[k] holds on [breakpoints[k], breakpoints[k + 1]); the first piece
-    # also covers any time before the first breakpoint, the last any time after.
+    # values[k] holds on [breakpoints[k], breakpoints[k + 1]), the last up to T.
     drift = problem.drift
-    edges = np.clip(np.concatenate([[0.0], drift.breakpoints[1:], [T]]), 0.0, T)
+    edges = np.concatenate([drift.breakpoints, [T]])
     pulses = _modal_pulses(rates, T, edges[:-1], edges[1:])
     modal += np.sum(pulses * (drift.values @ vecs), axis=0)
     return vecs @ modal

@@ -207,6 +207,11 @@ class SpectralDecomposition:
     group_starts: np.ndarray
     group_rates: np.ndarray
 
+    @property
+    def mode_rates(self) -> np.ndarray:
+        """Each eigenvalue as the decay rate of its mode, the zero mode's pinned to exactly 0.0."""
+        return np.where(np.abs(self.eigenvalues) <= self.zero_tol, 0.0, self.eigenvalues)
+
 
 def _norm(x) -> float:
     """Euclidean norm of a vector, sqrt(x . x) as np.linalg.norm takes it, without its wrapper's calls."""
@@ -222,11 +227,7 @@ class Projection(NamedTuple):
 
 
 def project(sd: SpectralDecomposition, xs) -> Projection:
-    """Every row of ``xs`` projected onto the eigenvectors, with one product, and its norm.
-
-    A solve projects its channel gains once and reads the result for both
-    its group coefficients and its support masks.
-    """
+    """Every row of ``xs`` projected onto the eigenvectors, with one product, and its norm."""
     xs = np.asarray(xs, dtype=np.float64)
     return Projection(xs @ sd.vectors, [_norm(x) for x in xs])
 
@@ -243,11 +244,6 @@ def group_support(sd: SpectralDecomposition, proj: Projection) -> np.ndarray:
     c = proj.coords
     tol = np.array([1e-10 * max(1.0, norm) for norm in proj.norms])
     return np.sqrt(np.add.reduceat(c * c, sd.group_starts, axis=1)) > tol[:, None]
-
-
-def projected_groups(sd: SpectralDecomposition, xs: np.ndarray) -> np.ndarray:
-    """``group_support`` of the rows of ``xs``, one row of the mask per row."""
-    return group_support(sd, project(sd, xs))
 
 
 def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:

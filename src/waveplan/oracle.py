@@ -30,11 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costate import _stable_sigmoid, group_coefficients, integrate_h, projected_coefficients
+from . import bounds
+from .costate import _stable_sigmoid, integrate_h, projected_coefficients
 from .errors import ContractError, ValidationError
-from .graph import SpectralDecomposition, build_laplacian, group_support, spectral_decompose
-from .problem import CampaignProblem, require_valid
-from .waterfill import BangBangSchedule, ChannelSchedule, _gains
+from .graph import group_support
+from .problem import CampaignProblem, Prepared, prepare
+from .waterfill import BangBangSchedule, ChannelSchedule
 
 MAX_CANDIDATES = 2_000_000
 # RK4 steps per sigmoid candidate. The reported value is that of
@@ -51,9 +52,10 @@ SLACK_SAMPLES = 1024
 class EnumerationSpec:
     """Candidate family: uniform switch grid, per-channel switch cap, optional interior levels.
 
-    ``max_switches_per_channel`` of None takes each channel's spectral-support
-    bound. Interior levels put the channel at the stated fraction of u_max
-    while on (structure falsification mode).
+    ``switch_grid`` and ``max_switches_per_channel`` are integers, not
+    bools; a cap of None takes each channel's spectral-support bound.
+    Interior levels put the channel at the stated fraction of u_max while
+    on (structure falsification mode).
     """
 
     switch_grid: int
@@ -170,28 +172,35 @@ def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float
     return tuple(intervals)
 
 
+def _require_int(value, name: str) -> None:
+    """Raise ContractError unless value is an integer; a bool is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_switch_grid(g: int) -> None:
+    _require_int(g, "switch_grid")
     if not (2 <= g <= 16):
         raise ContractError(f"switch_grid must lie in [2, 16], got {g}")
 
 
-def grid_slack(problem: CampaignProblem, switch_grid: int) -> float:
+def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
     """Discretization slack bound: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
 
     Every channel's h is sampled at ``SLACK_SAMPLES`` uniform times at once,
     from its row of group coefficients.
     """
-    require_valid(problem)
+    prep = prepare(problem)
+    problem, sd = prep.problem, prep.sd
     _check_switch_grid(switch_grid)
     T = problem.T
-    sd = spectral_decompose(build_laplacian(problem.graph))
-    coeffs = group_coefficients(sd, problem.objective.p, np.array([ch.b for ch in problem.channels]))
+    coeffs = projected_coefficients(sd, problem.objective.p, prep.gains)
     modes = np.exp(np.multiply.outer(np.linspace(0.0, T, SLACK_SAMPLES) - T, sd.group_rates))
     u_max = np.array([ch.u_max for ch in problem.channels])
     return float(np.max(u_max * np.max(np.abs(modes @ coeffs.T), axis=0))) * T / switch_grid
 
 
-def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleResult:
+def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -> OracleResult:
     """Exhaustively score every candidate schedule and return the argmax.
 
     Linear objectives are scored by the exact closed-form gain (per-cell
@@ -211,30 +220,30 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
     order, including a row whose gain is below its class's best but whose
     rounded sum still reaches the best value.
     """
-    require_valid(problem)
+    prep = prepare(problem)
+    problem, sd = prep.problem, prep.sd
     n, m = problem.n, problem.m
     if n > 8 or m > 2:
         raise ContractError(f"enumeration is desk-scale only: n <= 8 and m <= 2, got n={n}, m={m}")
     g = spec.switch_grid
     _check_switch_grid(g)
-    if spec.max_switches_per_channel is not None and spec.max_switches_per_channel < 0:
-        raise ContractError(f"switch cap must be nonnegative, got {spec.max_switches_per_channel}")
+    cap = spec.max_switches_per_channel
+    if cap is not None:
+        _require_int(cap, "switch cap")
+        if cap < 0:
+            raise ContractError(f"switch cap must be nonnegative, got {cap}")
     if any(not (0.0 < lvl < 1.0) for lvl in spec.interior_levels):
         raise ContractError(f"interior levels must lie strictly inside (0, 1), got {spec.interior_levels}")
 
     T = problem.T
     edges = np.linspace(0.0, T, g + 1)
     delta = T / g
-    sd = spectral_decompose(build_laplacian(problem.graph))
-    # One projection of the gains serves the caps, the linear scores and the sigmoid maps.
-    gains = _gains(problem, sd)
 
     levels = (1.0,) + (tuple(map(float, spec.interior_levels)) if spec.include_interior_levels else ())
-    if spec.max_switches_per_channel is None:
-        # The spectral-support bound: one less than the groups a channel projects onto.
-        caps = [max(0, int(k) - 1) for k in group_support(sd, gains).sum(axis=1)]
+    if cap is None:
+        caps = [bounds.support_bound(k) for k in group_support(sd, prep.gains).sum(axis=1)]
     else:
-        caps = [spec.max_switches_per_channel] * m
+        caps = [cap] * m
     candidate_count = 1
     for cap in caps:
         candidate_count *= _mask_count(g, cap) * len(levels)
@@ -262,30 +271,26 @@ def enumerate_best(problem: CampaignProblem, spec: EnumerationSpec) -> OracleRes
 
     budget = problem.r + 1e-9 * max(1.0, problem.r)
 
-    if problem.objective.kind != "linear":
-        return _enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges, budget)
+    if problem.objective.kind == "linear":
+        coeffs = projected_coefficients(sd, problem.objective.p, prep.gains)
+        scored = []
+        for k, ch in enumerate(problem.channels):
+            cell_gain = ch.u_max * integrate_h(sd.group_rates, coeffs[k], T, edges[:-1], edges[1:])
+            pc = per_channel[k]
+            scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
+        if m == 1:
+            # -0.0 is the exact additive identity, so the pair sums are channel 1's own values and costs.
+            scored.append((np.array([-0.0]), np.zeros(1, dtype=np.intp), np.array([-0.0]), np.zeros(1, dtype=bool)))
+        best = _best_pair(scored, budget)
+    else:
+        best = _enumerate_sigmoid(prep, masks, per_channel, edges, budget)
 
-    coeffs = projected_coefficients(sd, problem.objective.p, gains)
-    scored = []
-    for k, ch in enumerate(problem.channels):
-        cell_gain = ch.u_max * integrate_h(sd.group_rates, coeffs[k], T, edges[:-1], edges[1:])
-        pc = per_channel[k]
-        scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
-    if m == 1:
-        # -0.0 is the exact additive identity, so the pair sums are channel 1's own values and costs.
-        scored.append((np.array([-0.0]), np.zeros(1, dtype=np.intp), np.array([-0.0]), np.zeros(1, dtype=bool)))
-
-    best_idx, best_val, feasible, best_extreme, best_interior = _best_pair(scored, budget)
+    best_idx, best_val, feasible, best_extreme, best_interior = best
     best_idx = best_idx[:m]
-
-    schedule = _schedule_from_indices(problem, masks, per_channel, edges, best_idx)
-    spend = float(
-        sum(per_channel[k].costs[best_idx[k]] for k in range(m))
-    )
     return OracleResult(
         value=best_val,
-        schedule=schedule,
-        spend=spend,
+        schedule=_schedule_from_indices(problem, masks, per_channel, edges, best_idx),
+        spend=float(sum(per_channel[k].costs[best_idx[k]] for k in range(m))),
         feasible_count=feasible,
         candidate_count=candidate_count,
         best_extreme_value=best_extreme,
@@ -354,7 +359,7 @@ def _schedule_from_indices(problem, masks, per_channel, edges, idx) -> BangBangS
     return BangBangSchedule(channels=tuple(channels))
 
 
-def _segment_maps(problem: CampaignProblem, sd: SpectralDecomposition, edges: np.ndarray):
+def _segment_maps(prep: Prepared, edges: np.ndarray):
     """Modal RK4 maps of the segments that the sigmoid candidates step through.
 
     A candidate's ``simulate`` grid is the fixed nodes (``SIGMOID_STEPS``
@@ -377,6 +382,7 @@ def _segment_maps(problem: CampaignProblem, sd: SpectralDecomposition, edges: np
     the optional edges (indices into ``edges[1:-1]``) and the segment of
     each one's [a, b].
     """
+    problem, sd = prep.problem, prep.sd
     T, g = problem.T, edges.size - 1
     bps = problem.drift.breakpoints
     fixed = np.unique(
@@ -402,8 +408,8 @@ def _segment_maps(problem: CampaignProblem, sd: SpectralDecomposition, edges: np
     cells = np.empty(count + 2 * q, dtype=int)
     cells[segment] = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, g - 1)
 
-    # Every piece's step, mode by mode; the zero mode's rate is pinned to 0.0.
-    rates = np.where(np.abs(sd.eigenvalues) <= sd.zero_tol, 0.0, sd.eigenvalues)
+    # Every piece's step, mode by mode.
+    rates = sd.mode_rates
     h = (hi - lo)[:, None]
     z = -h * rates
     hs = h * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
@@ -423,11 +429,10 @@ def _segment_maps(problem: CampaignProblem, sd: SpectralDecomposition, edges: np
     return maps[:, last], cells, count, optional, fixed_segment[merged]
 
 
-def _score_sigmoid(problem, sd, gains, edges, masks, per_channel, feasible) -> np.ndarray:
+def _score_sigmoid(prep: Prepared, edges, masks, per_channel, feasible) -> np.ndarray:
     """Sigmoid objective of each feasible candidate after its ``SIGMOID_STEPS`` RK4 run.
 
-    ``gains`` is the channel gains' projection onto ``sd`` and ``feasible``
-    holds one index array per channel. A candidate's terminal
+    ``feasible`` holds one index array per channel. A candidate's terminal
     state is its stepped RK4 state up to rounding: from V^T x0 its modal
     state walks the segment maps of ``_segment_maps`` in time order and, at
     each optional edge, takes [a, e] then [e, b] where one of its channels
@@ -435,8 +440,9 @@ def _score_sigmoid(problem, sd, gains, edges, masks, per_channel, feasible) -> n
     so a segment reads one contiguous block. Candidates are scored in blocks
     of ``_SCORE_ROWS``.
     """
-    (phi, rho, drift), cells, count, optional, merged = _segment_maps(problem, sd, edges)
-    responses = rho[:, None, :] * gains.coords
+    problem, sd = prep.problem, prep.sd
+    (phi, rho, drift), cells, count, optional, merged = _segment_maps(prep, edges)
+    responses = rho[:, None, :] * prep.gains.coords
     start = problem.x0 @ sd.vectors
     optional_at = {int(s): j for j, s in enumerate(merged)}
     switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
@@ -467,32 +473,24 @@ def _score_sigmoid(problem, sd, gains, edges, masks, per_channel, feasible) -> n
     return values
 
 
-def _enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges, budget) -> OracleResult:
+def _enumerate_sigmoid(prep: Prepared, masks, per_channel, edges, budget):
     """Map-scored enumeration: every feasible candidate's value after a 256-step RK4 run.
 
-    Spends broadcast over channels in the order of additions of a running
-    sum; ``np.nonzero`` lists the feasible candidates in row-major order,
-    which is ``product`` order, so the first of equal values wins as in the
+    Returns what ``_best_pair`` returns, over every channel. Spends
+    broadcast over channels in the order of additions of a running sum;
+    ``np.nonzero`` lists the feasible candidates in row-major order, which
+    is ``product`` order, so the first of equal values wins as in the
     linear branch.
     """
-    m = problem.m
-    candidate_count = int(np.prod([pc.costs.size for pc in per_channel]))
     spends = sum(np.ix_(*(pc.costs for pc in per_channel)))
     feasible = np.nonzero(spends <= budget)
-    values = _score_sigmoid(problem, sd, gains, edges, masks, per_channel, feasible)
+    values = _score_sigmoid(prep, edges, masks, per_channel, feasible)
     interior = np.logical_or.reduce([pc.interior[f] for pc, f in zip(per_channel, feasible)])
-
     best = int(np.argmax(values))
-    best_idx = tuple(int(f[best]) for f in feasible)
-    best_interior = None
-    if spec.include_interior_levels:
-        best_interior = float(np.max(values[interior], initial=-np.inf))
-    return OracleResult(
-        value=float(values[best]),
-        schedule=_schedule_from_indices(problem, masks, per_channel, edges, best_idx),
-        spend=float(sum(per_channel[k].costs[best_idx[k]] for k in range(m))),
-        feasible_count=int(feasible[0].size),
-        candidate_count=candidate_count,
-        best_extreme_value=float(np.max(values[~interior], initial=-np.inf)),
-        best_interior_value=best_interior,
+    return (
+        tuple(int(f[best]) for f in feasible),
+        float(values[best]),
+        int(feasible[0].size),
+        float(np.max(values[~interior], initial=-np.inf)),
+        float(np.max(values[interior], initial=-np.inf)),
     )

@@ -15,10 +15,12 @@ from .graph import (
     WeightedGraph,
     _as_readonly,
     _reject_booleans,
+    build_laplacian,
     graph_from_dict,
     graph_to_dict,
     group_support,
     project,
+    spectral_decompose,
 )
 
 
@@ -262,7 +264,33 @@ def validate_problem(p: CampaignProblem) -> list[str]:
 def require_valid(p: CampaignProblem) -> None:
     findings = validate_problem(p)
     if findings:
-        raise ValidationError("; ".join(findings))
+        raise ValidationError("problem failed validation: " + "; ".join(findings))
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """A validated problem, the decomposition ``sd`` of its Laplacian and its channel gains' ``project``ion onto it.
+
+    The profiles h_i, the water level, both switch bounds and the exact
+    terminal state are all read from ``sd`` and ``gains``.
+    """
+
+    problem: CampaignProblem
+    sd: SpectralDecomposition
+    gains: Projection
+
+
+def prepare(x: CampaignProblem | Prepared) -> Prepared:
+    """Validate, decompose and project a problem; a ``Prepared`` is returned unchanged.
+
+    Every public solve, oracle and diagnostic call starts here, so one
+    ``Prepared`` serves many calls. Raises ValidationError for an invalid problem.
+    """
+    if isinstance(x, Prepared):
+        return x
+    require_valid(x)
+    sd = spectral_decompose(build_laplacian(x.graph))
+    return Prepared(x, sd, project(sd, [ch.b for ch in x.channels]))
 
 
 @dataclass(frozen=True)
@@ -277,9 +305,7 @@ class ChannelConditions:
     theorem_applicable: bool
 
 
-def check_conditions(
-    p: CampaignProblem, sd: SpectralDecomposition, gains: Projection | None = None
-) -> tuple[ChannelConditions, ...]:
+def check_conditions(problem: CampaignProblem | Prepared) -> tuple[ChannelConditions, ...]:
     """Evaluate, per channel, whether the bang-bang structure theorem certifies it.
 
     Strictly concave (power) costs need nonzero total reach; linear costs
@@ -288,13 +314,12 @@ def check_conditions(
     when b projects onto the constant mode, and for symmetric L the Kalman
     rank of (L, b) is the number of groups, so (L, b) is controllable when
     every eigenvalue is simple and b projects onto every eigenvector. When a flag is false the
-    solver still runs but tags its output as not structure-certified. Pass
-    ``gains``, the channel gains' ``project``ion onto ``sd``, to reuse it.
+    solver still runs but tags its output as not structure-certified.
     """
-    if gains is None:
-        gains = project(sd, [ch.b for ch in p.channels])
+    prep = prepare(problem)
+    p = prep.problem
     out = []
-    masks = group_support(sd, gains)
+    masks = group_support(prep.sd, prep.gains)
     for k, (ch, groups) in enumerate(zip(p.channels, masks), start=1):
         reach_nonzero = bool(groups[0])
         rank = int(np.count_nonzero(groups))

@@ -2,9 +2,9 @@
 
 The sigmoid costate concentrates on agents whose terminal opinion lands near
 their threshold. The loop alternates: take the candidate schedule's exact
-terminal state (``dynamics.terminal_state``, from one spectral decomposition
-shared by every iterate), reclassify the late deciders, rebuild the surrogate
-costate (alpha_j * p_j / 2 on the set, zero off it), and re-run the
+terminal state (``dynamics.terminal_state``, from the one ``Prepared``
+problem that every iterate reads), reclassify the late deciders, rebuild
+the surrogate costate (alpha_j * p_j / 2 on the set, zero off it), and re-run the
 water-filling engine. The true sigmoid objective arbitrates, so the
 approximation is never adopted blind. Only the iterate that is returned
 gets a certificate.
@@ -18,9 +18,8 @@ import numpy as np
 
 from .dynamics import objective_value, terminal_state
 from .errors import ContractError
-from .graph import build_laplacian, spectral_decompose
-from .problem import CampaignProblem, Objective, require_valid
-from .waterfill import WaterfillSolution, _certified, _gains, _schedule
+from .problem import CampaignProblem, Objective, Prepared, prepare
+from .waterfill import WaterfillSolution, _certified, _schedule
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def default_epsilon(obj: Objective) -> float:
 
 
 def solve_sigmoid(
-    problem: CampaignProblem,
+    problem: CampaignProblem | Prepared,
     epsilon: float | None = None,
     max_iters: int = 10,
 ) -> SigmoidSolution:
@@ -94,33 +93,15 @@ def solve_sigmoid(
     certificate of ``solve_with_costate`` (gain, conditions and switch
     bounds), so only its certificate can raise NumericalError.
     """
-    if problem.objective.kind != "sigmoid":
+    prep = prepare(problem)
+    obj = prep.problem.objective
+    if obj.kind != "sigmoid":
         raise ContractError("solve_sigmoid requires the sigmoid objective")
     if max_iters < 1:
         raise ContractError(f"max_iters must be at least 1, got {max_iters}")
-    require_valid(problem)
-    obj = problem.objective
     eps = default_epsilon(obj) if epsilon is None else float(epsilon)
     if not (eps > 0.0):
         raise ContractError(f"epsilon must be positive, got {eps}")
-
-    sd = spectral_decompose(build_laplacian(problem.graph))
-    gains = _gains(problem, sd)  # one projection of the gains for every iterate
-
-    def evaluate(lam: np.ndarray, index: int):
-        draft = _schedule(problem, lam, sd, gains)
-        _, beta_star, schedule, spend, _ = draft
-        x_T = terminal_state(problem, schedule, sd)
-        value = objective_value(obj, x_T)
-        members = late_deciders(x_T, obj, eps).members
-        record = IterationRecord(
-            index=index,
-            members=members,
-            beta_star=float(beta_star),
-            spend=float(spend),
-            objective=value,
-        )
-        return draft, record
 
     drafts = []  # schedule half of every iterate
     records: list[IterationRecord] = []
@@ -128,21 +109,32 @@ def solve_sigmoid(
     converged = no_late = False
     lam = obj.alpha * obj.p / 4.0
     for k in range(max_iters + 1):
-        draft, rec = evaluate(lam, k)
+        draft = _schedule(prep, lam)
+        _, beta_star, schedule, spend, _ = draft
+        x_T = terminal_state(prep, schedule)
+        members = late_deciders(x_T, obj, eps).members
         drafts.append(draft)
-        records.append(rec)
-        if len(rec.members) == 0:
+        records.append(
+            IterationRecord(
+                index=k,
+                members=members,
+                beta_star=float(beta_star),
+                spend=float(spend),
+                objective=objective_value(obj, x_T),
+            )
+        )
+        if len(members) == 0:
             no_late = True
             break
-        if rec.members in seen:
+        if members in seen:
             converged = True
             break
-        seen.append(rec.members)
-        lam = surrogate_costate(obj, rec.members)
+        seen.append(members)
+        lam = surrogate_costate(obj, members)
 
     best = max(range(len(records)), key=lambda i: (records[i].objective, -i))
     return SigmoidSolution(
-        solution=_certified(problem, sd, gains, *drafts[best]),
+        solution=_certified(prep, *drafts[best]),
         objective=records[best].objective,
         chosen_iteration=best,
         iterations=tuple(records),

@@ -44,8 +44,7 @@ from . import bounds
 from .costate import projected_coefficients
 from .dynamics import closed_form_gain
 from .errors import ContractError, NumericalError
-from .graph import Projection, SpectralDecomposition, build_laplacian, project, spectral_decompose
-from .problem import CampaignProblem, check_conditions, require_valid
+from .problem import CampaignProblem, Prepared, check_conditions, prepare
 
 BISECTION_MAX_ITERS = 200
 CROSSING_MAX_ITERS = 100
@@ -401,17 +400,11 @@ def _spend(costs, sets) -> float:
     return float(sum(c * sum(hi - lo for lo, hi in s) for c, s in zip(costs, sets)))
 
 
-def _gains(problem: CampaignProblem, sd: SpectralDecomposition) -> Projection:
-    """The channel gains b_k projected onto the eigenvectors once, for every stage of a solve to read."""
-    return project(sd, [ch.b for ch in problem.channels])
-
-
-def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecomposition, gains: Projection):
+def _schedule(prep: Prepared, lam: np.ndarray):
     """The schedule half of ``solve_with_costate``, before any certificate.
 
-    ``gains`` is ``_gains(problem, sd)``. Returns the m x G group
-    coefficients of h (``projected_coefficients``, one row per channel),
-    the water level, the schedule, its spend and the
+    Returns the m x G group coefficients of h (``projected_coefficients``,
+    one row per channel), the water level, the schedule, its spend and the
     (level, spend) trace of every level probed. The rows scaled to the
     signals g_k are sampled only for the channels with a positive partial
     coefficient sum, on the modes one of them has; the others are never on
@@ -419,9 +412,10 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     level 0. The on-sets are built once, at the returned level, and the
     returned spend is summed from them.
     """
+    problem, sd = prep.problem, prep.sd
     T, r = problem.T, problem.r
     chans = problem.channels
-    coeffs = projected_coefficients(sd, lam, gains)
+    coeffs = projected_coefficients(sd, lam, prep.gains)
     signals = coeffs * np.array([ch.u_max / ch.max_cost_rate for ch in chans])[:, None]
     live = (signals.cumsum(axis=1) > 0.0).any(axis=1).nonzero()[0]
     costs = np.array([chans[k].max_cost_rate for k in live])
@@ -452,25 +446,27 @@ def _schedule(problem: CampaignProblem, lam: np.ndarray, sd: SpectralDecompositi
     return coeffs, beta_star, schedule, _spend(costs, sets), tuple(trace)
 
 
-def _certified(problem, sd, gains, coeffs, beta_star, schedule, spend, trace) -> WaterfillSolution:
+def _certified(prep: Prepared, coeffs, beta_star, schedule, spend, trace) -> WaterfillSolution:
     """The certificate half of ``solve_with_costate``: gain, conditions and switch bounds.
 
-    The conditions read the support masks from ``gains``, the projection
-    that the schedule half read too. One pass per channel over its row of
-    group coefficients, its conditions row and its realized switches: the support bound is the conditions' rank
-    less one, and the row gives both variation bounds at the channel's
+    The conditions read the support masks from the projection that the
+    schedule half read too. One pass per channel over its row of group
+    coefficients, its conditions row and its realized switches: the
+    support bound (``bounds.support_bound``) is read from the conditions'
+    rank, and the row gives both variation bounds at the channel's
     threshold shift (``bounds._linear_bounds``), so no coefficient is
     computed twice. Raises NumericalError when a channel switches more often
     than a bound that applies to it allows.
     """
-    gain = closed_form_gain(sd.group_rates, coeffs, problem.T, schedule)
+    problem = prep.problem
+    gain = closed_form_gain(prep.sd.group_rates, coeffs, problem.T, schedule)
     certificate = []
-    conditions = check_conditions(problem, sd, gains)
+    conditions = check_conditions(prep)
     switches = schedule.switch_counts(problem.T)
     for ch, row, cond, realized in zip(problem.channels, coeffs, conditions, switches):
         shift = beta_star * ch.max_cost_rate / ch.u_max
         shifted, sup = bounds._linear_bounds(row, shift)
-        general = max(0, cond.controllability_rank - 1)
+        general = bounds.support_bound(cond.controllability_rank)
         certificate.append(
             ChannelCertificate(
                 channel=cond.channel,
@@ -506,42 +502,34 @@ def _certified(problem, sd, gains, coeffs, beta_star, schedule, spend, trace) ->
     )
 
 
-def solve_with_costate(
-    problem: CampaignProblem,
-    lam: np.ndarray,
-    sd: SpectralDecomposition | None = None,
-) -> WaterfillSolution:
+def solve_with_costate(problem: CampaignProblem | Prepared, lam: np.ndarray) -> WaterfillSolution:
     """Water-filling against an explicit terminal costate vector, with its certificate.
 
     This is the shared engine: the linear objective passes lam = p, the
     sigmoid loop passes its surrogate costates. Nothing here reads x0 or the
     drift, which is what makes linear-objective schedules invariant to both.
-    Pass ``sd`` to reuse a decomposition of the problem's Laplacian across
-    calls.
+    A costate of the wrong shape or with a non-finite entry raises
+    ContractError.
     """
-    require_valid(problem)
+    prep = prepare(problem)
+    n = prep.problem.n
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (problem.n,):
-        raise ContractError(f"costate has shape {lam.shape}, expected ({problem.n},)")
-    if sd is None:
-        sd = spectral_decompose(build_laplacian(problem.graph))
-    gains = _gains(problem, sd)
-    return _certified(problem, sd, gains, *_schedule(problem, lam, sd, gains))
+    if lam.shape != (n,):
+        raise ContractError(f"costate has shape {lam.shape}, expected ({n},)")
+    if not np.isfinite(lam).all():
+        raise ContractError("costate has non-finite entries")
+    return _certified(prep, *_schedule(prep, lam))
 
 
-def _require_linear(problem: CampaignProblem) -> None:
-    if problem.objective.kind != "linear":
-        raise ContractError(
-            "water-filling solve requires the linear objective; use solve_sigmoid "
-            "for the sigmoid kind"
-        )
-
-
-def solve(problem: CampaignProblem) -> WaterfillSolution:
+def solve(problem: CampaignProblem | Prepared) -> WaterfillSolution:
     """Exact optimal schedule for the separable linear objective.
 
     Raises ContractError for other objective kinds; the sigmoid surrogate
     loop lives in the sigmoid module.
     """
-    _require_linear(problem)
-    return solve_with_costate(problem, problem.objective.p)
+    prep = prepare(problem)
+    if prep.problem.objective.kind != "linear":
+        raise ContractError(
+            "water-filling solve requires the linear objective; use solve_sigmoid for the sigmoid kind"
+        )
+    return solve_with_costate(prep, prep.problem.objective.p)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from waveplan.graph import WeightedGraph, random_geometric_graph
@@ -104,3 +106,18 @@ def random_linear_problem(
         r=frac * saturation,
         x0=np.zeros(n),
     )
+
+
+def count_calls(monkeypatch, *fns) -> dict[str, int]:
+    """Calls of each of ``fns`` by name, counted in every loaded waveplan module that holds it."""
+    calls = {fn.__name__: 0 for fn in fns}
+    for fn in fns:
+
+        def counting(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "waveplan" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    return calls

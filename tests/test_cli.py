@@ -4,9 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import count_calls
+from waveplan.bounds import _linear_bounds, bound_linear
 from waveplan.bundles import write_bundled_problems
 from waveplan.cli import main, schedule_from_dict, schedule_to_dict
 from waveplan.errors import ValidationError
+from waveplan.graph import project, spectral_decompose
+from waveplan.problem import validate_problem
 from waveplan.waterfill import BangBangSchedule, ChannelSchedule
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,22 +64,6 @@ class TestSolveCommand:
             assert main(["solve", str(SEVEN), "--out", str(out), "--emit-plot-data"]) == 0
         for name in ("summary.json", "schedule.json", "waterline.csv", "bisection.csv"):
             assert _read(out1 / name) == _read(out2 / name)
-
-    @pytest.mark.parametrize("flags", [[], ["--emit-plot-data"]], ids=["solve", "plot-data"])
-    def test_decomposes_once(self, flags, tmp_path, monkeypatch):
-        from waveplan import cli, graph, waterfill
-
-        calls = []
-        decompose = graph.spectral_decompose
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return decompose(*args, **kwargs)
-
-        for module in (cli, graph, waterfill):
-            monkeypatch.setattr(module, "spectral_decompose", counting)
-        assert main(["solve", str(SEVEN), "--out", str(tmp_path)] + flags) == 0
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("flags", [[], ["--emit-plot-data"]], ids=["solve", "plot-data"])
     def test_sigmoid_problem_exits_2(self, flags, tmp_path, capsys):
@@ -176,30 +164,34 @@ class TestOtherCommands:
         assert payload["iterations"][0]["late_deciders"] == [3]
 
 
+class TestPreparesOnce:
+    """Every command validates its problem once, and decomposes and projects it at most once."""
+
+    @pytest.mark.parametrize(
+        "argv, spectral",
+        [
+            (["solve", str(SEVEN)], 1),
+            (["solve", str(SEVEN), "--emit-plot-data"], 1),
+            (["oracle", str(SEVEN)], 1),
+            (["bounds", str(SEVEN)], 1),
+            (["bounds", str(SEVEN_SIGMOID)], 1),
+            (["sigmoid", str(SEVEN_SIGMOID)], 1),
+            (["simulate", str(SEVEN), "--steps", "256"], 0),
+        ],
+        ids=["solve", "plot-data", "oracle", "bounds", "bounds-sigmoid", "sigmoid", "simulate"],
+    )
+    def test_decomposes_once(self, argv, spectral, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, validate_problem, spectral_decompose, project)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert calls == {"validate_problem": 1, "spectral_decompose": spectral, "project": spectral}
+
+
 class TestBoundsCommandWork:
     """``waveplan bounds`` decomposes once and runs one bound pass per channel."""
 
     @staticmethod
     def _count(monkeypatch):
-        from waveplan import bounds, cli, graph, waterfill
-
-        calls = {"spectral_decompose": 0, "bound_linear": 0, "_linear_bounds": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        decompose = counting("spectral_decompose", graph.spectral_decompose)
-        for module in (cli, graph, waterfill):
-            monkeypatch.setattr(module, "spectral_decompose", decompose)
-        linear = counting("bound_linear", bounds.bound_linear)
-        for module in (bounds, cli):
-            monkeypatch.setattr(module, "bound_linear", linear)
-        monkeypatch.setattr(bounds, "_linear_bounds", counting("_linear_bounds", bounds._linear_bounds))
-        return calls
+        return count_calls(monkeypatch, spectral_decompose, bound_linear, _linear_bounds)
 
     def test_linear_problem_reuses_the_solve_certificate(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
@@ -218,7 +210,7 @@ class TestBoundsCommandWork:
     def test_sigmoid_problem_has_no_level(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN_SIGMOID), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 2, "_linear_bounds": 2}
+        assert calls == {"spectral_decompose": 1, "bound_linear": 0, "_linear_bounds": 2}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         assert payload["beta_star"] is None
         for row in payload["channels"]:

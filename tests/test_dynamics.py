@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan.costate import group_coefficients, integrate_h
 from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
-from waveplan.errors import ContractError
+from waveplan.errors import ContractError, ValidationError
 from waveplan.graph import build_laplacian, spectral_decompose
-from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
+from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare
 from waveplan.waterfill import BangBangSchedule, ChannelSchedule, solve
 
 SEVEN_P = np.array([0.03, 0.02, 0.10, 1.00, 0.06, 0.07, 0.01])
@@ -286,8 +288,11 @@ def _random_schedule(rng, problem):
     return BangBangSchedule(channels=tuple(channels))
 
 
-def _random_dynamic_problem(rng, n):
-    """Random graph, 1-3 linear or power channels, x0 != 0, drift with breakpoints inside and beyond T."""
+def _random_dynamic_problem(rng, n, beyond=True):
+    """Random graph, 1-3 linear or power channels, x0 != 0, drift with breakpoints inside and beyond T.
+
+    With ``beyond`` false every breakpoint lies inside [0, T), so the problem is valid.
+    """
     g = random_connected_graph(rng, n)
     T = float(rng.uniform(0.5, 3.0))
     channels = []
@@ -297,8 +302,8 @@ def _random_dynamic_problem(rng, n):
         cost = CostModel(kind, float(rng.uniform(0.5, 2.0)), a)
         channels.append(Channel(b=rng.uniform(-1.0, 1.0, n), cost=cost, u_max=float(rng.uniform(0.5, 2.0))))
     inner = np.sort(rng.uniform(0.0, T, int(rng.integers(0, 3))))
-    beyond = T * rng.uniform(1.0, 2.0, int(rng.integers(0, 2)))
-    breakpoints = np.concatenate([[0.0], inner, beyond])
+    later = T * rng.uniform(1.0, 2.0, int(rng.integers(0, 2))) if beyond else []
+    breakpoints = np.concatenate([[0.0], inner, later])
     drift = Drift(breakpoints=breakpoints, values=rng.normal(0.0, 0.5, (breakpoints.size, n)))
     return CampaignProblem(
         graph=g,
@@ -316,7 +321,7 @@ class TestTerminalState:
         rng = np.random.default_rng(2024)
         for trial in range(16):
             n = int(rng.integers(2, 41))
-            prob = _random_dynamic_problem(rng, n)
+            prob = _random_dynamic_problem(rng, n, beyond=False)
             schedule = _empty_schedule(prob) if trial % 5 == 0 else _random_schedule(rng, prob)
             exact = terminal_state(prob, schedule)
             ref = simulate(prob, schedule, steps=8192).terminal_state
@@ -345,12 +350,11 @@ class TestTerminalState:
         expected = np.array([m + d / 2, m - d / 2])
         assert np.max(np.abs(terminal_state(prob, schedule) - expected)) <= 1e-14
 
-    def test_shared_decomposition_and_validation(self):
+    def test_prepared_problem_and_validation(self):
         rng = np.random.default_rng(8)
-        prob = _random_dynamic_problem(rng, 6)
+        prob = _random_dynamic_problem(rng, 6, beyond=False)
         schedule = _random_schedule(rng, prob)
-        sd = spectral_decompose(build_laplacian(prob.graph))
-        assert np.array_equal(terminal_state(prob, schedule, sd), terminal_state(prob, schedule))
+        assert np.array_equal(terminal_state(prepare(prob), schedule), terminal_state(prob, schedule))
         bad = BangBangSchedule(
             channels=tuple(ChannelSchedule(u_max=1.0, intervals=((0.0, 2 * prob.T),)) for _ in prob.channels)
         )
@@ -358,6 +362,18 @@ class TestTerminalState:
             terminal_state(prob, bad)
         with pytest.raises(ContractError, match="channels"):
             terminal_state(prob, BangBangSchedule(channels=()))
+
+    @pytest.mark.parametrize("field", ["x0", "drift"])
+    def test_invalid_problem_raises(self, field):
+        # A NaN start or a breakpoint at T is a validation finding, not a NaN or a clipped state.
+        prob = _random_dynamic_problem(np.random.default_rng(3), 4, beyond=False)
+        if field == "x0":
+            bad = dataclasses.replace(prob, x0=np.full(prob.n, np.nan))
+        else:
+            drift = Drift(breakpoints=np.array([0.0, prob.T]), values=np.zeros((2, prob.n)))
+            bad = dataclasses.replace(prob, drift=drift)
+        with pytest.raises(ValidationError, match="problem failed validation"):
+            terminal_state(bad, _empty_schedule(bad))
 
 
 class TestVectorisedDrift:

@@ -21,11 +21,12 @@ from waveplan.graph import (
     build_laplacian,
     graph_from_dict,
     graph_to_dict,
-    projected_groups,
+    group_support,
+    project,
     random_geometric_graph,
     spectral_decompose,
 )
-from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, check_conditions
+from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, Prepared, check_conditions
 from waveplan.sweep import default_radius, sweep_instance
 from waveplan.waterfill import BangBangSchedule, ChannelSchedule
 
@@ -276,8 +277,13 @@ def _negated(sd, flip):
     return dataclasses.replace(sd, vectors=vectors)
 
 
-def _sigmoid_scores(prob, sd, spec):
-    """The sigmoid oracle's result and every feasible candidate's score, run on the decomposition ``sd``."""
+def _prepared(prob, sd):
+    """``prob`` prepared on the decomposition ``sd``, its gains projected onto it."""
+    return Prepared(problem=prob, sd=sd, gains=project(sd, [ch.b for ch in prob.channels]))
+
+
+def _sigmoid_scores(prep, spec):
+    """The sigmoid oracle's result and every feasible candidate's score."""
     scores = []
     score = oracle._score_sigmoid
 
@@ -286,10 +292,8 @@ def _sigmoid_scores(prob, sd, spec):
         scores.append(values)
         return values
 
-    with mock.patch.object(oracle, "spectral_decompose", lambda lap: sd), mock.patch.object(
-        oracle, "_score_sigmoid", recording
-    ):
-        result = oracle.enumerate_best(prob, spec)
+    with mock.patch.object(oracle, "_score_sigmoid", recording):
+        result = oracle.enumerate_best(prep, spec)
     (values,) = scores
     return result, values.tobytes()
 
@@ -312,16 +316,17 @@ class TestSignInvariance:
         bs = np.array([ch.b for ch in prob.channels])
         lam = rng.uniform(0.0, 1.0, n)
         assert group_coefficients(sd, lam, bs).tobytes() == group_coefficients(flipped, lam, bs).tobytes()
-        assert np.array_equal(projected_groups(sd, bs), projected_groups(flipped, bs))
-        assert check_conditions(prob, sd) == check_conditions(prob, flipped)
+        assert np.array_equal(group_support(sd, project(sd, bs)), group_support(flipped, project(flipped, bs)))
+        prep, flip = _prepared(prob, sd), _prepared(prob, flipped)
+        assert check_conditions(prep) == check_conditions(flip)
         schedule = BangBangSchedule(
             channels=tuple(
                 ChannelSchedule(u_max=1.0, intervals=((0.1 * (k + 1), 0.5), (0.7, 1.0))) for k in range(m)
             )
         )
-        assert terminal_state(prob, schedule, sd).tobytes() == terminal_state(prob, schedule, flipped).tobytes()
+        assert terminal_state(prep, schedule).tobytes() == terminal_state(flip, schedule).tobytes()
         spec = oracle.EnumerationSpec(switch_grid=4, max_switches_per_channel=1)
-        assert _sigmoid_scores(prob, sd, spec) == _sigmoid_scores(prob, flipped, spec)
+        assert _sigmoid_scores(prep, spec) == _sigmoid_scores(flip, spec)
 
     def test_repeated_eigenvalues_are_exercised(self):
         sd = spectral_decompose(build_laplacian(_complete(6)))

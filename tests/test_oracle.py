@@ -6,14 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, k2_problem, random_connected_graph
+from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, count_calls, k2_problem, random_connected_graph
 from waveplan import bounds, costate, dynamics, graph, oracle
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate
 from waveplan.errors import ContractError, ValidationError
-from waveplan.graph import build_laplacian, spectral_decompose
 from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
-from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
+from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare
 from waveplan.waterfill import solve
 
 
@@ -149,9 +148,9 @@ class TestCandidateTables:
         prob = _sigmoid_problem(np.random.default_rng(47), P3, 2)
         spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, include_interior_levels=True)
         calls = []
-        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[6][0].size))
+        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[4][0].size))
         enumerate_best(prob, spec)
-        ((_, _, _, _, masks, per_channel, _),) = calls
+        ((_, _, masks, per_channel, _),) = calls
         levels = np.array((1.0,) + spec.interior_levels)
         delta = prob.T / spec.switch_grid
         for mk, pc, ch in zip(masks, per_channel, prob.channels):
@@ -232,13 +231,32 @@ class TestSpecValidation:
         with pytest.raises(ContractError, match="interior levels"):
             enumerate_best(k2_problem(), spec)
 
+    @pytest.mark.parametrize("grid", [4.5, 4.0, True, "4"])
+    def test_rejects_non_integer_switch_grid(self, grid):
+        with pytest.raises(ContractError, match="switch_grid must be an integer"):
+            enumerate_best(k2_problem(), EnumerationSpec(switch_grid=grid))
+        with pytest.raises(ContractError, match="switch_grid must be an integer"):
+            grid_slack(k2_problem(), grid)
 
-def _loop_enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges, budget):
+    @pytest.mark.parametrize("cap", [1.5, 1.0, True, False])
+    def test_rejects_non_integer_cap(self, cap):
+        with pytest.raises(ContractError, match="switch cap must be an integer"):
+            enumerate_best(k2_problem(), EnumerationSpec(switch_grid=4, max_switches_per_channel=cap))
+
+    def test_accepts_numpy_integers(self):
+        prob = k2_problem()
+        ints = EnumerationSpec(switch_grid=4, max_switches_per_channel=1)
+        numpy_ints = EnumerationSpec(switch_grid=np.int64(4), max_switches_per_channel=np.int32(1))
+        assert enumerate_best(prob, numpy_ints) == enumerate_best(prob, ints)
+        assert grid_slack(prob, np.int64(4)) == grid_slack(prob, 4)
+
+
+def _loop_enumerate_sigmoid(prep, masks, per_channel, edges, budget):
     """One 256-step simulate per feasible candidate, in product order: the unbatched reference."""
+    problem = prep.problem
     m = problem.m
     sizes = [pc[0].size for pc in per_channel]
-    best_val, best_idx, best_extreme = -np.inf, None, -np.inf
-    best_interior = -np.inf if spec.include_interior_levels else None
+    best_val, best_idx, best_extreme, best_interior = -np.inf, None, -np.inf, -np.inf
     feasible = 0
     for idx in product(*(range(s) for s in sizes)):
         if sum(per_channel[k][1][idx[k]] for k in range(m)) > budget:
@@ -249,19 +267,10 @@ def _loop_enumerate_sigmoid(problem, sd, gains, spec, masks, per_channel, edges,
         if val > best_val:
             best_val, best_idx = val, idx
         if any(per_channel[k][2][idx[k]] for k in range(m)):
-            if spec.include_interior_levels:
-                best_interior = max(best_interior, val)
+            best_interior = max(best_interior, val)
         else:
             best_extreme = max(best_extreme, val)
-    return oracle.OracleResult(
-        value=best_val,
-        schedule=oracle._schedule_from_indices(problem, masks, per_channel, edges, best_idx),
-        spend=float(sum(per_channel[k][1][best_idx[k]] for k in range(m))),
-        feasible_count=feasible,
-        candidate_count=int(np.prod(sizes)),
-        best_extreme_value=best_extreme,
-        best_interior_value=best_interior,
-    )
+    return best_idx, best_val, feasible, best_extreme, best_interior
 
 
 def _sigmoid_problem(rng, graph, m, theta_shift=0.0, twin=False, dynamic=False):
@@ -320,7 +329,6 @@ class TestBatchedSigmoidScoring:
         looped = enumerate_best(prob, spec)
         assert batched.schedule == looped.schedule
         assert batched.feasible_count == looped.feasible_count
-        assert batched.candidate_count == looped.candidate_count
         assert batched.spend == looped.spend
         for field in ("value", "best_extreme_value", "best_interior_value"):
             a, b = getattr(batched, field), getattr(looped, field)
@@ -376,8 +384,8 @@ def _scored_candidates(prob, spec, monkeypatch):
     calls = []
     score = oracle._score_sigmoid
 
-    def spy(problem, sd, gains, edges, masks, per_channel, feasible):
-        values = score(problem, sd, gains, edges, masks, per_channel, feasible)
+    def spy(prep, edges, masks, per_channel, feasible):
+        values = score(prep, edges, masks, per_channel, feasible)
         calls.append((edges, masks, per_channel, feasible, values))
         return values
 
@@ -393,8 +401,7 @@ def _stepped(prob, schedule):
 
 
 def _optional_edges(prob, g):
-    sd = spectral_decompose(build_laplacian(prob.graph))
-    return oracle._segment_maps(prob, sd, np.linspace(0.0, prob.T, g + 1))[3]
+    return oracle._segment_maps(prepare(prob), np.linspace(0.0, prob.T, g + 1))[3]
 
 
 class TestTransferMapScoring:
@@ -495,15 +502,9 @@ class TestSpectralWork:
     @staticmethod
     def _count(monkeypatch):
         """Count decompositions, projections and their readers; refuse every per-channel projection."""
-        calls = {}
-        for fn in (graph.spectral_decompose, graph.project, costate.projected_coefficients, graph.group_support):
-            calls[fn.__name__] = 0
-
-            def counting(*args, _fn=fn, **kwargs):
-                calls[_fn.__name__] += 1
-                return _fn(*args, **kwargs)
-
-            _patch_everywhere(monkeypatch, fn, counting)
+        calls = count_calls(
+            monkeypatch, graph.spectral_decompose, graph.project, costate.projected_coefficients, graph.group_support
+        )
         _patch_everywhere(monkeypatch, bounds.bound_general, _refuse)
         return calls
 

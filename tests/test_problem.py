@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import K2, P3, k2_problem
+from helpers import K2, P3, count_calls, k2_problem
 from waveplan import problem as problem_module
-from waveplan.bundles import seven_agent_problem
-from waveplan.graph import WeightedGraph, build_laplacian, projected_groups, spectral_decompose
+from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
+from waveplan.dynamics import terminal_state
+from waveplan.graph import WeightedGraph, build_laplacian, group_support, project, spectral_decompose
+from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import (
     CampaignProblem,
     Channel,
@@ -16,12 +18,14 @@ from waveplan.problem import (
     Drift,
     Objective,
     check_conditions,
+    prepare,
     problem_from_dict,
     problem_to_dict,
     validate_problem,
 )
 from waveplan.errors import ValidationError
-from waveplan.waterfill import solve
+from waveplan.sigmoid import solve_sigmoid
+from waveplan.waterfill import solve, solve_with_costate
 
 
 def _channel(b, kind="linear", v=1.0, a=1.0, u_max=1.0):
@@ -419,7 +423,6 @@ class TestCostModel:
 
 
 def _ranks(graph, gains):
-    sd = spectral_decompose(build_laplacian(graph))
     p = CampaignProblem(
         graph=graph,
         channels=tuple(_channel(b) for b in gains),
@@ -428,16 +431,14 @@ def _ranks(graph, gains):
         r=0.5,
         x0=np.zeros(graph.n),
     )
-    return [(c.controllability_rank, c.controllable) for c in check_conditions(p, sd)]
+    return [(c.controllability_rank, c.controllable) for c in check_conditions(p)]
 
 
 class TestCheckConditions:
     def test_k2_single_agent_channel_controllable(self):
         # [b | L b] = [(1, 0) | (1, -1)] has rank 2, so the linear-cost
         # branch is certified.
-        p = k2_problem()
-        sd = spectral_decompose(build_laplacian(K2))
-        cond = check_conditions(p, sd)[0]
+        cond = check_conditions(k2_problem())[0]
         assert cond.controllability_rank == 2
         assert cond.controllable
         assert cond.theorem_applicable
@@ -466,7 +467,7 @@ class TestCheckConditions:
         # to the eigenvector of eigenvalue 2; the targeted channel reaches all
         # seven.
         p = seven_agent_problem()
-        rows = check_conditions(p, spectral_decompose(build_laplacian(p.graph)))
+        rows = check_conditions(p)
         assert [c.controllability_rank for c in rows] == [6, 7]
         assert [c.controllable for c in rows] == [False, True]
 
@@ -479,7 +480,7 @@ class TestCheckConditions:
             r=0.5,
             x0=np.zeros(2),
         )
-        cond = check_conditions(p, spectral_decompose(build_laplacian(K2)))[0]
+        cond = check_conditions(p)[0]
         assert cond.total_reach == pytest.approx(2.0)
         assert cond.reach_nonzero
         assert cond.theorem_applicable
@@ -493,7 +494,7 @@ class TestCheckConditions:
             r=0.5,
             x0=np.zeros(2),
         )
-        cond = check_conditions(p, spectral_decompose(build_laplacian(K2)))[0]
+        cond = check_conditions(p)[0]
         assert cond.total_reach == pytest.approx(0.0)
         assert not cond.reach_nonzero
         assert not cond.theorem_applicable
@@ -513,15 +514,44 @@ class TestCheckConditions:
             x0=np.zeros(2),
         )
         sd = spectral_decompose(build_laplacian(K2))
-        cond = check_conditions(p, sd)[0]
-        assert cond.reach_nonzero == bool(projected_groups(sd, b[None, :])[0, 0]) == reaches
+        cond = check_conditions(p)[0]
+        assert cond.reach_nonzero == bool(group_support(sd, project(sd, b[None, :]))[0, 0]) == reaches
         assert cond.theorem_applicable == reaches
         assert cond.total_reach == float(np.sum(b))
 
     def test_flags_deterministic(self):
         p = k2_problem()
-        sd = spectral_decompose(build_laplacian(K2))
-        assert check_conditions(p, sd) == check_conditions(p, sd)
+        prep = prepare(p)
+        assert check_conditions(prep) == check_conditions(prep) == check_conditions(p)
+
+
+class TestPrepare:
+    def test_returns_a_prepared_problem_unchanged(self):
+        prep = prepare(seven_agent_problem())
+        assert prepare(prep) is prep
+        assert prep.gains.coords.shape == (prep.problem.m, prep.problem.n)
+
+    def test_invalid_problem_raises(self):
+        with pytest.raises(ValidationError, match="^problem failed validation: budget must be positive$"):
+            prepare(k2_problem(r=0.0))
+
+    PUBLIC_CALLS = {
+        "solve": lambda lin, sig: solve(lin),
+        "solve_with_costate": lambda lin, sig: solve_with_costate(lin, lin.problem.objective.p),
+        "check_conditions": lambda lin, sig: check_conditions(lin),
+        "terminal_state": lambda lin, sig: terminal_state(lin, solve(lin).schedule),
+        "enumerate_best": lambda lin, sig: enumerate_best(lin, EnumerationSpec(switch_grid=6)),
+        "enumerate_best-sigmoid": lambda lin, sig: enumerate_best(sig, EnumerationSpec(switch_grid=4)),
+        "grid_slack": lambda lin, sig: grid_slack(lin, 6),
+        "solve_sigmoid": lambda lin, sig: solve_sigmoid(sig),
+    }
+
+    @pytest.mark.parametrize("name", list(PUBLIC_CALLS))
+    def test_public_calls_neither_validate_nor_decompose_it_again(self, name, monkeypatch):
+        lin, sig = prepare(seven_agent_problem()), prepare(seven_agent_sigmoid_problem())
+        calls = count_calls(monkeypatch, validate_problem, build_laplacian, spectral_decompose, project)
+        self.PUBLIC_CALLS[name](lin, sig)
+        assert calls == {"validate_problem": 0, "build_laplacian": 0, "spectral_decompose": 0, "project": 0}
 
 
 class TestObjectiveBounds:

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import K2, k2_problem
+from helpers import K2, count_calls, k2_problem
 from waveplan.bundles import seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate, terminal_state
 from waveplan.errors import ContractError
-from waveplan.graph import build_laplacian, spectral_decompose
-from waveplan.problem import CampaignProblem, Channel, CostModel, Objective
+from waveplan.graph import project, spectral_decompose
+from waveplan.problem import CampaignProblem, Channel, CostModel, Objective, prepare, validate_problem
 from waveplan.sigmoid import (
     default_epsilon,
     late_deciders,
@@ -127,19 +127,11 @@ class TestSolveSigmoid:
         assert abs(res.objective - rk4) <= 1e-13 * abs(rk4)
 
     def test_one_decomposition_shared_by_every_iterate(self, monkeypatch):
-        from waveplan import graph, sigmoid, waterfill
-
-        calls = []
-
-        def counting(lap):
-            calls.append(lap)
-            return graph.spectral_decompose(lap)
-
-        monkeypatch.setattr(sigmoid, "spectral_decompose", counting)
-        monkeypatch.setattr(waterfill, "spectral_decompose", counting)
+        calls = count_calls(monkeypatch, spectral_decompose, validate_problem, project)
         prob = _sigmoid_k2([0.3, 0.3])
         res = solve_sigmoid(prob, max_iters=3)
-        assert len(res.iterations) > 1 and len(calls) == 1
+        assert len(res.iterations) > 1
+        assert calls == {"spectral_decompose": 1, "validate_problem": 1, "project": 1}
 
     def test_only_the_returned_iterate_is_certified(self, monkeypatch):
         from waveplan import bounds, waterfill
@@ -178,8 +170,7 @@ class TestSolveSigmoid:
             lam = obj.alpha * obj.p / 4.0
         else:
             lam = surrogate_costate(obj, res.iterations[k - 1].members)
-        sd = spectral_decompose(build_laplacian(prob.graph))
-        direct = solve_with_costate(prob, lam, sd=sd)
+        direct = solve_with_costate(prepare(prob), lam)
         for f in dataclasses.fields(direct):
             assert getattr(res.solution, f.name) == getattr(direct, f.name), f.name
 

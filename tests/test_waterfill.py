@@ -15,8 +15,8 @@ from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.costate import group_coefficients
 from waveplan.dynamics import terminal_state
 from waveplan.errors import ContractError, NumericalError
-from waveplan.graph import build_laplacian, projected_groups, random_geometric_graph, spectral_decompose
-from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective
+from waveplan.graph import build_laplacian, group_support, project, random_geometric_graph, spectral_decompose
+from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare
 from waveplan.sweep import default_radius
 from waveplan.waterfill import solve
 
@@ -266,7 +266,7 @@ class TestCertificateChecks:
             prob = dataclasses.replace(prob, channels=prob.channels + (centered,), r=1.5 * prob.r)
             sol = solve(prob)
             sd = spectral_decompose(build_laplacian(prob.graph))
-            zero_reach += not projected_groups(sd, b[None, :])[0, 0]
+            zero_reach += not group_support(sd, project(sd, b[None, :]))[0, 0]
             p = prob.objective.p
             for k, (ch, cert) in enumerate(zip(prob.channels, sol.certificate, strict=True), start=1):
                 shift = sol.beta_star * ch.max_cost_rate / ch.u_max
@@ -304,7 +304,7 @@ class TestCertificateChecks:
         # group, so the support bound 0 does not apply to its one switch.
         prob = self._zero_reach_k2(1e-11)
         sd = spectral_decompose(build_laplacian(K2))
-        assert not projected_groups(sd, prob.channels[0].b[None, :])[0, 0]
+        assert not group_support(sd, project(sd, prob.channels[0].b[None, :]))[0, 0]
         (cert,) = solve(prob).certificate
         assert (cert.realized_switches, cert.bound_general) == (1, 0)
 
@@ -617,12 +617,15 @@ def _solve_or_bracket(prob):
     """``solve(prob)``, or None where it raises the long-horizon failure.
 
     In that failure no float level meets r, so the bracket shrank to
-    adjacent floats.
+    adjacent floats. Any other NumericalError is raised as it is.
     """
     try:
         return solve(prob)
     except NumericalError as err:
-        lo, hi = map(float, re.search(r"bracket \[(\S+), (\S+)\]", str(err)).groups())
+        bracket = re.search(r"bracket \[(\S+), (\S+)\]", str(err))
+        if bracket is None:
+            raise
+        lo, hi = map(float, bracket.groups())
         assert hi <= np.nextafter(lo, np.inf)
         return None
 
@@ -639,11 +642,11 @@ class TestEndToEndInvariants:
         assert (sol.schedule, sol.beta_star, sol.certificate) == (base.schedule, base.beta_star, base.certificate)
         # The closed-form gain sums h over the on-intervals in the group
         # coefficients; terminal_state integrates the eigenmodes of x.
-        sd = spectral_decompose(build_laplacian(prob.graph))
+        prep = prepare(prob)
         off = waterfill.BangBangSchedule(
             channels=tuple(waterfill.ChannelSchedule(u_max=ch.u_max, intervals=()) for ch in prob.channels)
         )
-        gain = float(prob.objective.p @ (terminal_state(prob, sol.schedule, sd) - terminal_state(prob, off, sd)))
+        gain = float(prob.objective.p @ (terminal_state(prep, sol.schedule) - terminal_state(prep, off)))
         assert sol.objective_gain == pytest.approx(gain, rel=1e-9, abs=0.0)
 
 
@@ -714,15 +717,27 @@ class TestProbe:
 
 
 class TestSharedDecomposition:
-    def test_passed_decomposition_gives_the_same_solution(self):
+    def test_prepared_problem_gives_the_same_solution(self):
         prob = random_linear_problem(np.random.default_rng(8), 12)
-        sd = spectral_decompose(build_laplacian(prob.graph))
         lam = prob.objective.p
-        assert waterfill.solve_with_costate(prob, lam, sd=sd) == waterfill.solve_with_costate(prob, lam)
+        assert waterfill.solve_with_costate(prepare(prob), lam) == waterfill.solve_with_costate(prob, lam)
 
 
-def _schedule_every_channel_on_the_grid(problem, lam, sd, gains):
+class TestCostateContract:
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ContractError, match="costate has shape"):
+            waterfill.solve_with_costate(k2_problem(), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # A NaN costate used to return every channel off; an infinite one leaked a RuntimeWarning.
+        with pytest.raises(ContractError, match="costate has non-finite entries"):
+            waterfill.solve_with_costate(k2_problem(), np.array([0.5, bad]))
+
+
+def _schedule_every_channel_on_the_grid(prep, lam):
     """``_schedule`` with every channel sampled, never-on ones included: the reference for the skip."""
+    problem, sd = prep.problem, prep.sd
     T, r = problem.T, problem.r
     coeffs, signals = _signal_rows(problem, lam, sd)
     modes = np.any(coeffs != 0.0, axis=0)
