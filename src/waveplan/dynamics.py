@@ -152,8 +152,9 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
                    + the same kind of term for each drift piece,
 
     with phi(rate, tau) = -expm1(-rate tau) / rate (tau on the zero mode,
-    whose rate is pinned to exactly 0: ``mode_rates``). Intervals of one
-    channel are taken as disjoint, as in ``closed_form_gain``.
+    whose rate is pinned to exactly 0: ``mode_rates``). V^T b_i is read
+    from the stored projection of the gains, ``Prepared.gains``. Intervals
+    of one channel are taken as disjoint, as in ``closed_form_gain``.
     """
     prep = prepare(problem)
     problem = prep.problem
@@ -163,11 +164,11 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
     vecs = prep.sd.vectors
 
     modal = np.exp(-rates * T) * (problem.x0 @ vecs)
-    for cs, ch in zip(schedule.channels, problem.channels):
+    for cs, coords in zip(schedule.channels, prep.gains.coords):
         if cs.intervals:
             ivs = np.array(cs.intervals, dtype=np.float64)
             pulses = _modal_pulses(rates, T, ivs[:, 0], ivs[:, 1])
-            modal += cs.u_max * pulses.sum(axis=0) * (ch.b @ vecs)
+            modal += cs.u_max * pulses.sum(axis=0) * coords
 
     # values[k] holds on [breakpoints[k], breakpoints[k + 1]), the last up to T.
     drift = problem.drift

@@ -4,10 +4,10 @@ A channel runs flat out wherever its cost-normalized signal g_i(t) =
 h_i(t) * u_max_i / c_i(u_max_i) sits above the water level, and is off
 elsewhere. Total spend is monotone nonincreasing in the level. A slack
 budget short-circuits to level zero by complementary slackness. Otherwise
-the search probes the level where the spend of at most ``_LEVEL_SAMPLES``
-evenly strided grid samples meets the budget, read from a cost-weighted
-histogram, and then takes safeguarded Newton steps on the exact spend,
-falling back to bisection, inside [0, max sample].
+the search probes the level where the spend of the signals' chords between
+samples meets the budget, and then takes safeguarded Newton steps on the
+exact spend, falling back to bisection, inside [0, a proven bound on every
+signal].
 
 A channel whose coefficients, summed in ascending-rate order, have no
 positive partial sum P_j is never on and is left off the grid. By Abel
@@ -17,17 +17,16 @@ every time and every level: its on-set is empty and it adds no spend.
 
 One engine serves every level probe and the returned on-sets: the
 channels' group coefficients, one matrix per solve scaled to the signals,
-one modal block exp((t - T) * rate) evaluated per solve on a shared grid,
-one scan of the grid per level for the crossing cells of all channels, and
-one evaluation of g, g' and a curvature bound at every crossing, which
-certifies most Newton steps from the cells' secants; the rest go to
-vectorized safeguarded Newton refinement. A probe returns the spend and its slope
-from the crossing times alone: the on-intervals are built once, at the
-returned level. A sign change between two samples is always a true
-crossing, so a scan can exceed the certificate's switch bounds only
-through rounding, which a finer grid does not remove: the grid has one
-fixed size (``_grid_points``), is compared with each level once and is
-never refined.
+and one product per solve that samples each signal, its slope and a bound
+on its curvature at the ends of a few hundred uniform cells. At each
+level, a cell's end values and curvature bound prove that it holds no
+crossing or exactly one; the few cells that neither test settles are bisected until
+every piece is settled. So a crossing count never rests on the grid size,
+and a close pair of crossings inside one cell is found as a pair. Each
+crossing is refined by Newton steps on the closed form, most of them
+certified by the curvature bound without a second evaluation. A probe
+returns the spend and its slope from the crossing times alone: the
+on-intervals are built once, at the returned level.
 
 ``solve_with_costate`` builds the schedule (``_schedule``) and then its
 certificate (``_certified``); the sigmoid loop runs the first half on every
@@ -51,12 +50,9 @@ CROSSING_MAX_ITERS = 100
 # A crossing is a root once |g - beta| is this many ulp of its terms' magnitude.
 _ROOT_ULPS = 4
 SPEND_REL_TOL = 1e-9
-# Entries of one row block of the modal grid; bounds the grid's working memory.
-_GRID_BLOCK_ENTRIES = 1 << 16
-# Most grid samples the sampled level reads; larger grids are read at a stride.
-_LEVEL_SAMPLES = 8192
-# Equal bins of the histogram that gives the sampled level.
-_LEVEL_BINS = 1024
+# Uniform cells of the signal grid. Performance only: every cell's crossing
+# count is proven from its samples, so no crossing depends on it.
+_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -120,82 +116,101 @@ class WaterfillSolution:
         return all(c.theorem_applicable for c in self.certificate)
 
 
-def _grid_points(n: int) -> int:
-    """Samples per signal for a problem on n agents: 4096, or 64 per agent above 64 agents."""
-    return max(4096, 64 * n)
+def _pieces(lo, hi, vlo, vhi, dlo, dhi, bound) -> np.ndarray:
+    """Pieces [lo, hi] of signals as one array: lo, hi, v_lo, v_hi, M, c1, c2, c3 along its first axis.
 
-
-def _sample_signals(
-    rates: np.ndarray, coeffs: np.ndarray, T: float, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A uniform grid on [0, T] and every channel's signal on it, each row padded with -inf at both ends.
-
-    The result has shape (m, points + 2); columns 1 to points hold the
-    samples. The modal block exp((t - T) * rate) is taken in row blocks of
-    fixed size as exp((t - t_e) * rate) * exp((t_e - T) * rate), with t_e
-    the last time of the block. The first factor is the same for every
-    block and is computed once; the second folds into the coefficients. So
-    each block costs G exponentials and one matrix product, memory stays
-    O(block * G), and both factors are at most 1, so nothing overflows.
+    v_lo, v_hi are g at the ends, dlo, dhi g' there and M the curvature
+    bound at hi; each entry takes the shape of v_lo. The c_j are the
+    coefficients of the cubic p(s) = v_lo + s (c1 + s (c2 + s c3)), s = (t -
+    lo) / (hi - lo), that matches g and g' at both ends; it places a
+    piece's crossing to start Newton from.
     """
-    ts = np.linspace(0.0, T, points)
-    dt = T / max(1, points - 1)
-    rows = max(1, min(points, _GRID_BLOCK_ENTRIES // max(1, rates.size)))
-    offsets = np.multiply.outer(rates, np.arange(1 - rows, 1) * dt)
-    np.exp(offsets, out=offsets)  # in place: one block-sized array per solve, not two
-    out = np.empty((coeffs.shape[1], points + 2))
-    out[:, 0] = out[:, -1] = -np.inf
-    for stop in range(points, 0, -rows):
-        start = max(0, stop - rows)
-        anchored = coeffs * np.exp((ts[stop - 1] - T) * rates)[:, None]
-        out[:, start + 1 : stop + 1] = anchored.T @ offsets[:, rows - (stop - start) :]
-    return ts, out
+    out = np.empty((8,) + np.shape(vlo))
+    out[0], out[1], out[2], out[3], out[4] = lo, hi, vlo, vhi, bound
+    width = hi - lo
+    rise = vhi - vlo
+    c1 = out[5] = width * dlo
+    c3 = out[7] = c1 + width * dhi - 2.0 * rise
+    out[6] = rise - c1 - c3
+    return out
 
 
 class _SignalGrid:
-    """The cost-normalized signals g_k of several channels, sampled once on a shared grid.
+    """The cost-normalized signals g_k of several channels, sampled once at the ends of ``_CELLS`` uniform cells.
 
     ``rates`` are increasing group rates and ``rows`` the m x G matrix of
-    the channels' coefficients on them, 0 where a channel lacks a mode,
-    kept as the G x m matrix ``coeffs``. The samples supply signs, brackets
-    and a first guess of the level only: ``probe`` compares them with the
-    level, takes each crossing's grid cell and the signs at the cell ends,
-    then refines the crossing on the closed form. ``values`` (m x points)
-    is a view of the samples inside the padded rows that ``probe`` scans.
+    the channels' coefficients d_g on them, 0 where a channel lacks a mode,
+    kept as the G x m matrix ``coeffs``. One product samples, at the K + 1
+    cell ends (K = ``_CELLS``), each g_k (``values``, m x (K + 1)), its slope g_k' and its
+    curvature bound M_k(t) = sum_g |d_g| rate_g^2 exp(rate_g (t - T)).
+    Every rate is nonnegative, so M_k is nondecreasing in t, and its value
+    M at a cell's upper end bounds |g_k''| on the cell. With h the cell
+    width and v_lo, v_hi the end values:
+
+    - chord test: g is within M h^2 / 8 of the chord through the end
+      values, so it stays above a level beta where min(v_lo, v_hi) - M h^2
+      / 8 > beta and at or below it where max(v_lo, v_hi) + M h^2 / 8 <=
+      beta;
+    - slope test: where |v_hi - v_lo| > M h^2, the chord's slope exceeds M
+      h, so g' keeps one sign on the cell: g crosses beta once if the ends
+      lie on different sides of it, and never otherwise.
+
+    A cell that neither test settles at a level is open there, and
+    ``probe`` bisects it (``_isolate``). So every crossing count is proven,
+    whatever K is: K only sets how much sampling and bisection a solve
+    does. ``top``, the largest max(v_lo, v_hi) + M h^2 / 8, bounds every g_k.
     """
 
-    def __init__(self, rates: np.ndarray, rows: np.ndarray, T: float, points: int) -> None:
+    def __init__(self, rates: np.ndarray, rows: np.ndarray, T: float) -> None:
         self.T = float(T)
         self.rates = rates
         self.coeffs = np.ascontiguousarray(rows.T)
+        m = self.coeffs.shape[1]
         self.dcoeffs = self.coeffs * rates[:, None]  # coefficients of g'
-        # Coefficients of g, g' and the curvature bound sum_g |d_g| rate_g^2
-        # exp(rate_g (t - T)) side by side, so one product evaluates all three.
-        curvature = np.abs(self.dcoeffs) * rates[:, None]
-        self.terms = np.concatenate((self.coeffs, self.dcoeffs, curvature), axis=1)
-        self.times, padded = _sample_signals(rates, self.coeffs, self.T, points)
+        # Coefficients of g, g' and M_k, G x 3 x m, so one product evaluates all three.
+        self._terms = np.stack((self.coeffs, self.dcoeffs, np.abs(self.dcoeffs) * rates[:, None]), axis=1)
+        self.times = np.linspace(0.0, self.T, _CELLS + 1)
+        samples = (self._modes(self.times) @ self._terms.reshape(rates.size, 3 * m)).T
+        # Each row padded with -inf at both ends; ``values`` is a view of the samples.
+        padded = np.full((m, _CELLS + 3), -np.inf)
+        padded[:, 1:-1] = samples[:m]
         self.values = padded[:, 1:-1]
         self._padded = padded.ravel()
         # Per padded column c, for the flip between columns c and c + 1: its
-        # time if it is a pad flip (0 for c = 0, T for c = points), and
-        # whether it is a crossing, inside sample cell c - 1.
+        # time if it is a pad flip (0 for c = 0, T for c = K + 1), and
+        # whether it is a crossing, inside cell c - 1.
         self._flip_times = np.concatenate(([0.0], self.times))
-        self._inner = np.ones(points + 1, dtype=bool)
+        self._inner = np.ones(_CELLS + 2, dtype=bool)
         self._inner[0] = self._inner[-1] = False
+        self.slopes, self.curvature = samples[m : 2 * m], samples[2 * m :]
+        vlo, vhi, bound = self.values[:, :-1], self.values[:, 1:], self.curvature[:, 1:]
+        # Every cell of every channel as a piece, 8 x m x K.
+        self._cells = _pieces(self.times[:-1], self.times[1:], vlo, vhi, self.slopes[:, :-1], self.slopes[:, 1:], bound)
+        curve = bound * (self.T / _CELLS) ** 2  # M h^2
+        low = np.minimum(vlo, vhi) - 0.125 * curve
+        high = np.maximum(vlo, vhi) + 0.125 * curve
+        self.top = float(high.max())
+        open_cells = np.abs(vhi - vlo) <= curve
+        # Cells the slope test leaves open, as channel * K + cell, and the
+        # levels [low, high) at which the chord test leaves them open too.
+        self._open = np.flatnonzero(open_cells)
+        self._open_low, self._open_high = low[open_cells], high[open_cells]
 
     def probe(self, beta: float, costs: np.ndarray):
         """The spend at level beta, |dS/dbeta| there, and every channel's on-set {g_k > beta}.
 
         One scan of the padded rows, compared with the level as one flat
-        array, finds every switch of every channel: its flips, in channel
-        then time order, so they alternate on, off within each channel. The
-        -inf pads are off at every level, so no flip spans two rows. A flip
-        next to a pad is the time 0 or T, and every other flip is a
-        crossing, refined by ``_crossings``. The on-sets come back flat, as
-        ``(chan, starts, ends)`` with interval j of channel chan[j] being
-        [starts[j], ends[j]], and the spend is sum_j costs[chan[j]]
-        (ends[j] - starts[j]). dS/dbeta is -sum over crossings of costs_k /
-        |g_k'|.
+        array, finds every flip between cell ends of every channel, in
+        channel then time order, so they alternate on, off within each
+        channel. The -inf pads are off at every level, so no flip spans two
+        rows. A flip next to a pad is the time 0 or T. Every other flip lies
+        in a cell with one crossing, unless the cell is open at beta: then
+        ``_isolate`` splits it into pieces with one crossing each, and the
+        flips are put back in order by channel and piece. ``_crossings``
+        refines each crossing. The on-sets come back flat, as ``(chan,
+        starts, ends)`` with interval j of channel chan[j] being [starts[j],
+        ends[j]], and the spend is sum_j costs[chan[j]] (ends[j] -
+        starts[j]). dS/dbeta is -sum over crossings of costs_k / |g_k'|.
 
         Points with g_k(t) = beta are assigned off (the boundary set has
         measure zero under the no-singular-arc conditions, and a
@@ -203,14 +218,30 @@ class _SignalGrid:
         """
         above = self._padded > beta
         # Flip c of a row lies between its padded columns c and c + 1.
-        chan, col = np.divmod((above[1:] != above[:-1]).nonzero()[0], self.values.shape[1] + 2)
+        chan, col = np.divmod((above[1:] != above[:-1]).nonzero()[0], _CELLS + 3)
         times = self._flip_times[col]
         inner = self._inner[col]
-        rate = 0.0
-        if inner.any():
-            cross = chan[inner]
-            times[inner], inverse_slopes = self._crossings(cross, col[inner] - 1, beta)
+        cross, cell = chan[inner], col[inner] - 1
+        pieces = self._cells[:, cross, cell]
+        suspect = self._open[(self._open_low <= beta) & (beta < self._open_high)]
+        if suspect.size:
+            keep = ~np.isin(cross * _CELLS + cell, suspect)
+            fine, fine_pieces = self._isolate(*np.divmod(suspect, _CELLS), beta)
+            cross = np.concatenate((cross[keep], fine))
+            pieces = np.concatenate((pieces[:, keep], fine_pieces), axis=1)
+        rate, t = 0.0, pieces[0]
+        if cross.size:
+            t, inverse_slopes = self._crossings(cross, pieces, beta)
             rate = float(costs[cross] @ inverse_slopes)
+        if suspect.size:
+            pads = ~inner
+            chan = np.concatenate((chan[pads], cross))
+            times = np.concatenate((times[pads], t))
+            # A start pad before every piece of its channel, an end pad after.
+            order = np.lexsort((np.concatenate((np.where(col[pads] == 0, -np.inf, np.inf), pieces[0])), chan))
+            chan, times = chan[order], times[order]
+        else:
+            times[inner] = t
         chan, starts, ends = chan[::2], times[::2], times[1::2]
         return float(costs[chan] @ (ends - starts)), rate, (chan, starts, ends)
 
@@ -221,65 +252,117 @@ class _SignalGrid:
         pairs = list(zip(starts.tolist(), ends.tolist()))
         return [tuple(iv for iv in pairs[a:b] if iv[1] > iv[0]) for a, b in zip(bounds, bounds[1:])]
 
-    def _crossings(self, chan, cell, beta) -> tuple[np.ndarray, np.ndarray]:
-        """Crossings g_chan = beta inside the grid cells ``cell``, with 1 / |g'| at each.
+    def _isolate(self, chan, cell, beta) -> tuple[np.ndarray, np.ndarray]:
+        """The pieces with one crossing of beta each into which bisection splits the cells ``cell``.
 
-        Each starts from the secant t0 through the grid values and takes one
-        Newton step delta = -(g(t0) - beta) / g'(t0). On the cell, |g''| is
-        at most M = sum_g |d_g| rate_g^2 exp(rate_g (t_hi - T)), t_hi the
-        cell's upper end, since every rate is nonnegative. The step is
-        accepted without a second evaluation when 4 M |delta| <= |g'(t0)|,
-        eps = M delta^2 / |g'(t0)| <= 1e-12 * T and t1 = t0 + delta lies in
-        the cell at least eps from its ends. Then a root lies within eps of
-        t1: by Taylor |g(t1) - beta| <= M delta^2 / 2, and within 2 |delta|
-        of t0 |g' - g'(t0)| <= 2 M |delta| <= |g'(t0)| / 2, so g is monotone
-        there with |g'| >= |g'(t0)| / 2 and reaches beta within
-        (M delta^2 / 2) / (|g'(t0)| / 2) = eps of t1 (eps <= |delta| / 4).
-        So, up to the rounding of g, t1 is the cell's crossing to the
-        1e-12 * T that ``_refine`` works to. Every crossing that fails the
-        test goes on in ``_refine``, which is the only refinement loop; g'
-        is then read where the refinement stopped.
+        All pieces are halved together, with one evaluation of g, g' and M_k
+        at their midpoints per round. A half is settled by the class
+        docstring's two tests at its own width and curvature bound: it holds
+        one crossing or none. A half that is still open once no longer than
+        1e-12 T straddles a tangency, and the tie-break (g = beta is off)
+        decides it from its ends: one crossing if they lie on different
+        sides of beta, none if not. Returns the one-crossing pieces'
+        channels and the pieces (``_pieces``).
         """
-        ts, T = self.times, self.T
+        tol = 1e-12 * self.T
         upper = cell + 1
-        lo, hi = ts[cell], ts[upper]
-        vlo, vhi = self.values[chan, cell], self.values[chan, upper]
-        t0 = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
-        e = self._modes(np.concatenate((t0, hi)))
-        n, m = t0.size, self.coeffs.shape[1]
-        # One product: rows at t0 then at hi, columns g, g' and the
-        # curvature bound of each channel; each crossing keeps its channel's.
-        at = (e @ self.terms).reshape(2, n, 3, m)[:, np.arange(n), :, chan]
-        value, slopes, curvature = at[:, 0, 0], at[:, 0, 1], at[:, 1, 2]
+        piece = (
+            chan,
+            self.times[cell],
+            self.times[upper],
+            self.values[chan, cell],
+            self.values[chan, upper],
+            self.slopes[chan, cell],
+            self.slopes[chan, upper],
+            self.curvature[chan, upper],
+        )
+        found = []
+        while piece[0].size:
+            chan, lo, hi, vlo, vhi, dlo, dhi, bound = piece
+            mid = 0.5 * (lo + hi)
+            vmid, dmid, bmid = self._at(chan, mid, 3)
+            left = chan, lo, mid, vlo, vmid, dlo, dmid, bmid
+            right = chan, mid, hi, vmid, vhi, dmid, dhi, bound
+            piece = tuple(np.concatenate(pair) for pair in zip(left, right))
+            chan, lo, hi, vlo, vhi, _, _, bound = piece
+            width = hi - lo
+            curve = bound * width * width
+            flip = (vlo > beta) != (vhi > beta)
+            monotone = np.abs(vhi - vlo) > curve
+            short = width <= tol
+            clear = (np.minimum(vlo, vhi) - 0.125 * curve > beta) | (np.maximum(vlo, vhi) + 0.125 * curve <= beta)
+            one = flip & (monotone | short)
+            found.append(tuple(a[one] for a in piece))
+            piece = tuple(a[~(one | monotone | clear | short)] for a in piece)
+        chan, *ends = (np.concatenate(parts) for parts in zip(*found))
+        return chan, _pieces(*ends)
+
+    def _crossings(self, chan, pieces, beta) -> tuple[np.ndarray, np.ndarray]:
+        """The crossing g_chan = beta inside each one-crossing piece, with 1 / |g'| there.
+
+        ``pieces`` come from ``_pieces``, one per crossing. Each crossing starts
+        from one Newton step on its piece's cubic, taken from the secant
+        through the end values, or from the secant where that step leaves
+        the piece. One product gives g and g' there, and the Newton step
+        delta = -(g(t) - beta) / g'(t) is accepted without a second
+        evaluation when 4 M |delta| <= |g'(t)|, eps = M delta^2 / |g'(t)| <=
+        1e-12 * T and t1 = t + delta lies in the piece at least eps from its
+        ends, M being the piece's curvature bound. Then a root lies within
+        eps of t1: by Taylor |g(t1) - beta| <= M delta^2 / 2, and within 2
+        |delta| of t |g' - g'(t)| <= 2 M |delta| <= |g'(t)| / 2, so g is
+        monotone there with |g'| >= |g'(t)| / 2 and reaches beta within (M
+        delta^2 / 2) / (|g'(t)| / 2) = eps of t1 (eps <= |delta| / 4). So,
+        up to the rounding of g, t1 is the piece's crossing to the 1e-12 * T
+        that ``_refine`` works to. Every crossing that fails the test goes
+        on in ``_refine``, which is the only refinement loop; g' is then
+        read where the refinement stopped. A crossing within 1e-12 * T of 0
+        or T is returned as that end.
+        """
+        tol = 1e-12 * self.T
+        lo, hi, vlo, vhi, bound, c1, c2, c3 = pieces
+        s = (vlo - beta) / (vlo - vhi)
         with np.errstate(divide="ignore", invalid="ignore"):
+            cubic = s - (vlo - beta + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
+            t = lo + (hi - lo) * np.where((0.0 <= cubic) & (cubic <= 1.0), cubic, s)
+            e = self._modes(t)
+            value, slopes = self._at(chan, t, 2, e)
             step = (beta - value) / slopes
             size = np.abs(slopes)
-            eps = curvature * step * step / size
-            t = t0 + step
-            good = 4.0 * curvature * np.abs(step) <= size
-            good &= eps <= 1e-12 * T
-            good &= lo + eps <= t
-            good &= t <= hi - eps
+            eps = bound * step * step / size
+            t1 = t + step
+            good = (4.0 * bound * np.abs(step) <= size) & (eps <= tol) & (lo + eps <= t1) & (t1 <= hi - eps)
             if not good.all():
                 bad = np.flatnonzero(~good)
-                t[bad], slopes[bad] = self._refine(
-                    lo[bad], hi[bad], vlo[bad] > beta, chan[bad], beta, t0[bad], e[bad]
-                )
+                t1[bad], slopes[bad] = self._refine(lo[bad], hi[bad], vlo[bad] > beta, chan[bad], beta, t[bad], e[bad])
                 size = np.abs(slopes)
-            return t, 1.0 / size
+            # A crossing within the 1e-12 T it is found to of 0 or T is that
+            # end, so rounding there never makes a switch.
+            t1[t1 <= tol] = 0.0
+            t1[t1 >= self.T - tol] = self.T
+            return t1, 1.0 / size
+
+    def _at(self, chan, t, terms, modes=None) -> np.ndarray:
+        """g (and g', and M_k, as ``terms`` is 1, 2 or 3) of channel chan[i] at time t[i], one row per function.
+
+        Each entry is summed over the modes on its own, so it does not
+        depend on which other channels or times are evaluated with it.
+        """
+        modes = self._modes(t) if modes is None else modes
+        return np.einsum("ig,gji->ji", modes, self._terms[:, :terms, chan])
 
     def _modes(self, t: np.ndarray) -> np.ndarray:
         """exp(rate_g (t - T)) for each time in t (rows) and each group rate (columns)."""
-        return np.exp(np.multiply.outer(t - self.T, self.rates))
+        e = np.multiply.outer(t - self.T, self.rates)
+        return np.exp(e, out=e)
 
     def _refine(self, lo, hi, above_lo, chan, beta, t, modes) -> tuple[np.ndarray, np.ndarray]:
-        """Crossings g_chan = beta inside the cells [lo, hi], all refined together, with g' there.
+        """Crossings g_chan = beta inside the one-crossing pieces [lo, hi], all refined together, with g' there.
 
         Safeguarded Newton on the closed form g' = sum_g d_g rate_g
-        exp(rate_g (t - T)), started from the secant points t through the
-        grid values, whose ``modes`` rows the caller has computed already;
-        ``above_lo`` is the sign of g - beta at each lower end, from the
-        grid. A step that leaves the cell's bracket, or that did not halve
+        exp(rate_g (t - T)), started from the points t inside the pieces,
+        whose ``modes`` rows the caller has computed already; ``above_lo``
+        is the sign of g - beta at each lower end. A step that leaves the
+        bracket, or that did not halve
         |g - beta|, is replaced by bisection. Each crossing stops once its
         step or its bracket is within 1e-12 * T, or once |g - beta| is within
         a few ulp of the sum of the magnitudes it is made of, sum_g |d_g
@@ -318,56 +401,56 @@ class _SignalGrid:
             active = active[~done]
         return t, slopes
 
-    def sampled_level(self, costs: np.ndarray, r: float, top: float) -> float:
-        """The level in [0, top) where the spend of the strided samples crosses r; top > every sample, top > 0.
+    def interpolated_level(self, costs: np.ndarray, r: float) -> float:
+        """The level where the spend of the chords through the samples meets r; 0.0 if it stays below r.
 
-        The samples are every stride-th grid time, the stride being the least
-        that keeps at most ``_LEVEL_SAMPLES`` of them over all channels. Each
-        stands for c_k * dt of spend, dt the strided spacing. A histogram of
-        ``_LEVEL_BINS`` equal bins on [0, top) weighted by those spends gives
-        the sampled spend at every bin edge, hence the bin where it crosses r.
-        Only that bin's samples are sorted: the level is the one at which
-        their running spend, added to the spend above the bin, reaches r. It
-        is a first guess, which the search checks with an exact spend.
-        Returns 0.0 when even level 0 samples below r.
+        On a cell of channel k with end values v_min <= v_max, the chord is
+        above the level beta for a fraction clip((v_max - beta) / (v_max -
+        v_min), 0, 1) of the width h. So the chords' spend is piecewise
+        linear in beta, with knots at the samples: walking the knots down
+        from the top, its slope rises by c_k h / (v_max - v_min) at a
+        cell's v_max and falls back at its v_min, and a flat cell (v_min =
+        v_max) adds c_k h just below its value. It is a first guess, which
+        the search checks with an exact spend.
         """
-        stride = -(-self.values.size // _LEVEL_SAMPLES)
-        sample = self.values[:, ::stride]
-        dt = stride * self.T / max(1, self.times.size - 1)
-        # Bin b >= 1 holds [(b - 1) w, b w) with w = top / bins, and bin 0 every negative sample.
-        scaled = sample * (_LEVEL_BINS / top)
-        scaled += 1.0
-        bins = np.maximum(scaled, 0.0, out=scaled).astype(np.intp).ravel()
-        weights = (costs * dt).repeat(sample.shape[1])
-        hist = np.bincount(bins, weights, minlength=_LEVEL_BINS + 1)
-        above = hist[:0:-1].cumsum()  # sampled spend at each bin's lower edge, top bin first
-        i = int(above.searchsorted(r))
-        if i == above.size:
+        v = self.values
+        cells = v.shape[1] - 1
+        low = np.minimum(v[:, :-1], v[:, 1:]).ravel()
+        high = np.maximum(v[:, :-1], v[:, 1:]).ravel()
+        spend = np.repeat(costs * (self.T / cells), cells)
+        flat = high == low
+        slope = np.divide(spend, high - low, out=np.zeros_like(spend), where=~flat)
+        knots = np.concatenate((high, low))
+        order = knots.argsort()[::-1]
+        knots = knots[order]
+        rise = np.concatenate((slope, -slope))[order].cumsum()  # the spend's slope below each knot
+        jump = np.concatenate((np.where(flat, spend, 0.0), np.zeros_like(spend)))[order]
+        below = jump.cumsum()  # the spend just below each knot
+        below[1:] += (rise[:-1] * (knots[:-1] - knots[1:])).cumsum()
+        j = int(below.searchsorted(r))
+        if j == below.size:
             return 0.0
-        inside = bins == _LEVEL_BINS - i
-        vals = sample[inside.reshape(sample.shape)]  # row-major, as the flat bins run
-        order = vals.argsort()[::-1]
-        spent = (above[i - 1] if i else 0.0) + weights[inside][order].cumsum()
-        return float(vals[order[min(int(spent.searchsorted(r)), vals.size - 1)]])
+        if below[j] - jump[j] < r or rise[j - 1] <= 0.0:  # r is met at knot j: a flat cell's step, or rounding
+            return float(knots[j])
+        return float(knots[j - 1] - (r - below[j - 1]) / rise[j - 1])
 
 
 def _find_level(grid: _SignalGrid, probe, costs: np.ndarray, r: float):
     """The level whose exact spend meets a binding budget r, with its on-sets in flat form.
 
     The search keeps a bracket lo < beta* < hi with spend(lo) > r >=
-    spend(hi), starting from [0, max sample]. It first probes the grid's
-    sampled level, then takes Newton steps from the probe closest to r, with
+    spend(hi), starting from [0, ``grid.top``]. It first probes the grid's
+    interpolated level, then takes Newton steps from the probe closest to r, with
     dS/dbeta = -sum_k c_k sum_crossings 1/|g_k'|. A step that leaves the
     bracket, or follows a probe that did not halve |spend - r|, becomes a
     bisection step. ``probe(beta)`` returns the exact spend, |dS/dbeta| and
     the on-sets there.
     """
     lo = 0.0
-    # spend(0) > r > 0 only if some sample lies above level 0, so hi > 0.
-    hi = float(grid.values.max())
-    hi += 1e-9 * max(1.0, abs(hi))
+    # Every g_k <= top, so spend(top) = 0; spend(0) > r > 0 puts some g_k above 0, so top > 0.
+    hi = grid.top
     tol = SPEND_REL_TOL * r
-    beta = grid.sampled_level(costs, r, hi)
+    beta = grid.interpolated_level(costs, r)
     best = None  # (|spend - r|, beta, spend, |dS/dbeta|) of the probe closest to r
     spend = float("nan")
     for _ in range(BISECTION_MAX_ITERS):
@@ -425,7 +508,7 @@ def _schedule(prep: Prepared, lam: np.ndarray):
         trace.append((0.0, 0.0))
     else:
         modes = (coeffs[live] != 0.0).any(axis=0)
-        grid = _SignalGrid(sd.group_rates[modes], signals[live][:, modes], T, _grid_points(problem.n))
+        grid = _SignalGrid(sd.group_rates[modes], signals[live][:, modes], T)
 
         def probe(beta: float):
             out = grid.probe(beta, costs)
