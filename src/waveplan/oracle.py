@@ -64,16 +64,6 @@ class EnumerationSpec:
     interior_levels: tuple[float, ...] = (0.75, 0.5, 0.25)
 
 
-class _ChannelCandidates(NamedTuple):
-    """One channel's candidates, mask-major with the extreme level first."""
-
-    levels: np.ndarray  # fraction of u_max while on
-    costs: np.ndarray  # spend over the horizon
-    interior: np.ndarray  # on somewhere at an interior level
-    mask_of: np.ndarray  # row in the channel's mask table
-    classes: np.ndarray  # cost class, on-cell count x level count + level index
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -253,21 +243,12 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
             f"use a smaller switch_grid than {g} or a tighter switch cap"
         )
 
-    # Per-channel flattened candidates: the cached skeleton and this channel's costs.
+    # Per-channel flattened candidates: the cached table and each candidate's spend over the horizon.
     tables = [_candidate_table(g, cap, levels) for cap in caps]
-    masks = [t.masks for t in tables]
-    per_channel = []
+    costs = []
     for t, ch in zip(tables, problem.channels):
         rates = np.array([ch.cost(lvl * ch.u_max) for lvl in levels])
-        per_channel.append(
-            _ChannelCandidates(
-                levels=t.levels,
-                costs=np.multiply.outer(t.on_cells, rates * delta).ravel(),
-                interior=t.interior,
-                mask_of=t.mask_of,
-                classes=t.classes,
-            )
-        )
+        costs.append(np.multiply.outer(t.on_cells, rates * delta).ravel())
 
     budget = problem.r + 1e-9 * max(1.0, problem.r)
 
@@ -276,21 +257,21 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
         scored = []
         for k, ch in enumerate(problem.channels):
             cell_gain = ch.u_max * integrate_h(sd.group_rates, coeffs[k], T, edges[:-1], edges[1:])
-            pc = per_channel[k]
-            scored.append(((masks[k] @ cell_gain)[pc.mask_of] * pc.levels, pc.classes, pc.costs, pc.interior))
+            t = tables[k]
+            scored.append(((t.masks @ cell_gain)[t.mask_of] * t.levels, t.classes, costs[k], t.interior))
         if m == 1:
             # -0.0 is the exact additive identity, so the pair sums are channel 1's own values and costs.
             scored.append((np.array([-0.0]), np.zeros(1, dtype=np.intp), np.array([-0.0]), np.zeros(1, dtype=bool)))
         best = _best_pair(scored, budget)
     else:
-        best = _enumerate_sigmoid(prep, masks, per_channel, edges, budget)
+        best = _enumerate_sigmoid(prep, tables, costs, edges, budget)
 
     best_idx, best_val, feasible, best_extreme, best_interior = best
     best_idx = best_idx[:m]
     return OracleResult(
         value=best_val,
-        schedule=_schedule_from_indices(problem, masks, per_channel, edges, best_idx),
-        spend=float(sum(per_channel[k].costs[best_idx[k]] for k in range(m))),
+        schedule=_schedule_from_indices(problem, tables, edges, best_idx),
+        spend=float(sum(costs[k][best_idx[k]] for k in range(m))),
         feasible_count=feasible,
         candidate_count=candidate_count,
         best_extreme_value=best_extreme,
@@ -345,14 +326,14 @@ def _best_pair(channels, budget):
     )
 
 
-def _schedule_from_indices(problem, masks, per_channel, edges, idx) -> BangBangSchedule:
+def _schedule_from_indices(problem, tables, edges, idx) -> BangBangSchedule:
     channels = []
     for k, ch in enumerate(problem.channels):
-        pc = per_channel[k]
-        bits = masks[k][int(pc.mask_of[idx[k]])]
+        t = tables[k]
+        bits = t.masks[int(t.mask_of[idx[k]])]
         channels.append(
             ChannelSchedule(
-                u_max=float(pc.levels[idx[k]]) * ch.u_max,
+                u_max=float(t.levels[idx[k]]) * ch.u_max,
                 intervals=_mask_to_intervals(bits, edges),
             )
         )
@@ -429,7 +410,7 @@ def _segment_maps(prep: Prepared, edges: np.ndarray):
     return maps[:, last], cells, count, optional, fixed_segment[merged]
 
 
-def _score_sigmoid(prep: Prepared, edges, masks, per_channel, feasible) -> np.ndarray:
+def _score_sigmoid(prep: Prepared, edges, tables, feasible) -> np.ndarray:
     """Sigmoid objective of each feasible candidate after its ``SIGMOID_STEPS`` RK4 run.
 
     ``feasible`` holds one index array per channel. A candidate's terminal
@@ -445,13 +426,14 @@ def _score_sigmoid(prep: Prepared, edges, masks, per_channel, feasible) -> np.nd
     responses = rho[:, None, :] * prep.gains.coords
     start = problem.x0 @ sd.vectors
     optional_at = {int(s): j for j, s in enumerate(merged)}
+    masks = [t.masks for t in tables]
     switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
-    scale = [pc.levels * ch.u_max for pc, ch in zip(per_channel, problem.channels)]
+    scale = [t.levels * ch.u_max for t, ch in zip(tables, problem.channels)]
     obj = problem.objective
     values = np.empty(feasible[0].size)
     for lo in range(0, values.size, _SCORE_ROWS):
         rows = [f[lo : lo + _SCORE_ROWS] for f in feasible]
-        mask_rows = [pc.mask_of[r] for pc, r in zip(per_channel, rows)]
+        mask_rows = [t.mask_of[r] for t, r in zip(tables, rows)]
         u = np.stack([mk[i].T * sc[r] for mk, i, sc, r in zip(masks, mask_rows, scale, rows)], axis=1)
         split = np.logical_or.reduce([sw[i][:, optional] for sw, i in zip(switches, mask_rows)])
 
@@ -473,7 +455,7 @@ def _score_sigmoid(prep: Prepared, edges, masks, per_channel, feasible) -> np.nd
     return values
 
 
-def _enumerate_sigmoid(prep: Prepared, masks, per_channel, edges, budget):
+def _enumerate_sigmoid(prep: Prepared, tables, costs, edges, budget):
     """Map-scored enumeration: every feasible candidate's value after a 256-step RK4 run.
 
     Returns what ``_best_pair`` returns, over every channel. Spends
@@ -482,10 +464,10 @@ def _enumerate_sigmoid(prep: Prepared, masks, per_channel, edges, budget):
     is ``product`` order, so the first of equal values wins as in the
     linear branch.
     """
-    spends = sum(np.ix_(*(pc.costs for pc in per_channel)))
+    spends = sum(np.ix_(*costs))
     feasible = np.nonzero(spends <= budget)
-    values = _score_sigmoid(prep, edges, masks, per_channel, feasible)
-    interior = np.logical_or.reduce([pc.interior[f] for pc, f in zip(per_channel, feasible)])
+    values = _score_sigmoid(prep, edges, tables, feasible)
+    interior = np.logical_or.reduce([t.interior[f] for t, f in zip(tables, feasible)])
     best = int(np.argmax(values))
     return (
         tuple(int(f[best]) for f in feasible),

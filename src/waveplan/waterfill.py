@@ -22,9 +22,12 @@ on its curvature at the ends of a few hundred uniform cells. At each
 level, a cell's end values and curvature bound prove that it holds no
 crossing or exactly one; the few cells that neither test settles are bisected until
 every piece is settled. So a crossing count never rests on the grid size,
-and a close pair of crossings inside one cell is found as a pair. Each
-crossing is refined by Newton steps on the closed form, most of them
-certified by the curvature bound without a second evaluation. A probe
+and a close pair of crossings inside one cell is found as a pair. One
+loop (``_crossings``) then finds each crossing: a Newton step on the
+closed form that the curvature bound certifies, or else a split of the
+piece at the evaluated point and a retry on the half that holds the
+crossing. Each retry leaves at most 7/8 of the piece, so the loop ends
+within a proven number of rounds, without an iteration cap. A probe
 returns the spend and its slope from the crossing times alone: the
 on-intervals are built once, at the returned level.
 
@@ -46,9 +49,6 @@ from .errors import ContractError, NumericalError
 from .problem import CampaignProblem, Prepared, check_conditions, prepare
 
 BISECTION_MAX_ITERS = 200
-CROSSING_MAX_ITERS = 100
-# A crossing is a root once |g - beta| is this many ulp of its terms' magnitude.
-_ROOT_ULPS = 4
 SPEND_REL_TOL = 1e-9
 # Uniform cells of the signal grid. Performance only: every cell's crossing
 # count is proven from its samples, so no crossing depends on it.
@@ -116,23 +116,18 @@ class WaterfillSolution:
         return all(c.theorem_applicable for c in self.certificate)
 
 
-def _pieces(lo, hi, vlo, vhi, dlo, dhi, bound) -> np.ndarray:
-    """Pieces [lo, hi] of signals as one array: lo, hi, v_lo, v_hi, M, c1, c2, c3 along its first axis.
+def _split(pieces, t, v, d, bound) -> tuple[np.ndarray, np.ndarray]:
+    """The halves [lo, t] and [t, hi] of ``pieces``, given g, g' and the curvature bound M at t.
 
-    v_lo, v_hi are g at the ends, dlo, dhi g' there and M the curvature
-    bound at hi; each entry takes the shape of v_lo. The c_j are the
-    coefficients of the cubic p(s) = v_lo + s (c1 + s (c2 + s c3)), s = (t -
-    lo) / (hi - lo), that matches g and g' at both ends; it places a
-    piece's crossing to start Newton from.
+    A piece of signal is one column of an array with rows lo, hi, v_lo,
+    v_hi, d_lo, d_hi, M: g and g' at both ends and the curvature bound at
+    hi. Every rate is nonnegative, so M at t bounds |g''| on the left half,
+    and the right half keeps the piece's M.
     """
-    out = np.empty((8,) + np.shape(vlo))
-    out[0], out[1], out[2], out[3], out[4] = lo, hi, vlo, vhi, bound
-    width = hi - lo
-    rise = vhi - vlo
-    c1 = out[5] = width * dlo
-    c3 = out[7] = c1 + width * dhi - 2.0 * rise
-    out[6] = rise - c1 - c3
-    return out
+    left, right = pieces.copy(), pieces.copy()
+    left[1], left[3], left[5], left[6] = t, v, d, bound
+    right[0], right[2], right[4] = t, v, d
+    return left, right
 
 
 class _SignalGrid:
@@ -184,8 +179,10 @@ class _SignalGrid:
         self._inner[0] = self._inner[-1] = False
         self.slopes, self.curvature = samples[m : 2 * m], samples[2 * m :]
         vlo, vhi, bound = self.values[:, :-1], self.values[:, 1:], self.curvature[:, 1:]
-        # Every cell of every channel as a piece, 8 x m x K.
-        self._cells = _pieces(self.times[:-1], self.times[1:], vlo, vhi, self.slopes[:, :-1], self.slopes[:, 1:], bound)
+        # Every cell of every channel as a piece (``_split``), 7 x m x K.
+        cells = self._cells = np.empty((7, m, _CELLS))
+        cells[0], cells[1], cells[2], cells[3] = self.times[:-1], self.times[1:], vlo, vhi
+        cells[4], cells[5], cells[6] = self.slopes[:, :-1], self.slopes[:, 1:], bound
         curve = bound * (self.T / _CELLS) ** 2  # M h^2
         low = np.minimum(vlo, vhi) - 0.125 * curve
         high = np.maximum(vlo, vhi) + 0.125 * curve
@@ -262,29 +259,16 @@ class _SignalGrid:
         1e-12 T straddles a tangency, and the tie-break (g = beta is off)
         decides it from its ends: one crossing if they lie on different
         sides of beta, none if not. Returns the one-crossing pieces'
-        channels and the pieces (``_pieces``).
+        channels and the pieces (``_split``).
         """
         tol = 1e-12 * self.T
-        upper = cell + 1
-        piece = (
-            chan,
-            self.times[cell],
-            self.times[upper],
-            self.values[chan, cell],
-            self.values[chan, upper],
-            self.slopes[chan, cell],
-            self.slopes[chan, upper],
-            self.curvature[chan, upper],
-        )
-        found = []
-        while piece[0].size:
-            chan, lo, hi, vlo, vhi, dlo, dhi, bound = piece
-            mid = 0.5 * (lo + hi)
-            vmid, dmid, bmid = self._at(chan, mid, 3)
-            left = chan, lo, mid, vlo, vmid, dlo, dmid, bmid
-            right = chan, mid, hi, vmid, vhi, dmid, dhi, bound
-            piece = tuple(np.concatenate(pair) for pair in zip(left, right))
-            chan, lo, hi, vlo, vhi, _, _, bound = piece
+        piece = self._cells[:, chan, cell]
+        found, found_chan = [], []
+        while chan.size:
+            mid = 0.5 * (piece[0] + piece[1])
+            piece = np.concatenate(_split(piece, mid, *self._at(chan, mid, 3)), axis=1)
+            chan = np.concatenate((chan, chan))
+            lo, hi, vlo, vhi, _, _, bound = piece
             width = hi - lo
             curve = bound * width * width
             flip = (vlo > beta) != (vhi > beta)
@@ -292,54 +276,93 @@ class _SignalGrid:
             short = width <= tol
             clear = (np.minimum(vlo, vhi) - 0.125 * curve > beta) | (np.maximum(vlo, vhi) + 0.125 * curve <= beta)
             one = flip & (monotone | short)
-            found.append(tuple(a[one] for a in piece))
-            piece = tuple(a[~(one | monotone | clear | short)] for a in piece)
-        chan, *ends = (np.concatenate(parts) for parts in zip(*found))
-        return chan, _pieces(*ends)
+            found.append(piece[:, one])
+            found_chan.append(chan[one])
+            rest = ~(one | monotone | clear | short)
+            piece, chan = piece[:, rest], chan[rest]
+        return np.concatenate(found_chan), np.concatenate(found, axis=1)
 
     def _crossings(self, chan, pieces, beta) -> tuple[np.ndarray, np.ndarray]:
         """The crossing g_chan = beta inside each one-crossing piece, with 1 / |g'| there.
 
-        ``pieces`` come from ``_pieces``, one per crossing. Each crossing starts
-        from one Newton step on its piece's cubic, taken from the secant
-        through the end values, or from the secant where that step leaves
-        the piece. One product gives g and g' there, and the Newton step
-        delta = -(g(t) - beta) / g'(t) is accepted without a second
-        evaluation when 4 M |delta| <= |g'(t)|, eps = M delta^2 / |g'(t)| <=
-        1e-12 * T and t1 = t + delta lies in the piece at least eps from its
-        ends, M being the piece's curvature bound. Then a root lies within
-        eps of t1: by Taylor |g(t1) - beta| <= M delta^2 / 2, and within 2
-        |delta| of t |g' - g'(t)| <= 2 M |delta| <= |g'(t)| / 2, so g is
-        monotone there with |g'| >= |g'(t)| / 2 and reaches beta within (M
-        delta^2 / 2) / (|g'(t)| / 2) = eps of t1 (eps <= |delta| / 4). So,
-        up to the rounding of g, t1 is the piece's crossing to the 1e-12 * T
-        that ``_refine`` works to. Every crossing that fails the test goes
-        on in ``_refine``, which is the only refinement loop; g' is then
-        read where the refinement stopped. A crossing within 1e-12 * T of 0
-        or T is returned as that end.
+        ``pieces`` come from ``_split``'s layout, one per crossing. Each
+        round evaluates g and g' at one point t of every unsettled piece:
+        in the first round one Newton step on the piece's cubic (the cubic
+        that matches g and g' at both ends), taken from the secant through
+        the end values, or the secant where that step leaves the piece; in
+        later rounds the same start on the current piece, moved to 1/8 or
+        7/8 of its width where it lies in an outer eighth. A failed first
+        step leaves the crossing next to an end of the kept half, so this
+        closes in on it eight times faster than a midpoint would. Then each
+        piece is settled or split:
+
+        - the Newton step delta = -(g(t) - beta) / g'(t) is accepted when 4
+          M |delta| <= |g'(t)|, eps = M delta^2 / |g'(t)| <= 1e-12 * T and
+          t1 = t + delta lies in the piece at least eps from its ends, M
+          being the piece's curvature bound. Then a root lies within eps of
+          t1: by Taylor |g(t1) - beta| <= M delta^2 / 2, and within 2
+          |delta| of t |g' - g'(t)| <= 2 M |delta| <= |g'(t)| / 2, so g is
+          monotone there with |g'| >= |g'(t)| / 2 and reaches beta within
+          (M delta^2 / 2) / (|g'(t)| / 2) = eps of t1 (eps <= |delta| / 4).
+          As the piece holds one crossing, that root is its crossing.
+        - otherwise the piece is split at t (``_split``, with M_k at t, on
+          the modes already evaluated there) and keeps the half whose ends
+          lie on different sides of beta; it still holds the one crossing.
+          Where that half is no longer than 1e-12 * T, the crossing is
+          settled at t, one of its ends.
+
+        A piece's 1 / |g'| is read at its last evaluated point.
+
+        The loop ends without a cap. From the second round on, t lies in
+        the middle three quarters of the piece, so a round that does not
+        settle it leaves at most 7/8 of its width (to the rounding of t). A
+        piece of width h is thus settled within 1 + ceil(log(h / (1e-12 *
+        T)) / log(8/7)) rounds: 167 for a cell of 256, 208 for the whole of
+        [0, T]. Each point is evaluated once: the point of a later round
+        lies inside the kept half, whose ends are earlier points or the
+        piece's own. A crossing within 1e-12 * T of 0 or T is returned as
+        that end.
         """
         tol = 1e-12 * self.T
-        lo, hi, vlo, vhi, bound, c1, c2, c3 = pieces
-        s = (vlo - beta) / (vlo - vhi)
+        found, size = np.empty(chan.size), np.empty(chan.size)
+        todo = np.arange(chan.size)
+        first = True
         with np.errstate(divide="ignore", invalid="ignore"):
-            cubic = s - (vlo - beta + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
-            t = lo + (hi - lo) * np.where((0.0 <= cubic) & (cubic <= 1.0), cubic, s)
-            e = self._modes(t)
-            value, slopes = self._at(chan, t, 2, e)
-            step = (beta - value) / slopes
-            size = np.abs(slopes)
-            eps = bound * step * step / size
-            t1 = t + step
-            good = (4.0 * bound * np.abs(step) <= size) & (eps <= tol) & (lo + eps <= t1) & (t1 <= hi - eps)
-            if not good.all():
-                bad = np.flatnonzero(~good)
-                t1[bad], slopes[bad] = self._refine(lo[bad], hi[bad], vlo[bad] > beta, chan[bad], beta, t[bad], e[bad])
-                size = np.abs(slopes)
+            while todo.size:
+                lo, hi, vlo, vhi, dlo, dhi, bound = pieces
+                width, rise = hi - lo, vhi - vlo
+                c1 = width * dlo
+                c3 = c1 + width * dhi - 2.0 * rise
+                c2 = rise - c1 - c3
+                s = (vlo - beta) / (vlo - vhi)
+                cubic = s - (vlo - beta + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
+                s = np.where((0.0 <= cubic) & (cubic <= 1.0), cubic, s)
+                if not first:
+                    s = np.clip(s, 0.125, 0.875)
+                first = False
+                t = lo + width * s
+                e = self._modes(t)
+                value, slope = self._at(chan, t, 2, e)
+                step = (beta - value) / slope
+                size[todo] = mag = np.abs(slope)
+                eps = bound * step * step / mag
+                t1 = t + step
+                good = (4.0 * bound * np.abs(step) <= mag) & (eps <= tol) & (lo + eps <= t1) & (t1 <= hi - eps)
+                found[todo] = t1
+                if good.all():
+                    break
+                split = ~good
+                chan, t, e, todo = chan[split], t[split], e[split], todo[split]
+                found[todo] = t
+                halves = _split(pieces[:, split], t, value[split], slope[split], self._at(chan, t, 3, e)[2])
+                pieces = np.where((halves[0][2] > beta) != (halves[0][3] > beta), *halves)
+                rest = pieces[1] - pieces[0] > tol
+                todo, chan, pieces = todo[rest], chan[rest], pieces[:, rest]
             # A crossing within the 1e-12 T it is found to of 0 or T is that
             # end, so rounding there never makes a switch.
-            t1[t1 <= tol] = 0.0
-            t1[t1 >= self.T - tol] = self.T
-            return t1, 1.0 / size
+            found[found <= tol] = 0.0
+            found[found >= self.T - tol] = self.T
+            return found, 1.0 / size
 
     def _at(self, chan, t, terms, modes=None) -> np.ndarray:
         """g (and g', and M_k, as ``terms`` is 1, 2 or 3) of channel chan[i] at time t[i], one row per function.
@@ -354,52 +377,6 @@ class _SignalGrid:
         """exp(rate_g (t - T)) for each time in t (rows) and each group rate (columns)."""
         e = np.multiply.outer(t - self.T, self.rates)
         return np.exp(e, out=e)
-
-    def _refine(self, lo, hi, above_lo, chan, beta, t, modes) -> tuple[np.ndarray, np.ndarray]:
-        """Crossings g_chan = beta inside the one-crossing pieces [lo, hi], all refined together, with g' there.
-
-        Safeguarded Newton on the closed form g' = sum_g d_g rate_g
-        exp(rate_g (t - T)), started from the points t inside the pieces,
-        whose ``modes`` rows the caller has computed already; ``above_lo``
-        is the sign of g - beta at each lower end. A step that leaves the
-        bracket, or that did not halve
-        |g - beta|, is replaced by bisection. Each crossing stops once its
-        step or its bracket is within 1e-12 * T, or once |g - beta| is within
-        a few ulp of the sum of the magnitudes it is made of, sum_g |d_g
-        exp(rate_g (t - T))| + |beta|: such a t is a root to rounding, and
-        stepping on would only bisect away from it.
-        """
-        tol = 1e-12 * self.T
-        ulps = _ROOT_ULPS * np.finfo(np.float64).eps
-        slopes = np.zeros_like(t)
-        last = np.full_like(t, np.inf)
-        active = np.arange(t.size)
-        e = modes
-        for _ in range(CROSSING_MAX_ITERS):
-            if active.size == 0:
-                break
-            ta = t[active]
-            if e is None:
-                e = self._modes(ta)
-            coeffs = self.coeffs[:, chan[active]]
-            f = np.einsum("cg,gc->c", e, coeffs) - beta
-            fp = np.einsum("cg,gc->c", e, self.dcoeffs[:, chan[active]])
-            root = np.abs(f) <= ulps * (np.einsum("cg,gc->c", e, np.abs(coeffs)) + abs(beta))
-            e = None
-            slopes[active] = fp
-            keep_lo = (f > 0.0) == above_lo[active]
-            a = np.where(keep_lo, ta, lo[active])
-            b = np.where(keep_lo, hi[active], ta)
-            lo[active], hi[active] = a, b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = ta - f / fp
-            newton = (a < step) & (step < b) & (np.abs(f) <= 0.5 * last[active])
-            nxt = np.where(root, ta, np.where(newton, step, 0.5 * (a + b)))
-            done = root | (np.abs(nxt - ta) <= tol) | (b - a <= tol)
-            last[active] = np.abs(f)
-            t[active] = nxt
-            active = active[~done]
-        return t, slopes
 
     def interpolated_level(self, costs: np.ndarray, r: float) -> float:
         """The level where the spend of the chords through the samples meets r; 0.0 if it stays below r.

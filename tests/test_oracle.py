@@ -148,15 +148,16 @@ class TestCandidateTables:
         prob = _sigmoid_problem(np.random.default_rng(47), P3, 2)
         spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, include_interior_levels=True)
         calls = []
-        monkeypatch.setattr(oracle, "_score_sigmoid", lambda *args: calls.append(args) or np.zeros(args[4][0].size))
+        enumerate_sigmoid = oracle._enumerate_sigmoid
+        monkeypatch.setattr(oracle, "_enumerate_sigmoid", lambda *args: calls.append(args) or enumerate_sigmoid(*args))
         enumerate_best(prob, spec)
-        ((_, _, masks, per_channel, _),) = calls
+        ((_, tables, costs, _, _),) = calls
         levels = np.array((1.0,) + spec.interior_levels)
         delta = prob.T / spec.switch_grid
-        for mk, pc, ch in zip(masks, per_channel, prob.channels):
+        for t, cost, ch in zip(tables, costs, prob.channels):
             rates = np.array([ch.cost(lvl * ch.u_max) for lvl in levels])
-            want = np.tile(rates * delta, mk.shape[0]) * np.repeat(mk.sum(axis=1), levels.size)
-            assert np.array_equal(pc.costs, want)
+            want = np.tile(rates * delta, t.masks.shape[0]) * np.repeat(t.masks.sum(axis=1), levels.size)
+            assert np.array_equal(cost, want)
 
 
 class TestEnumerateBest:
@@ -251,22 +252,21 @@ class TestSpecValidation:
         assert grid_slack(prob, np.int64(4)) == grid_slack(prob, 4)
 
 
-def _loop_enumerate_sigmoid(prep, masks, per_channel, edges, budget):
+def _loop_enumerate_sigmoid(prep, tables, costs, edges, budget):
     """One 256-step simulate per feasible candidate, in product order: the unbatched reference."""
     problem = prep.problem
     m = problem.m
-    sizes = [pc[0].size for pc in per_channel]
     best_val, best_idx, best_extreme, best_interior = -np.inf, None, -np.inf, -np.inf
     feasible = 0
-    for idx in product(*(range(s) for s in sizes)):
-        if sum(per_channel[k][1][idx[k]] for k in range(m)) > budget:
+    for idx in product(*(range(c.size) for c in costs)):
+        if sum(costs[k][idx[k]] for k in range(m)) > budget:
             continue
         feasible += 1
-        schedule = oracle._schedule_from_indices(problem, masks, per_channel, edges, idx)
+        schedule = oracle._schedule_from_indices(problem, tables, edges, idx)
         val = objective_value(problem.objective, simulate(problem, schedule, steps=256).terminal_state)
         if val > best_val:
             best_val, best_idx = val, idx
-        if any(per_channel[k][2][idx[k]] for k in range(m)):
+        if any(tables[k].interior[idx[k]] for k in range(m)):
             best_interior = max(best_interior, val)
         else:
             best_extreme = max(best_extreme, val)
@@ -384,15 +384,15 @@ def _scored_candidates(prob, spec, monkeypatch):
     calls = []
     score = oracle._score_sigmoid
 
-    def spy(prep, edges, masks, per_channel, feasible):
-        values = score(prep, edges, masks, per_channel, feasible)
-        calls.append((edges, masks, per_channel, feasible, values))
+    def spy(prep, edges, tables, feasible):
+        values = score(prep, edges, tables, feasible)
+        calls.append((edges, tables, feasible, values))
         return values
 
     monkeypatch.setattr(oracle, "_score_sigmoid", spy)
     result = enumerate_best(prob, spec)
-    ((edges, masks, per_channel, feasible, values),) = calls
-    schedules = [oracle._schedule_from_indices(prob, masks, per_channel, edges, idx) for idx in zip(*feasible)]
+    ((edges, tables, feasible, values),) = calls
+    schedules = [oracle._schedule_from_indices(prob, tables, edges, idx) for idx in zip(*feasible)]
     return result, schedules, values
 
 

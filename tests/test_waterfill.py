@@ -399,100 +399,96 @@ class TestEngineAgainstScalarSignals:
                 assert beta == 0.0 and spend <= r
 
 
-def _bisecting_refine(self, lo, hi, vlo, vhi, chan, beta):
-    """Crossing refinement without the exact-root stop, to 1e-12 T: the reference for the stop."""
-    tol = 1e-12 * self.T
-    above_lo = vlo > beta
-    t = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
-    slopes = np.zeros_like(t)
-    last = np.full_like(t, np.inf)
-    active = np.arange(t.size)
-    for _ in range(waterfill.CROSSING_MAX_ITERS):
-        if active.size == 0:
-            break
-        ta = t[active]
-        e = np.exp(np.multiply.outer(ta - self.T, self.rates))
-        f = np.einsum("cg,gc->c", e, self.coeffs[:, chan[active]]) - beta
-        fp = np.einsum("cg,gc->c", e, self.dcoeffs[:, chan[active]])
-        slopes[active] = fp
-        keep_lo = (f > 0.0) == above_lo[active]
-        a = np.where(keep_lo, ta, lo[active])
-        b = np.where(keep_lo, hi[active], ta)
-        lo[active], hi[active] = a, b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = ta - f / fp
-        newton = (a < step) & (step < b) & (np.abs(f) <= 0.5 * last[active])
-        nxt = np.where(newton, step, 0.5 * (a + b))
-        done = (np.abs(nxt - ta) <= tol) | (b - a <= tol)
-        last[active] = np.abs(f)
-        t[active] = nxt
-        active = active[~done]
-    return t, slopes
+def _piece_rounds(run):
+    """Run ``run()``; for every ``_crossings`` call it makes, the pieces active in each round and each piece's proven bound.
+
+    A round evaluates the modes once, at its unsettled pieces. A piece of
+    width h takes at most 1 + ceil(log(h / 1e-12 T) / log(8/7)) rounds.
+    """
+    calls = []
+    crossings, modes = waterfill._SignalGrid._crossings, waterfill._SignalGrid._modes
+
+    def counting(grid, chan, pieces, beta):
+        active = []
+
+        def counting_modes(self, t):
+            active.append(t.size)
+            return modes(self, t)
+
+        with mock.patch.object(waterfill._SignalGrid, "_modes", counting_modes):
+            out = crossings(grid, chan, pieces, beta)
+        ratio = np.log((pieces[1] - pieces[0]) / (1e-12 * grid.T)) / np.log(8.0 / 7.0)
+        calls.append((active, 1 + np.maximum(np.ceil(ratio), 0.0)))
+        return out
+
+    with mock.patch.object(waterfill._SignalGrid, "_crossings", counting):
+        run()
+    return calls
 
 
-def _refine_from_secant(grid, lo, hi, vlo, vhi, chan, beta):
-    """``_refine`` started as ``_crossings`` starts it: from the secant through the grid values."""
-    t0 = lo + (hi - lo) * (vlo - beta) / (vlo - vhi)
-    return grid._refine(lo, hi, vlo > beta, chan, beta, t0, grid._modes(t0))
+def _recorded_modes(monkeypatch):
+    """The times of every later ``_SignalGrid._modes`` call, one list per call."""
+    calls = []
+    modes = waterfill._SignalGrid._modes
+
+    def recording(self, t):
+        calls.append(t.tolist())
+        return modes(self, t)
+
+    monkeypatch.setattr(waterfill._SignalGrid, "_modes", recording)
+    return calls
 
 
 class TestExactRootCrossing:
-    def test_secant_start_on_a_root_stops_in_one_pass(self, monkeypatch):
-        # g(t) = 1 - 0.5 exp(t - T) falls through beta = g(0.375), and the
-        # secant through (0.25, beta + 1) and (0.5, beta - 1) starts on 0.375.
+    def test_start_on_a_root_is_certified_after_one_evaluation(self, monkeypatch):
+        # g(t) = 1 - 0.5 exp(t - T) falls through beta = g(0.375). On the
+        # piece [0.25, 0.5] with end values beta + 1, beta - 1 and the
+        # chord's slope at both ends the cubic is the chord, so the start
+        # is 0.375, where the Newton step is 0 and certified.
         grid = waterfill._SignalGrid(np.array([0.0, 1.0]), np.array([[1.0, -0.5]]), 1.0)
-        e = np.exp(np.multiply.outer(np.array([0.375]) - grid.T, grid.rates))
-        beta = float(np.einsum("cg,gc->c", e, grid.coeffs[:, [0]])[0])
-        slope = float(np.einsum("cg,gc->c", e, grid.dcoeffs[:, [0]])[0])
+        chan, root = np.array([0]), np.array([0.375])
+        beta, slope = grid._at(chan, root, 2)[:, 0]
+        piece = np.array([[0.25], [0.5], [beta + 1.0], [beta - 1.0], [-8.0], [-8.0], [1.0]])
+        evaluated = _recorded_modes(monkeypatch)
+        t, inverse_slopes = grid._crossings(chan, piece, beta)
+        assert evaluated == [[0.375]]
+        assert t[0] == 0.375 and inverse_slopes[0] == 1.0 / abs(slope)
 
-        def cell():  # fresh arrays: the refinement narrows the brackets in place
-            return np.array([0.25]), np.array([0.5]), np.array([beta + 1.0]), np.array([beta - 1.0])
-
-        chan = np.array([0])
-        assert _refine_from_secant(grid, *cell(), chan, beta)[0][0] == 0.375
-        monkeypatch.setattr(waterfill, "CROSSING_MAX_ITERS", 1)
-        t, slopes = _refine_from_secant(grid, *cell(), chan, beta)
-        assert t[0] == 0.375 and slopes[0] == slope
-        # Without the stop the first pass rejects the Newton step and bisects away.
-        assert _bisecting_refine(grid, *cell(), chan, beta)[0][0] == 0.3125
-
-    def test_refinement_evaluates_no_point_twice(self, monkeypatch):
-        # g(t) = 1 - 0.5 exp(t - T) crosses beta = 0.7 at 1 + log(0.6). On a
-        # one-cell grid the cubic start is too far off for the one-step test,
-        # so the crossing goes on to _refine, which starts from the modes that
-        # _crossings evaluated at the start.
+    @pytest.mark.parametrize("beta, loose", [(0.55, False), (0.8, True)])
+    def test_failed_rounds_shrink_their_piece_and_evaluate_no_point_twice(self, monkeypatch, beta, loose):
+        # g(t) = 1 - 0.5 exp(t - 1) crosses beta at 1 + log(2 (1 - beta)).
+        # On a one-cell grid the first start is too far off for the one-step
+        # test, and several rounds split the piece before one is certified.
+        # A curvature bound 1e30 times too large is still a bound, but it
+        # certifies only a step of 0: then each round splits, and the
+        # crossing is settled where the kept half is within 1e-12 T, within
+        # the proven 1 + ceil(log(1e12) / log(8/7)) = 208 rounds.
         monkeypatch.setattr(waterfill, "_CELLS", 1)
         grid = waterfill._SignalGrid(np.array([0.0, 1.0]), np.array([[1.0, -0.5]]), 1.0)
-        beta = 0.7
-        above = grid.values[0] > beta
-        cell = np.flatnonzero(above[1:] != above[:-1])
-        chan = np.zeros(cell.size, dtype=int)
-        pieces = grid._cells[:, chan, cell]
-        evaluated, starts = [], []
-        modes, refine = waterfill._SignalGrid._modes, waterfill._SignalGrid._refine
+        if loose:
+            grid._terms[:, 2] *= 1e30
+            grid._cells[6] *= 1e30
+        chan, cell = np.array([0]), np.array([0])
+        assert grid.values[0, 0] > beta >= grid.values[0, 1]
+        widths = []
+        split = waterfill._split
 
-        def counting_modes(self, t):
-            evaluated.extend(t.tolist())
-            return modes(self, t)
+        def recording_split(pieces, t, *rest):
+            widths.append(float(pieces[1, 0] - pieces[0, 0]))
+            return split(pieces, t, *rest)
 
-        def spying_refine(self, *args):
-            starts.extend(args[5].tolist())  # the starts, before refinement moves them
-            return refine(self, *args)
-
-        monkeypatch.setattr(waterfill._SignalGrid, "_modes", counting_modes)
-        monkeypatch.setattr(waterfill._SignalGrid, "_refine", spying_refine)
-        t, _ = grid._crossings(chan, pieces, beta)
-        assert cell.size == 1 and len(starts) == 1
-        assert abs(t[0] - (1.0 + np.log(0.6))) <= 1e-12
-        # _crossings evaluates the start only, as the grid gives the curvature
-        # bound; every later evaluation is a new Newton or bisection point.
-        assert evaluated[0] == starts[0]
-        assert len(evaluated) > 1 and len(set(evaluated)) == len(evaluated)
-        # With one refinement pass, that pass evaluates nothing.
-        evaluated.clear()
-        monkeypatch.setattr(waterfill, "CROSSING_MAX_ITERS", 1)
-        grid._crossings(chan, pieces, beta)
-        assert len(evaluated) == 1
+        rounds = _recorded_modes(monkeypatch)
+        monkeypatch.setattr(waterfill, "_split", recording_split)
+        t, _ = grid._crossings(chan, grid._cells[:, chan, cell], beta)
+        evaluated = [point for points in rounds for point in points]
+        assert abs(t[0] - (1.0 + np.log(2.0 * (1.0 - beta)))) <= 1e-12
+        # One evaluation per round, and a split in every round but a
+        # certified last one.
+        assert len(widths) <= len(evaluated) - (not loose) <= len(widths)
+        assert 4 <= len(evaluated) <= 208
+        assert len(set(evaluated)) == len(evaluated)
+        # From the second round on, each split leaves at most 7/8 of the piece.
+        assert all(after <= 0.875 * before for before, after in zip(widths[1:], widths[2:]))
 
     def test_crossings_match_the_bisecting_reference(self):
         rng = np.random.default_rng(2024)
@@ -508,33 +504,52 @@ class TestExactRootCrossing:
                 assert len(ends) == len(ref)
                 assert np.all(np.abs(np.array(ends) - ref) <= 1e-12 * prob.T)
 
-    def test_accepted_newton_steps_bracket_a_root(self, monkeypatch):
-        # A step the curvature test accepts lies within 1e-12 T of a root:
-        # g - beta changes sign (or vanishes) across that distance. The
-        # refinement is replaced by NaN, so only accepted steps are checked.
-        monkeypatch.setattr(
-            waterfill._SignalGrid, "_refine", lambda self, lo, *args: (np.full(lo.size, np.nan),) * 2
-        )
+    @pytest.mark.parametrize("cells", [waterfill._CELLS, 2, 1])
+    def test_every_crossing_brackets_a_root(self, monkeypatch, cells):
+        # Each crossing a probe returns, an accepted Newton step or a split
+        # point whose kept half is within 1e-12 T, lies within 1e-12 T of a
+        # root: g - beta changes sign (or vanishes) across that distance.
+        monkeypatch.setattr(waterfill, "_CELLS", cells)
         rng = np.random.default_rng(7)
-        accepted = 0
+        crossings = 0
         for _ in range(30):
             prob = _random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4)))
             grid, live, _ = _live_grid(prob)
             if not live:
                 continue
+            tol = 1e-12 * prob.T
             for beta in (0.0, float(np.median(grid.values)), float(np.percentile(grid.values, 90))):
-                above = grid.values > beta
-                chan, cell = np.nonzero(above[:, 1:] != above[:, :-1])
-                t, _ = grid._crossings(chan, grid._cells[:, chan, cell], beta)
-                ok = ~np.isnan(t)
-                chan, cell, t = chan[ok], cell[ok], t[ok]
-                assert np.all((grid.times[cell] <= t) & (t <= grid.times[cell + 1]))
-                tol = 1e-12 * prob.T
-                left = _signal(grid, chan, t - tol) - beta
-                right = _signal(grid, chan, t + tol) - beta
-                assert np.all(left * right <= 0.0)
-                accepted += t.size
-        assert accepted > 0
+                events = grid.probe(beta, np.ones(len(live)))[2]
+                for k, t in enumerate(_interior_crossings(grid, beta, events)):
+                    chan = np.full(t.size, k)
+                    left = _signal(grid, chan, t - tol) - beta
+                    right = _signal(grid, chan, t + tol) - beta
+                    assert np.all(left * right <= 0.0)
+                    crossings += t.size
+        assert crossings > 0
+
+    @pytest.mark.parametrize("cells", [2, 1])
+    def test_random_crossings_take_at_most_the_proven_rounds(self, monkeypatch, cells):
+        monkeypatch.setattr(waterfill, "_CELLS", cells)
+        rng = np.random.default_rng(11)
+
+        def run():
+            for _ in range(20):
+                _solve_or_bracket(_random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4))))
+
+        calls = _piece_rounds(run)
+        assert max(len(active) for active, _ in calls) > 1
+        # A piece still active in round k has a bound of at least k.
+        for active, bound in calls:
+            assert all(n <= np.count_nonzero(bound >= k) for k, n in enumerate(active, start=1))
+
+    @pytest.mark.parametrize("cells", [waterfill._CELLS, 2, 1])
+    @pytest.mark.parametrize("name", ["seed98", "seed131"])
+    def test_hidden_pair_crossings_take_at_most_the_proven_rounds(self, monkeypatch, name, cells):
+        monkeypatch.setattr(waterfill, "_CELLS", cells)
+        calls = _piece_rounds(lambda: solve(_pinned_problem("hidden_pairs", name)))
+        for active, bound in calls:
+            assert all(n <= np.count_nonzero(bound >= k) for k, n in enumerate(active, start=1))
 
 
 def _signal(grid, chan, t):
@@ -673,37 +688,54 @@ def _solve_or_bracket(prob):
         return None
 
 
+def _check_gain_and_invariance(prob):
+    """The solve of prob equals the solve without x0 and drift, and its gain is p @ x(T) without them.
+
+    The gain is compared with the terminal state of the problem with x0 = 0
+    and zero drift, where it is all of p @ x(T). A difference of two
+    terminal states with x0 and drift would cancel their O(1) parts and
+    leave rounding far above a small gain's 1e-9.
+    """
+    sol = _solve_or_bracket(prob)
+    still = dataclasses.replace(prob, x0=np.zeros(prob.n), drift=Drift.zero(prob.n))
+    base = _solve_or_bracket(still)
+    assert (sol is None) == (base is None)
+    if sol is None:
+        return
+    assert (sol.schedule, sol.beta_star, sol.certificate) == (base.schedule, base.beta_star, base.certificate)
+    # The closed-form gain sums h over the on-intervals in the group
+    # coefficients; terminal_state integrates the eigenmodes of x.
+    gain = float(prob.objective.p @ terminal_state(still, sol.schedule))
+    assert sol.objective_gain == pytest.approx(gain, rel=1e-9, abs=0.0)
+
+
 class TestEndToEndInvariants:
     @settings(max_examples=40, deadline=None)
     @given(problems_with_state_and_drift())
     def test_gain_is_the_terminal_state_gain_and_x0_and_drift_change_nothing(self, prob):
-        sol = _solve_or_bracket(prob)
-        base = _solve_or_bracket(dataclasses.replace(prob, x0=np.zeros(prob.n), drift=Drift.zero(prob.n)))
-        assert (sol is None) == (base is None)
-        if sol is None:
-            return
-        assert (sol.schedule, sol.beta_star, sol.certificate) == (base.schedule, base.beta_star, base.certificate)
-        # The closed-form gain sums h over the on-intervals in the group
-        # coefficients; terminal_state integrates the eigenmodes of x.
-        prep = prepare(prob)
-        off = waterfill.BangBangSchedule(
-            channels=tuple(waterfill.ChannelSchedule(u_max=ch.u_max, intervals=()) for ch in prob.channels)
-        )
-        gain = float(prob.objective.p @ (terminal_state(prep, sol.schedule) - terminal_state(prep, off)))
-        assert sol.objective_gain == pytest.approx(gain, rel=1e-9, abs=0.0)
+        _check_gain_and_invariance(prob)
+
+    def test_small_gain_next_to_a_large_terminal_state(self):
+        # The draw of hypothesis seed 132: a 3.75e-8 gain, while x0 and the
+        # drift move x(T) by O(1).
+        _check_gain_and_invariance(_pinned_problem("small_gain", "seed132"))
+
+
+# g - beta is computed to within this many ulp of the magnitudes it is made of.
+_ROOT_ULPS = 4
 
 
 def _root_spread(grid, k, t, beta):
     """How far apart two roots of g_k = beta at t can lie when each is a root to rounding.
 
-    Where |g - beta| is within the root stop's few ulp of the magnitudes g
-    is made of, t is a root to rounding; so two such roots can differ by
+    Where |g - beta| is within ``_ROOT_ULPS`` ulp of the magnitudes g is
+    made of, t is a root to rounding; so two such roots can differ by
     twice that rounding over |g'|. It is far below 1e-12 T unless g is
     nearly flat at the level.
     """
     e = np.exp(np.multiply.outer(t - grid.T, grid.rates))
     magnitude = e @ np.abs(grid.coeffs[:, k]) + abs(beta)
-    rounding = waterfill._ROOT_ULPS * np.finfo(np.float64).eps * magnitude
+    rounding = _ROOT_ULPS * np.finfo(np.float64).eps * magnitude
     with np.errstate(divide="ignore"):
         return 2.0 * rounding / np.abs(e @ grid.dcoeffs[:, k])
 
@@ -779,8 +811,8 @@ class TestProbe:
         assert all(len(trace) <= 4 and trace[-1][0] > 0.0 for trace in traces)
 
 
-def _pinned_problem(name):
-    """A problem of ``hidden_pairs.json``, which stores every float as ``float.hex``."""
+def _pinned_problem(stem, name):
+    """Problem ``name`` of ``tests/<stem>.json``, which stores every float as ``float.hex``."""
 
     def unhex(x):
         if isinstance(x, dict):
@@ -789,7 +821,7 @@ def _pinned_problem(name):
             return [unhex(v) for v in x]
         return float.fromhex(x) if isinstance(x, str) and "0x" in x else x
 
-    pinned = json.loads((Path(__file__).parent / "hidden_pairs.json").read_text())
+    pinned = json.loads((Path(__file__).parent / f"{stem}.json").read_text())
     return problem_from_dict(unhex(pinned[name]))
 
 
@@ -805,7 +837,7 @@ class TestHiddenPairs:
     @pytest.mark.parametrize("cells", [waterfill._CELLS, 1, 2])
     @pytest.mark.parametrize("name, dip", [("seed98", 0.27955), ("seed131", 0.82411)])
     def test_both_crossings_are_found(self, name, dip, cells):
-        prob = _pinned_problem(name)
+        prob = _pinned_problem("hidden_pairs", name)
         with mock.patch.object(waterfill, "_CELLS", cells):
             sol = _check_probes_and_budget(prob)
         assert sol is not None and sol.binding
