@@ -5,7 +5,6 @@ objectives, certifies switch-count bounds, and cross-checks everything
 against simulation and brute-force enumeration oracles.
 """
 
-from .bounds import bound_general, bound_linear
 from .bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from .costate import integrate_h, terminal_costate
 from .dynamics import Trajectory, closed_form_gain, objective_value, simulate, terminal_state

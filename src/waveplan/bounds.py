@@ -1,8 +1,12 @@
 """Switch-count upper bounds for each channel's exponential-polynomial signal.
 
-Two bounds per channel: the spectral-support bound (one less than the number
-of eigenvalue groups the channel projects onto) and the sign-variation bound
-on threshold-shifted partial coefficient sums. The shift matters: the
+Two bounds per channel, both read from the one projection of the gains:
+the spectral-support bound (``support_bound``, one less than the number of
+eigenvalue groups the channel projects onto, from ``graph.group_support``)
+and the sign-variation bounds (``linear_bounds``) on threshold-shifted
+partial sums of the channel's row of ``costate.projected_coefficients``.
+Every caller, the certificate, ``waveplan bounds``, the oracle's caps and
+the sweep, goes through these two functions. The shift matters: the
 comparison signal crosses beta * v_i, not zero, so the constant term of the
 exponential polynomial carries the threshold. The at-threshold and the
 sup-over-thresholds variants read one partial-sum sequence, so one pass
@@ -17,19 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .costate import group_coefficients
 from .errors import ContractError
-from .graph import SpectralDecomposition, group_support, project
 
 
 def support_bound(groups) -> int:
     """Spectral-support switch bound, max(0, groups - 1), of a channel projecting onto ``groups`` eigenvalue groups."""
     return max(0, int(groups) - 1)
-
-
-def bound_general(sd: SpectralDecomposition, b: np.ndarray) -> int:
-    """``support_bound`` over the groups that b projects onto."""
-    return support_bound(np.count_nonzero(group_support(sd, project(sd, np.asarray(b)[None, :]))))
 
 
 # Entries of one block of partial sums minus levels in _sign_variations;
@@ -96,27 +93,19 @@ def _variation_bounds(partial: np.ndarray, shift: float, tol: float) -> tuple[in
     return int(counts[0]), int(counts[1:].max())
 
 
-def _linear_bounds(coeffs: np.ndarray, shift: float) -> tuple[int, int]:
-    """``bound_linear`` from one row of ``group_coefficients``, zeros included, in rate order."""
+def linear_bounds(coeffs: np.ndarray, shift: float) -> tuple[int, int]:
+    """Sign-variation switch bounds ``(at_shift, sup)`` of one channel's row of group coefficients.
+
+    ``coeffs`` is one row of ``costate.projected_coefficients``, zeros
+    included, in order of increasing rate, so the bounds count exactly the
+    modes that are nonzero in the channel's row. The sequence is the
+    running sum of the row with a threshold level subtracted (it enters the
+    constant term, hence every partial sum). One pass returns both bounds:
+    the variation count at the level ``shift >= 0``, and its maximum over
+    all levels.
+    """
     s = float(shift)
     if s < 0.0:
         raise ContractError(f"threshold shift must be nonnegative, got {s}")
     stol = 1e-12 * max(1.0, float(np.abs(coeffs).sum()))
     return _variation_bounds(coeffs.cumsum(), s, stol)
-
-
-def bound_linear(
-    sd: SpectralDecomposition, p: np.ndarray, b: np.ndarray, shift: float
-) -> tuple[int, int]:
-    """Sign-variation switch bounds ``(at_shift, sup)`` for the linear objective with costate p.
-
-    The sequence is the running sum of the group coefficients ordered by
-    increasing rate, with a threshold level subtracted (it enters the
-    constant term, hence every partial sum). The coefficients are those of
-    ``group_coefficients``, so the bounds count exactly the modes that are
-    nonzero in the channel's row. One pass returns both bounds:
-    the variation count at the level ``shift >= 0``, and its maximum over
-    all levels.
-    """
-    bs = np.asarray(b, dtype=np.float64)[None, :]
-    return _linear_bounds(group_coefficients(sd, np.asarray(p, dtype=np.float64), bs)[0], shift)

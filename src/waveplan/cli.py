@@ -190,7 +190,7 @@ def _cmd_bounds(args) -> int:
         coeffs = projected_coefficients(prep.sd, problem.objective.p, prep.gains)
         rows = []
         for cond, row in zip(check_conditions(prep), coeffs):
-            sup = bounds._linear_bounds(row, 0.0)[1]
+            sup = bounds.linear_bounds(row, 0.0)[1]
             rows.append((cond.channel, bounds.support_bound(cond.controllability_rank), None, sup, None))
     keys = ("channel", "bound_general", "bound_linear_at_threshold", "bound_linear_sup", "threshold_shift")
     _write_json(

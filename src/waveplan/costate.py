@@ -6,7 +6,7 @@ every nonconstant mode decays as t moves below T:
     h_i(t) = sum_g <P_g lam(T), b_i> * exp(rate_g * (t - T)),
 
 with P_g the orthogonal projector onto eigenspace g. A profile is one row
-of ``group_coefficients`` next to ``SpectralDecomposition.group_rates``: a
+of ``projected_coefficients`` next to ``SpectralDecomposition.group_rates``: a
 mode the channel does not see has coefficient 0.0 and adds nothing.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .graph import Projection, SpectralDecomposition, _norm, project
+from .graph import Projection, SpectralDecomposition, _norm
 from .problem import Objective
 
 
@@ -46,14 +46,6 @@ def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> np.ndarray
         lam.setflags(write=False)
         return lam
     raise ContractError(f"unknown objective kind {obj.kind!r}")
-
-
-def group_coefficients(sd: SpectralDecomposition, lam: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Group coefficients <P_g lam, b_k>, one row per gain vector b_k (the rows of ``bs``).
-
-    The ``projected_coefficients`` of the projection of ``bs``.
-    """
-    return projected_coefficients(sd, lam, project(sd, bs))
 
 
 def projected_coefficients(sd: SpectralDecomposition, lam: np.ndarray, gains: Projection) -> np.ndarray:

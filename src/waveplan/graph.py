@@ -18,6 +18,10 @@ from .errors import NumericalError, ValidationError
 # Most agents a graph may have: the dense n x n float64 Laplacian is then 2 GiB.
 MAX_AGENTS = 16384
 
+# Disconnected geometric draws that random_geometric_graph resamples, with the
+# seed incremented, before it gives up.
+GEOMETRIC_RETRIES = 64
+
 
 def _check_agent_count(n: int) -> None:
     if n > MAX_AGENTS:
@@ -313,14 +317,12 @@ def _geometric_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.nda
     return np.divmod(key, x.size)
 
 
-def random_geometric_graph(
-    n: int, radius: float, seed: int, max_retries: int = 64
-) -> tuple[WeightedGraph, int]:
+def random_geometric_graph(n: int, radius: float, seed: int) -> tuple[WeightedGraph, int]:
     """Seeded unit-square geometric graph with unit edge weights.
 
     Nodes are placed uniformly in the unit square; an edge joins every pair
     within Euclidean distance ``radius``. Disconnected draws are resampled
-    with the seed incremented, up to ``max_retries`` extra attempts.
+    with the seed incremented, up to ``GEOMETRIC_RETRIES`` extra attempts.
 
     Returns the graph together with the seed that produced it. n and seed
     must be integers and radius a finite positive real number; a boolean is
@@ -343,7 +345,7 @@ def random_geometric_graph(
     if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_agent_count(n)
-    for attempt in range(max_retries + 1):
+    for attempt in range(GEOMETRIC_RETRIES + 1):
         s = int(seed) + attempt  # a Python int: a numpy seed near its type's limit would wrap
         rows, cols = _geometric_edges(np.random.default_rng(s).random((n, 2)), r)
         try:
@@ -351,7 +353,7 @@ def random_geometric_graph(
         except _Disconnected:
             continue
     raise ValidationError(
-        f"no connected geometric graph in {max_retries + 1} attempts "
+        f"no connected geometric graph in {GEOMETRIC_RETRIES + 1} attempts "
         f"(n={n}, radius={radius}); try a larger radius"
     )
 

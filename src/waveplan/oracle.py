@@ -175,10 +175,12 @@ def _check_switch_grid(g: int) -> None:
 
 
 def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
-    """Discretization slack bound: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
+    """Discretization slack estimate: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
 
-    Every channel's h is sampled at ``SLACK_SAMPLES`` uniform times at once,
-    from its row of group coefficients.
+    It is not a proven bound on the gap between the optimum and the best
+    grid schedule: the formula has no proof, and max_t |h_i| is itself
+    sampled, at ``SLACK_SAMPLES`` uniform times, every channel at once from
+    its row of group coefficients, so a peak between samples is missed.
     """
     prep = prepare(problem)
     problem, sd = prep.problem, prep.sd

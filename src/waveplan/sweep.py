@@ -4,6 +4,8 @@ Each instance draws a seeded geometric graph and a uniformly random positive
 objective weight vector; the channel reaches only the first agent. Per
 instance the sweep records the spectral-support bound, the sign-variation
 bound at level zero and its sup over levels, and the algebraic connectivity.
+Both bounds are read as the certificate reads them, from the gain vector's
+one projection.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_general, bound_linear
+from .bounds import linear_bounds, support_bound
+from .costate import projected_coefficients
 from .errors import ValidationError
-from .graph import build_laplacian, random_geometric_graph, spectral_decompose
+from .graph import build_laplacian, group_support, project, random_geometric_graph, spectral_decompose
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,13 @@ def sweep_instance(n: int, instance: int, base_seed: int, radius: float | None =
     p = rng.random(n)
     b = np.zeros(n)
     b[0] = 1.0
-    zero, sup = bound_linear(sd, p, b, 0.0)
+    gains = project(sd, b[None, :])
+    zero, sup = linear_bounds(projected_coefficients(sd, p, gains)[0], 0.0)
     return SweepRow(
         n=n,
         instance=instance,
         seed=used_seed,
-        bound_general=bound_general(sd, b),
+        bound_general=support_bound(np.count_nonzero(group_support(sd, gains))),
         bound_linear_zero=zero,
         bound_linear_sup=sup,
         eigenvalue_gap=float(sd.eigenvalues[1]),

@@ -514,7 +514,7 @@ def _certified(prep: Prepared, coeffs, beta_star, schedule, spend, trace) -> Wat
     coefficients, its conditions row and its realized switches: the
     support bound (``bounds.support_bound``) is read from the conditions'
     rank, and the row gives both variation bounds at the channel's
-    threshold shift (``bounds._linear_bounds``), so no coefficient is
+    threshold shift (``bounds.linear_bounds``), so no coefficient is
     computed twice. Raises NumericalError when a channel switches more often
     than a bound that applies to it allows.
     """
@@ -525,7 +525,7 @@ def _certified(prep: Prepared, coeffs, beta_star, schedule, spend, trace) -> Wat
     switches = schedule.switch_counts(problem.T)
     for ch, row, cond, realized in zip(problem.channels, coeffs, conditions, switches):
         shift = beta_star * ch.max_cost_rate / ch.u_max
-        shifted, sup = bounds._linear_bounds(row, shift)
+        shifted, sup = bounds.linear_bounds(row, shift)
         general = bounds.support_bound(cond.controllability_rank)
         certificate.append(
             ChannelCertificate(

@@ -14,9 +14,9 @@ import pytest
 from helpers import aligned_oracle_problem, k2_problem, random_linear_problem
 from oracles import adjoint_check, count_exp_poly_zeros, h_at
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
-from waveplan.costate import group_coefficients
+from waveplan.costate import projected_coefficients
 from waveplan.dynamics import simulate
-from waveplan.graph import build_laplacian, random_geometric_graph, spectral_decompose
+from waveplan.graph import build_laplacian, project, random_geometric_graph, spectral_decompose
 from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import CampaignProblem, Drift
 from waveplan.sigmoid import default_epsilon, late_deciders, solve_sigmoid, surrogate_costate
@@ -108,7 +108,7 @@ def test_criterion_6_seven_agent_waterline():
         assert sol.spend == pytest.approx(11.0, abs=1e-5)
 
         sd = spectral_decompose(build_laplacian(prob.graph))
-        coeffs = group_coefficients(sd, prob.objective.p, np.array([ch.b for ch in prob.channels]))
+        coeffs = projected_coefficients(sd, prob.objective.p, project(sd, [ch.b for ch in prob.channels]))
         g1, g2 = (
             partial(h_at, sd.group_rates, row * (ch.u_max / ch.max_cost_rate), prob.T)
             for ch, row in zip(prob.channels, coeffs)
@@ -143,7 +143,7 @@ def test_criterion_7_costate_cross_check():
             b = rng.uniform(-1.0, 1.0, n)
             grid = np.linspace(0.0, 1.0, 4097)
             traj = adjoint_check(lap, lam, grid)
-            row = group_coefficients(sd, lam, b[None, :])[0]
+            row = projected_coefficients(sd, lam, project(sd, b[None, :]))[0]
             assert np.max(np.abs(traj @ b - h_at(sd.group_rates, row, 1.0, grid))) <= 1e-8
 
 

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from helpers import K2, P3, random_connected_graph
 from oracles import count_exp_poly_zeros
-from waveplan.bounds import _sign_variations, _variation_bounds, bound_general, bound_linear
-from waveplan.costate import group_coefficients
+from waveplan.bounds import _sign_variations, _variation_bounds, linear_bounds, support_bound
+from waveplan.costate import projected_coefficients
 from waveplan.errors import ContractError
-from waveplan.graph import build_laplacian, spectral_decompose
+from waveplan.graph import build_laplacian, group_support, project, spectral_decompose
 
 
 @pytest.fixture(scope="module")
@@ -16,22 +16,32 @@ def k2_sd():
     return spectral_decompose(build_laplacian(K2))
 
 
+def _groups(sd, b):
+    """The number of eigenvalue groups that gain vector b projects onto."""
+    return np.count_nonzero(group_support(sd, project(sd, b[None, :])))
+
+
+def _row(sd, p, b):
+    """Gain vector b's row of group coefficients against costate p."""
+    return projected_coefficients(sd, p, project(sd, b[None, :]))[0]
+
+
 class TestBoundGeneral:
     def test_uniform_gain_gives_zero(self, k2_sd):
-        assert bound_general(k2_sd, np.array([1.0, 1.0])) == 0
+        assert support_bound(_groups(k2_sd, np.array([1.0, 1.0]))) == 0
 
     def test_single_agent_gain_gives_one(self, k2_sd):
-        assert bound_general(k2_sd, np.array([1.0, 0.0])) == 1
+        assert support_bound(_groups(k2_sd, np.array([1.0, 0.0]))) == 1
 
     def test_zero_vector_gives_zero(self, k2_sd):
-        assert bound_general(k2_sd, np.zeros(2)) == 0
+        assert support_bound(_groups(k2_sd, np.zeros(2))) == 0
 
     def test_never_exceeds_n_minus_1(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = int(rng.integers(2, 12))
             sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
-            assert bound_general(sd, rng.uniform(-1, 1, n)) <= n - 1
+            assert support_bound(_groups(sd, rng.uniform(-1, 1, n))) <= n - 1
 
 
 class TestBoundLinear:
@@ -40,18 +50,18 @@ class TestBoundLinear:
         # Any level strictly between 0 and 1/2 gives the same single variation.
         p = np.array([0.0, 1.0])
         b = np.array([1.0, 0.0])
-        assert bound_linear(k2_sd, p, b, 0.316) == (1, 1)
+        assert linear_bounds(_row(k2_sd, p, b), 0.316) == (1, 1)
 
     def test_k2_unshifted_is_zero(self, k2_sd):
         # Partial sums (1/2, 0): the trailing zero is skipped, no variation at
         # level 0; the sup is reached at the midpoint 1/4.
-        assert bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), 0.0) == (0, 1)
+        assert linear_bounds(_row(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0])), 0.0) == (0, 1)
 
     def test_uniform_p_gives_zero(self):
         rng = np.random.default_rng(4)
         g = random_connected_graph(rng, 7)
         sd = spectral_decompose(build_laplacian(g))
-        assert bound_linear(sd, np.ones(7), rng.uniform(-1, 1, 7), 0.0)[0] == 0
+        assert linear_bounds(_row(sd, np.ones(7), rng.uniform(-1, 1, 7)), 0.0)[0] == 0
 
     def test_sup_dominates_specific_shifts(self):
         rng = np.random.default_rng(8)
@@ -60,9 +70,10 @@ class TestBoundLinear:
             sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
             p = rng.uniform(0, 1, n)
             b = rng.uniform(-1, 1, n)
-            _, sup = bound_linear(sd, p, b, 0.0)
+            row = _row(sd, p, b)
+            _, sup = linear_bounds(row, 0.0)
             for s in rng.uniform(0, 2, 8):
-                at, sup_again = bound_linear(sd, p, b, float(s))
+                at, sup_again = linear_bounds(row, float(s))
                 assert at <= sup
                 assert sup_again == sup  # the sup does not depend on the shift
             assert sup <= n - 1
@@ -80,18 +91,18 @@ class TestBoundLinear:
         scale = np.linalg.norm(p) * np.linalg.norm(b)
         raw = np.add.reduceat((q.T @ p) * (q.T @ b), sd.group_starts)
         assert 1e-12 * scale < abs(raw[1]) < 1e-10 * scale
-        row = group_coefficients(sd, p, b[None, :])[0]
+        row = _row(sd, p, b)
         kept = row[row != 0.0]
         assert row.size - kept.size == 1
         stol = 1e-12 * max(1.0, float(np.sum(np.abs(kept))))
         for s in (0.0, float(raw[0] + 0.5 * raw[1]), 0.1):
-            assert bound_linear(sd, p, b, s) == _variation_bounds(np.cumsum(kept), s, stol)
-        assert bound_linear(sd, p, b, 0.0) == (1, 1)
+            assert linear_bounds(row, s) == _variation_bounds(np.cumsum(kept), s, stol)
+        assert linear_bounds(row, 0.0) == (1, 1)
         assert _variation_bounds(np.cumsum(raw), 0.0, stol)[1] == 2
 
     def test_rejects_negative_shift(self, k2_sd):
         with pytest.raises(ContractError):
-            bound_linear(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0]), -0.1)
+            linear_bounds(_row(k2_sd, np.array([0.0, 1.0]), np.array([1.0, 0.0])), -0.1)
 
 
 def _reference_variations(values, tol):
@@ -118,7 +129,7 @@ def _reference_sup(partial, tol):
 
 
 def _partial_sums(sd, p, b):
-    coeffs = group_coefficients(sd, p, b[None, :])[0]  # modes within 1e-10 of scale already 0.0
+    coeffs = _row(sd, p, b)  # modes within 1e-10 of scale already 0.0
     return np.cumsum(coeffs), 1e-12 * max(1.0, float(np.sum(np.abs(coeffs))))
 
 
@@ -135,7 +146,7 @@ class TestSupMatchesReferenceLoop:
             partial, stol = _partial_sums(sd, p, b)
             sup = _reference_sup(partial, stol)
             for s in (0.0, float(rng.uniform(0, 1)), abs(float(partial[-1]))):
-                assert bound_linear(sd, p, b, s) == (_reference_variations(partial - s, stol), sup)
+                assert linear_bounds(_row(sd, p, b), s) == (_reference_variations(partial - s, stol), sup)
 
     @pytest.mark.parametrize(
         "partial",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_calls
-from waveplan.bounds import _linear_bounds, bound_linear
+from waveplan.bounds import linear_bounds
 from waveplan.bundles import write_bundled_problems
 from waveplan.cli import main, schedule_from_dict, schedule_to_dict
 from waveplan.errors import ValidationError
@@ -165,25 +165,31 @@ class TestOtherCommands:
 
 
 class TestPreparesOnce:
-    """Every command validates its problem once, and decomposes and projects it at most once."""
+    """Every command validates its problem once, and decomposes and projects it at most once.
+
+    The sweep has no problem file: it decomposes and projects once per
+    instance, here two sizes with two instances each, and reads both
+    bounds from that one projection.
+    """
 
     @pytest.mark.parametrize(
-        "argv, spectral",
+        "argv, validated, spectral",
         [
-            (["solve", str(SEVEN)], 1),
-            (["solve", str(SEVEN), "--emit-plot-data"], 1),
-            (["oracle", str(SEVEN)], 1),
-            (["bounds", str(SEVEN)], 1),
-            (["bounds", str(SEVEN_SIGMOID)], 1),
-            (["sigmoid", str(SEVEN_SIGMOID)], 1),
-            (["simulate", str(SEVEN), "--steps", "256"], 0),
+            (["solve", str(SEVEN)], 1, 1),
+            (["solve", str(SEVEN), "--emit-plot-data"], 1, 1),
+            (["oracle", str(SEVEN)], 1, 1),
+            (["bounds", str(SEVEN)], 1, 1),
+            (["bounds", str(SEVEN_SIGMOID)], 1, 1),
+            (["sigmoid", str(SEVEN_SIGMOID)], 1, 1),
+            (["simulate", str(SEVEN), "--steps", "256"], 1, 0),
+            (["sweep", "--n", "20:40:20", "--instances", "2"], 0, 4),
         ],
-        ids=["solve", "plot-data", "oracle", "bounds", "bounds-sigmoid", "sigmoid", "simulate"],
+        ids=["solve", "plot-data", "oracle", "bounds", "bounds-sigmoid", "sigmoid", "simulate", "sweep"],
     )
-    def test_decomposes_once(self, argv, spectral, tmp_path, monkeypatch):
+    def test_decomposes_once(self, argv, validated, spectral, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, validate_problem, spectral_decompose, project)
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert calls == {"validate_problem": 1, "spectral_decompose": spectral, "project": spectral}
+        assert calls == {"validate_problem": validated, "spectral_decompose": spectral, "project": spectral}
 
 
 class TestBoundsCommandWork:
@@ -191,12 +197,12 @@ class TestBoundsCommandWork:
 
     @staticmethod
     def _count(monkeypatch):
-        return count_calls(monkeypatch, spectral_decompose, bound_linear, _linear_bounds)
+        return count_calls(monkeypatch, spectral_decompose, linear_bounds)
 
     def test_linear_problem_reuses_the_solve_certificate(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 0, "_linear_bounds": 2}
+        assert calls == {"spectral_decompose": 1, "linear_bounds": 2}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         summary_dir = tmp_path / "solve"
         assert main(["solve", str(SEVEN), "--out", str(summary_dir)]) == 0
@@ -210,7 +216,7 @@ class TestBoundsCommandWork:
     def test_sigmoid_problem_has_no_level(self, tmp_path, monkeypatch):
         calls = self._count(monkeypatch)
         assert main(["bounds", str(SEVEN_SIGMOID), "--out", str(tmp_path)]) == 0
-        assert calls == {"spectral_decompose": 1, "bound_linear": 0, "_linear_bounds": 2}
+        assert calls == {"spectral_decompose": 1, "linear_bounds": 2}
         payload = json.loads(_read(tmp_path / "bounds.json"))
         assert payload["beta_star"] is None
         for row in payload["channels"]:

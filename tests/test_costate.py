@@ -3,9 +3,9 @@ import pytest
 
 from helpers import K2, random_connected_graph
 from oracles import adjoint_check, h_at
-from waveplan.costate import group_coefficients, integrate_h, terminal_costate
+from waveplan.costate import integrate_h, projected_coefficients, terminal_costate
 from waveplan.errors import ContractError
-from waveplan.graph import WeightedGraph, build_laplacian, spectral_decompose
+from waveplan.graph import WeightedGraph, build_laplacian, project, spectral_decompose
 from waveplan.problem import Objective
 
 SEVEN_P = np.array([0.03, 0.02, 0.10, 1.00, 0.06, 0.07, 0.01])
@@ -57,7 +57,7 @@ class TestTerminalCostate:
 
 def _row(sd, lam, b):
     """One channel's profile: its row of group coefficients, zeros included."""
-    return group_coefficients(sd, np.asarray(lam, dtype=np.float64), np.asarray(b)[None, :])[0]
+    return projected_coefficients(sd, np.asarray(lam, dtype=np.float64), project(sd, np.asarray(b)[None, :]))[0]
 
 
 class TestProfileRow:
@@ -91,7 +91,7 @@ class TestProfileRow:
         sd = spectral_decompose(build_laplacian(random_connected_graph(rng, 6)))
         for lam in (np.full(6, 0.7), rng.uniform(0, 1, 6)):
             b = rng.uniform(-1, 1, 6)
-            coeffs = group_coefficients(sd, lam, b[None, :])[0]
+            coeffs = _row(sd, lam, b)
             assert coeffs.shape == sd.group_rates.shape
             tol = 1e-10 * max(1.0, np.linalg.norm(lam) * np.linalg.norm(b))
             assert not np.any((0.0 < np.abs(coeffs)) & (np.abs(coeffs) <= tol))

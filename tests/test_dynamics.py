@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
-from waveplan.costate import group_coefficients, integrate_h
+from waveplan.costate import integrate_h, projected_coefficients
 from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError, ValidationError
-from waveplan.graph import build_laplacian, spectral_decompose
+from waveplan.graph import build_laplacian, project, spectral_decompose
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare
 from waveplan.waterfill import BangBangSchedule, ChannelSchedule, solve
 
@@ -145,7 +145,7 @@ class TestObjectiveValue:
 
 def _rows(sd, lam, gains):
     """The group-coefficient rows of the channels with the given gain vectors."""
-    return group_coefficients(sd, np.asarray(lam, dtype=np.float64), np.array([np.asarray(b) for b in gains]))
+    return projected_coefficients(sd, np.asarray(lam, dtype=np.float64), project(sd, [np.asarray(b) for b in gains]))
 
 
 class TestClosedFormGain:

@@ -12,7 +12,7 @@ from helpers import K2, P3, random_connected_graph
 from oracles import dense_geometric_edges
 from waveplan import graph, oracle
 from waveplan.bundles import seven_agent_problem
-from waveplan.costate import group_coefficients
+from waveplan.costate import projected_coefficients
 from waveplan.dynamics import terminal_state
 from waveplan.errors import NumericalError, ValidationError
 from waveplan.graph import (
@@ -315,7 +315,8 @@ class TestSignInvariance:
         flipped = _negated(sd, rng.random(n) < 0.5)
         bs = np.array([ch.b for ch in prob.channels])
         lam = rng.uniform(0.0, 1.0, n)
-        assert group_coefficients(sd, lam, bs).tobytes() == group_coefficients(flipped, lam, bs).tobytes()
+        coeffs = projected_coefficients(sd, lam, project(sd, bs))
+        assert coeffs.tobytes() == projected_coefficients(flipped, lam, project(flipped, bs)).tobytes()
         assert np.array_equal(group_support(sd, project(sd, bs)), group_support(flipped, project(flipped, bs)))
         prep, flip = _prepared(prob, sd), _prepared(prob, flipped)
         assert check_conditions(prep) == check_conditions(flip)
@@ -491,9 +492,10 @@ class TestRandomGeometricGraph:
         assert seed == 7
         assert len(g.edges) == 241
 
-    def test_retry_cap_suggests_larger_radius(self):
+    def test_retry_cap_suggests_larger_radius(self, monkeypatch):
+        monkeypatch.setattr(graph, "GEOMETRIC_RETRIES", 3)
         with pytest.raises(ValidationError, match="larger radius"):
-            random_geometric_graph(40, 0.01, seed=1, max_retries=3)
+            random_geometric_graph(40, 0.01, seed=1)
 
     def test_one_connectivity_check_per_draw(self, monkeypatch):
         from waveplan import graph
@@ -595,10 +597,11 @@ class TestRandomGeometricGraph:
         assert (g, s) == random_geometric_graph(30, 0.35, 5)
         assert random_geometric_graph(2, 2, 1)[0].edges == ((1, 2, 1.0),)
 
-    def test_retries_from_a_seed_at_its_type_limit_do_not_wrap(self):
+    def test_retries_from_a_seed_at_its_type_limit_do_not_wrap(self, monkeypatch):
         # seed + 1 in int64 would wrap to a negative seed, which numpy rejects.
+        monkeypatch.setattr(graph, "GEOMETRIC_RETRIES", 2)
         with pytest.raises(ValidationError, match="no connected geometric graph in 3 attempts"):
-            random_geometric_graph(30, 0.01, np.int64(2**63 - 1), max_retries=2)
+            random_geometric_graph(30, 0.01, np.int64(2**63 - 1))
 
     @pytest.mark.parametrize("radius", [True, "0.5"])
     def test_sweep_radius_of_the_wrong_kind_is_a_validation_error(self, radius):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, count_calls, k2_problem, random_connected_graph
-from waveplan import bounds, costate, dynamics, graph, oracle
+from waveplan import costate, dynamics, graph, oracle
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate
 from waveplan.errors import ContractError, ValidationError
@@ -501,12 +501,10 @@ class TestSpectralWork:
 
     @staticmethod
     def _count(monkeypatch):
-        """Count decompositions, projections and their readers; refuse every per-channel projection."""
-        calls = count_calls(
+        """Count decompositions, projections and their readers."""
+        return count_calls(
             monkeypatch, graph.spectral_decompose, graph.project, costate.projected_coefficients, graph.group_support
         )
-        _patch_everywhere(monkeypatch, bounds.bound_general, _refuse)
-        return calls
 
     @pytest.mark.parametrize("name,make,spec,coefficients,projections", CASES, ids=[c[0] for c in CASES])
     def test_enumerate_best_decomposes_once(self, name, make, spec, coefficients, projections, monkeypatch):

@@ -136,7 +136,7 @@ class TestSolveSigmoid:
     def test_only_the_returned_iterate_is_certified(self, monkeypatch):
         from waveplan import bounds, waterfill
 
-        calls = {"_linear_bounds": 0, "check_conditions": 0}
+        calls = {"linear_bounds": 0, "check_conditions": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -145,14 +145,14 @@ class TestSolveSigmoid:
 
             return wrapper
 
-        monkeypatch.setattr(bounds, "_linear_bounds", counting("_linear_bounds", bounds._linear_bounds))
+        monkeypatch.setattr(bounds, "linear_bounds", counting("linear_bounds", bounds.linear_bounds))
         monkeypatch.setattr(
             waterfill, "check_conditions", counting("check_conditions", waterfill.check_conditions)
         )
         prob = seven_agent_sigmoid_problem()
         res = solve_sigmoid(prob)
         assert len(res.iterations) > 1
-        assert calls == {"_linear_bounds": prob.m, "check_conditions": 1}
+        assert calls == {"linear_bounds": prob.m, "check_conditions": 1}
 
     @pytest.mark.parametrize("variant", ["bundle", "lower_thresholds"])
     def test_solution_is_the_chosen_iterate_solved_directly(self, variant):

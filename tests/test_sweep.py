@@ -1,26 +1,31 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from waveplan import sweep
+from waveplan.bounds import linear_bounds, support_bound
+from waveplan.costate import projected_coefficients
 from waveplan.errors import ValidationError
-from waveplan.graph import MAX_AGENTS
+from waveplan.graph import MAX_AGENTS, group_support, project
 from waveplan.sweep import run_sweep, sweep_instance
 
 
-def test_one_bound_linear_pass_per_instance(monkeypatch):
-    calls = []
-    original = sweep.bound_linear
+def test_both_bounds_come_from_one_projection(monkeypatch):
+    projections = []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording(sd, xs):
+        projections.append((sd, xs, project(sd, xs)))
+        return projections[-1][2]
 
-    monkeypatch.setattr(sweep, "bound_linear", counting)
+    monkeypatch.setattr(sweep, "project", recording)
     row = sweep_instance(30, 2, 1)
-    assert len(calls) == 1
-    assert calls[0][3] == 0.0
-    assert (row.bound_linear_zero, row.bound_linear_sup) == original(*calls[0])
+    assert len(projections) == 1
+    sd, xs, gains = projections[0]
+    assert xs.tolist() == [[1.0] + [0.0] * 29]  # b is the first basis vector
+    p = np.random.default_rng([1, 30, 2]).random(30)
+    assert row.bound_general == support_bound(np.count_nonzero(group_support(sd, gains)))
+    assert (row.bound_linear_zero, row.bound_linear_sup) == linear_bounds(projected_coefficients(sd, p, gains)[0], 0.0)
 
 
 def test_rejects_no_instances():

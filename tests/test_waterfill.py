@@ -15,7 +15,7 @@ from helpers import K2, k2_problem, random_connected_graph, random_linear_proble
 from oracles import h_at
 from waveplan import bounds, costate, graph, problem, sigmoid, waterfill
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
-from waveplan.costate import group_coefficients
+from waveplan.costate import projected_coefficients
 from waveplan.dynamics import terminal_state
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, group_support, project, random_geometric_graph, spectral_decompose
@@ -29,7 +29,7 @@ BETA_STAR_K2 = 0.5 - 0.5 * np.exp(-1.0)
 def _k2_h(T=1.0):
     """The worked K2 channel's profile as (rates, row of group coefficients, horizon)."""
     sd = spectral_decompose(build_laplacian(K2))
-    row = group_coefficients(sd, np.array([0.0, 1.0]), np.array([[1.0, 0.0]]))[0]
+    row = projected_coefficients(sd, np.array([0.0, 1.0]), project(sd, [[1.0, 0.0]]))[0]
     return sd.group_rates, row, T
 
 
@@ -246,7 +246,7 @@ class TestCertificateChecks:
     def test_switches_above_variation_bound_raise(self, monkeypatch):
         # The K2 schedule switches once; a bound of 0 must be reported, not
         # passed over.
-        monkeypatch.setattr(bounds, "_linear_bounds", lambda *args: (0, 0))
+        monkeypatch.setattr(bounds, "linear_bounds", lambda *args: (0, 0))
         with pytest.raises(NumericalError, match="variation bound"):
             solve(k2_problem())
 
@@ -264,9 +264,10 @@ class TestCertificateChecks:
         assert len(calls) == 1
 
     def test_bounds_are_the_direct_bound_calls(self):
-        # The certificate reads the solve's coefficient rows; bound_linear
-        # recomputes every group coefficient. A zero-reach channel (sum b =
-        # 0) has no constant mode, whose slot still carries the shift.
+        # The certificate reads the solve's coefficient rows and conditions;
+        # here each channel's bounds come from a projection of its own gain
+        # vector. A zero-reach channel (sum b = 0) has no constant mode,
+        # whose slot still carries the shift.
         rng = np.random.default_rng(31)
         zero_reach = 0
         for _ in range(200):
@@ -280,10 +281,11 @@ class TestCertificateChecks:
             p = prob.objective.p
             for k, (ch, cert) in enumerate(zip(prob.channels, sol.certificate, strict=True), start=1):
                 shift = sol.beta_star * ch.max_cost_rate / ch.u_max
+                gains = project(sd, ch.b[None, :])
                 assert cert.channel == k
                 assert cert.threshold_shift == shift
-                assert cert.bound_general == bounds.bound_general(sd, ch.b)
-                shifted, sup = bounds.bound_linear(sd, p, ch.b, shift)
+                assert cert.bound_general == bounds.support_bound(np.count_nonzero(group_support(sd, gains)))
+                shifted, sup = bounds.linear_bounds(costate.projected_coefficients(sd, p, gains)[0], shift)
                 assert (cert.bound_linear_shifted, cert.bound_linear_sup) == (shifted, sup)
         assert zero_reach == 200
 
@@ -326,7 +328,7 @@ class TestCertificateChecks:
             solve(self._zero_reach_k2(1e-11))
 
     def test_certified_solve_decides_each_projection_once(self, monkeypatch):
-        calls = {"bound_general": 0, "project": 0, "group_support": 0}
+        calls = {"project": 0, "group_support": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -335,7 +337,6 @@ class TestCertificateChecks:
 
             return wrapper
 
-        monkeypatch.setattr(bounds, "bound_general", counting("bound_general", bounds.bound_general))
         for name in ("project", "group_support"):
             wrapped = counting(name, getattr(graph, name))
             for module in (graph, costate, bounds, problem, waterfill):
@@ -343,7 +344,7 @@ class TestCertificateChecks:
                     monkeypatch.setattr(module, name, wrapped)
         solve(seven_agent_problem())
         # One projection of the gains serves the coefficients and the support masks.
-        assert calls == {"bound_general": 0, "project": 1, "group_support": 1}
+        assert calls == {"project": 1, "group_support": 1}
 
 
 def _random_problem(rng, n, m):
@@ -558,7 +559,7 @@ def _signal(grid, chan, t):
 
 def _signal_rows(prob, lam, sd):
     """Every channel's group coefficients of h and of its signal g, as ``_schedule`` forms them."""
-    coeffs = group_coefficients(sd, lam, np.array([ch.b for ch in prob.channels]))
+    coeffs = projected_coefficients(sd, lam, project(sd, [ch.b for ch in prob.channels]))
     kappa = np.array([ch.u_max / ch.max_cost_rate for ch in prob.channels])
     return coeffs, coeffs * kappa[:, None]
 
@@ -719,6 +720,45 @@ class TestEndToEndInvariants:
         # The draw of hypothesis seed 132: a 3.75e-8 gain, while x0 and the
         # drift move x(T) by O(1).
         _check_gain_and_invariance(_pinned_problem("small_gain", "seed132"))
+
+
+# Allowance of the Lagrangian cross-check, relative to its scale M + beta * c T:
+# M = sum_k u_k sum_g |d_kg| T bounds every gain, and beta * c T, with
+# c T = sum_k c_k T, every level times spend. Gains and spends are sums of
+# fewer than a thousand terms, so their rounding is below 1e-12 of that
+# scale. A crossing of one solve placed within 1e-12 T of its root, where
+# g_k = beta_1, moves that schedule's value on the other Lagrangian by at
+# most c_k |beta_1 - beta_2| 1e-12 T. 1e-9 leaves room for a thousand of each.
+_LAGRANGIAN_TOL = 1e-9
+
+
+class TestLagrangianCrossCheck:
+    @settings(max_examples=30, deadline=None)
+    @given(whole_problems(), st.floats(0.05, 1.5))
+    def test_each_schedule_beats_the_other_on_its_own_lagrangian(self, prob, fraction):
+        # Solve i's schedule maximises G - beta_i S over all schedules, so
+        # G_1 - beta_1 s_1 >= G_2 - beta_1 s_2 and the same with 1 and 2
+        # swapped: beta_2 (s_2 - s_1) <= G_2 - G_1 <= beta_1 (s_2 - s_1),
+        # with s_i and G_i solve i's own spend and gain, not r_i. Adding the
+        # two sides gives (beta_1 - beta_2)(s_2 - s_1) >= 0: beta* does not
+        # rise with the spend. The second budget is a fraction of the first
+        # solve's spend; a budget above the level-0 spend is slack at level
+        # 0, and a pair of those checks nothing.
+        first = _solve_or_bracket(prob)
+        if first is None or first.spend == 0.0:
+            return
+        second = _solve_or_bracket(dataclasses.replace(prob, r=fraction * first.spend))
+        if second is None:
+            return
+        prep = problem.prepare(prob)
+        coeffs = costate.projected_coefficients(prep.sd, prob.objective.p, prep.gains)
+        gains = sum(ch.u_max * float(np.abs(row).sum()) for ch, row in zip(prob.channels, coeffs)) * prob.T
+        beta_1, beta_2 = first.beta_star, second.beta_star
+        saturation = sum(ch.max_cost_rate for ch in prob.channels) * prob.T
+        tol = _LAGRANGIAN_TOL * (gains + max(beta_1, beta_2) * saturation)
+        ds, dg = second.spend - first.spend, second.objective_gain - first.objective_gain
+        assert beta_2 * ds - tol <= dg <= beta_1 * ds + tol
+        assert (beta_1 - beta_2) * ds >= -2.0 * tol
 
 
 # g - beta is computed to within this many ulp of the magnitudes it is made of.
