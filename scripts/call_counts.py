@@ -17,7 +17,16 @@ Inclusive calls come from a second, untimed pass under ``sys.setprofile``
 that charges each call event to every waveplan function on the stack.
 cProfile adds a fixed cost to every call, so its times overweight Python
 overhead against work done inside numpy; compare them between commits on
-one machine only, and take speed from the benchmark.
+one machine only, and take speed from the benchmark. cProfile counts
+builtin calls such as ``abs`` and ``min`` but not numpy operators such as
+``+`` or ``>`` on arrays, so a change that moves work from numpy arrays to
+Python floats can raise the call counts while numpy work falls.
+
+A last, untimed pass prints the level-search engine's sizes: level probes
+per search (each solve, and each iterate of the sigmoid loop, runs one
+search on its own signal grid) and crossings per ``_crossings`` call,
+each as median and max. A channel crosses a level at most as often as
+its switch bound allows, so the second stays small as n grows.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
 import pstats  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -91,6 +101,39 @@ def _inclusive_calls(ops) -> tuple[Counter, dict]:
     return counts, names
 
 
+def _engine_sizes(ops) -> tuple[list[int], list[int]]:
+    """Probes per level search and crossings per ``_crossings`` call, over one run of ``ops``.
+
+    Each search samples one ``_SignalGrid``, so probes are counted per grid.
+    """
+    from waveplan import waterfill
+
+    grid_class = waterfill._SignalGrid
+    probe, crossings = grid_class.probe, grid_class._crossings
+    probes: Counter = Counter()  # keyed by the grid itself, which hashes by identity
+    sizes = []
+
+    def counting_probe(grid, beta, costs):
+        probes[grid] += 1
+        return probe(grid, beta, costs)
+
+    def counting_crossings(grid, chan, pieces, beta):
+        sizes.append(len(chan))
+        return crossings(grid, chan, pieces, beta)
+
+    grid_class.probe, grid_class._crossings = counting_probe, counting_crossings
+    try:
+        for op in ops:
+            op.run()
+    finally:
+        grid_class.probe, grid_class._crossings = probe, crossings
+    return list(probes.values()), sizes
+
+
+def _spread(counts: list[int]) -> str:
+    return f"median {statistics.median(counts):g}, max {max(counts)}" if counts else "none"
+
+
 def main(argv=None) -> None:
     workloads = _import_workloads()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -123,6 +166,7 @@ def main(argv=None) -> None:
             else:
                 stats[op.kind] = st
     inclusive, names = _inclusive_calls([op for _ in range(args.rounds) for op in ops])
+    probes, crossings = _engine_sizes([op for _ in range(args.rounds) for op in ops])
 
     print(f"# {args.workload} seed {args.seed}, {args.rounds} round(s) of {len(ops)} ops")
     print()
@@ -144,6 +188,10 @@ def main(argv=None) -> None:
                 f"| {kind} | {fn} | {calls / n:.2f} | {incl / calls:.1f} | "
                 f"{1e6 * self_s / calls:.1f} | {1e6 * cum_s / calls:.1f} |"
             )
+
+    print()
+    print(f"level searches: {len(probes)}, probes per search: {_spread(probes)}")
+    print(f"_crossings calls: {len(crossings)}, crossings per call: {_spread(crossings)}")
 
 
 if __name__ == "__main__":

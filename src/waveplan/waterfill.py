@@ -31,6 +31,17 @@ within a proven number of rounds, without an iteration cap. A probe
 returns the spend and its slope from the crossing times alone: the
 on-intervals are built once, at the returned level.
 
+A probe is one vectorised scan of all m x K samples, then a scalar tail.
+The scan compares every sample with the level and finds the flips
+between cell ends. The tail works on the few flips as Python floats: the
+cubic start, the Newton test and the split of each piece. Per round it
+makes one vectorised call that evaluates g and g' at the points of all
+unsettled pieces, and the spend and its slope are two numpy dots. A
+channel's crossings at any level are at most its switch bound, typically
+far below n, so the tail costs O(switches) per probe: a few Python float
+operations per crossing, where numpy's fixed cost per call would dominate
+arrays of one to four entries.
+
 ``solve_with_costate`` builds the schedule (``_schedule``) and then its
 certificate (``_certified``); the sigmoid loop runs the first half on every
 iterate and the second once, on the iterate it returns.
@@ -38,6 +49,7 @@ iterate and the second once, on the iterate it returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,18 +128,16 @@ class WaterfillSolution:
         return all(c.theorem_applicable for c in self.certificate)
 
 
-def _split(pieces, t, v, d, bound) -> tuple[np.ndarray, np.ndarray]:
-    """The halves [lo, t] and [t, hi] of ``pieces``, given g, g' and the curvature bound M at t.
+def _split(piece, t, v, d, bound) -> tuple[tuple, tuple]:
+    """The halves [lo, t] and [t, hi] of ``piece``, given g, g' and the curvature bound M at t.
 
-    A piece of signal is one column of an array with rows lo, hi, v_lo,
-    v_hi, d_lo, d_hi, M: g and g' at both ends and the curvature bound at
-    hi. Every rate is nonnegative, so M at t bounds |g''| on the left half,
-    and the right half keeps the piece's M.
+    A piece of signal is the seven floats lo, hi, v_lo, v_hi, d_lo, d_hi,
+    M: g and g' at both ends and the curvature bound at hi. Every rate is
+    nonnegative, so M at t bounds |g''| on the left half, and the right
+    half keeps the piece's M.
     """
-    left, right = pieces.copy(), pieces.copy()
-    left[1], left[3], left[5], left[6] = t, v, d, bound
-    right[0], right[2], right[4] = t, v, d
-    return left, right
+    lo, hi, vlo, vhi, dlo, dhi, m = piece
+    return (lo, t, vlo, v, dlo, d, bound), (t, hi, v, vhi, d, dhi, m)
 
 
 class _SignalGrid:
@@ -171,18 +181,14 @@ class _SignalGrid:
         padded[:, 1:-1] = samples[:m]
         self.values = padded[:, 1:-1]
         self._padded = padded.ravel()
-        # Per padded column c, for the flip between columns c and c + 1: its
-        # time if it is a pad flip (0 for c = 0, T for c = K + 1), and
-        # whether it is a crossing, inside cell c - 1.
-        self._flip_times = np.concatenate(([0.0], self.times))
-        self._inner = np.ones(_CELLS + 2, dtype=bool)
-        self._inner[0] = self._inner[-1] = False
         self.slopes, self.curvature = samples[m : 2 * m], samples[2 * m :]
         vlo, vhi, bound = self.values[:, :-1], self.values[:, 1:], self.curvature[:, 1:]
-        # Every cell of every channel as a piece (``_split``), 7 x m x K.
-        cells = self._cells = np.empty((7, m, _CELLS))
+        # Every cell of every channel as a piece (``_split``), one column per
+        # channel * K + cell.
+        cells = np.empty((7, m, _CELLS))
         cells[0], cells[1], cells[2], cells[3] = self.times[:-1], self.times[1:], vlo, vhi
         cells[4], cells[5], cells[6] = self.slopes[:, :-1], self.slopes[:, 1:], bound
+        self._cells = cells.reshape(7, m * _CELLS)
         curve = bound * (self.T / _CELLS) ** 2  # M h^2
         low = np.minimum(vlo, vhi) - 0.125 * curve
         high = np.maximum(vlo, vhi) + 0.125 * curve
@@ -196,50 +202,60 @@ class _SignalGrid:
     def probe(self, beta: float, costs: np.ndarray):
         """The spend at level beta, |dS/dbeta| there, and every channel's on-set {g_k > beta}.
 
-        One scan of the padded rows, compared with the level as one flat
-        array, finds every flip between cell ends of every channel, in
-        channel then time order, so they alternate on, off within each
-        channel. The -inf pads are off at every level, so no flip spans two
-        rows. A flip next to a pad is the time 0 or T. Every other flip lies
-        in a cell with one crossing, unless the cell is open at beta: then
-        ``_isolate`` splits it into pieces with one crossing each, and the
-        flips are put back in order by channel and piece. ``_crossings``
-        refines each crossing. The on-sets come back flat, as ``(chan,
-        starts, ends)`` with interval j of channel chan[j] being [starts[j],
-        ends[j]], and the spend is sum_j costs[chan[j]] (ends[j] -
-        starts[j]). dS/dbeta is -sum over crossings of costs_k / |g_k'|.
+        One vectorised scan of the padded rows, compared with the level as
+        one flat array, finds every flip between cell ends of every
+        channel, in channel then time order, so they alternate on, off
+        within each channel. The -inf pads are off at every level, so no
+        flip spans two rows. All that follows runs on the few flips as
+        Python floats. A flip next to a pad is the time 0 or T. Every other
+        flip lies in a cell with one crossing, unless the cell is open at
+        beta: then ``_isolate`` splits it into pieces with one crossing
+        each. ``_crossings`` refines each crossing, and the flips are put
+        in order by channel and piece. The on-sets come back flat, as
+        ``(chan, starts, ends)`` arrays with interval j of channel chan[j]
+        being [starts[j], ends[j]], and the spend is sum_j costs[chan[j]]
+        (ends[j] - starts[j]). dS/dbeta is -sum over crossings of costs_k /
+        |g_k'|. Both sums are numpy dots.
+
+        A channel crosses the level at most as often as it switches, which
+        the switch bounds cap far below n, so the scalar tail is O(switches)
+        while the scan is O(m K).
 
         Points with g_k(t) = beta are assigned off (the boundary set has
         measure zero under the no-singular-arc conditions, and a
         deterministic tie-break keeps outputs reproducible).
         """
         above = self._padded > beta
-        # Flip c of a row lies between its padded columns c and c + 1.
-        chan, col = np.divmod((above[1:] != above[:-1]).nonzero()[0], _CELLS + 3)
-        times = self._flip_times[col]
-        inner = self._inner[col]
-        cross, cell = chan[inner], col[inner] - 1
-        pieces = self._cells[:, cross, cell]
         suspect = self._open[(self._open_low <= beta) & (beta < self._open_high)]
-        if suspect.size:
-            keep = ~np.isin(cross * _CELLS + cell, suspect)
-            fine, fine_pieces = self._isolate(*np.divmod(suspect, _CELLS), beta)
-            cross = np.concatenate((cross[keep], fine))
-            pieces = np.concatenate((pieces[:, keep], fine_pieces), axis=1)
-        rate, t = 0.0, pieces[0]
-        if cross.size:
-            t, inverse_slopes = self._crossings(cross, pieces, beta)
-            rate = float(costs[cross] @ inverse_slopes)
-        if suspect.size:
-            pads = ~inner
-            chan = np.concatenate((chan[pads], cross))
-            times = np.concatenate((times[pads], t))
-            # A start pad before every piece of its channel, an end pad after.
-            order = np.lexsort((np.concatenate((np.where(col[pads] == 0, -np.inf, np.inf), pieces[0])), chan))
-            chan, times = chan[order], times[order]
-        else:
-            times[inner] = t
-        chan, starts, ends = chan[::2], times[::2], times[1::2]
+        isolated = set(suspect.tolist())
+        # Each flip as (channel, sort key, time). A piece's key is its lo;
+        # -inf puts a start pad before every piece of its channel, inf an end pad after.
+        events, cross, cells = [], [], []
+        # Flip c of a row lies between its padded columns c and c + 1.
+        for flip in (above[1:] != above[:-1]).nonzero()[0].tolist():
+            k, col = divmod(flip, _CELLS + 3)
+            cell = k * _CELLS + col - 1
+            if col == 0:
+                events.append((k, -math.inf, 0.0))
+            elif col > _CELLS:
+                events.append((k, math.inf, self.T))
+            elif cell not in isolated:
+                cross.append(k)
+                cells.append(cell)
+        pieces = self._cells.take(cells, axis=1).T.tolist()
+        if isolated:
+            fine, fine_pieces = self._isolate(suspect, beta)
+            cross += fine
+            pieces += fine_pieces
+        rate = 0.0
+        if cross:
+            found, inverse_slopes = self._crossings(cross, pieces, beta)
+            rate = float(costs[cross] @ np.array(inverse_slopes))
+            events += zip(cross, [piece[0] for piece in pieces], found)
+        events.sort()
+        chan = np.array([e[0] for e in events[::2]], dtype=np.intp)
+        times = [e[2] for e in events]
+        starts, ends = np.array(times[::2]), np.array(times[1::2])
         return float(costs[chan] @ (ends - starts)), rate, (chan, starts, ends)
 
     def on_sets(self, events) -> list[tuple[tuple[float, float], ...]]:
@@ -249,8 +265,8 @@ class _SignalGrid:
         pairs = list(zip(starts.tolist(), ends.tolist()))
         return [tuple(iv for iv in pairs[a:b] if iv[1] > iv[0]) for a, b in zip(bounds, bounds[1:])]
 
-    def _isolate(self, chan, cell, beta) -> tuple[np.ndarray, np.ndarray]:
-        """The pieces with one crossing of beta each into which bisection splits the cells ``cell``.
+    def _isolate(self, cells, beta) -> tuple[list, list]:
+        """The pieces with one crossing of beta each into which bisection splits ``cells`` (channel * K + cell).
 
         All pieces are halved together, with one evaluation of g, g' and M_k
         at their midpoints per round. A half is settled by the class
@@ -259,42 +275,46 @@ class _SignalGrid:
         1e-12 T straddles a tangency, and the tie-break (g = beta is off)
         decides it from its ends: one crossing if they lie on different
         sides of beta, none if not. Returns the one-crossing pieces'
-        channels and the pieces (``_split``).
+        channels and the pieces (``_split``), found round by round, each
+        round's left halves before its right halves.
         """
         tol = 1e-12 * self.T
-        piece = self._cells[:, chan, cell]
-        found, found_chan = [], []
-        while chan.size:
-            mid = 0.5 * (piece[0] + piece[1])
-            piece = np.concatenate(_split(piece, mid, *self._at(chan, mid, 3)), axis=1)
-            chan = np.concatenate((chan, chan))
-            lo, hi, vlo, vhi, _, _, bound = piece
-            width = hi - lo
-            curve = bound * width * width
-            flip = (vlo > beta) != (vhi > beta)
-            monotone = np.abs(vhi - vlo) > curve
-            short = width <= tol
-            clear = (np.minimum(vlo, vhi) - 0.125 * curve > beta) | (np.maximum(vlo, vhi) + 0.125 * curve <= beta)
-            one = flip & (monotone | short)
-            found.append(piece[:, one])
-            found_chan.append(chan[one])
-            rest = ~(one | monotone | clear | short)
-            piece, chan = piece[:, rest], chan[rest]
-        return np.concatenate(found_chan), np.concatenate(found, axis=1)
+        chan, pieces = (cells // _CELLS).tolist(), self._cells.take(cells, axis=1).T.tolist()
+        found_chan, found = [], []
+        while chan:
+            mid = np.array([0.5 * (piece[0] + piece[1]) for piece in pieces])
+            halves = map(_split, pieces, mid.tolist(), *self._at(chan, self._modes(mid), 3).tolist())
+            lefts, rights = zip(*halves)
+            open_chan, open_pieces = [], []
+            for k, piece in zip(chan + chan, lefts + rights):
+                lo, hi, vlo, vhi, _, _, bound = piece
+                width = hi - lo
+                curve = bound * width * width
+                if abs(vhi - vlo) > curve or width <= tol:
+                    if (vlo > beta) != (vhi > beta):
+                        found_chan.append(k)
+                        found.append(piece)
+                elif min(vlo, vhi) - 0.125 * curve <= beta < max(vlo, vhi) + 0.125 * curve:
+                    open_chan.append(k)
+                    open_pieces.append(piece)
+            chan, pieces = open_chan, open_pieces
+        return found_chan, found
 
-    def _crossings(self, chan, pieces, beta) -> tuple[np.ndarray, np.ndarray]:
-        """The crossing g_chan = beta inside each one-crossing piece, with 1 / |g'| there.
+    def _crossings(self, chan, pieces, beta) -> tuple[list, list]:
+        """The crossing g_chan[i] = beta inside each one-crossing piece, with 1 / |g'| there.
 
-        ``pieces`` come from ``_split``'s layout, one per crossing. Each
-        round evaluates g and g' at one point t of every unsettled piece:
-        in the first round one Newton step on the piece's cubic (the cubic
-        that matches g and g' at both ends), taken from the secant through
-        the end values, or the secant where that step leaves the piece; in
-        later rounds the same start on the current piece, moved to 1/8 or
-        7/8 of its width where it lies in an outer eighth. A failed first
-        step leaves the crossing next to an end of the kept half, so this
-        closes in on it eight times faster than a midpoint would. Then each
-        piece is settled or split:
+        ``pieces`` are in ``_split``'s layout, one per crossing. Each
+        round evaluates g and g' at one point t of every unsettled piece,
+        in one vectorised call, and does the rest piece by piece on Python
+        floats: in the first round t is one Newton step on the piece's
+        cubic (the cubic that matches g and g' at both ends), taken from
+        the secant through the end values, or the secant where that step
+        leaves the piece or the cubic is flat there; in later rounds the
+        same start on the current piece, moved to 1/8 or 7/8 of its width
+        where it lies in an outer eighth. A failed first step leaves the
+        crossing next to an end of the kept half, so this closes in on it
+        eight times faster than a midpoint would. Then each piece is
+        settled or split:
 
         - the Newton step delta = -(g(t) - beta) / g'(t) is accepted when 4
           M |delta| <= |g'(t)|, eps = M delta^2 / |g'(t)| <= 1e-12 * T and
@@ -304,14 +324,16 @@ class _SignalGrid:
           |delta| of t |g' - g'(t)| <= 2 M |delta| <= |g'(t)| / 2, so g is
           monotone there with |g'| >= |g'(t)| / 2 and reaches beta within
           (M delta^2 / 2) / (|g'(t)| / 2) = eps of t1 (eps <= |delta| / 4).
-          As the piece holds one crossing, that root is its crossing.
+          As the piece holds one crossing, that root is its crossing. No
+          step is taken where g'(t) = 0.
         - otherwise the piece is split at t (``_split``, with M_k at t, on
           the modes already evaluated there) and keeps the half whose ends
           lie on different sides of beta; it still holds the one crossing.
           Where that half is no longer than 1e-12 * T, the crossing is
           settled at t, one of its ends.
 
-        A piece's 1 / |g'| is read at its last evaluated point.
+        A piece's 1 / |g'| is read at its last evaluated point, and is inf
+        where g' is 0 there.
 
         The loop ends without a cap. From the second round on, t lies in
         the middle three quarters of the piece, so a round that does not
@@ -324,53 +346,64 @@ class _SignalGrid:
         that end.
         """
         tol = 1e-12 * self.T
-        found, size = np.empty(chan.size), np.empty(chan.size)
-        todo = np.arange(chan.size)
+        found, size = [0.0] * len(chan), [0.0] * len(chan)
+        todo = list(range(len(chan)))
         first = True
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while todo.size:
-                lo, hi, vlo, vhi, dlo, dhi, bound = pieces
+        while todo:
+            points = []
+            for lo, hi, vlo, vhi, dlo, dhi, _ in pieces:
                 width, rise = hi - lo, vhi - vlo
                 c1 = width * dlo
                 c3 = c1 + width * dhi - 2.0 * rise
                 c2 = rise - c1 - c3
                 s = (vlo - beta) / (vlo - vhi)
-                cubic = s - (vlo - beta + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
-                s = np.where((0.0 <= cubic) & (cubic <= 1.0), cubic, s)
+                dcubic = c1 + s * (2.0 * c2 + 3.0 * s * c3)
+                if dcubic:
+                    cubic = s - (vlo - beta + s * (c1 + s * (c2 + s * c3))) / dcubic
+                    if 0.0 <= cubic <= 1.0:
+                        s = cubic
                 if not first:
-                    s = np.clip(s, 0.125, 0.875)
-                first = False
-                t = lo + width * s
-                e = self._modes(t)
-                value, slope = self._at(chan, t, 2, e)
-                step = (beta - value) / slope
-                size[todo] = mag = np.abs(slope)
-                eps = bound * step * step / mag
-                t1 = t + step
-                good = (4.0 * bound * np.abs(step) <= mag) & (eps <= tol) & (lo + eps <= t1) & (t1 <= hi - eps)
-                found[todo] = t1
-                if good.all():
-                    break
-                split = ~good
-                chan, t, e, todo = chan[split], t[split], e[split], todo[split]
-                found[todo] = t
-                halves = _split(pieces[:, split], t, value[split], slope[split], self._at(chan, t, 3, e)[2])
-                pieces = np.where((halves[0][2] > beta) != (halves[0][3] > beta), *halves)
-                rest = pieces[1] - pieces[0] > tol
-                todo, chan, pieces = todo[rest], chan[rest], pieces[:, rest]
-            # A crossing within the 1e-12 T it is found to of 0 or T is that
-            # end, so rounding there never makes a switch.
-            found[found <= tol] = 0.0
-            found[found >= self.T - tol] = self.T
-            return found, 1.0 / size
+                    s = min(max(s, 0.125), 0.875)
+                points.append(lo + width * s)
+            first = False
+            modes = self._modes(np.array(points))
+            values, slopes = self._at(chan, modes, 2).tolist()
+            split = []
+            for i, (j, piece, point, value, slope) in enumerate(zip(todo, pieces, points, values, slopes)):
+                size[j] = mag = abs(slope)
+                if slope:
+                    lo, hi, bound = piece[0], piece[1], piece[6]
+                    step = (beta - value) / slope
+                    eps = bound * step * step / mag
+                    t1 = point + step
+                    if 4.0 * bound * abs(step) <= mag and eps <= tol and lo + eps <= t1 <= hi - eps:
+                        found[j] = t1
+                        continue
+                found[j] = point
+                split.append(i)
+            if not split:
+                break
+            bounds = self._at([chan[i] for i in split], modes[split], 3)[2].tolist()
+            rest, halves = [], []
+            for i, bound in zip(split, bounds):
+                left, right = _split(pieces[i], points[i], values[i], slopes[i], bound)
+                half = left if (left[2] > beta) != (left[3] > beta) else right
+                if half[1] - half[0] > tol:
+                    rest.append(i)
+                    halves.append(half)
+            chan, todo, pieces = [chan[i] for i in rest], [todo[i] for i in rest], halves
+        # A crossing within the 1e-12 T it is found to of 0 or T is that
+        # end, so rounding there never makes a switch.
+        end = self.T - tol
+        found = [0.0 if x <= tol else self.T if x >= end else x for x in found]
+        return found, [1.0 / x if x else math.inf for x in size]
 
-    def _at(self, chan, t, terms, modes=None) -> np.ndarray:
-        """g (and g', and M_k, as ``terms`` is 1, 2 or 3) of channel chan[i] at time t[i], one row per function.
+    def _at(self, chan, modes, terms) -> np.ndarray:
+        """g (and g', and M_k, as ``terms`` is 1, 2 or 3) of channel chan[i] on row i of ``modes``, one row per function.
 
         Each entry is summed over the modes on its own, so it does not
         depend on which other channels or times are evaluated with it.
         """
-        modes = self._modes(t) if modes is None else modes
         return np.einsum("ig,gji->ji", modes, self._terms[:, :terms, chan])
 
     def _modes(self, t: np.ndarray) -> np.ndarray:

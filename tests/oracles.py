@@ -5,6 +5,12 @@ the adjoint flow that the profile expansion solves in closed form,
 ``count_exp_poly_zeros`` counts the zeros that the switch bounds cap, and
 ``dense_geometric_edges`` tests every pair of points that a geometric graph
 could join. Each stays apart from the code it checks.
+
+``reference_probe`` and ``reference_crossings`` are the one exception: the
+level probe's tail written with one numpy operation per step over all
+crossings, where ``waterfill`` runs it on Python floats. They evaluate the
+signals with the grid's own ``_modes`` and ``_at`` on the same points, so
+the scalar tail must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -140,3 +146,124 @@ def dense_geometric_edges(pts: np.ndarray, radius: float) -> tuple[np.ndarray, n
     dy = pts[:, 1, None] - pts[:, 1]
     d2 = dx * dx + dy * dy
     return np.nonzero(np.triu(d2 <= radius * radius, 1))
+
+
+def _split_columns(pieces, t, v, d, bound):
+    """The halves [lo, t] and [t, hi] of every column of a 7 x n piece array (rows as in ``waterfill._split``)."""
+    left, right = pieces.copy(), pieces.copy()
+    left[1], left[3], left[5], left[6] = t, v, d, bound
+    right[0], right[2], right[4] = t, v, d
+    return left, right
+
+
+def _cell_columns(grid) -> np.ndarray:
+    """Every cell of every channel of a ``_SignalGrid`` as a piece, 7 x m x K."""
+    vlo, vhi = grid.values[:, :-1], grid.values[:, 1:]
+    cells = np.empty((7,) + vlo.shape)
+    cells[0], cells[1], cells[2], cells[3] = grid.times[:-1], grid.times[1:], vlo, vhi
+    cells[4], cells[5], cells[6] = grid.slopes[:, :-1], grid.slopes[:, 1:], grid.curvature[:, 1:]
+    return cells
+
+
+def _reference_isolate(grid, chan, cell, beta):
+    """``_SignalGrid._isolate`` on 7 x n piece arrays: the one-crossing pieces' channels and columns."""
+    tol = 1e-12 * grid.T
+    piece = _cell_columns(grid)[:, chan, cell]
+    found, found_chan = [], []
+    while chan.size:
+        mid = 0.5 * (piece[0] + piece[1])
+        piece = np.concatenate(_split_columns(piece, mid, *grid._at(chan, grid._modes(mid), 3)), axis=1)
+        chan = np.concatenate((chan, chan))
+        lo, hi, vlo, vhi, _, _, bound = piece
+        width = hi - lo
+        curve = bound * width * width
+        flip = (vlo > beta) != (vhi > beta)
+        monotone = np.abs(vhi - vlo) > curve
+        short = width <= tol
+        clear = (np.minimum(vlo, vhi) - 0.125 * curve > beta) | (np.maximum(vlo, vhi) + 0.125 * curve <= beta)
+        one = flip & (monotone | short)
+        found.append(piece[:, one])
+        found_chan.append(chan[one])
+        rest = ~(one | monotone | clear | short)
+        piece, chan = piece[:, rest], chan[rest]
+    return np.concatenate(found_chan), np.concatenate(found, axis=1)
+
+
+def reference_crossings(grid, chan, pieces, beta):
+    """``_SignalGrid._crossings`` on numpy arrays: crossing times and 1 / |g'|, for channels ``chan`` and 7 x n ``pieces``.
+
+    Each round's arithmetic is one numpy operation over the unsettled
+    pieces, under ``errstate``: a zero g' or cubic slope gives inf or nan,
+    and every comparison with a nan is false.
+    """
+    tol = 1e-12 * grid.T
+    found, size = np.empty(chan.size), np.empty(chan.size)
+    todo = np.arange(chan.size)
+    first = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while todo.size:
+            lo, hi, vlo, vhi, dlo, dhi, bound = pieces
+            width, rise = hi - lo, vhi - vlo
+            c1 = width * dlo
+            c3 = c1 + width * dhi - 2.0 * rise
+            c2 = rise - c1 - c3
+            s = (vlo - beta) / (vlo - vhi)
+            cubic = s - (vlo - beta + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
+            s = np.where((0.0 <= cubic) & (cubic <= 1.0), cubic, s)
+            if not first:
+                s = np.clip(s, 0.125, 0.875)
+            first = False
+            t = lo + width * s
+            e = grid._modes(t)
+            value, slope = grid._at(chan, e, 2)
+            step = (beta - value) / slope
+            size[todo] = mag = np.abs(slope)
+            eps = bound * step * step / mag
+            t1 = t + step
+            good = (4.0 * bound * np.abs(step) <= mag) & (eps <= tol) & (lo + eps <= t1) & (t1 <= hi - eps)
+            found[todo] = t1
+            if good.all():
+                break
+            split = ~good
+            chan, t, e, todo = chan[split], t[split], e[split], todo[split]
+            found[todo] = t
+            halves = _split_columns(pieces[:, split], t, value[split], slope[split], grid._at(chan, e, 3)[2])
+            pieces = np.where((halves[0][2] > beta) != (halves[0][3] > beta), *halves)
+            rest = pieces[1] - pieces[0] > tol
+            todo, chan, pieces = todo[rest], chan[rest], pieces[:, rest]
+        found[found <= tol] = 0.0
+        found[found >= grid.T - tol] = grid.T
+        return found, 1.0 / size
+
+
+def reference_probe(grid, beta, costs):
+    """``_SignalGrid.probe`` with every step after the scan on numpy arrays: (spend, |dS/dbeta|, (chan, starts, ends))."""
+    cells = grid.values.shape[1] - 1
+    above = grid._padded > beta
+    # Flip c of a row lies between its padded columns c and c + 1: a pad
+    # flip at 0 for c = 0 or at T for c = K + 1, else a crossing in cell c - 1.
+    chan, col = np.divmod((above[1:] != above[:-1]).nonzero()[0], cells + 3)
+    times = np.concatenate(([0.0], grid.times))[col]
+    inner = (col > 0) & (col <= cells)
+    cross, cell = chan[inner], col[inner] - 1
+    pieces = _cell_columns(grid)[:, cross, cell]
+    suspect = grid._open[(grid._open_low <= beta) & (beta < grid._open_high)]
+    if suspect.size:
+        keep = ~np.isin(cross * cells + cell, suspect)
+        fine, fine_pieces = _reference_isolate(grid, *np.divmod(suspect, cells), beta)
+        cross = np.concatenate((cross[keep], fine))
+        pieces = np.concatenate((pieces[:, keep], fine_pieces), axis=1)
+    rate, t = 0.0, pieces[0]
+    if cross.size:
+        t, inverse_slopes = reference_crossings(grid, cross, pieces, beta)
+        rate = float(costs[cross] @ inverse_slopes)
+    if suspect.size:
+        pads = ~inner
+        chan = np.concatenate((chan[pads], cross))
+        times = np.concatenate((times[pads], t))
+        order = np.lexsort((np.concatenate((np.where(col[pads] == 0, -np.inf, np.inf), pieces[0])), chan))
+        chan, times = chan[order], times[order]
+    else:
+        times[inner] = t
+    chan, starts, ends = chan[::2], times[::2], times[1::2]
+    return float(costs[chan] @ (ends - starts)), rate, (chan, starts, ends)

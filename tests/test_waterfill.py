@@ -3,15 +3,17 @@ import functools
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
+import oracles
 from oracles import h_at
 from waveplan import bounds, costate, graph, problem, sigmoid, waterfill
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
@@ -418,7 +420,8 @@ def _piece_rounds(run):
 
         with mock.patch.object(waterfill._SignalGrid, "_modes", counting_modes):
             out = crossings(grid, chan, pieces, beta)
-        ratio = np.log((pieces[1] - pieces[0]) / (1e-12 * grid.T)) / np.log(8.0 / 7.0)
+        widths = np.array([piece[1] - piece[0] for piece in pieces])
+        ratio = np.log(widths / (1e-12 * grid.T)) / np.log(8.0 / 7.0)
         calls.append((active, 1 + np.maximum(np.ceil(ratio), 0.0)))
         return out
 
@@ -447,11 +450,10 @@ class TestExactRootCrossing:
         # chord's slope at both ends the cubic is the chord, so the start
         # is 0.375, where the Newton step is 0 and certified.
         grid = waterfill._SignalGrid(np.array([0.0, 1.0]), np.array([[1.0, -0.5]]), 1.0)
-        chan, root = np.array([0]), np.array([0.375])
-        beta, slope = grid._at(chan, root, 2)[:, 0]
-        piece = np.array([[0.25], [0.5], [beta + 1.0], [beta - 1.0], [-8.0], [-8.0], [1.0]])
+        beta, slope = grid._at([0], grid._modes(np.array([0.375])), 2)[:, 0].tolist()
+        piece = (0.25, 0.5, beta + 1.0, beta - 1.0, -8.0, -8.0, 1.0)
         evaluated = _recorded_modes(monkeypatch)
-        t, inverse_slopes = grid._crossings(chan, piece, beta)
+        t, inverse_slopes = grid._crossings([0], [piece], beta)
         assert evaluated == [[0.375]]
         assert t[0] == 0.375 and inverse_slopes[0] == 1.0 / abs(slope)
 
@@ -469,18 +471,17 @@ class TestExactRootCrossing:
         if loose:
             grid._terms[:, 2] *= 1e30
             grid._cells[6] *= 1e30
-        chan, cell = np.array([0]), np.array([0])
         assert grid.values[0, 0] > beta >= grid.values[0, 1]
         widths = []
         split = waterfill._split
 
-        def recording_split(pieces, t, *rest):
-            widths.append(float(pieces[1, 0] - pieces[0, 0]))
-            return split(pieces, t, *rest)
+        def recording_split(piece, t, *rest):
+            widths.append(piece[1] - piece[0])
+            return split(piece, t, *rest)
 
         rounds = _recorded_modes(monkeypatch)
         monkeypatch.setattr(waterfill, "_split", recording_split)
-        t, _ = grid._crossings(chan, grid._cells[:, chan, cell], beta)
+        t, _ = grid._crossings([0], grid._cells.T[:1].tolist(), beta)
         evaluated = [point for points in rounds for point in points]
         assert abs(t[0] - (1.0 + np.log(2.0 * (1.0 - beta)))) <= 1e-12
         # One evaluation per round, and a split in every round but a
@@ -790,23 +791,47 @@ def _interior_crossings(grid, beta, events):
     return out
 
 
-def _probed_solve(prob):
-    """``_solve_or_bracket(prob)``, with every probe it made as (grid, beta, costs, probe output)."""
-    probes = []
-    original = waterfill._SignalGrid.probe
+def _recorded_tails(run):
+    """``run()``, with every probe it made as (grid, beta, costs, output) and every ``_crossings`` call as (grid, chan, pieces, beta, output)."""
+    probes, crossings = [], []
+    probe, refine = waterfill._SignalGrid.probe, waterfill._SignalGrid._crossings
 
-    def recording(grid, beta, costs):
-        out = original(grid, beta, costs)
+    def recording_probe(grid, beta, costs):
+        out = probe(grid, beta, costs)
         probes.append((grid, beta, costs, out))
         return out
 
-    with mock.patch.object(waterfill._SignalGrid, "probe", recording):
-        return _solve_or_bracket(prob), probes
+    def recording_crossings(grid, chan, pieces, beta):
+        call = (grid, list(chan), [tuple(piece) for piece in pieces], beta)
+        out = refine(grid, chan, pieces, beta)
+        crossings.append(call + (out,))
+        return out
+
+    with mock.patch.object(waterfill._SignalGrid, "probe", recording_probe):
+        with mock.patch.object(waterfill._SignalGrid, "_crossings", recording_crossings):
+            return run(), probes, crossings
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _assert_tails_match_the_reference(probes, crossings):
+    """Every probe's spend, |dS/dbeta| and on-sets, and every crossing time and 1 / |g'|, equal the vectorised reference's bit for bit."""
+    for grid, beta, costs, (spend, rate, events) in probes:
+        ref_spend, ref_rate, ref_events = oracles.reference_probe(grid, beta, costs)
+        assert _bits(spend, rate) == _bits(ref_spend, ref_rate)
+        for ours, ref in zip(events, ref_events, strict=True):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+    for grid, chan, pieces, beta, (found, inverse_slopes) in crossings:
+        ref_found, ref_inverse_slopes = oracles.reference_crossings(grid, np.array(chan), np.array(pieces).T, beta)
+        assert _bits(*found) == ref_found.tobytes() and _bits(*inverse_slopes) == ref_inverse_slopes.tobytes()
 
 
 def _check_probes_and_budget(prob):
-    """Every probe's spend and crossings against the independent reference, then the budget; returns the solution."""
-    sol, probes = _probed_solve(prob)
+    """Every probe against the vectorised reference and its crossings against the independent one, then the budget; returns the solution."""
+    sol, probes, crossings = _recorded_tails(lambda: _solve_or_bracket(prob))
+    _assert_tails_match_the_reference(probes, crossings)
     for grid, beta, costs, (spend, _, events) in probes:
         assert spend == pytest.approx(waterfill._spend(costs, grid.on_sets(events)), rel=1e-12, abs=0.0)
         reference = _reference_crossings(grid, beta)
@@ -883,6 +908,76 @@ class TestHiddenPairs:
         assert sol is not None and sol.binding
         ends = [t for iv in sol.schedule.channels[0].intervals for t in iv if 0.0 < t < prob.T]
         assert len([t for t in ends if abs(t - dip) < 1e-4]) == 2
+
+
+@st.composite
+def degenerate_pieces(draw):
+    """A grid, a level and one-crossing pieces that share one of the cases where a scalar division could fail.
+
+    - ``flat``: a constant signal, so g' = 0 at every evaluated point;
+    - ``cubic``: g' = 0 at both ends and g = beta at lo, so the cubic's
+      slope at the secant start s = 0 is 0;
+    - ``narrow``: no wider than 1e-12 T;
+    - ``end``: g(t) = 1 - exp(t - T) / 2 crosses beta within 1e-12 T of
+      0 or T, inside the grid's first or last cell.
+
+    The first three draw their end values and slopes on their own; a
+    piece's ends lie on different sides of beta, as the probe hands them on.
+    """
+    kind = draw(st.sampled_from(["flat", "cubic", "narrow", "end"]))
+    T = draw(st.floats(0.05, 20.0))
+    if kind == "end":
+        grid = waterfill._SignalGrid(np.array([0.0, 1.0]), np.array([[1.0, -0.5]]), T)
+        near_T = draw(st.booleans())
+        root = T * (1.0 - draw(st.floats(0.0, 1e-12))) if near_T else T * draw(st.floats(0.0, 1e-12))
+        beta = grid._at([0], grid._modes(np.array([root])), 1)[0, 0].item()
+        pieces = [grid._cells[:, -1 if near_T else 0].tolist()]
+    else:
+        if kind == "flat":
+            grid = waterfill._SignalGrid(np.array([0.0]), np.array([[draw(st.floats(-2.0, 2.0))]]), T)
+        else:
+            coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+            grid = waterfill._SignalGrid(np.array([0.0, 1.0, 2.0]), np.array([coeffs]), T)
+        beta = draw(st.floats(-2.0, 2.0))
+        pieces = []
+        for _ in range(draw(st.integers(1, 3))):
+            lo = T * draw(st.floats(0.0, 1.0))
+            width = T * (draw(st.floats(0.0, 1e-12)) if kind == "narrow" else draw(st.floats(0.0, 1.0)))
+            on, off = beta + draw(st.floats(1e-9, 4.0)), beta - draw(st.floats(0.0, 4.0))
+            dlo, dhi, bound = draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0)), draw(st.floats(0.0, 64.0))
+            if kind == "cubic":
+                on, off, dlo, dhi = beta, on, 0.0, 0.0  # g = beta at lo is off
+            vlo, vhi = (on, off) if draw(st.booleans()) else (off, on)
+            pieces.append((lo, min(lo + width, T), vlo, vhi, dlo, dhi, bound))
+    assume(all(lo < hi and (vlo > beta) != (vhi > beta) for lo, hi, vlo, vhi, *_ in pieces))
+    return grid, beta, pieces
+
+
+class TestScalarTail:
+    """The probe's tail on Python floats against its vectorised reference (``oracles.reference_probe``)."""
+
+    @pytest.mark.parametrize("workload", ["desk", "rgg_mid", "sigmoid"])
+    def test_every_probe_of_a_seed_1_benchmark_ladder(self, monkeypatch, workload):
+        # The benchmark's own instances; its oracle and sweep ops make no probe.
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import workloads
+
+        ops = [op for op in workloads.WORKLOADS[workload](1) if op.kind in ("solve", "sigmoid")]
+        _, probes, crossings = _recorded_tails(lambda: [op.run() for op in ops])
+        assert probes and crossings
+        _assert_tails_match_the_reference(probes, crossings)
+
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_pieces())
+    def test_degenerate_pieces_neither_raise_nor_warn(self, case):
+        grid, beta, pieces = case
+        chan = [0] * len(pieces)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found, inverse_slopes = grid._crossings(chan, pieces, beta)
+        ref_found, ref_inverse_slopes = oracles.reference_crossings(grid, np.array(chan), np.array(pieces).T, beta)
+        assert _bits(*found) == ref_found.tobytes() and _bits(*inverse_slopes) == ref_inverse_slopes.tobytes()
+        assert all(lo <= t <= hi or t in (0.0, grid.T) for t, (lo, hi, *_) in zip(found, pieces))
 
 
 class TestSharedDecomposition:
