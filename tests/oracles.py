@@ -194,13 +194,14 @@ def reference_crossings(grid, chan, pieces, beta):
 
     Each round's arithmetic is one numpy operation over the unsettled
     pieces, under ``errstate``: a zero g' or cubic slope gives inf or nan,
-    and every comparison with a nan is false.
+    a near-zero one may overflow to inf, as Python floats do silently, and
+    every comparison with a nan is false.
     """
     tol = 1e-12 * grid.T
     found, size = np.empty(chan.size), np.empty(chan.size)
     todo = np.arange(chan.size)
     first = True
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while todo.size:
             lo, hi, vlo, vhi, dlo, dhi, bound = pieces
             width, rise = hi - lo, vhi - vlo
