@@ -22,7 +22,7 @@ from .costate import projected_coefficients
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import _reject_booleans
-from .oracle import EnumerationSpec, enumerate_best, grid_slack
+from .oracle import INTERIOR_LEVELS, EnumerationSpec, enumerate_best, grid_slack
 from .problem import CampaignProblem, check_conditions, prepare, problem_from_dict, require_valid
 from .sigmoid import solve_sigmoid
 from .sweep import SweepAggregate, SweepRow, run_sweep
@@ -209,7 +209,7 @@ def _cmd_oracle(args) -> int:
     spec = EnumerationSpec(
         switch_grid=args.grid,
         max_switches_per_channel=args.cap,
-        include_interior_levels=args.interior,
+        interior_levels=INTERIOR_LEVELS if args.interior else (),
     )
     result = enumerate_best(prep, spec)
     payload = {

@@ -65,20 +65,32 @@ def projected_coefficients(sd: SpectralDecomposition, lam: np.ndarray, gains: Pr
     return coeffs
 
 
-def integrate_h(rates: np.ndarray, coeffs: np.ndarray, T: float, a, b):
-    """Exact integral over [a, b] of h(t) = sum_g coeffs_g exp(rates_g (t - T)).
+def modal_integrals(rates: np.ndarray, T: float, a, b) -> np.ndarray:
+    """Integral over [a, b] of exp(rate (t - T)) per rate, e^{rate (b - T)} phi(rate, b - a), on a new last axis.
 
-    The zero-rate mode contributes d_0 * (b - a). Accepts scalars or arrays
-    of endpoints. The modes' terms form one array and are added left to
-    right from 0.0, so each entry of an array call equals the scalar call
-    bit for bit, and a zero coefficient adds a signed zero that leaves the
-    sum's bits unchanged.
+    phi(rate, tau) = -expm1(-rate tau) / rate, the integral of e^{-rate s}
+    over [0, tau] (tau on a zero rate), keeps its relative accuracy where
+    rate tau is tiny and a difference of exponentials cancels. For
+    nonnegative rates and a <= b <= T nothing overflows. a and b are
+    scalars or arrays.
     """
     lo = np.asarray(a, dtype=np.float64)[..., None]
     hi = np.asarray(b, dtype=np.float64)[..., None]
-    flat = rates == 0.0
-    decay = np.exp(rates * (hi - T)) - np.exp(rates * (lo - T))
-    terms = np.where(flat, coeffs * (hi - lo), coeffs / np.where(flat, 1.0, rates) * decay)
+    tau = hi - lo
+    zero = rates == 0.0
+    neg = np.where(zero, -1.0, -rates)
+    return np.exp(rates * (hi - T)) * np.where(zero, tau, np.expm1(neg * tau) / neg)
+
+
+def integrate_h(rates: np.ndarray, coeffs: np.ndarray, T: float, a, b):
+    """Exact integral over [a, b] of h(t) = sum_g coeffs_g exp(rates_g (t - T)), for scalar or array a and b.
+
+    Each mode's term is coeffs_g times its ``modal_integrals`` entry. The
+    terms are added left to right from 0.0, so each entry of an array call
+    equals the scalar call bit for bit, and a zero coefficient adds a
+    signed zero that leaves the sum's bits unchanged.
+    """
+    terms = coeffs * modal_integrals(rates, T, a, b)
     terms = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), terms), axis=-1)
     total = np.add.accumulate(terms, axis=-1)[..., -1]
     return total if total.ndim else float(total)

@@ -1,7 +1,11 @@
 """Forward opinion dynamics: exact terminal states, RK4 simulation, objectives and the control gain.
 
 ``terminal_state`` gives the exact x(T) under a bang-bang schedule in the
-Laplacian's modes; the sigmoid loop scores its iterates with it.
+Laplacian's modes; the sigmoid loop scores its iterates with it. Its
+per-mode integrals over on-intervals come from ``costate.modal_integrals``,
+the one kernel that ``integrate_h``, and so ``closed_form_gain`` and the
+oracle's linear cell gains, read too. ``objective_value`` scores one
+terminal state or a batch of them, the oracle's sigmoid candidates included.
 ``simulate`` is the reference RK4 integrator that samples the whole path;
 it steps the dense system, and nothing else in the package runs that
 kernel, so its runs check the enumeration oracle's modal RK4 scores
@@ -14,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costate import _stable_sigmoid, integrate_h
+from .costate import _stable_sigmoid, integrate_h, modal_integrals
 from .errors import ContractError
 from .graph import _as_readonly, build_laplacian
-from .problem import CampaignProblem, Objective, Prepared, prepare
+from .problem import CampaignProblem, Objective, Prepared, _require_int, prepare
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,7 @@ def _grid(problem: CampaignProblem, schedule, steps: int) -> np.ndarray:
     The control and drift are then constant inside each piece, so the
     integrator never straddles a discontinuity.
     """
+    _require_int(steps, "steps")
     if steps < 64:
         raise ContractError(f"need at least 64 steps, got {steps}")
     _check_schedule(problem, schedule)
@@ -125,21 +130,6 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
     return Trajectory(times=ts, states=states, spend_accum=spend)
 
 
-def _modal_pulses(rates: np.ndarray, T: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Modal weights of unit pulses on [lo_j, hi_j]: e^{-rate (T - hi)} * phi(rate, hi - lo).
-
-    phi(rate, tau) = -expm1(-rate tau) / rate is the integral of
-    e^{-rate s} over [0, tau], equal to tau on the zero mode. Both factors
-    lie in [0, 1] and [0, tau] for nonnegative rates, so nothing overflows.
-    Returns [J, n].
-    """
-    tau = (hi - lo)[:, None]
-    zero = rates == 0.0
-    safe = np.where(zero, 1.0, rates)
-    phi = np.where(zero, tau, -np.expm1(-safe * tau) / safe)
-    return np.exp(-rates * (T - hi)[:, None]) * phi
-
-
 def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
     """Exact x(T) of dx/dt = -L x + B u + e under a bang-bang schedule.
 
@@ -148,13 +138,14 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
 
         V^T x(T) = e^{-rate T} V^T x0
                    + sum over on-intervals [lo, hi] of channel i of
-                     u_i e^{-rate (T - hi)} phi(rate, hi - lo) V^T b_i
+                     u_i (integral of e^{rate (t - T)} over [lo, hi]) V^T b_i
                    + the same kind of term for each drift piece,
 
-    with phi(rate, tau) = -expm1(-rate tau) / rate (tau on the zero mode,
-    whose rate is pinned to exactly 0: ``mode_rates``). V^T b_i is read
-    from the stored projection of the gains, ``Prepared.gains``. Intervals
-    of one channel are taken as disjoint, as in ``closed_form_gain``.
+    each integral from ``costate.modal_integrals``, the kernel of
+    ``integrate_h`` too (the zero mode's rate is pinned to exactly 0:
+    ``mode_rates``). V^T b_i is read from the stored projection of the
+    gains, ``Prepared.gains``. Intervals of one channel are taken as
+    disjoint, as in ``closed_form_gain``.
     """
     prep = prepare(problem)
     problem = prep.problem
@@ -167,25 +158,27 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
     for cs, coords in zip(schedule.channels, prep.gains.coords):
         if cs.intervals:
             ivs = np.array(cs.intervals, dtype=np.float64)
-            pulses = _modal_pulses(rates, T, ivs[:, 0], ivs[:, 1])
+            pulses = modal_integrals(rates, T, ivs[:, 0], ivs[:, 1])
             modal += cs.u_max * pulses.sum(axis=0) * coords
 
     # values[k] holds on [breakpoints[k], breakpoints[k + 1]), the last up to T.
     drift = problem.drift
     edges = np.concatenate([drift.breakpoints, [T]])
-    pulses = _modal_pulses(rates, T, edges[:-1], edges[1:])
+    pulses = modal_integrals(rates, T, edges[:-1], edges[1:])
     modal += np.sum(pulses * (drift.values @ vecs), axis=0)
     return vecs @ modal
 
 
-def objective_value(obj: Objective, xT: np.ndarray) -> float:
-    """J at the terminal state; sigmoid evaluation is overflow-safe."""
+def objective_value(obj: Objective, xT: np.ndarray) -> float | np.ndarray:
+    """J as a float at one terminal state, or one J per state of a batch (agents on the last axis); overflow-safe."""
     x = np.asarray(xT, dtype=np.float64)
     if obj.kind == "linear":
-        return float(obj.p @ x)
-    if obj.kind == "sigmoid":
-        return float(np.sum(obj.p * _stable_sigmoid(obj.alpha * (x - obj.theta))))
-    raise ContractError(f"unknown objective kind {obj.kind!r}")
+        value = x @ obj.p
+    elif obj.kind == "sigmoid":
+        value = np.sum(obj.p * _stable_sigmoid(obj.alpha * (x - obj.theta)), axis=-1)
+    else:
+        raise ContractError(f"unknown objective kind {obj.kind!r}")
+    return value if value.ndim else float(value)
 
 
 def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) -> float:

@@ -31,10 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
-from .costate import _stable_sigmoid, integrate_h, projected_coefficients
+from .costate import integrate_h, projected_coefficients
+from .dynamics import objective_value
 from .errors import ContractError, ValidationError
 from .graph import group_support
-from .problem import CampaignProblem, Prepared, prepare
+from .problem import CampaignProblem, Prepared, _require_int, prepare
 from .waterfill import BangBangSchedule, ChannelSchedule
 
 MAX_CANDIDATES = 2_000_000
@@ -46,22 +47,24 @@ SIGMOID_STEPS = 256
 _SCORE_ROWS = 4096
 # Uniform samples of [0, T] over which grid_slack takes max |h_i(t)|.
 SLACK_SAMPLES = 1024
+# Interior levels of the structure falsification mode (``--interior``), as fractions of u_max.
+INTERIOR_LEVELS = (0.75, 0.5, 0.25)
 
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """Candidate family: uniform switch grid, per-channel switch cap, optional interior levels.
+    """Candidate family: uniform switch grid, per-channel switch cap, interior levels.
 
     ``switch_grid`` and ``max_switches_per_channel`` are integers, not
     bools; a cap of None takes each channel's spectral-support bound.
-    Interior levels put the channel at the stated fraction of u_max while
-    on (structure falsification mode).
+    Interior levels, each strictly inside (0, 1), put the channel at that
+    fraction of u_max while on (structure falsification mode, e.g.
+    ``INTERIOR_LEVELS``); none, the default, enumerates the extreme level only.
     """
 
     switch_grid: int
     max_switches_per_channel: int | None = None
-    include_interior_levels: bool = False
-    interior_levels: tuple[float, ...] = (0.75, 0.5, 0.25)
+    interior_levels: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -162,12 +165,6 @@ def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float
     return tuple(intervals)
 
 
-def _require_int(value, name: str) -> None:
-    """Raise ContractError unless value is an integer; a bool is not one."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_switch_grid(g: int) -> None:
     _require_int(g, "switch_grid")
     if not (2 <= g <= 16):
@@ -231,7 +228,7 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
     edges = np.linspace(0.0, T, g + 1)
     delta = T / g
 
-    levels = (1.0,) + (tuple(map(float, spec.interior_levels)) if spec.include_interior_levels else ())
+    levels = (1.0,) + tuple(map(float, spec.interior_levels))
     if cap is None:
         caps = [bounds.support_bound(k) for k in group_support(sd, prep.gains).sum(axis=1)]
     else:
@@ -277,7 +274,7 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
         feasible_count=feasible,
         candidate_count=candidate_count,
         best_extreme_value=best_extreme,
-        best_interior_value=best_interior if spec.include_interior_levels else None,
+        best_interior_value=best_interior if len(levels) > 1 else None,
     )
 
 
@@ -431,7 +428,6 @@ def _score_sigmoid(prep: Prepared, edges, tables, feasible) -> np.ndarray:
     masks = [t.masks for t in tables]
     switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
     scale = [t.levels * ch.u_max for t, ch in zip(tables, problem.channels)]
-    obj = problem.objective
     values = np.empty(feasible[0].size)
     for lo in range(0, values.size, _SCORE_ROWS):
         rows = [f[lo : lo + _SCORE_ROWS] for f in feasible]
@@ -451,9 +447,7 @@ def _score_sigmoid(prep: Prepared, edges, tables, feasible) -> np.ndarray:
                 both = advance(advance(y, count + j), count + optional.size + j)
                 y = np.where(split[:, j, None], both, advance(y, s))
         x = y @ sd.vectors.T
-        values[lo : lo + rows[0].size] = np.sum(
-            obj.p * _stable_sigmoid(obj.alpha * (x - obj.theta)), axis=1
-        )
+        values[lo : lo + rows[0].size] = objective_value(problem.objective, x)
     return values
 
 

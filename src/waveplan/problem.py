@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 from .graph import (
     Projection,
     SpectralDecomposition,
@@ -93,10 +93,6 @@ class Drift:
         """Drift value at time t, or one row per time when t is an array."""
         return self.values[self.piece(t)]
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 @dataclass(frozen=True)
 class CampaignProblem:
@@ -138,6 +134,12 @@ def _real(x) -> float | None:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _require_int(value, name: str) -> None:
+    """Raise ContractError unless value is an integer; a bool is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite(a: np.ndarray) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import objective_value, terminal_state
 from .errors import ContractError
-from .problem import CampaignProblem, Objective, Prepared, prepare
+from .problem import CampaignProblem, Objective, Prepared, _real, _require_int, prepare
 from .waterfill import WaterfillSolution, _certified, _schedule
 
 
@@ -97,11 +97,12 @@ def solve_sigmoid(
     obj = prep.problem.objective
     if obj.kind != "sigmoid":
         raise ContractError("solve_sigmoid requires the sigmoid objective")
+    _require_int(max_iters, "max_iters")
     if max_iters < 1:
         raise ContractError(f"max_iters must be at least 1, got {max_iters}")
-    eps = default_epsilon(obj) if epsilon is None else float(epsilon)
-    if not (eps > 0.0):
-        raise ContractError(f"epsilon must be positive, got {eps}")
+    eps = default_epsilon(obj) if epsilon is None else _real(epsilon)
+    if eps is None or not (eps > 0.0):
+        raise ContractError(f"epsilon must be a positive real number, got {epsilon!r}")
 
     drafts = []  # schedule half of every iterate
     records: list[IterationRecord] = []

@@ -489,10 +489,6 @@ def _find_level(grid: _SignalGrid, probe, costs: np.ndarray, r: float):
     )
 
 
-def _spend(costs, sets) -> float:
-    return float(sum(c * sum(hi - lo for lo, hi in s) for c, s in zip(costs, sets)))
-
-
 def _schedule(prep: Prepared, lam: np.ndarray):
     """The schedule half of ``solve_with_costate``, before any certificate.
 
@@ -536,7 +532,8 @@ def _schedule(prep: Prepared, lam: np.ndarray):
             ChannelSchedule(u_max=ch.u_max, intervals=on.get(k, ())) for k, ch in enumerate(chans)
         )
     )
-    return coeffs, beta_star, schedule, _spend(costs, sets), tuple(trace)
+    spend = float(sum(ch.max_cost_rate * cs.on_time for ch, cs in zip(chans, schedule.channels)))
+    return coeffs, beta_star, schedule, spend, tuple(trace)
 
 
 def _certified(prep: Prepared, coeffs, beta_star, schedule, spend, trace) -> WaterfillSolution:

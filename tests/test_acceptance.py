@@ -17,7 +17,7 @@ from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.costate import projected_coefficients
 from waveplan.dynamics import simulate
 from waveplan.graph import build_laplacian, project, random_geometric_graph, spectral_decompose
-from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
+from waveplan.oracle import INTERIOR_LEVELS, EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import CampaignProblem, Drift
 from waveplan.sigmoid import default_epsilon, late_deciders, solve_sigmoid, surrogate_costate
 from waveplan.sweep import default_radius, run_sweep
@@ -68,7 +68,7 @@ def test_criterion_3_bang_bang_falsification():
             res = enumerate_best(
                 prob,
                 EnumerationSpec(
-                    switch_grid=8, max_switches_per_channel=8, include_interior_levels=True
+                    switch_grid=8, max_switches_per_channel=8, interior_levels=INTERIOR_LEVELS
                 ),
             )
             assert res.best_interior_value is not None

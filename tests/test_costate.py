@@ -194,10 +194,9 @@ class TestIntegrateH:
         for a, b in rng.uniform(0.0, 2.0, (50, 2)):
             total = 0.0
             for rate, d in zip(sd.group_rates.tolist(), row.tolist()):
-                if rate == 0.0:
-                    total += d * (b - a)
-                else:
-                    total += (d / rate) * (np.exp(rate * (b - 2.0)) - np.exp(rate * (a - 2.0)))
+                # e^{-rate (T - b)} (-expm1(-rate (b - a)) / rate), or b - a on the zero rate.
+                phi = b - a if rate == 0.0 else -np.expm1(-rate * (b - a)) / rate
+                total += d * (np.exp(-rate * (2.0 - b)) * phi)
             assert integrate_h(sd.group_rates, row, 2.0, a, b) == total
 
     def test_zero_entries_leave_the_bits_unchanged(self):

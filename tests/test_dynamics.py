@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from helpers import K2, k2_problem, random_connected_graph, random_linear_proble
 from waveplan.costate import integrate_h, projected_coefficients
 from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError, ValidationError
-from waveplan.graph import build_laplacian, project, spectral_decompose
+from waveplan.graph import WeightedGraph, build_laplacian, project, spectral_decompose
+from waveplan.oracle import EnumerationSpec, enumerate_best
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare
 from waveplan.waterfill import BangBangSchedule, ChannelSchedule, solve
 
@@ -108,6 +110,17 @@ class TestSimulate:
         prob = k2_problem()
         with pytest.raises(ContractError, match="64"):
             simulate(prob, _empty_schedule(prob), steps=32)
+
+    @pytest.mark.parametrize("steps", [200.0, 256.5, True, "256", None])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, steps):
+        prob = k2_problem()
+        with pytest.raises(ContractError, match="steps must be an integer"):
+            simulate(prob, _empty_schedule(prob), steps=steps)
+
+    def test_accepts_a_numpy_integer_step_count(self):
+        prob = k2_problem()
+        ref = simulate(prob, _empty_schedule(prob), steps=128)
+        assert np.array_equal(simulate(prob, _empty_schedule(prob), steps=np.int64(128)).states, ref.states)
 
     def test_seven_agent_terminal_golden(self):
         from waveplan.bundles import seven_agent_problem
@@ -217,6 +230,36 @@ class TestClosedFormGain:
                     intervals += 1
             assert closed_form_gain(sd.group_rates, coeffs, prob.T, schedule) == total
         assert intervals >= 36
+
+
+class TestSlowModes:
+    """Slow modes on short intervals (rate * width down to 2e-13), where a difference of exponentials cancels."""
+
+    @pytest.mark.parametrize("weight", [1e-3, 1e-5, 1e-7])
+    def test_gain_and_oracle_cells_keep_full_relative_accuracy(self, weight):
+        # On K2 with p = b = e_1 both group coefficients are 1/2, so neither mode cancels the other.
+        prob = CampaignProblem(
+            graph=WeightedGraph(n=2, edges=((1, 2, weight),)),
+            channels=(Channel(b=np.array([1.0, 0.0]), cost=CostModel("linear", 1.0), u_max=1.0),),
+            objective=Objective(kind="linear", p=np.array([1.0, 0.0])),
+            T=1.0,
+            r=1.0 / 16,
+            x0=np.zeros(2),
+        )
+        prep = prepare(prob)
+        coeffs = projected_coefficients(prep.sd, prob.objective.p, prep.gains)
+        on = ((0.5, 0.501), (0.9, 0.9 + 1e-6))
+        schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=on),))
+        exact = float(prob.objective.p @ terminal_state(prep, schedule))
+        gain = closed_form_gain(prep.sd.group_rates, coeffs, prob.T, schedule)
+        assert gain == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+        # The budget buys one cell of 16; its value is u_max times the integral of h over it.
+        res = enumerate_best(prep, EnumerationSpec(switch_grid=16))
+        ((lo, hi),) = res.schedule.channels[0].intervals
+        rate = 2.0 * weight
+        hand = 0.5 * (hi - lo) + 0.5 * math.exp(-rate * (prob.T - hi)) * -math.expm1(-rate * (hi - lo)) / rate
+        assert res.value == pytest.approx(hand, rel=1e-12, abs=0.0)
 
 
 class TestScheduleRobustness:

@@ -11,7 +11,7 @@ from waveplan import costate, dynamics, graph, oracle
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate
 from waveplan.errors import ContractError, ValidationError
-from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
+from waveplan.oracle import INTERIOR_LEVELS, EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare
 from waveplan.waterfill import solve
 
@@ -40,7 +40,7 @@ class TestGuards:
     def test_candidate_guard_reports_count(self):
         prob = _aligned_problem(np.random.default_rng(5), 3, 2, 16)
         spec = EnumerationSpec(
-            switch_grid=16, max_switches_per_channel=16, include_interior_levels=True
+            switch_grid=16, max_switches_per_channel=16, interior_levels=INTERIOR_LEVELS
         )
         with pytest.raises(ValidationError, match="smaller switch_grid"):
             enumerate_best(prob, spec)
@@ -84,7 +84,7 @@ def _table_bytes():
     return sum(arr.nbytes for table in oracle._tables.values() for arr in table)
 
 
-LEVEL_SETTINGS = [(1.0,), (1.0,) + EnumerationSpec(switch_grid=2).interior_levels]
+LEVEL_SETTINGS = [(1.0,), (1.0,) + INTERIOR_LEVELS]
 
 
 class TestCandidateTables:
@@ -128,7 +128,7 @@ class TestCandidateTables:
             (lambda rng: _desk_problem(rng, 3, 1, False, True), EnumerationSpec(switch_grid=10)),
             (
                 lambda rng: _desk_problem(rng, 6, 2, True, True),
-                EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True),
+                EnumerationSpec(switch_grid=8, max_switches_per_channel=2, interior_levels=INTERIOR_LEVELS),
             ),
             (lambda rng: seven_agent_sigmoid_problem(), EnumerationSpec(switch_grid=6, max_switches_per_channel=1)),
         ],
@@ -146,7 +146,7 @@ class TestCandidateTables:
     def test_costs_are_the_tiled_product(self, monkeypatch):
         # Each candidate's spend is its level's cost rate x cell width x its on-cell count.
         prob = _sigmoid_problem(np.random.default_rng(47), P3, 2)
-        spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, include_interior_levels=True)
+        spec = EnumerationSpec(switch_grid=5, max_switches_per_channel=2, interior_levels=INTERIOR_LEVELS)
         calls = []
         enumerate_sigmoid = oracle._enumerate_sigmoid
         monkeypatch.setattr(oracle, "_enumerate_sigmoid", lambda *args: calls.append(args) or enumerate_sigmoid(*args))
@@ -191,7 +191,7 @@ class TestEnumerateBest:
         for _ in range(5):
             prob = _aligned_problem(rng, int(rng.choice([2, 3])), int(rng.integers(1, 3)), 8)
             spec = EnumerationSpec(
-                switch_grid=8, max_switches_per_channel=8, include_interior_levels=True
+                switch_grid=8, max_switches_per_channel=8, interior_levels=INTERIOR_LEVELS
             )
             res = enumerate_best(prob, spec)
             assert res.best_interior_value is not None
@@ -228,9 +228,16 @@ class TestSpecValidation:
             enumerate_best(k2_problem(), EnumerationSpec(switch_grid=4, max_switches_per_channel=-1))
 
     def test_rejects_bad_interior_levels(self):
-        spec = EnumerationSpec(switch_grid=4, include_interior_levels=True, interior_levels=(1.5,))
+        spec = EnumerationSpec(switch_grid=4, interior_levels=(1.5,))
         with pytest.raises(ContractError, match="interior levels"):
             enumerate_best(k2_problem(), spec)
+
+    @pytest.mark.parametrize("levels", [(), (0.5,), INTERIOR_LEVELS])
+    def test_interior_value_is_none_exactly_without_levels(self, levels):
+        res = enumerate_best(k2_problem(), EnumerationSpec(switch_grid=4, interior_levels=levels))
+        assert (res.best_interior_value is None) == (levels == ())
+        extreme = enumerate_best(k2_problem(), EnumerationSpec(switch_grid=4))
+        assert res.candidate_count == extreme.candidate_count * (1 + len(levels))
 
     @pytest.mark.parametrize("grid", [4.5, 4.0, True, "4"])
     def test_rejects_non_integer_switch_grid(self, grid):
@@ -311,7 +318,6 @@ class TestBatchedSigmoidScoring:
             EnumerationSpec(
                 switch_grid=3,
                 max_switches_per_channel=1,
-                include_interior_levels=True,
                 interior_levels=(0.5,),
             ),
         ),
@@ -413,7 +419,7 @@ class TestTransferMapScoring:
             "interior",
             lambda rng: _map_problem(rng, 2, n=2),
             EnumerationSpec(
-                switch_grid=3, max_switches_per_channel=1, include_interior_levels=True, interior_levels=(0.5,)
+                switch_grid=3, max_switches_per_channel=1, interior_levels=(0.5,)
             ),
             [0, 1],
         ),
@@ -453,7 +459,7 @@ class TestTransferMapScoring:
 
     def test_bundle_grid8_interior_levels(self):
         prob = seven_agent_sigmoid_problem()
-        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True)
+        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=2, interior_levels=INTERIOR_LEVELS)
         res = enumerate_best(prob, spec)
         assert (res.feasible_count, res.candidate_count) == (49158, 53824)
         assert res.schedule.channels[0].u_max == 1.0
@@ -466,7 +472,7 @@ class TestTransferMapScoring:
 
     def test_sampled_grid8_candidates_match_stepped_rk4(self, monkeypatch):
         prob = seven_agent_sigmoid_problem()
-        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True)
+        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=2, interior_levels=INTERIOR_LEVELS)
         _, schedules, values = _scored_candidates(prob, spec, monkeypatch)
         for i in range(0, len(schedules), 997):
             stepped = _stepped(prob, schedules[i])
@@ -639,10 +645,10 @@ def _class_pair_budget(prob, g):
 class TestCostClassCombine:
     SPECS = [
         EnumerationSpec(switch_grid=10),
-        EnumerationSpec(switch_grid=6, include_interior_levels=True),
-        EnumerationSpec(switch_grid=8, max_switches_per_channel=2, include_interior_levels=True),
+        EnumerationSpec(switch_grid=6, interior_levels=INTERIOR_LEVELS),
+        EnumerationSpec(switch_grid=8, max_switches_per_channel=2, interior_levels=INTERIOR_LEVELS),
         EnumerationSpec(switch_grid=9, max_switches_per_channel=1),
-        EnumerationSpec(switch_grid=7, max_switches_per_channel=0, include_interior_levels=True),
+        EnumerationSpec(switch_grid=7, max_switches_per_channel=0, interior_levels=INTERIOR_LEVELS),
     ]
     # (n, m, power, binding) over the desk ladder's design.
     DESK = [(2 + i % 7, 1 + i % 2, (i // 2) % 2 == 1, (i // 4) % 2 == 0) for i in range(16)]
@@ -657,7 +663,7 @@ class TestCostClassCombine:
             assert getattr(result, field) == getattr(reference, field), field
         return result
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"g{s.switch_grid}c{s.max_switches_per_channel}i{int(s.include_interior_levels)}")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"g{s.switch_grid}c{s.max_switches_per_channel}i{int(bool(s.interior_levels))}")
     def test_desk_problems_match_pair_loop(self, spec, monkeypatch):
         rng = np.random.default_rng(29)
         for n, m, power, binding in self.DESK:
@@ -682,7 +688,7 @@ class TestCostClassCombine:
     def test_budget_equal_to_a_class_pair_cost(self, m, monkeypatch):
         prob = _desk_problem(np.random.default_rng(41), 6, m, False, True)
         prob = replace(prob, r=_class_pair_budget(prob, 8))
-        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=3, include_interior_levels=True)
+        spec = EnumerationSpec(switch_grid=8, max_switches_per_channel=3, interior_levels=INTERIOR_LEVELS)
         res = self._assert_matches_reference(prob, spec, monkeypatch)
         assert res.spend <= prob.r + 1e-9 * max(1.0, prob.r)
 

@@ -661,5 +661,3 @@ class TestDrift:
         assert d.at(0.999)[0] == 1.0
         assert d.at(1.0)[0] == 2.0
         assert d.at(5.0)[0] == 3.0
-        assert not d.is_zero
-        assert Drift.zero(3).is_zero

@@ -187,3 +187,19 @@ class TestSolveSigmoid:
             solve_sigmoid(prob, max_iters=0)
         with pytest.raises(ContractError):
             solve_sigmoid(prob, epsilon=-1.0)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "3", None])
+    def test_rejects_an_iteration_count_that_is_not_an_integer(self, max_iters):
+        with pytest.raises(ContractError, match="max_iters must be an integer"):
+            solve_sigmoid(_sigmoid_k2([0.0, 0.0]), max_iters=max_iters)
+
+    @pytest.mark.parametrize("epsilon", ["abc", "0.05", True, float("nan"), 0.0, -float("inf")])
+    def test_rejects_an_epsilon_that_is_not_a_positive_real(self, epsilon):
+        with pytest.raises(ContractError, match="epsilon must be a positive real number"):
+            solve_sigmoid(_sigmoid_k2([0.0, 0.0]), epsilon=epsilon)
+
+    def test_accepts_numpy_scalars(self):
+        prob = _sigmoid_k2([0.0, 0.0])
+        ref = solve_sigmoid(prob, epsilon=0.05, max_iters=3)
+        res = solve_sigmoid(prob, epsilon=np.float64(0.05), max_iters=np.int64(3))
+        assert res.iterations == ref.iterations and res.objective == ref.objective

@@ -833,7 +833,8 @@ def _check_probes_and_budget(prob):
     sol, probes, crossings = _recorded_tails(lambda: _solve_or_bracket(prob))
     _assert_tails_match_the_reference(probes, crossings)
     for grid, beta, costs, (spend, _, events) in probes:
-        assert spend == pytest.approx(waterfill._spend(costs, grid.on_sets(events)), rel=1e-12, abs=0.0)
+        on_times = [sum(hi - lo for lo, hi in s) for s in grid.on_sets(events)]
+        assert spend == pytest.approx(float(np.dot(costs, on_times)), rel=1e-12, abs=0.0)
         reference = _reference_crossings(grid, beta)
         crossings = _interior_crossings(grid, beta, events)
         for k, (times, ref) in enumerate(zip(crossings, reference, strict=True)):
@@ -1024,7 +1025,8 @@ def _schedule_every_channel_on_the_grid(prep, lam):
             waterfill.ChannelSchedule(u_max=ch.u_max, intervals=s) for ch, s in zip(problem.channels, sets)
         )
     )
-    return coeffs, beta_star, schedule, waterfill._spend(costs, sets), tuple(trace)
+    spend = float(sum(c * cs.on_time for c, cs in zip(costs, schedule.channels)))
+    return coeffs, beta_star, schedule, spend, tuple(trace)
 
 
 def _assert_same_solution(sol, ref, prob):
