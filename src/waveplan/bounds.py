@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _int_fault, _real_fault, _require
 
 
 def support_bound(groups) -> int:
     """Spectral-support switch bound, max(0, groups - 1), of a channel projecting onto ``groups`` eigenvalue groups."""
+    _require(ContractError, _int_fault(groups, "group count", 0))
     return max(0, int(groups) - 1)
 
 
@@ -102,10 +103,9 @@ def linear_bounds(coeffs: np.ndarray, shift: float) -> tuple[int, int]:
     running sum of the row with a threshold level subtracted (it enters the
     constant term, hence every partial sum). One pass returns both bounds:
     the variation count at the level ``shift >= 0``, and its maximum over
-    all levels.
+    all levels. A shift that is not a finite real number at least 0 is a
+    ContractError.
     """
-    s = float(shift)
-    if s < 0.0:
-        raise ContractError(f"threshold shift must be nonnegative, got {s}")
+    _require(ContractError, _real_fault(shift, "threshold shift", "nonnegative"))
     stol = 1e-12 * max(1.0, float(np.abs(coeffs).sum()))
-    return _variation_bounds(coeffs.cumsum(), s, stol)
+    return _variation_bounds(coeffs.cumsum(), float(shift), stol)

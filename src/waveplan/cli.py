@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 from . import bounds
 from .costate import projected_coefficients
 from .dynamics import objective_value, simulate
-from .errors import ContractError, NumericalError, ValidationError
+from .errors import ContractError, NumericalError, ValidationError, _int_fault, _require
 from .graph import _reject_booleans
 from .oracle import INTERIOR_LEVELS, EnumerationSpec, enumerate_best, grid_slack
 from .problem import CampaignProblem, check_conditions, prepare, problem_from_dict, require_valid
@@ -73,7 +72,7 @@ def schedule_to_dict(schedule: BangBangSchedule, T: float) -> dict:
 
 
 def schedule_from_dict(d: dict) -> BangBangSchedule:
-    """A schedule from its JSON form; the interval bounds are checked against the problem when it runs."""
+    """A schedule from its JSON form; its u_max and intervals are checked against the problem when it runs."""
     _reject_booleans(d, "schedule")
     try:
         channels = tuple(
@@ -85,9 +84,6 @@ def schedule_from_dict(d: dict) -> BangBangSchedule:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed schedule object: {exc}") from exc
-    for k, cs in enumerate(channels, start=1):
-        if not (math.isfinite(cs.u_max) and cs.u_max >= 0.0):
-            raise ValidationError(f"schedule channel {k}: u_max must be finite and >= 0, got {cs.u_max}")
     return BangBangSchedule(channels=channels)
 
 
@@ -104,8 +100,7 @@ def _summary_dict(problem: CampaignProblem, sol: WaterfillSolution) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    if args.plot_points < 2:
-        raise ValidationError(f"--plot-points must be at least 2, got {args.plot_points}")
+    _require(ValidationError, _int_fault(args.plot_points, "--plot-points", 2))
     prep = prepare(_load_problem(args.problem))
     problem, sd = prep.problem, prep.sd
     out = Path(args.out)

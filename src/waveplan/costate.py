@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _real_fault, _require
 from .graph import Projection, SpectralDecomposition, _norm
 from .problem import Objective
 
@@ -26,6 +26,15 @@ def _stable_sigmoid(w: np.ndarray) -> np.ndarray:
     ew = np.exp(w[~pos])
     out[~pos] = ew / (1.0 + ew)
     return out
+
+
+def _terminal_state(obj: Objective, xT, batch: bool = False) -> np.ndarray:
+    """xT as a float array: one state of the objective's n agents, or with ``batch`` any stack of them; else ContractError."""
+    x = np.asarray(xT, dtype=np.float64)
+    if x.shape[-1:] != obj.p.shape or not (batch or x.ndim == 1):
+        expected = f"(..., {obj.p.size})" if batch else f"({obj.p.size},)"
+        raise ContractError(f"terminal state has shape {x.shape}, expected {expected}")
+    return x
 
 
 def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> np.ndarray:
@@ -41,7 +50,7 @@ def terminal_costate(obj: Objective, xT: np.ndarray | None = None) -> np.ndarray
     if obj.kind == "sigmoid":
         if xT is None:
             raise ContractError("sigmoid terminal costate requires the terminal state xT")
-        w = obj.alpha * (np.asarray(xT, dtype=np.float64) - obj.theta)
+        w = obj.alpha * (_terminal_state(obj, xT) - obj.theta)
         lam = obj.p * obj.alpha * _stable_sigmoid(w) * _stable_sigmoid(-w)
         lam.setflags(write=False)
         return lam
@@ -88,8 +97,10 @@ def integrate_h(rates: np.ndarray, coeffs: np.ndarray, T: float, a, b):
     Each mode's term is coeffs_g times its ``modal_integrals`` entry. The
     terms are added left to right from 0.0, so each entry of an array call
     equals the scalar call bit for bit, and a zero coefficient adds a
-    signed zero that leaves the sum's bits unchanged.
+    signed zero that leaves the sum's bits unchanged. T must be a finite
+    positive real number.
     """
+    _require(ContractError, _real_fault(T, "horizon T", "positive"))
     terms = coeffs * modal_integrals(rates, T, a, b)
     terms = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), terms), axis=-1)
     total = np.add.accumulate(terms, axis=-1)[..., -1]

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costate import _stable_sigmoid, integrate_h, modal_integrals
-from .errors import ContractError
+from .costate import _stable_sigmoid, _terminal_state, integrate_h, modal_integrals
+from .errors import ContractError, _int_fault, _real_fault, _require
 from .graph import _as_readonly, build_laplacian
-from .problem import CampaignProblem, Objective, Prepared, _require_int, prepare
+from .problem import CampaignProblem, Objective, Prepared, prepare
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,10 @@ def _check_schedule(problem: CampaignProblem, schedule) -> None:
         raise ContractError(
             f"schedule has {len(schedule.channels)} channels, problem has {problem.m}"
         )
-    for cs in schedule.channels:
+    for k, cs in enumerate(schedule.channels, start=1):
+        fault = _real_fault(cs.u_max, "u_max", "nonnegative")
+        if fault:
+            raise ContractError(f"schedule channel {k}: {fault}")
         for lo, hi in cs.intervals:
             if not (0.0 <= lo <= hi <= problem.T):
                 raise ContractError(f"schedule interval ({lo}, {hi}) outside [0, {problem.T}]")
@@ -58,9 +61,7 @@ def _grid(problem: CampaignProblem, schedule, steps: int) -> np.ndarray:
     The control and drift are then constant inside each piece, so the
     integrator never straddles a discontinuity.
     """
-    _require_int(steps, "steps")
-    if steps < 64:
-        raise ContractError(f"need at least 64 steps, got {steps}")
+    _require(ContractError, _int_fault(steps, "steps", 64))
     _check_schedule(problem, schedule)
     T = problem.T
     events = [problem.drift.breakpoints]
@@ -171,7 +172,7 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
 
 def objective_value(obj: Objective, xT: np.ndarray) -> float | np.ndarray:
     """J as a float at one terminal state, or one J per state of a batch (agents on the last axis); overflow-safe."""
-    x = np.asarray(xT, dtype=np.float64)
+    x = _terminal_state(obj, xT, batch=True)
     if obj.kind == "linear":
         value = x @ obj.p
     elif obj.kind == "sigmoid":
@@ -191,6 +192,7 @@ def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) 
     ``integrate_h`` call, whose entries equal its scalar calls bit for bit,
     and the terms are added one by one in channel then interval order.
     """
+    _require(ContractError, _real_fault(T, "horizon T", "positive"))
     if np.shape(coeffs) != (len(schedule.channels), np.size(rates)):
         raise ContractError(
             f"coefficients have shape {np.shape(coeffs)}, expected "

@@ -7,13 +7,12 @@ format; matrices and eigenvector arrays are 0-based.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ContractError, NumericalError, ValidationError, _int_fault, _real, _real_fault, _require
 
 # Most agents a graph may have: the dense n x n float64 Laplacian is then 2 GiB.
 MAX_AGENTS = 16384
@@ -151,8 +150,7 @@ class WeightedGraph:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"agent count must be a positive integer, got {self.n!r}")
+        _require(ValidationError, _int_fault(self.n, "agent count", 1))
         _check_agent_count(self.n)
         i, j, w = _validated_edges(self.n, self.edges)
         ends = np.array((i, j)).T.ravel() - 1
@@ -253,9 +251,18 @@ def group_support(sd: SpectralDecomposition, proj: Projection) -> np.ndarray:
 def spectral_decompose(lap: np.ndarray) -> SpectralDecomposition:
     """Symmetric eigendecomposition of a Laplacian matrix with scale-relative tolerances.
 
-    Raises NumericalError when the second eigenvalue falls below the zero
-    tolerance, which marks the graph as numerically disconnected.
+    Raises ContractError unless the matrix is real, square, nonempty and
+    finite, and NumericalError when the second eigenvalue falls below the
+    zero tolerance, which marks the graph as numerically disconnected.
     """
+    try:
+        lap = np.asarray(lap, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"Laplacian must be a real matrix: {exc}") from None
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or not lap.size:
+        raise ContractError(f"Laplacian has shape {lap.shape}, expected (n, n) with n >= 1")
+    if not np.isfinite(lap).all():
+        raise ContractError("Laplacian has non-finite entries")
     evals, q = np.linalg.eigh(lap)
     scale = max(1.0, float(evals[-1]))
     zero_tol = 1e-9 * scale
@@ -324,30 +331,18 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> tuple[WeightedGr
     within Euclidean distance ``radius``. Disconnected draws are resampled
     with the seed incremented, up to ``GEOMETRIC_RETRIES`` extra attempts.
 
-    Returns the graph together with the seed that produced it. n and seed
-    must be integers and radius a finite positive real number; a boolean is
-    none of these. The agent limit ``MAX_AGENTS`` is checked before the n
+    Returns the graph together with the seed that produced it. n (at least
+    2) and seed (at least 0) must be integers and radius a finite positive
+    real number. The agent limit ``MAX_AGENTS`` is checked before the n
     points are placed, and no n x n array is formed: the pairs are found
     from a window on the x-sorted points (``_geometric_edges``).
     """
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"agent count must be an integer, got {n!r}")
-    if n < 2:
-        raise ValidationError(f"need at least 2 nodes, got {n}")
-    if isinstance(radius, (bool, np.bool_)) or not isinstance(radius, numbers.Real):
-        raise ValidationError(f"radius must be a real number, got {radius!r}")
-    try:
-        r = float(radius)
-    except OverflowError:  # an int too large for a float is not finite
-        r = math.inf
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValidationError(f"radius must be finite and positive, got {radius}")
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    _require(ValidationError, _int_fault(n, "agent count", 2), _real_fault(radius, "radius", "positive"))
+    _require(ValidationError, _int_fault(seed, "seed", 0))
     _check_agent_count(n)
     for attempt in range(GEOMETRIC_RETRIES + 1):
         s = int(seed) + attempt  # a Python int: a numpy seed near its type's limit would wrap
-        rows, cols = _geometric_edges(np.random.default_rng(s).random((n, 2)), r)
+        rows, cols = _geometric_edges(np.random.default_rng(s).random((n, 2)), _real(radius))
         try:
             return WeightedGraph(n=n, edges=np.column_stack((rows + 1, cols + 1, np.ones(rows.size)))), s
         except _Disconnected:

@@ -33,9 +33,9 @@ import numpy as np
 from . import bounds
 from .costate import integrate_h, projected_coefficients
 from .dynamics import objective_value
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ValidationError, _int_fault, _real, _require
 from .graph import group_support
-from .problem import CampaignProblem, Prepared, _require_int, prepare
+from .problem import CampaignProblem, Prepared, prepare
 from .waterfill import BangBangSchedule, ChannelSchedule
 
 MAX_CANDIDATES = 2_000_000
@@ -165,12 +165,6 @@ def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float
     return tuple(intervals)
 
 
-def _check_switch_grid(g: int) -> None:
-    _require_int(g, "switch_grid")
-    if not (2 <= g <= 16):
-        raise ContractError(f"switch_grid must lie in [2, 16], got {g}")
-
-
 def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
     """Discretization slack estimate: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
 
@@ -181,7 +175,7 @@ def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
     """
     prep = prepare(problem)
     problem, sd = prep.problem, prep.sd
-    _check_switch_grid(switch_grid)
+    _require(ContractError, _int_fault(switch_grid, "switch_grid", 2, 16))
     T = problem.T
     coeffs = projected_coefficients(sd, problem.objective.p, prep.gains)
     modes = np.exp(np.multiply.outer(np.linspace(0.0, T, SLACK_SAMPLES) - T, sd.group_rates))
@@ -215,13 +209,10 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
     if n > 8 or m > 2:
         raise ContractError(f"enumeration is desk-scale only: n <= 8 and m <= 2, got n={n}, m={m}")
     g = spec.switch_grid
-    _check_switch_grid(g)
     cap = spec.max_switches_per_channel
-    if cap is not None:
-        _require_int(cap, "switch cap")
-        if cap < 0:
-            raise ContractError(f"switch cap must be nonnegative, got {cap}")
-    if any(not (0.0 < lvl < 1.0) for lvl in spec.interior_levels):
+    _require(ContractError, _int_fault(g, "switch_grid", 2, 16))
+    _require(ContractError, None if cap is None else _int_fault(cap, "switch cap", 0))
+    if any(not (0.0 < (_real(lvl) or 0.0) < 1.0) for lvl in spec.interior_levels):
         raise ContractError(f"interior levels must lie strictly inside (0, 1), got {spec.interior_levels}")
 
     T = problem.T

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ValidationError, _real, _real_fault
 from .graph import (
     Projection,
     SpectralDecomposition,
@@ -121,27 +119,6 @@ class CampaignProblem:
         return len(self.channels)
 
 
-def _real(x) -> float | None:
-    """x as a float if it is a real number (a bool is not), else None.
-
-    An int too large for a float counts as +-inf: it is not finite.
-    """
-    if type(x) is float:
-        return x
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-        return None
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _require_int(value, name: str) -> None:
-    """Raise ContractError unless value is an integer; a bool is not one."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{name} must be an integer, got {value!r}")
-
-
 def _finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
@@ -149,10 +126,9 @@ def _finite(a: np.ndarray) -> bool:
 def validate_problem(p: CampaignProblem) -> list[str]:
     """Collect every violated invariant as a human-readable finding.
 
-    Returns an empty list iff the problem is well-formed; never raises. A
-    scalar field (T, r, u_max, cost v and a) that is not a real number, such
-    as None, a string or a bool, is a finding; an int too large for a float
-    counts as infinite.
+    Returns an empty list iff the problem is well-formed; never raises. The
+    scalar fields (T, r, u_max, cost v and a) are checked by the package's
+    one real-number rule, ``errors._real_fault``.
     """
     findings: list[str] = []
     n = p.n
@@ -172,30 +148,19 @@ def validate_problem(p: CampaignProblem) -> list[str]:
             findings.append(f"channel {k}: gain vector has non-finite entries")
         elif not np.count_nonzero(ch.b):
             findings.append(f"channel {k} has empty reach")
-        u_max = _real(ch.u_max)
-        if u_max is None:
-            findings.append(f"channel {k}: u_max must be a real number, got {ch.u_max!r}")
-        elif not (0.0 < u_max < math.inf):
-            findings.append(f"channel {k}: u_max must be finite and positive, got {ch.u_max}")
-        kind = ch.cost.kind
-        if kind not in ("linear", "power"):
-            findings.append(f"channel {k}: unknown cost kind {kind!r}")
-        v = _real(ch.cost.v)
-        if v is None:
-            findings.append(f"channel {k}: cost rate v must be a real number, got {ch.cost.v!r}")
-        elif not math.isfinite(v):
-            findings.append(f"channel {k}: cost rate v must be finite, got {ch.cost.v}")
-        elif not (v > 0.0):
-            findings.append(f"channel {k}: cost rate v must be positive, got {ch.cost.v}")
-        a = _real(ch.cost.a)
-        if a is None:
-            findings.append(f"channel {k}: cost exponent a must be a real number, got {ch.cost.a!r}")
-        elif not math.isfinite(a):
-            findings.append(f"channel {k}: cost exponent a must be finite, got {ch.cost.a}")
-        elif kind == "linear" and a != 1.0:
-            findings.append(f"channel {k}: linear cost requires a = 1, got {ch.cost.a}")
-        elif kind == "power" and not (0.0 < a <= 1.0):
-            findings.append(f"channel {k}: power cost exponent must lie in (0, 1], got {ch.cost.a}")
+        kind, a = ch.cost.kind, ch.cost.a
+        a_fault = _real_fault(a, "cost exponent a")
+        if a_fault is None and kind == "linear" and a != 1.0:
+            a_fault = f"linear cost requires a = 1, got {a}"
+        elif a_fault is None and kind == "power" and not (0.0 < a <= 1.0):
+            a_fault = f"power cost exponent must lie in (0, 1], got {a}"
+        faults = (
+            _real_fault(ch.u_max, "u_max", "positive"),
+            None if kind in ("linear", "power") else f"unknown cost kind {kind!r}",
+            _real_fault(ch.cost.v, "cost rate v", "positive"),
+            a_fault,
+        )
+        findings += [f"channel {k}: {fault}" for fault in faults if fault]
 
     if obj.kind not in ("linear", "sigmoid"):
         findings.append(f"unknown objective kind {obj.kind!r}")
@@ -219,20 +184,8 @@ def validate_problem(p: CampaignProblem) -> list[str]:
             elif (obj.alpha <= 0.0).any():
                 findings.append("sigmoid sharpness alpha must be positive")
 
-    T = _real(p.T)
-    if T is None:
-        findings.append(f"horizon T must be a real number, got {p.T!r}")
-    elif not math.isfinite(T):
-        findings.append(f"horizon T must be finite, got {p.T}")
-    elif not (T > 0.0):
-        findings.append(f"horizon T must be positive, got {p.T}")
-    r = _real(p.r)
-    if r is None:
-        findings.append(f"budget must be a real number, got {p.r!r}")
-    elif not math.isfinite(r):
-        findings.append(f"budget must be finite, got {p.r}")
-    elif not (r > 0.0):
-        findings.append("budget must be positive")
+    t_fault = _real_fault(p.T, "horizon T", "positive")
+    findings += [f for f in (t_fault, _real_fault(p.r, "budget", "positive")) if f]
     if p.x0.shape != (n,):
         findings.append(f"initial state has shape {p.x0.shape}, expected ({n},)")
     elif not (all_finite or _finite(p.x0)):
@@ -255,7 +208,7 @@ def validate_problem(p: CampaignProblem) -> list[str]:
             with np.errstate(invalid="ignore"):
                 if ((bps[1:] - bps[:-1]) <= 0.0).any():
                     findings.append("drift breakpoints must be strictly increasing")
-            if T is not None and T > 0.0 and (bps >= T).any():
+            if t_fault is None and (bps >= _real(p.T)).any():
                 findings.append("drift breakpoints must lie within [0, T)")
     else:
         findings.append("drift needs at least one breakpoint at 0")

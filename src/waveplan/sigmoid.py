@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import objective_value, terminal_state
-from .errors import ContractError
-from .problem import CampaignProblem, Objective, Prepared, _real, _require_int, prepare
+from .costate import _terminal_state
+from .errors import ContractError, _int_fault, _real_fault, _require
+from .problem import CampaignProblem, Objective, Prepared, prepare
 from .waterfill import WaterfillSolution, _certified, _schedule
 
 
@@ -53,9 +54,8 @@ def late_deciders(x_T: np.ndarray, obj: Objective, epsilon: float) -> LateDecide
     """Classify the terminal state x_T by the strict inequality |x_j(T) - theta_j| < epsilon."""
     if obj.kind != "sigmoid":
         raise ContractError("late deciders are defined for the sigmoid objective")
-    if not (epsilon > 0.0):
-        raise ContractError(f"epsilon must be positive, got {epsilon}")
-    gap = np.abs(np.asarray(x_T, dtype=np.float64) - obj.theta)
+    _require(ContractError, _real_fault(epsilon, "epsilon", "positive"))
+    gap = np.abs(_terminal_state(obj, x_T) - obj.theta)
     members = tuple(int(j + 1) for j in np.flatnonzero(gap < epsilon))
     return LateDeciderSet(epsilon=float(epsilon), members=members)
 
@@ -97,12 +97,8 @@ def solve_sigmoid(
     obj = prep.problem.objective
     if obj.kind != "sigmoid":
         raise ContractError("solve_sigmoid requires the sigmoid objective")
-    _require_int(max_iters, "max_iters")
-    if max_iters < 1:
-        raise ContractError(f"max_iters must be at least 1, got {max_iters}")
-    eps = default_epsilon(obj) if epsilon is None else _real(epsilon)
-    if eps is None or not (eps > 0.0):
-        raise ContractError(f"epsilon must be a positive real number, got {epsilon!r}")
+    eps = default_epsilon(obj) if epsilon is None else epsilon
+    _require(ContractError, _int_fault(max_iters, "max_iters", 1), _real_fault(eps, "epsilon", "positive"))
 
     drafts = []  # schedule half of every iterate
     records: list[IterationRecord] = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import linear_bounds, support_bound
 from .costate import projected_coefficients
-from .errors import ValidationError
+from .errors import ValidationError, _int_fault, _real_fault, _require
 from .graph import build_laplacian, group_support, project, random_geometric_graph, spectral_decompose
 
 
@@ -46,16 +46,16 @@ class SweepAggregate:
 
 
 def default_radius(n: int) -> float:
-    """Connectivity-comfortable geometric radius, shrinking like sqrt(log n / n)."""
+    """Connectivity-comfortable geometric radius, shrinking like sqrt(log n / n), for an integer n >= 2."""
+    _require(ValidationError, _int_fault(n, "agent count", 2))
     return min(1.0, 1.7 * math.sqrt(math.log(n) / (math.pi * n)))
 
 
 def sweep_instance(n: int, instance: int, base_seed: int, radius: float | None = None) -> SweepRow:
-    """One (n, instance) cell: seeded graph, seeded random p, b = first basis vector."""
-    if n < 2:
-        raise ValidationError(f"need at least 2 nodes, got {n}")
-    if radius is None:
-        radius = default_radius(n)
+    """One (n, instance) cell: seeded graph, seeded random p, b = first basis vector; arguments are checked first."""
+    _require(ValidationError, _int_fault(n, "agent count", 2), _int_fault(instance, "instance", 0))
+    radius = default_radius(n) if radius is None else radius
+    _require(ValidationError, _int_fault(base_seed, "base_seed", 0), _real_fault(radius, "radius", "positive"))
     graph_seed = base_seed * 1_000_003 + n * 1_009 + instance
     graph, used_seed = random_geometric_graph(n, radius, graph_seed)
     sd = spectral_decompose(build_laplacian(graph))
@@ -82,10 +82,14 @@ def run_sweep(
     """All rows plus per-n aggregates. Instances are independent, so order never matters.
 
     A size listed more than once is swept once, at its first place in ``ns``.
+    Every size and ``instances`` are checked before the first instance runs,
+    which checks ``base_seed`` and ``radius``.
     """
-    if instances < 1:
-        raise ValidationError(f"need at least 1 instance per size, got {instances}")
-    ns = list(dict.fromkeys(ns))
+    try:
+        ns = list(dict.fromkeys(ns))
+    except TypeError:
+        raise ValidationError(f"ns must be a list of integers, got {ns!r}") from None
+    _require(ValidationError, _int_fault(instances, "instances", 1), *(_int_fault(n, "each of ns", 2) for n in ns))
     rows = [
         sweep_instance(n, i, base_seed, radius=radius) for n in ns for i in range(instances)
     ]

@@ -156,6 +156,11 @@ class TestOtherCommands:
             assert main(["sweep", "--n", "10", "--instances", "2", "--seed", "3", "--out", str(out)]) == 0
         assert _read(out1 / "sweep_instances.csv") == _read(out2 / "sweep_instances.csv")
 
+    def test_sweep_negative_seed_names_the_seed_passed(self, tmp_path, capsys):
+        # The graph seeds are derived from --seed; the error names the value given, not a derived one.
+        assert main(["sweep", "--n", "20", "--instances", "1", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: base_seed must be at least 0, got -1\n"
+
     def test_sigmoid(self, tmp_path):
         out = tmp_path / "run"
         assert main(["sigmoid", str(SEVEN_SIGMOID), "--out", str(out)]) == 0
@@ -314,9 +319,9 @@ class TestExitCodes:
         bad.write_text(json.dumps(schedule).replace("Infinity", "1e400"))
         argv = ["simulate", str(SEVEN), "--schedule", str(bad), "--out", str(tmp_path / "run")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        with pytest.raises(ValidationError, match="schedule"):
-            schedule_from_dict(json.loads(bad.read_text()))
+        # A boolean fails the JSON parse; a bad u_max fails the schedule check that simulate runs.
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schedule" in err
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

@@ -77,7 +77,7 @@ class TestWeightedGraph:
 
     @pytest.mark.parametrize("n", [7.9, 7.0, "7", True, 0])
     def test_rejects_agent_count_that_is_not_a_positive_integer(self, n):
-        with pytest.raises(ValidationError, match="positive integer"):
+        with pytest.raises(ValidationError, match="^agent count must be (an integer|at least 1), got "):
             WeightedGraph(n=n, edges=())
 
     # 3037000499 is the least n with n * (n + 2) above the int64 maximum.
@@ -579,13 +579,13 @@ class TestRandomGeometricGraph:
             ((10, np.bool_(True), 1), "radius must be a real number"),
             ((10, "0.5", 1), "radius must be a real number, got '0.5'"),
             ((10, None, 1), "radius must be a real number, got None"),
-            ((10, 10**400, 1), "radius must be finite and positive"),
+            ((10, 10**400, 1), "radius must be finite, got 1000"),
             ((10.0, 0.5, 1), "agent count must be an integer, got 10.0"),
             ((True, 0.5, 1), "agent count must be an integer, got True"),
             (("10", 0.5, 1), "agent count must be an integer"),
-            ((10, 0.5, 1.5), "seed must be a nonnegative integer, got 1.5"),
-            ((10, 0.5, True), "seed must be a nonnegative integer, got True"),
-            ((10, 0.5, -1), "seed must be a nonnegative integer, got -1"),
+            ((10, 0.5, 1.5), "seed must be an integer, got 1.5"),
+            ((10, 0.5, True), "seed must be an integer, got True"),
+            ((10, 0.5, -1), "seed must be at least 0, got -1"),
         ],
     )
     def test_rejects_inputs_of_the_wrong_kind(self, args, message):
@@ -623,7 +623,7 @@ class TestGraphJson:
         [
             ({"n": 2, "edges": [[True, 2, 1.0]]}, r"^malformed graph object: field edges\[0\]\[0\] is a boolean"),
             ({"n": 2, "edges": [[1, 2, True]]}, r"^malformed graph object: field edges\[0\]\[2\] is a boolean"),
-            ({"n": True, "edges": []}, "^agent count must be a positive integer, got True"),
+            ({"n": True, "edges": []}, "^agent count must be an integer, got True"),
         ],
     )
     def test_boolean_is_not_a_number(self, payload, message):
@@ -636,7 +636,7 @@ class TestGraphJson:
         [
             ({"n": 3, "edges": [[1.5, 2, 1.0], [2, 3, 1.0]]}, "finite integer"),
             ({"n": 3, "edges": [[1, 2, "1.0"], [2, 3, 1.0]]}, "numbers"),
-            ({"n": 7.9, "edges": [[1, 2, 1.0]]}, "positive integer"),
+            ({"n": 7.9, "edges": [[1, 2, 1.0]]}, "agent count must be an integer, got 7.9"),
             ({"n": 2**63, "edges": [[1, 2, 1.0]]}, "too large"),
         ],
         ids=["fractional-index", "string-weight", "fractional-n", "huge-n"],

@@ -175,8 +175,8 @@ MALFORMED = [
     ("T-zero", dict(T=0.0), ["horizon T must be positive, got 0.0"]),
     ("T-negative", dict(T=-1.0), ["horizon T must be positive, got -1.0"]),
     ("r-inf", dict(r=_INF), ["budget must be finite, got inf"]),
-    ("r-zero", dict(r=0.0), ["budget must be positive"]),
-    ("r-negative", dict(r=-2.0), ["budget must be positive"]),
+    ("r-zero", dict(r=0.0), ["budget must be positive, got 0.0"]),
+    ("r-negative", dict(r=-2.0), ["budget must be positive, got -2.0"]),
     ("no-channel", dict(channels=()), ["problem needs at least one channel"]),
     (
         "b-shape",
@@ -188,22 +188,22 @@ MALFORMED = [
     (
         "u_max-zero",
         dict(channels=(_power(u_max=0.0),)),
-        ["channel 1: u_max must be finite and positive, got 0.0"],
+        ["channel 1: u_max must be positive, got 0.0"],
     ),
     (
         "u_max-inf",
         dict(channels=(_power(u_max=_INF),)),
-        ["channel 1: u_max must be finite and positive, got inf"],
+        ["channel 1: u_max must be finite, got inf"],
     ),
     (
         "u_max-nan",
         dict(channels=(_power(u_max=_NAN),)),
-        ["channel 1: u_max must be finite and positive, got nan"],
+        ["channel 1: u_max must be finite, got nan"],
     ),
     (
         "u_max-int",
         dict(channels=(_power(u_max=-2),)),
-        ["channel 1: u_max must be finite and positive, got -2"],
+        ["channel 1: u_max must be positive, got -2"],
     ),
     (
         "cost-kind",
@@ -346,7 +346,7 @@ MALFORMED = [
             x0=np.array([_INF, 0.0]),
             drift=Drift(breakpoints=np.array([0.5, 0.25]), values=np.zeros((2, 2))),
         ),
-        ["channel 1 has empty reach", "channel 1: cost rate v must be positive, got -1.0", "channel 2: gain vector has non-finite entries", "channel 2: u_max must be finite and positive, got 0.0", "channel 2: power cost exponent must lie in (0, 1], got 2.0", "objective needs at least one positive weight", "horizon T must be positive, got -1.0", "budget must be positive", "initial state has non-finite entries", "drift breakpoints must start at 0", "drift breakpoints must be strictly increasing"],
+        ["channel 1 has empty reach", "channel 1: cost rate v must be positive, got -1.0", "channel 2: gain vector has non-finite entries", "channel 2: u_max must be positive, got 0.0", "channel 2: power cost exponent must lie in (0, 1], got 2.0", "objective needs at least one positive weight", "horizon T must be positive, got -1.0", "budget must be positive, got 0.0", "initial state has non-finite entries", "drift breakpoints must start at 0", "drift breakpoints must be strictly increasing"],
     ),
 ]
 
@@ -390,10 +390,7 @@ class TestScalarsThatAreNotRealNumbers:
     def test_int_too_large_for_a_float_is_not_finite(self, field, sign):
         prob = _with_scalar(field, sign * 10**400)
         (finding,) = validate_problem(prob)
-        if field == "u_max":
-            assert "u_max must be finite and positive" in finding
-        else:
-            assert f"{self.NAMES[field]} must be finite" in finding
+        assert f"{self.NAMES[field]} must be finite, got {sign * 10**400}" in finding
         with pytest.raises(ValidationError):
             solve(prob)
 
@@ -532,7 +529,7 @@ class TestPrepare:
         assert prep.gains.coords.shape == (prep.problem.m, prep.problem.n)
 
     def test_invalid_problem_raises(self):
-        with pytest.raises(ValidationError, match="^problem failed validation: budget must be positive$"):
+        with pytest.raises(ValidationError, match="^problem failed validation: budget must be positive, got 0.0$"):
             prepare(k2_problem(r=0.0))
 
     PUBLIC_CALLS = {

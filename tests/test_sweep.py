@@ -54,5 +54,5 @@ def test_rejects_too_many_agents_before_drawing_the_graph():
 @pytest.mark.parametrize("n", [0, 1, -3])
 def test_rejects_fewer_than_two_nodes_before_the_radius(n):
     # The default radius takes log(n), a math domain error for n <= 0.
-    with pytest.raises(ValidationError, match="at least 2 nodes"):
+    with pytest.raises(ValidationError, match="agent count must be at least 2"):
         sweep_instance(n, 0, 1)
