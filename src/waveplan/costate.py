@@ -98,10 +98,13 @@ def integrate_h(rates: np.ndarray, coeffs: np.ndarray, T: float, a, b):
     terms are added left to right from 0.0, so each entry of an array call
     equals the scalar call bit for bit, and a zero coefficient adds a
     signed zero that leaves the sum's bits unchanged. T must be a finite
-    positive real number.
+    positive real number, and a and b real numbers with 0 <= a <= b <= T.
     """
     _require(ContractError, _real_fault(T, "horizon T", "positive"))
-    terms = coeffs * modal_integrals(rates, T, a, b)
+    lo, hi = np.asarray(a), np.asarray(b)
+    if lo.dtype.kind not in "iuf" or hi.dtype.kind not in "iuf" or not np.all((0.0 <= lo) & (lo <= hi) & (hi <= T)):
+        raise ContractError(f"integration bounds must be reals with 0 <= a <= b <= T = {T}, got a={a!r}, b={b!r}")
+    terms = coeffs * modal_integrals(rates, T, lo, hi)
     terms = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), terms), axis=-1)
     total = np.add.accumulate(terms, axis=-1)[..., -1]
     return total if total.ndim else float(total)

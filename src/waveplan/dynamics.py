@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costate import _stable_sigmoid, _terminal_state, integrate_h, modal_integrals
-from .errors import ContractError, _int_fault, _real_fault, _require
+from .errors import ContractError, _int_fault, _real, _real_fault, _require
 from .graph import _as_readonly, build_laplacian
 from .problem import CampaignProblem, Objective, Prepared, prepare
 
@@ -41,47 +41,56 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_schedule(problem: CampaignProblem, schedule) -> None:
-    if len(schedule.channels) != problem.m:
-        raise ContractError(
-            f"schedule has {len(schedule.channels)} channels, problem has {problem.m}"
-        )
-    for k, cs in enumerate(schedule.channels, start=1):
-        fault = _real_fault(cs.u_max, "u_max", "nonnegative")
-        if fault:
-            raise ContractError(f"schedule channel {k}: {fault}")
-        for lo, hi in cs.intervals:
-            if not (0.0 <= lo <= hi <= problem.T):
-                raise ContractError(f"schedule interval ({lo}, {hi}) outside [0, {problem.T}]")
+def _check_schedule(schedule, T: float, m: int | None = None) -> None:
+    """ContractError unless each channel's u_max is finite, >= 0, and its intervals sorted, disjoint real pairs in [0, T].
 
-
-def _grid(problem: CampaignProblem, schedule, steps: int) -> np.ndarray:
-    """``steps`` uniform steps refined so that every switch time and drift breakpoint is a node.
-
-    The control and drift are then constant inside each piece, so the
-    integrator never straddles a discontinuity.
+    Intervals may touch but not overlap: ``simulate`` applies u_max once
+    where ``terminal_state`` and ``closed_form_gain`` would add it per
+    interval. Given m, the schedule must have m channels.
     """
-    _require(ContractError, _int_fault(steps, "steps", 64))
-    _check_schedule(problem, schedule)
+    if m is not None and len(schedule.channels) != m:
+        raise ContractError(f"schedule has {len(schedule.channels)} channels, problem has {m}")
+    for k, cs in enumerate(schedule.channels, start=1):
+        _require(ContractError, _real_fault(cs.u_max, f"schedule channel {k}: u_max", "nonnegative"))
+        end = 0.0
+        for iv in cs.intervals:
+            try:
+                lo, hi = map(_real, iv)
+            except (TypeError, ValueError):
+                lo = hi = None
+            if lo is None or hi is None:
+                raise ContractError(f"schedule channel {k}: interval must be a pair of real numbers, got {iv!r}")
+            if not 0.0 <= lo <= hi <= T:
+                raise ContractError(f"schedule channel {k}: interval ({lo}, {hi}) outside [0, {T}]")
+            if lo < end:
+                raise ContractError(
+                    f"schedule channel {k}: interval ({lo}, {hi}) starts before the last ends, at {end}"
+                )
+            end = hi
+
+
+def _nodes(problem: CampaignProblem, steps: int, events=()) -> np.ndarray:
+    """``steps`` uniform steps of [0, T], refined so that every drift breakpoint and event time in (0, T) is a node.
+
+    ``simulate`` passes its schedule's switch times as the events, so the
+    control and drift are constant inside each piece and the integrator
+    never straddles a discontinuity. The sigmoid oracle composes the RK4
+    steps of these same pieces.
+    """
     T = problem.T
-    events = [problem.drift.breakpoints]
-    events += [np.array(iv, dtype=np.float64) for cs in schedule.channels for iv in cs.intervals]
-    events = np.concatenate(events)
-    events = events[(events > 0.0) & (events < T)]
-    return np.unique(np.concatenate([np.linspace(0.0, T, steps + 1), events]))
+    times = np.concatenate([problem.drift.breakpoints, np.asarray(events, dtype=np.float64).ravel()])
+    return np.unique(np.concatenate([np.linspace(0.0, T, steps + 1), times[(times > 0.0) & (times < T)]]))
 
 
 def _forcing(problem: CampaignProblem, schedule, ts: np.ndarray):
-    """Per-piece forcing B u + e [P, n] and cost rate [P] on a grid from ``_grid``."""
+    """Per-piece forcing B u + e [P, n] and cost rate [P] on a grid from ``_nodes``."""
     mids = 0.5 * (ts[:-1] + ts[1:])
     u = np.zeros((mids.size, problem.m))
     cost_rate = np.zeros(mids.size)
     for k, (cs, ch) in enumerate(zip(schedule.channels, problem.channels)):
         if not cs.intervals:
             continue
-        ivs = sorted(cs.intervals)
-        starts = np.array([iv[0] for iv in ivs])
-        ends = np.array([iv[1] for iv in ivs])
+        starts, ends = np.array(cs.intervals, dtype=np.float64).T
         idx = np.searchsorted(starts, mids, side="right") - 1
         on = (idx >= 0) & (mids < ends[np.clip(idx, 0, None)])
         u[on, k] = cs.u_max
@@ -122,7 +131,9 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
     interval arithmetic, not quadrature. This is the reference integrator
     that ``terminal_state`` is checked against.
     """
-    ts = _grid(problem, schedule, steps)
+    _require(ContractError, _int_fault(steps, "steps", 64))
+    _check_schedule(schedule, problem.T, problem.m)
+    ts = _nodes(problem, steps, [iv for cs in schedule.channels for iv in cs.intervals])
     forcing, cost_rate = _forcing(problem, schedule, ts)
     a_mat = -build_laplacian(problem.graph)
     h = np.diff(ts)
@@ -145,12 +156,12 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
     each integral from ``costate.modal_integrals``, the kernel of
     ``integrate_h`` too (the zero mode's rate is pinned to exactly 0:
     ``mode_rates``). V^T b_i is read from the stored projection of the
-    gains, ``Prepared.gains``. Intervals of one channel are taken as
-    disjoint, as in ``closed_form_gain``.
+    gains, ``Prepared.gains``. A channel's intervals must be sorted and
+    disjoint, as in ``simulate`` and ``closed_form_gain``.
     """
     prep = prepare(problem)
     problem = prep.problem
-    _check_schedule(problem, schedule)
+    _check_schedule(schedule, problem.T, problem.m)
     T = problem.T
     rates = prep.sd.mode_rates
     vecs = prep.sd.vectors
@@ -193,6 +204,7 @@ def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) 
     and the terms are added one by one in channel then interval order.
     """
     _require(ContractError, _real_fault(T, "horizon T", "positive"))
+    _check_schedule(schedule, T)
     if np.shape(coeffs) != (len(schedule.channels), np.size(rates)):
         raise ContractError(
             f"coefficients have shape {np.shape(coeffs)}, expected "

@@ -12,12 +12,14 @@ pair from each class's best gain, never candidate pair by candidate pair;
 m = 1 is paired with a zero-cost dummy. Sigmoid
 objectives are scored by the value a 256-step RK4 run of ``simulate`` would
 give, without stepping candidate by candidate: in the Laplacian's
-eigenbasis one RK4 step under a constant input is a diagonal affine map, so
-the steps that all candidates share are composed once, mode by mode, and
-every candidate applies a few of them, chosen by its cell masks. With
-interior levels enabled it also serves as the falsification harness for
-the bang-bang claim, testing non-extreme constant control levels against
-the best extreme candidate.
+eigenbasis one RK4 step under a constant input is a diagonal affine map.
+The steps come from ``simulate``'s own node rule (``dynamics._nodes``), and
+each cell's core, the run of steps that every candidate takes alike, is
+composed once, mode by mode. A candidate walks the cores and, at each cell
+edge that is not a node, steps across the edge in one piece or in two, as
+its cell masks say. With interior levels enabled it also serves as the
+falsification harness for the bang-bang claim, testing non-extreme
+constant control levels against the best extreme candidate.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import bounds
 from .costate import integrate_h, projected_coefficients
-from .dynamics import objective_value
+from .dynamics import _nodes, objective_value
 from .errors import ContractError, ValidationError, _int_fault, _real, _require
 from .graph import group_support
 from .problem import CampaignProblem, Prepared, prepare
@@ -152,17 +154,9 @@ def _candidate_table(g: int, cap: int, levels: tuple[float, ...]) -> _CandidateT
 
 
 def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float, float], ...]:
-    intervals = []
-    start = None
-    for c, on in enumerate(bits):
-        if on and start is None:
-            start = edges[c]
-        elif not on and start is not None:
-            intervals.append((float(start), float(edges[c])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(edges[-1])))
-    return tuple(intervals)
+    on = [0.0, *bits.tolist(), 0.0]
+    flips = [t for t, before, after in zip(edges.tolist(), on, on[1:]) if before != after]
+    return tuple(zip(flips[::2], flips[1::2]))
 
 
 def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
@@ -212,14 +206,18 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
     cap = spec.max_switches_per_channel
     _require(ContractError, _int_fault(g, "switch_grid", 2, 16))
     _require(ContractError, None if cap is None else _int_fault(cap, "switch cap", 0))
-    if any(not (0.0 < (_real(lvl) or 0.0) < 1.0) for lvl in spec.interior_levels):
-        raise ContractError(f"interior levels must lie strictly inside (0, 1), got {spec.interior_levels}")
+    try:
+        interior = tuple(map(_real, spec.interior_levels))
+    except TypeError:
+        interior = (None,)
+    if not all(0.0 < (lvl or 0.0) < 1.0 for lvl in interior) or len(set(interior)) < len(interior):
+        raise ContractError(f"interior levels must be distinct and inside (0, 1), got {spec.interior_levels!r}")
 
     T = problem.T
     edges = np.linspace(0.0, T, g + 1)
     delta = T / g
 
-    levels = (1.0,) + tuple(map(float, spec.interior_levels))
+    levels = (1.0,) + interior
     if cap is None:
         caps = [bounds.support_bound(k) for k in group_support(sd, prep.gains).sum(axis=1)]
     else:
@@ -330,74 +328,60 @@ def _schedule_from_indices(problem, tables, edges, idx) -> BangBangSchedule:
     return BangBangSchedule(channels=tuple(channels))
 
 
-def _segment_maps(prep: Prepared, edges: np.ndarray):
-    """Modal RK4 maps of the segments that the sigmoid candidates step through.
+def _step_maps(prep: Prepared, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """[phi, rho, d] of one RK4 step over each [lo, hi], mode by mode, stacked on a new first axis.
 
-    A candidate's ``simulate`` grid is the fixed nodes (``SIGMOID_STEPS``
-    uniform steps and the drift breakpoints in (0, T)) plus the inner cell
-    edges where one of its channels switches. An inner edge e that is not a
-    fixed node is optional: a candidate steps either [a, e] and [e, b],
-    between e's fixed neighbours a and b, or the one piece [a, b]. Cells
-    span at least 16 uniform steps, so optional edges never share a
-    neighbour, and every other piece is stepped alike by all candidates.
-
-    Segments are runs of pieces inside one cell: the fixed pieces cut at
-    every inner edge and around every [a, b], then [a, e] and [e, b] for
-    each optional edge j as segments ``count + j`` and ``count + q + j``.
     With L = V diag(rate) V^T, an RK4 step of length h under a constant
     input c maps mode j as y -> R(z) y + h S(z) (V^T c)_j, z = -h rate_j,
-    S(z) = 1 + z/2 + z^2/6 + z^3/24, R(z) = 1 + z S(z). So a segment's map
-    is y -> phi y + rho (V^T B u) + d, with u the controls in its cell, and
-    its three vectors compose elementwise. Returns [phi, rho, d] per
-    segment, each segment's cell, the number ``count`` of fixed segments,
-    the optional edges (indices into ``edges[1:-1]``) and the segment of
-    each one's [a, b].
+    S(z) = 1 + z/2 + z^2/6 + z^3/24, R(z) = 1 + z S(z). The input is B u
+    plus the drift, so the step is y -> phi y + rho (V^T B u) + d. A
+    zero-length step maps y to y.
     """
     problem, sd = prep.problem, prep.sd
-    T, g = problem.T, edges.size - 1
-    bps = problem.drift.breakpoints
-    fixed = np.unique(
-        np.concatenate([np.linspace(0.0, T, SIGMOID_STEPS + 1), bps[(bps > 0.0) & (bps < T)]])
-    )
-    inner = edges[1:-1]
-    optional = np.flatnonzero(~np.isin(inner, fixed))
-    q = optional.size
-    merged = np.searchsorted(fixed, inner[optional]) - 1  # fixed piece [a, b] of each edge
-    starts = np.isin(fixed[:-1], inner)
-    starts[0] = True
-    starts[merged] = True
-    starts[merged + 1] = True
-    fixed_segment = np.cumsum(starts) - 1
-    count = int(fixed_segment[-1]) + 1
-    first = np.flatnonzero(starts)
-
-    lo = np.concatenate([fixed[:-1], fixed[merged], inner[optional]])
-    hi = np.concatenate([fixed[1:], inner[optional], fixed[merged + 1]])
-    segment = np.concatenate([fixed_segment, count + np.arange(2 * q)])
-    position = np.concatenate([np.arange(fixed.size - 1) - first[fixed_segment], np.zeros(2 * q, int)])
-    mids = 0.5 * (lo + hi)
-    cells = np.empty(count + 2 * q, dtype=int)
-    cells[segment] = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, g - 1)
-
-    # Every piece's step, mode by mode.
     rates = sd.mode_rates
-    h = (hi - lo)[:, None]
+    h = (hi - lo)[..., None]
     z = -h * rates
     hs = h * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    drift = (problem.drift.values @ sd.vectors)[problem.drift.piece(mids)]
-    maps = np.stack([1.0 - rates * hs, hs, hs * drift])
+    drift = (problem.drift.values @ sd.vectors)[problem.drift.piece(0.5 * (lo + hi))]
+    return np.stack([1.0 - rates * hs, hs, hs * drift])
 
-    # Compose each segment's steps by doubling: after the pass with shift s,
-    # a piece holds the map of up to 2s pieces of its segment ending with it.
-    shift = 1
-    while shift <= position.max():
-        later = maps[:, shift:]
-        composed = maps[:, :-shift] * later[0]
-        composed[1:] += later[1:]
-        maps[:, shift:] = np.where(position[shift:, None] >= shift, composed, later)
-        shift *= 2
-    last = np.flatnonzero(np.append(segment[1:] != segment[:-1], True))
-    return maps[:, last], cells, count, optional, fixed_segment[merged]
+
+def _cell_maps(prep: Prepared, edges: np.ndarray):
+    """Modal RK4 maps of each cell's core and of the pieces around each inner edge.
+
+    A candidate's ``simulate`` grid is the nodes of ``dynamics._nodes``
+    (``SIGMOID_STEPS`` uniform steps and the drift breakpoints) plus the
+    inner cell edges where one of its channels switches. Let a and b be the
+    nodes at or below and at or above an inner edge e; a = b = e when e is
+    a node. Otherwise e is optional: a candidate steps [a, e] and [e, b]
+    where it switches at e, and the one piece [a, b] where it does not.
+    Cell c's core runs from the b of its lower edge (0 for the first cell)
+    to the a of its upper edge (T for the last), and every candidate steps
+    it alike; cells span at least 16 uniform steps, so no core is empty.
+
+    Maps compose elementwise: (phi, rho, d) then (phi', rho', d') is
+    (phi phi', rho phi' + rho', d phi' + d'). A core's steps, padded in
+    front with zero-length steps to a power of two, are composed pairwise.
+    Returns the cores' [phi, rho, d] by cell, the edges' by piece ([a, e],
+    [e, b], [a, b]) and edge, and which inner edges are optional.
+    """
+    nodes = _nodes(prep.problem, SIGMOID_STEPS)
+    inner = edges[1:-1]
+    below = np.searchsorted(nodes, inner, side="right") - 1
+    above = np.searchsorted(nodes, inner, side="left")
+    first = np.concatenate([[0], above])
+    last = np.append(below, nodes.size - 1)
+    width = 1 << int(np.max(last - first) - 1).bit_length()
+    # Core c's steps end at nodes last[c] - width + 1 .. last[c]; those before first[c] are zero-length there.
+    ends = nodes[np.maximum(last[:, None] + np.arange(-width, 1), first[:, None])]
+    cores = _step_maps(prep, ends[:, :-1], ends[:, 1:])
+    while cores.shape[2] > 1:
+        later = cores[:, :, 1::2]
+        cores = cores[:, :, 0::2] * later[0]
+        cores[1:] += later[1:]
+    a, b = nodes[below], nodes[above]
+    pieces = _step_maps(prep, np.stack([a, inner, a]), np.stack([inner, b, b]))
+    return cores[:, :, 0], pieces, above > below
 
 
 def _score_sigmoid(prep: Prepared, edges, tables, feasible) -> np.ndarray:
@@ -405,38 +389,36 @@ def _score_sigmoid(prep: Prepared, edges, tables, feasible) -> np.ndarray:
 
     ``feasible`` holds one index array per channel. A candidate's terminal
     state is its stepped RK4 state up to rounding: from V^T x0 its modal
-    state walks the segment maps of ``_segment_maps`` in time order and, at
-    each optional edge, takes [a, e] then [e, b] where one of its channels
+    state walks the cores of ``_cell_maps`` in time order and, at each
+    optional edge, takes [a, e] then [e, b] where one of its channels
     switches and [a, b] where none does. Controls are laid out cell-major,
-    so a segment reads one contiguous block. Candidates are scored in blocks
+    so a map reads one contiguous block. Candidates are scored in blocks
     of ``_SCORE_ROWS``.
     """
     problem, sd = prep.problem, prep.sd
-    (phi, rho, drift), cells, count, optional, merged = _segment_maps(prep, edges)
-    responses = rho[:, None, :] * prep.gains.coords
+    cores, pieces, optional = _cell_maps(prep, edges)
+    coords = prep.gains.coords
+    core_responses = cores[1][:, None, :] * coords
+    piece_responses = pieces[1][:, :, None, :] * coords
     start = problem.x0 @ sd.vectors
-    optional_at = {int(s): j for j, s in enumerate(merged)}
-    masks = [t.masks for t in tables]
-    switches = [mk[:, 1:] != mk[:, :-1] for mk in masks]
     scale = [t.levels * ch.u_max for t, ch in zip(tables, problem.channels)]
     values = np.empty(feasible[0].size)
     for lo in range(0, values.size, _SCORE_ROWS):
         rows = [f[lo : lo + _SCORE_ROWS] for f in feasible]
         mask_rows = [t.mask_of[r] for t, r in zip(tables, rows)]
-        u = np.stack([mk[i].T * sc[r] for mk, i, sc, r in zip(masks, mask_rows, scale, rows)], axis=1)
-        split = np.logical_or.reduce([sw[i][:, optional] for sw, i in zip(switches, mask_rows)])
+        u = np.stack([t.masks[i].T * sc[r] for t, i, sc, r in zip(tables, mask_rows, scale, rows)], axis=1)
 
-        def advance(y, s):
-            return y * phi[s] + u[cells[s]].T @ responses[s] + drift[s]
+        def piece(y, k, e, cell):
+            return y * pieces[0, k, e] + u[cell].T @ piece_responses[k, e] + pieces[2, k, e]
 
         y = start
-        for s in range(count):
-            j = optional_at.get(s)
-            if j is None:
-                y = advance(y, s)
-            else:
-                both = advance(advance(y, count + j), count + optional.size + j)
-                y = np.where(split[:, j, None], both, advance(y, s))
+        for c in range(cores.shape[1]):
+            if c and optional[c - 1]:
+                both = piece(piece(y, 0, c - 1, c - 1), 1, c - 1, c)
+                # Levels and u_max are positive, so a channel switches at the edge where its control changes.
+                split = np.any(u[c] != u[c - 1], axis=0)
+                y = np.where(split[:, None], both, piece(y, 2, c - 1, c))
+            y = y * cores[0, c] + u[c].T @ core_responses[c] + cores[2, c]
         x = y @ sd.vectors.T
         values[lo : lo + rows[0].size] = objective_value(problem.objective, x)
     return values

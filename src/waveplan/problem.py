@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _real, _real_fault
+from .errors import ContractError, ValidationError, _int_fault, _real, _real_fault, _require
 from .graph import (
     Projection,
     SpectralDecomposition,
@@ -81,6 +81,7 @@ class Drift:
 
     @staticmethod
     def zero(n: int) -> "Drift":
+        _require(ContractError, _int_fault(n, "agent count", 1))
         return Drift(breakpoints=np.array([0.0]), values=np.zeros((1, n)))
 
     def piece(self, t):

@@ -298,8 +298,13 @@ class TestExitCodes:
             (("channels", 0, "u_max"), -1.0),
             (("channels", 0, "u_max"), True),
             (("channels", 1, "on_intervals", 0, 1), True),
+            (("channels", 1, "on_intervals"), [[0.5, 0.7], [0.6, 0.9]]),
+            (("channels", 1, "on_intervals"), [[3.0, 4.0], [0.5, 2.0]]),
         ],
-        ids=["u_max-nan", "u_max-1e400", "u_max-negative", "u_max-true", "interval-end-true"],
+        ids=[
+            "u_max-nan", "u_max-1e400", "u_max-negative", "u_max-true", "interval-end-true",
+            "intervals-overlapping", "intervals-unsorted",
+        ],
     )
     def test_bad_schedule_file_exits_2(self, path, value, tmp_path, capsys):
         schedule = schedule_to_dict(

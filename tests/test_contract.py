@@ -16,6 +16,7 @@ from waveplan import (
     BangBangSchedule,
     ChannelSchedule,
     ContractError,
+    Drift,
     EnumerationSpec,
     ValidationError,
     WeightedGraph,
@@ -82,6 +83,7 @@ INTEGER_PARAMETERS = [
     ("sweep_instance.base_seed", lambda v: sweep_instance(20, 0, v), "base_seed", -1),
     ("default_radius.n", default_radius, "agent count", 1),
     ("support_bound.groups", support_bound, "group count", -1),
+    ("Drift.zero.n", Drift.zero, "agent count", 0),
 ]
 # A cap of None takes the support bounds, so None is not a bad cap.
 INTEGER_PARAMETERS_WITH_DEFAULT = [
@@ -219,3 +221,64 @@ def test_sweep_seeds_are_reported_as_passed():
         run_sweep([20], 1, -1)
     with pytest.raises(ValidationError, match="^instance must be an integer, got 0.5$"):
         sweep_instance(20, 0.5, 1)
+
+
+def _intervals(*intervals) -> BangBangSchedule:
+    return BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=intervals), ChannelSchedule(1.0, ())))
+
+
+# Each schedule reader takes a channel's intervals as sorted, disjoint pairs of reals in [0, T].
+SCHEDULE_READERS = {
+    "terminal_state": lambda s: terminal_state(PREP, s),
+    "simulate": lambda s: simulate(LINEAR, s, steps=64),
+    "closed_form_gain": lambda s: closed_form_gain(RATES, COEFFS, LINEAR.T, s),
+}
+
+
+@pytest.mark.parametrize("reader", SCHEDULE_READERS.values(), ids=SCHEDULE_READERS.keys())
+@pytest.mark.parametrize(
+    "intervals, match",
+    [
+        (((0.5, 0.7), (0.6, 0.9)), r"^schedule channel 1: interval \(0\.6, 0\.9\) starts before the last ends, at 0\.7$"),
+        (((0.6, 0.9), (0.1, 0.2)), r"^schedule channel 1: interval \(0\.1, 0\.2\) starts before the last ends, at 0\.9$"),
+        ((("a", 1.0),), r"^schedule channel 1: interval must be a pair of real numbers, got \('a', 1\.0\)$"),
+        (((0.5, True),), r"^schedule channel 1: interval must be a pair of real numbers, got \(0\.5, True\)$"),
+        (((0.5, 0.6, 0.7),), r"^schedule channel 1: interval must be a pair of real numbers, got \(0\.5, 0\.6, 0\.7\)$"),
+        ((0.5,), r"^schedule channel 1: interval must be a pair of real numbers, got 0\.5$"),
+        (((-3.0, 20.0),), r"^schedule channel 1: interval \(-3\.0, 20\.0\) outside \[0, 10\.0\]$"),
+        (((0.7, 0.5),), r"^schedule channel 1: interval \(0\.7, 0\.5\) outside"),
+        (((0.5, NAN),), r"^schedule channel 1: interval \(0\.5, nan\) outside"),
+    ],
+    ids=["overlapping", "unsorted", "string", "bool", "triple", "scalar", "beyond-horizon", "reversed", "nan"],
+)
+def test_schedule_intervals(reader, intervals, match):
+    with pytest.raises(ContractError, match=match):
+        reader(_intervals(*intervals))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (-5.0, 3.0), (3.0, 1.0), (0.0, 50.0), ("x", 1.0), (0.0, "1"), (True, 1.0), (NAN, 1.0),
+        (np.array([0.0, 2.0]), np.array([1.0, 1.5])),
+    ],
+    ids=["below-zero", "reversed", "beyond-horizon", "string", "string-end", "bool", "nan", "one-reversed-entry"],
+)
+def test_integrate_h_endpoints(a, b):
+    with pytest.raises(ContractError, match=r"^integration bounds must be reals with 0 <= a <= b <= T = 10\.0, got a="):
+        integrate_h(RATES, COEFFS[0], LINEAR.T, a, b)
+
+
+@pytest.mark.parametrize(
+    "levels, match",
+    [
+        (0.5, r"got 0\.5$"),
+        (None, r"got None$"),
+        ((0.5, 0.5), r"got \(0\.5, 0\.5\)$"),
+        ((0.75, 0.5, 0.75), r"got \(0\.75, 0\.5, 0\.75\)$"),
+    ],
+    ids=["number", "none", "duplicate", "duplicate-apart"],
+)
+def test_interior_levels(levels, match):
+    with pytest.raises(ContractError, match="^interior levels must be distinct and inside \\(0, 1\\), " + match):
+        enumerate_best(PREP, EnumerationSpec(4, interior_levels=levels))

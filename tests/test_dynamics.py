@@ -263,18 +263,32 @@ class TestSlowModes:
 
 
 class TestScheduleRobustness:
-    def test_unsorted_intervals_simulate_identically(self):
+    @pytest.mark.parametrize(
+        "intervals",
+        [((0.5, 0.85), (0.0, 0.25)), ((0.5, 0.7), (0.6, 0.9))],
+        ids=["unsorted", "overlapping"],
+    )
+    def test_unsorted_or_overlapping_intervals_are_rejected(self, intervals):
+        # Every reader of a schedule takes a channel's intervals as sorted and disjoint.
         prob = k2_problem(r=0.6, T=2.0)
-        fwd = BangBangSchedule(
-            channels=(ChannelSchedule(u_max=1.0, intervals=((0.0, 0.25), (0.5, 0.85))),)
-        )
-        rev = BangBangSchedule(
-            channels=(ChannelSchedule(u_max=1.0, intervals=((0.5, 0.85), (0.0, 0.25))),)
-        )
-        a = simulate(prob, fwd, steps=128)
-        b = simulate(prob, rev, steps=128)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.spend_accum, b.spend_accum)
+        schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=intervals),))
+        prep = prepare(prob)
+        coeffs = projected_coefficients(prep.sd, prob.objective.p, prep.gains)
+        for call in (
+            lambda: simulate(prob, schedule, steps=128),
+            lambda: terminal_state(prep, schedule),
+            lambda: closed_form_gain(prep.sd.group_rates, coeffs, prob.T, schedule),
+        ):
+            with pytest.raises(ContractError, match=r"channel 1: interval \(0\.\d+, 0\.\d+\) starts before"):
+                call()
+
+    def test_touching_intervals_act_as_their_union(self):
+        prob = k2_problem(r=0.6, T=2.0)
+        touching = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=((0.25, 0.5), (0.5, 0.85))),))
+        union = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=((0.25, 0.85),)),))
+        exact = terminal_state(prob, union)
+        assert np.allclose(terminal_state(prob, touching), exact, rtol=0.0, atol=1e-15)
+        assert np.allclose(simulate(prob, touching, steps=128).terminal_state, exact, rtol=0.0, atol=1e-9)
 
 
 def _reference_simulate(problem, schedule, steps):

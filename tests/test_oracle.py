@@ -407,7 +407,7 @@ def _stepped(prob, schedule):
 
 
 def _optional_edges(prob, g):
-    return oracle._segment_maps(prepare(prob), np.linspace(0.0, prob.T, g + 1))[3]
+    return np.flatnonzero(oracle._cell_maps(prepare(prob), np.linspace(0.0, prob.T, g + 1))[2])
 
 
 class TestTransferMapScoring:
@@ -440,6 +440,21 @@ class TestTransferMapScoring:
         (
             "drift_in_base_piece",
             lambda rng: _map_problem(rng, 1, x0=True, breakpoints=[0.1995, 0.601]),
+            EnumerationSpec(switch_grid=5, max_switches_per_channel=2),
+            [0, 1, 2, 3],
+        ),
+        # No k / 7 is a multiple of 1 / 256: every inner edge is optional.
+        (
+            "all_optional",
+            lambda rng: _map_problem(rng, 2),
+            EnumerationSpec(switch_grid=7, max_switches_per_channel=1),
+            [0, 1, 2, 3, 4, 5],
+        ),
+        # Breakpoints on the uniform node below edge 0 (0.2) and above edge 1
+        # (0.4): core 0 ends and core 1 starts where the drift changes.
+        (
+            "drift_on_core_end",
+            lambda rng: _map_problem(rng, 1, x0=True, breakpoints=[51 / 256, 103 / 256]),
             EnumerationSpec(switch_grid=5, max_switches_per_channel=2),
             [0, 1, 2, 3],
         ),
