@@ -72,16 +72,10 @@ def schedule_to_dict(schedule: BangBangSchedule, T: float) -> dict:
 
 
 def schedule_from_dict(d: dict) -> BangBangSchedule:
-    """A schedule from its JSON form; its u_max and intervals are checked against the problem when it runs."""
+    """A schedule from its JSON form; a ``ContractError`` from building it becomes a ``ValidationError``. Its ``"T"`` is not read."""
     _reject_booleans(d, "schedule")
     try:
-        channels = tuple(
-            ChannelSchedule(
-                u_max=float(c["u_max"]),
-                intervals=tuple((float(lo), float(hi)) for lo, hi in c["on_intervals"]),
-            )
-            for c in d["channels"]
-        )
+        channels = tuple(ChannelSchedule(u_max=c["u_max"], intervals=c["on_intervals"]) for c in d["channels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed schedule object: {exc}") from exc
     return BangBangSchedule(channels=channels)
@@ -148,11 +142,12 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.schedule:
         with open(args.schedule) as fh:
-            schedule = schedule_from_dict(json.load(fh))
+            payload = json.load(fh)
+        schedule = schedule_from_dict(payload)
+        if payload.get("T") != problem.T:
+            raise ValidationError(f"schedule file is for T = {payload.get('T')!r}, problem has T = {problem.T}")
     else:
-        schedule = BangBangSchedule(
-            channels=tuple(ChannelSchedule(u_max=ch.u_max, intervals=()) for ch in problem.channels)
-        )
+        schedule = BangBangSchedule(channels=tuple(ChannelSchedule(ch.u_max, ()) for ch in problem.channels))
     traj = simulate(problem, schedule, steps=args.steps)
     header = ["t"] + [f"x_{k + 1}" for k in range(problem.n)] + ["spend"]
     rows = (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costate import _stable_sigmoid, _terminal_state, integrate_h, modal_integrals
-from .errors import ContractError, _int_fault, _real, _real_fault, _require
+from .errors import ContractError, _int_fault, _real_fault, _require
 from .graph import _as_readonly, build_laplacian
 from .problem import CampaignProblem, Objective, Prepared, prepare
 
@@ -41,32 +41,16 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_schedule(schedule, T: float, m: int | None = None) -> None:
-    """ContractError unless each channel's u_max is finite, >= 0, and its intervals sorted, disjoint real pairs in [0, T].
+def _check_fit(schedule, T: float, m: int | None = None) -> None:
+    """ContractError unless, given m, the schedule has m channels, and each channel's last interval ends by T.
 
-    Intervals may touch but not overlap: ``simulate`` applies u_max once
-    where ``terminal_state`` and ``closed_form_gain`` would add it per
-    interval. Given m, the schedule must have m channels.
+    ``ChannelSchedule`` checks the rest when it is built, sorted intervals included.
     """
     if m is not None and len(schedule.channels) != m:
         raise ContractError(f"schedule has {len(schedule.channels)} channels, problem has {m}")
     for k, cs in enumerate(schedule.channels, start=1):
-        _require(ContractError, _real_fault(cs.u_max, f"schedule channel {k}: u_max", "nonnegative"))
-        end = 0.0
-        for iv in cs.intervals:
-            try:
-                lo, hi = map(_real, iv)
-            except (TypeError, ValueError):
-                lo = hi = None
-            if lo is None or hi is None:
-                raise ContractError(f"schedule channel {k}: interval must be a pair of real numbers, got {iv!r}")
-            if not 0.0 <= lo <= hi <= T:
-                raise ContractError(f"schedule channel {k}: interval ({lo}, {hi}) outside [0, {T}]")
-            if lo < end:
-                raise ContractError(
-                    f"schedule channel {k}: interval ({lo}, {hi}) starts before the last ends, at {end}"
-                )
-            end = hi
+        if cs.intervals and cs.intervals[-1][1] > T:
+            raise ContractError(f"schedule channel {k}: interval {cs.intervals[-1]} outside [0, {T}]")
 
 
 def _nodes(problem: CampaignProblem, steps: int, events=()) -> np.ndarray:
@@ -132,7 +116,7 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
     that ``terminal_state`` is checked against.
     """
     _require(ContractError, _int_fault(steps, "steps", 64))
-    _check_schedule(schedule, problem.T, problem.m)
+    _check_fit(schedule, problem.T, problem.m)
     ts = _nodes(problem, steps, [iv for cs in schedule.channels for iv in cs.intervals])
     forcing, cost_rate = _forcing(problem, schedule, ts)
     a_mat = -build_laplacian(problem.graph)
@@ -156,12 +140,14 @@ def terminal_state(problem: CampaignProblem | Prepared, schedule) -> np.ndarray:
     each integral from ``costate.modal_integrals``, the kernel of
     ``integrate_h`` too (the zero mode's rate is pinned to exactly 0:
     ``mode_rates``). V^T b_i is read from the stored projection of the
-    gains, ``Prepared.gains``. A channel's intervals must be sorted and
-    disjoint, as in ``simulate`` and ``closed_form_gain``.
+    gains, ``Prepared.gains``. The schedule checked its intervals when it
+    was built (``ChannelSchedule``); like ``simulate`` and
+    ``closed_form_gain``, this checks only that they end by T and that
+    there is one channel per problem channel.
     """
     prep = prepare(problem)
     problem = prep.problem
-    _check_schedule(schedule, problem.T, problem.m)
+    _check_fit(schedule, problem.T, problem.m)
     T = problem.T
     rates = prep.sd.mode_rates
     vecs = prep.sd.vectors
@@ -204,7 +190,7 @@ def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) 
     and the terms are added one by one in channel then interval order.
     """
     _require(ContractError, _real_fault(T, "horizon T", "positive"))
-    _check_schedule(schedule, T)
+    _check_fit(schedule, T)
     if np.shape(coeffs) != (len(schedule.channels), np.size(rates)):
         raise ContractError(
             f"coefficients have shape {np.shape(coeffs)}, expected "

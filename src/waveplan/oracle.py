@@ -153,12 +153,6 @@ def _candidate_table(g: int, cap: int, levels: tuple[float, ...]) -> _CandidateT
     return table
 
 
-def _mask_to_intervals(bits: np.ndarray, edges: np.ndarray) -> tuple[tuple[float, float], ...]:
-    on = [0.0, *bits.tolist(), 0.0]
-    flips = [t for t, before, after in zip(edges.tolist(), on, on[1:]) if before != after]
-    return tuple(zip(flips[::2], flips[1::2]))
-
-
 def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
     """Discretization slack estimate: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
 
@@ -318,11 +312,12 @@ def _schedule_from_indices(problem, tables, edges, idx) -> BangBangSchedule:
     channels = []
     for k, ch in enumerate(problem.channels):
         t = tables[k]
-        bits = t.masks[int(t.mask_of[idx[k]])]
+        on = t.masks[int(t.mask_of[idx[k]])] > 0.0
+        # One interval per on-cell: the schedule merges touching ones.
         channels.append(
             ChannelSchedule(
                 u_max=float(t.levels[idx[k]]) * ch.u_max,
-                intervals=_mask_to_intervals(bits, edges),
+                intervals=tuple(zip(edges[:-1][on].tolist(), edges[1:][on].tolist())),
             )
         )
     return BangBangSchedule(channels=tuple(channels))

@@ -57,7 +57,7 @@ import numpy as np
 from . import bounds
 from .costate import projected_coefficients
 from .dynamics import closed_form_gain
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, _real, _real_fault, _require
 from .problem import CampaignProblem, Prepared, check_conditions, prepare
 
 BISECTION_MAX_ITERS = 200
@@ -73,10 +73,35 @@ class ChannelSchedule:
 
     ``u_max`` is the level applied while on (the channel ceiling for
     bang-bang schedules; the enumeration oracle also emits interior levels).
+    Construction raises ``ContractError`` unless u_max is finite and >= 0
+    and the intervals are sorted, non-overlapping real pairs with 0 <= lo <=
+    hi < inf; it stores them as float pairs, empty ones dropped and touching
+    ones merged, the control's own on-set. Readers check that they end by T.
     """
 
     u_max: float
     intervals: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        _require(ContractError, _real_fault(self.u_max, "schedule u_max", "nonnegative"))
+        merged, end = [], 0.0
+        for iv in self.intervals:
+            try:
+                lo, hi = map(_real, iv)
+            except (TypeError, ValueError):
+                lo = hi = None
+            if lo is None or hi is None:
+                raise ContractError(f"schedule interval must be a pair of real numbers, got {iv!r}")
+            if not 0.0 <= lo <= hi < math.inf:
+                raise ContractError(f"schedule interval ({lo}, {hi}) must have 0 <= lo <= hi < inf")
+            if lo < end:
+                raise ContractError(f"schedule interval ({lo}, {hi}) starts before the last ends, at {end}")
+            if merged and merged[-1][1] == lo:
+                lo = merged.pop()[0]
+            if lo < hi:
+                merged.append((lo, hi))
+            end = hi
+        object.__setattr__(self, "intervals", tuple(merged))
 
     @property
     def on_time(self) -> float:
@@ -89,13 +114,7 @@ class BangBangSchedule:
 
     def switch_counts(self, T: float) -> tuple[int, ...]:
         """Per-channel count of on/off transitions strictly inside (0, T)."""
-        counts = []
-        for cs in self.channels:
-            k = 0
-            for lo, hi in cs.intervals:
-                k += int(lo > 0.0) + int(hi < T)
-            counts.append(k)
-        return tuple(counts)
+        return tuple([sum([(lo > 0.0) + (hi < T) for lo, hi in cs.intervals]) for cs in self.channels])
 
 
 @dataclass(frozen=True)
@@ -259,11 +278,11 @@ class _SignalGrid:
         return float(costs[chan] @ (ends - starts)), rate, (chan, starts, ends)
 
     def on_sets(self, events) -> list[tuple[tuple[float, float], ...]]:
-        """Every channel's on-set as sorted disjoint intervals, from ``probe``'s flat form."""
+        """Every channel's on-set as sorted intervals, from ``probe``'s flat form; ``ChannelSchedule`` drops empty ones."""
         chan, starts, ends = events
         bounds = chan.searchsorted(np.arange(self.coeffs.shape[1] + 1)).tolist()
         pairs = list(zip(starts.tolist(), ends.tolist()))
-        return [tuple(iv for iv in pairs[a:b] if iv[1] > iv[0]) for a, b in zip(bounds, bounds[1:])]
+        return [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def _isolate(self, cells, beta) -> tuple[list, list]:
         """The pieces with one crossing of beta each into which bisection splits ``cells`` (channel * K + cell).

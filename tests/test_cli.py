@@ -300,10 +300,12 @@ class TestExitCodes:
             (("channels", 1, "on_intervals", 0, 1), True),
             (("channels", 1, "on_intervals"), [[0.5, 0.7], [0.6, 0.9]]),
             (("channels", 1, "on_intervals"), [[3.0, 4.0], [0.5, 2.0]]),
+            (("T",), 5.0),
+            (("T",), None),
         ],
         ids=[
             "u_max-nan", "u_max-1e400", "u_max-negative", "u_max-true", "interval-end-true",
-            "intervals-overlapping", "intervals-unsorted",
+            "intervals-overlapping", "intervals-unsorted", "T-mismatch", "T-null",
         ],
     )
     def test_bad_schedule_file_exits_2(self, path, value, tmp_path, capsys):
@@ -324,7 +326,8 @@ class TestExitCodes:
         bad.write_text(json.dumps(schedule).replace("Infinity", "1e400"))
         argv = ["simulate", str(SEVEN), "--schedule", str(bad), "--out", str(tmp_path / "run")]
         assert main(argv) == 2
-        # A boolean fails the JSON parse; a bad u_max fails the schedule check that simulate runs.
+        # A boolean fails the JSON parse, a bad u_max or interval the schedule's construction,
+        # and a T other than the problem's the check that simulate runs on the file.
         err = capsys.readouterr().err
         assert err.startswith("error:") and "schedule" in err
 

@@ -223,37 +223,51 @@ def test_sweep_seeds_are_reported_as_passed():
         sweep_instance(20, 0.5, 1)
 
 
-def _intervals(*intervals) -> BangBangSchedule:
-    return BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=intervals), ChannelSchedule(1.0, ())))
+# A channel schedule checks its intervals when it is built: sorted, disjoint pairs of reals with 0 <= lo <= hi < inf.
+@pytest.mark.parametrize(
+    "intervals, match",
+    [
+        (((0.5, 0.7), (0.6, 0.9)), r"^schedule interval \(0\.6, 0\.9\) starts before the last ends, at 0\.7$"),
+        (((0.6, 0.9), (0.1, 0.2)), r"^schedule interval \(0\.1, 0\.2\) starts before the last ends, at 0\.9$"),
+        ((("a", 1.0),), r"^schedule interval must be a pair of real numbers, got \('a', 1\.0\)$"),
+        (((0.5, True),), r"^schedule interval must be a pair of real numbers, got \(0\.5, True\)$"),
+        (((0.5, 0.6, 0.7),), r"^schedule interval must be a pair of real numbers, got \(0\.5, 0\.6, 0\.7\)$"),
+        ((0.5,), r"^schedule interval must be a pair of real numbers, got 0\.5$"),
+        (((-3.0, 20.0),), r"^schedule interval \(-3\.0, 20\.0\) must have 0 <= lo <= hi < inf$"),
+        (((0.7, 0.5),), r"^schedule interval \(0\.7, 0\.5\) must have 0 <= lo <= hi < inf$"),
+        (((0.5, NAN),), r"^schedule interval \(0\.5, nan\) must have 0 <= lo <= hi < inf$"),
+        (((0.5, INF),), r"^schedule interval \(0\.5, inf\) must have 0 <= lo <= hi < inf$"),
+    ],
+    ids=["overlapping", "unsorted", "string", "bool", "triple", "scalar", "beyond-horizon", "reversed", "nan", "inf"],
+)
+def test_schedule_intervals(intervals, match):
+    with pytest.raises(ContractError, match=match):
+        ChannelSchedule(u_max=1.0, intervals=intervals)
 
 
-# Each schedule reader takes a channel's intervals as sorted, disjoint pairs of reals in [0, T].
+# Each schedule reader checks that the schedule fits: each channel ends by T, one channel per problem channel.
 SCHEDULE_READERS = {
     "terminal_state": lambda s: terminal_state(PREP, s),
     "simulate": lambda s: simulate(LINEAR, s, steps=64),
     "closed_form_gain": lambda s: closed_form_gain(RATES, COEFFS, LINEAR.T, s),
 }
+ONE_CHANNEL_MESSAGES = {
+    "terminal_state": r"^schedule has 1 channels, problem has 2$",
+    "simulate": r"^schedule has 1 channels, problem has 2$",
+    "closed_form_gain": r"^coefficients have shape \(2, \d+\), expected \(1, \d+\): one row per schedule channel$",
+}
 
 
-@pytest.mark.parametrize("reader", SCHEDULE_READERS.values(), ids=SCHEDULE_READERS.keys())
-@pytest.mark.parametrize(
-    "intervals, match",
-    [
-        (((0.5, 0.7), (0.6, 0.9)), r"^schedule channel 1: interval \(0\.6, 0\.9\) starts before the last ends, at 0\.7$"),
-        (((0.6, 0.9), (0.1, 0.2)), r"^schedule channel 1: interval \(0\.1, 0\.2\) starts before the last ends, at 0\.9$"),
-        ((("a", 1.0),), r"^schedule channel 1: interval must be a pair of real numbers, got \('a', 1\.0\)$"),
-        (((0.5, True),), r"^schedule channel 1: interval must be a pair of real numbers, got \(0\.5, True\)$"),
-        (((0.5, 0.6, 0.7),), r"^schedule channel 1: interval must be a pair of real numbers, got \(0\.5, 0\.6, 0\.7\)$"),
-        ((0.5,), r"^schedule channel 1: interval must be a pair of real numbers, got 0\.5$"),
-        (((-3.0, 20.0),), r"^schedule channel 1: interval \(-3\.0, 20\.0\) outside \[0, 10\.0\]$"),
-        (((0.7, 0.5),), r"^schedule channel 1: interval \(0\.7, 0\.5\) outside"),
-        (((0.5, NAN),), r"^schedule channel 1: interval \(0\.5, nan\) outside"),
-    ],
-    ids=["overlapping", "unsorted", "string", "bool", "triple", "scalar", "beyond-horizon", "reversed", "nan"],
-)
-def test_schedule_intervals(reader, intervals, match):
+@pytest.mark.parametrize("reader", SCHEDULE_READERS)
+@pytest.mark.parametrize("case", ["beyond-horizon", "one-channel"])
+def test_schedule_fit(reader, case):
+    if case == "beyond-horizon":
+        channels = (ChannelSchedule(1.0, ((0.5, 1.0), (5.0, 20.0))), ChannelSchedule(1.0, ()))
+        match = r"^schedule channel 1: interval \(5\.0, 20\.0\) outside \[0, 10\.0\]$"
+    else:
+        channels, match = (ChannelSchedule(1.0, ((0.5, 1.0),)),), ONE_CHANNEL_MESSAGES[reader]
     with pytest.raises(ContractError, match=match):
-        reader(_intervals(*intervals))
+        SCHEDULE_READERS[reader](BangBangSchedule(channels=channels))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan.costate import integrate_h, projected_coefficients
@@ -263,32 +265,33 @@ class TestSlowModes:
 
 
 class TestScheduleRobustness:
-    @pytest.mark.parametrize(
-        "intervals",
-        [((0.5, 0.85), (0.0, 0.25)), ((0.5, 0.7), (0.6, 0.9))],
-        ids=["unsorted", "overlapping"],
-    )
-    def test_unsorted_or_overlapping_intervals_are_rejected(self, intervals):
-        # Every reader of a schedule takes a channel's intervals as sorted and disjoint.
-        prob = k2_problem(r=0.6, T=2.0)
-        schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=intervals),))
-        prep = prepare(prob)
-        coeffs = projected_coefficients(prep.sd, prob.objective.p, prep.gains)
-        for call in (
-            lambda: simulate(prob, schedule, steps=128),
-            lambda: terminal_state(prep, schedule),
-            lambda: closed_form_gain(prep.sd.group_rates, coeffs, prob.T, schedule),
-        ):
-            with pytest.raises(ContractError, match=r"channel 1: interval \(0\.\d+, 0\.\d+\) starts before"):
-                call()
-
     def test_touching_intervals_act_as_their_union(self):
-        prob = k2_problem(r=0.6, T=2.0)
-        touching = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=((0.25, 0.5), (0.5, 0.85))),))
-        union = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=((0.25, 0.85),)),))
-        exact = terminal_state(prob, union)
-        assert np.allclose(terminal_state(prob, touching), exact, rtol=0.0, atol=1e-15)
-        assert np.allclose(simulate(prob, touching, steps=128).terminal_state, exact, rtol=0.0, atol=1e-9)
+        touching = ChannelSchedule(u_max=1.0, intervals=((0.25, 0.5), (0.5, 0.85)))
+        assert touching == ChannelSchedule(u_max=1.0, intervals=((0.25, 0.85),))
+        assert BangBangSchedule(channels=(touching,)).switch_counts(2.0) == (2,)
+
+    def test_intervals_are_stored_as_float_pairs(self):
+        cs = ChannelSchedule(u_max=1.0, intervals=[[0, np.float64(0.5)], (np.int64(1), 2)])
+        assert cs.intervals == ((0.0, 0.5), (1.0, 2.0))
+        assert all(type(t) is float for iv in cs.intervals for t in iv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        T=st.floats(0.5, 20.0),
+        fractions=st.lists(st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0)), max_size=12),
+    )
+    def test_switch_counts_and_on_time_count_the_control(self, T, fractions):
+        # Sorted pairs in [0, T]; the small grid of fractions makes touching and empty pairs common.
+        ends = sorted(T * f for f in fractions)
+        pairs = tuple(zip(ends[0::2], ends[1::2]))
+        schedule = BangBangSchedule(channels=(ChannelSchedule(u_max=1.0, intervals=pairs),))
+        # The union is constant on each cell between consecutive endpoints; scan it at every cell.
+        cuts = sorted({0.0, T, *ends})
+        on = [any(lo <= t < hi for lo, hi in pairs) for t in cuts[:-1]]
+        flips = sum(a != b for a, b in zip(on, on[1:]))
+        measure = math.fsum(b - a for a, b, x in zip(cuts, cuts[1:], on) if x)
+        assert schedule.switch_counts(T) == (flips,)
+        assert schedule.channels[0].on_time == pytest.approx(measure, rel=1e-12, abs=1e-15 * T)
 
 
 def _reference_simulate(problem, schedule, steps):

@@ -66,9 +66,9 @@ class TestSignalScaling:
 
 
 def _on_set(rates, coeffs, T, beta):
-    """The on-set {g > beta} of one signal from one probe of a grid that samples only it."""
+    """The on-set {g > beta} of one signal from one probe of a grid that samples only it, as a schedule stores it."""
     grid = waterfill._SignalGrid(rates, coeffs[None, :], T)
-    return grid.on_sets(grid.probe(beta, np.ones(1))[2])[0]
+    return waterfill.ChannelSchedule(1.0, grid.on_sets(grid.probe(beta, np.ones(1))[2])[0]).intervals
 
 
 def _spend_for_beta(prob, beta):
