@@ -32,6 +32,11 @@ class TestScheduleFormat:
         )
         assert schedule_from_dict(schedule_to_dict(schedule, 1.0)) == schedule
 
+    def test_touching_and_empty_intervals_are_read_as_the_control(self):
+        d = {"T": 1.0, "channels": [{"u_max": 1.5, "on_intervals": [[0.0, 0.25], [0.25, 0.5], [0.75, 0.75]]}]}
+        channels = schedule_to_dict(schedule_from_dict(d), 1.0)["channels"]
+        assert channels == [{"u_max": 1.5, "on_intervals": [[0.0, 0.5]]}]
+
 
 class TestBundledProblems:
     def test_committed_files_match_generators(self, tmp_path):

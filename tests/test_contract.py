@@ -270,6 +270,13 @@ def test_schedule_fit(reader, case):
         SCHEDULE_READERS[reader](BangBangSchedule(channels=channels))
 
 
+@pytest.mark.parametrize("reader", SCHEDULE_READERS)
+def test_schedule_ending_at_horizon_fits(reader):
+    # A channel may stay on to the end: the fit check admits a last interval that ends at T itself.
+    channels = (ChannelSchedule(1.0, ((0.5, 1.0), (9.0, LINEAR.T))), ChannelSchedule(1.0, ()))
+    SCHEDULE_READERS[reader](BangBangSchedule(channels=channels))
+
+
 @pytest.mark.parametrize(
     "a, b",
     [

@@ -270,6 +270,22 @@ class TestScheduleRobustness:
         assert touching == ChannelSchedule(u_max=1.0, intervals=((0.25, 0.85),))
         assert BangBangSchedule(channels=(touching,)).switch_counts(2.0) == (2,)
 
+    @pytest.mark.parametrize(
+        "intervals, stored",
+        [
+            (((0.5, 0.5),), ()),
+            (((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)), ((0.0, 3.0),)),
+            (((0.0, 1.0), (1.0, 1.0), (1.0, 2.0)), ((0.0, 2.0),)),
+            (((0.5, 0.5), (0.5, 1.0)), ((0.5, 1.0),)),
+            (((0.0, 0.5), (0.5 + 1e-12, 1.0)), ((0.0, 0.5), (0.5 + 1e-12, 1.0))),
+            (np.array([[0.0, 0.5], [0.5, 1.0], [2.0, 2.0]]), ((0.0, 1.0),)),
+        ],
+        ids=["empty", "touching-chain", "empty-between-touching", "empty-then-touching", "near-touching", "array"],
+    )
+    def test_construction_normalises_intervals(self, intervals, stored):
+        # Empty intervals are dropped and touching ones merged; only equal endpoints touch.
+        assert ChannelSchedule(u_max=1.0, intervals=intervals).intervals == stored
+
     def test_intervals_are_stored_as_float_pairs(self):
         cs = ChannelSchedule(u_max=1.0, intervals=[[0, np.float64(0.5)], (np.int64(1), 2)])
         assert cs.intervals == ((0.0, 0.5), (1.0, 2.0))
