@@ -24,9 +24,10 @@ Python floats can raise the call counts while numpy work falls.
 
 A last, untimed pass prints the level-search engine's sizes: level probes
 per search (each solve, and each iterate of the sigmoid loop, runs one
-search on its own signal grid) and crossings per ``_crossings`` call,
-each as median and max. A channel crosses a level at most as often as
-its switch bound allows, so the second stays small as n grows.
+search on its own signal grid), and crossings found and open cells handed
+in per ``_crossings`` call, each as median and max. A channel crosses a
+level at most as often as its switch bound allows, so the crossings stay
+few as n grows.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _inclusive_calls(ops) -> tuple[Counter, dict]:
     return counts, names
 
 
-def _engine_sizes(ops) -> tuple[list[int], list[int]]:
-    """Probes per level search and crossings per ``_crossings`` call, over one run of ``ops``.
+def _engine_sizes(ops) -> tuple[list[int], list[int], list[int]]:
+    """Probes per level search, and crossings found and open pieces handed in per ``_crossings`` call, over one run of ``ops``.
 
     Each search samples one ``_SignalGrid``, so probes are counted per grid.
     """
@@ -111,15 +112,17 @@ def _engine_sizes(ops) -> tuple[list[int], list[int]]:
     grid_class = waterfill._SignalGrid
     probe, crossings = grid_class.probe, grid_class._crossings
     probes: Counter = Counter()  # keyed by the grid itself, which hashes by identity
-    sizes = []
+    sizes, opened = [], []
 
     def counting_probe(grid, beta, costs):
         probes[grid] += 1
         return probe(grid, beta, costs)
 
-    def counting_crossings(grid, chan, pieces, beta):
-        sizes.append(len(chan))
-        return crossings(grid, chan, pieces, beta)
+    def counting_crossings(grid, chan, pieces, settled, beta):
+        out = crossings(grid, chan, pieces, settled, beta)
+        sizes.append(len(out[0]))
+        opened.append(len(pieces) - settled)
+        return out
 
     grid_class.probe, grid_class._crossings = counting_probe, counting_crossings
     try:
@@ -127,7 +130,7 @@ def _engine_sizes(ops) -> tuple[list[int], list[int]]:
             op.run()
     finally:
         grid_class.probe, grid_class._crossings = probe, crossings
-    return list(probes.values()), sizes
+    return list(probes.values()), sizes, opened
 
 
 def _spread(counts: list[int]) -> str:
@@ -166,7 +169,7 @@ def main(argv=None) -> None:
             else:
                 stats[op.kind] = st
     inclusive, names = _inclusive_calls([op for _ in range(args.rounds) for op in ops])
-    probes, crossings = _engine_sizes([op for _ in range(args.rounds) for op in ops])
+    probes, crossings, opened = _engine_sizes([op for _ in range(args.rounds) for op in ops])
 
     print(f"# {args.workload} seed {args.seed}, {args.rounds} round(s) of {len(ops)} ops")
     print()
@@ -192,6 +195,7 @@ def main(argv=None) -> None:
     print()
     print(f"level searches: {len(probes)}, probes per search: {_spread(probes)}")
     print(f"_crossings calls: {len(crossings)}, crossings per call: {_spread(crossings)}")
+    print(f"open cells per _crossings call: {_spread(opened)}, in {sum(map(bool, opened))} calls")
 
 
 if __name__ == "__main__":

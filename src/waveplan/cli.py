@@ -49,16 +49,22 @@ def _write_records(path: Path, cls, records) -> None:
     _write_csv(path, [f.name for f in fields(cls)], (astuple(rec) for rec in records))
 
 
-def _load_problem(path: str) -> CampaignProblem:
-    """The problem in a JSON file, not yet validated: ``prepare`` validates it."""
+def _load_json(path: str, what: str):
+    """The JSON document in the ``what`` file at ``path``; a missing, unreadable or malformed file raises ValidationError."""
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ValidationError(f"problem file not found: {path}")
+        raise ValidationError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    return problem_from_dict(payload)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}")
+
+
+def _load_problem(path: str) -> CampaignProblem:
+    """The problem in a JSON file, not yet validated: ``prepare`` validates it."""
+    return problem_from_dict(_load_json(path, "problem"))
 
 
 def schedule_to_dict(schedule: BangBangSchedule, T: float) -> dict:
@@ -141,8 +147,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.schedule:
-        with open(args.schedule) as fh:
-            payload = json.load(fh)
+        payload = _load_json(args.schedule, "schedule")
         schedule = schedule_from_dict(payload)
         if payload.get("T") != problem.T:
             raise ValidationError(f"schedule file is for T = {payload.get('T')!r}, problem has T = {problem.T}")

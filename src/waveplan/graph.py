@@ -22,12 +22,12 @@ MAX_AGENTS = 16384
 GEOMETRIC_RETRIES = 64
 
 
-def _check_agent_count(n: int) -> None:
-    if n > MAX_AGENTS:
-        raise ValidationError(
-            f"agent count {n} is too large: at most {MAX_AGENTS} agents, "
-            "whose dense float64 Laplacian takes 2 GiB"
-        )
+def _agent_count_fault(n, name: str = "agent count", lo: int = 1) -> str | None:
+    """Why ``n`` is not an integer from ``lo`` up to ``MAX_AGENTS``, or None."""
+    fault = _int_fault(n, name, lo)
+    if fault is None and n > MAX_AGENTS:
+        fault = f"{name} {n} is too large: at most {MAX_AGENTS} agents, whose dense float64 Laplacian takes 2 GiB"
+    return fault
 
 
 def _as_readonly(arr) -> np.ndarray:
@@ -69,7 +69,7 @@ def _edge_columns(edges) -> np.ndarray:
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"got an array of shape {arr.shape}")
         return np.array(arr.T, dtype=np.float64, order="C")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"edges must be (i, j, weight) triples of numbers: {exc}") from exc
 
 
@@ -150,8 +150,7 @@ class WeightedGraph:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require(ValidationError, _int_fault(self.n, "agent count", 1))
-        _check_agent_count(self.n)
+        _require(ValidationError, _agent_count_fault(self.n))
         i, j, w = _validated_edges(self.n, self.edges)
         ends = np.array((i, j)).T.ravel() - 1
         if self.n > 1:
@@ -337,9 +336,8 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> tuple[WeightedGr
     points are placed, and no n x n array is formed: the pairs are found
     from a window on the x-sorted points (``_geometric_edges``).
     """
-    _require(ValidationError, _int_fault(n, "agent count", 2), _real_fault(radius, "radius", "positive"))
+    _require(ValidationError, _agent_count_fault(n, lo=2), _real_fault(radius, "radius", "positive"))
     _require(ValidationError, _int_fault(seed, "seed", 0))
-    _check_agent_count(n)
     for attempt in range(GEOMETRIC_RETRIES + 1):
         s = int(seed) + attempt  # a Python int: a numpy seed near its type's limit would wrap
         rows, cols = _geometric_edges(np.random.default_rng(s).random((n, 2)), _real(radius))

@@ -323,6 +323,11 @@ def problem_to_dict(p: CampaignProblem) -> dict:
     }
 
 
+def _number(x) -> float:
+    """float(x), but an int too large for a float is +-inf (``errors._real``), which validation reports."""
+    return _real(x) if isinstance(x, int) else float(x)
+
+
 def problem_from_dict(d: dict) -> CampaignProblem:
     _reject_booleans(d, "problem")
     try:
@@ -332,10 +337,10 @@ def problem_from_dict(d: dict) -> CampaignProblem:
                 b=np.array(c["b"], dtype=np.float64),
                 cost=CostModel(
                     kind=str(c["cost"]["kind"]),
-                    v=float(c["cost"]["v"]),
-                    a=float(c["cost"].get("a", 1.0)),
+                    v=_number(c["cost"]["v"]),
+                    a=_number(c["cost"].get("a", 1.0)),
                 ),
-                u_max=float(c["u_max"]),
+                u_max=_number(c["u_max"]),
             )
             for c in d["channels"]
         )
@@ -356,13 +361,13 @@ def problem_from_dict(d: dict) -> CampaignProblem:
             graph=graph,
             channels=channels,
             objective=objective,
-            T=float(d["T"]),
-            r=float(d["r"]),
+            T=_number(d["T"]),
+            r=_number(d["r"]),
             x0=np.array(d["x0"], dtype=np.float64),
             drift=drift,
         )
     except ValidationError:
         # A ValueError subclass: the graph's own messages pass through as raised.
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed problem object: missing or bad field {exc}") from exc

@@ -18,7 +18,8 @@ import numpy as np
 from .bounds import linear_bounds, support_bound
 from .costate import projected_coefficients
 from .errors import ValidationError, _int_fault, _real_fault, _require
-from .graph import build_laplacian, group_support, project, random_geometric_graph, spectral_decompose
+from .graph import _agent_count_fault, build_laplacian, group_support, project
+from .graph import random_geometric_graph, spectral_decompose
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,14 @@ class SweepAggregate:
 
 
 def default_radius(n: int) -> float:
-    """Connectivity-comfortable geometric radius, shrinking like sqrt(log n / n), for an integer n >= 2."""
-    _require(ValidationError, _int_fault(n, "agent count", 2))
+    """Connectivity-comfortable geometric radius, shrinking like sqrt(log n / n), for n in [2, MAX_AGENTS]."""
+    _require(ValidationError, _agent_count_fault(n, lo=2))
     return min(1.0, 1.7 * math.sqrt(math.log(n) / (math.pi * n)))
 
 
 def sweep_instance(n: int, instance: int, base_seed: int, radius: float | None = None) -> SweepRow:
     """One (n, instance) cell: seeded graph, seeded random p, b = first basis vector; arguments are checked first."""
-    _require(ValidationError, _int_fault(n, "agent count", 2), _int_fault(instance, "instance", 0))
+    _require(ValidationError, _agent_count_fault(n, lo=2), _int_fault(instance, "instance", 0))
     radius = default_radius(n) if radius is None else radius
     _require(ValidationError, _int_fault(base_seed, "base_seed", 0), _real_fault(radius, "radius", "positive"))
     graph_seed = base_seed * 1_000_003 + n * 1_009 + instance
@@ -89,7 +90,8 @@ def run_sweep(
         ns = list(dict.fromkeys(ns))
     except TypeError:
         raise ValidationError(f"ns must be a list of integers, got {ns!r}") from None
-    _require(ValidationError, _int_fault(instances, "instances", 1), *(_int_fault(n, "each of ns", 2) for n in ns))
+    sizes = (_agent_count_fault(n, "each of ns", 2) for n in ns)
+    _require(ValidationError, _int_fault(instances, "instances", 1), *sizes)
     rows = [
         sweep_instance(n, i, base_seed, radius=radius) for n in ns for i in range(instances)
     ]

@@ -20,12 +20,12 @@ channels' group coefficients, one matrix per solve scaled to the signals,
 and one product per solve that samples each signal, its slope and a bound
 on its curvature at the ends of a few hundred uniform cells. At each
 level, a cell's end values and curvature bound prove that it holds no
-crossing or exactly one; the few cells that neither test settles are bisected until
-every piece is settled. So a crossing count never rests on the grid size,
-and a close pair of crossings inside one cell is found as a pair. One
-loop (``_crossings``) then finds each crossing: a Newton step on the
-closed form that the curvature bound certifies, or else a split of the
-piece at the evaluated point and a retry on the half that holds the
+crossing or exactly one. One loop (``_crossings``) bisects the few cells
+that neither test settles until every piece is settled, so a crossing
+count never rests on the grid size and a close pair of crossings inside
+one cell is found as a pair. It finds each crossing by a Newton step on
+the closed form that the curvature bound certifies, or else a split of
+the piece at the evaluated point and a retry on the half that holds the
 crossing. Each retry leaves at most 7/8 of the piece, so the loop ends
 within a proven number of rounds, without an iteration cap. A probe
 returns the spend and its slope from the crossing times alone: the
@@ -35,12 +35,12 @@ A probe is one vectorised scan of all m x K samples, then a scalar tail.
 The scan compares every sample with the level and finds the flips
 between cell ends. The tail works on the few flips as Python floats: the
 cubic start, the Newton test and the split of each piece. Per round it
-makes one vectorised call that evaluates g and g' at the points of all
-unsettled pieces, and the spend and its slope are two numpy dots. A
-channel's crossings at any level are at most its switch bound, typically
-far below n, so the tail costs O(switches) per probe: a few Python float
-operations per crossing, where numpy's fixed cost per call would dominate
-arrays of one to four entries.
+makes one vectorised call that evaluates g, g' and the curvature bound at
+the points of all unsettled pieces, and the spend and its slope are two
+numpy dots. A channel's crossings at any level are at most its switch
+bound, typically far below n, so the tail costs O(switches) per probe: a
+few Python float operations per crossing, where numpy's fixed cost per
+call would dominate arrays of one to four entries.
 
 ``solve_with_costate`` builds the schedule (``_schedule``) and then its
 certificate (``_certified``); the sigmoid loop runs the first half on every
@@ -180,9 +180,9 @@ class _SignalGrid:
       lie on different sides of it, and never otherwise.
 
     A cell that neither test settles at a level is open there, and
-    ``probe`` bisects it (``_isolate``). So every crossing count is proven,
-    whatever K is: K only sets how much sampling and bisection a solve
-    does. ``top``, the largest max(v_lo, v_hi) + M h^2 / 8, bounds every g_k.
+    ``_crossings`` bisects it. So every crossing count is proven, whatever
+    K is: K only sets how much sampling and bisection a solve does.
+    ``top``, the largest max(v_lo, v_hi) + M h^2 / 8, bounds every g_k.
     """
 
     def __init__(self, rates: np.ndarray, rows: np.ndarray, T: float) -> None:
@@ -228,13 +228,14 @@ class _SignalGrid:
         flip spans two rows. All that follows runs on the few flips as
         Python floats. A flip next to a pad is the time 0 or T. Every other
         flip lies in a cell with one crossing, unless the cell is open at
-        beta: then ``_isolate`` splits it into pieces with one crossing
-        each. ``_crossings`` refines each crossing, and the flips are put
-        in order by channel and piece. The on-sets come back flat, as
-        ``(chan, starts, ends)`` arrays with interval j of channel chan[j]
-        being [starts[j], ends[j]], and the spend is sum_j costs[chan[j]]
-        (ends[j] - starts[j]). dS/dbeta is -sum over crossings of costs_k /
-        |g_k'|. Both sums are numpy dots.
+        beta. One ``_crossings`` call takes the one-crossing cells and,
+        after them, the cells open at beta, which it bisects until each
+        piece holds one crossing or none; it refines every crossing, and
+        the flips are put in order by channel and piece. The on-sets come
+        back flat, as ``(chan, starts, ends)`` arrays with interval j of
+        channel chan[j] being [starts[j], ends[j]], and the spend is sum_j
+        costs[chan[j]] (ends[j] - starts[j]). dS/dbeta is -sum over
+        crossings of costs_k / |g_k'|. Both sums are numpy dots.
 
         A channel crosses the level at most as often as it switches, which
         the switch bounds cap far below n, so the scalar tail is O(switches)
@@ -245,11 +246,11 @@ class _SignalGrid:
         deterministic tie-break keeps outputs reproducible).
         """
         above = self._padded > beta
-        suspect = self._open[(self._open_low <= beta) & (beta < self._open_high)]
-        isolated = set(suspect.tolist())
+        suspect = self._open[(self._open_low <= beta) & (beta < self._open_high)].tolist()
+        opened = set(suspect)
         # Each flip as (channel, sort key, time). A piece's key is its lo;
         # -inf puts a start pad before every piece of its channel, inf an end pad after.
-        events, cross, cells = [], [], []
+        events, chan, cells = [], [], []
         # Flip c of a row lies between its padded columns c and c + 1.
         for flip in (above[1:] != above[:-1]).nonzero()[0].tolist():
             k, col = divmod(flip, _CELLS + 3)
@@ -258,19 +259,16 @@ class _SignalGrid:
                 events.append((k, -math.inf, 0.0))
             elif col > _CELLS:
                 events.append((k, math.inf, self.T))
-            elif cell not in isolated:
-                cross.append(k)
+            elif cell not in opened:
+                chan.append(k)
                 cells.append(cell)
-        pieces = self._cells.take(cells, axis=1).T.tolist()
-        if isolated:
-            fine, fine_pieces = self._isolate(suspect, beta)
-            cross += fine
-            pieces += fine_pieces
         rate = 0.0
-        if cross:
-            found, inverse_slopes = self._crossings(cross, pieces, beta)
-            rate = float(costs[cross] @ np.array(inverse_slopes))
-            events += zip(cross, [piece[0] for piece in pieces], found)
+        if cells or suspect:
+            pieces = self._cells.take(cells + suspect, axis=1).T.tolist()
+            chan += [cell // _CELLS for cell in suspect]
+            chan, keys, found, inverse_slopes = self._crossings(chan, pieces, len(cells), beta)
+            rate = float(costs[chan] @ np.array(inverse_slopes))
+            events += zip(chan, keys, found)
         events.sort()
         chan = np.array([e[0] for e in events[::2]], dtype=np.intp)
         times = [e[2] for e in events]
@@ -284,56 +282,29 @@ class _SignalGrid:
         pairs = list(zip(starts.tolist(), ends.tolist()))
         return [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def _isolate(self, cells, beta) -> tuple[list, list]:
-        """The pieces with one crossing of beta each into which bisection splits ``cells`` (channel * K + cell).
+    def _crossings(self, chan, pieces, settled, beta) -> tuple[list, list, list, list]:
+        """Every crossing g_k = beta in ``pieces``: its channel, its piece's key (lo), its time and 1 / |g'| there.
 
-        All pieces are halved together, with one evaluation of g, g' and M_k
-        at their midpoints per round. A half is settled by the class
-        docstring's two tests at its own width and curvature bound: it holds
-        one crossing or none. A half that is still open once no longer than
-        1e-12 T straddles a tangency, and the tie-break (g = beta is off)
-        decides it from its ends: one crossing if they lie on different
-        sides of beta, none if not. Returns the one-crossing pieces'
-        channels and the pieces (``_split``), found round by round, each
-        round's left halves before its right halves.
-        """
-        tol = 1e-12 * self.T
-        chan, pieces = (cells // _CELLS).tolist(), self._cells.take(cells, axis=1).T.tolist()
-        found_chan, found = [], []
-        while chan:
-            mid = np.array([0.5 * (piece[0] + piece[1]) for piece in pieces])
-            halves = map(_split, pieces, mid.tolist(), *self._at(chan, self._modes(mid), 3).tolist())
-            lefts, rights = zip(*halves)
-            open_chan, open_pieces = [], []
-            for k, piece in zip(chan + chan, lefts + rights):
-                lo, hi, vlo, vhi, _, _, bound = piece
-                width = hi - lo
-                curve = bound * width * width
-                if abs(vhi - vlo) > curve or width <= tol:
-                    if (vlo > beta) != (vhi > beta):
-                        found_chan.append(k)
-                        found.append(piece)
-                elif min(vlo, vhi) - 0.125 * curve <= beta < max(vlo, vhi) + 0.125 * curve:
-                    open_chan.append(k)
-                    open_pieces.append(piece)
-            chan, pieces = open_chan, open_pieces
-        return found_chan, found
+        Piece i is channel chan[i]'s, in ``_split``'s layout; the first
+        ``settled`` hold one crossing each, the rest are open. Each round
+        evaluates g, g' and M_k at one point of every unsettled piece in one
+        vectorised call, then works piece by piece on Python floats.
 
-    def _crossings(self, chan, pieces, beta) -> tuple[list, list]:
-        """The crossing g_chan[i] = beta inside each one-crossing piece, with 1 / |g'| there.
+        An open piece is split at its midpoint, and the class docstring's
+        two tests settle each half at its own width and curvature bound:
+        one crossing or none. A half still open once no longer than 1e-12 *
+        T straddles a tangency, and the tie-break (g = beta is off) decides
+        it from its ends. A one-crossing half joins the next round, the
+        left halves before the right ones.
 
-        ``pieces`` are in ``_split``'s layout, one per crossing. Each
-        round evaluates g and g' at one point t of every unsettled piece,
-        in one vectorised call, and does the rest piece by piece on Python
-        floats: in the first round t is one Newton step on the piece's
-        cubic (the cubic that matches g and g' at both ends), taken from
-        the secant through the end values, or the secant where that step
-        leaves the piece or the cubic is flat there; in later rounds the
-        same start on the current piece, moved to 1/8 or 7/8 of its width
-        where it lies in an outer eighth. A failed first step leaves the
-        crossing next to an end of the kept half, so this closes in on it
-        eight times faster than a midpoint would. Then each piece is
-        settled or split:
+        A one-crossing piece is evaluated at t: in its first round one
+        Newton step on its cubic (the cubic that matches g and g' at both
+        ends) from the secant through the end values, or the secant where
+        that step leaves the piece or the cubic is flat there; in later
+        rounds the same start on the current piece, moved to 1/8 or 7/8 of
+        its width where it lies in an outer eighth. A failed first step
+        leaves the crossing next to an end of the kept half, so this closes
+        in on it eight times faster than a midpoint would. Then:
 
         - the Newton step delta = -(g(t) - beta) / g'(t) is accepted when 4
           M |delta| <= |g'(t)|, eps = M delta^2 / |g'(t)| <= 1e-12 * T and
@@ -345,32 +316,40 @@ class _SignalGrid:
           (M delta^2 / 2) / (|g'(t)| / 2) = eps of t1 (eps <= |delta| / 4).
           As the piece holds one crossing, that root is its crossing. No
           step is taken where g'(t) = 0.
-        - otherwise the piece is split at t (``_split``, with M_k at t, on
-          the modes already evaluated there) and keeps the half whose ends
-          lie on different sides of beta; it still holds the one crossing.
-          Where that half is no longer than 1e-12 * T, the crossing is
-          settled at t, one of its ends.
+        - otherwise the piece is split at t (``_split``) and keeps the half
+          whose ends lie on different sides of beta; it still holds the one
+          crossing. Where that half is no longer than 1e-12 * T, the
+          crossing is settled at t, one of its ends.
 
-        A piece's 1 / |g'| is read at its last evaluated point, and is inf
-        where g' is 0 there.
+        1 / |g'| is read at the last evaluated point, inf where g' is 0.
+        The crossings come in their pieces' order: the settled pieces, then
+        the one-crossing halves as they are found.
 
-        The loop ends without a cap. From the second round on, t lies in
-        the middle three quarters of the piece, so a round that does not
-        settle it leaves at most 7/8 of its width (to the rounding of t). A
-        piece of width h is thus settled within 1 + ceil(log(h / (1e-12 *
-        T)) / log(8/7)) rounds: 167 for a cell of 256, 208 for the whole of
-        [0, T]. Each point is evaluated once: the point of a later round
-        lies inside the kept half, whose ends are earlier points or the
-        piece's own. A crossing within 1e-12 * T of 0 or T is returned as
-        that end.
+        The loop ends without a cap. From its second round on, t lies in
+        the middle three quarters of a one-crossing piece, so a round that
+        does not settle it leaves at most 7/8 of its width (to the rounding
+        of t): a piece of width h is settled within 1 + ceil(log(h / (1e-12
+        * T)) / log(8/7)) rounds, 167 for a cell of 256, 208 for [0, T]. An
+        open piece of width h > 1e-12 * T is settled within ceil(log2(h /
+        (1e-12 * T))) halvings, and a half it hands on in halving j, of
+        width h / 2^j, within the bound above from round j + 1; as log 2 >
+        5 log(8/7), that bound holds for the open piece too. Each point is
+        evaluated once: a later point lies inside a kept half, whose ends
+        are earlier points or the piece's own. A crossing within 1e-12 * T
+        of 0 or T is returned as that end.
         """
         tol = 1e-12 * self.T
-        found, size = [0.0] * len(chan), [0.0] * len(chan)
-        todo = list(range(len(chan)))
-        first = True
+        crossed, keys = chan[:settled], [piece[0] for piece in pieces[:settled]]
+        found, size = [0.0] * settled, [0.0] * settled
+        # Each unsettled piece as (channel, piece, index of its crossing or
+        # -1 while it is open, whether its first round is to come).
+        todo = [(k, piece, i if i < settled else -1, True) for i, (k, piece) in enumerate(zip(chan, pieces))]
         while todo:
             points = []
-            for lo, hi, vlo, vhi, dlo, dhi, _ in pieces:
+            for _, (lo, hi, vlo, vhi, dlo, dhi, _), j, first in todo:
+                if j < 0:
+                    points.append(0.5 * (lo + hi))
+                    continue
                 width, rise = hi - lo, vhi - vlo
                 c1 = width * dlo
                 c3 = c1 + width * dhi - 2.0 * rise
@@ -384,38 +363,47 @@ class _SignalGrid:
                 if not first:
                     s = min(max(s, 0.125), 0.875)
                 points.append(lo + width * s)
-            first = False
-            modes = self._modes(np.array(points))
-            values, slopes = self._at(chan, modes, 2).tolist()
-            split = []
-            for i, (j, piece, point, value, slope) in enumerate(zip(todo, pieces, points, values, slopes)):
+            evaluated = self._at([entry[0] for entry in todo], self._modes(np.array(points)), 3).tolist()
+            rest, lefts, rights = [], [], []
+            for (k, piece, j, _), point, value, slope, bound in zip(todo, points, *evaluated):
+                if j < 0:
+                    left, right = _split(piece, point, value, slope, bound)
+                    lefts.append((k, left))
+                    rights.append((k, right))
+                    continue
                 size[j] = mag = abs(slope)
+                found[j] = point
                 if slope:
-                    lo, hi, bound = piece[0], piece[1], piece[6]
+                    lo, hi, curvature = piece[0], piece[1], piece[6]
                     step = (beta - value) / slope
-                    eps = bound * step * step / mag
+                    eps = curvature * step * step / mag
                     t1 = point + step
-                    if 4.0 * bound * abs(step) <= mag and eps <= tol and lo + eps <= t1 <= hi - eps:
+                    if 4.0 * curvature * abs(step) <= mag and eps <= tol and lo + eps <= t1 <= hi - eps:
                         found[j] = t1
                         continue
-                found[j] = point
-                split.append(i)
-            if not split:
-                break
-            bounds = self._at([chan[i] for i in split], modes[split], 3)[2].tolist()
-            rest, halves = [], []
-            for i, bound in zip(split, bounds):
-                left, right = _split(pieces[i], points[i], values[i], slopes[i], bound)
+                left, right = _split(piece, point, value, slope, bound)
                 half = left if (left[2] > beta) != (left[3] > beta) else right
                 if half[1] - half[0] > tol:
-                    rest.append(i)
-                    halves.append(half)
-            chan, todo, pieces = [chan[i] for i in rest], [todo[i] for i in rest], halves
+                    rest.append((k, half, j, False))
+            for k, half in lefts + rights:
+                lo, hi, vlo, vhi, _, _, bound = half
+                width = hi - lo
+                curve = bound * width * width
+                if abs(vhi - vlo) > curve or width <= tol:
+                    if (vlo > beta) != (vhi > beta):
+                        rest.append((k, half, len(found), True))
+                        crossed.append(k)
+                        keys.append(lo)
+                        found.append(0.0)
+                        size.append(0.0)
+                elif min(vlo, vhi) - 0.125 * curve <= beta < max(vlo, vhi) + 0.125 * curve:
+                    rest.append((k, half, -1, True))
+            todo = rest
         # A crossing within the 1e-12 T it is found to of 0 or T is that
         # end, so rounding there never makes a switch.
         end = self.T - tol
         found = [0.0 if x <= tol else self.T if x >= end else x for x in found]
-        return found, [1.0 / x if x else math.inf for x in size]
+        return crossed, keys, found, [1.0 / x if x else math.inf for x in size]
 
     def _at(self, chan, modes, terms) -> np.ndarray:
         """g (and g', and M_k, as ``terms`` is 1, 2 or 3) of channel chan[i] on row i of ``modes``, one row per function.

@@ -266,6 +266,7 @@ class TestExitCodes:
             ["sweep", "--n", "20", "--instances", "0"],
             ["sweep", "--n", "20", "--radius", "-1"],
             ["sweep", "--n", "0", "--instances", "1"],
+            ["sweep", "--n", "1" + "0" * 400],
             ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "-1"],
             ["solve", _Edited("abc", "T")],
             ["solve", _Edited("x", "channels", 0, "u_max")],
@@ -284,6 +285,7 @@ class TestExitCodes:
         ],
         ids=[
             "zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "zero-nodes",
+            "n-401-digits",
             "plot-points",
             "T-not-a-number", "u_max-not-a-number", "b-entry-not-a-number", "T-1e400", "v-1e400",
             "fractional-edge-index", "fractional-n", "n-2**63",
@@ -335,6 +337,41 @@ class TestExitCodes:
         # and a T other than the problem's the check that simulate runs on the file.
         err = capsys.readouterr().err
         assert err.startswith("error:") and "schedule" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_Edited(10**400, "T"), "horizon T must be finite, got inf"),
+            (_Edited(10**400, "r"), "budget must be finite, got inf"),
+            (_Edited(-(10**400), "channels", 0, "u_max"), "u_max must be finite, got -inf"),
+            (_Edited(10**400, "channels", 0, "cost", "v"), "cost rate v must be finite, got inf"),
+            (_Edited(10**400, "objective", "p", 0), "malformed problem object"),
+            (_Edited(10**400, "channels", 0, "b", 2), "malformed problem object"),
+            (_Edited(10**400, "graph", "edges", 0, 2), "edges must be (i, j, weight) triples of numbers"),
+            (_Edited(10**400, "graph", "edges", 0, 1), "edges must be (i, j, weight) triples of numbers"),
+        ],
+        ids=["T", "r", "u_max", "v", "p-entry", "b-entry", "edge-weight", "edge-index"],
+    )
+    def test_integer_too_large_for_a_float_exits_2(self, edit, message, tmp_path, capsys):
+        # A scalar reads as +-inf and fails validation; an array entry or an edge is malformed.
+        assert main(["solve", edit.write(tmp_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("missing", "schedule file not found"), ("truncated", "malformed JSON in"), ("directory", "cannot read")],
+    )
+    def test_unreadable_schedule_file_exits_2(self, kind, message, tmp_path, capsys):
+        schedule = tmp_path / "schedule.json"
+        if kind == "truncated":
+            schedule.write_text('{"T": 10.0, "channels": [{"u_max"')
+        elif kind == "directory":
+            schedule.mkdir()
+        argv = ["simulate", str(SEVEN), "--schedule", str(schedule), "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

@@ -51,6 +51,17 @@ def test_rejects_too_many_agents_before_drawing_the_graph():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: run_sweep([20, n], 1, 1), lambda n: sweep_instance(n, 0, 1), sweep.default_radius],
+    ids=["run_sweep", "sweep_instance", "default_radius"],
+)
+def test_rejects_a_size_too_large_for_a_float_by_the_agent_limit(call):
+    # pi * n overflowed in the default radius before the limit was checked.
+    with pytest.raises(ValidationError, match=f"at most {MAX_AGENTS} agents"):
+        call(10**400)
+
+
 @pytest.mark.parametrize("n", [0, 1, -3])
 def test_rejects_fewer_than_two_nodes_before_the_radius(n):
     # The default radius takes log(n), a math domain error for n <= 0.

@@ -403,31 +403,64 @@ class TestEngineAgainstScalarSignals:
 
 
 def _piece_rounds(run):
-    """Run ``run()``; for every ``_crossings`` call it makes, the pieces active in each round and each piece's proven bound.
+    """Run ``run()``; for every ``_crossings`` call it makes, its rounds, its pieces and each piece's proven bound.
 
-    A round evaluates the modes once, at its unsettled pieces. A piece of
-    width h takes at most 1 + ceil(log(h / 1e-12 T) / log(8/7)) rounds.
+    A round is one ``_modes`` call at the points of the unsettled pieces
+    and one ``_at`` call on their channels, listed as (channels, points).
+    A piece of width h > 1e-12 T, open or with one crossing, is settled
+    within 1 + ceil(log(h / 1e-12 T) / log(8/7)) rounds.
     """
     calls = []
-    crossings, modes = waterfill._SignalGrid._crossings, waterfill._SignalGrid._modes
+    crossings, modes, at = waterfill._SignalGrid._crossings, waterfill._SignalGrid._modes, waterfill._SignalGrid._at
 
-    def counting(grid, chan, pieces, beta):
-        active = []
+    def counting(grid, chan, pieces, settled, beta):
+        times, evaluations = [], []
 
         def counting_modes(self, t):
-            active.append(t.size)
+            times.append(t.tolist())
             return modes(self, t)
 
+        def counting_at(self, chan, e, terms):
+            evaluations.append((list(chan), terms))
+            return at(self, chan, e, terms)
+
         with mock.patch.object(waterfill._SignalGrid, "_modes", counting_modes):
-            out = crossings(grid, chan, pieces, beta)
+            with mock.patch.object(waterfill._SignalGrid, "_at", counting_at):
+                out = crossings(grid, chan, pieces, settled, beta)
+        # One evaluation of g, g' and M_k per round, at every point of the round.
+        assert len(evaluations) == len(times)
+        assert all(terms == 3 and len(c) == len(t) for (c, terms), t in zip(evaluations, times))
         widths = np.array([piece[1] - piece[0] for piece in pieces])
+        assert np.all(widths > 1e-12 * grid.T)
         ratio = np.log(widths / (1e-12 * grid.T)) / np.log(8.0 / 7.0)
-        calls.append((active, 1 + np.maximum(np.ceil(ratio), 0.0)))
+        bound = 1 + np.maximum(np.ceil(ratio), 0.0)
+        rounds = [(c, t) for (c, _), t in zip(evaluations, times)]
+        calls.append((rounds, list(chan), [tuple(piece) for piece in pieces], settled, bound))
         return out
 
     with mock.patch.object(waterfill._SignalGrid, "_crossings", counting):
         run()
     return calls
+
+
+def _assert_within_proven_rounds(calls):
+    """Each point of round k lies in a piece of its channel whose bound is at least k; a one-crossing piece has one point a round.
+
+    A point on the shared end of two pieces is counted for neither's
+    one-point rule. With one-crossing pieces only, no more points are
+    evaluated in round k than pieces have a bound of at least k.
+    """
+    for rounds, chan, pieces, settled, bound in calls:
+        for k, (evaluated, points) in enumerate(rounds, start=1):
+            inside = np.zeros(len(pieces), dtype=int)
+            for c, t in zip(evaluated, points):
+                hosts = [i for i, (ch, piece) in enumerate(zip(chan, pieces)) if ch == c and piece[0] <= t <= piece[1]]
+                assert any(bound[i] >= k for i in hosts)
+                if len(hosts) == 1:
+                    inside[hosts[0]] += 1
+            assert np.all(inside[:settled] <= 1)
+            if settled == len(pieces):
+                assert len(points) <= np.count_nonzero(bound >= k)
 
 
 def _recorded_modes(monkeypatch):
@@ -453,8 +486,9 @@ class TestExactRootCrossing:
         beta, slope = grid._at([0], grid._modes(np.array([0.375])), 2)[:, 0].tolist()
         piece = (0.25, 0.5, beta + 1.0, beta - 1.0, -8.0, -8.0, 1.0)
         evaluated = _recorded_modes(monkeypatch)
-        t, inverse_slopes = grid._crossings([0], [piece], beta)
+        chan, keys, t, inverse_slopes = grid._crossings([0], [piece], 1, beta)
         assert evaluated == [[0.375]]
+        assert chan == [0] and keys == [0.25]
         assert t[0] == 0.375 and inverse_slopes[0] == 1.0 / abs(slope)
 
     @pytest.mark.parametrize("beta, loose", [(0.55, False), (0.8, True)])
@@ -481,7 +515,7 @@ class TestExactRootCrossing:
 
         rounds = _recorded_modes(monkeypatch)
         monkeypatch.setattr(waterfill, "_split", recording_split)
-        t, _ = grid._crossings([0], grid._cells.T[:1].tolist(), beta)
+        _, _, t, _ = grid._crossings([0], grid._cells.T[:1].tolist(), 1, beta)
         evaluated = [point for points in rounds for point in points]
         assert abs(t[0] - (1.0 + np.log(2.0 * (1.0 - beta)))) <= 1e-12
         # One evaluation per round, and a split in every round but a
@@ -530,7 +564,7 @@ class TestExactRootCrossing:
                     crossings += t.size
         assert crossings > 0
 
-    @pytest.mark.parametrize("cells", [2, 1])
+    @pytest.mark.parametrize("cells", [waterfill._CELLS, 2, 1])
     def test_random_crossings_take_at_most_the_proven_rounds(self, monkeypatch, cells):
         monkeypatch.setattr(waterfill, "_CELLS", cells)
         rng = np.random.default_rng(11)
@@ -540,18 +574,17 @@ class TestExactRootCrossing:
                 _solve_or_bracket(_random_problem(rng, int(rng.integers(2, 41)), int(rng.integers(1, 4))))
 
         calls = _piece_rounds(run)
-        assert max(len(active) for active, _ in calls) > 1
-        # A piece still active in round k has a bound of at least k.
-        for active, bound in calls:
-            assert all(n <= np.count_nonzero(bound >= k) for k, n in enumerate(active, start=1))
+        assert max(len(points) for rounds, *_ in calls for _, points in rounds) > 1
+        # On one or two cells some calls bisect open cells; on 256 these draws meet none.
+        assert any(settled < len(pieces) for _, _, pieces, settled, _ in calls) == (cells < 256)
+        _assert_within_proven_rounds(calls)
 
     @pytest.mark.parametrize("cells", [waterfill._CELLS, 2, 1])
     @pytest.mark.parametrize("name", ["seed98", "seed131"])
     def test_hidden_pair_crossings_take_at_most_the_proven_rounds(self, monkeypatch, name, cells):
         monkeypatch.setattr(waterfill, "_CELLS", cells)
         calls = _piece_rounds(lambda: solve(_pinned_problem("hidden_pairs", name)))
-        for active, bound in calls:
-            assert all(n <= np.count_nonzero(bound >= k) for k, n in enumerate(active, start=1))
+        _assert_within_proven_rounds(calls)
 
 
 def _signal(grid, chan, t):
@@ -792,7 +825,7 @@ def _interior_crossings(grid, beta, events):
 
 
 def _recorded_tails(run):
-    """``run()``, with every probe it made as (grid, beta, costs, output) and every ``_crossings`` call as (grid, chan, pieces, beta, output)."""
+    """``run()``, with every probe it made as (grid, beta, costs, output) and every ``_crossings`` call as (grid, chan, pieces, settled, beta, output)."""
     probes, crossings = [], []
     probe, refine = waterfill._SignalGrid.probe, waterfill._SignalGrid._crossings
 
@@ -801,9 +834,9 @@ def _recorded_tails(run):
         probes.append((grid, beta, costs, out))
         return out
 
-    def recording_crossings(grid, chan, pieces, beta):
-        call = (grid, list(chan), [tuple(piece) for piece in pieces], beta)
-        out = refine(grid, chan, pieces, beta)
+    def recording_crossings(grid, chan, pieces, settled, beta):
+        call = (grid, list(chan), [tuple(piece) for piece in pieces], settled, beta)
+        out = refine(grid, chan, pieces, settled, beta)
         crossings.append(call + (out,))
         return out
 
@@ -823,9 +856,29 @@ def _assert_tails_match_the_reference(probes, crossings):
         assert _bits(spend, rate) == _bits(ref_spend, ref_rate)
         for ours, ref in zip(events, ref_events, strict=True):
             assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
-    for grid, chan, pieces, beta, (found, inverse_slopes) in crossings:
-        ref_found, ref_inverse_slopes = oracles.reference_crossings(grid, np.array(chan), np.array(pieces).T, beta)
-        assert _bits(*found) == ref_found.tobytes() and _bits(*inverse_slopes) == ref_inverse_slopes.tobytes()
+    for grid, chan, pieces, settled, beta, out in crossings:
+        _assert_loop_matches_the_reference(grid, chan, pieces, settled, beta, out)
+
+
+def _assert_loop_matches_the_reference(grid, chan, pieces, settled, beta, out):
+    """One ``_crossings`` call's channels, keys, times and 1 / |g'| equal, bit for bit, ``oracles._reference_isolate`` on its open pieces followed by ``oracles.reference_crossings``.
+
+    The open pieces must be whole cells of the grid, as the reference
+    isolates cells.
+    """
+    cells = grid.values.shape[1] - 1
+    open_chan = np.array(chan[settled:], dtype=np.intp)
+    open_cell = grid.times.searchsorted([piece[0] for piece in pieces[settled:]])
+    assert np.array(pieces[settled:]).tobytes() == grid._cells[:, open_chan * cells + open_cell].T.tobytes()
+    ref_chan, ref_pieces = np.array(chan[:settled], dtype=np.intp), np.array(pieces[:settled]).reshape(-1, 7).T
+    if open_chan.size:
+        fine_chan, fine_pieces = oracles._reference_isolate(grid, open_chan, open_cell, beta)
+        ref_chan = np.concatenate((ref_chan, fine_chan))
+        ref_pieces = np.concatenate((ref_pieces, fine_pieces), axis=1)
+    ref_found, ref_inverse_slopes = oracles.reference_crossings(grid, ref_chan, ref_pieces, beta)
+    found_chan, keys, found, inverse_slopes = out
+    assert found_chan == ref_chan.tolist() and _bits(*keys) == ref_pieces[0].tobytes()
+    assert _bits(*found) == ref_found.tobytes() and _bits(*inverse_slopes) == ref_inverse_slopes.tobytes()
 
 
 def _check_probes_and_budget(prob):
@@ -913,7 +966,7 @@ class TestHiddenPairs:
 
 @st.composite
 def degenerate_pieces(draw):
-    """A grid, a level and one-crossing pieces that share one of the cases where a scalar division could fail.
+    """A grid, a level, one-crossing pieces that share one of the cases where a scalar division could fail, and open cells.
 
     - ``flat``: a constant signal, so g' = 0 at every evaluated point;
     - ``cubic``: g' = 0 at both ends and g = beta at lo, so the cubic's
@@ -924,6 +977,9 @@ def degenerate_pieces(draw):
 
     The first three draw their end values and slopes on their own; a
     piece's ends lie on different sides of beta, as the probe hands them on.
+    Up to two of the grid's cells are drawn as open pieces as well, the
+    first or last cell (which holds the ``end`` crossing) more often than
+    the others.
     """
     kind = draw(st.sampled_from(["flat", "cubic", "narrow", "end"]))
     T = draw(st.floats(0.05, 20.0))
@@ -951,7 +1007,9 @@ def degenerate_pieces(draw):
             vlo, vhi = (on, off) if draw(st.booleans()) else (off, on)
             pieces.append((lo, min(lo + width, T), vlo, vhi, dlo, dhi, bound))
     assume(all(lo < hi and (vlo > beta) != (vhi > beta) for lo, hi, vlo, vhi, *_ in pieces))
-    return grid, beta, pieces
+    last = grid.values.shape[1] - 2
+    cell = st.one_of(st.sampled_from([0, last]), st.integers(0, last))
+    return grid, beta, pieces, draw(st.lists(cell, max_size=2, unique=True))
 
 
 class TestScalarTail:
@@ -971,14 +1029,16 @@ class TestScalarTail:
     @settings(max_examples=200, deadline=None)
     @given(degenerate_pieces())
     def test_degenerate_pieces_neither_raise_nor_warn(self, case):
-        grid, beta, pieces = case
+        grid, beta, settled, cells = case
+        pieces = settled + grid._cells.T[cells].tolist()
         chan = [0] * len(pieces)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found, inverse_slopes = grid._crossings(chan, pieces, beta)
-        ref_found, ref_inverse_slopes = oracles.reference_crossings(grid, np.array(chan), np.array(pieces).T, beta)
-        assert _bits(*found) == ref_found.tobytes() and _bits(*inverse_slopes) == ref_inverse_slopes.tobytes()
-        assert all(lo <= t <= hi or t in (0.0, grid.T) for t, (lo, hi, *_) in zip(found, pieces))
+            out = grid._crossings(chan, pieces, len(settled), beta)
+        _assert_loop_matches_the_reference(grid, chan, pieces, len(settled), beta, out)
+        found, fine = out[2][: len(settled)], out[2][len(settled) :]
+        assert all(lo <= t <= hi or t in (0.0, grid.T) for t, (lo, hi, *_) in zip(found, settled))
+        assert all(any(lo <= t <= hi for lo, hi, *_ in pieces[len(settled) :]) or t in (0.0, grid.T) for t in fine)
 
 
 class TestSharedDecomposition:
