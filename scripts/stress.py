@@ -4,10 +4,11 @@
 
 Run from the repository root. The properties are those of
 ``tests/test_waterfill.py`` that draw whole problems: ``TestProbe``,
-``TestEndToEndInvariants``, ``TestNeverOnChannels`` and
-``TestLagrangianCrossCheck``. Each seed of the inclusive range A:B runs
-them in a fresh pytest process with ``--hypothesis-seed`` and the
-``stress`` profile of ``tests/conftest.py``: examples come from that seed,
+``TestEndToEndInvariants``, ``TestNeverOnChannels``,
+``TestLagrangianCrossCheck`` and ``TestOracleWithinGridSlack``. Each seed
+of the inclusive range A:B runs them in a fresh pytest process with
+``--hypothesis-seed`` and the ``stress`` profile of
+``tests/conftest.py``: examples come from that seed,
 not derandomized, even with CI set, and no example database is read or
 written; each test reports its first failure only. A failure's kind is
 its test, without parameters, and the exception type and the line that
@@ -31,7 +32,7 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PROPERTIES = "TestProbe or TestEndToEnd or NeverOn or TestLagrangianCrossCheck"
+PROPERTIES = "TestProbe or TestEndToEnd or NeverOn or TestLagrangianCrossCheck or TestOracleWithinGridSlack"
 ALLOWED = "adjacent-float bracket (allowed)"
 
 

@@ -20,7 +20,7 @@ from . import bounds
 from .costate import projected_coefficients
 from .dynamics import objective_value, simulate
 from .errors import ContractError, NumericalError, ValidationError, _int_fault, _require
-from .graph import _reject_booleans
+from .graph import _entries_fault, _reject_booleans
 from .oracle import INTERIOR_LEVELS, EnumerationSpec, enumerate_best, grid_slack
 from .problem import CampaignProblem, check_conditions, prepare, problem_from_dict, require_valid
 from .sigmoid import solve_sigmoid
@@ -101,7 +101,10 @@ def _summary_dict(problem: CampaignProblem, sol: WaterfillSolution) -> dict:
 
 def _cmd_solve(args) -> int:
     _require(ValidationError, _int_fault(args.plot_points, "--plot-points", 2))
-    prep = prepare(_load_problem(args.problem))
+    problem = _load_problem(args.problem)
+    # The widest plot array holds one column per eigenvalue group, at most n.
+    _require(ValidationError, _entries_fault(args.plot_points, "--plot-points", args.plot_points, problem.n))
+    prep = prepare(problem)
     problem, sd = prep.problem, prep.sd
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

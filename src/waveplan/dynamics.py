@@ -20,7 +20,7 @@ import numpy as np
 
 from .costate import _stable_sigmoid, _terminal_state, integrate_h, modal_integrals
 from .errors import ContractError, _int_fault, _real_fault, _require
-from .graph import _as_readonly, build_laplacian
+from .graph import _as_readonly, _entries_fault, build_laplacian
 from .problem import CampaignProblem, Objective, Prepared, prepare
 
 
@@ -113,9 +113,12 @@ def simulate(problem: CampaignProblem, schedule, steps: int = 4096) -> Trajector
     drift are constant inside each piece, so no discontinuity is straddled
     and the integrator keeps its order. The spend accumulator is exact
     interval arithmetic, not quadrature. This is the reference integrator
-    that ``terminal_state`` is checked against.
+    that ``terminal_state`` is checked against. A ``steps`` whose
+    (steps + 1) x n trajectory would pass 2 GiB is a ContractError, raised
+    before anything is allocated.
     """
     _require(ContractError, _int_fault(steps, "steps", 64))
+    _require(ContractError, _entries_fault(steps, "steps", steps + 1, problem.n))
     _check_fit(schedule, problem.T, problem.m)
     ts = _nodes(problem, steps, [iv for cs in schedule.channels for iv in cs.intervals])
     forcing, cost_rate = _forcing(problem, schedule, ts)

@@ -7,6 +7,7 @@ format; matrices and eigenvector arrays are 0-based.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,6 +29,14 @@ def _agent_count_fault(n, name: str = "agent count", lo: int = 1) -> str | None:
     if fault is None and n > MAX_AGENTS:
         fault = f"{name} {n} is too large: at most {MAX_AGENTS} agents, whose dense float64 Laplacian takes 2 GiB"
     return fault
+
+
+def _entries_fault(count: int, name: str, rows: int, width: int) -> str | None:
+    """Why ``count`` is too large, its ``rows`` x ``width`` floats passing a MAX_AGENTS Laplacian's 2 GiB; or None."""
+    if rows * width > MAX_AGENTS * MAX_AGENTS:
+        limit = f"2 GiB, the dense Laplacian's at {MAX_AGENTS} agents"
+        return f"{name} {count} is too large: its {rows} x {width} float64 array would pass {limit}"
+    return None
 
 
 def _as_readonly(arr) -> np.ndarray:
@@ -61,16 +70,26 @@ def _edge_columns(edges) -> np.ndarray:
     """
     _reject_booleans(edges, "graph", "edges")
     try:
-        arr = np.asarray(edges)
-        if arr.dtype.kind not in "iufO":
-            raise ValueError(f"entries of dtype {arr.dtype} are not numbers")
+        arr = _float_array(edges)
         if arr.shape == (0,):
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"got an array of shape {arr.shape}")
-        return np.array(arr.T, dtype=np.float64, order="C")
+        return np.array(arr.T, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"edges must be (i, j, weight) triples of numbers: {exc}") from exc
+
+
+def _float_array(x) -> np.ndarray:
+    """x as a float64 array, not copied if it is one; ValueError when an entry is not a number, such as a string.
+
+    numpy would parse a numeric string; an int too large for a float raises OverflowError.
+    """
+    arr = np.asarray(x)
+    kind = arr.dtype.kind
+    if kind not in "iufO" or (kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)):
+        raise ValueError(f"entries of dtype {arr.dtype} are not all numbers")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def _validated_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,6 +20,11 @@ edge that is not a node, steps across the edge in one piece or in two, as
 its cell masks say. With interior levels enabled it also serves as the
 falsification harness for the bang-bang claim, testing non-extreme
 constant control levels against the best extreme candidate.
+
+``grid_slack`` bounds, from one certified solve, how far the default-cap
+oracle may fall below the optimum: the optimal schedule rounded inward to
+the grid is one of its candidates, and the rounding loses a proven amount
+next to each switch. So the solver and the oracle agree within it both ways.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .dynamics import _nodes, objective_value
 from .errors import ContractError, ValidationError, _int_fault, _real, _require
 from .graph import group_support
 from .problem import CampaignProblem, Prepared, prepare
-from .waterfill import BangBangSchedule, ChannelSchedule
+from .waterfill import BangBangSchedule, ChannelSchedule, _certified, _schedule
 
 MAX_CANDIDATES = 2_000_000
 # RK4 steps per sigmoid candidate. The reported value is that of
@@ -47,8 +52,6 @@ MAX_CANDIDATES = 2_000_000
 SIGMOID_STEPS = 256
 # Sigmoid candidates scored together; bounds the scoring's working arrays.
 _SCORE_ROWS = 4096
-# Uniform samples of [0, T] over which grid_slack takes max |h_i(t)|.
-SLACK_SAMPLES = 1024
 # Interior levels of the structure falsification mode (``--interior``), as fractions of u_max.
 INTERIOR_LEVELS = (0.75, 0.5, 0.25)
 
@@ -154,21 +157,42 @@ def _candidate_table(g: int, cap: int, levels: tuple[float, ...]) -> _CandidateT
 
 
 def grid_slack(problem: CampaignProblem | Prepared, switch_grid: int) -> float:
-    """Discretization slack estimate: max_i u_max_i * max_t |h_i(t)| * (T / switch_grid).
+    """A proven bound on the optimum minus the default-cap oracle value on ``switch_grid`` cells.
 
-    It is not a proven bound on the gap between the optimum and the best
-    grid schedule: the formula has no proof, and max_t |h_i| is itself
-    sampled, at ``SLACK_SAMPLES`` uniform times, every channel at once from
-    its row of group coefficients, so a peak between samples is missed.
+    Rounding the on-intervals of one certified solve inward to the cells
+    they contain gives a candidate that the default cap, or any cap at least
+    each channel's realized switches, admits. Next to each switch t_s in
+    (0, T) of channel k it loses at most Delta (beta* q_k + u_max_k
+    (Delta / 2) H'_k(min(t_s + Delta, T))), with Delta = T / switch_grid,
+    q_k = c_k(u_max_k) and H'_k(t) = sum_g |d_kg| rate_g exp(rate_g (t - T))
+    from the solve's row d_k of group coefficients. A channel over its
+    support bound is turned off instead and adds its whole gain. For the
+    rounding of the gain and the oracle value, the slack adds 2 (N + 5 +
+    rate_max T) eps M, with N = m (switch_grid + G)(G + 1) and M = sum_k
+    u_max_k sum_g |d_kg| T (proofs in ``PAPER.md``, "Grid slack"). The
+    objective must be linear; any other kind raises ContractError.
     """
     prep = prepare(problem)
-    problem, sd = prep.problem, prep.sd
+    problem = prep.problem
     _require(ContractError, _int_fault(switch_grid, "switch_grid", 2, 16))
-    T = problem.T
-    coeffs = projected_coefficients(sd, problem.objective.p, prep.gains)
-    modes = np.exp(np.multiply.outer(np.linspace(0.0, T, SLACK_SAMPLES) - T, sd.group_rates))
-    u_max = np.array([ch.u_max for ch in problem.channels])
-    return float(np.max(u_max * np.max(np.abs(modes @ coeffs.T), axis=0))) * T / switch_grid
+    if problem.objective.kind != "linear":
+        raise ContractError("grid_slack requires the linear objective, whose optimum the water level gives")
+    coeffs, *draft = _schedule(prep, problem.objective.p)
+    sol = _certified(prep, coeffs, *draft)
+    T, rates = problem.T, prep.sd.group_rates
+    delta = T / switch_grid
+    slack = 0.0
+    for ch, row, cs, cert in zip(problem.channels, coeffs, sol.schedule.channels, sol.certificate):
+        if cert.realized_switches > cert.bound_general:
+            lo, hi = zip(*cs.intervals)
+            slack += ch.u_max * float(np.sum(integrate_h(rates, row, T, lo, hi)))
+            continue
+        switches = np.array([t for iv in cs.intervals for t in iv if 0.0 < t < T])
+        slope = np.exp(np.multiply.outer(np.minimum(switches + delta, T) - T, rates)) @ (np.abs(row) * rates)
+        slack += float(np.sum(delta * (sol.beta_star * ch.max_cost_rate + ch.u_max * 0.5 * delta * slope)))
+    size = T * float(sum(ch.u_max * np.abs(row).sum() for ch, row in zip(problem.channels, coeffs)))
+    products = problem.m * (switch_grid + rates.size) * (rates.size + 1)
+    return slack + 2.0 * (products + 5.0 + float(rates[-1]) * T) * float(np.finfo(float).eps) * size
 
 
 def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -> OracleResult:

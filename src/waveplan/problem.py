@@ -12,6 +12,7 @@ from .graph import (
     SpectralDecomposition,
     WeightedGraph,
     _as_readonly,
+    _float_array,
     _reject_booleans,
     build_laplacian,
     graph_from_dict,
@@ -324,8 +325,14 @@ def problem_to_dict(p: CampaignProblem) -> dict:
 
 
 def _number(x) -> float:
-    """float(x), but an int too large for a float is +-inf (``errors._real``), which validation reports."""
-    return _real(x) if isinstance(x, int) else float(x)
+    """x as a float, an int too large for a float as +-inf (``errors._real``), which validation reports.
+
+    Anything but a real number, a numeric string included, raises ValueError.
+    """
+    value = _real(x)
+    if value is None:
+        raise ValueError(f"{x!r} is not a number")
+    return value
 
 
 def problem_from_dict(d: dict) -> CampaignProblem:
@@ -334,7 +341,7 @@ def problem_from_dict(d: dict) -> CampaignProblem:
         graph = graph_from_dict(d["graph"])
         channels = tuple(
             Channel(
-                b=np.array(c["b"], dtype=np.float64),
+                b=_float_array(c["b"]),
                 cost=CostModel(
                     kind=str(c["cost"]["kind"]),
                     v=_number(c["cost"]["v"]),
@@ -347,15 +354,15 @@ def problem_from_dict(d: dict) -> CampaignProblem:
         o = d["objective"]
         objective = Objective(
             kind=str(o["kind"]),
-            p=np.array(o["p"], dtype=np.float64),
-            alpha=np.array(o["alpha"], dtype=np.float64) if "alpha" in o else None,
-            theta=np.array(o["theta"], dtype=np.float64) if "theta" in o else None,
+            p=_float_array(o["p"]),
+            alpha=_float_array(o["alpha"]) if "alpha" in o else None,
+            theta=_float_array(o["theta"]) if "theta" in o else None,
         )
         drift = None
         if "drift" in d:
             drift = Drift(
-                breakpoints=np.array(d["drift"]["breakpoints"], dtype=np.float64),
-                values=np.array(d["drift"]["values"], dtype=np.float64),
+                breakpoints=_float_array(d["drift"]["breakpoints"]),
+                values=_float_array(d["drift"]["values"]),
             )
         return CampaignProblem(
             graph=graph,
@@ -363,7 +370,7 @@ def problem_from_dict(d: dict) -> CampaignProblem:
             objective=objective,
             T=_number(d["T"]),
             r=_number(d["r"]),
-            x0=np.array(d["x0"], dtype=np.float64),
+            x0=_float_array(d["x0"]),
             drift=drift,
         )
     except ValidationError:

@@ -52,10 +52,13 @@ def test_criterion_2_oracle_equivalence():
         for _ in range(20):
             prob = random_linear_problem(rng, int(rng.integers(2, 5)))
             wf = solve(prob)
+            rounding = 1e-12 * max(1.0, abs(wf.objective_gain))
             coarse = enumerate_best(prob, EnumerationSpec(switch_grid=12))
             assert wf.objective_gain >= coarse.value - grid_slack(prob, 12)
+            assert coarse.value >= wf.objective_gain - grid_slack(prob, 12) - rounding
             refined = enumerate_best(prob, EnumerationSpec(switch_grid=16))
             assert wf.objective_gain >= refined.value - 1e-3
+            assert refined.value >= wf.objective_gain - grid_slack(prob, 16) - rounding
 
 
 def test_criterion_3_bang_bang_falsification():

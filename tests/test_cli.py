@@ -113,6 +113,12 @@ class TestSimulateCommand:
         assert spend == pytest.approx(11.0, abs=1e-6)
 
 
+def _assert_oracle_within_slack(payload):
+    """The proven direction: the oracle is within grid_slack of the solve, up to rounding."""
+    gain = payload["waterfill_gain"]
+    assert payload["oracle_value"] >= gain - payload["grid_slack"] - 1e-12 * max(1.0, abs(gain))
+
+
 class TestOtherCommands:
     def test_bounds(self, tmp_path):
         out = tmp_path / "run"
@@ -127,12 +133,14 @@ class TestOtherCommands:
         assert main(["oracle", str(SEVEN), "--out", str(out), "--grid", "6"]) == 0
         payload = json.loads(_read(out / "oracle.json"))
         assert payload["waterfill_gain"] >= payload["oracle_value"] - payload["grid_slack"]
+        _assert_oracle_within_slack(payload)
 
     def test_oracle_default_grid_runs_on_the_bundle(self, tmp_path):
         out = tmp_path / "run"
         assert main(["oracle", str(SEVEN), "--out", str(out)]) == 0
         payload = json.loads(_read(out / "oracle.json"))
         assert payload["waterfill_gain"] >= payload["oracle_value"] - payload["grid_slack"]
+        _assert_oracle_within_slack(payload)
 
     def test_oracle_idempotent(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -268,6 +276,11 @@ class TestExitCodes:
             ["sweep", "--n", "0", "--instances", "1"],
             ["sweep", "--n", "1" + "0" * 400],
             ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "-1"],
+            # Counts whose arrays would pass 2 GiB, rejected before they are allocated.
+            ["simulate", str(SEVEN), "--steps", "1" + "0" * 30],
+            ["simulate", str(SEVEN), "--steps", "100000000000"],
+            ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "1" + "0" * 30],
+            ["solve", str(SEVEN), "--emit-plot-data", "--plot-points", "100000000000"],
             ["solve", _Edited("abc", "T")],
             ["solve", _Edited("x", "channels", 0, "u_max")],
             ["solve", _Edited("a", "channels", 0, "b", 2)],
@@ -287,6 +300,7 @@ class TestExitCodes:
             "zero-step", "non-integer", "empty-range", "no-instances", "negative-radius", "zero-nodes",
             "n-401-digits",
             "plot-points",
+            "steps-31-digits", "steps-1e11", "plot-points-31-digits", "plot-points-1e11",
             "T-not-a-number", "u_max-not-a-number", "b-entry-not-a-number", "T-1e400", "v-1e400",
             "fractional-edge-index", "fractional-n", "n-2**63",
             "T-true", "r-true", "u_max-true", "b-entry-true", "p-entry-false", "edge-index-true",
@@ -355,6 +369,37 @@ class TestExitCodes:
     def test_integer_too_large_for_a_float_exits_2(self, edit, message, tmp_path, capsys):
         # A scalar reads as +-inf and fails validation; an array entry or an edge is malformed.
         assert main(["solve", edit.write(tmp_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "command, source, path, message",
+        [
+            ("solve", SEVEN, ("T",), "malformed problem object: missing or bad field '10.0' is not a number"),
+            ("solve", SEVEN, ("channels", 0, "b"), "malformed problem object"),
+            ("solve", SEVEN, ("objective", "p"), "malformed problem object"),
+            ("solve", SEVEN, ("x0",), "malformed problem object"),
+            ("sigmoid", SEVEN_SIGMOID, ("objective", "alpha"), "malformed problem object"),
+            ("sigmoid", SEVEN_SIGMOID, ("objective", "theta"), "malformed problem object"),
+            ("sigmoid", SEVEN_SIGMOID, ("drift",), "malformed problem object"),
+        ],
+        ids=["scalar-T", "gain-vector", "weight-vector", "x0", "alpha", "theta", "drift"],
+    )
+    def test_numbers_written_as_strings_exit_2(self, command, source, path, message, tmp_path, capsys):
+        # JSON strings are not numbers, even where Python or numpy would parse them as one.
+        def as_strings(value):
+            if isinstance(value, dict):
+                return {key: as_strings(v) for key, v in value.items()}
+            return [as_strings(v) for v in value] if isinstance(value, list) else str(value)
+
+        payload = json.loads(_read(source))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = as_strings(target[path[-1]])
+        problem = tmp_path / "strings.json"
+        problem.write_text(json.dumps(payload))
+        assert main([command, str(problem), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 

@@ -113,6 +113,13 @@ class TestSimulate:
         with pytest.raises(ContractError, match="64"):
             simulate(prob, _empty_schedule(prob), steps=32)
 
+    @pytest.mark.parametrize("steps", [10**11, 10**30])
+    def test_rejects_a_step_count_whose_trajectory_passes_2_gib(self, steps):
+        # Rejected before the time grid is formed.
+        prob = k2_problem()
+        with pytest.raises(ContractError, match=f"steps {steps} is too large: .*2 GiB"):
+            simulate(prob, _empty_schedule(prob), steps=steps)
+
     @pytest.mark.parametrize("steps", [200.0, 256.5, True, "256", None])
     def test_rejects_a_step_count_that_is_not_an_integer(self, steps):
         prob = k2_problem()

@@ -94,6 +94,12 @@ class TestWeightedGraph:
             WeightedGraph(n=n, edges=edges)
         assert WeightedGraph(n=n - 1, edges=edges[:-1]).n == MAX_AGENTS
 
+    def test_sample_arrays_share_the_laplacian_ceiling(self):
+        # The largest Laplacian's MAX_AGENTS x MAX_AGENTS entries, 2 GiB, and one row more.
+        assert graph._entries_fault(MAX_AGENTS, "rows", MAX_AGENTS, MAX_AGENTS) is None
+        fault = graph._entries_fault(MAX_AGENTS + 1, "rows", MAX_AGENTS + 1, MAX_AGENTS)
+        assert fault.startswith(f"rows {MAX_AGENTS + 1} is too large") and "2 GiB" in fault
+
     def test_geometric_graph_checks_the_limit_before_placing_points(self):
         # Past the limit the n points and their candidate pairs would be
         # formed first.

@@ -169,6 +169,7 @@ class TestEnumerateBest:
         assert res.schedule.channels[0].intervals == ((0.0, 0.5),)
         assert sol.objective_gain >= res.value - slack
         assert abs(sol.objective_gain - res.value) <= 1e-3
+        assert res.value >= sol.objective_gain - slack - 1e-12 * max(1.0, abs(sol.objective_gain))
 
     def test_zero_budget_all_off(self):
         # A budget must be positive; this one buys no cell, as a zero budget would.
@@ -543,7 +544,8 @@ class TestSpectralWork:
         prob = seven_agent_problem()
         calls = self._count(monkeypatch)
         grid_slack(prob, 10)
-        assert calls == {"spectral_decompose": 1, "project": 1, "projected_coefficients": 1, "group_support": 0}
+        # One certified solve: its conditions read the support masks once.
+        assert calls == {"spectral_decompose": 1, "project": 1, "projected_coefficients": 1, "group_support": 1}
 
     def test_sigmoid_oracle_never_steps_the_dynamics(self, monkeypatch):
         prob = seven_agent_sigmoid_problem()
@@ -586,7 +588,42 @@ class TestProblemValidation:
 
     def test_grid_slack_accepts_the_range_ends(self):
         prob = seven_agent_problem()
-        assert grid_slack(prob, 2) == 8 * grid_slack(prob, 16) > 0.0
+        assert grid_slack(prob, 2) > grid_slack(prob, 16) > 0.0
+        for grid in (2, 16):
+            assert grid_slack(prob, grid) == pytest.approx(_reference_slack(prob, grid), rel=1e-12)
+
+    def test_grid_slack_requires_the_linear_objective(self):
+        with pytest.raises(ContractError, match="linear objective"):
+            grid_slack(seven_agent_sigmoid_problem(), 6)
+
+
+def _reference_slack(prob, grid):
+    """The grid-slack bound, switch by switch in Python floats, from a solve and its coefficients.
+
+    Each switch t_s in (0, T) of channel k adds Delta (beta* q_k + u_max_k
+    (Delta / 2) H'_k(min(t_s + Delta, T))), with H'_k(t) = sum_g |d_kg|
+    rate_g exp(rate_g (t - T)); a channel over its support bound adds its
+    gain instead. The rounding allowance 2 (N + 5 + rate_max T) eps M, with
+    N = m (grid + G)(G + 1) and M = sum_k u_max_k sum_g |d_kg| T, comes last.
+    """
+    prep = prepare(prob)
+    sol = solve(prep)
+    coeffs = costate.projected_coefficients(prep.sd, prob.objective.p, prep.gains)
+    rates = prep.sd.group_rates.tolist()
+    T, delta = prob.T, prob.T / grid
+    total = 0.0
+    for ch, row, cs, cert in zip(prob.channels, coeffs.tolist(), sol.schedule.channels, sol.certificate):
+        if cert.realized_switches > cert.bound_general:
+            gains = (costate.integrate_h(prep.sd.group_rates, np.array(row), T, lo, hi) for lo, hi in cs.intervals)
+            total += ch.u_max * sum(gains)
+            continue
+        for t in (t for iv in cs.intervals for t in iv if 0.0 < t < T):
+            end = min(t + delta, T)
+            slope = sum(abs(d) * rate * np.exp(rate * (end - T)) for d, rate in zip(row, rates))
+            total += delta * (sol.beta_star * ch.max_cost_rate + ch.u_max * 0.5 * delta * slope)
+    size = T * sum(ch.u_max * sum(abs(d) for d in row) for ch, row in zip(prob.channels, coeffs.tolist()))
+    products = prob.m * (grid + len(rates)) * (len(rates) + 1)
+    return total + 2.0 * (products + 5.0 + max(rates) * T) * sys.float_info.epsilon * size
 
 
 def _reference_combine(channels, budget):

@@ -21,6 +21,7 @@ from waveplan.costate import projected_coefficients
 from waveplan.dynamics import terminal_state
 from waveplan.errors import ContractError, NumericalError
 from waveplan.graph import build_laplacian, group_support, project, random_geometric_graph, spectral_decompose
+from waveplan.oracle import EnumerationSpec, enumerate_best, grid_slack
 from waveplan.problem import CampaignProblem, Channel, CostModel, Drift, Objective, prepare, problem_from_dict
 from waveplan.sweep import default_radius
 from waveplan.waterfill import solve
@@ -660,14 +661,17 @@ def _reference_crossings(grid, beta):
 
 
 @st.composite
-def whole_problems(draw):
+def whole_problems(draw, desk=False):
     """Linear-objective problems: m 1-8, T 0.05-20, binding and slack budgets, linear and power costs.
 
     Most have n 2-40 on a random connected graph; about one in six has n
-    2-400 on a geometric graph at the sweep radius.
+    2-400 on a geometric graph at the sweep radius. With ``desk`` every
+    problem has n 2-8 and m 1-2 on a random connected graph, the oracle's
+    sizes.
     """
-    geometric = draw(st.sampled_from((False,) * 5 + (True,)))
-    n, m = draw(st.integers(2, 400 if geometric else 40)), draw(st.integers(1, 8))
+    geometric = not desk and draw(st.sampled_from((False,) * 5 + (True,)))
+    n = draw(st.integers(2, 8 if desk else 400 if geometric else 40))
+    m = draw(st.integers(1, 2 if desk else 8))
     T = draw(st.floats(0.05, 20.0))
     budget = draw(st.floats(0.05, 1.5))  # of the saturation spend; above 1 the budget is slack
     power = draw(st.booleans())
@@ -754,6 +758,33 @@ class TestEndToEndInvariants:
         # The draw of hypothesis seed 132: a 3.75e-8 gain, while x0 and the
         # drift move x(T) by O(1).
         _check_gain_and_invariance(_pinned_problem("small_gain", "seed132"))
+
+
+class TestOracleWithinGridSlack:
+    """The solve and the enumeration oracle agree within ``grid_slack``, both ways."""
+
+    @staticmethod
+    def _check(prob, grid, sol):
+        res = enumerate_best(prob, EnumerationSpec(switch_grid=grid))
+        slack = grid_slack(prob, grid)
+        rounding = 1e-12 * max(1.0, abs(sol.objective_gain))
+        assert sol.objective_gain >= res.value - slack
+        assert res.value >= sol.objective_gain - slack - rounding
+
+    # m <= 2 and grids up to 10 keep the candidates under MAX_CANDIDATES.
+    @settings(max_examples=100, deadline=None)
+    @given(whole_problems(desk=True), st.integers(2, 10))
+    def test_oracle_is_within_grid_slack_of_the_solve(self, prob, grid):
+        sol = _solve_or_bracket(prob)
+        if sol is not None:
+            self._check(prob, grid, sol)
+
+    @pytest.mark.parametrize("grid", [4, 8, 16])
+    def test_zero_reach_channel_is_within_grid_slack(self, grid):
+        # The channel's one switch, at T/2, is over its support bound 0: the
+        # default cap turns it off, and the slack is its whole gain 0.316.
+        prob = TestCertificateChecks._zero_reach_k2(1e-11)
+        self._check(prob, grid, solve(prob))
 
 
 # Allowance of the Lagrangian cross-check, relative to its scale M + beta * c T:
