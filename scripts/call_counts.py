@@ -5,13 +5,20 @@
 Run from the repository root. The ops are the benchmark's own
 (``perfbench/workloads.py``, imported, not changed). One untraced round
 runs first, so caches fill and lazy set-up finishes; then each op of
-``--rounds`` rounds runs under cProfile. Two tables are printed:
+``--rounds`` rounds runs under cProfile. Three tables are printed:
 
 - per op kind: ops run, calls per op (every Python and builtin call that
-  cProfile records) and cProfile time per op;
+  cProfile records), calls per op into numpy's Python-level functions
+  (the cProfile entries whose file is under numpy's package directory,
+  such as ``np.linspace`` or the ``_methods`` behind ``ndarray.all``; a
+  ufunc or C method is not among them, and a C function such as
+  ``np.where`` counts once, for its Python-level argument dispatcher) and
+  cProfile time per op;
 - per waveplan function, most inclusive calls first: calls of the function
   per op of its kind, calls made inside it and by it per call (its own
-  call included), and its cProfile self and cumulative time per call.
+  call included), and its cProfile self and cumulative time per call;
+- per numpy Python-level function, most calls first: its calls per op of
+  each kind.
 
 Inclusive calls come from a second, untimed pass under ``sys.setprofile``
 that charges each call event to every waveplan function on the stack.
@@ -46,8 +53,11 @@ import sys  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = str(ROOT / "src" / "waveplan")
+NUMPY = str(Path(np.__file__).parent)
 
 
 def _import_workloads():
@@ -173,10 +183,17 @@ def main(argv=None) -> None:
 
     print(f"# {args.workload} seed {args.seed}, {args.rounds} round(s) of {len(ops)} ops")
     print()
-    print("| op kind | ops | calls/op | cProfile ms/op |")
-    print("|---------|----:|---------:|---------------:|")
+    # Calls of each numpy Python-level function, keyed (op kind, display name).
+    numpy_calls: Counter = Counter()
+    for kind, st in stats.items():
+        for (filename, line, name), (_, calls, _, _, _) in st.stats.items():
+            if filename.startswith(NUMPY):
+                numpy_calls[kind, f"{Path(filename).stem}.{name}:{line}"] += calls
+    print("| op kind | ops | calls/op | numpy Python-level calls/op | cProfile ms/op |")
+    print("|---------|----:|---------:|----------------------------:|---------------:|")
     for kind, (n, calls, seconds) in per_kind.items():
-        print(f"| {kind} | {n} | {calls / n:.1f} | {1e3 * seconds / n:.3f} |")
+        in_numpy = sum(c for (k, _), c in numpy_calls.items() if k == kind)
+        print(f"| {kind} | {n} | {calls / n:.1f} | {in_numpy / n:.1f} | {1e3 * seconds / n:.3f} |")
     print()
     print("| op kind | function | calls/op | incl. calls/call | self µs/call | cum µs/call |")
     print("|---------|----------|---------:|-----------------:|-------------:|------------:|")
@@ -191,6 +208,12 @@ def main(argv=None) -> None:
                 f"| {kind} | {fn} | {calls / n:.2f} | {incl / calls:.1f} | "
                 f"{1e6 * self_s / calls:.1f} | {1e6 * cum_s / calls:.1f} |"
             )
+
+    print()
+    print("| op kind | numpy Python-level function | calls/op |")
+    print("|---------|-----------------------------|---------:|")
+    for (kind, fn), calls in sorted(numpy_calls.items(), key=lambda item: (item[0][0], -item[1], item[0][1])):
+        print(f"| {kind} | {fn} | {calls / per_kind[kind][0]:.2f} |")
 
     print()
     print(f"level searches: {len(probes)}, probes per search: {_spread(probes)}")

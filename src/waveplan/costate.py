@@ -95,14 +95,17 @@ def integrate_h(rates: np.ndarray, coeffs: np.ndarray, T: float, a, b):
     """Exact integral over [a, b] of h(t) = sum_g coeffs_g exp(rates_g (t - T)), for scalar or array a and b.
 
     Each mode's term is coeffs_g times its ``modal_integrals`` entry. The
-    terms are added left to right from 0.0, so each entry of an array call
-    equals the scalar call bit for bit, and a zero coefficient adds a
+    modes run along the last axis of ``coeffs``, and its leading axes
+    broadcast against the endpoints': one call takes one row per interval,
+    or every channel's row over shared endpoints as ``coeffs[:, None, :]``.
+    The terms are added left to right from 0.0, so each entry of an array
+    call equals the scalar call bit for bit, and a zero coefficient adds a
     signed zero that leaves the sum's bits unchanged. T must be a finite
     positive real number, and a and b real numbers with 0 <= a <= b <= T.
     """
     _require(ContractError, _real_fault(T, "horizon T", "positive"))
     lo, hi = np.asarray(a), np.asarray(b)
-    if lo.dtype.kind not in "iuf" or hi.dtype.kind not in "iuf" or not np.all((0.0 <= lo) & (lo <= hi) & (hi <= T)):
+    if lo.dtype.kind not in "iuf" or hi.dtype.kind not in "iuf" or not ((0.0 <= lo) & (lo <= hi) & (hi <= T)).all():
         raise ContractError(f"integration bounds must be reals with 0 <= a <= b <= T = {T}, got a={a!r}, b={b!r}")
     terms = coeffs * modal_integrals(rates, T, lo, hi)
     terms = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), terms), axis=-1)

@@ -53,6 +53,20 @@ def _check_fit(schedule, T: float, m: int | None = None) -> None:
             raise ContractError(f"schedule channel {k}: interval {cs.intervals[-1]} outside [0, {T}]")
 
 
+def _grid(T: float, cells: int) -> np.ndarray:
+    """``cells`` uniform cells of [0, T] as their cells + 1 ends, bit for bit ``np.linspace(0.0, T, cells + 1)``.
+
+    It repeats ``linspace``'s own arithmetic without its wrapper's calls:
+    i (T / cells), or (i / cells) T where the step underflows to 0, with
+    the last end set to T.
+    """
+    T = float(T)
+    step = T / cells
+    times = np.arange(cells + 1) * step if step else np.arange(cells + 1) / cells * T
+    times[-1] = T
+    return times
+
+
 def _nodes(problem: CampaignProblem, steps: int, events=()) -> np.ndarray:
     """``steps`` uniform steps of [0, T], refined so that every drift breakpoint and event time in (0, T) is a node.
 
@@ -63,7 +77,7 @@ def _nodes(problem: CampaignProblem, steps: int, events=()) -> np.ndarray:
     """
     T = problem.T
     times = np.concatenate([problem.drift.breakpoints, np.asarray(events, dtype=np.float64).ravel()])
-    return np.unique(np.concatenate([np.linspace(0.0, T, steps + 1), times[(times > 0.0) & (times < T)]]))
+    return np.unique(np.concatenate([_grid(T, steps), times[(times > 0.0) & (times < T)]]))
 
 
 def _forcing(problem: CampaignProblem, schedule, ts: np.ndarray):
@@ -188,9 +202,10 @@ def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) 
     Each unit of effort on channel i at time t is worth h_i(t), the profile
     whose group coefficients are row i of ``coeffs`` (one row per schedule
     channel, one column per rate), so the gain is u_max_i times the integral
-    of h_i over the on-intervals. Each channel's integrals come from one
-    ``integrate_h`` call, whose entries equal its scalar calls bit for bit,
-    and the terms are added one by one in channel then interval order.
+    of h_i over the on-intervals. Every channel's integrals come from one
+    ``integrate_h`` call, with one coefficient row per interval; its entries
+    equal the scalar calls bit for bit, and the terms are added one by one
+    in channel then interval order.
     """
     _require(ContractError, _real_fault(T, "horizon T", "positive"))
     _check_fit(schedule, T)
@@ -200,9 +215,10 @@ def closed_form_gain(rates: np.ndarray, coeffs: np.ndarray, T: float, schedule) 
             f"({len(schedule.channels)}, {np.size(rates)}): one row per schedule channel"
         )
     total = 0.0
-    for row, cs in zip(coeffs, schedule.channels):
-        if cs.intervals:
-            lo, hi = zip(*cs.intervals)
-            for value in integrate_h(rates, row, T, lo, hi).tolist():
-                total += cs.u_max * value
+    rows = [k for k, cs in enumerate(schedule.channels) for _ in cs.intervals]
+    if rows:
+        lo, hi = zip(*[iv for cs in schedule.channels for iv in cs.intervals])
+        values = integrate_h(rates, np.asarray(coeffs)[rows], T, lo, hi)
+        for k, value in zip(rows, values.tolist()):
+            total += schedule.channels[k].u_max * value
     return float(total)

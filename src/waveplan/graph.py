@@ -194,8 +194,9 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
     to zero up to rounding in the diagonal accumulation. Each diagonal entry
     adds its node's incident weights in edge order.
     """
-    ends, w = g._ends, g._weights
-    m = np.diag(np.bincount(ends, weights=np.repeat(w, 2), minlength=g.n))
+    ends, w, n = g._ends, g._weights, g.n
+    m = np.zeros((n, n))
+    m.flat[:: n + 1] = np.bincount(ends, weights=w.repeat(2), minlength=n)
     a, b = ends[0::2], ends[1::2]
     m[a, b] = -w
     m[b, a] = -w

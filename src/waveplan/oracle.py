@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bounds
 from .costate import integrate_h, projected_coefficients
-from .dynamics import _nodes, objective_value
+from .dynamics import _grid, _nodes, objective_value
 from .errors import ContractError, ValidationError, _int_fault, _real, _require
 from .graph import group_support
 from .problem import CampaignProblem, Prepared, prepare
@@ -232,7 +232,7 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
         raise ContractError(f"interior levels must be distinct and inside (0, 1), got {spec.interior_levels!r}")
 
     T = problem.T
-    edges = np.linspace(0.0, T, g + 1)
+    edges = _grid(T, g)
     delta = T / g
 
     levels = (1.0,) + interior
@@ -260,11 +260,12 @@ def enumerate_best(problem: CampaignProblem | Prepared, spec: EnumerationSpec) -
 
     if problem.objective.kind == "linear":
         coeffs = projected_coefficients(sd, problem.objective.p, prep.gains)
+        # Every channel's cell integrals, one row per channel, from one call.
+        cell_integrals = integrate_h(sd.group_rates, coeffs[:, None, :], T, edges[:-1], edges[1:])
         scored = []
-        for k, ch in enumerate(problem.channels):
-            cell_gain = ch.u_max * integrate_h(sd.group_rates, coeffs[k], T, edges[:-1], edges[1:])
-            t = tables[k]
-            scored.append(((t.masks @ cell_gain)[t.mask_of] * t.levels, t.classes, costs[k], t.interior))
+        for ch, t, cost, cells in zip(problem.channels, tables, costs, cell_integrals):
+            cell_gain = ch.u_max * cells
+            scored.append(((t.masks @ cell_gain)[t.mask_of] * t.levels, t.classes, cost, t.interior))
         if m == 1:
             # -0.0 is the exact additive identity, so the pair sums are channel 1's own values and costs.
             scored.append((np.array([-0.0]), np.zeros(1, dtype=np.intp), np.array([-0.0]), np.zeros(1, dtype=bool)))
@@ -306,7 +307,8 @@ def _best_pair(channels, budget):
     tables = []
     for gains, classes, costs, interior in channels:
         size = np.bincount(classes)
-        best = np.full(size.size, -np.inf)
+        best = np.empty(size.size)
+        best.fill(-np.inf)
         np.maximum.at(best, classes, gains)
         cost = np.zeros(size.size)
         cost[classes] = costs
@@ -321,8 +323,8 @@ def _best_pair(channels, budget):
     value = float(totals.max())
     partner = np.where(ok, best2, -np.inf).max(axis=1)
     (v1, k1, _, _), (v2, k2, _, _) = channels
-    i = int(np.argmax(v1 + partner[k1] == value))
-    j = int(np.argmax((v1[i] + v2 == value) & ok[k1[i]][k2]))
+    i = int((v1 + partner[k1] == value).argmax())
+    j = int(((v1[i] + v2 == value) & ok[k1[i]][k2]).argmax())
     return (
         (i, j),
         value,
@@ -333,15 +335,18 @@ def _best_pair(channels, budget):
 
 
 def _schedule_from_indices(problem, tables, edges, idx) -> BangBangSchedule:
+    ends = edges.tolist()
     channels = []
     for k, ch in enumerate(problem.channels):
         t = tables[k]
-        on = t.masks[int(t.mask_of[idx[k]])] > 0.0
-        # One interval per on-cell: the schedule merges touching ones.
+        on = t.masks[int(t.mask_of[idx[k]])].tolist()
+        # One interval per run of on-cells, from the first cell's lower edge
+        # to the last cell's upper edge: edge c is a cut where cells c - 1 and c differ.
+        cuts = [c for c, (a, b) in enumerate(zip([0.0] + on, on + [0.0])) if a != b]
         channels.append(
             ChannelSchedule(
                 u_max=float(t.levels[idx[k]]) * ch.u_max,
-                intervals=tuple(zip(edges[:-1][on].tolist(), edges[1:][on].tolist())),
+                intervals=tuple((ends[a], ends[b]) for a, b in zip(cuts[0::2], cuts[1::2])),
             )
         )
     return BangBangSchedule(channels=tuple(channels))

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import bounds
 from .costate import projected_coefficients
-from .dynamics import closed_form_gain
+from .dynamics import _grid, closed_form_gain
 from .errors import ContractError, NumericalError, _real, _real_fault, _require
 from .problem import CampaignProblem, Prepared, check_conditions, prepare
 
@@ -166,7 +166,9 @@ class _SignalGrid:
     the channels' coefficients d_g on them, 0 where a channel lacks a mode,
     kept as the G x m matrix ``coeffs``. One product samples, at the K + 1
     cell ends (K = ``_CELLS``), each g_k (``values``, m x (K + 1)), its slope g_k' and its
-    curvature bound M_k(t) = sum_g |d_g| rate_g^2 exp(rate_g (t - T)).
+    curvature bound M_k(t) = sum_g |d_g| rate_g^2 exp(rate_g (t - T)). The
+    cell ends, ``times``, come from ``dynamics._grid``: the bits of
+    ``np.linspace(0.0, T, K + 1)`` without its wrapper's calls.
     Every rate is nonnegative, so M_k is nondecreasing in t, and its value
     M at a cell's upper end bounds |g_k''| on the cell. With h the cell
     width and v_lo, v_hi the end values:
@@ -192,11 +194,14 @@ class _SignalGrid:
         m = self.coeffs.shape[1]
         self.dcoeffs = self.coeffs * rates[:, None]  # coefficients of g'
         # Coefficients of g, g' and M_k, G x 3 x m, so one product evaluates all three.
-        self._terms = np.stack((self.coeffs, self.dcoeffs, np.abs(self.dcoeffs) * rates[:, None]), axis=1)
-        self.times = np.linspace(0.0, self.T, _CELLS + 1)
-        samples = (self._modes(self.times) @ self._terms.reshape(rates.size, 3 * m)).T
+        terms = self._terms = np.empty((rates.size, 3, m))
+        terms[:, 0], terms[:, 1] = self.coeffs, self.dcoeffs
+        terms[:, 2] = np.abs(self.dcoeffs) * rates[:, None]
+        self.times = _grid(self.T, _CELLS)
+        samples = (self._modes(self.times) @ terms.reshape(rates.size, 3 * m)).T
         # Each row padded with -inf at both ends; ``values`` is a view of the samples.
-        padded = np.full((m, _CELLS + 3), -np.inf)
+        padded = np.empty((m, _CELLS + 3))
+        padded.fill(-np.inf)
         padded[:, 1:-1] = samples[:m]
         self.values = padded[:, 1:-1]
         self._padded = padded.ravel()
@@ -215,7 +220,7 @@ class _SignalGrid:
         open_cells = np.abs(vhi - vlo) <= curve
         # Cells the slope test leaves open, as channel * K + cell, and the
         # levels [low, high) at which the chord test leaves them open too.
-        self._open = np.flatnonzero(open_cells)
+        self._open = open_cells.ravel().nonzero()[0]
         self._open_low, self._open_high = low[open_cells], high[open_cells]
 
     def probe(self, beta: float, costs: np.ndarray):
@@ -434,14 +439,16 @@ class _SignalGrid:
         cells = v.shape[1] - 1
         low = np.minimum(v[:, :-1], v[:, 1:]).ravel()
         high = np.maximum(v[:, :-1], v[:, 1:]).ravel()
-        spend = np.repeat(costs * (self.T / cells), cells)
+        spend = (costs * (self.T / cells)).repeat(cells)
         flat = high == low
-        slope = np.divide(spend, high - low, out=np.zeros_like(spend), where=~flat)
+        slope = np.divide(spend, high - low, out=np.zeros(spend.size), where=~flat)
         knots = np.concatenate((high, low))
         order = knots.argsort()[::-1]
         knots = knots[order]
         rise = np.concatenate((slope, -slope))[order].cumsum()  # the spend's slope below each knot
-        jump = np.concatenate((np.where(flat, spend, 0.0), np.zeros_like(spend)))[order]
+        jump = np.zeros(2 * spend.size)
+        np.copyto(jump[: spend.size], spend, where=flat)
+        jump = jump[order]
         below = jump.cumsum()  # the spend just below each knot
         below[1:] += (rise[:-1] * (knots[:-1] - knots[1:])).cumsum()
         j = int(below.searchsorted(r))

@@ -6,11 +6,16 @@ the adjoint flow that the profile expansion solves in closed form,
 ``dense_geometric_edges`` tests every pair of points that a geometric graph
 could join. Each stays apart from the code it checks.
 
-``reference_probe`` and ``reference_crossings`` are the one exception: the
+``reference_probe`` and ``reference_crossings`` are one exception: the
 level probe's tail written with one numpy operation per step over all
 crossings, where ``waterfill`` runs it on Python floats. They evaluate the
 signals with the grid's own ``_modes`` and ``_at`` on the same points, so
 the scalar tail must agree with them bit for bit.
+
+``per_cell_schedule`` is the other: the enumeration oracle's winning
+schedule built with one interval per on-cell, touching cells merged by
+``ChannelSchedule``, where ``oracle._schedule_from_indices`` builds one
+interval per run of on-cells.
 """
 
 from __future__ import annotations
@@ -18,6 +23,18 @@ from __future__ import annotations
 import numpy as np
 
 from waveplan.errors import ContractError
+from waveplan.waterfill import BangBangSchedule, ChannelSchedule
+
+
+def per_cell_schedule(problem, tables, edges, idx):
+    """The schedule of candidate idx[k] of each channel's table, from one interval per on-cell, merged by ``ChannelSchedule``."""
+    channels = []
+    for k, ch in enumerate(problem.channels):
+        t = tables[k]
+        on = t.masks[int(t.mask_of[idx[k]])] > 0.0
+        intervals = tuple(zip(edges[:-1][on].tolist(), edges[1:][on].tolist()))
+        channels.append(ChannelSchedule(u_max=float(t.levels[idx[k]]) * ch.u_max, intervals=intervals))
+    return BangBangSchedule(channels=tuple(channels))
 
 
 def h_at(rates, coeffs, T: float, t):

@@ -174,18 +174,24 @@ class TestIntegrateH:
         assert integrate_h(sd.group_rates, row, 1.0, 0.2, 0.9) == pytest.approx(trapz, abs=1e-9)
 
     def test_cell_array_equals_scalar_loop(self):
-        # The oracle's cell gains: one array call against one scalar call per cell.
+        # The oracle's cell gains: one array call, for one channel's row or for
+        # every channel's rows at once, against one scalar call per row and cell.
         rng = np.random.default_rng(5)
         for _ in range(40):
             n = int(rng.integers(2, 9))
             sd = spectral_decompose(build_laplacian(random_connected_graph(rng, n)))
             lam = rng.uniform(0.05, 1.0, n)
             T = float(rng.choice([0.3, 1.0, 2.9, 10.0]))
-            rates, row = sd.group_rates, _row(sd, lam, rng.uniform(-1.0, 1.0, n))
+            rates = sd.group_rates
+            coeffs = np.array([_row(sd, lam, rng.uniform(-1.0, 1.0, n)) for _ in range(int(rng.integers(1, 4)))])
             for g in range(2, 17):
                 edges = np.linspace(0.0, T, g + 1)
-                loop = np.array([integrate_h(rates, row, T, edges[c], edges[c + 1]) for c in range(g)])
-                assert np.array_equal(integrate_h(rates, row, T, edges[:-1], edges[1:]), loop)
+                loop = [[integrate_h(rates, row, T, edges[c], edges[c + 1]) for c in range(g)] for row in coeffs]
+                assert np.array_equal(integrate_h(rates, coeffs[0], T, edges[:-1], edges[1:]), loop[0])
+                every = integrate_h(rates, coeffs[:, None, :], T, edges[:-1], edges[1:])
+                assert every.shape == (coeffs.shape[0], g)
+                for got, want in zip(every.ravel().tolist(), sum(loop, [])):
+                    assert got.hex() == want.hex()
 
     def test_modes_added_left_to_right_from_zero(self):
         rng = np.random.default_rng(9)

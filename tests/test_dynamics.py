@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import K2, k2_problem, random_connected_graph, random_linear_problem
 from waveplan.costate import integrate_h, projected_coefficients
-from waveplan.dynamics import closed_form_gain, objective_value, simulate, terminal_state
+from waveplan.dynamics import _grid, closed_form_gain, objective_value, simulate, terminal_state
 from waveplan.errors import ContractError, ValidationError
 from waveplan.graph import WeightedGraph, build_laplacian, project, spectral_decompose
 from waveplan.oracle import EnumerationSpec, enumerate_best
@@ -170,6 +170,23 @@ def _rows(sd, lam, gains):
     return projected_coefficients(sd, np.asarray(lam, dtype=np.float64), project(sd, [np.asarray(b) for b in gains]))
 
 
+class TestGrid:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        T=st.one_of(
+            st.floats(0.0, 1e6, exclude_min=True),
+            # Subnormal horizons: T / cells underflows to 0 once cells > 2 k.
+            st.integers(1, 64).map(lambda k: k * 5e-324),
+        ),
+        cells=st.integers(1, 4096),
+    )
+    @example(T=1.0, cells=256)
+    @example(T=5e-324, cells=4)
+    @example(T=3e-320, cells=4096)
+    def test_equals_linspace_bit_for_bit(self, T, cells):
+        assert _grid(T, cells).tobytes() == np.linspace(0.0, T, cells + 1).tobytes()
+
+
 class TestClosedFormGain:
     def _k2_rows(self):
         sd = spectral_decompose(build_laplacian(K2))
@@ -217,7 +234,7 @@ class TestClosedFormGain:
             assert diff == pytest.approx(gain, rel=1e-6, abs=1e-9)
 
     def test_equals_the_loop_of_scalar_integrals(self):
-        # One integrate_h call per channel, the terms added in channel then interval order.
+        # One integrate_h call for every channel's intervals, the terms added in channel then interval order.
         rng = np.random.default_rng(37)
         intervals = 0
         for _ in range(12):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import K2, P3, aligned_oracle_problem as _aligned_problem, count_calls, k2_problem, random_connected_graph
+from oracles import per_cell_schedule
 from waveplan import costate, dynamics, graph, oracle
 from waveplan.bundles import seven_agent_problem, seven_agent_sigmoid_problem
 from waveplan.dynamics import objective_value, simulate
@@ -78,6 +79,19 @@ def _fresh_table(g, cap, levels):
         mask_of=np.repeat(np.arange(rows), level.size),
         classes=(on_cells.astype(np.intp)[:, None] * level.size + np.arange(level.size)).ravel(),
     )
+
+
+class TestScheduleFromIndices:
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_runs_equal_merged_per_cell_intervals(self, g):
+        # Every mask, the all-on and all-off ones included, at the extreme and one interior level.
+        problem = replace(k2_problem(), T=2.9)
+        tables = [oracle._candidate_table(g, g - 1, (1.0, 0.5))]
+        assert tables[0].masks.shape[0] == 2**g
+        edges = dynamics._grid(problem.T, g)
+        for i in range(tables[0].levels.size):
+            expected = per_cell_schedule(problem, tables, edges, (i,))
+            assert oracle._schedule_from_indices(problem, tables, edges, (i,)) == expected
 
 
 def _table_bytes():
